@@ -10,9 +10,9 @@ noise sequence bit-for-bit on a given numpy/scipy build:
     i.i.d. Gaussians in row-major order and mirror the result.
 
 The row-major triangle order is normative: it makes Wigner draws
-reproducible across materialized and matrix-free code paths.  None of this
-is cryptographically secure noise, and no floating-point side channels are
-mitigated; both are documented limitations.
+reproducible across stored and regenerated (matrix-free) code paths.  None
+of this is cryptographically secure noise, and no floating-point side
+channels are mitigated; both are documented limitations.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from scipy.special import ndtri
 # P(||E|| > A sqrt(d) * scale) <= small.  The constant is not pinned down by
 # theory; 2.0 is an empirical calibration used by the sample-size advisors.
 DEFAULT_WIGNER_TAIL_CONSTANT = 2.0
+
+# A WignerOperator stores its draw as a dense matrix while its d^2 doubles
+# fit in this many bytes (d <= 2048); larger draws are regenerated inside
+# every product instead.
+WIGNER_DENSE_BUDGET_BYTES = 32 * 2 ** 20
 
 # smallest uniform fed to the quantile transforms; gen.random() can return
 # exactly 0.0, which would map to -inf
@@ -134,24 +139,26 @@ def unit_vector(d: int, rng: SeededRng) -> np.ndarray:
 class WignerOperator:
     """Lazy view of one Wigner draw: dense matrix or matrix-free products.
 
-    The draw is addressed by a dedicated child stream, so the same noise
-    matrix can be materialized (d small) or re-generated row block by row
-    block inside each matrix-vector product (d large) without storing d^2
-    entries.  Both paths consume the identical row-major triangle sequence
-    and therefore represent the same matrix.
+    The draw is addressed by a dedicated child stream.  When its d^2 doubles
+    fit WIGNER_DENSE_BUDGET_BYTES it is drawn once, at construction, and
+    stored.  Above the budget nothing is stored: each matrix-vector product
+    regenerates the draw row by row, and `dense` draws it afresh.  Both
+    paths consume the identical row-major triangle sequence and therefore
+    represent the same matrix.
     """
 
-    def __init__(self, d: int, scale: float, source: SeededRng, materialize: bool = True):
+    def __init__(self, d: int, scale: float, source: SeededRng):
         self.d = int(d)
         self.scale = float(scale)
         self._source = source
-        self._dense = wigner_matrix(d, scale, source.fresh()) if materialize else None
+        self._dense = (wigner_matrix(d, scale, source.fresh())
+                       if 8 * self.d * self.d <= WIGNER_DENSE_BUDGET_BYTES else None)
 
     @property
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = wigner_matrix(self.d, self.scale, self._source.fresh())
-        return self._dense
+        if self._dense is not None:
+            return self._dense
+        return wigner_matrix(self.d, self.scale, self._source.fresh())
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         if self._dense is not None:

@@ -15,7 +15,12 @@ are closed-form worst-case bounds in R, lam, W and are spot-verified
 numerically in the test suite.
 
 Dataset and LossModel are immutable after construction and the erm_*
-evaluators are reentrant, so concurrent runs may share them freely.
+evaluators are reentrant, so concurrent runs may share them freely.  Each
+evaluator optionally takes a MarginMemo: the margins y * (X @ w) of the last
+few (iterate, batch) pairs, so that a run asking for the loss, gradient and
+curvature at one iterate makes one product with X for all of them.  A memo
+is owned by one run and is not shared; without one, every call computes its
+margins afresh.  Both paths give bit-identical results.
 """
 
 from __future__ import annotations
@@ -28,8 +33,13 @@ import numpy as np
 from scipy.special import expit
 
 # Hessians are materialized densely only up to this dimension; above it only
-# Hessian-vector products are offered.
+# Hessian-vector products are offered.  The solvers and the Lanczos dense
+# fallback share this cap.
 DENSE_HESSIAN_CAP = 512
+
+# erm_hessian accumulates X^T diag(curv) X over row blocks of this many rows,
+# so its temporaries stay bounded whatever n is.
+HESSIAN_CHUNK_ROWS = 8192
 
 # sup |phi'''| of the logistic link, attained where expit = (1 +- 1/sqrt(3))/2
 LOGISTIC_THIRD_DERIV_MAX = 1.0 / (6.0 * math.sqrt(3.0))
@@ -63,7 +73,12 @@ class Dataset:
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must take values in {-1, +1}")
         max_norm = float(np.max(np.linalg.norm(X, axis=1)))
-        if self.feature_norm_bound < max_norm * (1.0 - 1e-12):
+        if not math.isfinite(max_norm):  # a NaN or inf entry, or a norm overflow
+            bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
+            if bad.size:
+                raise ValueError(f"features row {int(bad[0])} has a non-finite entry")
+        # written so that a NaN bound fails too
+        if not self.feature_norm_bound >= max_norm * (1.0 - 1e-12):
             raise ValueError(
                 f"feature_norm_bound {self.feature_norm_bound} is below the "
                 f"largest row norm {max_norm}")
@@ -88,11 +103,23 @@ class MarginLink:
     second: Callable[[np.ndarray], np.ndarray]
 
 
+def _softplus_neg(t: np.ndarray) -> np.ndarray:
+    # log(1 + e^-t) = max(-t, 0) + log1p(e^-|t|): overflow-free, and unlike
+    # np.logaddexp it runs on numpy's vectorized exp and log1p
+    return np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+def _logistic_curvature(t: np.ndarray) -> np.ndarray:
+    # expit(t) expit(-t) is even in t, so one sigmoid of -|t| gives both factors
+    s = expit(-np.abs(t))
+    return s * (1.0 - s)
+
+
 def _logistic_link() -> MarginLink:
     return MarginLink(
-        value=lambda t: np.logaddexp(0.0, -t),
+        value=_softplus_neg,
         deriv=lambda t: -expit(-t),
-        second=lambda t: expit(t) * expit(-t),
+        second=_logistic_curvature,
     )
 
 
@@ -103,9 +130,6 @@ def _quartic_link() -> MarginLink:
         deriv=lambda t: t * t * t - t,
         second=lambda t: 3.0 * t * t - 1.0,
     )
-
-
-_LINKS = {"nonconvex_logistic": _logistic_link, "l2_logistic": _logistic_link}
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,32 +288,79 @@ def _select(dataset: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
     return dataset.features[idx], dataset.labels[idx]
 
 
-def erm_value(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None) -> float:
-    _check_box(model, w)
+class MarginMemo:
+    """Margins y * (X @ w) of the most recent (iterate, batch) pairs of one run.
+
+    The memo is bound to one dataset, and the erm_* evaluators given a memo
+    read their rows from it.  Entries are keyed by the bytes of w and of the
+    batch indices, so one is served only for a bit-identical iterate on the
+    same batch.  It keeps SIZE entries and evicts the least recently used: a
+    run needs the current iterate plus the point it steps or probes to.  An
+    entry keeps its batch rows too, so a hit also skips the row gather.
+    Stored margins are read-only.
+    """
+
+    SIZE = 2
+
+    def __init__(self, dataset: Dataset):
+        self.dataset = dataset
+        self._entries: dict[tuple[bytes, bytes | None],
+                            tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def margins(self, w: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, y, margins of w) on the selected rows, computed on a miss."""
+        key = (np.ascontiguousarray(w, dtype=float).tobytes(),
+               None if indices is None else np.asarray(indices, dtype=int).tobytes())
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            X, y = _select(self.dataset, indices)
+            t = y * (X @ w)
+            t.flags.writeable = False
+            entry = (X, y, t)
+            if len(self._entries) >= self.SIZE:
+                del self._entries[next(iter(self._entries))]
+        self._entries[key] = entry  # reinsert: dict order is least recent first
+        return entry
+
+
+def _margins(dataset: Dataset, w: np.ndarray, indices,
+             memo: MarginMemo | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if memo is not None:
+        return memo.margins(w, indices)
     X, y = _select(dataset, indices)
-    t = y * (X @ w)
+    return X, y, y * (X @ w)
+
+
+def erm_value(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
+              memo: MarginMemo | None = None) -> float:
+    _check_box(model, w)
+    _, _, t = _margins(dataset, w, indices, memo)
     return float(np.mean(model.link.value(t))) + _reg_value(model, w)
 
 
-def erm_gradient(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None) -> np.ndarray:
+def erm_gradient(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
+                 memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, y = _select(dataset, indices)
-    t = y * (X @ w)
+    X, y, t = _margins(dataset, w, indices, memo)
     coeff = model.link.deriv(t) * y
     return X.T @ coeff / X.shape[0] + _reg_grad(model, w)
 
 
 def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
-                dense_cap: int = DENSE_HESSIAN_CAP) -> np.ndarray:
+                dense_cap: int = DENSE_HESSIAN_CAP, *,
+                memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, y = _select(dataset, indices)
-    if X.shape[1] > dense_cap:
+    if dataset.d > dense_cap:
         raise ValueError(
-            f"refusing to materialize a {X.shape[1]}-dim Hessian (cap {dense_cap}); "
+            f"refusing to materialize a {dataset.d}-dim Hessian (cap {dense_cap}); "
             "use erm_hvp instead")
-    t = y * (X @ w)
+    X, _, t = _margins(dataset, w, indices, memo)
     curv = model.link.second(t)
-    H = X.T @ (X * curv[:, None]) / X.shape[0]
+    H = np.zeros((X.shape[1], X.shape[1]))
+    for lo in range(0, X.shape[0], HESSIAN_CHUNK_ROWS):
+        block = X[lo:lo + HESSIAN_CHUNK_ROWS]
+        H += block.T @ (block * curv[lo:lo + HESSIAN_CHUNK_ROWS, None])
+    H /= X.shape[0]
     H = 0.5 * (H + H.T)  # gemm output is symmetric only up to rounding
     diag = _reg_hess_diag(model, w)
     H[np.diag_indices_from(H)] += diag
@@ -297,10 +368,9 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
 
 
 def erm_hvp(model: LossModel, dataset: Dataset, w: np.ndarray, v: np.ndarray,
-            indices=None) -> np.ndarray:
+            indices=None, *, memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, y = _select(dataset, indices)
-    t = y * (X @ w)
+    X, _, t = _margins(dataset, w, indices, memo)
     curv = model.link.second(t)
     return X.T @ (curv * (X @ v)) / X.shape[0] + _reg_hess_diag(model, w) * v
 

@@ -46,15 +46,14 @@ from ..accountant import (ApproxDp, NoisePlan, ZCdp, account_run,
                           plan_line_search, plan_short_step, plan_subsampled_dp,
                           tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
-from ..objective import (BatchSelector, Dataset, LossModel, WeightBoxError,
-                         erm_gradient, erm_hessian, erm_hvp, erm_value,
-                         min_batch_size, sensitivities)
+from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel,
+                         MarginMemo, WeightBoxError, erm_gradient, erm_hessian,
+                         erm_hvp, erm_value, min_batch_size, sensitivities)
 from ..spectral import decide_curvature, lanczos_min_eig, min_eigenpair_dense, orient
 from .constants import (AlgorithmConstants, iteration_budget, min_dec_line_search,
                         min_dec_short, roots_t1_t2)
 from .svt import dp_line_search
 
-DENSE_NOISE_CAP = 512
 _MAX_REJECTION_TRIES = 10_000
 
 
@@ -260,14 +259,12 @@ class _NoiseSource:
             "bounded-noise rejection did not accept a gradient draw; "
             "lower sigma_g relative to the bound")
 
-    def hessian_operator(self, d: int, materialize: bool) -> WignerOperator:
-        scale = self.sens.delta_h * self.plan.sigma_h
-        if self.mode == "zero":
-            return WignerOperator(d, 0.0, self.rng.child(), materialize=True)
-        if self.mode == "standard":
-            return WignerOperator(d, scale, self.rng.child(), materialize=materialize)
+    def hessian_operator(self, d: int) -> WignerOperator:
+        scale = 0.0 if self.mode == "zero" else self.sens.delta_h * self.plan.sigma_h
+        if self.mode != "bounded":
+            return WignerOperator(d, scale, self.rng.child())
         for _ in range(_MAX_REJECTION_TRIES):
-            op = WignerOperator(d, scale, self.rng.child(), materialize=True)
+            op = WignerOperator(d, scale, self.rng.child())
             if np.linalg.norm(op.dense, 2) <= self.hess_bound:
                 return op
         raise RuntimeError(
@@ -283,7 +280,7 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
               constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
               selector: BatchSelector | None = None, accounting: str | None = None,
               noise_mode: str = "standard", svt_noise: str | None = None,
-              lanczos: bool = False, dense_cap: int = DENSE_NOISE_CAP,
+              lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
               t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     n, d = dataset.n, dataset.d
     selector = selector or BatchSelector()
@@ -314,9 +311,14 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     if w.shape != (d,):
         raise ValueError(f"w0 must have shape ({d},)")
 
+    # one product with X per (iterate, batch): the gradient and curvature at w
+    # reuse the margins of the loss at w, and an accepted line-search probe's
+    # point is bit-identical to the next iterate
+    memo = MarginMemo(dataset)
+
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     sigma_f = _sigma_f_of(budget)
-    f0 = erm_value(model, dataset, w)
+    f0 = erm_value(model, dataset, w, memo=memo)
     z = 0.0 if noise_mode == "zero" else gaussian(sens_full.delta_f * sigma_f, rng)
     t_est = iteration_budget(f0, z, model.f_lower, min_dec)
     t_used = max(1, min(t_est, t_policy(t_est))) if t_policy is not None else t_est
@@ -360,7 +362,7 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     try:
         for k in range(t_used):
             indices = selector.indices(rng, n)
-            g = erm_gradient(model, dataset, w, indices)
+            g = erm_gradient(model, dataset, w, indices, memo=memo)
             eps_k = noise.grad_noise(d)
             iters_charged += 1
             g_noisy = g + eps_k
@@ -372,7 +374,8 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                     w_base, f_base, gn = w, loss_now, g_noisy
 
                     def q_grad(gamma: float) -> float:
-                        return f_base - erm_value(model, dataset, w_base - gamma * gn) \
+                        return f_base - erm_value(model, dataset, w_base - gamma * gn,
+                                                  memo=memo) \
                             - constants.c_g * gamma * g_norm ** 2
 
                     gamma_init = constants.b_g * gamma_bar_g
@@ -383,7 +386,7 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 else:
                     gamma = 1.0 / model.G
                 w = w - gamma * g_noisy
-                loss_after = erm_value(model, dataset, w)
+                loss_after = erm_value(model, dataset, w, memo=memo)
                 w_good = w.copy()
                 trace.append(StepRecord(k, "gradient", gamma, loss_now, loss_after,
                                         g_norm, None, probes,
@@ -391,17 +394,18 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 loss_now = loss_after
                 continue
 
-            op = noise.hessian_operator(d, materialize=d <= dense_cap)
+            op = noise.hessian_operator(d)
             hess_charged += 1
             if lanczos:
                 def hvp(v: np.ndarray) -> np.ndarray:
-                    return erm_hvp(model, dataset, w, v, indices) + op.matvec(v)
+                    return erm_hvp(model, dataset, w, v, indices, memo=memo) + op.matvec(v)
 
                 norm_bound = model.G + 3.0 * math.sqrt(d) * sens_batch.delta_h * plan.sigma_h
                 eig = lanczos_min_eig(hvp, d, norm_bound, constants.eps_h,
                                       constants.delta_l, rng, dense_cap=dense_cap)
             else:
-                h_noisy = erm_hessian(model, dataset, w, indices, dense_cap=dense_cap) + op.dense
+                h_noisy = (erm_hessian(model, dataset, w, indices, dense_cap=dense_cap, memo=memo)
+                           + op.dense)
                 eig = min_eigenpair_dense(h_noisy)
             decision = decide_curvature(eig, constants.eps_h)
 
@@ -414,7 +418,8 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                     w_base, f_base = w, loss_now
 
                     def q_curv(gamma: float) -> float:
-                        return f_base - erm_value(model, dataset, w_base + gamma * p) \
+                        return f_base - erm_value(model, dataset, w_base + gamma * p,
+                                                  memo=memo) \
                             - 0.5 * constants.c_h * gamma ** 2 * lam_abs
 
                     gamma_init = constants.b_h * gamma_bar_h
@@ -425,7 +430,7 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 else:
                     gamma = 2.0 * lam_abs / model.M
                 w = w + gamma * p
-                loss_after = erm_value(model, dataset, w)
+                loss_after = erm_value(model, dataset, w, memo=memo)
                 w_good = w.copy()
                 trace.append(StepRecord(k, "negative_curvature", gamma, loss_now,
                                         loss_after, g_norm, decision.lambda_min, probes,
@@ -448,7 +453,7 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     accounted = _account(accounting, zcdp_mode, iters_charged, hess_charged, plan, budget, t_used)
     return RunOutcome(status, w, tuple(trace), accounted, plan, t_used,
                       zcdp_mode if accounting == "zcdp" else accounting,
-                      z, erm_value(model, dataset, w), tuple(warnings_acc))
+                      z, erm_value(model, dataset, w, memo=memo), tuple(warnings_acc))
 
 
 def _zcdp_inc(accounting: str, value: float) -> float | None:
@@ -480,7 +485,7 @@ def _account(accounting: str, zcdp_mode: str, iters: int, hess: int,
 def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                    budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
                    svt_noise: str | None = None, lanczos: bool = False,
-                   dense_cap: int = DENSE_NOISE_CAP,
+                   dense_cap: int = DENSE_HESSIAN_CAP,
                    t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Fixed-step variant: gamma_g = 1/G, gamma_H = 2 |lambda| / M."""
     if not isinstance(budget, (NoisePlan, ShortStepBudget)):
@@ -493,7 +498,7 @@ def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmC
 def run_line_search(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                     budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
                     svt_noise: str | None = None, lanczos: bool = False,
-                    dense_cap: int = DENSE_NOISE_CAP,
+                    dense_cap: int = DENSE_HESSIAN_CAP,
                     t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Backtracking variant: private SVT line searches with short-step-like
     fallbacks gamma_bar_g and gamma_bar_H = t2 |lambda| / M."""
@@ -507,7 +512,7 @@ def run_line_search(model: LossModel, dataset: Dataset, w0, constants: Algorithm
 def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                   budget: Budget, selector: BatchSelector, rng: SeededRng, *,
                   accounting: str | None = None, noise_mode: str = "standard",
-                  lanczos: bool = False, dense_cap: int = DENSE_NOISE_CAP,
+                  lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
                   t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Short-step variant on per-iteration without-replacement mini-batches.
 
@@ -549,7 +554,7 @@ def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
                   phase1_t_policy: Callable[[int], int] = default_phase1_policy,
                   selector: BatchSelector | None = None, accounting: str | None = None,
                   noise_mode: str = "standard", lanczos: bool = False,
-                  dense_cap: int = DENSE_NOISE_CAP) -> RunOutcome:
+                  dense_cap: int = DENSE_HESSIAN_CAP) -> RunOutcome:
     """Optimistic-then-fallback strategy.
 
     Phase 1 spends budget_split of the budget on a reduced iteration count

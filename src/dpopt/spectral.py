@@ -26,6 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .mechanisms import SeededRng, unit_vector
+from .objective import DENSE_HESSIAN_CAP
 
 _BREAKDOWN_REL = 1e-12
 _EARLY_STOP_REL = 1e-10  # residual threshold: stop only at near-exact capture
@@ -110,7 +111,7 @@ def _lanczos_sweep(hvp: Callable[[np.ndarray], np.ndarray], d: int, cap: int,
 
 def lanczos_min_eig(hvp: Callable[[np.ndarray], np.ndarray], d: int, norm_bound: float,
                     eps: float, delta_l: float, rng: SeededRng,
-                    dense_cap: int = 512) -> EigenResult:
+                    dense_cap: int = DENSE_HESSIAN_CAP) -> EigenResult:
     """Randomized-Lanczos estimate of the smallest eigenvalue.
 
     Runs at most the iteration cap; stops earlier only when the Ritz

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dpopt import mechanisms
 from dpopt.mechanisms import (SeededRng, WignerOperator, gaussian, gaussian_vector,
                               laplace, unit_vector, wigner_matrix)
 
@@ -142,15 +143,34 @@ class TestWigner:
 class TestWignerOperator:
     def test_dense_matches_free_function(self):
         src = SeededRng(3).child()
-        op = WignerOperator(9, 1.5, src, materialize=True)
+        op = WignerOperator(9, 1.5, src)
         assert np.array_equal(op.dense, wigner_matrix(9, 1.5, src.fresh()))
 
-    def test_matrix_free_product_matches_dense(self):
+    def test_draw_stored_within_budget(self):
+        d = 40
+        assert 8 * d * d <= mechanisms.WIGNER_DENSE_BUDGET_BYTES
+        op = WignerOperator(d, 0.8, SeededRng(2).child())
+        v = SeededRng(4).standard_normal(d)
+        assert op.dense is op.dense  # drawn once, then kept
+        assert np.array_equal(op.matvec(v), op.dense @ v)
+
+    def test_matrix_free_product_matches_dense(self, monkeypatch):
+        # with no memory budget every product regenerates the draw row by row
         src = SeededRng(17).child()
-        dense_op = WignerOperator(33, 0.8, src, materialize=True)
-        lazy_op = WignerOperator(33, 0.8, src, materialize=False)
-        v = SeededRng(4).standard_normal(33)
-        assert np.allclose(lazy_op.matvec(v), dense_op.dense @ v, atol=1e-12)
+        stored_op = WignerOperator(33, 0.8, src)
+        monkeypatch.setattr(mechanisms, "WIGNER_DENSE_BUDGET_BYTES", 0)
+        lazy_op = WignerOperator(33, 0.8, src)
+        assert np.array_equal(lazy_op.dense, stored_op.dense)
+        assert lazy_op.dense is not lazy_op.dense  # drawn afresh, never kept
+        rng = SeededRng(4)
+        for _ in range(3):
+            v = rng.standard_normal(33)
+            assert np.allclose(lazy_op.matvec(v), stored_op.dense @ v, rtol=0, atol=1e-12)
+
+    def test_zero_scale_above_budget_is_zero(self, monkeypatch):
+        monkeypatch.setattr(mechanisms, "WIGNER_DENSE_BUDGET_BYTES", 0)
+        op = WignerOperator(7, 0.0, SeededRng(1).child())
+        assert np.array_equal(op.matvec(np.ones(7)), np.zeros(7))
 
 
 class TestUnitVector:

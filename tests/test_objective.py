@@ -2,13 +2,15 @@
 replace-one sensitivities, batching."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from dpopt import objective
 from dpopt.mechanisms import SeededRng
-from dpopt.objective import (BatchSelector, Dataset, WeightBoxError,
+from dpopt.objective import (BatchSelector, Dataset, MarginMemo, WeightBoxError,
                              builtin_l2_logistic, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
                              erm_hvp, erm_value, min_batch_size, sensitivities)
@@ -51,6 +53,18 @@ class TestDataset:
     def test_shapes(self):
         ds = random_dataset(5, 3, 0)
         assert (ds.n, ds.d) == (5, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_features_rejected_with_row(self, bad):
+        X = np.full((4, 3), 0.1)
+        X[2, 1] = bad
+        X[3, 0] = bad
+        with pytest.raises(ValueError, match="row 2 has a non-finite entry"):
+            Dataset(X, np.ones(4), 1.0)
+
+    def test_nan_norm_bound_rejected(self):
+        with pytest.raises(ValueError):
+            Dataset(np.full((2, 2), 0.1), np.ones(2), math.nan)
 
 
 class TestEvaluation:
@@ -120,6 +134,115 @@ class TestEvaluation:
             w = rng.standard_normal(4)
             vals = np.linalg.eigvalsh(erm_hessian(model, ds, w))
             assert vals[0] >= -1e-12
+
+
+class TestLogisticLink:
+    def test_softplus_matches_logaddexp(self):
+        t = np.concatenate([np.linspace(-1e3, 1e3, 200_001),
+                            SeededRng(30).standard_normal(100_000) * 20.0])
+        value = builtin_nonconvex_logistic(0.0, 1.0, 1).link.value(t)
+        assert np.all(np.isfinite(value))
+        assert np.max(np.abs(value - np.logaddexp(0.0, -t))) <= 1e-15
+
+    def test_curvature_matches_two_sigmoids(self):
+        from scipy.special import expit
+        t = np.linspace(-50.0, 50.0, 10_001)
+        curv = builtin_l2_logistic(0.0, 1.0, 1).link.second(t)
+        assert np.allclose(curv, expit(t) * expit(-t), rtol=1e-12, atol=1e-300)
+
+
+class TestMarginMemo:
+    @staticmethod
+    def _evaluate(model, ds, w, v, indices, memo):
+        return (erm_value(model, ds, w, indices, memo=memo),
+                erm_gradient(model, ds, w, indices, memo=memo),
+                erm_hessian(model, ds, w, indices, memo=memo),
+                erm_hvp(model, ds, w, v, indices, memo=memo))
+
+    @pytest.mark.parametrize("indices", [None, [0, 3, 4, 9, 17, 22]])
+    @pytest.mark.parametrize("name,make", ALL_MODELS)
+    def test_memo_on_and_off_agree(self, name, make, indices):
+        ds = random_dataset(25, 5, 31)
+        model = make(5)
+        rng = SeededRng(32)
+        memo = MarginMemo(ds)
+        for _ in range(3):
+            w = 0.4 * rng.standard_normal(5)
+            v = rng.standard_normal(5)
+            # twice with the memo: the second pass is served from it
+            for _ in range(2):
+                on = self._evaluate(model, ds, w, v, indices, memo)
+                off = self._evaluate(model, ds, w, v, indices, None)
+                assert on[0] == pytest.approx(off[0], rel=1e-12)
+                for a, b in zip(on[1:], off[1:]):
+                    assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    def test_entry_never_served_for_another_iterate_or_batch(self):
+        ds = random_dataset(12, 3, 33)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 3)
+        memo = MarginMemo(ds)
+        w = np.array([0.3, -0.2, 0.5])
+        w_near = np.nextafter(w, np.inf)  # one ulp away in every coordinate
+        cases = [(w, None), (w_near, None), (w, [1, 2, 5]), (w, [1, 2, 6]),
+                 (w_near, [1, 2, 5]), (w, None)]
+        for wk, idx in cases:
+            assert erm_value(model, ds, wk, idx, memo=memo) == erm_value(model, ds, wk, idx)
+            assert np.array_equal(erm_gradient(model, ds, wk, idx, memo=memo),
+                                  erm_gradient(model, ds, wk, idx))
+
+    def test_least_recent_entry_evicted(self):
+        ds = random_dataset(10, 2, 34)
+        memo = MarginMemo(ds)
+        a, b, c = (np.full(2, x) for x in (0.1, 0.2, 0.3))
+        ta = memo.margins(a, None)[2]
+        memo.margins(b, None)
+        assert memo.margins(a, None)[2] is ta  # hit: a becomes most recent
+        memo.margins(c, None)                  # evicts b, not a
+        assert memo.margins(a, None)[2] is ta
+        assert len(memo._entries) == MarginMemo.SIZE == 2
+        with pytest.raises(ValueError):
+            ta[0] = 0.0  # stored margins are read-only
+
+    def test_batch_rows_match_selection(self):
+        ds = random_dataset(10, 2, 35)
+        X, y, t = MarginMemo(ds).margins(np.array([0.2, -0.1]), [7, 1, 4])
+        assert np.array_equal(X, ds.features[[7, 1, 4]])
+        assert np.array_equal(y, ds.labels[[7, 1, 4]])
+        assert np.array_equal(t, y * (X @ np.array([0.2, -0.1])))
+
+
+class TestChunkedHessian:
+    @pytest.mark.parametrize("name,make", ALL_MODELS)
+    def test_matches_one_shot_form(self, name, make, monkeypatch):
+        ds = random_dataset(30, 4, 37)  # 30 rows: 4 blocks of 7 plus one of 2
+        model = make(4)
+        w = 0.3 * SeededRng(38).standard_normal(4)
+        monkeypatch.setattr(objective, "HESSIAN_CHUNK_ROWS", 7)
+        X, y = ds.features, ds.labels
+        curv = model.link.second(y * (X @ w))
+        one_shot = X.T @ (X * curv[:, None]) / ds.n
+        one_shot = 0.5 * (one_shot + one_shot.T)
+        one_shot[np.diag_indices(4)] += objective._reg_hess_diag(model, w)
+        chunked = erm_hessian(model, ds, w)
+        assert np.allclose(chunked, one_shot, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(chunked, chunked.T)
+
+    def test_peak_memory_bounded_by_chunk(self):
+        # the one-shot form allocates an n x d temporary as large as X itself
+        n, d = 65_536, 50
+        X = np.full((n, d), 0.1)
+        ds = Dataset(X, np.ones(n), math.sqrt(d) * 0.1)
+        model = builtin_l2_logistic(1e-3, 1.0, d)
+        w = np.full(d, 0.01)
+        tracemalloc.start()
+        try:
+            erm_hessian(model, ds, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = objective.HESSIAN_CHUNK_ROWS * d * 8
+        assert peak < chunk_bytes + 4 * n * 8 + 16 * d * d * 8
+        assert peak < X.nbytes / 4
 
 
 class TestDeclaredBounds:

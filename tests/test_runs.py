@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from dpopt import objective
 from dpopt.accountant import NoisePlan, account_run
 from dpopt.mechanisms import SeededRng
-from dpopt.objective import (Dataset, builtin_nonconvex_logistic,
+from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
                              sensitivities)
 from dpopt.harness import synth_dataset
 from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, ShortStepBudget,
                              default_phase1_policy, min_dec_line_search,
                              min_dec_short, roots_t1_t2, run_line_search,
-                             run_short_step, run_two_phase)
+                             run_minibatch, run_short_step, run_two_phase)
 
 TOLS = AlgorithmConstants(eps_g=1e-2, eps_h=1e-1)
 
@@ -300,3 +301,65 @@ class TestTwoPhase:
                             SeededRng(5), variant="line_search", noise_mode="zero")
         assert out.status == "converged_2s"
         assert out.accounted_privacy.rho <= 0.5 + 1e-12
+
+
+class TestMarginReuse:
+    """A run computes the margins y * (X @ w) once per (iterate, batch)."""
+
+    CONSTS = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """(iterate, batch) keys of every margin product, plus the call count."""
+        log = {"keys": [], "calls": 0}
+        served = []
+        original = objective.MarginMemo.margins
+
+        def margins(memo, w, indices):
+            entry = original(memo, w, indices)
+            log["calls"] += 1
+            if not any(entry[2] is s for s in served):  # a miss returns new margins
+                served.append(entry[2])
+                log["keys"].append((w.tobytes(), None if indices is None
+                                    else np.asarray(indices).tobytes()))
+            return entry
+
+        monkeypatch.setattr(objective.MarginMemo, "margins", margins)
+        return log
+
+    @staticmethod
+    def _instance():
+        ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
+        return ds, builtin_nonconvex_logistic(1e-3, 1.0, 4)
+
+    def test_short_step_one_product_per_iterate(self, products):
+        ds, model = self._instance()
+        out = run_short_step(model, ds, np.zeros(4), self.CONSTS, ShortStepBudget(0.5),
+                             SeededRng(2))
+        steps = out.iterations - out.converged
+        assert len(products["keys"]) == 1 + steps
+        # f0, each gradient and loss after a step, the Hessian, the final loss
+        assert products["calls"] == 2 + 2 * steps + out.converged + out.hess_evals
+
+    @pytest.mark.parametrize("run", ["line_search", "minibatch", "lanczos", "two_phase"])
+    def test_no_product_repeated(self, products, run):
+        ds, model = self._instance()
+        w0, rng = np.zeros(4), SeededRng(4)
+        if run == "line_search":
+            out = run_line_search(model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng)
+            assert sum(r.probes for r in out.trace) > 0
+        elif run == "minibatch":
+            out = run_minibatch(model, ds, w0, self.CONSTS, ShortStepBudget(0.5),
+                                BatchSelector(500), rng)
+        elif run == "lanczos":
+            out = run_short_step(model, ds, w0, self.CONSTS, ShortStepBudget(0.5), rng,
+                                 lanczos=True)
+        else:
+            out = run_two_phase(model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng,
+                                variant="line_search", phase1_t_policy=lambda t: 2)
+        assert out.status != "failed_termination"
+        keys = products["keys"]
+        # two-phase runs own one memo per phase, so phase 2 recomputes its start
+        repeats = len(out.phases) - 1 if run == "two_phase" else 0
+        assert len(keys) - len(set(keys)) == repeats
+        assert products["calls"] > len(keys)
