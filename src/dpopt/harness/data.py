@@ -1,9 +1,11 @@
 """Dataset ingestion, preprocessing presets, and synthetic instances.
 
 CSV files carry one sample per row with a configurable label column
-(default: last); a header row is detected and skipped.  libsvm files use
-the standard sparse ``label idx:val`` lines with 1-based indices, densified
-on load.
+(default: last); a header row is detected and skipped, and so are blank
+lines.  np.loadtxt parses the numbers; a malformed file is scanned again
+line by line, so that its error names the path and line of the first bad
+row.  libsvm files use the standard sparse ``label idx:val`` lines with
+1-based indices, densified on load.
 
 Preprocessing presets:
 
@@ -29,6 +31,7 @@ Synthetic instances (deterministic per seed):
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,26 +67,47 @@ def _apply_preset(X: np.ndarray, y: np.ndarray, preprocessing: str):
     raise ValueError(f"unknown preprocessing preset {preprocessing!r}")
 
 
-def _parse_csv(path: Path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
+def _csv_row(line: str) -> list[float]:
+    return [float(t) for t in line.split(",")]
+
+
+def _csv_error(path: Path, header: bool) -> ValueError | None:
+    """The path:lineno error of the first malformed row, found line by line."""
+    width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip() or (header and lineno == 1):
                 continue
-            tokens = line.split(",")
             try:
-                rows.append([float(t) for t in tokens])
+                row = _csv_row(line)
             except ValueError as err:
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(rows[0])} fields, got {len(rows[-1])}")
-    if not rows:
+                return ValueError(f"{path}:{lineno}: {err}")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                return ValueError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+    return None
+
+
+def _parse_csv(path: Path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
+    with open(path) as fh:
+        first = fh.readline()
+        try:
+            _csv_row(first)
+            header = False
+        except ValueError:
+            header = bool(first.strip())  # a first line that is not numbers
+        if not header:
+            fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt((line for line in fh if line.strip()), delimiter=",",
+                                  comments=None, ndmin=2)
+        except ValueError as err:
+            raise _csv_error(path, header) or ValueError(f"{path}: {err}") from None
+    if data.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
     y = data[:, label_column]
     X = np.delete(data, label_column % data.shape[1], axis=1)
     return X, y

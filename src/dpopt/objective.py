@@ -15,17 +15,36 @@ are closed-form worst-case bounds in R, lam, W and are spot-verified
 numerically in the test suite.
 
 Dataset and LossModel are immutable after construction and the erm_*
-evaluators are reentrant, so concurrent runs may share them freely.  Each
-evaluator optionally takes a MarginMemo: the margins y * (X @ w) of the last
-few (iterate, batch) pairs, so that a run asking for the loss, gradient and
-curvature at one iterate makes one product with X for all of them.  A memo
-is owned by one run and is not shared; without one, every call computes its
-margins afresh.  Both paths give bit-identical results.
+evaluators are reentrant, so concurrent runs may share them freely.
+
+Every evaluator passes over the selected rows of X in fixed spans of
+ROW_SPAN rows.  The spans run on a module thread pool with one worker per
+CPU this process may use (created on first use, and again in a forked
+child, whose copy has no threads); with one CPU, or a single span, they run
+inline.  Each span yields a partial -- its margins y * (X_s @ w), its
+gradient term X_s^T (phi'(t) y), its Hessian block X_s^T diag(curv) X_s or
+its product X_s^T (curv * (X_s v)) -- and the partials are added in span
+order.  The spans depend on n alone and a span's arithmetic does not depend
+on the thread that runs it, so the results are bit-identical whatever the
+number of cores.  Each margin is a per-row dot product and the loss is the
+mean of all n link values at once, so the loss has the bits it would have
+with one product over the whole of X.
+
+Each evaluator optionally takes a MarginMemo, bound to one model and one
+dataset: the margins and the gradient term of the last few (iterate, batch)
+pairs, computed together in one pass while each span is in cache.  A run
+asking for the loss, gradient and curvature at one iterate thus reads X
+once for the loss and the gradient.  A memo is owned by one run (or by the
+two phases of one run) and is not shared; without one, every call makes
+its own pass.  Both paths give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,9 +56,11 @@ from scipy.special import expit
 # fallback share this cap.
 DENSE_HESSIAN_CAP = 512
 
-# erm_hessian accumulates X^T diag(curv) X over row blocks of this many rows,
-# so its temporaries stay bounded whatever n is.
-HESSIAN_CHUNK_ROWS = 8192
+# Rows per span of the evaluators' passes over X, one span per pool task, so
+# temporaries stay bounded by one span per worker whatever n is.  A multiple
+# of the BLAS kernels' row blocking, so a margin's bits do not depend on the
+# span it falls in.
+ROW_SPAN = 4096
 
 # sup |phi'''| of the logistic link, attained where expit = (1 +- 1/sqrt(3))/2
 LOGISTIC_THIRD_DERIV_MAX = 1.0 / (6.0 * math.sqrt(3.0))
@@ -288,62 +309,130 @@ def _select(dataset: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
     return dataset.features[idx], dataset.labels[idx]
 
 
-class MarginMemo:
-    """Margins y * (X @ w) of the most recent (iterate, batch) pairs of one run.
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
-    The memo is bound to one dataset, and the erm_* evaluators given a memo
-    read their rows from it.  Entries are keyed by the bytes of w and of the
-    batch indices, so one is served only for a bit-identical iterate on the
-    same batch.  It keeps SIZE entries and evicts the least recently used: a
-    run needs the current iterate plus the point it steps or probes to.  An
-    entry keeps its batch rows too, so a hit also skips the row gather.
-    Stored margins are read-only.
+
+_WORKERS = _cpu_count()
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child inherits the pool object but none of its threads
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _span_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="dpopt-span")
+        return _pool
+
+
+def _span_sum(fn: Callable[[int, int], object], n: int):
+    """fn(lo, hi) over the ROW_SPAN-row spans [lo, hi) of n rows, summed in
+    span order; fn returns a fresh partial."""
+    starts = range(0, n, ROW_SPAN)
+    ends = [min(lo + ROW_SPAN, n) for lo in starts]
+    if _WORKERS == 1 or len(starts) == 1:
+        parts = map(fn, starts, ends)
+    else:
+        parts = _span_pool().map(fn, starts, ends)
+    total = next(parts)
+    for part in parts:
+        total += part
+    return total
+
+
+def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray,
+                 deriv: Callable[[np.ndarray], np.ndarray] | None):
+    """Margins t = y * (X @ w) and, given the link's deriv, the gradient sum
+    X^T (deriv(t) * y), made span by span while each span is in cache."""
+    t = np.empty(X.shape[0])
+
+    def span(lo: int, hi: int):
+        t_s = np.multiply(y[lo:hi], X[lo:hi] @ w, out=t[lo:hi])
+        if deriv is None:
+            return 0.0
+        return X[lo:hi].T @ (deriv(t_s) * y[lo:hi])
+
+    return t, _span_sum(span, X.shape[0])
+
+
+class MarginMemo:
+    """Margins y * (X @ w) and gradient sums X^T (phi'(t) y) of the most
+    recent (iterate, batch) pairs of one run.
+
+    The memo is bound to one model and one dataset, and the erm_* evaluators
+    given a memo read their rows from it.  Entries are keyed by the bytes of
+    w and of the batch indices, so one is served only for a bit-identical
+    iterate on the same batch.  It keeps SIZE entries and evicts the least
+    recently used: a run needs the current iterate plus the point it steps
+    or probes to.  An entry keeps its batch rows too, so a hit also skips
+    the row gather.  A miss pays for the gradient sum even when only the
+    loss is asked for.  Stored arrays are read-only.
     """
 
     SIZE = 2
 
-    def __init__(self, dataset: Dataset):
+    def __init__(self, model: LossModel, dataset: Dataset):
+        self.model = model
         self.dataset = dataset
-        self._entries: dict[tuple[bytes, bytes | None],
-                            tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._entries: dict[tuple[bytes, bytes | None], tuple[np.ndarray, ...]] = {}
 
-    def margins(self, w: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X, y, margins of w) on the selected rows, computed on a miss."""
+    def margins(self, w: np.ndarray, indices) -> tuple[np.ndarray, ...]:
+        """(X, y, margins, gradient sum) of w on the selected rows, computed
+        on a miss."""
         key = (np.ascontiguousarray(w, dtype=float).tobytes(),
                None if indices is None else np.asarray(indices, dtype=int).tobytes())
         entry = self._entries.pop(key, None)
         if entry is None:
             X, y = _select(self.dataset, indices)
-            t = y * (X @ w)
+            t, g = _margin_pass(X, y, w, self.model.link.deriv)
             t.flags.writeable = False
-            entry = (X, y, t)
+            g.flags.writeable = False
+            entry = (X, y, t, g)
             if len(self._entries) >= self.SIZE:
                 del self._entries[next(iter(self._entries))]
         self._entries[key] = entry  # reinsert: dict order is least recent first
         return entry
 
 
-def _margins(dataset: Dataset, w: np.ndarray, indices,
-             memo: MarginMemo | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _margins(model: LossModel, dataset: Dataset, w: np.ndarray, indices,
+             memo: MarginMemo | None, gradient: bool) -> tuple[np.ndarray, ...]:
+    """(X, y, t, g) as MarginMemo.margins; without a memo g is computed only
+    when gradient is set."""
     if memo is not None:
+        if memo.model is not model or memo.dataset is not dataset:
+            raise ValueError("the memo is bound to another model or dataset")
         return memo.margins(w, indices)
     X, y = _select(dataset, indices)
-    return X, y, y * (X @ w)
+    t, g = _margin_pass(X, y, w, model.link.deriv if gradient else None)
+    return X, y, t, g
 
 
 def erm_value(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
               memo: MarginMemo | None = None) -> float:
     _check_box(model, w)
-    _, _, t = _margins(dataset, w, indices, memo)
+    _, _, t, _ = _margins(model, dataset, w, indices, memo, gradient=False)
     return float(np.mean(model.link.value(t))) + _reg_value(model, w)
 
 
 def erm_gradient(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
                  memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, y, t = _margins(dataset, w, indices, memo)
-    coeff = model.link.deriv(t) * y
-    return X.T @ coeff / X.shape[0] + _reg_grad(model, w)
+    X, _, _, g = _margins(model, dataset, w, indices, memo, gradient=True)
+    return g / X.shape[0] + _reg_grad(model, w)
 
 
 def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
@@ -354,13 +443,13 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
         raise ValueError(
             f"refusing to materialize a {dataset.d}-dim Hessian (cap {dense_cap}); "
             "use erm_hvp instead")
-    X, _, t = _margins(dataset, w, indices, memo)
-    curv = model.link.second(t)
-    H = np.zeros((X.shape[1], X.shape[1]))
-    for lo in range(0, X.shape[0], HESSIAN_CHUNK_ROWS):
-        block = X[lo:lo + HESSIAN_CHUNK_ROWS]
-        H += block.T @ (block * curv[lo:lo + HESSIAN_CHUNK_ROWS, None])
-    H /= X.shape[0]
+    X, _, t, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+
+    def span(lo: int, hi: int) -> np.ndarray:
+        block = X[lo:hi]
+        return block.T @ (block * model.link.second(t[lo:hi])[:, None])
+
+    H = _span_sum(span, X.shape[0]) / X.shape[0]
     H = 0.5 * (H + H.T)  # gemm output is symmetric only up to rounding
     diag = _reg_hess_diag(model, w)
     H[np.diag_indices_from(H)] += diag
@@ -370,9 +459,13 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
 def erm_hvp(model: LossModel, dataset: Dataset, w: np.ndarray, v: np.ndarray,
             indices=None, *, memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, _, t = _margins(dataset, w, indices, memo)
-    curv = model.link.second(t)
-    return X.T @ (curv * (X @ v)) / X.shape[0] + _reg_hess_diag(model, w) * v
+    X, _, t, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+
+    def span(lo: int, hi: int) -> np.ndarray:
+        block = X[lo:hi]
+        return block.T @ (model.link.second(t[lo:hi]) * (block @ v))
+
+    return _span_sum(span, X.shape[0]) / X.shape[0] + _reg_hess_diag(model, w) * v
 
 
 # ---------------------------------------------------------------------------

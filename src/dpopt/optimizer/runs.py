@@ -26,8 +26,9 @@ pays one gradient draw, Hessian-drawing iterations (curvature steps and the
 terminal check) pay the Hessian draw, and in line-search mode every
 iteration pays one SVT sweep -- which over-counts the terminal check's
 missing sweep by 1/(2 lambda^2), a deliberate conservative choice.  Runs
-aborted by a weight-box violation report status "failed_termination" and
-still charge the partially completed iteration.
+aborted by a weight-box violation, or by a non-finite noisy gradient norm
+or noisy eigenvalue, report status "failed_termination" with a warning that
+says why, and still charge the partially completed iteration.
 
 One run owns one SeededRng stream and its ledger; runs with independent
 streams may execute concurrently without shared mutable state.
@@ -55,6 +56,17 @@ from .constants import (AlgorithmConstants, iteration_budget, min_dec_line_searc
 from .svt import dp_line_search
 
 _MAX_REJECTION_TRIES = 10_000
+
+
+class _NonFiniteRelease(RuntimeError):
+    """A released quantity (noisy gradient norm, noisy Hessian or its
+    eigenvalue) is NaN or infinite, so no step or stopping rule applies."""
+
+
+def _require_finite(value, what: str, k: int):
+    if not np.all(np.isfinite(value)):
+        raise _NonFiniteRelease(f"non-finite {what} at iteration {k}; run aborted")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +293,8 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
               selector: BatchSelector | None = None, accounting: str | None = None,
               noise_mode: str = "standard", svt_noise: str | None = None,
               lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
-              t_policy: Callable[[int], int] | None = None) -> RunOutcome:
+              t_policy: Callable[[int], int] | None = None,
+              memo: MarginMemo | None = None) -> RunOutcome:
     n, d = dataset.n, dataset.d
     selector = selector or BatchSelector()
     m = selector.batch_size(n)
@@ -311,10 +324,11 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     if w.shape != (d,):
         raise ValueError(f"w0 must have shape ({d},)")
 
-    # one product with X per (iterate, batch): the gradient and curvature at w
-    # reuse the margins of the loss at w, and an accepted line-search probe's
-    # point is bit-identical to the next iterate
-    memo = MarginMemo(dataset)
+    # one pass over X per (iterate, batch): the loss at w also makes the
+    # gradient at w, the curvature reuses its margins, and an accepted
+    # line-search probe's point is bit-identical to the next iterate
+    if memo is None:
+        memo = MarginMemo(model, dataset)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     sigma_f = _sigma_f_of(budget)
@@ -366,7 +380,8 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
             eps_k = noise.grad_noise(d)
             iters_charged += 1
             g_noisy = g + eps_k
-            g_norm = float(np.linalg.norm(g_noisy))
+            g_norm = _require_finite(float(np.linalg.norm(g_noisy)),
+                                     "noisy gradient norm", k)
 
             if g_norm > constants.eps_g:
                 probes = 0
@@ -398,15 +413,19 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
             hess_charged += 1
             if lanczos:
                 def hvp(v: np.ndarray) -> np.ndarray:
-                    return erm_hvp(model, dataset, w, v, indices, memo=memo) + op.matvec(v)
+                    return _require_finite(
+                        erm_hvp(model, dataset, w, v, indices, memo=memo) + op.matvec(v),
+                        "noisy Hessian-vector product", k)
 
                 norm_bound = model.G + 3.0 * math.sqrt(d) * sens_batch.delta_h * plan.sigma_h
                 eig = lanczos_min_eig(hvp, d, norm_bound, constants.eps_h,
                                       constants.delta_l, rng, dense_cap=dense_cap)
             else:
-                h_noisy = (erm_hessian(model, dataset, w, indices, dense_cap=dense_cap, memo=memo)
-                           + op.dense)
+                h_noisy = _require_finite(
+                    erm_hessian(model, dataset, w, indices, dense_cap=dense_cap, memo=memo)
+                    + op.dense, "noisy Hessian", k)
                 eig = min_eigenpair_dense(h_noisy)
+            _require_finite(eig.lambda_min, "noisy eigenvalue", k)
             decision = decide_curvature(eig, constants.eps_h)
 
             if decision.negative:
@@ -444,8 +463,8 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                                                   grad_charge + hess_charge + svt_charge)))
                 status = "converged_2s"
                 break
-    except WeightBoxError as err:
-        # abort, but hand back the last iterate that stayed inside the box
+    except (WeightBoxError, _NonFiniteRelease) as err:
+        # abort, but hand back the last iterate whose loss was evaluated
         warnings_acc.append(str(err))
         status = "failed_termination"
         w = w_good
@@ -481,6 +500,21 @@ def _account(accounting: str, zcdp_mode: str, iters: int, hess: int,
 # ---------------------------------------------------------------------------
 # public run operations
 
+# the entry point of each variant and the budget types it takes
+_VARIANT_BUDGETS = {
+    "short": ("run_short_step", (NoisePlan, ShortStepBudget)),
+    "line_search": ("run_line_search", (NoisePlan, LineSearchBudget)),
+    "minibatch": ("run_minibatch",
+                  (NoisePlan, ShortStepBudget, SubsampledDpBudget, RdpTuneBudget)),
+}
+
+
+def _check_budget(variant: str, budget: Budget) -> None:
+    entry, accepted = _VARIANT_BUDGETS[variant]
+    if not isinstance(budget, accepted):
+        raise TypeError(f"{entry} takes a "
+                        + " or ".join(kind.__name__ for kind in accepted))
+
 
 def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                    budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
@@ -488,8 +522,7 @@ def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmC
                    dense_cap: int = DENSE_HESSIAN_CAP,
                    t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Fixed-step variant: gamma_g = 1/G, gamma_H = 2 |lambda| / M."""
-    if not isinstance(budget, (NoisePlan, ShortStepBudget)):
-        raise TypeError("run_short_step takes a NoisePlan or ShortStepBudget")
+    _check_budget("short", budget)
     return _run_core("short", model, dataset, w0, constants, budget, rng,
                      noise_mode=noise_mode, svt_noise=svt_noise, lanczos=lanczos,
                      dense_cap=dense_cap, t_policy=t_policy)
@@ -502,8 +535,7 @@ def run_line_search(model: LossModel, dataset: Dataset, w0, constants: Algorithm
                     t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Backtracking variant: private SVT line searches with short-step-like
     fallbacks gamma_bar_g and gamma_bar_H = t2 |lambda| / M."""
-    if not isinstance(budget, (NoisePlan, LineSearchBudget)):
-        raise TypeError("run_line_search takes a NoisePlan or LineSearchBudget")
+    _check_budget("line_search", budget)
     return _run_core("line_search", model, dataset, w0, constants, budget, rng,
                      noise_mode=noise_mode, svt_noise=svt_noise, lanczos=lanczos,
                      dense_cap=dense_cap, t_policy=t_policy)
@@ -521,9 +553,7 @@ def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
     via advanced composition ("approx_dp", requires a SubsampledDpBudget).
     A batch below the advised minimum size only flags the outcome.
     """
-    if not isinstance(budget, (NoisePlan, ShortStepBudget, SubsampledDpBudget, RdpTuneBudget)):
-        raise TypeError("run_minibatch takes a NoisePlan, ShortStepBudget, "
-                        "SubsampledDpBudget, or RdpTuneBudget")
+    _check_budget("minibatch", budget)
     return _run_core("short", model, dataset, w0, constants, budget, rng,
                      selector=selector, accounting=accounting, noise_mode=noise_mode,
                      lanczos=lanczos, dense_cap=dense_cap, t_policy=t_policy)
@@ -569,27 +599,28 @@ def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
     if not (0.0 < budget_split < 1.0):
         raise ValueError("budget_split must lie in (0, 1)")
 
-    def dispatch(bud: Budget, w_start, t_policy):
-        if variant == "short":
-            return run_short_step(model, dataset, w_start, constants, bud, rng,
-                                  noise_mode=noise_mode, lanczos=lanczos,
-                                  dense_cap=dense_cap, t_policy=t_policy)
-        if variant == "line_search":
-            return run_line_search(model, dataset, w_start, constants, bud, rng,
-                                   noise_mode=noise_mode, lanczos=lanczos,
-                                   dense_cap=dense_cap, t_policy=t_policy)
-        if variant == "minibatch":
-            if selector is None:
-                raise ValueError("minibatch two-phase runs need a selector")
-            return run_minibatch(model, dataset, w_start, constants, bud, selector, rng,
-                                 accounting=accounting, noise_mode=noise_mode,
-                                 lanczos=lanczos, dense_cap=dense_cap, t_policy=t_policy)
+    phase1_budget = _scale_budget(budget, budget_split)
+    if variant not in _VARIANT_BUDGETS:
         raise ValueError(f"unknown variant {variant!r}")
+    if variant == "minibatch" and selector is None:
+        raise ValueError("minibatch two-phase runs need a selector")
+    _check_budget(variant, budget)
+    minibatch = variant == "minibatch"
+    # one memo for both phases: phase 2's initial loss is phase 1's final one
+    memo = MarginMemo(model, dataset)
 
-    phase1 = dispatch(_scale_budget(budget, budget_split), w0, phase1_t_policy)
+    def phase(bud: Budget, w_start, t_policy):
+        return _run_core("line_search" if variant == "line_search" else "short",
+                         model, dataset, w_start, constants, bud, rng,
+                         selector=selector if minibatch else None,
+                         accounting=accounting if minibatch else None,
+                         noise_mode=noise_mode, lanczos=lanczos, dense_cap=dense_cap,
+                         t_policy=t_policy, memo=memo)
+
+    phase1 = phase(phase1_budget, w0, phase1_t_policy)
     if phase1.status == "converged_2s":
         return replace(phase1, phases=(phase1,))
-    phase2 = dispatch(_scale_budget(budget, 1.0 - budget_split), phase1.w_final, None)
+    phase2 = phase(_scale_budget(budget, 1.0 - budget_split), phase1.w_final, None)
     trace = phase1.trace + tuple(
         replace(r, k=r.k + phase1.iterations) for r in phase2.trace)
     return RunOutcome(

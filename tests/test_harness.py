@@ -36,6 +36,27 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match=":2"):
             load_dataset(path, "csv")
 
+    def test_short_row_reports_line_number(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b,label\n0.5,0.5,1\n\n0.1,-1\n0.2,0.3,1\n")
+        with pytest.raises(ValueError, match=r"short\.csv:4: expected 3 fields, got 2"):
+            load_dataset(path, "csv")
+
+    def test_blank_lines_skipped_and_values_exact(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        rows = ["0.1,0.30000000000000004,1", "1e-300,-0.7071067811865476,-1"]
+        path.write_text("x1,x2,y\n\n" + rows[0] + "\n   \n" + rows[1] + "\n\n")
+        ds = load_dataset(path, "csv")
+        expected = np.array([[float(t) for t in row.split(",")] for row in rows])
+        assert np.array_equal(ds.features, expected[:, :2])
+        assert np.array_equal(ds.labels, expected[:, 2])
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("a,b,label\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_dataset(path, "csv")
+
     def test_unknown_label_rejected(self, tmp_path):
         path = tmp_path / "lbl.csv"
         path.write_text("0.5,0.5,3\n")

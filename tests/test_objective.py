@@ -2,6 +2,11 @@
 replace-one sensitivities, batching."""
 
 import math
+import os
+import select
+import signal
+import sys
+import threading
 import tracemalloc
 from itertools import combinations
 
@@ -161,11 +166,12 @@ class TestMarginMemo:
 
     @pytest.mark.parametrize("indices", [None, [0, 3, 4, 9, 17, 22]])
     @pytest.mark.parametrize("name,make", ALL_MODELS)
-    def test_memo_on_and_off_agree(self, name, make, indices):
+    def test_memo_on_and_off_agree(self, name, make, indices, monkeypatch):
+        monkeypatch.setattr(objective, "ROW_SPAN", 4)  # several spans per pass
         ds = random_dataset(25, 5, 31)
         model = make(5)
         rng = SeededRng(32)
-        memo = MarginMemo(ds)
+        memo = MarginMemo(model, ds)
         for _ in range(3):
             w = 0.4 * rng.standard_normal(5)
             v = rng.standard_normal(5)
@@ -173,14 +179,24 @@ class TestMarginMemo:
             for _ in range(2):
                 on = self._evaluate(model, ds, w, v, indices, memo)
                 off = self._evaluate(model, ds, w, v, indices, None)
-                assert on[0] == pytest.approx(off[0], rel=1e-12)
+                assert on[0] == off[0]
                 for a, b in zip(on[1:], off[1:]):
-                    assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+                    assert np.array_equal(a, b)
+
+    def test_memo_bound_to_its_model_and_dataset(self):
+        ds = random_dataset(10, 2, 36)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 2)
+        memo = MarginMemo(model, ds)
+        w = np.array([0.2, -0.1])
+        with pytest.raises(ValueError, match="bound to another"):
+            erm_gradient(builtin_l2_logistic(1e-3, 1.0, 2), ds, w, memo=memo)
+        with pytest.raises(ValueError, match="bound to another"):
+            erm_value(model, random_dataset(10, 2, 37), w, memo=memo)
 
     def test_entry_never_served_for_another_iterate_or_batch(self):
         ds = random_dataset(12, 3, 33)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 3)
-        memo = MarginMemo(ds)
+        memo = MarginMemo(model, ds)
         w = np.array([0.3, -0.2, 0.5])
         w_near = np.nextafter(w, np.inf)  # one ulp away in every coordinate
         cases = [(w, None), (w_near, None), (w, [1, 2, 5]), (w, [1, 2, 6]),
@@ -192,7 +208,7 @@ class TestMarginMemo:
 
     def test_least_recent_entry_evicted(self):
         ds = random_dataset(10, 2, 34)
-        memo = MarginMemo(ds)
+        memo = MarginMemo(builtin_nonconvex_logistic(1e-3, 1.0, 2), ds)
         a, b, c = (np.full(2, x) for x in (0.1, 0.2, 0.3))
         ta = memo.margins(a, None)[2]
         memo.margins(b, None)
@@ -200,35 +216,49 @@ class TestMarginMemo:
         memo.margins(c, None)                  # evicts b, not a
         assert memo.margins(a, None)[2] is ta
         assert len(memo._entries) == MarginMemo.SIZE == 2
-        with pytest.raises(ValueError):
-            ta[0] = 0.0  # stored margins are read-only
+        for stored in memo.margins(a, None)[2:]:
+            with pytest.raises(ValueError):
+                stored[0] = 0.0  # stored margins and gradient sums are read-only
 
     def test_batch_rows_match_selection(self):
         ds = random_dataset(10, 2, 35)
-        X, y, t = MarginMemo(ds).margins(np.array([0.2, -0.1]), [7, 1, 4])
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 2)
+        w = np.array([0.2, -0.1])
+        X, y, t, g = MarginMemo(model, ds).margins(w, [7, 1, 4])
         assert np.array_equal(X, ds.features[[7, 1, 4]])
         assert np.array_equal(y, ds.labels[[7, 1, 4]])
-        assert np.array_equal(t, y * (X @ np.array([0.2, -0.1])))
+        assert np.array_equal(t, y * (X @ w))
+        assert np.array_equal(g, X.T @ (model.link.deriv(t) * y))
 
 
 class TestChunkedHessian:
     @pytest.mark.parametrize("name,make", ALL_MODELS)
     def test_matches_one_shot_form(self, name, make, monkeypatch):
-        ds = random_dataset(30, 4, 37)  # 30 rows: 4 blocks of 7 plus one of 2
+        ds = random_dataset(30, 4, 37)  # 30 rows: 4 spans of 7 plus one of 2
         model = make(4)
-        w = 0.3 * SeededRng(38).standard_normal(4)
-        monkeypatch.setattr(objective, "HESSIAN_CHUNK_ROWS", 7)
+        rng = SeededRng(38)
+        w = 0.3 * rng.standard_normal(4)
+        v = rng.standard_normal(4)
+        monkeypatch.setattr(objective, "ROW_SPAN", 7)
         X, y = ds.features, ds.labels
-        curv = model.link.second(y * (X @ w))
-        one_shot = X.T @ (X * curv[:, None]) / ds.n
-        one_shot = 0.5 * (one_shot + one_shot.T)
-        one_shot[np.diag_indices(4)] += objective._reg_hess_diag(model, w)
-        chunked = erm_hessian(model, ds, w)
-        assert np.allclose(chunked, one_shot, rtol=1e-12, atol=1e-15)
-        assert np.array_equal(chunked, chunked.T)
+        t = y * (X @ w)
+        curv = model.link.second(t)
+        hessian = X.T @ (X * curv[:, None]) / ds.n
+        hessian = 0.5 * (hessian + hessian.T)
+        hessian[np.diag_indices(4)] += objective._reg_hess_diag(model, w)
+        gradient = X.T @ (model.link.deriv(t) * y) / ds.n + objective._reg_grad(model, w)
+        hvp = X.T @ (curv * (X @ v)) / ds.n + objective._reg_hess_diag(model, w) * v
+        spanned = erm_hessian(model, ds, w)
+        assert np.allclose(spanned, hessian, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(spanned, spanned.T)
+        assert np.allclose(erm_gradient(model, ds, w), gradient, rtol=1e-12, atol=1e-15)
+        assert np.allclose(erm_hvp(model, ds, w, v), hvp, rtol=1e-12, atol=1e-15)
 
-    def test_peak_memory_bounded_by_chunk(self):
-        # the one-shot form allocates an n x d temporary as large as X itself
+    def test_peak_memory_bounded_by_chunk(self, monkeypatch):
+        # the one-shot form allocates an n x d temporary as large as X itself;
+        # a pool of two workers, so that the pooled path runs on any machine
+        monkeypatch.setattr(objective, "_WORKERS", 2)
+        monkeypatch.setattr(objective, "_pool", None)
         n, d = 65_536, 50
         X = np.full((n, d), 0.1)
         ds = Dataset(X, np.ones(n), math.sqrt(d) * 0.1)
@@ -240,9 +270,105 @@ class TestChunkedHessian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk_bytes = objective.HESSIAN_CHUNK_ROWS * d * 8
-        assert peak < chunk_bytes + 4 * n * 8 + 16 * d * d * 8
+        span_bytes = objective.ROW_SPAN * d * 8  # one span in flight per worker
+        assert peak < 2 * span_bytes + 4 * n * 8 + 16 * d * d * 8
         assert peak < X.nbytes / 4
+
+
+
+class TestSpanPool:
+    @pytest.mark.parametrize("workers", ["default", 3])
+    def test_worker_count_does_not_change_bits(self, workers, monkeypatch):
+        # 5 spans of 64 rows plus one of 20, on one worker and on a pool
+        monkeypatch.setattr(objective, "ROW_SPAN", 64)
+        if workers != "default":
+            monkeypatch.setattr(objective, "_WORKERS", workers)
+            monkeypatch.setattr(objective, "_pool", None)
+        ds = random_dataset(340, 6, 39)
+        rng = SeededRng(40)
+        w, v = 0.5 * rng.standard_normal(6), rng.standard_normal(6)
+        indices = np.sort(rng.generator.choice(340, size=200, replace=False))
+
+        def evaluate(model, memo):
+            out = []
+            for idx in (None, indices):
+                out += [erm_value(model, ds, w, idx, memo=memo),
+                        erm_gradient(model, ds, w, idx, memo=memo),
+                        erm_hessian(model, ds, w, idx, memo=memo),
+                        erm_hvp(model, ds, w, v, idx, memo=memo)]
+            return out
+
+        for _, make in ALL_MODELS:
+            model = make(6)
+            pooled = evaluate(model, None) + evaluate(model, MarginMemo(model, ds))
+            with monkeypatch.context() as inline:
+                inline.setattr(objective, "_WORKERS", 1)
+                single = evaluate(model, None) + evaluate(model, MarginMemo(model, ds))
+            for a, b in zip(pooled, single):
+                assert np.array_equal(a, b)
+
+    def test_pool_is_rebuilt_in_a_forked_child(self, monkeypatch):
+        monkeypatch.setattr(objective, "ROW_SPAN", 64)
+        monkeypatch.setattr(objective, "_WORKERS", 2)
+        monkeypatch.setattr(objective, "_pool", None)
+        ds = random_dataset(300, 3, 41)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 3)
+        w = np.array([0.1, 0.2, -0.3])
+        expected = erm_gradient(model, ds, w)  # the parent's pool now exists
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: a pool inherited without threads would hang here
+            try:
+                os.write(write_end, erm_gradient(model, ds, w).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            answered = select.select([fh], [], [], 60.0)[0]
+            if not answered:
+                os.kill(pid, signal.SIGKILL)
+            got = np.frombuffer(fh.read(), dtype=float) if answered else None
+        os.waitpid(pid, 0)
+        assert answered, "the forked child did not finish its gradient"
+        assert np.array_equal(got, expected)
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # more callers and workers than cores, a fresh pool built under
+        # contention, and frequent thread switches
+        monkeypatch.setattr(objective, "ROW_SPAN", 16)
+        monkeypatch.setattr(objective, "_WORKERS", 3)
+        monkeypatch.setattr(objective, "_pool", None)
+        ds = random_dataset(200, 4, 42)
+        model = builtin_quartic_saddle(1.0, 4)
+        ws = [0.2 * SeededRng(43 + i).standard_normal(4) for i in range(6)]
+        with monkeypatch.context() as inline:
+            inline.setattr(objective, "_WORKERS", 1)
+            expected = [erm_gradient(model, ds, w) for w in ws]
+        results = [None] * len(ws)
+
+        def caller(i):
+            for _ in range(20):
+                g = erm_gradient(model, ds, ws[i])
+                if results[i] is None or np.array_equal(results[i], g):
+                    results[i] = g
+                else:
+                    results[i] = "changed between calls"
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(ws))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for got, want in zip(results, expected):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
 
 
 class TestDeclaredBounds:
