@@ -17,34 +17,32 @@ numerically in the test suite.
 Dataset and LossModel are immutable after construction and the erm_*
 evaluators are reentrant, so concurrent runs may share them freely.
 
-Every evaluator passes over the selected rows of X in fixed spans of
-ROW_SPAN rows.  The spans run on a module thread pool with one worker per
-CPU this process may use (created on first use, and again in a forked
-child, whose copy has no threads); with one CPU, or a single span, they run
-inline.  Each span yields a partial -- its margins y * (X_s @ w), its
-gradient term X_s^T (phi'(t) y), its Hessian block X_s^T diag(curv) X_s or
-its product X_s^T (curv * (X_s v)) -- and the partials are added in span
-order.  The spans depend on n alone and a span's arithmetic does not depend
-on the thread that runs it, so the results are bit-identical whatever the
-number of cores.  Each margin is a per-row dot product and the loss is the
-mean of all n link values at once, so the loss has the bits it would have
-with one product over the whole of X.
+Every evaluator passes over the selected rows of X in fixed spans of about
+SPAN_BYTES of X each, one span after another on the calling thread.  Each
+span yields a partial -- its margins y * (X_s @ w), its gradient term
+X_s^T (phi'(t) y), its Hessian block X_s^T diag(curv) X_s or its product
+X_s^T (curv * (X_s v)) -- while its rows are still in cache, and the
+partials are added in span order.  The spans depend on n and d alone, so the
+results are bit-identical from run to run.  A span's row count is a
+multiple of the BLAS kernels' row blocking and each margin is a per-row dot
+product, so a margin has the bits it would have in one product over the
+whole of X; the loss is one mean over all n link values and keeps those
+bits too.  The passes do not spread over cores: on a VM whose second
+vCPU is often stolen by the host, a pass split over two threads waits for
+the slower one and its speed varies from one run to the next.
 
 Each evaluator optionally takes a MarginMemo, bound to one model and one
-dataset: the margins and the gradient term of the last few (iterate, batch)
-pairs, computed together in one pass while each span is in cache.  A run
-asking for the loss, gradient and curvature at one iterate thus reads X
-once for the loss and the gradient.  A memo is owned by one run (or by the
-two phases of one run) and is not shared; without one, every call makes
-its own pass.  Both paths give bit-identical results.
+dataset: the margins, the loss and the gradient term of the last few
+(iterate, batch) pairs, computed together in one pass while each span is in
+cache.  A run asking for the loss, gradient and curvature at one iterate
+thus reads X once for the loss and the gradient.  A memo is owned by one run
+(or by the two phases of one run) and is not shared; without one, every
+call makes its own pass.  Both paths give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,11 +54,14 @@ from scipy.special import expit
 # fallback share this cap.
 DENSE_HESSIAN_CAP = 512
 
-# Rows per span of the evaluators' passes over X, one span per pool task, so
-# temporaries stay bounded by one span per worker whatever n is.  A multiple
-# of the BLAS kernels' row blocking, so a margin's bits do not depend on the
-# span it falls in.
-ROW_SPAN = 4096
+# Bytes of X per span of the evaluators' passes: a span's rows stay in a
+# core's L2 cache between the two products a pass makes over them, and the
+# temporaries stay bounded by one span whatever n is.
+SPAN_BYTES = 1 << 20
+
+# A span's row count is a multiple of this, which covers the BLAS kernels'
+# row blocking, so a margin's bits do not depend on the span it falls in.
+SPAN_ROW_ALIGN = 64
 
 # sup |phi'''| of the logistic link, attained where expit = (1 +- 1/sqrt(3))/2
 LOGISTIC_THIRD_DERIV_MAX = 1.0 / (6.0 * math.sqrt(3.0))
@@ -309,69 +310,44 @@ def _select(dataset: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
     return dataset.features[idx], dataset.labels[idx]
 
 
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
+def _span_rows(d: int) -> int:
+    """Rows per span of a pass over a feature block of width d."""
+    return max(1, SPAN_BYTES // (8 * d) // SPAN_ROW_ALIGN) * SPAN_ROW_ALIGN
 
 
-_WORKERS = _cpu_count()
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child inherits the pool object but none of its threads
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _span_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="dpopt-span")
-        return _pool
-
-
-def _span_sum(fn: Callable[[int, int], object], n: int):
-    """fn(lo, hi) over the ROW_SPAN-row spans [lo, hi) of n rows, summed in
+def _span_sum(fn: Callable[[int, int], object], n: int, d: int):
+    """fn(lo, hi) over the spans [lo, hi) of n rows of width d, summed in
     span order; fn returns a fresh partial."""
-    starts = range(0, n, ROW_SPAN)
-    ends = [min(lo + ROW_SPAN, n) for lo in starts]
-    if _WORKERS == 1 or len(starts) == 1:
-        parts = map(fn, starts, ends)
-    else:
-        parts = _span_pool().map(fn, starts, ends)
-    total = next(parts)
-    for part in parts:
-        total += part
+    rows = _span_rows(d)
+    total = fn(0, min(rows, n))
+    for lo in range(rows, n, rows):
+        total += fn(lo, min(lo + rows, n))
     return total
 
 
-def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray,
-                 deriv: Callable[[np.ndarray], np.ndarray] | None):
-    """Margins t = y * (X @ w) and, given the link's deriv, the gradient sum
-    X^T (deriv(t) * y), made span by span while each span is in cache."""
+def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray, link: MarginLink,
+                 gradient: bool) -> tuple[np.ndarray, float, np.ndarray | float]:
+    """Margins t = y * (X @ w), the mean link value over them and, if gradient
+    is set, the gradient sum X^T (phi'(t) y), made span by span while each
+    span is in cache."""
     t = np.empty(X.shape[0])
+    values = np.empty(X.shape[0])
 
     def span(lo: int, hi: int):
         t_s = np.multiply(y[lo:hi], X[lo:hi] @ w, out=t[lo:hi])
-        if deriv is None:
+        values[lo:hi] = link.value(t_s)
+        if not gradient:
             return 0.0
-        return X[lo:hi].T @ (deriv(t_s) * y[lo:hi])
+        return X[lo:hi].T @ (link.deriv(t_s) * y[lo:hi])
 
-    return t, _span_sum(span, X.shape[0])
+    g = _span_sum(span, *X.shape)
+    # one mean over all n values, so the loss has the bits of an unspanned pass
+    return t, float(np.mean(values)), g
 
 
 class MarginMemo:
-    """Margins y * (X @ w) and gradient sums X^T (phi'(t) y) of the most
-    recent (iterate, batch) pairs of one run.
+    """Margins y * (X @ w), mean link values and gradient sums
+    X^T (phi'(t) y) of the most recent (iterate, batch) pairs of one run.
 
     The memo is bound to one model and one dataset, and the erm_* evaluators
     given a memo read their rows from it.  Entries are keyed by the bytes of
@@ -388,20 +364,20 @@ class MarginMemo:
     def __init__(self, model: LossModel, dataset: Dataset):
         self.model = model
         self.dataset = dataset
-        self._entries: dict[tuple[bytes, bytes | None], tuple[np.ndarray, ...]] = {}
+        self._entries: dict[tuple[bytes, bytes | None], tuple] = {}
 
-    def margins(self, w: np.ndarray, indices) -> tuple[np.ndarray, ...]:
-        """(X, y, margins, gradient sum) of w on the selected rows, computed
-        on a miss."""
+    def margins(self, w: np.ndarray, indices) -> tuple:
+        """(X, y, margins, mean link value, gradient sum) of w on the
+        selected rows, computed on a miss."""
         key = (np.ascontiguousarray(w, dtype=float).tobytes(),
                None if indices is None else np.asarray(indices, dtype=int).tobytes())
         entry = self._entries.pop(key, None)
         if entry is None:
             X, y = _select(self.dataset, indices)
-            t, g = _margin_pass(X, y, w, self.model.link.deriv)
+            t, loss, g = _margin_pass(X, y, w, self.model.link, gradient=True)
             t.flags.writeable = False
             g.flags.writeable = False
-            entry = (X, y, t, g)
+            entry = (X, y, t, loss, g)
             if len(self._entries) >= self.SIZE:
                 del self._entries[next(iter(self._entries))]
         self._entries[key] = entry  # reinsert: dict order is least recent first
@@ -409,29 +385,28 @@ class MarginMemo:
 
 
 def _margins(model: LossModel, dataset: Dataset, w: np.ndarray, indices,
-             memo: MarginMemo | None, gradient: bool) -> tuple[np.ndarray, ...]:
-    """(X, y, t, g) as MarginMemo.margins; without a memo g is computed only
-    when gradient is set."""
+             memo: MarginMemo | None, gradient: bool) -> tuple:
+    """(X, y, t, loss, g) as MarginMemo.margins; without a memo g is computed
+    only when gradient is set."""
     if memo is not None:
         if memo.model is not model or memo.dataset is not dataset:
             raise ValueError("the memo is bound to another model or dataset")
         return memo.margins(w, indices)
     X, y = _select(dataset, indices)
-    t, g = _margin_pass(X, y, w, model.link.deriv if gradient else None)
-    return X, y, t, g
+    return (X, y) + _margin_pass(X, y, w, model.link, gradient)
 
 
 def erm_value(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
               memo: MarginMemo | None = None) -> float:
     _check_box(model, w)
-    _, _, t, _ = _margins(model, dataset, w, indices, memo, gradient=False)
-    return float(np.mean(model.link.value(t))) + _reg_value(model, w)
+    _, _, _, loss, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+    return loss + _reg_value(model, w)
 
 
 def erm_gradient(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
                  memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, _, _, g = _margins(model, dataset, w, indices, memo, gradient=True)
+    X, _, _, _, g = _margins(model, dataset, w, indices, memo, gradient=True)
     return g / X.shape[0] + _reg_grad(model, w)
 
 
@@ -443,13 +418,13 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
         raise ValueError(
             f"refusing to materialize a {dataset.d}-dim Hessian (cap {dense_cap}); "
             "use erm_hvp instead")
-    X, _, t, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+    X, _, t, _, _ = _margins(model, dataset, w, indices, memo, gradient=False)
 
     def span(lo: int, hi: int) -> np.ndarray:
         block = X[lo:hi]
         return block.T @ (block * model.link.second(t[lo:hi])[:, None])
 
-    H = _span_sum(span, X.shape[0]) / X.shape[0]
+    H = _span_sum(span, *X.shape) / X.shape[0]
     H = 0.5 * (H + H.T)  # gemm output is symmetric only up to rounding
     diag = _reg_hess_diag(model, w)
     H[np.diag_indices_from(H)] += diag
@@ -459,13 +434,13 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
 def erm_hvp(model: LossModel, dataset: Dataset, w: np.ndarray, v: np.ndarray,
             indices=None, *, memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, _, t, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+    X, _, t, _, _ = _margins(model, dataset, w, indices, memo, gradient=False)
 
     def span(lo: int, hi: int) -> np.ndarray:
         block = X[lo:hi]
         return block.T @ (model.link.second(t[lo:hi]) * (block @ v))
 
-    return _span_sum(span, X.shape[0]) / X.shape[0] + _reg_hess_diag(model, w) * v
+    return _span_sum(span, *X.shape) / X.shape[0] + _reg_hess_diag(model, w) * v
 
 
 # ---------------------------------------------------------------------------

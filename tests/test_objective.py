@@ -2,11 +2,6 @@
 replace-one sensitivities, batching."""
 
 import math
-import os
-import select
-import signal
-import sys
-import threading
 import tracemalloc
 from itertools import combinations
 
@@ -167,7 +162,7 @@ class TestMarginMemo:
     @pytest.mark.parametrize("indices", [None, [0, 3, 4, 9, 17, 22]])
     @pytest.mark.parametrize("name,make", ALL_MODELS)
     def test_memo_on_and_off_agree(self, name, make, indices, monkeypatch):
-        monkeypatch.setattr(objective, "ROW_SPAN", 4)  # several spans per pass
+        monkeypatch.setattr(objective, "_span_rows", lambda d: 4)  # several spans per pass
         ds = random_dataset(25, 5, 31)
         model = make(5)
         rng = SeededRng(32)
@@ -216,7 +211,8 @@ class TestMarginMemo:
         memo.margins(c, None)                  # evicts b, not a
         assert memo.margins(a, None)[2] is ta
         assert len(memo._entries) == MarginMemo.SIZE == 2
-        for stored in memo.margins(a, None)[2:]:
+        _, _, t, _, g = memo.margins(a, None)
+        for stored in (t, g):
             with pytest.raises(ValueError):
                 stored[0] = 0.0  # stored margins and gradient sums are read-only
 
@@ -224,10 +220,11 @@ class TestMarginMemo:
         ds = random_dataset(10, 2, 35)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 2)
         w = np.array([0.2, -0.1])
-        X, y, t, g = MarginMemo(model, ds).margins(w, [7, 1, 4])
+        X, y, t, loss, g = MarginMemo(model, ds).margins(w, [7, 1, 4])
         assert np.array_equal(X, ds.features[[7, 1, 4]])
         assert np.array_equal(y, ds.labels[[7, 1, 4]])
         assert np.array_equal(t, y * (X @ w))
+        assert loss == float(np.mean(model.link.value(t)))
         assert np.array_equal(g, X.T @ (model.link.deriv(t) * y))
 
 
@@ -239,7 +236,7 @@ class TestChunkedHessian:
         rng = SeededRng(38)
         w = 0.3 * rng.standard_normal(4)
         v = rng.standard_normal(4)
-        monkeypatch.setattr(objective, "ROW_SPAN", 7)
+        monkeypatch.setattr(objective, "_span_rows", lambda d: 7)
         X, y = ds.features, ds.labels
         t = y * (X @ w)
         curv = model.link.second(t)
@@ -254,11 +251,8 @@ class TestChunkedHessian:
         assert np.allclose(erm_gradient(model, ds, w), gradient, rtol=1e-12, atol=1e-15)
         assert np.allclose(erm_hvp(model, ds, w, v), hvp, rtol=1e-12, atol=1e-15)
 
-    def test_peak_memory_bounded_by_chunk(self, monkeypatch):
-        # the one-shot form allocates an n x d temporary as large as X itself;
-        # a pool of two workers, so that the pooled path runs on any machine
-        monkeypatch.setattr(objective, "_WORKERS", 2)
-        monkeypatch.setattr(objective, "_pool", None)
+    def test_peak_memory_bounded_by_chunk(self):
+        # the one-shot form allocates an n x d temporary as large as X itself
         n, d = 65_536, 50
         X = np.full((n, d), 0.1)
         ds = Dataset(X, np.ones(n), math.sqrt(d) * 0.1)
@@ -270,105 +264,30 @@ class TestChunkedHessian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        span_bytes = objective.ROW_SPAN * d * 8  # one span in flight per worker
-        assert peak < 2 * span_bytes + 4 * n * 8 + 16 * d * d * 8
+        span_bytes = objective._span_rows(d) * d * 8
+        assert peak < span_bytes + 4 * n * 8 + 16 * d * d * 8
         assert peak < X.nbytes / 4
 
 
+class TestSpans:
+    @pytest.mark.parametrize("d", [1, 5, 54, 600, 20_000])
+    def test_span_rows_aligned_and_bounded(self, d):
+        rows = objective._span_rows(d)
+        assert rows % objective.SPAN_ROW_ALIGN == 0
+        assert rows * d * 8 <= max(objective.SPAN_BYTES,
+                                   objective.SPAN_ROW_ALIGN * d * 8)
 
-class TestSpanPool:
-    @pytest.mark.parametrize("workers", ["default", 3])
-    def test_worker_count_does_not_change_bits(self, workers, monkeypatch):
-        # 5 spans of 64 rows plus one of 20, on one worker and on a pool
-        monkeypatch.setattr(objective, "ROW_SPAN", 64)
-        if workers != "default":
-            monkeypatch.setattr(objective, "_WORKERS", workers)
-            monkeypatch.setattr(objective, "_pool", None)
-        ds = random_dataset(340, 6, 39)
-        rng = SeededRng(40)
-        w, v = 0.5 * rng.standard_normal(6), rng.standard_normal(6)
-        indices = np.sort(rng.generator.choice(340, size=200, replace=False))
-
-        def evaluate(model, memo):
-            out = []
-            for idx in (None, indices):
-                out += [erm_value(model, ds, w, idx, memo=memo),
-                        erm_gradient(model, ds, w, idx, memo=memo),
-                        erm_hessian(model, ds, w, idx, memo=memo),
-                        erm_hvp(model, ds, w, v, idx, memo=memo)]
-            return out
-
-        for _, make in ALL_MODELS:
-            model = make(6)
-            pooled = evaluate(model, None) + evaluate(model, MarginMemo(model, ds))
-            with monkeypatch.context() as inline:
-                inline.setattr(objective, "_WORKERS", 1)
-                single = evaluate(model, None) + evaluate(model, MarginMemo(model, ds))
-            for a, b in zip(pooled, single):
-                assert np.array_equal(a, b)
-
-    def test_pool_is_rebuilt_in_a_forked_child(self, monkeypatch):
-        monkeypatch.setattr(objective, "ROW_SPAN", 64)
-        monkeypatch.setattr(objective, "_WORKERS", 2)
-        monkeypatch.setattr(objective, "_pool", None)
-        ds = random_dataset(300, 3, 41)
-        model = builtin_nonconvex_logistic(1e-3, 1.0, 3)
-        w = np.array([0.1, 0.2, -0.3])
-        expected = erm_gradient(model, ds, w)  # the parent's pool now exists
-        if not hasattr(os, "fork"):
-            pytest.skip("no fork on this platform")
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child: a pool inherited without threads would hang here
-            try:
-                os.write(write_end, erm_gradient(model, ds, w).tobytes())
-            finally:
-                os._exit(0)
-        os.close(write_end)
-        with os.fdopen(read_end, "rb") as fh:
-            answered = select.select([fh], [], [], 60.0)[0]
-            if not answered:
-                os.kill(pid, signal.SIGKILL)
-            got = np.frombuffer(fh.read(), dtype=float) if answered else None
-        os.waitpid(pid, 0)
-        assert answered, "the forked child did not finish its gradient"
-        assert np.array_equal(got, expected)
-
-    def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        # more callers and workers than cores, a fresh pool built under
-        # contention, and frequent thread switches
-        monkeypatch.setattr(objective, "ROW_SPAN", 16)
-        monkeypatch.setattr(objective, "_WORKERS", 3)
-        monkeypatch.setattr(objective, "_pool", None)
-        ds = random_dataset(200, 4, 42)
-        model = builtin_quartic_saddle(1.0, 4)
-        ws = [0.2 * SeededRng(43 + i).standard_normal(4) for i in range(6)]
-        with monkeypatch.context() as inline:
-            inline.setattr(objective, "_WORKERS", 1)
-            expected = [erm_gradient(model, ds, w) for w in ws]
-        results = [None] * len(ws)
-
-        def caller(i):
-            for _ in range(20):
-                g = erm_gradient(model, ds, ws[i])
-                if results[i] is None or np.array_equal(results[i], g):
-                    results[i] = g
-                else:
-                    results[i] = "changed between calls"
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(ws))]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        for got, want in zip(results, expected):
-            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+    def test_loss_has_the_bits_of_one_product(self):
+        # 3 spans of 2368 rows plus a short tail: each margin, and so the
+        # mean of the link values, keeps the bits of one X @ w
+        ds = random_dataset(7_500, 54, 39)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 54)
+        w = 0.1 * SeededRng(40).standard_normal(54)
+        assert objective._span_rows(54) < ds.n
+        t = ds.labels * (ds.features @ w)
+        one_shot = float(np.mean(model.link.value(t))) + objective._reg_value(model, w)
+        assert erm_value(model, ds, w) == one_shot
+        assert erm_value(model, ds, w, memo=MarginMemo(model, ds)) == one_shot
 
 
 class TestDeclaredBounds:
