@@ -26,6 +26,14 @@ Synthetic instances (deterministic per seed):
     strict saddle with lambda_min <= -a^2 (1 - o(1)).
   * logistic_separable: unit-norm rows labeled by a fixed unit vector with a
     minimum margin, so logistic-family losses are driven to small gradients.
+
+Set-up holds one copy of X.  The synthetic builders fill X in place, one
+block of at most objective.span_rows(d) rows at a time (about
+objective.SPAN_BYTES of normals), and every loader takes the feature-norm
+bound R with objective.max_row_norm, span by span.  planted_saddle draws
+its rows from one row-major normal stream, with signs from the global row
+index; logistic_separable keeps the first n accepted rows of that stream.
+Either way the rows do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from ..mechanisms import SeededRng
-from ..objective import Dataset
+from ..objective import Dataset, max_row_norm, row_spans, span_rows
 
 _COVERTYPE_NUMERIC_COLS = 10
 
@@ -165,14 +173,13 @@ def load_dataset(path, fmt: str = "csv", preprocessing: str = "none",
         raise ValueError(
             f"{path}: label {y[first]} at data row {first} is not in {{-1, +1}} "
             f"after preprocessing {preprocessing!r}")
-    R = float(np.max(np.linalg.norm(X, axis=1)))
-    return Dataset(X, y, R)
+    return Dataset(X, y, max_row_norm(X))
 
 
 def preprocess(dataset: Dataset, preprocessing: str) -> Dataset:
     """Apply a preset to an already loaded dataset (used for idempotence checks)."""
     X, y = _apply_preset(dataset.features, dataset.labels, preprocessing)
-    return Dataset(X, y, float(np.max(np.linalg.norm(X, axis=1))))
+    return Dataset(X, y, max_row_norm(X))
 
 
 def synth_dataset(kind: str, n: int, d: int, seed: int, *,
@@ -185,13 +192,13 @@ def synth_dataset(kind: str, n: int, d: int, seed: int, *,
     if kind == "planted_saddle":
         if d < 2:
             raise ValueError("planted_saddle needs d >= 2")
-        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        Z = rng.standard_normal((n, d))
-        Z[:, 0] = 0.0
-        norms = np.linalg.norm(Z, axis=1, keepdims=True)
-        Z /= np.maximum(norms, 1e-300)
-        X = saddle_noise * Z
-        X[:, 0] += saddle_signal * signs
+        X = np.empty((n, d))
+        for lo, hi in row_spans(n, d):
+            Z = rng.standard_normal((hi - lo, d))
+            Z[:, 0] = 0.0
+            Z /= np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-300)
+            np.multiply(saddle_noise, Z, out=X[lo:hi])
+            X[lo:hi, 0] += saddle_signal * np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
         R = math.sqrt(saddle_signal ** 2 + saddle_noise ** 2)
         return Dataset(X, np.ones(n), R)
     if kind == "logistic_separable":
@@ -201,7 +208,7 @@ def synth_dataset(kind: str, n: int, d: int, seed: int, *,
         X = np.empty((n, d))
         filled = 0
         while filled < n:
-            batch = rng.standard_normal((max(n - filled, 64), d))
+            batch = rng.standard_normal((min(span_rows(d), max(n - filled, 64)), d))
             batch /= np.linalg.norm(batch, axis=1, keepdims=True)
             ok = np.abs(batch @ w_star) >= margin
             take = batch[ok][: n - filled]

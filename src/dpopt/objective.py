@@ -29,15 +29,20 @@ product, so a margin has the bits it would have in one product over the
 whole of X; the loss is one mean over all n link values and keeps those
 bits too.  The passes do not spread over cores: on a VM whose second
 vCPU is often stolen by the host, a pass split over two threads waits for
-the slower one and its speed varies from one run to the next.
+the slower one and its speed varies from one run to the next.  Building a
+Dataset checks X over the same spans (max_row_norm), so set-up holds no
+temporary the size of X either, and the synthetic builders in
+harness.data fill X one span_rows block at a time.
 
 Each evaluator optionally takes a MarginMemo, bound to one model and one
 dataset: the margins, the loss and the gradient term of the last few
 (iterate, batch) pairs, computed together in one pass while each span is in
 cache.  A run asking for the loss, gradient and curvature at one iterate
-thus reads X once for the loss and the gradient.  A memo is owned by one run
-(or by the two phases of one run) and is not shared; without one, every
-call makes its own pass.  Both paths give bit-identical results.
+thus reads X once for the loss and the gradient.  The memo also owns one
+n-vector of scratch for the link values a pass averages, so a miss maps no
+fresh pages for them.  A memo is owned by one run (or by the two phases of
+one run) and is not shared; without one, every call makes its own pass.
+Both paths give bit-identical results.
 """
 
 from __future__ import annotations
@@ -94,11 +99,12 @@ class Dataset:
             raise ValueError("labels length must match the number of rows")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must take values in {-1, +1}")
-        max_norm = float(np.max(np.linalg.norm(X, axis=1)))
+        max_norm = max_row_norm(X)
         if not math.isfinite(max_norm):  # a NaN or inf entry, or a norm overflow
-            bad = np.flatnonzero(~np.all(np.isfinite(X), axis=1))
-            if bad.size:
-                raise ValueError(f"features row {int(bad[0])} has a non-finite entry")
+            for lo, hi in row_spans(*X.shape):
+                bad = np.flatnonzero(~np.all(np.isfinite(X[lo:hi]), axis=1))
+                if bad.size:
+                    raise ValueError(f"features row {lo + int(bad[0])} has a non-finite entry")
         # written so that a NaN bound fails too
         if not self.feature_norm_bound >= max_norm * (1.0 - 1e-12):
             raise ValueError(
@@ -310,28 +316,44 @@ def _select(dataset: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
     return dataset.features[idx], dataset.labels[idx]
 
 
-def _span_rows(d: int) -> int:
+def span_rows(d: int) -> int:
     """Rows per span of a pass over a feature block of width d."""
-    return max(1, SPAN_BYTES // (8 * d) // SPAN_ROW_ALIGN) * SPAN_ROW_ALIGN
+    return max(1, SPAN_BYTES // (8 * max(d, 1)) // SPAN_ROW_ALIGN) * SPAN_ROW_ALIGN
+
+
+def row_spans(n: int, d: int):
+    """The spans [lo, hi) of n rows of width d, in row order."""
+    rows = span_rows(d)
+    return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
 def _span_sum(fn: Callable[[int, int], object], n: int, d: int):
-    """fn(lo, hi) over the spans [lo, hi) of n rows of width d, summed in
-    span order; fn returns a fresh partial."""
-    rows = _span_rows(d)
-    total = fn(0, min(rows, n))
-    for lo in range(rows, n, rows):
-        total += fn(lo, min(lo + rows, n))
+    """fn(lo, hi) over the spans of n rows of width d, summed in span order;
+    fn returns a fresh partial."""
+    spans = row_spans(n, d)
+    total = fn(*next(spans))
+    for lo, hi in spans:
+        total += fn(lo, hi)
     return total
 
 
+def max_row_norm(X: np.ndarray) -> float:
+    """The largest Euclidean row norm of a nonempty X, taken span by span so
+    that no temporary grows with n; each row norm has the bits of one
+    np.linalg.norm over the whole of X, and a NaN entry gives NaN."""
+    return float(np.max([np.max(np.linalg.norm(X[lo:hi], axis=1))
+                         for lo, hi in row_spans(*X.shape)]))
+
+
 def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray, link: MarginLink,
-                 gradient: bool) -> tuple[np.ndarray, float, np.ndarray | float]:
+                 gradient: bool, scratch: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, float, np.ndarray | float]:
     """Margins t = y * (X @ w), the mean link value over them and, if gradient
     is set, the gradient sum X^T (phi'(t) y), made span by span while each
-    span is in cache."""
+    span is in cache.  The link values go to the head of scratch, if given,
+    of at least len(X) entries."""
     t = np.empty(X.shape[0])
-    values = np.empty(X.shape[0])
+    values = np.empty(X.shape[0]) if scratch is None else scratch[:X.shape[0]]
 
     def span(lo: int, hi: int):
         t_s = np.multiply(y[lo:hi], X[lo:hi] @ w, out=t[lo:hi])
@@ -357,6 +379,10 @@ class MarginMemo:
     or probes to.  An entry keeps its batch rows too, so a hit also skips
     the row gather.  A miss pays for the gradient sum even when only the
     loss is asked for.  Stored arrays are read-only.
+
+    The link values a miss averages are not kept, so every miss writes them
+    to one n-vector the memo owns: a fresh array per miss would map new
+    pages, and fault them in, on every pass.
     """
 
     SIZE = 2
@@ -365,6 +391,7 @@ class MarginMemo:
         self.model = model
         self.dataset = dataset
         self._entries: dict[tuple[bytes, bytes | None], tuple] = {}
+        self._values = np.empty(dataset.n)
 
     def margins(self, w: np.ndarray, indices) -> tuple:
         """(X, y, margins, mean link value, gradient sum) of w on the
@@ -374,7 +401,10 @@ class MarginMemo:
         entry = self._entries.pop(key, None)
         if entry is None:
             X, y = _select(self.dataset, indices)
-            t, loss, g = _margin_pass(X, y, w, self.model.link, gradient=True)
+            if X.shape[0] > self._values.size:  # a batch that repeats rows
+                self._values = np.empty(X.shape[0])
+            t, loss, g = _margin_pass(X, y, w, self.model.link, gradient=True,
+                                      scratch=self._values)
             t.flags.writeable = False
             g.flags.writeable = False
             entry = (X, y, t, loss, g)
@@ -424,8 +454,9 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
         block = X[lo:hi]
         curv = model.link.second(t[lo:hi])
         if np.all(curv >= 0.0):
-            # numpy hands A^T A to syrk, which does half the gemm's work
-            scaled = block * np.sqrt(curv)[:, None]
+            # numpy hands A^T A to syrk, which does half the gemm's work; einsum
+            # makes the broadcast's products, faster on narrow rows
+            scaled = np.einsum('ij,i->ij', block, np.sqrt(curv))
             return scaled.T @ scaled
         return block.T @ (block * curv[:, None])
 

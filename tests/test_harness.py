@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,7 +113,55 @@ class TestPreprocessing:
         assert np.allclose(ds.features.std(axis=0), 1.0, atol=1e-12)
 
 
+def one_batch_synth(kind, n, d, seed, margin):
+    """Reference: synth_dataset as it was before it built X span by span,
+    drawing whole batches of rows at once."""
+    rng = SeededRng(seed)
+    if kind == "planted_saddle":
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        Z = rng.standard_normal((n, d))
+        Z[:, 0] = 0.0
+        Z /= np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-300)
+        X = 0.5 * Z
+        X[:, 0] += 2.0 * signs
+        return X, np.ones(n)
+    w_star = np.ones(d) / math.sqrt(d)
+    X = np.empty((n, d))
+    filled = 0
+    while filled < n:
+        batch = rng.standard_normal((max(n - filled, 64), d))
+        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+        take = batch[np.abs(batch @ w_star) >= margin][: n - filled]
+        X[filled:filled + take.shape[0]] = take
+        filled += take.shape[0]
+    return X, np.sign(X @ w_star)
+
+
 class TestSynthetic:
+    @pytest.mark.parametrize("d,margin", [(3, 0.15), (54, 0.15), (600, 0.01)])
+    @pytest.mark.parametrize("kind", ["logistic_separable", "planted_saddle"])
+    def test_spanwise_build_matches_one_batch(self, kind, d, margin):
+        # the rows are the first n accepted rows of the row-major normal
+        # stream, whatever size the blocks drawn from it have
+        for n in (1, 6, 63, 2000, 10_007):
+            for seed in (0, 1, 330):
+                ds = synth_dataset(kind, n, d, seed, margin=margin)
+                X, y = one_batch_synth(kind, n, d, seed, margin)
+                assert np.array_equal(ds.features, X), (n, seed)
+                assert np.array_equal(ds.labels, y), (n, seed)
+
+    @pytest.mark.parametrize("kind", ["logistic_separable", "planted_saddle"])
+    def test_peak_memory_one_copy_of_x(self, kind):
+        # the one-batch build peaks near 4 copies of X
+        n, d = 65_536, 50
+        tracemalloc.start()
+        try:
+            ds = synth_dataset(kind, n, d, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * ds.features.nbytes
+
     def test_deterministic_bytes(self):
         a = synth_dataset("planted_saddle", 100, 4, seed=9)
         b = synth_dataset("planted_saddle", 100, 4, seed=9)

@@ -62,6 +62,37 @@ class TestDataset:
         with pytest.raises(ValueError, match="row 2 has a non-finite entry"):
             Dataset(X, np.ones(4), 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_past_first_span_rejected_with_row(self, bad):
+        n = objective.span_rows(3) + 100
+        row = n - 60
+        X = np.full((n, 3), 0.1)
+        X[row, 1] = bad
+        X[row + 7, 0] = bad
+        with pytest.raises(ValueError, match=f"row {row} has a non-finite entry"):
+            Dataset(X, np.ones(n), 1.0)
+
+    def test_norm_overflow_past_first_span_rejected(self):
+        n = objective.span_rows(3) + 100
+        X = np.full((n, 3), 0.1)
+        X[n - 60] = 1e200  # finite entries whose norm overflows
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="below the largest row norm inf"):
+            Dataset(X, np.ones(n), 1e300)
+
+    def test_building_on_existing_features_holds_no_copy(self):
+        # the whole-matrix row norm allocates a square of X
+        n, d = 65_536, 50
+        X, y = np.full((n, d), 0.1), np.ones(n)
+        tracemalloc.start()
+        try:
+            ds = Dataset(X, y, math.sqrt(d) * 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.features is X
+        assert peak < X.nbytes / 4
+
     def test_nan_norm_bound_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.full((2, 2), 0.1), np.ones(2), math.nan)
@@ -162,7 +193,7 @@ class TestMarginMemo:
     @pytest.mark.parametrize("indices", [None, [0, 3, 4, 9, 17, 22]])
     @pytest.mark.parametrize("name,make", ALL_MODELS)
     def test_memo_on_and_off_agree(self, name, make, indices, monkeypatch):
-        monkeypatch.setattr(objective, "_span_rows", lambda d: 4)  # several spans per pass
+        monkeypatch.setattr(objective, "span_rows", lambda d: 4)  # several spans per pass
         ds = random_dataset(25, 5, 31)
         model = make(5)
         rng = SeededRng(32)
@@ -177,6 +208,23 @@ class TestMarginMemo:
                 assert on[0] == off[0]
                 for a, b in zip(on[1:], off[1:]):
                     assert np.array_equal(a, b)
+
+    def test_minibatch_and_full_batch_share_one_memo(self, monkeypatch):
+        # both write their link values to the memo's one scratch vector
+        monkeypatch.setattr(objective, "span_rows", lambda d: 4)
+        ds = random_dataset(25, 5, 41)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 5)
+        memo = MarginMemo(model, ds)
+        rng = SeededRng(42)
+        batch = [2, 3, 8, 11, 19, 24]
+        repeats = list(range(25)) + batch  # more rows than the dataset has
+        for _ in range(3):
+            w = 0.4 * rng.standard_normal(5)
+            for indices in (batch, None, batch, None, repeats, batch):
+                assert (erm_value(model, ds, w, indices, memo=memo)
+                        == erm_value(model, ds, w, indices))
+                assert np.array_equal(erm_gradient(model, ds, w, indices, memo=memo),
+                                      erm_gradient(model, ds, w, indices))
 
     def test_memo_bound_to_its_model_and_dataset(self):
         ds = random_dataset(10, 2, 36)
@@ -236,7 +284,7 @@ class TestChunkedHessian:
         rng = SeededRng(38)
         w = 0.3 * rng.standard_normal(4)
         v = rng.standard_normal(4)
-        monkeypatch.setattr(objective, "_span_rows", lambda d: 7)
+        monkeypatch.setattr(objective, "span_rows", lambda d: 7)
         X, y = ds.features, ds.labels
         t = y * (X @ w)
         curv = model.link.second(t)
@@ -264,7 +312,7 @@ class TestChunkedHessian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        span_bytes = objective._span_rows(d) * d * 8
+        span_bytes = objective.span_rows(d) * d * 8
         assert peak < span_bytes + 4 * n * 8 + 16 * d * d * 8
         assert peak < X.nbytes / 4
 
@@ -272,7 +320,7 @@ class TestChunkedHessian:
 class TestSpans:
     @pytest.mark.parametrize("d", [1, 5, 54, 600, 20_000])
     def test_span_rows_aligned_and_bounded(self, d):
-        rows = objective._span_rows(d)
+        rows = objective.span_rows(d)
         assert rows % objective.SPAN_ROW_ALIGN == 0
         assert rows * d * 8 <= max(objective.SPAN_BYTES,
                                    objective.SPAN_ROW_ALIGN * d * 8)
@@ -283,7 +331,7 @@ class TestSpans:
         ds = random_dataset(7_500, 54, 39)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 54)
         w = 0.1 * SeededRng(40).standard_normal(54)
-        assert objective._span_rows(54) < ds.n
+        assert objective.span_rows(54) < ds.n
         t = ds.labels * (ds.features @ w)
         one_shot = float(np.mean(model.link.value(t))) + objective._reg_value(model, w)
         assert erm_value(model, ds, w) == one_shot
