@@ -12,9 +12,7 @@ from pathlib import Path
 
 from dpopt.harness import (ExperimentConfig, TOLERANCE_PRESETS, emit_report,
                            render_markdown, run_experiment)
-from dpopt.optimizer import AlgorithmConstants
-
-VARIANTS = ("opt", "opt_b", "opt_ls", "2opt", "2opt_b", "2opt_ls")
+from dpopt.optimizer import VARIANTS, AlgorithmConstants
 
 
 def main() -> int:
@@ -34,7 +32,7 @@ def main() -> int:
     batch = args.batch_size or (5000 if args.data else max(1, synth_n // 100))
     kwargs = dict(
         loss="nonconvex_logistic", lambda_reg=1e-3,
-        variants=VARIANTS,
+        variants=tuple(VARIANTS),
         epsilons=tuple(float(e) for e in args.epsilons.split(",")),
         delta=1e-5,
         constants=AlgorithmConstants(eps_g=eps_g, eps_h=eps_h),

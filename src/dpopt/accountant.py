@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -95,6 +96,8 @@ class NoisePlan:
 
     Actual noise scales are multiplier times the query sensitivity.
     lambda_svt is None for plans whose variant performs no line search.
+    A plan is also a run's budget, used as given (see optimizer.runs): it
+    accounts in zCDP by default and cannot be split into phases.
     """
 
     sigma_f: float
@@ -102,6 +105,7 @@ class NoisePlan:
     sigma_h: float
     lambda_svt: float | None = None
     subsample_fraction: float = 1.0
+    accounting: ClassVar[str] = "zcdp"
 
     def __post_init__(self):
         for name in ("sigma_f", "sigma_g", "sigma_h"):
@@ -111,6 +115,16 @@ class NoisePlan:
             raise ValueError("lambda_svt must be positive when set")
         if not (0.0 < self.subsample_fraction <= 1.0):
             raise ValueError("subsample_fraction must lie in (0, 1]")
+
+    def plan(self, t_budget: int, s: float) -> NoisePlan:
+        if not math.isclose(self.subsample_fraction, s, rel_tol=1e-12):
+            raise ValueError(
+                f"plan subsample_fraction {self.subsample_fraction} does not "
+                f"match the selector fraction {s}")
+        return self
+
+    def scaled(self, fraction: float):
+        raise TypeError("two-phase runs need a budget policy, not a raw NoisePlan")
 
 
 # ---------------------------------------------------------------------------

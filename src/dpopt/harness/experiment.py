@@ -1,8 +1,11 @@
 """Experiment configuration, multi-seed execution, and report emission.
 
 A sweep runs every (variant, privacy level, seed) cell of the configured
-grid, records per-seed rows (status, final loss, runtime, step counts,
-spent budget), and aggregates mean +- sample standard deviation per cell.
+grid through optimizer.run_variant, whose VARIANTS table names the six
+solvers; the harness only picks each cell's budget (zCDP for full-batch
+runs, the configured mini-batch accounting otherwise).  It records per-seed
+rows (status, final loss, runtime, step counts, spent budget), and
+aggregates mean +- sample standard deviation per cell.
 A cell is marked failed whenever any of its seeds did not converge -- such
 cells print the conventional "×" marker next to their runtime.  Cells whose
 budget admits no feasible noise calibration render as "NA".  Runtime is
@@ -27,12 +30,10 @@ from ..accountant import (ApproxDp, InfeasiblePlanError, RdpCurve, ZCdp,
 from ..mechanisms import SeededRng
 from ..objective import (BatchSelector, Dataset, LossModel, builtin_l2_logistic,
                          builtin_nonconvex_logistic, builtin_quartic_saddle)
-from ..optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
-                         RunOutcome, ShortStepBudget, SubsampledDpBudget,
-                         run_line_search, run_minibatch, run_short_step, run_two_phase)
+from ..optimizer import (VARIANTS, AlgorithmConstants, Budget, LineSearchBudget,
+                         RdpTuneBudget, RunOutcome, ShortStepBudget, SubsampledDpBudget,
+                         Variant, run_variant)
 from .data import load_dataset, synth_dataset
-
-VARIANTS = ("opt", "opt_b", "opt_ls", "2opt", "2opt_b", "2opt_ls")
 
 # (eps_g, eps_h) tolerance presets used by the benchmark experiments
 TOLERANCE_PRESETS = {
@@ -87,14 +88,14 @@ class ExperimentConfig:
     def __post_init__(self):
         for v in self.variants:
             if v not in VARIANTS:
-                raise ConfigError(f"unknown variant {v!r}; choose from {VARIANTS}")
+                raise ConfigError(f"unknown variant {v!r}; choose from {tuple(VARIANTS)}")
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("configure exactly one of dataset_path and synth")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.rhos is None and not self.epsilons:
             raise ConfigError("at least one privacy level is required")
-        if any(v.endswith("_b") for v in self.variants) and self.batch_size is None:
+        if any(VARIANTS[v].minibatch for v in self.variants) and self.batch_size is None:
             raise ConfigError("mini-batch variants need batch_size")
         if self.minibatch_accounting not in ("rdp", "approx_dp"):
             raise ConfigError("minibatch_accounting must be 'rdp' or 'approx_dp'")
@@ -167,52 +168,19 @@ def _spent_scalar(outcome: RunOutcome, delta: float) -> float:
     raise TypeError(f"unexpected ledger type {type(acc)!r}")
 
 
-def _dispatch(config: ExperimentConfig, variant: str, epsilon: float, rho: float,
-              model: LossModel, dataset: Dataset, seed: int) -> RunOutcome:
-    rng = SeededRng(seed, config.rng_stream)
-    noise_mode = "zero" if config.zero_noise else "standard"
-    w0 = np.zeros(dataset.d)
-    common = dict(noise_mode=noise_mode, lanczos=config.lanczos)
-    if variant == "opt":
-        return run_short_step(model, dataset, w0, config.constants,
-                              ShortStepBudget(rho, config.constants.c_f), rng, **common)
-    if variant == "opt_ls":
-        return run_line_search(model, dataset, w0, config.constants,
-                               LineSearchBudget(rho, config.constants.c_f), rng, **common)
-    if variant == "opt_b":
-        selector = BatchSelector(config.batch_size)
-        budget, accounting = _minibatch_budget(config, epsilon, rho, dataset.n)
-        return run_minibatch(model, dataset, w0, config.constants, budget, selector, rng,
-                             accounting=accounting, **common)
-    if variant in ("2opt", "2opt_b", "2opt_ls"):
-        inner = {"2opt": "short", "2opt_ls": "line_search", "2opt_b": "minibatch"}[variant]
-        selector = None
-        accounting = None
-        if inner == "short":
-            budget = ShortStepBudget(rho, config.constants.c_f)
-        elif inner == "line_search":
-            budget = LineSearchBudget(rho, config.constants.c_f)
-        else:
-            selector = BatchSelector(config.batch_size)
-            budget, accounting = _minibatch_budget(config, epsilon, rho, dataset.n)
-        return run_two_phase(model, dataset, w0, config.constants, budget, rng,
-                             variant=inner, budget_split=config.budget_split,
-                             selector=selector, accounting=accounting, **common)
-    raise ConfigError(f"unknown variant {variant!r}")
+def _budget(config: ExperimentConfig, variant: Variant, epsilon: float, rho: float,
+            n: int) -> Budget:
+    """The budget of one sweep cell.
 
-
-def _minibatch_budget(config: ExperimentConfig, epsilon: float, rho: float, n: int):
-    """Budget for the mini-batch variants.
-
-    With batch_size = n the run is draw-for-draw a full-batch run, so the
-    degenerate case uses plain zCDP accounting (the amplification bound is
-    vacuous at sampling fraction 1).
+    A batch of all n rows is draw-for-draw a full-batch run, so it keeps the
+    zCDP policy (the amplification bound is vacuous at sampling fraction 1).
     """
-    if config.batch_size >= n:
-        return ShortStepBudget(rho, config.constants.c_f), "zcdp"
-    if config.minibatch_accounting == "approx_dp":
-        return SubsampledDpBudget(epsilon, config.delta), "approx_dp"
-    return RdpTuneBudget(epsilon, config.delta, config.constants.c_f), "rdp"
+    if variant.minibatch and config.batch_size < n:
+        if config.minibatch_accounting == "approx_dp":
+            return SubsampledDpBudget(epsilon, config.delta)
+        return RdpTuneBudget(epsilon, config.delta, config.constants.c_f)
+    policy = LineSearchBudget if variant.loop == "line_search" else ShortStepBudget
+    return policy(rho, config.constants.c_f)
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
@@ -228,13 +196,20 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     rows: list[RunRow] = []
     nan = float("nan")
+    noise_mode = "zero" if config.zero_noise else "standard"
     for variant in config.variants:
+        kind = VARIANTS[variant]
+        selector = BatchSelector(config.batch_size) if kind.minibatch else None
         for eps_label, rho in levels:
+            budget = _budget(config, kind, eps_label, rho, dataset.n)
             for seed in config.seeds:
                 start = time.perf_counter()
                 try:
-                    outcome = _dispatch(config, variant, eps_label, rho, model,
-                                        dataset, seed)
+                    outcome = run_variant(
+                        variant, model, dataset, np.zeros(dataset.d), config.constants,
+                        budget, SeededRng(seed, config.rng_stream), selector=selector,
+                        noise_mode=noise_mode, lanczos=config.lanczos,
+                        budget_split=config.budget_split)
                 except InfeasiblePlanError:
                     # no calibration meets this budget (the "NA" cells of the
                     # benchmark tables); record and keep sweeping

@@ -102,10 +102,14 @@ class Dataset:
         max_norm = max_row_norm(X)
         if not math.isfinite(max_norm):  # a NaN or inf entry, or a norm overflow
             for lo, hi in row_spans(*X.shape):
-                bad = np.flatnonzero(~np.all(np.isfinite(X[lo:hi]), axis=1))
+                bad = np.flatnonzero(~np.isfinite(np.linalg.norm(X[lo:hi], axis=1)))
                 if bad.size:
-                    raise ValueError(f"features row {lo + int(bad[0])} has a non-finite entry")
-        # written so that a NaN bound fails too
+                    row = lo + int(bad[0])
+                    what = ("a norm that overflows" if np.all(np.isfinite(X[row]))
+                            else "a non-finite entry")
+                    raise ValueError(f"features row {row} has {what}")
+        if not math.isfinite(self.feature_norm_bound):
+            raise ValueError(f"feature_norm_bound {self.feature_norm_bound} is not finite")
         if not self.feature_norm_bound >= max_norm * (1.0 - 1e-12):
             raise ValueError(
                 f"feature_norm_bound {self.feature_norm_bound} is below the "

@@ -5,7 +5,8 @@ noise; c_g, c_h set the sufficient-decrease slack of the line searches; b_g,
 b_h (> 1) and beta_g, beta_h in (0, 1) shape the backtracking schedule.  From
 these the per-iteration minimum decrease MIN_DEC follows, and with it the
 iteration budget T = ceil((f(w0) + |z| - f_lower) / MIN_DEC) where z is the
-privatizing perturbation of the initial loss.
+privatizing perturbation of the initial loss.  derive_constants is the one
+place a run gets these per-run quantities from.
 
 The curvature line search needs the roots 0 < t1 < t2 of
 
@@ -155,7 +156,8 @@ def svt_slack(lam: float, i_max: int, trials: float, xi: float) -> float:
 def derive_constants(constants: AlgorithmConstants, model: LossModel,
                      variant: str, f0_plus_z: float) -> DerivedConstants:
     """Roots, minimum decrease, iteration budget, and the gradient fallback
-    step for one run.  variant is "short" or "line_search"."""
+    step for one run, which takes them from here.  variant is "short" or
+    "line_search"; the latter also checks that beta_h lies in (t1/t2, 1)."""
     t1, t2 = roots_t1_t2(constants.c, constants.c2, constants.c_h)
     if variant == "short":
         md = min_dec_short(model.G, model.M, constants.eps_g, constants.eps_h,

@@ -10,11 +10,19 @@ gamma_g = 1/G, gamma_H = 2 |lambda| / M, or are found by a private
 backtracking line search falling back to gamma_bar_g = 2(1 - c1 - c_g)/G and
 gamma_bar_H = t2 |lambda| / M.
 
+The six public solvers differ only in loop kind, accepted budgets,
+batching and phasing; VARIANTS holds one row per name, and run_variant runs
+any of them.  run_short_step ("opt"), run_line_search ("opt_ls"),
+run_minibatch ("opt_b") and run_two_phase ("2opt", "2opt_ls", "2opt_b") are
+its named entry points.
+
 Noise-plan finalization is two-staged, matching the data-dependent budget:
 sigma_f is fixed by the budget policy alone, the perturbed initial loss
 fixes the iteration budget T, and only then are sigma_g, sigma_h (and the
 SVT lambda) calibrated to T.  Runs therefore accept either a budget policy
-(calibrated here) or a ready NoisePlan (used as given).
+(calibrated here) or a ready NoisePlan (used as given); both answer the
+same budget protocol (sigma_f, plan, scaled, accounting), so the loop
+never asks which one it has.
 
 Per-iteration draw order is fixed and documented: batch indices, gradient
 noise, Hessian child stream, Lanczos start vectors, SVT threshold and
@@ -38,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -51,11 +59,8 @@ from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel,
                          MarginMemo, WeightBoxError, erm_gradient, erm_hessian,
                          erm_hvp, erm_value, min_batch_size, sensitivities)
 from ..spectral import decide_curvature, lanczos_min_eig, min_eigenpair_dense, orient
-from .constants import (AlgorithmConstants, iteration_budget, min_dec_line_search,
-                        min_dec_short, roots_t1_t2)
+from .constants import AlgorithmConstants, derive_constants
 from .svt import dp_line_search
-
-_MAX_REJECTION_TRIES = 10_000
 
 
 class _NonFiniteRelease(RuntimeError):
@@ -71,6 +76,16 @@ def _require_finite(value, what: str, k: int):
 
 # ---------------------------------------------------------------------------
 # budgets
+#
+# A budget is a NoisePlan, used as given, or one of the four policies below,
+# which calibrate a plan once T is known.  Each has:
+#   sigma_f               the initial-loss multiplier, fixed before T;
+#   plan(t_budget, s)     the NoisePlan for T iterations at sampling fraction s;
+#   scaled(fraction)      the same policy with that fraction of the target,
+#                         for one phase of a two-phase run;
+#   accounting            its default ledger notion, "zcdp", "rdp" or
+#                         "approx_dp"; a subsampled run of a zCDP budget
+#                         accounts in RDP, since zCDP has no amplification bound.
 
 
 @dataclass(frozen=True)
@@ -80,6 +95,17 @@ class ShortStepBudget:
 
     rho: float
     c_f: float = 0.1
+    accounting: ClassVar[str] = "zcdp"
+
+    @property
+    def sigma_f(self) -> float:
+        return math.sqrt(1.0 / (2.0 * self.c_f * self.rho))
+
+    def plan(self, t_budget: int, s: float) -> NoisePlan:
+        return plan_short_step(ZCdp(self.rho), self.c_f, t_budget)
+
+    def scaled(self, fraction: float) -> ShortStepBudget:
+        return replace(self, rho=self.rho * fraction)
 
 
 @dataclass(frozen=True)
@@ -88,10 +114,21 @@ class LineSearchBudget:
 
     rho: float
     rho_f_fraction: float = 0.1
+    accounting: ClassVar[str] = "zcdp"
 
     @property
     def rho_f(self) -> float:
         return self.rho_f_fraction * self.rho
+
+    @property
+    def sigma_f(self) -> float:
+        return math.sqrt(1.0 / (2.0 * self.rho_f))
+
+    def plan(self, t_budget: int, s: float) -> NoisePlan:
+        return plan_line_search(ZCdp(self.rho), self.rho_f, t_budget)
+
+    def scaled(self, fraction: float) -> LineSearchBudget:
+        return replace(self, rho=self.rho * fraction)
 
 
 @dataclass(frozen=True)
@@ -103,6 +140,7 @@ class SubsampledDpBudget:
     delta: float
     eps_f_fraction: float = 0.1
     delta_f_fraction: float = 0.1
+    accounting: ClassVar[str] = "approx_dp"
 
     @property
     def target(self) -> ApproxDp:
@@ -115,6 +153,16 @@ class SubsampledDpBudget:
     @property
     def delta_f(self) -> float:
         return self.delta_f_fraction * self.delta
+
+    @property
+    def sigma_f(self) -> float:
+        return math.sqrt(2.0 * math.log(1.25 / self.delta_f)) / self.eps_f
+
+    def plan(self, t_budget: int, s: float) -> NoisePlan:
+        return plan_subsampled_dp(self.target, self.eps_f, self.delta_f, s, t_budget)
+
+    def scaled(self, fraction: float) -> SubsampledDpBudget:
+        return replace(self, epsilon=self.epsilon * fraction, delta=self.delta * fraction)
 
 
 @dataclass(frozen=True)
@@ -131,51 +179,26 @@ class RdpTuneBudget:
     delta: float
     c_f: float = 0.1
     sigma_grid: tuple[float, ...] | None = None
+    accounting: ClassVar[str] = "rdp"
 
     @property
     def target(self) -> ApproxDp:
         return ApproxDp(self.epsilon, self.delta)
 
+    @property
     def sigma_f(self) -> float:
         rho = approx_dp_to_zcdp(self.target).rho
         return math.sqrt(1.0 / (2.0 * self.c_f * rho))
 
+    def plan(self, t_budget: int, s: float) -> NoisePlan:
+        return tune_noise_plan(self.target, s, t_budget, sigma_grid=self.sigma_grid,
+                               sigma_f_grid=np.array([self.sigma_f]))
+
+    def scaled(self, fraction: float) -> RdpTuneBudget:
+        return replace(self, epsilon=self.epsilon * fraction, delta=self.delta * fraction)
+
 
 Budget = Union[NoisePlan, ShortStepBudget, LineSearchBudget, SubsampledDpBudget, RdpTuneBudget]
-
-
-def _sigma_f_of(budget: Budget) -> float:
-    if isinstance(budget, NoisePlan):
-        return budget.sigma_f
-    if isinstance(budget, ShortStepBudget):
-        return math.sqrt(1.0 / (2.0 * budget.c_f * budget.rho))
-    if isinstance(budget, LineSearchBudget):
-        return math.sqrt(1.0 / (2.0 * budget.rho_f))
-    if isinstance(budget, SubsampledDpBudget):
-        return math.sqrt(2.0 * math.log(1.25 / budget.delta_f)) / budget.eps_f
-    if isinstance(budget, RdpTuneBudget):
-        return budget.sigma_f()
-    raise TypeError(f"unsupported budget {type(budget)!r}")
-
-
-def _finalize_plan(budget: Budget, t_budget: int, s: float) -> NoisePlan:
-    if isinstance(budget, NoisePlan):
-        if not math.isclose(budget.subsample_fraction, s, rel_tol=1e-12):
-            raise ValueError(
-                f"plan subsample_fraction {budget.subsample_fraction} does not "
-                f"match the selector fraction {s}")
-        return budget
-    if isinstance(budget, ShortStepBudget):
-        return plan_short_step(ZCdp(budget.rho), budget.c_f, t_budget)
-    if isinstance(budget, LineSearchBudget):
-        return plan_line_search(ZCdp(budget.rho), budget.rho_f, t_budget)
-    if isinstance(budget, SubsampledDpBudget):
-        return plan_subsampled_dp(budget.target, budget.eps_f, budget.delta_f, s, t_budget)
-    if isinstance(budget, RdpTuneBudget):
-        return tune_noise_plan(budget.target, s, t_budget,
-                               sigma_grid=budget.sigma_grid,
-                               sigma_f_grid=np.array([budget.sigma_f()]))
-    raise TypeError(f"unsupported budget {type(budget)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,92 +256,54 @@ class RunOutcome:
 
 
 # ---------------------------------------------------------------------------
-# noise source with the test-only zero and bounded modes
+# noise source
 
 
 class _NoiseSource:
     """Draws per-iteration noise in the documented order.
 
     mode "standard" draws from the plan; "zero" returns exact quantities
-    (sigma = 0 test mode); "bounded" rejection-samples until the bounded-noise
-    conditions ||eps|| <= min(c1 eps_g, c2 eps_h^2 / M) and ||E|| <= c eps_h
-    hold -- test-only support for exercising the descent guarantees.
+    (the sigma = 0 test mode behind --zero-noise).
     """
 
-    def __init__(self, plan: NoisePlan, sens, rng: SeededRng, mode: str,
-                 constants: AlgorithmConstants, model: LossModel):
-        if mode not in ("standard", "zero", "bounded"):
+    def __init__(self, plan: NoisePlan, sens, rng: SeededRng, mode: str):
+        if mode not in ("standard", "zero"):
             raise ValueError(f"unknown noise mode {mode!r}")
-        self.plan = plan
-        self.sens = sens
+        zero = mode == "zero"
+        self.grad_scale = 0.0 if zero else sens.delta_g * plan.sigma_g
+        self.hess_scale = 0.0 if zero else sens.delta_h * plan.sigma_h
         self.rng = rng
-        self.mode = mode
-        self.grad_bound = min(constants.c1 * constants.eps_g,
-                              constants.c2 / model.M * constants.eps_h ** 2)
-        self.hess_bound = constants.c * constants.eps_h
 
     def grad_noise(self, d: int) -> np.ndarray:
-        scale = self.sens.delta_g * self.plan.sigma_g
-        if self.mode == "zero" or scale == 0.0:
+        if self.grad_scale == 0.0:
             return np.zeros(d)
-        if self.mode == "standard":
-            return gaussian_vector(d, scale, self.rng)
-        for _ in range(_MAX_REJECTION_TRIES):
-            eps = gaussian_vector(d, scale, self.rng)
-            if np.linalg.norm(eps) <= self.grad_bound:
-                return eps
-        raise RuntimeError(
-            "bounded-noise rejection did not accept a gradient draw; "
-            "lower sigma_g relative to the bound")
+        return gaussian_vector(d, self.grad_scale, self.rng)
 
     def hessian_operator(self, d: int) -> WignerOperator:
-        scale = 0.0 if self.mode == "zero" else self.sens.delta_h * self.plan.sigma_h
-        if self.mode != "bounded":
-            return WignerOperator(d, scale, self.rng.child())
-        for _ in range(_MAX_REJECTION_TRIES):
-            op = WignerOperator(d, scale, self.rng.child())
-            if np.linalg.norm(op.dense, 2) <= self.hess_bound:
-                return op
-        raise RuntimeError(
-            "bounded-noise rejection did not accept a Hessian draw; "
-            "lower sigma_h relative to the bound")
+        return WignerOperator(d, self.hess_scale, self.rng.child())
 
 
 # ---------------------------------------------------------------------------
 # core loop
 
 
-def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
+def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
               constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
               selector: BatchSelector | None = None, accounting: str | None = None,
-              noise_mode: str = "standard", svt_noise: str | None = None,
-              lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
+              noise_mode: str = "standard", lanczos: bool = False,
+              dense_cap: int = DENSE_HESSIAN_CAP,
               t_policy: Callable[[int], int] | None = None,
               memo: MarginMemo | None = None) -> RunOutcome:
     n, d = dataset.n, dataset.d
     selector = selector or BatchSelector()
     m = selector.batch_size(n)
     s = m / n
-    if variant == "line_search" and m != n:
+    line_search = loop == "line_search"
+    if line_search and m != n:
         raise ValueError("the line-search variant runs full batch only")
     sens_full = sensitivities(model, n, d)
     sens_batch = sensitivities(model, m, d)
     warnings_acc: list[str] = []
-
-    t1, t2 = roots_t1_t2(constants.c, constants.c2, constants.c_h)
-    if variant == "line_search":
-        if not (t1 / t2 < constants.beta_h < 1.0):
-            raise ValueError(
-                f"beta_h = {constants.beta_h} must lie in (t1/t2, 1) = "
-                f"({t1 / t2:.6g}, 1)")
-        min_dec = min_dec_line_search(model.G, model.M, constants.eps_g, constants.eps_h,
-                                      constants.c1, constants.c_g, constants.c_h, t2)
-    else:
-        min_dec = min_dec_short(model.G, model.M, constants.eps_g, constants.eps_h,
-                                constants.c1, constants.c2, constants.c)
-
-    if svt_noise is None:
-        svt_noise = "zero" if noise_mode == "zero" else "standard"
 
     w = np.asarray(w0, dtype=float).copy()
     if w.shape != (d,):
@@ -331,23 +316,18 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         memo = MarginMemo(model, dataset)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
-    sigma_f = _sigma_f_of(budget)
     f0 = erm_value(model, dataset, w, memo=memo)
-    z = 0.0 if noise_mode == "zero" else gaussian(sens_full.delta_f * sigma_f, rng)
-    t_est = iteration_budget(f0, z, model.f_lower, min_dec)
+    z = 0.0 if noise_mode == "zero" else gaussian(sens_full.delta_f * budget.sigma_f, rng)
+    derived = derive_constants(constants, model, loop, f0 + abs(z))
+    t_est = derived.t_budget
     t_used = max(1, min(t_est, t_policy(t_est))) if t_policy is not None else t_est
-    plan = _finalize_plan(budget, t_used, s)
+    plan = budget.plan(t_used, s)
 
     if accounting is None:
-        if isinstance(budget, SubsampledDpBudget):
-            accounting = "approx_dp"
-        elif m < n or isinstance(budget, RdpTuneBudget):
-            accounting = "rdp"
-        else:
-            accounting = "zcdp"
+        accounting = "rdp" if m < n and budget.accounting == "zcdp" else budget.accounting
     if accounting not in ("zcdp", "rdp", "approx_dp"):
         raise ValueError(f"unknown accounting {accounting!r}")
-    if accounting == "approx_dp" and not isinstance(budget, SubsampledDpBudget):
+    if accounting == "approx_dp" and budget.accounting != "approx_dp":
         raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
 
     if m < n:
@@ -357,14 +337,12 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 f"advisory-violated: batch size {m} is below the advised "
                 f"minimum {m_min} for T = {t_used}")
 
-    if variant == "line_search" and plan.lambda_svt is None:
+    if line_search and plan.lambda_svt is None:
         raise ValueError("line-search runs need lambda_svt in the plan")
-    noise = _NoiseSource(plan, sens_batch, rng, noise_mode, constants, model)
-    zcdp_mode = "line_search" if variant == "line_search" else "short"
-    svt_charge = (0.5 / plan.lambda_svt ** 2) if variant == "line_search" else 0.0
+    noise = _NoiseSource(plan, sens_batch, rng, noise_mode)
+    svt_charge = (0.5 / plan.lambda_svt ** 2) if line_search else 0.0
     grad_charge = 0.5 / plan.sigma_g ** 2
     hess_charge = 0.5 / plan.sigma_h ** 2
-    gamma_bar_g = 2.0 * (1.0 - constants.c1 - constants.c_g) / model.G
 
     trace: list[StepRecord] = []
     status = "budget_exhausted"
@@ -385,7 +363,7 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
 
             if g_norm > constants.eps_g:
                 probes = 0
-                if variant == "line_search":
+                if line_search:
                     w_base, f_base, gn = w, loss_now, g_noisy
 
                     def q_grad(gamma: float) -> float:
@@ -393,10 +371,11 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                                                   memo=memo) \
                             - constants.c_g * gamma * g_norm ** 2
 
-                    gamma_init = constants.b_g * gamma_bar_g
+                    gamma_init = constants.b_g * derived.gamma_bar_g
                     delta_q = 2.0 / n * gamma_init * model.B_g * g_norm
-                    ls = _svt_search(q_grad, delta_q, gamma_init, gamma_bar_g,
-                                     constants.beta_g, plan, rng, svt_noise)
+                    ls = dp_line_search(q_grad, delta_q, gamma_init, derived.gamma_bar_g,
+                                        constants.beta_g, plan.lambda_svt, rng,
+                                        noise=noise_mode)
                     gamma, probes = ls.gamma, ls.probes
                 else:
                     gamma = 1.0 / model.G
@@ -432,8 +411,8 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 lam_abs = abs(decision.lambda_min)
                 p = orient(decision.direction, g_noisy)
                 probes = 0
-                if variant == "line_search":
-                    gamma_bar_h = t2 * lam_abs / model.M
+                if line_search:
+                    gamma_bar_h = derived.t2 * lam_abs / model.M
                     w_base, f_base = w, loss_now
 
                     def q_curv(gamma: float) -> float:
@@ -443,8 +422,9 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
 
                     gamma_init = constants.b_h * gamma_bar_h
                     delta_q = 2.0 / n * gamma_init * model.B_g
-                    ls = _svt_search(q_curv, delta_q, gamma_init, gamma_bar_h,
-                                     constants.beta_h, plan, rng, svt_noise)
+                    ls = dp_line_search(q_curv, delta_q, gamma_init, gamma_bar_h,
+                                        constants.beta_h, plan.lambda_svt, rng,
+                                        noise=noise_mode)
                     gamma, probes = ls.gamma, ls.probes
                 else:
                     gamma = 2.0 * lam_abs / model.M
@@ -469,9 +449,9 @@ def _run_core(variant: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         status = "failed_termination"
         w = w_good
 
-    accounted = _account(accounting, zcdp_mode, iters_charged, hess_charged, plan, budget, t_used)
-    return RunOutcome(status, w, tuple(trace), accounted, plan, t_used,
-                      zcdp_mode if accounting == "zcdp" else accounting,
+    mode = loop if accounting == "zcdp" else accounting
+    accounted = _account(mode, iters_charged, hess_charged, plan, budget, t_used)
+    return RunOutcome(status, w, tuple(trace), accounted, plan, t_used, mode,
                       z, erm_value(model, dataset, w, memo=memo), tuple(warnings_acc))
 
 
@@ -479,66 +459,125 @@ def _zcdp_inc(accounting: str, value: float) -> float | None:
     return value if accounting == "zcdp" else None
 
 
-def _svt_search(query, delta_q, gamma_init, gamma_bar, beta, plan, rng, svt_noise):
-    if plan.lambda_svt is None:
-        raise ValueError("line-search runs need lambda_svt in the plan")
-    return dp_line_search(query, delta_q, gamma_init, gamma_bar, beta,
-                          plan.lambda_svt, rng, noise=svt_noise)
-
-
-def _account(accounting: str, zcdp_mode: str, iters: int, hess: int,
-             plan: NoisePlan, budget: Budget, t_used: int):
-    k_g = iters - hess
-    if accounting == "zcdp":
-        return account_run(k_g, hess, plan, zcdp_mode)
-    if accounting == "rdp":
-        return account_run(k_g, hess, plan, "minibatch")
-    return account_subsampled_dp(iters, budget.target, budget.eps_f,
-                                 budget.delta_f, plan.subsample_fraction, t_used)
+def _account(mode: str, iters: int, hess: int, plan: NoisePlan, budget: Budget,
+             t_used: int):
+    """The run's ledger; mode is "short" or "line_search" (zCDP), "rdp" or
+    "approx_dp"."""
+    if mode == "approx_dp":
+        return account_subsampled_dp(iters, budget.target, budget.eps_f,
+                                     budget.delta_f, plan.subsample_fraction, t_used)
+    return account_run(iters - hess, hess, plan, "minibatch" if mode == "rdp" else mode)
 
 
 # ---------------------------------------------------------------------------
 # public run operations
 
-# the entry point of each variant and the budget types it takes
-_VARIANT_BUDGETS = {
-    "short": ("run_short_step", (NoisePlan, ShortStepBudget)),
-    "line_search": ("run_line_search", (NoisePlan, LineSearchBudget)),
-    "minibatch": ("run_minibatch",
-                  (NoisePlan, ShortStepBudget, SubsampledDpBudget, RdpTuneBudget)),
+
+def default_phase1_policy(t_full: int) -> int:
+    """Optimistic first-phase budget: ceil(sqrt(T)), clamped to [1, T]."""
+    return max(1, min(t_full, math.ceil(math.sqrt(t_full))))
+
+
+@dataclass(frozen=True)
+class Variant:
+    """How one of the public solvers runs."""
+
+    loop: str                     # "short" | "line_search"
+    budgets: tuple[type, ...]     # the budget types it accepts
+    minibatch: bool               # draws mini-batches, so it needs a BatchSelector
+    two_phase: bool               # an optimistic phase, then a fallback phase
+
+
+_SHORT_BUDGETS = (NoisePlan, ShortStepBudget)
+_LS_BUDGETS = (NoisePlan, LineSearchBudget)
+_MINIBATCH_BUDGETS = (NoisePlan, ShortStepBudget, SubsampledDpBudget, RdpTuneBudget)
+
+VARIANTS = {
+    "opt": Variant("short", _SHORT_BUDGETS, minibatch=False, two_phase=False),
+    "opt_b": Variant("short", _MINIBATCH_BUDGETS, minibatch=True, two_phase=False),
+    "opt_ls": Variant("line_search", _LS_BUDGETS, minibatch=False, two_phase=False),
+    "2opt": Variant("short", _SHORT_BUDGETS, minibatch=False, two_phase=True),
+    "2opt_b": Variant("short", _MINIBATCH_BUDGETS, minibatch=True, two_phase=True),
+    "2opt_ls": Variant("line_search", _LS_BUDGETS, minibatch=False, two_phase=True),
 }
 
 
-def _check_budget(variant: str, budget: Budget) -> None:
-    entry, accepted = _VARIANT_BUDGETS[variant]
-    if not isinstance(budget, accepted):
-        raise TypeError(f"{entry} takes a "
-                        + " or ".join(kind.__name__ for kind in accepted))
+def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
+                constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
+                selector: BatchSelector | None = None, accounting: str | None = None,
+                noise_mode: str = "standard", lanczos: bool = False,
+                dense_cap: int = DENSE_HESSIAN_CAP,
+                t_policy: Callable[[int], int] | None = None,
+                budget_split: float = 0.75) -> RunOutcome:
+    """Run the public solver name, a key of VARIANTS.
+
+    The mini-batch variants need a selector and the others take none.
+    accounting overrides the budget's default ledger notion.  t_policy caps
+    the iteration budget T; in a two-phase run it sets phase 1's T, by
+    default ceil(sqrt(T)), and phase 1 spends budget_split of the budget
+    (see run_two_phase).
+    """
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}")
+    variant = VARIANTS[name]
+    if not isinstance(budget, variant.budgets):
+        raise TypeError(f"{name} takes a "
+                        + " or ".join(kind.__name__ for kind in variant.budgets))
+    if variant.minibatch != (selector is not None):
+        need = "need a" if variant.minibatch else "take no"
+        raise ValueError(f"{name} runs {need} selector")
+
+    def run(w_start, bud: Budget, policy, memo=None) -> RunOutcome:
+        return _run_core(variant.loop, model, dataset, w_start, constants, bud, rng,
+                         selector=selector, accounting=accounting, noise_mode=noise_mode,
+                         lanczos=lanczos, dense_cap=dense_cap, t_policy=policy, memo=memo)
+
+    if not variant.two_phase:
+        return run(w0, budget, t_policy)
+    if not (0.0 < budget_split < 1.0):
+        raise ValueError("budget_split must lie in (0, 1)")
+    # one memo for both phases: phase 2's initial loss is phase 1's final one
+    memo = MarginMemo(model, dataset)
+    phase1 = run(w0, budget.scaled(budget_split), t_policy or default_phase1_policy, memo)
+    if phase1.converged:
+        return replace(phase1, phases=(phase1,))
+    phase2 = run(phase1.w_final, budget.scaled(1.0 - budget_split), None, memo)
+    trace = phase1.trace + tuple(
+        replace(r, k=r.k + phase1.iterations) for r in phase2.trace)
+    return RunOutcome(
+        status=phase2.status,
+        w_final=phase2.w_final,
+        trace=trace,
+        accounted_privacy=compose([phase1.accounted_privacy, phase2.accounted_privacy]),
+        plan=phase2.plan,
+        t_budget=phase1.t_budget + phase2.t_budget,
+        mode=phase2.mode,
+        z_draw=phase1.z_draw,
+        final_loss=phase2.final_loss,
+        warnings=phase1.warnings + phase2.warnings,
+        phases=(phase1, phase2),
+    )
 
 
 def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                    budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
-                   svt_noise: str | None = None, lanczos: bool = False,
-                   dense_cap: int = DENSE_HESSIAN_CAP,
+                   lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
                    t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Fixed-step variant: gamma_g = 1/G, gamma_H = 2 |lambda| / M."""
-    _check_budget("short", budget)
-    return _run_core("short", model, dataset, w0, constants, budget, rng,
-                     noise_mode=noise_mode, svt_noise=svt_noise, lanczos=lanczos,
-                     dense_cap=dense_cap, t_policy=t_policy)
+    return run_variant("opt", model, dataset, w0, constants, budget, rng,
+                       noise_mode=noise_mode, lanczos=lanczos, dense_cap=dense_cap,
+                       t_policy=t_policy)
 
 
 def run_line_search(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                     budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
-                    svt_noise: str | None = None, lanczos: bool = False,
-                    dense_cap: int = DENSE_HESSIAN_CAP,
+                    lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
                     t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Backtracking variant: private SVT line searches with short-step-like
     fallbacks gamma_bar_g and gamma_bar_H = t2 |lambda| / M."""
-    _check_budget("line_search", budget)
-    return _run_core("line_search", model, dataset, w0, constants, budget, rng,
-                     noise_mode=noise_mode, svt_noise=svt_noise, lanczos=lanczos,
-                     dense_cap=dense_cap, t_policy=t_policy)
+    return run_variant("opt_ls", model, dataset, w0, constants, budget, rng,
+                       noise_mode=noise_mode, lanczos=lanczos, dense_cap=dense_cap,
+                       t_policy=t_policy)
 
 
 def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
@@ -553,29 +592,13 @@ def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
     via advanced composition ("approx_dp", requires a SubsampledDpBudget).
     A batch below the advised minimum size only flags the outcome.
     """
-    _check_budget("minibatch", budget)
-    return _run_core("short", model, dataset, w0, constants, budget, rng,
-                     selector=selector, accounting=accounting, noise_mode=noise_mode,
-                     lanczos=lanczos, dense_cap=dense_cap, t_policy=t_policy)
+    return run_variant("opt_b", model, dataset, w0, constants, budget, rng,
+                       selector=selector, accounting=accounting, noise_mode=noise_mode,
+                       lanczos=lanczos, dense_cap=dense_cap, t_policy=t_policy)
 
 
-def default_phase1_policy(t_full: int) -> int:
-    """Optimistic first-phase budget: ceil(sqrt(T)), clamped to [1, T]."""
-    return max(1, min(t_full, math.ceil(math.sqrt(t_full))))
-
-
-def _scale_budget(budget: Budget, fraction: float) -> Budget:
-    if isinstance(budget, ShortStepBudget):
-        return replace(budget, rho=budget.rho * fraction)
-    if isinstance(budget, LineSearchBudget):
-        return replace(budget, rho=budget.rho * fraction)
-    if isinstance(budget, SubsampledDpBudget):
-        return replace(budget, epsilon=budget.epsilon * fraction,
-                       delta=budget.delta * fraction)
-    if isinstance(budget, RdpTuneBudget):
-        return replace(budget, epsilon=budget.epsilon * fraction,
-                       delta=budget.delta * fraction)
-    raise TypeError("two-phase runs need a budget policy, not a raw NoisePlan")
+# run_two_phase's variant argument names the method its phases run
+_TWO_PHASE = {"short": "2opt", "line_search": "2opt_ls", "minibatch": "2opt_b"}
 
 
 def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
@@ -596,43 +619,9 @@ def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
     variant selects the underlying method: "short", "line_search", or
     "minibatch" (which needs selector).
     """
-    if not (0.0 < budget_split < 1.0):
-        raise ValueError("budget_split must lie in (0, 1)")
-
-    phase1_budget = _scale_budget(budget, budget_split)
-    if variant not in _VARIANT_BUDGETS:
+    if variant not in _TWO_PHASE:
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == "minibatch" and selector is None:
-        raise ValueError("minibatch two-phase runs need a selector")
-    _check_budget(variant, budget)
-    minibatch = variant == "minibatch"
-    # one memo for both phases: phase 2's initial loss is phase 1's final one
-    memo = MarginMemo(model, dataset)
-
-    def phase(bud: Budget, w_start, t_policy):
-        return _run_core("line_search" if variant == "line_search" else "short",
-                         model, dataset, w_start, constants, bud, rng,
-                         selector=selector if minibatch else None,
-                         accounting=accounting if minibatch else None,
-                         noise_mode=noise_mode, lanczos=lanczos, dense_cap=dense_cap,
-                         t_policy=t_policy, memo=memo)
-
-    phase1 = phase(phase1_budget, w0, phase1_t_policy)
-    if phase1.status == "converged_2s":
-        return replace(phase1, phases=(phase1,))
-    phase2 = phase(_scale_budget(budget, 1.0 - budget_split), phase1.w_final, None)
-    trace = phase1.trace + tuple(
-        replace(r, k=r.k + phase1.iterations) for r in phase2.trace)
-    return RunOutcome(
-        status=phase2.status,
-        w_final=phase2.w_final,
-        trace=trace,
-        accounted_privacy=compose([phase1.accounted_privacy, phase2.accounted_privacy]),
-        plan=phase2.plan,
-        t_budget=phase1.t_budget + phase2.t_budget,
-        mode=phase2.mode,
-        z_draw=phase1.z_draw,
-        final_loss=phase2.final_loss,
-        warnings=phase1.warnings + phase2.warnings,
-        phases=(phase1, phase2),
-    )
+    return run_variant(_TWO_PHASE[variant], model, dataset, w0, constants, budget, rng,
+                       selector=selector, accounting=accounting, noise_mode=noise_mode,
+                       lanczos=lanczos, dense_cap=dense_cap, t_policy=phase1_t_policy,
+                       budget_split=budget_split)

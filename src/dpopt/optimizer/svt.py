@@ -7,7 +7,8 @@ sweep makes at most i_max = floor(log_beta(gamma_bar / gamma_init)) + 1
 probes and falls back to gamma_bar on exhaustion (a fallback, not an error:
 the callers choose gamma_bar so the sufficient-decrease query there is
 nonnegative).  The whole sweep is (1/lam)-DP regardless of the number of
-probes.
+probes.  Noise is "standard" or "zero", the exact test mode behind the
+harness's zero-noise runs.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ def dp_line_search(query: Callable[[float], float], delta_q: float,
 
     noise: "standard" draws the Laplace threshold and per-probe noise;
     "zero" answers queries exactly (test mode: the sweep degenerates to
-    deterministic backtracking); "always_fail" forces exhaustion (test mode
-    for the fallback path).
+    deterministic backtracking).
     """
     if not (0.0 < beta < 1.0):
         raise ValueError("beta must lie in (0, 1)")
@@ -44,16 +44,11 @@ def dp_line_search(query: Callable[[float], float], delta_q: float,
         raise ValueError("lam must be positive")
     if delta_q < 0:
         raise ValueError("delta_q must be nonnegative")
-    if noise not in ("standard", "zero", "always_fail"):
+    if noise not in ("standard", "zero"):
         raise ValueError(f"unknown noise mode {noise!r}")
 
     i_max = int(math.floor(math.log(gamma_bar / gamma_init) / math.log(beta))) + 1
-    if noise == "standard":
-        threshold = laplace(2.0 * lam * delta_q, rng)
-    elif noise == "zero":
-        threshold = 0.0
-    else:
-        threshold = math.inf
+    threshold = laplace(2.0 * lam * delta_q, rng) if noise == "standard" else 0.0
     gamma = gamma_init
     for i in range(i_max):
         nu = laplace(4.0 * lam * delta_q, rng) if noise == "standard" else 0.0

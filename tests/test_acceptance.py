@@ -31,6 +31,7 @@ from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget
                              run_line_search, run_minibatch, run_short_step,
                              run_two_phase, svt_slack)
 from dpopt.spectral import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_dense
+from noise_doubles import bounded_noise
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -92,11 +93,12 @@ def bounded_runs(bounded_instance):
     """Criterion 4 runs, audited again by criterion 7."""
     ds, model, plan = bounded_instance
     short, ls = [], []
-    for seed in range(10):
-        short.append(run_short_step(model, ds, np.zeros(6), BOUNDED_TOLS, plan,
-                                    SeededRng(seed), noise_mode="bounded"))
-        ls.append(run_line_search(model, ds, np.zeros(6), BOUNDED_TOLS, plan,
-                                  SeededRng(100 + seed), noise_mode="bounded"))
+    with bounded_noise(model, BOUNDED_TOLS):
+        for seed in range(10):
+            short.append(run_short_step(model, ds, np.zeros(6), BOUNDED_TOLS, plan,
+                                        SeededRng(seed)))
+            ls.append(run_line_search(model, ds, np.zeros(6), BOUNDED_TOLS, plan,
+                                      SeededRng(100 + seed)))
     return short, ls
 
 

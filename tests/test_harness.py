@@ -52,6 +52,14 @@ class TestCsvLoader:
         assert np.array_equal(ds.features, expected[:, :2])
         assert np.array_equal(ds.labels, expected[:, 2])
 
+    def test_norm_overflow_rejected_with_row(self, tmp_path):
+        # finite entries whose row norm overflows would otherwise give R = inf
+        path = tmp_path / "overflow.csv"
+        path.write_text("0.5,0.5,1\n1e200,1e200,-1\n")
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="row 1 has a norm that overflows"):
+            load_dataset(path, "csv")
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("a,b,label\n\n")

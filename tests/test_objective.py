@@ -77,8 +77,14 @@ class TestDataset:
         X = np.full((n, 3), 0.1)
         X[n - 60] = 1e200  # finite entries whose norm overflows
         with np.errstate(over="ignore"), \
-                pytest.raises(ValueError, match="below the largest row norm inf"):
+                pytest.raises(ValueError, match=f"row {n - 60} has a norm that overflows"):
             Dataset(X, np.ones(n), 1e300)
+
+    def test_norm_overflow_rejected_under_an_infinite_bound(self):
+        X = np.array([[0.5, 0.5], [1e200, 1e200]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="row 1 has a norm that overflows"):
+            Dataset(X, np.ones(2), math.inf)
 
     def test_building_on_existing_features_holds_no_copy(self):
         # the whole-matrix row norm allocates a square of X
@@ -94,8 +100,12 @@ class TestDataset:
         assert peak < X.nbytes / 4
 
     def test_nan_norm_bound_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feature_norm_bound nan is not finite"):
             Dataset(np.full((2, 2), 0.1), np.ones(2), math.nan)
+
+    def test_infinite_norm_bound_rejected(self):
+        with pytest.raises(ValueError, match="feature_norm_bound inf is not finite"):
+            Dataset(np.full((2, 2), 0.1), np.ones(2), math.inf)
 
 
 class TestEvaluation:

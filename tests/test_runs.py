@@ -15,10 +15,12 @@ from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
                              sensitivities)
 from dpopt.harness import synth_dataset
-from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, ShortStepBudget,
+from dpopt.optimizer import (VARIANTS, AlgorithmConstants, LineSearchBudget,
+                             RdpTuneBudget, ShortStepBudget, SubsampledDpBudget,
                              default_phase1_policy, min_dec_line_search,
                              min_dec_short, roots_t1_t2, run_line_search,
-                             run_minibatch, run_short_step, run_two_phase)
+                             run_minibatch, run_short_step, run_two_phase, run_variant)
+from noise_doubles import always_failing_line_search, bounded_noise
 
 TOLS = AlgorithmConstants(eps_g=1e-2, eps_h=1e-1)
 
@@ -126,8 +128,8 @@ class TestBoundedNoiseDescent:
         min_dec = min_dec_short(model.G, model.M, BOUNDED.eps_g, BOUNDED.eps_h,
                                 BOUNDED.c1, BOUNDED.c2, BOUNDED.c)
         for seed in range(3):
-            out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan,
-                                 SeededRng(seed), noise_mode="bounded")
+            with bounded_noise(model, BOUNDED):
+                out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(seed))
             assert out.status == "converged_2s"
             for rec in out.trace:
                 if rec.kind != "terminate":
@@ -140,8 +142,8 @@ class TestBoundedNoiseDescent:
         min_dec = min_dec_line_search(model.G, model.M, BOUNDED.eps_g, BOUNDED.eps_h,
                                       BOUNDED.c1, BOUNDED.c_g, BOUNDED.c_h, t2)
         for seed in range(3):
-            out = run_line_search(model, ds, np.zeros(6), BOUNDED, plan,
-                                  SeededRng(seed), noise_mode="bounded")
+            with bounded_noise(model, BOUNDED):
+                out = run_line_search(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(seed))
             assert out.status == "converged_2s"
             for rec in out.trace:
                 if rec.kind != "terminate":
@@ -151,23 +153,24 @@ class TestBoundedNoiseDescent:
         # exact derivatives at the terminal point satisfy the relaxed tolerances
         ds, model = planted_instance()
         plan = bounded_plan(model, ds, BOUNDED)
-        out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0),
-                             noise_mode="bounded")
+        with bounded_noise(model, BOUNDED):
+            out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0))
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, out.w_final))[0]
         assert np.linalg.norm(g) <= (1.0 + BOUNDED.c1) * BOUNDED.eps_g
         assert lam_min >= -(1.0 + BOUNDED.c) * BOUNDED.eps_h
 
-    def test_forced_fallback_still_decreases(self):
-        # all SVT probes fail (test-only): steps use the fallback gamma_bar and
-        # decrease the loss because the fallback query is nonnegative under
-        # bounded noise
+    def test_forced_fallback_still_decreases(self, monkeypatch):
+        # all SVT probes fail: steps use the fallback gamma_bar and decrease
+        # the loss because the fallback query is nonnegative under bounded
+        # noise
         ds, model = planted_instance()
         plan = bounded_plan(model, ds, BOUNDED)
         gamma_bar_g = 2.0 * (1.0 - BOUNDED.c1 - BOUNDED.c_g) / model.G
-        out = run_line_search(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(4),
-                              noise_mode="bounded", svt_noise="always_fail")
+        monkeypatch.setattr(runs, "dp_line_search", always_failing_line_search)
+        with bounded_noise(model, BOUNDED):
+            out = run_line_search(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(4))
         assert out.status == "converged_2s"
         for rec in out.trace:
             if rec.kind == "gradient":
@@ -179,8 +182,8 @@ class TestLedger:
     def test_zcdp_ledger_matches_account_run_exactly(self):
         ds, model = planted_instance()
         plan = bounded_plan(model, ds, BOUNDED)
-        out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0),
-                             noise_mode="bounded")
+        with bounded_noise(model, BOUNDED):
+            out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0))
         recomputed = account_run(out.grad_steps, out.hess_evals, out.plan, "short")
         assert out.accounted_privacy.rho == recomputed.rho
         increments = math.fsum(r.rho_increment for r in out.trace)
@@ -407,3 +410,33 @@ class TestMarginReuse:
         assert run != "two_phase" or len(out.phases) == 2
         assert len(keys) == len(set(keys))
         assert products["calls"] > len(keys)
+
+
+class TestVariantTable:
+    def test_selector_needed_by_exactly_the_minibatch_variants(self):
+        ds, model = identical_sample_quartic()
+        for name, variant in VARIANTS.items():
+            budget = (LineSearchBudget(0.5) if variant.loop == "line_search"
+                      else ShortStepBudget(0.5))
+            selector = None if variant.minibatch else BatchSelector(4)
+            with pytest.raises(ValueError, match="selector"):
+                run_variant(name, model, ds, np.zeros(2), TOLS, budget, SeededRng(0),
+                            selector=selector, noise_mode="zero")
+
+    @pytest.mark.parametrize("budget", [
+        ShortStepBudget(0.3, c_f=0.2), LineSearchBudget(0.3, 0.2),
+        SubsampledDpBudget(0.8, 1e-5), RdpTuneBudget(1.0, 1e-5, sigma_grid=(10.0, 1e4))])
+    def test_pre_committed_sigma_f_is_the_plans(self, budget):
+        # sigma_f is fixed before T; the plan calibrated at T must keep it
+        assert budget.plan(10, 0.01).sigma_f == budget.sigma_f
+        half = budget.scaled(0.5)
+        assert type(half) is type(budget) and half.accounting == budget.accounting
+        assert half.plan(10, 0.01).sigma_f == half.sigma_f
+
+    def test_noise_plan_is_its_own_plan_and_cannot_be_split(self):
+        plan = NoisePlan(10.0, 20.0, 20.0, None, 0.25)
+        assert plan.plan(7, 0.25) is plan
+        with pytest.raises(ValueError, match="subsample_fraction"):
+            plan.plan(7, 0.5)
+        with pytest.raises(TypeError, match="budget policy"):
+            plan.scaled(0.5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dpopt.mechanisms import SeededRng
 from dpopt.optimizer import dp_line_search, svt_slack
+from noise_doubles import always_failing_line_search
 
 
 class TestZeroNoiseBacktracking:
@@ -43,9 +44,13 @@ class TestProbeSchedule:
         assert res.gamma == 2.0 ** -19
 
     def test_always_fail_returns_fallback(self):
-        res = dp_line_search(lambda g: 1e9, 1.0, 1.0, 0.25, 0.5, 1.0, SeededRng(2),
-                             noise="always_fail")
+        # the forced-failure double behind the fallback-path run tests
+        rng = SeededRng(2)
+        state = rng.generator.bit_generator.state
+        res = always_failing_line_search(lambda g: 1e9, 1.0, 1.0, 0.25, 0.5, 1.0, rng)
         assert res.exhausted and res.gamma == 0.25
+        assert res.probes == 3
+        assert rng.generator.bit_generator.state == state  # no noise drawn
 
     @given(st.integers(min_value=0, max_value=2 ** 31), st.floats(0.2, 0.9),
            st.floats(0.01, 0.5))
