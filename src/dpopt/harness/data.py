@@ -30,10 +30,12 @@ Synthetic instances (deterministic per seed):
 Set-up holds one copy of X.  The synthetic builders fill X in place, one
 block of at most objective.span_rows(d) rows at a time (about
 objective.SPAN_BYTES of normals), and every loader takes the feature-norm
-bound R with objective.max_row_norm, span by span.  planted_saddle draws
-its rows from one row-major normal stream, with signs from the global row
-index; logistic_separable keeps the first n accepted rows of that stream.
-Either way the rows do not depend on the block size.
+bound R with objective.max_row_norm, span by span.  The CSV loader drops
+the label column inside np.loadtxt's own array, so X is a view of its
+first n * d values (the last n stay allocated behind it).  planted_saddle
+draws its rows from one row-major normal stream, with signs from the global
+row index; logistic_separable keeps the first n accepted rows of that
+stream.  Either way the rows do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -116,9 +118,15 @@ def _parse_csv(path: Path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
             raise _csv_error(path, header) or ValueError(f"{path}: {err}") from None
     if data.shape[0] == 0:
         raise ValueError(f"{path}: no data rows")
-    y = data[:, label_column]
-    X = np.delete(data, label_column % data.shape[1], axis=1)
-    return X, y
+    y = data[:, label_column].copy()
+    # drop the label column inside loadtxt's buffer: span by span, row i's
+    # features move to offset i * d, which is never past where they were, so
+    # no copy the size of X is made
+    n, d = data.shape[0], data.shape[1] - 1
+    flat = data.reshape(-1)
+    for lo, hi in row_spans(n, d + 1):
+        flat[lo * d:hi * d] = np.delete(data[lo:hi], label_column % (d + 1), axis=1).ravel()
+    return flat[:n * d].reshape(n, d), y
 
 
 def _parse_libsvm(path: Path, n_features: int | None = None) -> tuple[np.ndarray, np.ndarray]:

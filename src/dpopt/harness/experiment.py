@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..accountant import (ApproxDp, InfeasiblePlanError, RdpCurve, ZCdp,
-                          approx_dp_to_zcdp, rdp_to_approx_dp)
+                          approx_dp_to_zcdp, rdp_to_approx_dp, zcdp_to_approx_dp)
 from ..mechanisms import SeededRng
 from ..objective import (BatchSelector, Dataset, LossModel, builtin_l2_logistic,
                          builtin_nonconvex_logistic, builtin_quartic_saddle)
@@ -187,12 +187,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Execute the sweep; per-seed failures are recorded, never raised."""
     dataset = build_dataset(config)
     model = build_model(config, dataset)
-    levels: list[tuple[float, float]] = []
+    # (report key, epsilon at config.delta, rho) of each privacy level; a rho
+    # level keeps rho as its key, and its mini-batch cells get its epsilon
     if config.rhos is not None:
-        levels = [(rho, rho) for rho in config.rhos]  # report key is rho itself
+        levels = [(rho, zcdp_to_approx_dp(ZCdp(rho), config.delta).epsilon, rho)
+                  for rho in config.rhos]
     else:
-        for eps in config.epsilons:
-            levels.append((eps, approx_dp_to_zcdp(ApproxDp(eps, config.delta)).rho))
+        levels = [(eps, eps, approx_dp_to_zcdp(ApproxDp(eps, config.delta)).rho)
+                  for eps in config.epsilons]
 
     rows: list[RunRow] = []
     nan = float("nan")
@@ -200,8 +202,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     for variant in config.variants:
         kind = VARIANTS[variant]
         selector = BatchSelector(config.batch_size) if kind.minibatch else None
-        for eps_label, rho in levels:
-            budget = _budget(config, kind, eps_label, rho, dataset.n)
+        for eps_label, epsilon, rho in levels:
+            budget = _budget(config, kind, epsilon, rho, dataset.n)
             for seed in config.seeds:
                 start = time.perf_counter()
                 try:
@@ -228,7 +230,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     cells = []
     for variant in config.variants:
-        for eps_label, _rho in levels:
+        for eps_label, _, _ in levels:
             group = [r for r in rows if r.variant == variant and r.epsilon == eps_label]
             losses = np.array([r.final_loss for r in group])
             times = np.array([r.runtime_s for r in group])

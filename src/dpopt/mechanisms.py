@@ -10,9 +10,14 @@ noise sequence bit-for-bit on a given numpy/scipy build:
     i.i.d. Gaussians in row-major order and mirror the result.
 
 The row-major triangle order is normative: it makes Wigner draws
-reproducible across stored and regenerated (matrix-free) code paths.  None
-of this is cryptographically secure noise, and no floating-point side
-channels are mitigated; both are documented limitations.
+reproducible across stored and regenerated (matrix-free) code paths.  A
+stored draw takes all d (d + 1) / 2 normals in one call and copies row i's
+d - i of them into row i and its mirror, column i; a regenerated one draws
+row by row.  The quantile transform works in place on the uniforms' array,
+and the generator gives the same doubles in one call as in many, so both
+paths have the same bits.  None of this is cryptographically secure noise,
+and no floating-point side channels are mitigated; both are documented
+limitations.
 """
 
 from __future__ import annotations
@@ -68,8 +73,11 @@ class SeededRng:
 
     def standard_normal(self, size=None):
         u = self.generator.random(size)
-        u = np.maximum(u, _U_FLOOR)
-        return ndtri(u)
+        if size is None:
+            return ndtri(np.maximum(u, _U_FLOOR))
+        # floor and transform in place: no temporaries the size of the draw
+        np.maximum(u, _U_FLOOR, out=u)
+        return ndtri(u, out=u)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeededRng(seed={self.seed}, stream={self.stream}, path={self._path})"
@@ -97,18 +105,24 @@ def wigner_matrix(d: int, scale: float, rng: SeededRng) -> np.ndarray:
     """Symmetric d x d matrix, upper triangle (incl. diagonal) i.i.d. N(0, scale^2).
 
     Entries are drawn in row-major upper-triangle order; the lower triangle
-    is an exact mirror, so the output is symmetric to the last bit.
+    is an exact mirror, so the output is symmetric to the last bit.  Scale
+    0 gives the zero matrix and draws nothing.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    n_upper = d * (d + 1) // 2
-    flat = gaussian_vector(n_upper, scale, rng) if scale > 0 else np.zeros(n_upper)
-    out = np.zeros((d, d))
-    iu = np.triu_indices(d)  # row-major over the upper triangle
-    out[iu] = flat
-    out.T[iu] = flat
+    if scale == 0.0:
+        return np.zeros((d, d))
+    flat = rng.standard_normal(d * (d + 1) // 2)
+    flat *= scale
+    out = np.empty((d, d))
+    lo = 0
+    for i in range(d):  # row i's d - i entries, then their mirror in column i
+        hi = lo + d - i
+        out[i, i:] = flat[lo:hi]
+        out[i:, i] = flat[lo:hi]
+        lo = hi
     return out
 
 

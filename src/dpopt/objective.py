@@ -37,12 +37,16 @@ harness.data fill X one span_rows block at a time.
 Each evaluator optionally takes a MarginMemo, bound to one model and one
 dataset: the margins, the loss and the gradient term of the last few
 (iterate, batch) pairs, computed together in one pass while each span is in
-cache.  A run asking for the loss, gradient and curvature at one iterate
-thus reads X once for the loss and the gradient.  The memo also owns one
-n-vector of scratch for the link values a pass averages, so a miss maps no
-fresh pages for them.  A memo is owned by one run (or by the two phases of
-one run) and is not shared; without one, every call makes its own pass.
-Both paths give bit-identical results.
+cache, and the curvature phi''(t) of the latest iterate asked for a Hessian
+or an HVP.  A run asking for the loss, gradient and curvature at one
+iterate thus reads X once for the loss and the gradient, and each
+Hessian-vector product of a Lanczos check streams X once more and applies
+no link function.  A miss writes into the margins array of the entry it
+evicts and into one n-vector of scratch the memo owns, so it maps no fresh
+pages.  A memo is owned by one run (or by the two phases of one run) and
+is not shared; without one, every call makes its own pass and computes the
+curvature once.  phi'' is elementwise and is taken over the same spans on
+both paths, so they give bit-identical results.
 """
 
 from __future__ import annotations
@@ -350,14 +354,12 @@ def max_row_norm(X: np.ndarray) -> float:
 
 
 def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray, link: MarginLink,
-                 gradient: bool, scratch: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, float, np.ndarray | float]:
-    """Margins t = y * (X @ w), the mean link value over them and, if gradient
-    is set, the gradient sum X^T (phi'(t) y), made span by span while each
-    span is in cache.  The link values go to the head of scratch, if given,
-    of at least len(X) entries."""
-    t = np.empty(X.shape[0])
-    values = np.empty(X.shape[0]) if scratch is None else scratch[:X.shape[0]]
+                 gradient: bool, t: np.ndarray, values: np.ndarray
+                 ) -> tuple[float, np.ndarray | float]:
+    """Margins y * (X @ w) into t, the mean link value over them and, if
+    gradient is set, the gradient sum X^T (phi'(t) y), made span by span while
+    each span is in cache.  The link values go to values; t and values have
+    len(X) entries."""
 
     def span(lo: int, hi: int):
         t_s = np.multiply(y[lo:hi], X[lo:hi] @ w, out=t[lo:hi])
@@ -368,12 +370,27 @@ def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray, link: MarginLink,
 
     g = _span_sum(span, *X.shape)
     # one mean over all n values, so the loss has the bits of an unspanned pass
-    return t, float(np.mean(values)), g
+    return float(np.mean(values)), g
+
+
+def _curvature_pass(link: MarginLink, X: np.ndarray, t: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """phi''(t) into out over the spans of X, so its temporaries stay one
+    span long; the spans are the Hessian's and the HVP's, which slice it."""
+    for lo, hi in row_spans(*X.shape):
+        out[lo:hi] = link.second(t[lo:hi])
+    return out
+
+
+def _memo_key(w: np.ndarray, indices) -> tuple[bytes, bytes | None]:
+    return (np.ascontiguousarray(w, dtype=float).tobytes(),
+            None if indices is None else np.asarray(indices, dtype=int).tobytes())
 
 
 class MarginMemo:
     """Margins y * (X @ w), mean link values and gradient sums
-    X^T (phi'(t) y) of the most recent (iterate, batch) pairs of one run.
+    X^T (phi'(t) y) of the most recent (iterate, batch) pairs of one run,
+    and the curvature phi''(t) of one of them.
 
     The memo is bound to one model and one dataset, and the erm_* evaluators
     given a memo read their rows from it.  Entries are keyed by the bytes of
@@ -382,11 +399,18 @@ class MarginMemo:
     recently used: a run needs the current iterate plus the point it steps
     or probes to.  An entry keeps its batch rows too, so a hit also skips
     the row gather.  A miss pays for the gradient sum even when only the
-    loss is asked for.  Stored arrays are read-only.
+    loss is asked for.
 
-    The link values a miss averages are not kept, so every miss writes them
-    to one n-vector the memo owns: a fresh array per miss would map new
-    pages, and fault them in, on every pass.
+    The curvature is computed on the first Hessian or HVP request for an
+    entry and kept until the next miss, so the Hessian-vector products of
+    one Lanczos check share it.  It lives in the one n-vector of scratch
+    the memo owns, to which a miss writes the link values it averages.
+
+    Stored arrays are read-only.  Margins stay valid until their entry is
+    evicted, and the curvature until the next miss: a miss writes its
+    margins into the array of the entry it evicts and its link values over
+    the curvature.  Fresh arrays per miss would map new pages, and fault
+    them in, on every pass.
     """
 
     SIZE = 2
@@ -395,27 +419,44 @@ class MarginMemo:
         self.model = model
         self.dataset = dataset
         self._entries: dict[tuple[bytes, bytes | None], tuple] = {}
-        self._values = np.empty(dataset.n)
+        self._scratch = np.empty(dataset.n)
+        self._curv_key: tuple[bytes, bytes | None] | None = None
+        self._curv: np.ndarray | None = None
 
     def margins(self, w: np.ndarray, indices) -> tuple:
         """(X, y, margins, mean link value, gradient sum) of w on the
         selected rows, computed on a miss."""
-        key = (np.ascontiguousarray(w, dtype=float).tobytes(),
-               None if indices is None else np.asarray(indices, dtype=int).tobytes())
+        key = _memo_key(w, indices)
         entry = self._entries.pop(key, None)
         if entry is None:
             X, y = _select(self.dataset, indices)
-            if X.shape[0] > self._values.size:  # a batch that repeats rows
-                self._values = np.empty(X.shape[0])
-            t, loss, g = _margin_pass(X, y, w, self.model.link, gradient=True,
-                                      scratch=self._values)
+            rows = X.shape[0]
+            # the evicted entry's margins array takes the new margins
+            spare = (self._entries.pop(next(iter(self._entries)))[2].base
+                     if len(self._entries) >= self.SIZE else None)
+            if spare is None or spare.size < rows:
+                spare = np.empty(rows)
+            if rows > self._scratch.size:  # a batch that repeats rows
+                self._scratch = np.empty(rows)
+            self._curv_key = None  # the pass writes over the curvature
+            t = spare[:rows]
+            loss, g = _margin_pass(X, y, w, self.model.link, True, t, self._scratch[:rows])
             t.flags.writeable = False
             g.flags.writeable = False
             entry = (X, y, t, loss, g)
-            if len(self._entries) >= self.SIZE:
-                del self._entries[next(iter(self._entries))]
         self._entries[key] = entry  # reinsert: dict order is least recent first
         return entry
+
+    def curvature(self, w: np.ndarray, indices) -> np.ndarray:
+        """phi''(t) of the margins of w on the selected rows, which the memo
+        holds: margins() was called for them and nothing evicted them since."""
+        key = _memo_key(w, indices)
+        if key != self._curv_key:
+            X, _, t, _, _ = self._entries[key]
+            self._curv = _curvature_pass(self.model.link, X, t, self._scratch[:t.size])
+            self._curv.flags.writeable = False
+            self._curv_key = key
+        return self._curv
 
 
 def _margins(model: LossModel, dataset: Dataset, w: np.ndarray, indices,
@@ -427,7 +468,18 @@ def _margins(model: LossModel, dataset: Dataset, w: np.ndarray, indices,
             raise ValueError("the memo is bound to another model or dataset")
         return memo.margins(w, indices)
     X, y = _select(dataset, indices)
-    return (X, y) + _margin_pass(X, y, w, model.link, gradient)
+    t = np.empty(X.shape[0])
+    return (X, y, t) + _margin_pass(X, y, w, model.link, gradient, t, np.empty(X.shape[0]))
+
+
+def _curvature(model: LossModel, dataset: Dataset, w: np.ndarray, indices,
+               memo: MarginMemo | None) -> tuple[np.ndarray, np.ndarray]:
+    """(X, phi''(t)) on the selected rows: computed once per memo entry, or
+    once per call without a memo."""
+    X, _, t, _, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+    if memo is None:
+        return X, _curvature_pass(model.link, X, t, np.empty(t.size))
+    return X, memo.curvature(w, indices)
 
 
 def erm_value(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
@@ -452,17 +504,16 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
         raise ValueError(
             f"refusing to materialize a {dataset.d}-dim Hessian (cap {dense_cap}); "
             "use erm_hvp instead")
-    X, _, t, _, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+    X, curv = _curvature(model, dataset, w, indices, memo)
 
     def span(lo: int, hi: int) -> np.ndarray:
-        block = X[lo:hi]
-        curv = model.link.second(t[lo:hi])
-        if np.all(curv >= 0.0):
+        block, c = X[lo:hi], curv[lo:hi]
+        if np.all(c >= 0.0):
             # numpy hands A^T A to syrk, which does half the gemm's work; einsum
             # makes the broadcast's products, faster on narrow rows
-            scaled = np.einsum('ij,i->ij', block, np.sqrt(curv))
+            scaled = np.einsum('ij,i->ij', block, np.sqrt(c))
             return scaled.T @ scaled
-        return block.T @ (block * curv[:, None])
+        return block.T @ (block * c[:, None])
 
     H = _span_sum(span, *X.shape) / X.shape[0]
     H = 0.5 * (H + H.T)  # a gemm block is symmetric only up to rounding
@@ -474,11 +525,11 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
 def erm_hvp(model: LossModel, dataset: Dataset, w: np.ndarray, v: np.ndarray,
             indices=None, *, memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, _, t, _, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+    X, curv = _curvature(model, dataset, w, indices, memo)
 
     def span(lo: int, hi: int) -> np.ndarray:
         block = X[lo:hi]
-        return block.T @ (model.link.second(t[lo:hi]) * (block @ v))
+        return block.T @ (curv[lo:hi] * (block @ v))
 
     return _span_sum(span, *X.shape) / X.shape[0] + _reg_hess_diag(model, w) * v
 

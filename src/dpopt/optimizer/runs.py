@@ -308,6 +308,14 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     w = np.asarray(w0, dtype=float).copy()
     if w.shape != (d,):
         raise ValueError(f"w0 must have shape ({d},)")
+    # before any data pass or calibration: a bad mode is not worth an RDP
+    # tune, and an infeasible budget must not hide it
+    if accounting is None:
+        accounting = "rdp" if m < n and budget.accounting == "zcdp" else budget.accounting
+    if accounting not in ("zcdp", "rdp", "approx_dp"):
+        raise ValueError(f"unknown accounting {accounting!r}")
+    if accounting == "approx_dp" and budget.accounting != "approx_dp":
+        raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
 
     # one pass over X per (iterate, batch): the loss at w also makes the
     # gradient at w, the curvature reuses its margins, and an accepted
@@ -322,13 +330,6 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     t_est = derived.t_budget
     t_used = max(1, min(t_est, t_policy(t_est))) if t_policy is not None else t_est
     plan = budget.plan(t_used, s)
-
-    if accounting is None:
-        accounting = "rdp" if m < n and budget.accounting == "zcdp" else budget.accounting
-    if accounting not in ("zcdp", "rdp", "approx_dp"):
-        raise ValueError(f"unknown accounting {accounting!r}")
-    if accounting == "approx_dp" and budget.accounting != "approx_dp":
-        raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
 
     if m < n:
         m_min = min_batch_size(model, constants, t_used, constants.eta, d)

@@ -11,10 +11,14 @@ from dpopt.harness import (ExperimentConfig, TOLERANCE_PRESETS, emit_report,
                            load_dataset, preprocess, read_report_csv,
                            render_markdown, run_experiment, synth_dataset)
 from dpopt.harness.cli import main as cli_main
+from dpopt.accountant import InfeasiblePlanError, ZCdp, zcdp_to_approx_dp
+from dpopt.harness import experiment
 from dpopt.harness.experiment import ConfigError
+from dpopt import objective
 from dpopt.mechanisms import SeededRng
 from dpopt.objective import builtin_nonconvex_logistic, builtin_quartic_saddle, erm_hessian
-from dpopt.optimizer import AlgorithmConstants, ShortStepBudget, run_short_step
+from dpopt.optimizer import (AlgorithmConstants, ShortStepBudget, SubsampledDpBudget,
+                             run_short_step, run_variant, runs)
 
 
 class TestCsvLoader:
@@ -78,6 +82,33 @@ class TestCsvLoader:
         ds = load_dataset(path, "csv", label_column=0)
         assert np.array_equal(ds.labels, [1.0, -1.0])
         assert ds.features.shape == (2, 2)
+
+    def test_ingest_holds_one_copy_of_x(self, tmp_path):
+        # dropping the label column with np.delete peaked at 2.16 x the final X
+        src = synth_dataset("logistic_separable", 20_000, 54, seed=4)
+        path = tmp_path / "wide.csv"
+        np.savetxt(path, np.column_stack([src.features, src.labels]), fmt="%.17g",
+                   delimiter=",")
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path, "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * ds.features.nbytes
+        assert np.array_equal(ds.features, src.features)
+        assert np.array_equal(ds.labels, src.labels)
+
+    @pytest.mark.parametrize("label_column", [-1, 0, 3, 5])
+    def test_label_column_dropped_span_by_span(self, tmp_path, label_column, monkeypatch):
+        monkeypatch.setattr(objective, "span_rows", lambda d: 7)  # many spans
+        table = SeededRng(8).standard_normal((300, 6)) / 3.0
+        table[:, label_column] = np.where(np.arange(300) % 3 == 0, 1.0, -1.0)
+        path = tmp_path / "cols.csv"
+        np.savetxt(path, table, fmt="%.17g", delimiter=",")
+        ds = load_dataset(path, "csv", label_column=label_column)
+        assert np.array_equal(ds.features, np.delete(table, label_column % 6, axis=1))
+        assert np.array_equal(ds.labels, table[:, label_column])
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -243,6 +274,33 @@ class TestRunExperiment:
         for row in report.rows:
             by_variant.setdefault(row.variant, []).append(row.final_loss)
         assert by_variant["opt"] == by_variant["opt_b"]
+
+    @pytest.mark.parametrize("accounting", ["rdp", "approx_dp"])
+    def test_rho_level_hands_its_epsilon_to_minibatch_cells(self, accounting, monkeypatch):
+        # a rho level is reported under rho, but a mini-batch budget is an
+        # (epsilon, delta) target: rho = 0.05 is epsilon = 1.567 at delta = 1e-5
+        asked = []
+
+        def no_plan(target, *args, **kwargs):
+            asked.append(target.epsilon)
+            raise InfeasiblePlanError("recorded")
+
+        def no_run(name, model, dataset, w0, constants, budget, *args, **kwargs):
+            if isinstance(budget, SubsampledDpBudget):
+                asked.append(budget.epsilon)
+                raise InfeasiblePlanError("recorded")
+            return run_variant(name, model, dataset, w0, constants, budget, *args, **kwargs)
+
+        monkeypatch.setattr(runs, "tune_noise_plan", no_plan)
+        monkeypatch.setattr(experiment, "run_variant", no_run)
+        report = run_experiment(small_config(
+            variants=("opt_b",), rhos=(0.05,), batch_size=20, seeds=(0,),
+            minibatch_accounting=accounting))
+        expected = zcdp_to_approx_dp(ZCdp(0.05), 1e-5).epsilon
+        assert expected == pytest.approx(1.567, abs=1e-3)
+        assert asked == [expected]
+        assert report.epsilons == (0.05,)
+        assert [(r.epsilon, r.status) for r in report.rows] == [(0.05, "infeasible_plan")]
 
     def test_two_phase_variants_run(self):
         report = run_experiment(small_config(variants=("2opt", "2opt_ls"), seeds=(0,)))

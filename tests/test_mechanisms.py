@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from dpopt import mechanisms
 from dpopt.mechanisms import (SeededRng, WignerOperator, gaussian, gaussian_vector,
@@ -138,6 +139,74 @@ class TestWigner:
         sums = np.array(sums)
         stderr = float(np.std(sums, ddof=1)) / math.sqrt(len(sums))
         assert abs(float(np.mean(sums))) <= 3.0 * stderr
+
+
+def triu_scatter_wigner(d, scale, rng):
+    """The Wigner draw as index arrays scatter it: the flat row-major
+    triangle into the upper triangle, then its mirror."""
+    n_upper = d * (d + 1) // 2
+    flat = scale * rng.standard_normal(n_upper) if scale > 0 else np.zeros(n_upper)
+    out = np.zeros((d, d))
+    iu = np.triu_indices(d)
+    out[iu] = flat
+    out.T[iu] = flat
+    return out
+
+
+class TestRowBuiltWigner:
+    @pytest.mark.parametrize("scale", [0.0, 0.37])
+    @pytest.mark.parametrize("d", [1, 2, 7, 520, 600])
+    def test_matches_triu_scatter(self, d, scale, monkeypatch):
+        E = wigner_matrix(d, scale, SeededRng(61, 2))
+        assert np.array_equal(E, triu_scatter_wigner(d, scale, SeededRng(61, 2)))
+        # stored and regenerated draws of one operator are the same matrix
+        src = SeededRng(62).child()
+        stored = WignerOperator(d, scale, src)
+        monkeypatch.setattr(mechanisms, "WIGNER_DENSE_BUDGET_BYTES", 0)
+        lazy = WignerOperator(d, scale, src)
+        reference = triu_scatter_wigner(d, scale, src.fresh())
+        assert np.array_equal(stored.dense, reference)
+        assert np.array_equal(lazy.dense, reference)
+        v = SeededRng(63).standard_normal(d)
+        assert np.array_equal(stored.matvec(v), reference @ v)
+        assert np.allclose(lazy.matvec(v), reference @ v, rtol=0, atol=1e-12)
+
+
+class _StubGenerator:
+    """Hands out fixed uniforms in order, as Generator.random would."""
+
+    def __init__(self, uniforms):
+        self._u = np.asarray(uniforms, dtype=float)
+        self._pos = 0
+
+    def random(self, size=None):
+        k = 1 if size is None else int(np.prod(size))
+        u = self._u[self._pos:self._pos + k].copy()
+        self._pos += k
+        return float(u[0]) if size is None else u.reshape(size)
+
+
+class TestStandardNormalInPlace:
+    UNIFORMS = [0.0, 2.0 ** -60, 2.0 ** -53, 1e-300, 0.5, 0.3, 1.0 - 2.0 ** -53, 0.999]
+
+    def _rng(self, uniforms):
+        rng = SeededRng(0)
+        rng.generator = _StubGenerator(uniforms)
+        return rng
+
+    @pytest.mark.parametrize("size", [None, 1, 8, (2, 4)])
+    def test_matches_out_of_place_form(self, size):
+        count = 1 if size is None else int(np.prod(size))
+        expected = ndtri(np.maximum(self.UNIFORMS[:count], mechanisms._U_FLOOR))
+        got = self._rng(self.UNIFORMS).standard_normal(size)
+        assert np.shape(got) == (() if size is None else np.empty(size).shape)
+        assert np.array_equal(np.ravel(got), expected)
+        assert np.all(np.isfinite(got))  # a uniform of exactly 0 is floored, not -inf
+
+    def test_real_stream_matches_out_of_place_form(self):
+        u = SeededRng(64, 1).generator.random(10_000)
+        expected = ndtri(np.maximum(u, mechanisms._U_FLOOR))
+        assert np.array_equal(SeededRng(64, 1).standard_normal(10_000), expected)
 
 
 class TestWignerOperator:

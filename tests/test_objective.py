@@ -286,6 +286,111 @@ class TestMarginMemo:
         assert np.array_equal(g, X.T @ (model.link.deriv(t) * y))
 
 
+def per_span_curvature_reference(model, ds, w, v, indices):
+    """erm_hessian and erm_hvp with phi''(t) computed inside every span, as
+    each call did before the curvature was kept beside the margins."""
+    X, _, t, _, _ = objective._margins(model, ds, w, indices, None, gradient=False)
+
+    def hess_span(lo, hi):
+        block = X[lo:hi]
+        curv = model.link.second(t[lo:hi])
+        if np.all(curv >= 0.0):
+            scaled = np.einsum('ij,i->ij', block, np.sqrt(curv))
+            return scaled.T @ scaled
+        return block.T @ (block * curv[:, None])
+
+    def hvp_span(lo, hi):
+        block = X[lo:hi]
+        return block.T @ (model.link.second(t[lo:hi]) * (block @ v))
+
+    H = objective._span_sum(hess_span, *X.shape) / X.shape[0]
+    H = 0.5 * (H + H.T)
+    H[np.diag_indices_from(H)] += objective._reg_hess_diag(model, w)
+    hvp = (objective._span_sum(hvp_span, *X.shape) / X.shape[0]
+           + objective._reg_hess_diag(model, w) * v)
+    return H, hvp
+
+
+class TestCurvatureOncePerIterate:
+    @pytest.mark.parametrize("with_memo", [False, True])
+    @pytest.mark.parametrize("indices", [None, [0, 3, 4, 9, 17, 22, 3]])
+    @pytest.mark.parametrize("name,make", ALL_MODELS)
+    def test_kept_curvature_has_the_per_span_bits(self, name, make, indices, with_memo,
+                                                   monkeypatch):
+        monkeypatch.setattr(objective, "span_rows", lambda d: 4)  # several spans per pass
+        ds = random_dataset(25, 5, 51, row_norm=2.0)
+        model = make(5)
+        rng = SeededRng(52)
+        memo = MarginMemo(model, ds) if with_memo else None
+        negative = False
+        for _ in range(4):  # past MarginMemo.SIZE, so entries are recycled
+            w, v = 0.4 * rng.standard_normal(5), rng.standard_normal(5)
+            H_ref, hvp_ref = per_span_curvature_reference(model, ds, w, v, indices)
+            negative |= bool(np.any(np.linalg.eigvalsh(H_ref) < 0.0))
+            for _ in range(2):  # the second round reads the kept curvature
+                assert np.array_equal(erm_hvp(model, ds, w, v, indices, memo=memo), hvp_ref)
+                assert np.array_equal(erm_hessian(model, ds, w, indices, memo=memo), H_ref)
+        if name == "quartic":
+            assert negative  # the double well's gemm branch was taken
+
+    def test_curvature_kept_read_only_until_the_next_miss(self, monkeypatch):
+        ds = random_dataset(12, 3, 53)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 3)
+        memo = MarginMemo(model, ds)
+        passes = []
+        original = objective._curvature_pass
+
+        def counted(*args):
+            passes.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(objective, "_curvature_pass", counted)
+        a, b = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.2, -0.4])
+        _, _, t, _, _ = memo.margins(a, None)
+        curv = memo.curvature(a, None)
+        assert memo.curvature(a, None) is curv and len(passes) == 1
+        assert np.array_equal(curv, model.link.second(t))
+        with pytest.raises(ValueError):
+            curv[0] = 0.0
+        memo.margins(a, None)  # a hit keeps it
+        assert memo.curvature(a, None) is curv and len(passes) == 1
+        memo.margins(b, None)  # a miss writes over it: asked again, it is recomputed
+        memo.curvature(b, None)
+        assert np.array_equal(memo.curvature(a, None), model.link.second(t))
+        assert len(passes) == 3
+
+    def test_evicted_arrays_are_recycled(self, monkeypatch):
+        # four iterates through a two-entry memo: the third and fourth miss
+        # write into the arrays the first two left, so no n-vector is made
+        monkeypatch.setattr(objective, "span_rows", lambda d: 64)
+        n, d = 20_000, 5
+        ds = random_dataset(n, d, 54)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, d)
+        memo = MarginMemo(model, ds)
+        rng = SeededRng(55)
+        iterates = [0.4 * rng.standard_normal(d) for _ in range(4)]
+        v = rng.standard_normal(d)
+
+        def evaluate(w, memo):
+            return (erm_value(model, ds, w, memo=memo), erm_gradient(model, ds, w, memo=memo),
+                    erm_hvp(model, ds, w, v, memo=memo))
+
+        tracemalloc.start()
+        try:
+            with_memo = [evaluate(w, memo) for w in iterates[:2]]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with_memo += [evaluate(w, memo) for w in iterates[2:]]
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < n * 8
+        for w, on in zip(iterates, with_memo):
+            off = evaluate(w, None)
+            assert on[0] == off[0]
+            assert np.array_equal(on[1], off[1]) and np.array_equal(on[2], off[2])
+
+
 class TestChunkedHessian:
     @pytest.mark.parametrize("name,make", ALL_MODELS)
     def test_matches_one_shot_form(self, name, make, monkeypatch):

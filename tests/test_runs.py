@@ -440,3 +440,25 @@ class TestVariantTable:
             plan.plan(7, 0.5)
         with pytest.raises(TypeError, match="budget policy"):
             plan.scaled(0.5)
+
+
+class TestAccountingCheckedFirst:
+    def test_unknown_accounting_raised_before_any_tune(self, monkeypatch):
+        # an infeasible RDP target at s = 0.25 must not hide the bad mode,
+        # and the mode is rejected before the tuner is paid for
+        calls = []
+        original = runs.tune_noise_plan
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(runs, "tune_noise_plan", counting)
+        ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
+        with pytest.raises(ValueError, match="unknown accounting") as err:
+            run_minibatch(model, ds, np.zeros(4), AlgorithmConstants(eps_g=0.06, eps_h=0.245),
+                          RdpTuneBudget(1.0, 1e-5), BatchSelector(500), SeededRng(0),
+                          accounting="pure")
+        assert type(err.value) is ValueError
+        assert calls == []
