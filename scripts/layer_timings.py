@@ -11,14 +11,15 @@ last line of standard output is the whole result as one JSON object.
   * objective, at the two benchmark shapes (n = 500 000, d = 54 and
     n = 30 000, d = 600): erm_value and erm_gradient without a memo (one
     pass each), erm_hessian and erm_hvp with a warm memo (the cost per call
-    inside a run, margins and curvature already kept), and a raw stream
-    over X (X.sum()) as the floor of any pass;
+    inside a run, margins and curvature already kept), and one raw gemv
+    over X (X @ v), the floor of any pass that reads X;
   * mechanisms, at d = 600: the Wigner draw, its stored (dense) matvec and
     its matrix-free matvec, which regenerates the draw row by row;
   * spectral: one Lanczos eigen-check on the noisy d = 600 Hessian at the
     origin, as a highdim_lanczos solve makes it;
   * accountant: one subsampled RDP curve over the default orders, and
-    tune_noise_plan at T = 10, s = 0.05, (1, 1e-5);
+    tune_noise_plan at T = 10, s = 0.05, (1, 1e-5) with the sigma_f an
+    RdpTuneBudget for that target fixes;
   * data: CSV ingest scaled to 100 000 rows of 54 features (the file is
     written to a temporary directory first, untimed) and synth_dataset at
     500 000 x 54.
@@ -51,6 +52,7 @@ from dpopt.harness import load_dataset, synth_dataset  # noqa: E402
 from dpopt.mechanisms import SeededRng, WignerOperator, wigner_matrix  # noqa: E402
 from dpopt.objective import (MarginMemo, builtin_nonconvex_logistic, erm_gradient,  # noqa: E402
                              erm_hessian, erm_hvp, erm_value)
+from dpopt.optimizer import RdpTuneBudget  # noqa: E402
 from dpopt.spectral import lanczos_min_eig  # noqa: E402
 
 CSV_ROWS = 100_000
@@ -79,7 +81,7 @@ def objective_layers(n: int, d: int, repeats: int) -> dict:
     memo = MarginMemo(model, ds)
     tag = f"n={n},d={d}"
     out = {
-        f"objective.raw_x_stream[{tag}]": timed(lambda: ds.features.sum(), repeats),
+        f"objective.raw_gemv[{tag}]": timed(lambda: ds.features @ v, repeats),
         f"objective.erm_value[{tag}]": timed(lambda: erm_value(model, ds, w), repeats),
         f"objective.erm_gradient[{tag}]": timed(lambda: erm_gradient(model, ds, w), repeats),
         f"objective.erm_hvp[{tag},memo]":
@@ -124,11 +126,12 @@ def spectral_layers(repeats: int) -> dict:
 
 
 def accountant_layers(repeats: int) -> dict:
+    sigma_f = RdpTuneBudget(1.0, 1e-5).sigma_f
     return {
         "accountant.rdp_curve[sigma=5,s=0.01]":
             timed(lambda: subsampled_gaussian_rdp_curve(5.0, 0.01), repeats),
         "accountant.tune_noise_plan[T=10,s=0.05]":
-            timed(lambda: tune_noise_plan(ApproxDp(1.0, 1e-5), 0.05, 10), max(1, repeats // 3)),
+            timed(lambda: tune_noise_plan(ApproxDp(1.0, 1e-5), 0.05, 10, sigma_f), repeats),
     }
 
 

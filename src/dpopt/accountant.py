@@ -428,51 +428,51 @@ def account_run(k_g: int, k_h: int, plan: NoisePlan, mode: str = "short",
 # grid tuning for the subsampled (RDP-accounted) variant
 
 
-def _default_sigma_grid(lo: float = 0.5, hi: float = 2e4, num: int = 81) -> np.ndarray:
-    return np.geomspace(lo, hi, num)
+def _default_sigma_grid() -> np.ndarray:
+    return np.geomspace(0.5, 2e4, 81)
 
 
-def tune_noise_plan(target: ApproxDp, s: float, t_budget: int,
-                    sigma_grid=None, sigma_f_grid=None,
-                    orders=DEFAULT_ORDERS) -> NoisePlan:
-    """Smallest grid multipliers whose worst-case T-iteration subsampled
-    curve converts to at most the (eps, delta) target.
+def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
+                    sigma_grid=None, orders=DEFAULT_ORDERS) -> NoisePlan:
+    """Smallest grid multiplier sigma_g = sigma_h whose worst-case
+    T-iteration subsampled curve, with the initial-loss multiplier sigma_f,
+    converts to at most the (eps, delta) target.
 
-    Deterministic coordinate descent on log-spaced grids: start from the
-    largest (most conservative) multipliers and lower one coordinate at a
-    time while the converted eps stays within target, preferring small
-    sigma_g (the per-iterate noise) over small sigma_f.  Raises
+    sigma_f is fixed in advance: the run perturbs its initial loss f0 before
+    T is known, since T is derived from the noised f0.  Every term of the
+    curve falls as sigma_g grows, so feasibility is monotone along the
+    sorted grid and bisection finds the smallest feasible point.  Raises
     InfeasiblePlanError when even the largest grid point leaks too much.
     """
     if not (0.0 < s <= 1.0):
         raise ValueError("s must lie in (0, 1]")
     if t_budget < 1:
         raise ValueError("t_budget must be >= 1")
-    sigma_grid = np.sort(np.asarray(sigma_grid if sigma_grid is not None else _default_sigma_grid(), dtype=float))
-    sigma_f_grid = np.sort(np.asarray(sigma_f_grid if sigma_f_grid is not None else _default_sigma_grid(), dtype=float))
-    if sigma_grid.size == 0 or sigma_f_grid.size == 0:
-        raise ValueError("grids must be nonempty")
+    if sigma_grid is None:
+        sigma_grid = _default_sigma_grid()
+    sigma_grid = np.sort(np.asarray(sigma_grid, dtype=float))
+    if sigma_grid.size == 0:
+        raise ValueError("sigma_grid must be nonempty")
 
-    def feasible(i_f: int, i_g: int) -> bool:
-        plan = NoisePlan(float(sigma_f_grid[i_f]), float(sigma_grid[i_g]),
-                         float(sigma_grid[i_g]), None, s)
-        curve = minibatch_rdp_curve(t_budget, t_budget, plan, orders)
+    def plan_at(i: int) -> NoisePlan:
+        sigma = float(sigma_grid[i])
+        return NoisePlan(float(sigma_f), sigma, sigma, None, s)
+
+    def feasible(i: int) -> bool:
+        curve = minibatch_rdp_curve(t_budget, t_budget, plan_at(i), orders)
         converted, _ = rdp_to_approx_dp(curve, target.delta)
         return converted.epsilon <= target.epsilon
 
-    i_f, i_g = len(sigma_f_grid) - 1, len(sigma_grid) - 1
-    if not feasible(i_f, i_g):
+    hi = len(sigma_grid) - 1
+    if not feasible(hi):
         raise InfeasiblePlanError(
             f"no plan on the grid meets eps <= {target.epsilon} at delta = {target.delta} "
             f"(s = {s}, T = {t_budget})")
-    moved = True
-    while moved:
-        moved = False
-        while i_g > 0 and feasible(i_f, i_g - 1):
-            i_g -= 1
-            moved = True
-        while i_f > 0 and feasible(i_f - 1, i_g):
-            i_f -= 1
-            moved = True
-    sigma = float(sigma_grid[i_g])
-    return NoisePlan(float(sigma_f_grid[i_f]), sigma, sigma, None, s)
+    lo = -1  # grid[lo] infeasible (or below the grid), grid[hi] feasible
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return plan_at(hi)

@@ -55,9 +55,9 @@ from ..accountant import (ApproxDp, NoisePlan, ZCdp, account_run,
                           plan_line_search, plan_short_step, plan_subsampled_dp,
                           tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
-from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel,
-                         MarginMemo, WeightBoxError, erm_gradient, erm_hessian,
-                         erm_hvp, erm_value, min_batch_size, sensitivities)
+from ..objective import (BatchSelector, Dataset, LossModel, MarginMemo, WeightBoxError,
+                         erm_gradient, erm_hessian, erm_hvp, erm_value, min_batch_size,
+                         sensitivities)
 from ..spectral import decide_curvature, lanczos_min_eig, min_eigenpair_dense, orient
 from .constants import AlgorithmConstants, derive_constants
 from .svt import dp_line_search
@@ -191,8 +191,8 @@ class RdpTuneBudget:
         return math.sqrt(1.0 / (2.0 * self.c_f * rho))
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
-        return tune_noise_plan(self.target, s, t_budget, sigma_grid=self.sigma_grid,
-                               sigma_f_grid=np.array([self.sigma_f]))
+        return tune_noise_plan(self.target, s, t_budget, sigma_f=self.sigma_f,
+                               sigma_grid=self.sigma_grid)
 
     def scaled(self, fraction: float) -> RdpTuneBudget:
         return replace(self, epsilon=self.epsilon * fraction, delta=self.delta * fraction)
@@ -291,7 +291,6 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
               constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
               selector: BatchSelector | None = None, accounting: str | None = None,
               noise_mode: str = "standard", lanczos: bool = False,
-              dense_cap: int = DENSE_HESSIAN_CAP,
               t_policy: Callable[[int], int] | None = None,
               memo: MarginMemo | None = None) -> RunOutcome:
     n, d = dataset.n, dataset.d
@@ -399,10 +398,10 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
 
                 norm_bound = model.G + 3.0 * math.sqrt(d) * sens_batch.delta_h * plan.sigma_h
                 eig = lanczos_min_eig(hvp, d, norm_bound, constants.eps_h,
-                                      constants.delta_l, rng, dense_cap=dense_cap)
+                                      constants.delta_l, rng)
             else:
                 h_noisy = _require_finite(
-                    erm_hessian(model, dataset, w, indices, dense_cap=dense_cap, memo=memo)
+                    erm_hessian(model, dataset, w, indices, memo=memo)
                     + op.dense, "noisy Hessian", k)
                 eig = min_eigenpair_dense(h_noisy)
             _require_finite(eig.lambda_min, "noisy eigenvalue", k)
@@ -507,7 +506,6 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
                 constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
                 selector: BatchSelector | None = None, accounting: str | None = None,
                 noise_mode: str = "standard", lanczos: bool = False,
-                dense_cap: int = DENSE_HESSIAN_CAP,
                 t_policy: Callable[[int], int] | None = None,
                 budget_split: float = 0.75) -> RunOutcome:
     """Run the public solver name, a key of VARIANTS.
@@ -531,7 +529,7 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
     def run(w_start, bud: Budget, policy, memo=None) -> RunOutcome:
         return _run_core(variant.loop, model, dataset, w_start, constants, bud, rng,
                          selector=selector, accounting=accounting, noise_mode=noise_mode,
-                         lanczos=lanczos, dense_cap=dense_cap, t_policy=policy, memo=memo)
+                         lanczos=lanczos, t_policy=policy, memo=memo)
 
     if not variant.two_phase:
         return run(w0, budget, t_policy)
@@ -562,29 +560,27 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
 
 def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                    budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
-                   lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
+                   lanczos: bool = False,
                    t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Fixed-step variant: gamma_g = 1/G, gamma_H = 2 |lambda| / M."""
     return run_variant("opt", model, dataset, w0, constants, budget, rng,
-                       noise_mode=noise_mode, lanczos=lanczos, dense_cap=dense_cap,
-                       t_policy=t_policy)
+                       noise_mode=noise_mode, lanczos=lanczos, t_policy=t_policy)
 
 
 def run_line_search(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                     budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
-                    lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
+                    lanczos: bool = False,
                     t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Backtracking variant: private SVT line searches with short-step-like
     fallbacks gamma_bar_g and gamma_bar_H = t2 |lambda| / M."""
     return run_variant("opt_ls", model, dataset, w0, constants, budget, rng,
-                       noise_mode=noise_mode, lanczos=lanczos, dense_cap=dense_cap,
-                       t_policy=t_policy)
+                       noise_mode=noise_mode, lanczos=lanczos, t_policy=t_policy)
 
 
 def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                   budget: Budget, selector: BatchSelector, rng: SeededRng, *,
                   accounting: str | None = None, noise_mode: str = "standard",
-                  lanczos: bool = False, dense_cap: int = DENSE_HESSIAN_CAP,
+                  lanczos: bool = False,
                   t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Short-step variant on per-iteration without-replacement mini-batches.
 
@@ -595,7 +591,7 @@ def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
     """
     return run_variant("opt_b", model, dataset, w0, constants, budget, rng,
                        selector=selector, accounting=accounting, noise_mode=noise_mode,
-                       lanczos=lanczos, dense_cap=dense_cap, t_policy=t_policy)
+                       lanczos=lanczos, t_policy=t_policy)
 
 
 # run_two_phase's variant argument names the method its phases run
@@ -607,8 +603,7 @@ def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
                   budget_split: float = 0.75,
                   phase1_t_policy: Callable[[int], int] = default_phase1_policy,
                   selector: BatchSelector | None = None, accounting: str | None = None,
-                  noise_mode: str = "standard", lanczos: bool = False,
-                  dense_cap: int = DENSE_HESSIAN_CAP) -> RunOutcome:
+                  noise_mode: str = "standard", lanczos: bool = False) -> RunOutcome:
     """Optimistic-then-fallback strategy.
 
     Phase 1 spends budget_split of the budget on a reduced iteration count
@@ -624,5 +619,5 @@ def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
         raise ValueError(f"unknown variant {variant!r}")
     return run_variant(_TWO_PHASE[variant], model, dataset, w0, constants, budget, rng,
                        selector=selector, accounting=accounting, noise_mode=noise_mode,
-                       lanczos=lanczos, dense_cap=dense_cap, t_policy=phase1_t_policy,
+                       lanczos=lanczos, t_policy=phase1_t_policy,
                        budget_split=budget_split)

@@ -1,5 +1,7 @@
 """Accountant unit tests: mechanism budgets, conversions, subsampling, plans."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dpopt import accountant
 from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, InfeasiblePlanError,
                               NoisePlan, RdpCurve, ZCdp, account_run,
                               account_subsampled_dp, approx_dp_to_zcdp,
@@ -18,6 +21,7 @@ from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, InfeasiblePlanError,
                               subsampled_gaussian_rdp,
                               subsampled_gaussian_rdp_curve, svt_zcdp,
                               tune_noise_plan, zcdp_to_approx_dp)
+from dpopt.optimizer import RdpTuneBudget
 
 
 class TestGaussianMechanism:
@@ -298,43 +302,84 @@ class TestAccountRun:
             account_run(-1, 0, NoisePlan(1.0, 1.0, 1.0), "short")
 
 
+# the initial-loss multiplier RdpTuneBudget(1, 1e-5) would fix is about 17
+SIGMA_F = 20.0
+
+
 class TestTuneNoisePlan:
     def test_returned_plan_is_feasible(self):
         target = ApproxDp(1.0, 1e-5)
-        plan = tune_noise_plan(target, 0.01, 100)
+        plan = tune_noise_plan(target, 0.01, 100, SIGMA_F)
         curve = minibatch_rdp_curve(100, 100, plan)
         assert rdp_to_approx_dp(curve, 1e-5)[0].epsilon <= 1.0
 
     def test_minimality_on_the_grid(self):
         target = ApproxDp(1.0, 1e-5)
         grid = np.geomspace(0.5, 2e4, 81)
-        plan = tune_noise_plan(target, 0.01, 100, sigma_grid=grid,
-                               sigma_f_grid=np.array([plan_sf := 20.0]))
+        plan = tune_noise_plan(target, 0.01, 100, SIGMA_F, sigma_grid=grid)
         idx = int(np.argmin(np.abs(grid - plan.sigma_g)))
         if idx > 0:
-            smaller = NoisePlan(plan_sf, float(grid[idx - 1]), float(grid[idx - 1]),
+            smaller = NoisePlan(SIGMA_F, float(grid[idx - 1]), float(grid[idx - 1]),
                                 subsample_fraction=0.01)
             eps = rdp_to_approx_dp(minibatch_rdp_curve(100, 100, smaller), 1e-5)[0].epsilon
             assert eps > 1.0
 
     def test_unconstrained_target_returns_grid_minimum(self):
         grid = np.geomspace(1.0, 100.0, 11)
-        plan = tune_noise_plan(ApproxDp(50.0, 1e-5), 0.001, 10,
-                               sigma_grid=grid, sigma_f_grid=grid)
-        assert plan.sigma_g == pytest.approx(grid[0])
-        assert plan.sigma_f == pytest.approx(grid[0])
+        plan = tune_noise_plan(ApproxDp(50.0, 1e-5), 0.001, 10, 3.7, sigma_grid=grid)
+        assert plan.sigma_g == grid[0]
+        assert plan.sigma_f == 3.7
 
     def test_larger_t_budget_weakly_increases_sigma(self):
         target = ApproxDp(1.0, 1e-5)
-        small = tune_noise_plan(target, 0.01, 50)
-        large = tune_noise_plan(target, 0.01, 200)
+        small = tune_noise_plan(target, 0.01, 50, SIGMA_F)
+        large = tune_noise_plan(target, 0.01, 200, SIGMA_F)
         assert large.sigma_g >= small.sigma_g - 1e-12
 
     def test_infeasible_grid_reported_distinctly(self):
         with pytest.raises(InfeasiblePlanError):
-            tune_noise_plan(ApproxDp(0.01, 1e-5), 0.5, 1000,
-                            sigma_grid=np.array([0.5, 1.0]),
-                            sigma_f_grid=np.array([0.5, 1.0]))
+            tune_noise_plan(ApproxDp(0.01, 1e-5), 0.5, 1000, 0.5,
+                            sigma_grid=np.array([0.5, 1.0]))
+
+    def test_feasibility_monotone_and_tuner_returns_first_feasible(self, monkeypatch):
+        # a curve depends only on (sigma, s, orders), so memoizing it keeps
+        # every value and lets the test scan each grid point exhaustively
+        monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve",
+                            functools.lru_cache(maxsize=None)(subsampled_gaussian_rdp_curve))
+        grid = np.geomspace(1.0, 32.0, 6)
+        outcomes = set()
+        for eps, s, t in itertools.product((0.3, 1.0, 8.0), (0.01, 0.25), (1, 100)):
+            target = ApproxDp(eps, 1e-5)
+            sigma_f = RdpTuneBudget(eps, 1e-5).sigma_f
+            feasible = [
+                rdp_to_approx_dp(minibatch_rdp_curve(t, t, NoisePlan(sigma_f, g, g, None, s)),
+                                 1e-5)[0].epsilon <= eps
+                for g in grid.tolist()]
+            assert feasible == sorted(feasible), (eps, s, t, feasible)
+            if not any(feasible):
+                outcomes.add("infeasible")
+                with pytest.raises(InfeasiblePlanError):
+                    tune_noise_plan(target, s, t, sigma_f, sigma_grid=grid)
+                continue
+            first = feasible.index(True)
+            outcomes.add("minimum" if first == 0 else "interior")
+            plan = tune_noise_plan(target, s, t, sigma_f, sigma_grid=grid)
+            assert (plan.sigma_f, plan.sigma_g, plan.sigma_h) == (sigma_f, grid[first],
+                                                                  grid[first])
+        assert outcomes == {"infeasible", "minimum", "interior"}
+
+    def test_default_grid_tune_evaluates_few_curves(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return subsampled_gaussian_rdp_curve(*args, **kwargs)
+
+        monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve", counting)
+        RdpTuneBudget(1.0, 1e-5).plan(100, 0.01)
+        # one probe of the largest point, then at most seven halvings of 81 points,
+        # each probe building the gradient and gradient+Hessian curves
+        assert len(calls) <= 16
 
 
 class TestValidation:
