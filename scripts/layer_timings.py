@@ -5,8 +5,13 @@
 
 Times the layers the benchmark's per-layer list names, each over repeats
 on fixed seeded inputs, and prints one line per layer (median, quartiles,
-repeat count) under a header with nproc and the BLAS thread setting.  The
-last line of standard output is the whole result as one JSON object.
+repeat count) under a header with nproc, the BLAS thread setting and the
+number of threads synth_dataset builds on.  After each group of layers it
+prints the host's steal share over that group: the steal ticks of the cpu
+line of /proc/stat over its first eight columns (user to steal), the share
+of the machine's time that a timing on a shared VM lost to other guests.
+The last line of standard output is the whole result as one JSON object,
+the steal shares in its header.
 
   * objective, at the two benchmark shapes (n = 500 000, d = 54 and
     n = 30 000, d = 600): erm_value and erm_gradient without a memo (one
@@ -21,8 +26,9 @@ last line of standard output is the whole result as one JSON object.
     tune_noise_plan at T = 10, s = 0.05, (1, 1e-5) with the sigma_f an
     RdpTuneBudget for that target fixes;
   * data: CSV ingest scaled to 100 000 rows of 54 features (the file is
-    written to a temporary directory first, untimed) and synth_dataset at
-    500 000 x 54.
+    written to a temporary directory first, untimed), and synth_dataset at
+    the two benchmark shapes (500 000 x 54 at margin 0.15, 30 000 x 600 at
+    margin 0.01).
 
 The BLAS thread count is pinned to 1 before numpy loads, as the benchmark
 does, unless OPENBLAS_NUM_THREADS is already set.
@@ -49,6 +55,7 @@ from dpopt import mechanisms  # noqa: E402
 from dpopt.accountant import (ApproxDp, subsampled_gaussian_rdp_curve,  # noqa: E402
                               tune_noise_plan)
 from dpopt.harness import load_dataset, synth_dataset  # noqa: E402
+from dpopt.harness.data import synth_workers  # noqa: E402
 from dpopt.mechanisms import SeededRng, WignerOperator, wigner_matrix  # noqa: E402
 from dpopt.objective import (MarginMemo, builtin_nonconvex_logistic, erm_gradient,  # noqa: E402
                              erm_hessian, erm_hvp, erm_value)
@@ -148,7 +155,27 @@ def data_layers(repeats: int) -> dict:
         "data.synth_dataset[n=500000,d=54]": timed(
             lambda: synth_dataset("logistic_separable", 500_000, 54, seed=8),
             max(1, repeats // 3)),
+        "data.synth_dataset[n=30000,d=600,margin=0.01]": timed(
+            lambda: synth_dataset("logistic_separable", 30_000, 600, seed=8, margin=0.01),
+            repeats),
     }
+
+
+def cpu_ticks() -> tuple[int, int]:
+    """(steal, total) clock ticks of all CPUs since boot, from /proc/stat;
+    (0, 0) where there is no such file."""
+    try:
+        with open("/proc/stat") as fh:
+            ticks = [int(t) for t in fh.readline().split()[1:]]
+    except OSError:
+        return 0, 0
+    # user nice system idle iowait irq softirq steal; guest time is in user
+    return ticks[7], sum(ticks[:8])
+
+
+def steal_share(before: tuple[int, int], after: tuple[int, int]) -> float | None:
+    total = after[1] - before[1]
+    return (after[0] - before[0]) / total if total > 0 else None
 
 
 def main() -> int:
@@ -161,19 +188,27 @@ def main() -> int:
 
     header = {"nproc": len(os.sched_getaffinity(0)),
               "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
+              "synth_workers": synth_workers(),
               "numpy": np.__version__}
     print(" ".join(f"{k}={v}" for k, v in header.items()))
     layers: dict = {}
-    for group in (lambda: objective_layers(500_000, 54, args.repeats),
-                  lambda: objective_layers(30_000, 600, args.repeats),
-                  lambda: spectral_layers(args.repeats),
-                  lambda: accountant_layers(args.repeats),
-                  lambda: data_layers(args.repeats)):
-        for name, stats in group().items():
+    steal = header["steal_share"] = {}
+    for group, run in (("objective[n=500000,d=54]",
+                        lambda: objective_layers(500_000, 54, args.repeats)),
+                       ("objective[n=30000,d=600]",
+                        lambda: objective_layers(30_000, 600, args.repeats)),
+                       ("spectral", lambda: spectral_layers(args.repeats)),
+                       ("accountant", lambda: accountant_layers(args.repeats)),
+                       ("data", lambda: data_layers(args.repeats))):
+        before = cpu_ticks()
+        for name, stats in run().items():
             layers[name] = stats
             print(f"{name:48s} {stats['median_ms']:10.3f} ms  "
                   f"[{stats['p25_ms']:.3f}, {stats['p75_ms']:.3f}]  x{stats['repeats']}",
                   flush=True)
+        steal[group] = steal_share(before, cpu_ticks())
+        shown = "n/a" if steal[group] is None else f"{steal[group]:.4f}"
+        print(f"  host steal share over {group}: {shown}", flush=True)
     result = {"machine": header, "layers": layers}
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1) + "\n")

@@ -27,29 +27,53 @@ Synthetic instances (deterministic per seed):
   * logistic_separable: unit-norm rows labeled by a fixed unit vector with a
     minimum margin, so logistic-family losses are driven to small gradients.
 
-Set-up holds one copy of X.  The synthetic builders fill X in place, one
-block of at most objective.span_rows(d) rows at a time (about
-objective.SPAN_BYTES of normals), and every loader takes the feature-norm
-bound R with objective.max_row_norm, span by span.  The CSV loader drops
-the label column inside np.loadtxt's own array, so X is a view of its
-first n * d values (the last n stay allocated behind it).  planted_saddle
-draws its rows from one row-major normal stream, with signs from the global
-row index; logistic_separable keeps the first n accepted rows of that
-stream.  Either way the rows do not depend on the block size.
+Set-up holds one copy of X.  Every loader takes the feature-norm bound R
+with objective.max_row_norm, span by span.  The CSV loader drops the label
+column inside np.loadtxt's own array, so X is a view of its first n * d
+values (the last n stay allocated behind it).
+
+Both synthetic kinds read one row-major stream of normals: planted_saddle
+takes its first n rows, with signs from the global row index, and
+logistic_separable keeps the first n rows that pass the margin test,
+labelled by the sign of the projection the test took.  A margin that keeps
+a row with probability below MIN_KEEP_PROB is refused.  Block k of the
+stream starts k * rows * d draws in, where PCG64 jumps straight to, so one
+worker thread per core (synth_workers) fills blocks -- normals, row norms,
+margin test -- into a ring of BLOCKS_IN_FLIGHT buffers, while the calling
+thread copies the kept rows into X in block order.  The rows do not depend
+on the block size, the worker count or the scheduling, the ring bounds the
+memory above X, and no thread outlives the call.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
 import warnings
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
+from scipy.special import betainc
 
 from ..mechanisms import SeededRng
-from ..objective import Dataset, max_row_norm, row_spans, span_rows
+from ..objective import SPAN_ROW_ALIGN, Dataset, max_row_norm, row_spans, span_rows
 
 _COVERTYPE_NUMERIC_COLS = 10
+
+# Blocks of the normal stream synth_dataset draws ahead of the rows it has
+# copied into X.  Their ring of buffers bounds set-up's memory above X at
+# about this many objective.SPAN_BYTES, whatever the core count.
+BLOCKS_IN_FLIGHT = 4
+
+# logistic_separable refuses a margin that keeps a row with a smaller
+# probability: the build would draw n / p rows, or never end.
+MIN_KEEP_PROB = 1e-3
+
+# rows squared at a time when a block takes its row norms
+_NORM_CHUNK_BYTES = 1 << 17
 
 
 def _zscore(X: np.ndarray, cols: slice) -> np.ndarray:
@@ -190,38 +214,130 @@ def preprocess(dataset: Dataset, preprocessing: str) -> Dataset:
     return Dataset(X, y, max_row_norm(X))
 
 
+def synth_workers(blocks: int = BLOCKS_IN_FLIGHT) -> int:
+    """Threads synth_dataset draws `blocks` blocks in flight on: one per
+    usable core, at most one per block."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(cores, blocks)
+
+
+class _Block:
+    """One slot of the ring: a block of rows of the normal stream, their
+    labels and which of them are kept, with the scratch to fill them, so
+    that workers make no temporaries that their malloc arenas would keep.
+    The slot is an anonymous mapping of its own, whose pages go back to the
+    system when the call ends; a ring from malloc stayed in the heap, 0.4
+    to 0.9 MB more RSS after three covertype-scale set-ups."""
+
+    def __init__(self, rows: int, d: int):
+        chunk = max(1, min(rows, _NORM_CHUNK_BYTES // (8 * d)))
+        floats = rows * d + chunk * d + 2 * rows
+        self.mapping = mmap.mmap(-1, 8 * floats + rows)
+        f = np.frombuffer(self.mapping, dtype=float, count=floats)
+        self.rows = f[:rows * d].reshape(rows, d)
+        self.squares = f[rows * d:(rows + chunk) * d].reshape(chunk, d)
+        self.labels, self.norms = f[(rows + chunk) * d:].reshape(2, rows)
+        self.keep = np.frombuffer(self.mapping, dtype=bool, offset=8 * floats)
+
+    def normalize(self, floor: float | None = None) -> None:
+        """Scale every row to unit norm.  The norms are np.linalg.norm's,
+        sqrt(add.reduce(x * x, axis=1)), taken a chunk of rows at a time."""
+        step = self.squares.shape[0]
+        for lo in range(0, self.rows.shape[0], step):
+            chunk = self.rows[lo:lo + step]
+            sq = self.squares[:chunk.shape[0]]
+            np.multiply(chunk, chunk, out=sq)
+            np.add.reduce(sq, axis=1, out=self.norms[lo:lo + step])
+        np.sqrt(self.norms, out=self.norms)
+        if floor is not None:
+            np.maximum(self.norms, floor, out=self.norms)
+        np.divide(self.rows, self.norms[:, None], out=self.rows)
+
+
+def _kept_rows(n: int, d: int, seed: int, keep_prob: float,
+               fill) -> tuple[np.ndarray, np.ndarray]:
+    """X and y from the first n kept rows of seed's row-major normal stream.
+
+    Block k holds the stream's rows [k * rows, (k + 1) * rows), k * rows * d
+    draws in.  fill(rng, block, lo) draws it from rng, already advanced
+    there, and marks its kept rows and their labels; lo is its first row.
+    """
+    rows = min(span_rows(d), max(SPAN_ROW_ALIGN, math.ceil(n / keep_prob)))
+    expected = math.ceil(n / (rows * keep_prob))
+    ring = [_Block(rows, d) for _ in range(min(BLOCKS_IN_FLIGHT, expected))]
+    source = SeededRng(seed)
+
+    def draw(k: int) -> tuple[_Block, Future]:
+        # the generator is made on this thread: 400 of them made on a worker
+        # grew its malloc arena by 0.5 MB
+        block = ring[k % len(ring)]
+        return block, pool.submit(fill, source.advanced(k * rows * d), block, k * rows)
+
+    X, y = np.empty((n, d)), np.empty(n)
+    pool = ThreadPoolExecutor(synth_workers(len(ring)))
+    try:
+        pending = deque(draw(k) for k in range(len(ring)))
+        k, filled = len(ring), 0
+        while filled < n:
+            block, done = pending.popleft()
+            done.result()
+            kept = np.flatnonzero(block.keep)[:n - filled]
+            block.rows.take(kept, axis=0, out=X[filled:filled + kept.size], mode="clip")
+            block.labels.take(kept, out=y[filled:filled + kept.size], mode="clip")
+            filled += kept.size
+            if filled < n:
+                pending.append(draw(k))  # into the slot just emptied
+                k += 1
+    finally:
+        pool.shutdown(cancel_futures=True)  # and wait for the running blocks
+    return X, y
+
+
 def synth_dataset(kind: str, n: int, d: int, seed: int, *,
                   saddle_signal: float = 2.0, saddle_noise: float = 0.5,
                   margin: float = 0.15) -> Dataset:
     """Deterministic synthetic instances; see the module docstring."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    rng = SeededRng(seed)
     if kind == "planted_saddle":
         if d < 2:
             raise ValueError("planted_saddle needs d >= 2")
-        X = np.empty((n, d))
-        for lo, hi in row_spans(n, d):
-            Z = rng.standard_normal((hi - lo, d))
+
+        def saddle_rows(rng, block, lo):
+            Z = rng.standard_normal_into(block.rows)
+            signs = block.labels  # scratch until the labels are written
             Z[:, 0] = 0.0
-            Z /= np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-300)
-            np.multiply(saddle_noise, Z, out=X[lo:hi])
-            X[lo:hi, 0] += saddle_signal * np.where(np.arange(lo, hi) % 2 == 0, 1.0, -1.0)
-        R = math.sqrt(saddle_signal ** 2 + saddle_noise ** 2)
-        return Dataset(X, np.ones(n), R)
+            block.normalize(floor=1e-300)
+            np.multiply(saddle_noise, Z, out=Z)
+            signs[lo % 2::2] = 1.0  # +1 on even global rows, -1 on odd ones
+            signs[1 - lo % 2::2] = -1.0
+            np.multiply(saddle_signal, signs, out=signs)
+            Z[:, 0] += signs
+            block.labels.fill(1.0)
+            block.keep.fill(True)
+
+        X, y = _kept_rows(n, d, seed, 1.0, saddle_rows)
+        return Dataset(X, y, math.sqrt(saddle_signal ** 2 + saddle_noise ** 2))
     if kind == "logistic_separable":
         if not (0.0 < margin < 1.0):
             raise ValueError("margin must lie in (0, 1)")
+        # P(|<x, w*>| >= margin) for x uniform on the unit sphere of R^d
+        keep_prob = float(betainc((d - 1) / 2, 0.5, 1.0 - margin ** 2))
+        if keep_prob < MIN_KEEP_PROB:
+            raise ValueError(
+                f"margin {margin} at d = {d} keeps a row with probability {keep_prob:.2g}, "
+                f"below {MIN_KEEP_PROB:g}: the build would draw about n / {keep_prob:.2g} rows")
         w_star = np.ones(d) / math.sqrt(d)
-        X = np.empty((n, d))
-        filled = 0
-        while filled < n:
-            batch = rng.standard_normal((min(span_rows(d), max(n - filled, 64)), d))
-            batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-            ok = np.abs(batch @ w_star) >= margin
-            take = batch[ok][: n - filled]
-            X[filled:filled + take.shape[0]] = take
-            filled += take.shape[0]
-        y = np.sign(X @ w_star)
+
+        def separable_rows(rng, block, lo):
+            rng.standard_normal_into(block.rows)
+            block.normalize()
+            proj = np.matmul(block.rows, w_star, out=block.labels)
+            np.greater_equal(np.abs(proj, out=block.norms), margin, out=block.keep)
+            # a kept row has |proj| >= margin > 0, so its sign is its label
+            np.sign(proj, out=block.labels)
+
+        X, y = _kept_rows(n, d, seed, keep_prob, separable_rows)
         return Dataset(X, y, 1.0)
     raise ValueError(f"unknown synthetic kind {kind!r}")

@@ -15,9 +15,15 @@ stored draw takes all d (d + 1) / 2 normals in one call and copies row i's
 d - i of them into row i and its mirror, column i; a regenerated one draws
 row by row.  The quantile transform works in place on the uniforms' array,
 and the generator gives the same doubles in one call as in many, so both
-paths have the same bits.  None of this is cryptographically secure noise,
-and no floating-point side channels are mitigated; both are documented
-limitations.
+paths have the same bits.
+
+Each uniform, and so each normal, is one 64-bit PCG64 draw, so
+SeededRng.advanced(k) can replay a stream from its (k + 1)-th normal; the
+synthetic datasets draw blocks of one stream on several threads that way,
+into caller-owned buffers (standard_normal_into).
+
+None of this is cryptographically secure noise, and no floating-point side
+channels are mitigated; both are documented limitations.
 """
 
 from __future__ import annotations
@@ -42,12 +48,20 @@ WIGNER_DENSE_BUDGET_BYTES = 32 * 2 ** 20
 _U_FLOOR = 2.0 ** -53
 
 
+def _normal_quantile(u: np.ndarray) -> np.ndarray:
+    """Floor the uniforms u and apply ndtri, in place: no temporaries the
+    size of the draw."""
+    np.maximum(u, _U_FLOOR, out=u)
+    return ndtri(u, out=u)
+
+
 class SeededRng:
     """A reproducible uniform stream addressed by (seed, stream).
 
     Distinct stream ids (and child spawn paths) give statistically
     independent generators via numpy's SeedSequence.  A SeededRng is owned
-    by one logical run; there is no locking.
+    by one logical run; there is no locking, but fresh and advanced only
+    read the seed and path, so threads may share them.
     """
 
     def __init__(self, seed: int, stream: int = 0, _path: tuple[int, ...] = ()):
@@ -68,6 +82,14 @@ class SeededRng:
         """A new generator replaying this stream from its initial state."""
         return SeededRng(self.seed, self.stream, _path=self._path)
 
+    def advanced(self, k: int) -> "SeededRng":
+        """A new generator replaying this stream from its initial state
+        advanced by k draws: its first uniform (or normal) is the stream's
+        (k + 1)-th.  PCG64 jumps there in O(log k) steps."""
+        rng = self.fresh()
+        rng.generator.bit_generator.advance(k)
+        return rng
+
     def uniform(self, size=None):
         return self.generator.random(size)
 
@@ -75,9 +97,12 @@ class SeededRng:
         u = self.generator.random(size)
         if size is None:
             return ndtri(np.maximum(u, _U_FLOOR))
-        # floor and transform in place: no temporaries the size of the draw
-        np.maximum(u, _U_FLOOR, out=u)
-        return ndtri(u, out=u)
+        return _normal_quantile(u)
+
+    def standard_normal_into(self, out: np.ndarray) -> np.ndarray:
+        """Fill the C-contiguous float array out with the next out.size
+        normals, the values standard_normal(out.shape) would return."""
+        return _normal_quantile(self.generator.random(out=out))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SeededRng(seed={self.seed}, stream={self.stream}, path={self._path})"

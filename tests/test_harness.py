@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,6 +19,7 @@ from dpopt.accountant import InfeasiblePlanError, ZCdp, zcdp_to_approx_dp
 from dpopt.harness import experiment
 from dpopt.harness.experiment import ConfigError
 from dpopt import objective
+from dpopt.harness import data
 from dpopt.mechanisms import SeededRng
 from dpopt.objective import builtin_nonconvex_logistic, builtin_quartic_saddle, erm_hessian
 from dpopt.optimizer import (AlgorithmConstants, ShortStepBudget, SubsampledDpBudget,
@@ -209,6 +214,80 @@ class TestSynthetic:
         d = synth_dataset("logistic_separable", 100, 4, seed=9)
         assert c.features.tobytes() == d.features.tobytes()
 
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_rows_do_not_depend_on_worker_count(self, cores, monkeypatch):
+        # several blocks in flight, and a thread switch after almost every
+        # bytecode, so that blocks finish out of order
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert data.synth_workers() == min(cores, data.BLOCKS_IN_FLIGHT)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kind, n, d, margin in (("logistic_separable", 10_007, 54, 0.15),
+                                       ("planted_saddle", 10_007, 54, 0.15),
+                                       ("logistic_separable", 3_001, 600, 0.01)):
+                for seed in (0, 330):
+                    ds = synth_dataset(kind, n, d, seed, margin=margin)
+                    X, y = one_batch_synth(kind, n, d, seed, margin)
+                    assert ds.features.tobytes() == X.tobytes(), (kind, d, seed)
+                    assert ds.labels.tobytes() == y.tobytes(), (kind, d, seed)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("d", [3, 50, 600])
+    @pytest.mark.parametrize("cores", [1, 8])
+    def test_ring_bounds_the_bytes_in_flight(self, cores, d, monkeypatch):
+        # the ring's slots are anonymous mappings, which tracemalloc does not
+        # see: their bytes are bounded here, by the constants alone
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        slots = []
+        make = data._Block.__init__
+
+        def counted(block, rows, d):
+            make(block, rows, d)
+            slots.append(len(block.mapping))
+
+        monkeypatch.setattr(data._Block, "__init__", counted)
+        synth_dataset("logistic_separable", 65_536, d, seed=5, margin=0.01)
+        assert 1 <= len(slots) <= data.BLOCKS_IN_FLIGHT
+        assert sum(slots) <= 2 * data.BLOCKS_IN_FLIGHT * objective.SPAN_BYTES
+
+    @pytest.mark.parametrize("kind", ["logistic_separable", "planted_saddle"])
+    def test_worker_error_surfaces_and_no_thread_outlives_the_call(self, kind, monkeypatch):
+        class DrawFailed(RuntimeError):
+            pass
+
+        draw = SeededRng.standard_normal_into
+        calls = []
+        lock = threading.Lock()
+
+        def failing_third(rng, out):
+            with lock:
+                calls.append(None)
+                third = len(calls) == 3
+            if third:
+                raise DrawFailed("third block")
+            return draw(rng, out)
+
+        monkeypatch.setattr(SeededRng, "standard_normal_into", failing_third)
+        threads = threading.active_count()
+        with pytest.raises(DrawFailed, match="third block"):
+            synth_dataset(kind, 20_000, 54, seed=4)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("d,margin,prob", [(600, 0.15, "0.00022"), (600, 0.5, "2.5e-39")])
+    def test_hopeless_margin_rejected_before_any_draw(self, d, margin, prob, monkeypatch):
+        def no_draw(rng, out):
+            raise AssertionError("drew normals for a hopeless margin")
+
+        monkeypatch.setattr(SeededRng, "standard_normal_into", no_draw)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"probability {prob}"):
+            synth_dataset("logistic_separable", 20_000, d, seed=0, margin=margin)
+        assert time.perf_counter() - start < 1.0
+
     def test_planted_saddle_has_negative_curvature_at_origin(self):
         ds = synth_dataset("planted_saddle", 100, 2, seed=1)
         model = builtin_quartic_saddle(ds.feature_norm_bound, 2)
@@ -398,6 +477,11 @@ class TestCli:
         rc = cli_main(["--dataset", "/nonexistent.csv", "--preset", "covertype_loose",
                        "--variant", "opt", "--epsilon", "1.0", "--seeds", "0"])
         assert rc == 2
+
+    def test_hopeless_synth_margin_is_error(self, capsys):
+        args = [a if a != "4" else "600" for a in self.ARGS]  # --synth-d 600, margin 0.15
+        assert cli_main(args) == 2
+        assert "probability 0.00022" in capsys.readouterr().err
 
     def test_presets_match_published_settings(self):
         assert TOLERANCE_PRESETS["covertype_loose"] == (0.060, 0.245)

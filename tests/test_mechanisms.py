@@ -209,6 +209,21 @@ class TestStandardNormalInPlace:
         assert np.array_equal(SeededRng(64, 1).standard_normal(10_000), expected)
 
 
+class TestStreamOffsets:
+    @pytest.mark.parametrize("k", [0, 1, 63, 1000])
+    def test_advanced_replays_the_stream_from_draw_k(self, k):
+        rng = SeededRng(11, 2).child()
+        rng.standard_normal(5)  # advanced() starts from the initial state
+        whole = rng.fresh().standard_normal(k + 40)
+        assert np.array_equal(rng.advanced(k).standard_normal(40), whole[k:])
+
+    def test_into_matches_standard_normal(self):
+        out = np.empty((7, 3))
+        got = SeededRng(8).standard_normal_into(out)
+        assert got is out
+        assert np.array_equal(out, SeededRng(8).standard_normal((7, 3)))
+
+
 class TestWignerOperator:
     def test_dense_matches_free_function(self):
         src = SeededRng(3).child()
