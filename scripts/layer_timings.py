@@ -5,11 +5,12 @@
 
 Times the layers the benchmark's per-layer list names, each over repeats
 on fixed seeded inputs, and prints one line per layer (median, quartiles,
-repeat count) under a header with nproc, the BLAS thread setting and the
-number of threads synth_dataset builds on.  After each group of layers it
-prints the host's steal share over that group: the steal ticks of the cpu
-line of /proc/stat over its first eight columns (user to steal), the share
-of the machine's time that a timing on a shared VM lost to other guests.
+repeat count) under a header with nproc (the usable cores), the BLAS
+thread setting and the number of threads synth_dataset builds on.  After
+each group of layers it prints the host's steal share over that group: the
+steal ticks of the cpu line of /proc/stat over its first eight columns
+(user to steal), the share of the machine's time that a timing on a shared
+VM lost to other guests.
 The last line of standard output is the whole result as one JSON object,
 the steal shares in its header.
 
@@ -18,6 +19,10 @@ the steal shares in its header.
     pass each), erm_hessian and erm_hvp with a warm memo (the cost per call
     inside a run, margins and curvature already kept), and one raw gemv
     over X (X @ v), the floor of any pass that reads X;
+  * spread, at n = 500 000, d = 54: the fused value-and-gradient pass
+    (erm_gradient without a memo) and erm_hessian with a warm memo, once
+    on one worker and once on every usable core, each as its own group
+    with its own steal share;
   * mechanisms, at d = 600: the Wigner draw, its stored (dense) matvec and
     its matrix-free matvec, which regenerates the draw row by row;
   * spectral: one Lanczos eigen-check on the noisy d = 600 Hessian at the
@@ -37,6 +42,7 @@ does, unless OPENBLAS_NUM_THREADS is already set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -51,7 +57,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from dpopt import mechanisms  # noqa: E402
+from dpopt import mechanisms, objective  # noqa: E402
 from dpopt.accountant import (ApproxDp, subsampled_gaussian_rdp_curve,  # noqa: E402
                               tune_noise_plan)
 from dpopt.harness import load_dataset, synth_dataset  # noqa: E402
@@ -80,12 +86,19 @@ def timed(fn, repeats: int) -> dict:
     return {"median_ms": p50, "p25_ms": p25, "p75_ms": p75, "repeats": repeats}
 
 
-def objective_layers(n: int, d: int, repeats: int) -> dict:
+@functools.lru_cache(maxsize=1)
+def objective_inputs(n: int, d: int) -> tuple:
+    """The dataset, model, memo, iterate and vector the objective layers are
+    timed on; the last shape's are kept for the next group."""
     ds = synth_dataset("logistic_separable", n, d, seed=1, margin=0.01)
     model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, d)
     w = 0.01 * SeededRng(2).standard_normal(d)
     v = SeededRng(3).standard_normal(d)
-    memo = MarginMemo(model, ds)
+    return ds, model, MarginMemo(model, ds), w, v
+
+
+def objective_layers(n: int, d: int, repeats: int) -> dict:
+    ds, model, memo, w, v = objective_inputs(n, d)
     tag = f"n={n},d={d}"
     out = {
         f"objective.raw_gemv[{tag}]": timed(lambda: ds.features @ v, repeats),
@@ -98,6 +111,23 @@ def objective_layers(n: int, d: int, repeats: int) -> dict:
         out[f"objective.erm_hessian[{tag},memo]"] = timed(
             lambda: erm_hessian(model, ds, w, memo=memo), repeats)
     return out
+
+
+def spread_layers(workers: int, repeats: int) -> dict:
+    """The passes that spread over the cores, at 500 000 x 54, on this many
+    workers."""
+    ds, model, memo, w, _ = objective_inputs(500_000, 54)
+    tag = f"n=500000,d=54,workers={workers}"
+    cores = objective.usable_cores
+    objective.usable_cores = lambda: workers
+    try:
+        return {
+            f"objective.erm_gradient[{tag}]": timed(lambda: erm_gradient(model, ds, w), repeats),
+            f"objective.erm_hessian[{tag},memo]":
+                timed(lambda: erm_hessian(model, ds, w, memo=memo), repeats),
+        }
+    finally:
+        objective.usable_cores = cores
 
 
 def spectral_layers(repeats: int) -> dict:
@@ -186,7 +216,7 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    header = {"nproc": len(os.sched_getaffinity(0)),
+    header = {"nproc": objective.usable_cores(),
               "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
               "synth_workers": synth_workers(),
               "numpy": np.__version__}
@@ -195,6 +225,9 @@ def main() -> int:
     steal = header["steal_share"] = {}
     for group, run in (("objective[n=500000,d=54]",
                         lambda: objective_layers(500_000, 54, args.repeats)),
+                       ("spread[workers=1]", lambda: spread_layers(1, args.repeats)),
+                       (f"spread[workers={header['nproc']}]",
+                        lambda: spread_layers(header["nproc"], args.repeats)),
                        ("objective[n=30000,d=600]",
                         lambda: objective_layers(30_000, 600, args.repeats)),
                        ("spectral", lambda: spectral_layers(args.repeats)),
@@ -203,7 +236,7 @@ def main() -> int:
         before = cpu_ticks()
         for name, stats in run().items():
             layers[name] = stats
-            print(f"{name:48s} {stats['median_ms']:10.3f} ms  "
+            print(f"{name:52s} {stats['median_ms']:10.3f} ms  "
                   f"[{stats['p25_ms']:.3f}, {stats['p75_ms']:.3f}]  x{stats['repeats']}",
                   flush=True)
         steal[group] = steal_share(before, cpu_ticks())

@@ -49,17 +49,16 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
 import warnings
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc
 
 from ..mechanisms import SeededRng
-from ..objective import SPAN_ROW_ALIGN, Dataset, max_row_norm, row_spans, span_rows
+from ..objective import (SPAN_ROW_ALIGN, Dataset, max_row_norm, row_spans, span_rows,
+                         usable_cores)
 
 _COVERTYPE_NUMERIC_COLS = 10
 
@@ -217,9 +216,7 @@ def preprocess(dataset: Dataset, preprocessing: str) -> Dataset:
 def synth_workers(blocks: int = BLOCKS_IN_FLIGHT) -> int:
     """Threads synth_dataset draws `blocks` blocks in flight on: one per
     usable core, at most one per block."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return min(cores, blocks)
+    return min(usable_cores(), blocks)
 
 
 class _Block:
@@ -253,6 +250,54 @@ class _Block:
         if floor is not None:
             np.maximum(self.norms, floor, out=self.norms)
         np.divide(self.rows, self.norms[:, None], out=self.rows)
+
+
+def _regularized_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function, for a >= 0,
+    b > 0 and 0 < x < 1 (I_x(0, b) = 1, its limit).  The continued fraction
+    of Numerical Recipes' betacf, by the modified Lentz method, is taken on
+    the side of the distribution's mean where it converges fast.  Plain
+    math, so a build maps none of scipy.special's code pages."""
+    if a == 0.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _regularized_beta(b, a, 1.0 - x)
+    tiny = 1e-300  # keeps the Lentz quotients off zero
+
+    def step(aa: float, c: float, dd: float) -> tuple[float, float]:
+        """Lentz's C and D after the fraction's next coefficient aa."""
+        dd = 1.0 + aa * dd
+        c = 1.0 + aa / c
+        return (c if abs(c) > tiny else tiny), 1.0 / (dd if abs(dd) > tiny else tiny)
+
+    first = 1.0 - (a + b) * x / (a + 1.0)
+    c, dd = 1.0, 1.0 / (first if abs(first) > tiny else tiny)
+    h = dd
+    for m in range(1, 10_000):
+        c, dd = step(m * (b - m) * x / ((a - 1.0 + 2 * m) * (a + 2 * m)), c, dd)
+        h *= dd * c
+        c, dd = step(-(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 1.0 + 2 * m)), c, dd)
+        h *= dd * c
+        if abs(dd * c - 1.0) < 1e-16:
+            break
+    return math.exp(a * math.log(x) + b * math.log1p(-x) + _log_inv_beta(a, b)) * h / a
+
+
+def _log_inv_beta(a: float, b: float) -> float:
+    """log(Gamma(a + b) / (Gamma(a) Gamma(b))).  When the larger argument is
+    20 or more, the Stirling series of its two log-gammas is differenced
+    term by term: each is about z log z, and their rounding alone, taken
+    from math.lgamma, moved I_x by 1e-12 at d = 600."""
+    small, big = sorted((a, b))
+    if big < 20.0:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+
+    def tail(z: float) -> float:  # log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2
+        r = 1.0 / (z * z)
+        return (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / z
+
+    return ((big - 0.5) * math.log1p(small / big) + small * math.log(big + small) - small
+            + tail(big + small) - tail(big) - math.lgamma(small))
 
 
 def _kept_rows(n: int, d: int, seed: int, keep_prob: float,
@@ -323,7 +368,7 @@ def synth_dataset(kind: str, n: int, d: int, seed: int, *,
         if not (0.0 < margin < 1.0):
             raise ValueError("margin must lie in (0, 1)")
         # P(|<x, w*>| >= margin) for x uniform on the unit sphere of R^d
-        keep_prob = float(betainc((d - 1) / 2, 0.5, 1.0 - margin ** 2))
+        keep_prob = _regularized_beta((d - 1) / 2, 0.5, 1.0 - margin ** 2)
         if keep_prob < MIN_KEEP_PROB:
             raise ValueError(
                 f"margin {margin} at d = {d} keeps a row with probability {keep_prob:.2g}, "

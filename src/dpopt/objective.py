@@ -18,21 +18,41 @@ Dataset and LossModel are immutable after construction and the erm_*
 evaluators are reentrant, so concurrent runs may share them freely.
 
 Every evaluator passes over the selected rows of X in fixed spans of about
-SPAN_BYTES of X each, one span after another on the calling thread.  Each
-span yields a partial -- its margins y * (X_s @ w), its gradient term
-X_s^T (phi'(t) y), its Hessian block X_s^T diag(curv) X_s or its product
-X_s^T (curv * (X_s v)) -- while its rows are still in cache, and the
-partials are added in span order.  The spans depend on n and d alone, so the
-results are bit-identical from run to run.  A span's row count is a
-multiple of the BLAS kernels' row blocking and each margin is a per-row dot
-product, so a margin has the bits it would have in one product over the
-whole of X; the loss is one mean over all n link values and keeps those
-bits too.  The passes do not spread over cores: on a VM whose second
-vCPU is often stolen by the host, a pass split over two threads waits for
-the slower one and its speed varies from one run to the next.  Building a
-Dataset checks X over the same spans (max_row_norm), so set-up holds no
-temporary the size of X either, and the synthetic builders in
-harness.data fill X one span_rows block at a time.
+SPAN_BYTES of X each.  Each span yields a partial -- its margins
+y * (X_s @ w), its gradient term X_s^T (phi'(t) y), its Hessian block
+X_s^T diag(curv) X_s or its product X_s^T (curv * (X_s v)) -- while its rows
+are still in cache, and the partials are added in span order.  The spans
+depend on n and d alone, so the results are bit-identical from run to run.
+A span's row count is a multiple of the BLAS kernels' row blocking and each
+margin is a per-row dot product, so a margin has the bits it would have in
+one product over the whole of X; the loss is one mean over all n link
+values and keeps those bits too.  Building a Dataset checks X over the same
+spans (max_row_norm), so set-up holds no temporary the size of X either,
+and the synthetic builders in harness.data fill X one span_rows block at a
+time.
+
+Two passes spread over the cores (_spread_sum): a fused value-and-gradient
+pass whose spans hold at least SPREAD_MIN_SPAN_ROWS rows (d <= 256), and
+every dense Hessian.  The calling thread and one more thread per further
+usable core claim spans in row order and write each partial into a ring of
+slots (SPREAD_RING_BYTES, and at least SLOTS_PER_WORKER, per thread); the
+thread that completes the lowest unfolded span adds the completed partials
+to the total in span order.  So every sum has the bits of the one-thread
+loop at any core count, the ring bounds the memory whatever n is, and no
+thread outlives the call.  The rule comes from a width scan (150 MB of X,
+fused pass, forced to spread from d = 384, and Hessian on 1 -> 2 threads,
+medians in ms, 2-vCPU VM, one BLAS thread):
+
+    d           20      128      256      384      512      600
+    pass      61->40   32->22   25->16   21->29   21->22   21->23
+    Hessian   89->77  144->79  207->107 305->170 427->240     -
+
+A narrow pass is bound by the link functions and the narrow gemv, which a
+second core shares; from d = 384 on it is bound by memory bandwidth and
+gains nothing.  The Hessian's syrk is bound by compute at every width the
+dense path allows.  Value-only passes, the curvature pass and the HVP stay
+on the calling thread: the HVP serves Lanczos checks above
+DENSE_HESSIAN_CAP, where a pass is bound by memory bandwidth.
 
 Each evaluator optionally takes a MarginMemo, bound to one model and one
 dataset: the margins, the loss and the gradient term of the last few
@@ -52,6 +72,8 @@ both paths, so they give bit-identical results.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,6 +93,21 @@ SPAN_BYTES = 1 << 20
 # A span's row count is a multiple of this, which covers the BLAS kernels'
 # row blocking, so a margin's bits do not depend on the span it falls in.
 SPAN_ROW_ALIGN = 64
+
+# A fused value-and-gradient pass spreads over the cores when a span holds at
+# least this many rows (d <= 256).  The crossover, 1 -> 2 threads on 150 MB
+# of X: 25 -> 16 ms at d = 256, bound by compute; 21 -> 29 ms at d = 384 (320
+# rows a span), bound by memory bandwidth.
+SPREAD_MIN_SPAN_ROWS = 512
+
+# Span partials in flight per thread of a spread pass: a thread may run this
+# far ahead of the lowest span not yet added before it waits for a slot.  A
+# thread gets SPREAD_RING_BYTES of slots, and at least SLOTS_PER_WORKER, so a
+# gradient's small partials get a deep ring.  With a worker's vCPU half taken
+# by another process, four slots a thread made the d = 54 pass slower than
+# one thread (78-96 against 76-85 ms) and sixteen or more faster (67-76 ms).
+SLOTS_PER_WORKER = 4
+SPREAD_RING_BYTES = 1 << 16
 
 # sup |phi'''| of the logistic link, attained where expit = (1 +- 1/sqrt(3))/2
 LOGISTIC_THIRD_DERIV_MAX = 1.0 / (6.0 * math.sqrt(3.0))
@@ -335,13 +372,92 @@ def row_spans(n: int, d: int):
     return ((lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
-def _span_sum(fn: Callable[[int, int], object], n: int, d: int):
-    """fn(lo, hi) over the spans of n rows of width d, summed in span order;
-    fn returns a fresh partial."""
-    spans = row_spans(n, d)
-    total = fn(*next(spans))
-    for lo, hi in spans:
-        total += fn(lo, hi)
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's CPU count."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _spread_sum(fn: Callable, n: int, d: int, shape: tuple, scratch: Callable = lambda: None,
+                spread: bool = True) -> np.ndarray:
+    """The sum in span order of the partials fn(lo, hi, out, own) writes into
+    out, an array of the given shape, over the spans of n rows of width d;
+    own is the scratch that scratch() made for the thread running fn.
+
+    With spread set and more than one usable core, the calling thread and
+    one more thread per further core claim spans in row order, each partial
+    into a ring of SPREAD_RING_BYTES, and at least SLOTS_PER_WORKER slots,
+    per thread.  The thread that completes the lowest span not yet added
+    adds it, and every completed span after it, to the total in span order,
+    so the sum has the bits of the one-thread loop.  A thread waits only for a free slot.  Every array
+    is made on the calling thread, so the threads' malloc arenas keep none
+    of them.  A thread's exception is raised here, after every thread has
+    stopped.  One core, or fewer spans than the ring holds, runs the same
+    loop on the calling thread.
+    """
+    rows = span_rows(d)
+    spans = -(-n // rows)
+    workers = usable_cores() if spread else 1
+    total = np.empty(shape)
+    if workers == 1 or spans < SLOTS_PER_WORKER * workers:
+        own, part, bounds = scratch(), np.empty(shape), row_spans(n, d)
+        fn(*next(bounds), total, own)
+        for lo, hi in bounds:
+            fn(lo, hi, part, own)
+            total += part
+        return total
+
+    per_worker = max(SLOTS_PER_WORKER, SPREAD_RING_BYTES // total.nbytes)
+    slots = min(spans, per_worker * workers)
+    ring = np.empty((slots,) + shape)
+    done = [False] * slots
+    claimed = added = 0
+    failure: BaseException | None = None
+    cond = threading.Condition()
+
+    def work(own) -> None:
+        nonlocal claimed, added, failure
+        k = None  # the span this thread completed last
+        try:
+            while True:
+                with cond:  # one turn of the lock per span: complete, add, claim
+                    if k is not None:
+                        done[k % slots] = True
+                        while added < spans and done[added % slots]:
+                            part = ring[added % slots]
+                            if added:
+                                np.add(total, part, out=total)
+                            else:
+                                np.copyto(total, part)
+                            done[added % slots] = False
+                            added += 1
+                        cond.notify_all()
+                    while failure is None and claimed < spans and claimed - added == slots:
+                        cond.wait()
+                    if failure is not None or claimed == spans:
+                        return
+                    k = claimed
+                    claimed += 1
+                fn(k * rows, min(n, (k + 1) * rows), ring[k % slots], own)
+        except BaseException as exc:  # the calling thread raises it
+            with cond:
+                failure = failure or exc
+                cond.notify_all()
+
+    owns = [scratch() for _ in range(workers)]
+    threads = []
+    try:
+        for own in owns[1:]:
+            thread = threading.Thread(target=work, args=(own,), daemon=True)
+            thread.start()
+            threads.append(thread)
+        work(owns[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failure is not None:
+        raise failure
     return total
 
 
@@ -359,16 +475,22 @@ def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray, link: MarginLink,
     """Margins y * (X @ w) into t, the mean link value over them and, if
     gradient is set, the gradient sum X^T (phi'(t) y), made span by span while
     each span is in cache.  The link values go to values; t and values have
-    len(X) entries."""
+    len(X) entries.  A pass with the gradient spreads over the cores when
+    its spans hold SPREAD_MIN_SPAN_ROWS rows or more."""
 
-    def span(lo: int, hi: int):
+    def span(lo: int, hi: int, out: np.ndarray | None = None, own=None) -> None:
         t_s = np.multiply(y[lo:hi], X[lo:hi] @ w, out=t[lo:hi])
         values[lo:hi] = link.value(t_s)
-        if not gradient:
-            return 0.0
-        return X[lo:hi].T @ (link.deriv(t_s) * y[lo:hi])
+        if out is not None:
+            np.matmul(X[lo:hi].T, link.deriv(t_s) * y[lo:hi], out=out)
 
-    g = _span_sum(span, *X.shape)
+    n, d = X.shape
+    g = 0.0
+    if gradient:
+        g = _spread_sum(span, n, d, (d,), spread=span_rows(d) >= SPREAD_MIN_SPAN_ROWS)
+    else:
+        for lo, hi in row_spans(n, d):
+            span(lo, hi)
     # one mean over all n values, so the loss has the bits of an unspanned pass
     return float(np.mean(values)), g
 
@@ -505,17 +627,24 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
             f"refusing to materialize a {dataset.d}-dim Hessian (cap {dense_cap}); "
             "use erm_hvp instead")
     X, curv = _curvature(model, dataset, w, indices, memo)
+    n, d = X.shape
+    rows = min(span_rows(d), n)
 
-    def span(lo: int, hi: int) -> np.ndarray:
+    def scratch() -> tuple[np.ndarray, np.ndarray]:
+        return np.empty((rows, d)), np.empty(rows)
+
+    def span(lo: int, hi: int, out: np.ndarray, own: tuple) -> None:
         block, c = X[lo:hi], curv[lo:hi]
+        scaled = own[0][:hi - lo]
         if np.all(c >= 0.0):
             # numpy hands A^T A to syrk, which does half the gemm's work; einsum
             # makes the broadcast's products, faster on narrow rows
-            scaled = np.einsum('ij,i->ij', block, np.sqrt(c))
-            return scaled.T @ scaled
-        return block.T @ (block * c[:, None])
+            np.einsum('ij,i->ij', block, np.sqrt(c, out=own[1][:hi - lo]), out=scaled)
+            np.matmul(scaled.T, scaled, out=out)
+        else:
+            np.matmul(block.T, np.multiply(block, c[:, None], out=scaled), out=out)
 
-    H = _span_sum(span, *X.shape) / X.shape[0]
+    H = _spread_sum(span, n, d, (d, d), scratch) / n
     H = 0.5 * (H + H.T)  # a gemm block is symmetric only up to rounding
     diag = _reg_hess_diag(model, w)
     H[np.diag_indices_from(H)] += diag
@@ -527,11 +656,12 @@ def erm_hvp(model: LossModel, dataset: Dataset, w: np.ndarray, v: np.ndarray,
     _check_box(model, w)
     X, curv = _curvature(model, dataset, w, indices, memo)
 
-    def span(lo: int, hi: int) -> np.ndarray:
+    def span(lo: int, hi: int, out: np.ndarray, own) -> None:
         block = X[lo:hi]
-        return block.T @ (curv[lo:hi] * (block @ v))
+        np.matmul(block.T, curv[lo:hi] * (block @ v), out=out)
 
-    return _span_sum(span, *X.shape) / X.shape[0] + _reg_hess_diag(model, w) * v
+    n, d = X.shape
+    return _spread_sum(span, n, d, (d,), spread=False) / n + _reg_hess_diag(model, w) * v
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +712,22 @@ class BatchSelector:
         return np.sort(idx)
 
 
-def min_batch_size(model: LossModel, constants, T: int, eta: float, d: int) -> int:
-    """Smallest mini-batch size under which the subsampling deviation of the
-    gradient and Hessian stays within half of the bounded-noise allowances."""
-    if T < 1 or d < 1 or not (0.0 < eta < 1.0):
-        raise ValueError("need T >= 1, d >= 1, eta in (0, 1)")
+def _subsampling_branches(model: LossModel, constants, T: int, eta: float,
+                          d: int) -> tuple[float, float]:
+    """The gradient and Hessian subsampling-deviation branches of the
+    published sample sizes, at a batch fraction of 1: the batch size under
+    which the batch's deviation stays within half of each noise allowance."""
     log_term = math.log(2.0 * d * T / eta)
     grad_branch = (64.0 * model.B_g ** 2 * (log_term + 0.25)
                    * max(constants.c1 ** -2 * constants.eps_g ** -2,
                          (model.M ** 2 / constants.c2 ** 2) * constants.eps_h ** -4))
     hess_branch = 32.0 * model.B_H ** 2 * log_term * constants.c ** -2 * constants.eps_h ** -2
-    return int(math.ceil(max(grad_branch, hess_branch)))
+    return grad_branch, hess_branch
+
+
+def min_batch_size(model: LossModel, constants, T: int, eta: float, d: int) -> int:
+    """Smallest mini-batch size under which the subsampling deviation of the
+    gradient and Hessian stays within half of the bounded-noise allowances."""
+    if T < 1 or d < 1 or not (0.0 < eta < 1.0):
+        raise ValueError("need T >= 1, d >= 1, eta in (0, 1)")
+    return int(math.ceil(max(_subsampling_branches(model, constants, T, eta, d))))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..mechanisms import DEFAULT_WIGNER_TAIL_CONSTANT
 from ..accountant import NoisePlan
-from ..objective import LossModel
+from ..objective import LossModel, _subsampling_branches
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,7 @@ def min_samples_advisor(model: LossModel, constants: AlgorithmConstants,
         return int(math.ceil(max(grad_branch, hess_branch, svt_branch)))
     if variant == "minibatch":
         s = plan.subsample_fraction
-        log_batch = math.log(2.0 * d * T / cst.eta)
-        sub_grad = (64.0 * model.B_g ** 2 * (log_batch + 0.25)
-                    * max(cst.c1 ** -2 * cst.eps_g ** -2,
-                          model.M ** 2 / cst.c2 ** 2 * cst.eps_h ** -4)) / s
-        sub_hess = (32.0 * model.B_H ** 2 * log_batch
-                    * cst.c ** -2 * cst.eps_h ** -2) / s
-        return int(math.ceil(max(2.0 * grad_branch, 2.0 * hess_branch, sub_grad, sub_hess)))
+        sub_grad, sub_hess = _subsampling_branches(model, cst, T, cst.eta, d)
+        return int(math.ceil(max(2.0 * grad_branch, 2.0 * hess_branch,
+                                 sub_grad / s, sub_hess / s)))
     raise ValueError(f"unknown variant {variant!r}")

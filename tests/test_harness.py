@@ -277,6 +277,15 @@ class TestSynthetic:
             synth_dataset(kind, 20_000, 54, seed=4)
         assert threading.active_count() == threads
 
+    def test_keep_probability_matches_scipy_betainc(self):
+        # P(|<x, w*>| >= margin) on the unit sphere of R^d, without scipy.special
+        from scipy.special import betainc
+        for d in (1, 2, 3, 5, 10, 39, 41, 54, 100, 256, 600, 1000):
+            for margin in (0.001, 0.01, 0.05, 0.15, 0.3, 0.5, 0.9):
+                a, x = (d - 1) / 2, 1.0 - margin ** 2
+                assert math.isclose(data._regularized_beta(a, 0.5, x),
+                                    float(betainc(a, 0.5, x)), rel_tol=1e-12), (d, margin)
+
     @pytest.mark.parametrize("d,margin,prob", [(600, 0.15, "0.00022"), (600, 0.5, "2.5e-39")])
     def test_hopeless_margin_rejected_before_any_draw(self, d, margin, prob, monkeypatch):
         def no_draw(rng, out):

@@ -2,19 +2,24 @@
 replace-one sensitivities, batching."""
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from dpopt import objective
-from dpopt.mechanisms import SeededRng
+from dpopt.mechanisms import DEFAULT_WIGNER_TAIL_CONSTANT, SeededRng
 from dpopt.objective import (BatchSelector, Dataset, MarginMemo, WeightBoxError,
                              builtin_l2_logistic, builtin_nonconvex_logistic,
-                             builtin_quartic_saddle, erm_gradient, erm_hessian,
-                             erm_hvp, erm_value, min_batch_size, sensitivities)
-from dpopt.optimizer import AlgorithmConstants
+                             builtin_quartic_saddle, custom_margin_model, erm_gradient,
+                             erm_hessian, erm_hvp, erm_value, min_batch_size,
+                             sensitivities)
+from dpopt.accountant import NoisePlan
+from dpopt.optimizer import AlgorithmConstants, min_samples_advisor
 
 
 def random_dataset(n, d, seed, row_norm=1.0):
@@ -303,11 +308,17 @@ def per_span_curvature_reference(model, ds, w, v, indices):
         block = X[lo:hi]
         return block.T @ (model.link.second(t[lo:hi]) * (block @ v))
 
-    H = objective._span_sum(hess_span, *X.shape) / X.shape[0]
+    def span_sum(fn):
+        spans = objective.row_spans(*X.shape)
+        total = fn(*next(spans))
+        for lo, hi in spans:
+            total += fn(lo, hi)
+        return total
+
+    H = span_sum(hess_span) / X.shape[0]
     H = 0.5 * (H + H.T)
     H[np.diag_indices_from(H)] += objective._reg_hess_diag(model, w)
-    hvp = (objective._span_sum(hvp_span, *X.shape) / X.shape[0]
-           + objective._reg_hess_diag(model, w) * v)
+    hvp = span_sum(hvp_span) / X.shape[0] + objective._reg_hess_diag(model, w) * v
     return H, hvp
 
 
@@ -414,8 +425,11 @@ class TestChunkedHessian:
         assert np.allclose(erm_gradient(model, ds, w), gradient, rtol=1e-12, atol=1e-15)
         assert np.allclose(erm_hvp(model, ds, w, v), hvp, rtol=1e-12, atol=1e-15)
 
-    def test_peak_memory_bounded_by_chunk(self):
-        # the one-shot form allocates an n x d temporary as large as X itself
+    def test_peak_memory_bounded_by_chunk(self, monkeypatch):
+        # the one-shot form allocates an n x d temporary as large as X itself;
+        # two cores, so that the bound, which holds two scaled spans, does not
+        # depend on the machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         n, d = 65_536, 50
         X = np.full((n, d), 0.1)
         ds = Dataset(X, np.ones(n), math.sqrt(d) * 0.1)
@@ -451,6 +465,150 @@ class TestSpans:
         one_shot = float(np.mean(model.link.value(t))) + objective._reg_value(model, w)
         assert erm_value(model, ds, w) == one_shot
         assert erm_value(model, ds, w, memo=MarginMemo(model, ds)) == one_shot
+
+
+def set_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+
+
+def counted_thread_starts(monkeypatch):
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+class TestSpreadOverCores:
+    # 41 spans of 512 rows and a tail: more than the ring holds at 8 cores
+    N, D = 41 * 512 + 77, 6
+
+    def _evaluate(self, model, ds, w, indices, with_memo):
+        memo = MarginMemo(model, ds) if with_memo else None
+        return (erm_value(model, ds, w, indices, memo=memo),
+                erm_gradient(model, ds, w, indices, memo=memo),
+                erm_hessian(model, ds, w, indices, memo=memo))
+
+    @pytest.mark.parametrize("cpu_count,cores", [(3, 3), (None, 1)])
+    def test_cores_without_an_affinity_call(self, cpu_count, cores, monkeypatch):
+        from dpopt.harness import data
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        assert objective.usable_cores() == cores
+        assert data.synth_workers() == min(cores, data.BLOCKS_IN_FLIGHT)
+
+    @pytest.mark.parametrize("ring_bytes", [objective.SPREAD_RING_BYTES, 0])
+    @pytest.mark.parametrize("name,make", [ALL_MODELS[0], ALL_MODELS[2]])
+    def test_bits_do_not_depend_on_worker_count(self, name, make, ring_bytes, monkeypatch):
+        # with no ring bytes each thread gets SLOTS_PER_WORKER slots, which
+        # the 42 spans wrap around many times
+        monkeypatch.setattr(objective, "SPREAD_RING_BYTES", ring_bytes)
+        monkeypatch.setattr(objective, "span_rows", lambda d: 512)
+        ds = random_dataset(self.N, self.D, 61)
+        model = make(self.D)
+        rng = SeededRng(62)
+        w = 0.4 * rng.standard_normal(self.D)
+        batch = np.sort(rng.generator.choice(self.N, size=18_000))  # repeats rows
+        cases = list(product((None, batch), (False, True)))
+        set_cores(monkeypatch, 1)
+        reference = [self._evaluate(model, ds, w, idx, memo) for idx, memo in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # a thread switch after almost every bytecode
+        try:
+            for cores in (2, 8):
+                set_cores(monkeypatch, cores)
+                starts = counted_thread_starts(monkeypatch)
+                for (idx, memo), ref in zip(cases, reference):
+                    got = self._evaluate(model, ds, w, idx, memo)
+                    assert got[0] == ref[0], (cores, memo)
+                    assert np.array_equal(got[1], ref[1]), (cores, memo)
+                    assert np.array_equal(got[2], ref[2]), (cores, memo)
+                assert len(starts) > 0  # the passes did spread
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_span_error_surfaces_and_no_thread_outlives_the_call(self, cores, monkeypatch):
+        class SpanFailed(RuntimeError):
+            pass
+
+        monkeypatch.setattr(objective, "span_rows", lambda d: 512)
+        set_cores(monkeypatch, cores)
+        calls = []
+        lock = threading.Lock()
+
+        def deriv(t):
+            with lock:
+                calls.append(None)
+                third = len(calls) == 3
+            if third:
+                raise SpanFailed("third span")
+            return t
+
+        model = custom_margin_model(
+            objective.MarginLink(value=lambda t: t * t, deriv=deriv, second=np.ones_like),
+            B=1.0, B_g=1.0, B_H=1.0, G=1.0, M=1.0, f_lower=0.0, weight_box=10.0)
+        ds = random_dataset(self.N, self.D, 63)
+        threads = threading.active_count()
+        with pytest.raises(SpanFailed, match="third span"):
+            erm_gradient(model, ds, np.full(self.D, 0.1))
+        assert threading.active_count() == threads
+        assert len(calls) >= 3
+
+    def test_hessian_memory_does_not_grow_with_n(self, monkeypatch):
+        # a new thread's own state, about 20 KB here, comes and goes with the
+        # scheduling, so a span is made much larger than that
+        rows, d = 2048, 8
+        monkeypatch.setattr(objective, "span_rows", lambda d: rows)
+        set_cores(monkeypatch, 2)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, d)
+        w = np.full(d, 0.05)
+        peaks = []
+        for n in (9 * rows + 5, 36 * rows + 20):
+            ds = random_dataset(n, d, 64)
+            memo = MarginMemo(model, ds)
+            erm_hessian(model, ds, w, memo=memo)  # the margins and curvature are kept
+            tracemalloc.start()
+            try:
+                erm_hessian(model, ds, w, memo=memo)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < rows * d * 8
+
+    def test_only_narrow_gradient_passes_and_hessians_start_threads(self, monkeypatch):
+        set_cores(monkeypatch, 2)
+        # d = 600: spans of 192 rows, bound by memory bandwidth; 9 spans, more
+        # than the ring of two cores holds
+        wide = random_dataset(9 * objective.span_rows(600), 600, 65)
+        assert objective.span_rows(600) < objective.SPREAD_MIN_SPAN_ROWS
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 600)
+        w, v = np.full(600, 0.01), np.ones(600)
+        starts = counted_thread_starts(monkeypatch)
+        memo = MarginMemo(model, wide)
+        for m in (None, memo):
+            erm_value(model, wide, w, memo=m)
+            erm_gradient(model, wide, w, memo=m)
+            erm_hvp(model, wide, w, v, memo=m)
+        assert starts == []
+        # narrow rows: the value-only pass, the curvature pass and the HVP
+        # stay on the calling thread; the gradient pass and the Hessian spread
+        monkeypatch.setattr(objective, "span_rows", lambda d: objective.SPREAD_MIN_SPAN_ROWS)
+        narrow = random_dataset(9 * objective.SPREAD_MIN_SPAN_ROWS, 6, 66)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 6)
+        w, v = np.full(6, 0.01), np.ones(6)
+        erm_value(model, narrow, w)
+        erm_hvp(model, narrow, w, v)
+        assert starts == []
+        erm_gradient(model, narrow, w)
+        assert len(starts) == 1
+        erm_hessian(model, narrow, w)
+        assert len(starts) == 2  # one more for the Hessian, none for its margins
 
 
 class TestDeclaredBounds:
@@ -629,3 +787,27 @@ class TestMinBatchSize:
         sizes = [min_batch_size(model, self.CONSTANTS, 100, eta, 10)
                  for eta in (0.01, 0.1, 0.5, 0.9)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+
+    def test_grid_keeps_both_callers_values(self):
+        # the two subsampling branches as min_batch_size and the mini-batch
+        # branch of min_samples_advisor each spelled them out before they
+        # shared one helper; both must give the same sizes on the grid
+        for B_g, B_H, M, eps_h, T, eta, d, s in product(
+                (0.5, 3.0), (0.25, 2.0), (0.1, 5.0), (0.05, 0.3), (1, 40, 1000),
+                (0.01, 0.1, 0.9), (1, 54, 600), (0.01, 0.3)):
+            model = self._model(B_g, B_H, M)
+            c = AlgorithmConstants(eps_g=0.1, eps_h=eps_h, c=0.1, c1=0.1, c2=0.1, eta=eta)
+            log_term = math.log(2.0 * d * T / eta)
+            grad = (64.0 * B_g ** 2 * (log_term + 0.25)
+                    * max(c.c1 ** -2 * c.eps_g ** -2, (M ** 2 / c.c2 ** 2) * c.eps_h ** -4))
+            hess = 32.0 * B_H ** 2 * log_term * c.c ** -2 * c.eps_h ** -2
+            assert min_batch_size(model, c, T, eta, d) == int(math.ceil(max(grad, hess)))
+            plan = NoisePlan(sigma_f=1.0, sigma_g=2.0, sigma_h=3.0, subsample_fraction=s)
+            log_tz = math.log(T / c.zeta)
+            noise_floor = min(c.c1 * c.eps_g, c.c2 / M * c.eps_h ** 2)
+            grad_short = math.sqrt(2.0 * d) * B_g * plan.sigma_g * log_tz / noise_floor
+            hess_short = (DEFAULT_WIGNER_TAIL_CONSTANT * math.sqrt(d) * B_H * plan.sigma_h * log_tz
+                          / (c.c * c.eps_h))
+            expected = int(math.ceil(max(2.0 * grad_short, 2.0 * hess_short,
+                                         grad / s, hess / s)))
+            assert min_samples_advisor(model, c, plan, "minibatch", d, T) == expected
