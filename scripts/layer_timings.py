@@ -6,11 +6,11 @@
 Times the layers the benchmark's per-layer list names, each over repeats
 on fixed seeded inputs, and prints one line per layer (median, quartiles,
 repeat count) under a header with nproc (the usable cores), the BLAS
-thread setting and the number of threads synth_dataset builds on.  After
-each group of layers it prints the host's steal share over that group: the
-steal ticks of the cpu line of /proc/stat over its first eight columns
-(user to steal), the share of the machine's time that a timing on a shared
-VM lost to other guests.
+thread setting, the number of threads synth_dataset builds on and the
+number the spread passes run on.  After each group of layers it prints the
+host's steal share over that group: the steal ticks of the cpu line of
+/proc/stat over its first eight columns (user to steal), the share of the
+machine's time that a timing on a shared VM lost to other guests.
 The last line of standard output is the whole result as one JSON object,
 the steal shares in its header.
 
@@ -21,8 +21,9 @@ the steal shares in its header.
     over X (X @ v), the floor of any pass that reads X;
   * spread, at n = 500 000, d = 54: the fused value-and-gradient pass
     (erm_gradient without a memo) and erm_hessian with a warm memo, once
-    on one worker and once on every usable core, each as its own group
-    with its own steal share;
+    on one worker and once on as many as the passes use (every usable
+    core, objective.SPREAD_WORKERS at most), each as its own group with its
+    own steal share;
   * mechanisms, at d = 600: the Wigner draw, its stored (dense) matvec and
     its matrix-free matvec, which regenerates the draw row by row;
   * spectral: one Lanczos eigen-check on the noisy d = 600 Hessian at the
@@ -219,6 +220,7 @@ def main() -> int:
     header = {"nproc": objective.usable_cores(),
               "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
               "synth_workers": synth_workers(),
+              "spread_workers": min(objective.usable_cores(), objective.SPREAD_WORKERS),
               "numpy": np.__version__}
     print(" ".join(f"{k}={v}" for k, v in header.items()))
     layers: dict = {}
@@ -226,8 +228,8 @@ def main() -> int:
     for group, run in (("objective[n=500000,d=54]",
                         lambda: objective_layers(500_000, 54, args.repeats)),
                        ("spread[workers=1]", lambda: spread_layers(1, args.repeats)),
-                       (f"spread[workers={header['nproc']}]",
-                        lambda: spread_layers(header["nproc"], args.repeats)),
+                       (f"spread[workers={header['spread_workers']}]",
+                        lambda: spread_layers(header["spread_workers"], args.repeats)),
                        ("objective[n=30000,d=600]",
                         lambda: objective_layers(30_000, 600, args.repeats)),
                        ("spectral", lambda: spectral_layers(args.repeats)),

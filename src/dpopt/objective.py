@@ -34,14 +34,15 @@ time.
 Two passes spread over the cores (_spread_sum): a fused value-and-gradient
 pass whose spans hold at least SPREAD_MIN_SPAN_ROWS rows (d <= 256), and
 every dense Hessian.  The calling thread and one more thread per further
-usable core claim spans in row order and write each partial into a ring of
-slots (SPREAD_RING_BYTES, and at least SLOTS_PER_WORKER, per thread); the
-thread that completes the lowest unfolded span adds the completed partials
-to the total in span order.  So every sum has the bits of the one-thread
-loop at any core count, the ring bounds the memory whatever n is, and no
-thread outlives the call.  The rule comes from a width scan (150 MB of X,
-fused pass, forced to spread from d = 384, and Hessian on 1 -> 2 threads,
-medians in ms, 2-vCPU VM, one BLAS thread):
+usable core, SPREAD_WORKERS threads at most, claim spans in row order and
+write each partial into a ring of slots (SPREAD_RING_BYTES per thread, and
+at least one slot per thread plus one); the thread that completes the
+lowest unfolded span adds the completed partials to the total in span
+order.  So every sum has the bits of the one-thread loop at any core count,
+the ring bounds the memory whatever n is, and no thread outlives the call.
+The rule comes from a width scan (150 MB of X, fused pass, forced to spread
+from d = 384, and Hessian on 1 -> 2 threads, medians in ms, 2-vCPU VM, one
+BLAS thread):
 
     d           20      128      256      384      512      600
     pass      61->40   32->22   25->16   21->29   21->22   21->23
@@ -100,13 +101,24 @@ SPAN_ROW_ALIGN = 64
 # rows a span), bound by memory bandwidth.
 SPREAD_MIN_SPAN_ROWS = 512
 
-# Span partials in flight per thread of a spread pass: a thread may run this
-# far ahead of the lowest span not yet added before it waits for a slot.  A
-# thread gets SPREAD_RING_BYTES of slots, and at least SLOTS_PER_WORKER, so a
-# gradient's small partials get a deep ring.  With a worker's vCPU half taken
-# by another process, four slots a thread made the d = 54 pass slower than
-# one thread (78-96 against 76-85 ms) and sixteen or more faster (67-76 ms).
-SLOTS_PER_WORKER = 4
+# Threads a spread pass runs on at most, the calling thread included.  The
+# rule above was measured on 2 vCPUs only; each further thread would hold a
+# scaled Hessian span and a ring share of its own and contend for the one
+# lock turn per span, and no run has shown that it pays.
+SPREAD_WORKERS = 2
+
+# A pass of fewer spans than this runs on the calling thread.  It is what the
+# first design's ring of four slots a thread held at two threads; no shorter
+# spread pass was timed.
+SPREAD_MIN_SPANS = 8
+
+# Bytes of span partials in flight per thread of a spread pass: a thread may
+# run as far ahead of the lowest span not yet added as the ring allows before
+# it waits for a slot.  The ring also holds at least one slot per thread plus
+# one, so a gradient's small partials get a deep ring and a Hessian's large
+# blocks a short one.  With a worker's vCPU half taken by another process,
+# four slots a thread made the d = 54 pass slower than one thread (78-96
+# against 76-85 ms) and sixteen or more faster (67-76 ms).
 SPREAD_RING_BYTES = 1 << 16
 
 # sup |phi'''| of the logistic link, attained where expit = (1 +- 1/sqrt(3))/2
@@ -386,21 +398,22 @@ def _spread_sum(fn: Callable, n: int, d: int, shape: tuple, scratch: Callable = 
     own is the scratch that scratch() made for the thread running fn.
 
     With spread set and more than one usable core, the calling thread and
-    one more thread per further core claim spans in row order, each partial
-    into a ring of SPREAD_RING_BYTES, and at least SLOTS_PER_WORKER slots,
-    per thread.  The thread that completes the lowest span not yet added
-    adds it, and every completed span after it, to the total in span order,
-    so the sum has the bits of the one-thread loop.  A thread waits only for a free slot.  Every array
-    is made on the calling thread, so the threads' malloc arenas keep none
-    of them.  A thread's exception is raised here, after every thread has
-    stopped.  One core, or fewer spans than the ring holds, runs the same
-    loop on the calling thread.
+    one more thread per further core, SPREAD_WORKERS threads at most, claim
+    spans in row order, each partial into a ring of SPREAD_RING_BYTES of
+    slots per thread, and at least one slot per thread plus one.  The thread
+    that completes the lowest span not yet added adds it, and every
+    completed span after it, to the total in span order, so the sum has the
+    bits of the one-thread loop.  A thread waits only for a free slot.
+    Every array is made on the calling thread, so the threads' malloc arenas
+    keep none of them.  A thread's exception is raised here, after every
+    thread has stopped.  One core, or fewer than SPREAD_MIN_SPANS spans,
+    runs the same loop on the calling thread.
     """
     rows = span_rows(d)
     spans = -(-n // rows)
-    workers = usable_cores() if spread else 1
+    workers = min(usable_cores(), SPREAD_WORKERS) if spread else 1
     total = np.empty(shape)
-    if workers == 1 or spans < SLOTS_PER_WORKER * workers:
+    if workers == 1 or spans < SPREAD_MIN_SPANS:
         own, part, bounds = scratch(), np.empty(shape), row_spans(n, d)
         fn(*next(bounds), total, own)
         for lo, hi in bounds:
@@ -408,8 +421,7 @@ def _spread_sum(fn: Callable, n: int, d: int, shape: tuple, scratch: Callable = 
             total += part
         return total
 
-    per_worker = max(SLOTS_PER_WORKER, SPREAD_RING_BYTES // total.nbytes)
-    slots = min(spans, per_worker * workers)
+    slots = min(spans, max(workers + 1, workers * (SPREAD_RING_BYTES // total.nbytes)))
     ring = np.empty((slots,) + shape)
     done = [False] * slots
     claimed = added = 0

@@ -425,11 +425,8 @@ class TestChunkedHessian:
         assert np.allclose(erm_gradient(model, ds, w), gradient, rtol=1e-12, atol=1e-15)
         assert np.allclose(erm_hvp(model, ds, w, v), hvp, rtol=1e-12, atol=1e-15)
 
-    def test_peak_memory_bounded_by_chunk(self, monkeypatch):
-        # the one-shot form allocates an n x d temporary as large as X itself;
-        # two cores, so that the bound, which holds two scaled spans, does not
-        # depend on the machine
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    def test_peak_memory_bounded_by_chunk(self):
+        # the one-shot form allocates an n x d temporary as large as X itself
         n, d = 65_536, 50
         X = np.full((n, d), 0.1)
         ds = Dataset(X, np.ones(n), math.sqrt(d) * 0.1)
@@ -485,7 +482,8 @@ def counted_thread_starts(monkeypatch):
 
 
 class TestSpreadOverCores:
-    # 41 spans of 512 rows and a tail: more than the ring holds at 8 cores
+    # 41 spans of 512 rows and a tail: more than the ring holds with no ring
+    # bytes, at every core count
     N, D = 41 * 512 + 77, 6
 
     def _evaluate(self, model, ds, w, indices, with_memo):
@@ -505,8 +503,8 @@ class TestSpreadOverCores:
     @pytest.mark.parametrize("ring_bytes", [objective.SPREAD_RING_BYTES, 0])
     @pytest.mark.parametrize("name,make", [ALL_MODELS[0], ALL_MODELS[2]])
     def test_bits_do_not_depend_on_worker_count(self, name, make, ring_bytes, monkeypatch):
-        # with no ring bytes each thread gets SLOTS_PER_WORKER slots, which
-        # the 42 spans wrap around many times
+        # with no ring bytes the ring holds one slot per thread plus one,
+        # which the 42 spans wrap around many times
         monkeypatch.setattr(objective, "SPREAD_RING_BYTES", ring_bytes)
         monkeypatch.setattr(objective, "span_rows", lambda d: 512)
         ds = random_dataset(self.N, self.D, 61)
@@ -580,6 +578,29 @@ class TestSpreadOverCores:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < rows * d * 8
+
+    def test_threads_and_memory_do_not_grow_with_cores(self, monkeypatch):
+        # each thread holds a scaled Hessian span of its own, so without the
+        # cap the peak would grow by one span per core
+        rows, d = 2048, 8
+        monkeypatch.setattr(objective, "span_rows", lambda d: rows)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, d)
+        w = np.full(d, 0.05)
+        ds = random_dataset(20 * rows + 5, d, 67)
+        memo = MarginMemo(model, ds)
+        erm_hessian(model, ds, w, memo=memo)  # the margins and curvature are kept
+        peaks = []
+        for cores in (2, 4, 8):
+            set_cores(monkeypatch, cores)
+            starts = counted_thread_starts(monkeypatch)
+            tracemalloc.start()
+            try:
+                erm_hessian(model, ds, w, memo=memo)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(starts) == objective.SPREAD_WORKERS - 1, cores
+        assert max(peaks) - min(peaks) < rows * d * 8
 
     def test_only_narrow_gradient_passes_and_hessians_start_threads(self, monkeypatch):
         set_cores(monkeypatch, 2)
