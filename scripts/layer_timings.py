@@ -15,10 +15,12 @@ The last line of standard output is the whole result as one JSON object,
 the steal shares in its header.
 
   * objective, at the two benchmark shapes (n = 500 000, d = 54 and
-    n = 30 000, d = 600): erm_value and erm_gradient without a memo (one
-    pass each), erm_hessian and erm_hvp with a warm memo (the cost per call
-    inside a run, margins and curvature already kept), and one raw gemv
-    over X (X @ v), the floor of any pass that reads X;
+    n = 30 000, d = 600): the cold pass, erm_gradient without a memo
+    (erm_value makes the same pass: a miss computes the loss and the
+    gradient together, so one timing covers both), erm_hessian and erm_hvp
+    with a warm memo (the cost per call inside a run, margins and curvature
+    already kept), and one raw gemv over X (X @ v), the floor of any pass
+    that reads X;
   * spread, at n = 500 000, d = 54: the fused value-and-gradient pass
     (erm_gradient without a memo) and erm_hessian with a warm memo, once
     on one worker and once on as many as the passes use (every usable
@@ -65,7 +67,7 @@ from dpopt.harness import load_dataset, synth_dataset  # noqa: E402
 from dpopt.harness.data import synth_workers  # noqa: E402
 from dpopt.mechanisms import SeededRng, WignerOperator, wigner_matrix  # noqa: E402
 from dpopt.objective import (MarginMemo, builtin_nonconvex_logistic, erm_gradient,  # noqa: E402
-                             erm_hessian, erm_hvp, erm_value)
+                             erm_hessian, erm_hvp)
 from dpopt.optimizer import RdpTuneBudget  # noqa: E402
 from dpopt.spectral import lanczos_min_eig  # noqa: E402
 
@@ -103,8 +105,7 @@ def objective_layers(n: int, d: int, repeats: int) -> dict:
     tag = f"n={n},d={d}"
     out = {
         f"objective.raw_gemv[{tag}]": timed(lambda: ds.features @ v, repeats),
-        f"objective.erm_value[{tag}]": timed(lambda: erm_value(model, ds, w), repeats),
-        f"objective.erm_gradient[{tag}]": timed(lambda: erm_gradient(model, ds, w), repeats),
+        f"objective.cold_pass[{tag}]": timed(lambda: erm_gradient(model, ds, w), repeats),
         f"objective.erm_hvp[{tag},memo]":
             timed(lambda: erm_hvp(model, ds, w, v, memo=memo), repeats),
     }

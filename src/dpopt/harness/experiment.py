@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("at least one privacy level is required")
         if any(VARIANTS[v].minibatch for v in self.variants) and self.batch_size is None:
             raise ConfigError("mini-batch variants need batch_size")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigError(f"batch_size {self.batch_size} must be at least 1")
         if self.minibatch_accounting not in ("rdp", "approx_dp"):
             raise ConfigError("minibatch_accounting must be 'rdp' or 'approx_dp'")
 
@@ -186,6 +188,10 @@ def _budget(config: ExperimentConfig, variant: Variant, epsilon: float, rho: flo
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Execute the sweep; per-seed failures are recorded, never raised."""
     dataset = build_dataset(config)
+    # before any run, so that a sweep does not stop part way through
+    if any(VARIANTS[v].minibatch for v in config.variants) and config.batch_size > dataset.n:
+        raise ConfigError(f"batch_size {config.batch_size} exceeds the {dataset.n} rows "
+                          "of the dataset")
     model = build_model(config, dataset)
     # (report key, epsilon at config.delta, rho) of each privacy level; a rho
     # level keeps rho as its key, and its mini-batch cells get its epsilon

@@ -51,23 +51,20 @@ BLAS thread):
 A narrow pass is bound by the link functions and the narrow gemv, which a
 second core shares; from d = 384 on it is bound by memory bandwidth and
 gains nothing.  The Hessian's syrk is bound by compute at every width the
-dense path allows.  Value-only passes, the curvature pass and the HVP stay
-on the calling thread: the HVP serves Lanczos checks above
-DENSE_HESSIAN_CAP, where a pass is bound by memory bandwidth.
+dense path allows.  The curvature pass and the HVP stay on the calling
+thread: the HVP serves Lanczos checks above DENSE_HESSIAN_CAP, where a pass
+is bound by memory bandwidth.
 
-Each evaluator optionally takes a MarginMemo, bound to one model and one
-dataset: the margins, the loss and the gradient term of the last few
-(iterate, batch) pairs, computed together in one pass while each span is in
-cache, and the curvature phi''(t) of the latest iterate asked for a Hessian
-or an HVP.  A run asking for the loss, gradient and curvature at one
-iterate thus reads X once for the loss and the gradient, and each
-Hessian-vector product of a Lanczos check streams X once more and applies
-no link function.  A miss writes into the margins array of the entry it
-evicts and into one n-vector of scratch the memo owns, so it maps no fresh
-pages.  A memo is owned by one run (or by the two phases of one run) and
-is not shared; without one, every call makes its own pass and computes the
-curvature once.  phi'' is elementwise and is taken over the same spans on
-both paths, so they give bit-identical results.
+Every evaluator reads X through a MarginMemo bound to one model and one
+dataset: the caller's (memo=), or a fresh one made for the call.  A miss
+makes the margins, the loss and the gradient sum of an (iterate, batch)
+pair in one pass, while each span is in cache; the memo keeps them for the
+last few pairs, and the curvature phi''(t) of the latest one asked for a
+Hessian or an HVP.  So a run reads X once per iterate for the loss and the
+gradient, and each Hessian-vector product of a Lanczos check streams X once
+more and applies no link function.  A memo is owned by one run (both phases
+of a two-phase run) and is not shared; a call without one pays for the
+whole pass even when it asks only for the loss.
 """
 
 from __future__ import annotations
@@ -364,15 +361,6 @@ def _check_box(model: LossModel, w: np.ndarray) -> None:
             f"W = {model.weight_box:.6g}; loss bounds no longer hold")
 
 
-def _select(dataset: Dataset, indices) -> tuple[np.ndarray, np.ndarray]:
-    if indices is None:
-        return dataset.features, dataset.labels
-    idx = np.asarray(indices, dtype=int)
-    if idx.size == 0:
-        raise ValueError("empty sample selection")
-    return dataset.features[idx], dataset.labels[idx]
-
-
 def span_rows(d: int) -> int:
     """Rows per span of a pass over a feature block of width d."""
     return max(1, SPAN_BYTES // (8 * max(d, 1)) // SPAN_ROW_ALIGN) * SPAN_ROW_ALIGN
@@ -482,43 +470,22 @@ def max_row_norm(X: np.ndarray) -> float:
 
 
 def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray, link: MarginLink,
-                 gradient: bool, t: np.ndarray, values: np.ndarray
-                 ) -> tuple[float, np.ndarray | float]:
-    """Margins y * (X @ w) into t, the mean link value over them and, if
-    gradient is set, the gradient sum X^T (phi'(t) y), made span by span while
-    each span is in cache.  The link values go to values; t and values have
-    len(X) entries.  A pass with the gradient spreads over the cores when
-    its spans hold SPREAD_MIN_SPAN_ROWS rows or more."""
+                 t: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
+    """Margins y * (X @ w) into t, the mean link value over them and the
+    gradient sum X^T (phi'(t) y), made span by span while each span is in
+    cache.  The link values go to values; t and values have len(X) entries.
+    The pass spreads over the cores when its spans hold SPREAD_MIN_SPAN_ROWS
+    rows or more."""
 
-    def span(lo: int, hi: int, out: np.ndarray | None = None, own=None) -> None:
+    def span(lo: int, hi: int, out: np.ndarray, own) -> None:
         t_s = np.multiply(y[lo:hi], X[lo:hi] @ w, out=t[lo:hi])
         values[lo:hi] = link.value(t_s)
-        if out is not None:
-            np.matmul(X[lo:hi].T, link.deriv(t_s) * y[lo:hi], out=out)
+        np.matmul(X[lo:hi].T, link.deriv(t_s) * y[lo:hi], out=out)
 
     n, d = X.shape
-    g = 0.0
-    if gradient:
-        g = _spread_sum(span, n, d, (d,), spread=span_rows(d) >= SPREAD_MIN_SPAN_ROWS)
-    else:
-        for lo, hi in row_spans(n, d):
-            span(lo, hi)
+    g = _spread_sum(span, n, d, (d,), spread=span_rows(d) >= SPREAD_MIN_SPAN_ROWS)
     # one mean over all n values, so the loss has the bits of an unspanned pass
     return float(np.mean(values)), g
-
-
-def _curvature_pass(link: MarginLink, X: np.ndarray, t: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """phi''(t) into out over the spans of X, so its temporaries stay one
-    span long; the spans are the Hessian's and the HVP's, which slice it."""
-    for lo, hi in row_spans(*X.shape):
-        out[lo:hi] = link.second(t[lo:hi])
-    return out
-
-
-def _memo_key(w: np.ndarray, indices) -> tuple[bytes, bytes | None]:
-    return (np.ascontiguousarray(w, dtype=float).tobytes(),
-            None if indices is None else np.asarray(indices, dtype=int).tobytes())
 
 
 class MarginMemo:
@@ -527,24 +494,20 @@ class MarginMemo:
     and the curvature phi''(t) of one of them.
 
     The memo is bound to one model and one dataset, and the erm_* evaluators
-    given a memo read their rows from it.  Entries are keyed by the bytes of
-    w and of the batch indices, so one is served only for a bit-identical
-    iterate on the same batch.  It keeps SIZE entries and evicts the least
-    recently used: a run needs the current iterate plus the point it steps
-    or probes to.  An entry keeps its batch rows too, so a hit also skips
-    the row gather.  A miss pays for the gradient sum even when only the
-    loss is asked for.
+    read their rows from it.  Entries are keyed by the bytes of w and of the
+    batch indices, so one is served only for a bit-identical iterate on the
+    same batch.  It keeps SIZE entries and evicts the least recently used: a
+    run needs the current iterate plus the point it steps or probes to.  An
+    entry keeps its batch rows too, so a hit also skips the row gather.  A
+    miss pays for the gradient sum even when only the loss is asked for.
 
     The curvature is computed on the first Hessian or HVP request for an
-    entry and kept until the next miss, so the Hessian-vector products of
-    one Lanczos check share it.  It lives in the one n-vector of scratch
-    the memo owns, to which a miss writes the link values it averages.
-
+    entry, so the Hessian-vector products of one Lanczos check share it.
     Stored arrays are read-only.  Margins stay valid until their entry is
     evicted, and the curvature until the next miss: a miss writes its
     margins into the array of the entry it evicts and its link values over
-    the curvature.  Fresh arrays per miss would map new pages, and fault
-    them in, on every pass.
+    the curvature, in the one n-vector of scratch the memo owns.  Fresh
+    arrays per miss would map new pages, and fault them in, on every pass.
     """
 
     SIZE = 2
@@ -553,92 +516,86 @@ class MarginMemo:
         self.model = model
         self.dataset = dataset
         self._entries: dict[tuple[bytes, bytes | None], tuple] = {}
-        self._scratch = np.empty(dataset.n)
-        self._curv_key: tuple[bytes, bytes | None] | None = None
+        self._scratch = np.empty(0)  # sized by the first miss
+        self._curv_of: np.ndarray | None = None  # the margins self._curv was taken of
         self._curv: np.ndarray | None = None
 
     def margins(self, w: np.ndarray, indices) -> tuple:
         """(X, y, margins, mean link value, gradient sum) of w on the
         selected rows, computed on a miss."""
-        key = _memo_key(w, indices)
+        idx = None if indices is None else np.asarray(indices, dtype=int)
+        key = (np.ascontiguousarray(w, dtype=float).tobytes(),
+               None if idx is None else idx.tobytes())
         entry = self._entries.pop(key, None)
         if entry is None:
-            X, y = _select(self.dataset, indices)
+            X, y = self.dataset.features, self.dataset.labels
+            if idx is not None:
+                if idx.size == 0:
+                    raise ValueError("empty sample selection")
+                X, y = X[idx], y[idx]
             rows = X.shape[0]
             # the evicted entry's margins array takes the new margins
             spare = (self._entries.pop(next(iter(self._entries)))[2].base
                      if len(self._entries) >= self.SIZE else None)
             if spare is None or spare.size < rows:
                 spare = np.empty(rows)
-            if rows > self._scratch.size:  # a batch that repeats rows
+            if rows > self._scratch.size:  # the first miss, or more rows than it had
                 self._scratch = np.empty(rows)
-            self._curv_key = None  # the pass writes over the curvature
+            self._curv_of = None  # the pass writes over the curvature
             t = spare[:rows]
-            loss, g = _margin_pass(X, y, w, self.model.link, True, t, self._scratch[:rows])
+            loss, g = _margin_pass(X, y, w, self.model.link, t, self._scratch[:rows])
             t.flags.writeable = False
             g.flags.writeable = False
             entry = (X, y, t, loss, g)
         self._entries[key] = entry  # reinsert: dict order is least recent first
         return entry
 
-    def curvature(self, w: np.ndarray, indices) -> np.ndarray:
-        """phi''(t) of the margins of w on the selected rows, which the memo
-        holds: margins() was called for them and nothing evicted them since."""
-        key = _memo_key(w, indices)
-        if key != self._curv_key:
-            X, _, t, _, _ = self._entries[key]
-            self._curv = _curvature_pass(self.model.link, X, t, self._scratch[:t.size])
+    def curvature(self, w: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
+        """(X, phi''(t)) of the margins of w on the selected rows, which
+        margins() serves.  phi'' is taken over the spans of the Hessian and
+        the HVP, which slice it, so its temporaries stay one span long."""
+        X, _, t, _, _ = self.margins(w, indices)
+        if t is not self._curv_of:
+            self._curv = self._scratch[:t.size]
+            for lo, hi in row_spans(*X.shape):
+                self._curv[lo:hi] = self.model.link.second(t[lo:hi])
             self._curv.flags.writeable = False
-            self._curv_key = key
-        return self._curv
+            self._curv_of = t
+        return X, self._curv
 
 
-def _margins(model: LossModel, dataset: Dataset, w: np.ndarray, indices,
-             memo: MarginMemo | None, gradient: bool) -> tuple:
-    """(X, y, t, loss, g) as MarginMemo.margins; without a memo g is computed
-    only when gradient is set."""
-    if memo is not None:
-        if memo.model is not model or memo.dataset is not dataset:
-            raise ValueError("the memo is bound to another model or dataset")
-        return memo.margins(w, indices)
-    X, y = _select(dataset, indices)
-    t = np.empty(X.shape[0])
-    return (X, y, t) + _margin_pass(X, y, w, model.link, gradient, t, np.empty(X.shape[0]))
-
-
-def _curvature(model: LossModel, dataset: Dataset, w: np.ndarray, indices,
-               memo: MarginMemo | None) -> tuple[np.ndarray, np.ndarray]:
-    """(X, phi''(t)) on the selected rows: computed once per memo entry, or
-    once per call without a memo."""
-    X, _, t, _, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+def _memo(model: LossModel, dataset: Dataset, memo: MarginMemo | None) -> MarginMemo:
+    """The caller's memo, once it is checked to be bound to model and
+    dataset, or a fresh one for one call."""
     if memo is None:
-        return X, _curvature_pass(model.link, X, t, np.empty(t.size))
-    return X, memo.curvature(w, indices)
+        return MarginMemo(model, dataset)
+    if memo.model is not model or memo.dataset is not dataset:
+        raise ValueError("the memo is bound to another model or dataset")
+    return memo
 
 
 def erm_value(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
               memo: MarginMemo | None = None) -> float:
     _check_box(model, w)
-    _, _, _, loss, _ = _margins(model, dataset, w, indices, memo, gradient=False)
+    _, _, _, loss, _ = _memo(model, dataset, memo).margins(w, indices)
     return loss + _reg_value(model, w)
 
 
 def erm_gradient(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
                  memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, _, _, _, g = _margins(model, dataset, w, indices, memo, gradient=True)
+    X, _, _, _, g = _memo(model, dataset, memo).margins(w, indices)
     return g / X.shape[0] + _reg_grad(model, w)
 
 
-def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
-                dense_cap: int = DENSE_HESSIAN_CAP, *,
+def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None, *,
                 memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    if dataset.d > dense_cap:
+    if dataset.d > DENSE_HESSIAN_CAP:
         raise ValueError(
-            f"refusing to materialize a {dataset.d}-dim Hessian (cap {dense_cap}); "
+            f"refusing to materialize a {dataset.d}-dim Hessian (cap {DENSE_HESSIAN_CAP}); "
             "use erm_hvp instead")
-    X, curv = _curvature(model, dataset, w, indices, memo)
+    X, curv = _memo(model, dataset, memo).curvature(w, indices)
     n, d = X.shape
     rows = min(span_rows(d), n)
 
@@ -666,7 +623,7 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
 def erm_hvp(model: LossModel, dataset: Dataset, w: np.ndarray, v: np.ndarray,
             indices=None, *, memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
-    X, curv = _curvature(model, dataset, w, indices, memo)
+    X, curv = _memo(model, dataset, memo).curvature(w, indices)
 
     def span(lo: int, hi: int, out: np.ndarray, own) -> None:
         block = X[lo:hi]

@@ -288,11 +288,11 @@ class _NoiseSource:
 
 
 def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
-              constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
-              selector: BatchSelector | None = None, accounting: str | None = None,
-              noise_mode: str = "standard", lanczos: bool = False,
-              t_policy: Callable[[int], int] | None = None,
-              memo: MarginMemo | None = None) -> RunOutcome:
+              constants: AlgorithmConstants, budget: Budget, rng: SeededRng,
+              memo: MarginMemo, *, selector: BatchSelector | None = None,
+              accounting: str | None = None, noise_mode: str = "standard",
+              lanczos: bool = False,
+              t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     n, d = dataset.n, dataset.d
     selector = selector or BatchSelector()
     m = selector.batch_size(n)
@@ -315,12 +315,6 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         raise ValueError(f"unknown accounting {accounting!r}")
     if accounting == "approx_dp" and budget.accounting != "approx_dp":
         raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
-
-    # one pass over X per (iterate, batch): the loss at w also makes the
-    # gradient at w, the curvature reuses its margins, and an accepted
-    # line-search probe's point is bit-identical to the next iterate
-    if memo is None:
-        memo = MarginMemo(model, dataset)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     f0 = erm_value(model, dataset, w, memo=memo)
@@ -526,21 +520,25 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
         need = "need a" if variant.minibatch else "take no"
         raise ValueError(f"{name} runs {need} selector")
 
-    def run(w_start, bud: Budget, policy, memo=None) -> RunOutcome:
-        return _run_core(variant.loop, model, dataset, w_start, constants, bud, rng,
+    # one pass over X per (iterate, batch): the loss at w also makes the
+    # gradient at w, the curvature reuses its margins, an accepted line-search
+    # probe's point is bit-identical to the next iterate, and phase 2's
+    # initial loss is phase 1's final one
+    memo = MarginMemo(model, dataset)
+
+    def run(w_start, bud: Budget, policy) -> RunOutcome:
+        return _run_core(variant.loop, model, dataset, w_start, constants, bud, rng, memo,
                          selector=selector, accounting=accounting, noise_mode=noise_mode,
-                         lanczos=lanczos, t_policy=policy, memo=memo)
+                         lanczos=lanczos, t_policy=policy)
 
     if not variant.two_phase:
         return run(w0, budget, t_policy)
     if not (0.0 < budget_split < 1.0):
         raise ValueError("budget_split must lie in (0, 1)")
-    # one memo for both phases: phase 2's initial loss is phase 1's final one
-    memo = MarginMemo(model, dataset)
-    phase1 = run(w0, budget.scaled(budget_split), t_policy or default_phase1_policy, memo)
+    phase1 = run(w0, budget.scaled(budget_split), t_policy or default_phase1_policy)
     if phase1.converged:
         return replace(phase1, phases=(phase1,))
-    phase2 = run(phase1.w_final, budget.scaled(1.0 - budget_split), None, memo)
+    phase2 = run(phase1.w_final, budget.scaled(1.0 - budget_split), None)
     trace = phase1.trace + tuple(
         replace(r, k=r.k + phase1.iterations) for r in phase2.trace)
     return RunOutcome(

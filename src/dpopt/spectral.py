@@ -110,15 +110,14 @@ def _lanczos_sweep(hvp: Callable[[np.ndarray], np.ndarray], d: int, cap: int,
 
 
 def lanczos_min_eig(hvp: Callable[[np.ndarray], np.ndarray], d: int, norm_bound: float,
-                    eps: float, delta_l: float, rng: SeededRng,
-                    dense_cap: int = DENSE_HESSIAN_CAP) -> EigenResult:
+                    eps: float, delta_l: float, rng: SeededRng) -> EigenResult:
     """Randomized-Lanczos estimate of the smallest eigenvalue.
 
     Runs at most the iteration cap; stops earlier only when the Ritz
     residual collapses (near-exact Krylov capture).  On breakdown the sweep
     restarts once from a fresh random vector; a second breakdown at d within
-    the dense cap falls back to probing the operator column by column and
-    solving densely.
+    DENSE_HESSIAN_CAP falls back to probing the operator column by column
+    and solving densely.
     """
     cap = lanczos_iteration_cap(d, norm_bound, eps, delta_l)
     scale = max(1.0, norm_bound)
@@ -130,7 +129,7 @@ def lanczos_min_eig(hvp: Callable[[np.ndarray], np.ndarray], d: int, norm_bound:
         result = (theta, v)
         if not broke:
             return EigenResult(theta, v, "lanczos", total)
-    if d <= dense_cap:
+    if d <= DENSE_HESSIAN_CAP:
         H = np.column_stack([hvp(col) for col in np.eye(d)])
         total += d
         dense = min_eigenpair_dense(0.5 * (H + H.T))

@@ -406,6 +406,14 @@ class TestRunExperiment:
             assert (a.iters, a.grad_steps, a.curv_steps, a.hess_evals) == \
                    (b.iters, b.grad_steps, b.curv_steps, b.hess_evals)
 
+    def test_batch_larger_than_dataset_rejected_before_any_run(self, monkeypatch):
+        # the opt cells come first in the sweep; none of them may run
+        started = []
+        monkeypatch.setattr(experiment, "run_variant", lambda *a, **k: started.append(a))
+        with pytest.raises(ConfigError, match="batch_size 2001 exceeds the 2000 rows"):
+            run_experiment(small_config(variants=("opt", "opt_b"), batch_size=2001))
+        assert started == []
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             small_config(variants=("opt_x",))
@@ -413,6 +421,8 @@ class TestRunExperiment:
             small_config(seeds=())
         with pytest.raises(ConfigError):
             small_config(variants=("opt_b",))  # batch variants need batch_size
+        with pytest.raises(ConfigError, match="at least 1"):
+            small_config(variants=("opt_b",), batch_size=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(constants=AlgorithmConstants(eps_g=0.1, eps_h=0.1))
 

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -154,11 +155,12 @@ class TestEvaluation:
         assert np.allclose(erm_hvp(model, ds, w, v),
                            erm_hessian(model, ds, w) @ v, atol=1e-10)
 
-    def test_dense_cap_refuses_large_hessian(self):
+    def test_dense_cap_refuses_large_hessian(self, monkeypatch):
+        monkeypatch.setattr(objective, "DENSE_HESSIAN_CAP", 5)
         ds = random_dataset(4, 6, 8)
         model = builtin_l2_logistic(0.0, 1.0, 6)
         with pytest.raises(ValueError):
-            erm_hessian(model, ds, np.zeros(6), dense_cap=5)
+            erm_hessian(model, ds, np.zeros(6))
 
     def test_empty_selection_rejected(self):
         ds = random_dataset(4, 2, 9)
@@ -208,6 +210,7 @@ class TestMarginMemo:
     @pytest.mark.parametrize("indices", [None, [0, 3, 4, 9, 17, 22]])
     @pytest.mark.parametrize("name,make", ALL_MODELS)
     def test_memo_on_and_off_agree(self, name, make, indices, monkeypatch):
+        # "off" is a fresh memo, the one a call without memo= gets
         monkeypatch.setattr(objective, "span_rows", lambda d: 4)  # several spans per pass
         ds = random_dataset(25, 5, 31)
         model = make(5)
@@ -216,10 +219,10 @@ class TestMarginMemo:
         for _ in range(3):
             w = 0.4 * rng.standard_normal(5)
             v = rng.standard_normal(5)
-            # twice with the memo: the second pass is served from it
+            # twice with the warm memo: the second round is served from it
             for _ in range(2):
                 on = self._evaluate(model, ds, w, v, indices, memo)
-                off = self._evaluate(model, ds, w, v, indices, None)
+                off = self._evaluate(model, ds, w, v, indices, MarginMemo(model, ds))
                 assert on[0] == off[0]
                 for a, b in zip(on[1:], off[1:]):
                     assert np.array_equal(a, b)
@@ -250,6 +253,19 @@ class TestMarginMemo:
             erm_gradient(builtin_l2_logistic(1e-3, 1.0, 2), ds, w, memo=memo)
         with pytest.raises(ValueError, match="bound to another"):
             erm_value(model, random_dataset(10, 2, 37), w, memo=memo)
+
+    def test_batch_call_without_a_memo_maps_no_n_vector(self):
+        # the fresh memo of a call sizes its scratch to the batch, not to n
+        n = 100_000
+        ds = random_dataset(n, 3, 38)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 3)
+        tracemalloc.start()
+        try:
+            erm_gradient(model, ds, np.full(3, 0.1), np.arange(0, n, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8 / 4
 
     def test_entry_never_served_for_another_iterate_or_batch(self):
         ds = random_dataset(12, 3, 33)
@@ -294,7 +310,10 @@ class TestMarginMemo:
 def per_span_curvature_reference(model, ds, w, v, indices):
     """erm_hessian and erm_hvp with phi''(t) computed inside every span, as
     each call did before the curvature was kept beside the margins."""
-    X, _, t, _, _ = objective._margins(model, ds, w, indices, None, gradient=False)
+    X, y = ds.features, ds.labels
+    if indices is not None:
+        X, y = X[indices], y[indices]
+    t = np.concatenate([y[lo:hi] * (X[lo:hi] @ w) for lo, hi in objective.row_spans(*X.shape)])
 
     def hess_span(lo, hi):
         block = X[lo:hi]
@@ -344,30 +363,29 @@ class TestCurvatureOncePerIterate:
         if name == "quartic":
             assert negative  # the double well's gemm branch was taken
 
-    def test_curvature_kept_read_only_until_the_next_miss(self, monkeypatch):
-        ds = random_dataset(12, 3, 53)
-        model = builtin_nonconvex_logistic(1e-3, 1.0, 3)
-        memo = MarginMemo(model, ds)
+    def test_curvature_kept_read_only_until_the_next_miss(self):
+        ds = random_dataset(12, 3, 53)  # one span: one phi'' call per curvature pass
+        base = builtin_nonconvex_logistic(1e-3, 1.0, 3)
         passes = []
-        original = objective._curvature_pass
 
-        def counted(*args):
+        def counted(t):
             passes.append(1)
-            return original(*args)
+            return base.link.second(t)
 
-        monkeypatch.setattr(objective, "_curvature_pass", counted)
+        model = replace(base, link=replace(base.link, second=counted))
+        memo = MarginMemo(model, ds)
         a, b = np.array([0.3, -0.2, 0.5]), np.array([0.1, 0.2, -0.4])
         _, _, t, _, _ = memo.margins(a, None)
-        curv = memo.curvature(a, None)
-        assert memo.curvature(a, None) is curv and len(passes) == 1
-        assert np.array_equal(curv, model.link.second(t))
+        curv = memo.curvature(a, None)[1]
+        assert memo.curvature(a, None)[1] is curv and len(passes) == 1
+        assert np.array_equal(curv, base.link.second(t))
         with pytest.raises(ValueError):
             curv[0] = 0.0
         memo.margins(a, None)  # a hit keeps it
-        assert memo.curvature(a, None) is curv and len(passes) == 1
+        assert memo.curvature(a, None)[1] is curv and len(passes) == 1
         memo.margins(b, None)  # a miss writes over it: asked again, it is recomputed
         memo.curvature(b, None)
-        assert np.array_equal(memo.curvature(a, None), model.link.second(t))
+        assert np.array_equal(memo.curvature(a, None)[1], base.link.second(t))
         assert len(passes) == 3
 
     def test_evicted_arrays_are_recycled(self, monkeypatch):
@@ -617,18 +635,18 @@ class TestSpreadOverCores:
             erm_gradient(model, wide, w, memo=m)
             erm_hvp(model, wide, w, v, memo=m)
         assert starts == []
-        # narrow rows: the value-only pass, the curvature pass and the HVP
-        # stay on the calling thread; the gradient pass and the Hessian spread
+        # narrow rows: the curvature pass and the HVP stay on the calling
+        # thread; the gradient pass and the Hessian spread
         monkeypatch.setattr(objective, "span_rows", lambda d: objective.SPREAD_MIN_SPAN_ROWS)
         narrow = random_dataset(9 * objective.SPREAD_MIN_SPAN_ROWS, 6, 66)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 6)
         w, v = np.full(6, 0.01), np.ones(6)
-        erm_value(model, narrow, w)
-        erm_hvp(model, narrow, w, v)
-        assert starts == []
-        erm_gradient(model, narrow, w)
+        memo = MarginMemo(model, narrow)
+        erm_gradient(model, narrow, w, memo=memo)
         assert len(starts) == 1
-        erm_hessian(model, narrow, w)
+        erm_hvp(model, narrow, w, v, memo=memo)
+        assert len(starts) == 1
+        erm_hessian(model, narrow, w, memo=memo)
         assert len(starts) == 2  # one more for the Hessian, none for its margins
 
 

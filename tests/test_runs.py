@@ -1,5 +1,6 @@
 """Run-level tests: convergence, descent guarantees, ledgers, determinism."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -410,6 +411,47 @@ class TestMarginReuse:
         assert run != "two_phase" or len(out.phases) == 2
         assert len(keys) == len(set(keys))
         assert products["calls"] > len(keys)
+
+
+class TestTracerContract:
+    """perfbench/tracer.py wraps the four evaluators where runs looks them
+    up, and binds each call's dataset and indices to count the rows read."""
+
+    NAMES = ("erm_value", "erm_gradient", "erm_hessian", "erm_hvp")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {name: 0 for name in self.NAMES}
+
+        def wrap(name, fn):
+            signature = inspect.signature(fn)
+
+            def traced(*args, **kwargs):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                assert isinstance(bound.arguments["dataset"], Dataset)
+                assert "indices" in bound.arguments
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return traced
+
+        for name in self.NAMES:
+            monkeypatch.setattr(runs, name, wrap(name, getattr(runs, name)))
+        return calls
+
+    def test_dense_line_search_calls_each_dense_evaluator(self, calls):
+        ds, model = identical_sample_quartic()
+        out = run_line_search(model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
+                              SeededRng(1), noise_mode="zero")
+        assert out.hess_evals > 0
+        assert [calls[name] > 0 for name in self.NAMES] == [True, True, True, False]
+
+    def test_lanczos_two_phase_calls_the_hvp(self, calls):
+        ds, model = identical_sample_quartic()
+        out = run_two_phase(model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5),
+                            SeededRng(1), noise_mode="zero", lanczos=True)
+        assert out.hess_evals > 0
+        assert [calls[name] > 0 for name in self.NAMES] == [True, True, False, True]
 
 
 class TestVariantTable:

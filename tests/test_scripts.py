@@ -1,0 +1,29 @@
+"""Smoke tests of the scripts under scripts/, so that a rename in the
+package they call cannot break them silently."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name, monkeypatch):
+    # a script puts src/ on sys.path when it loads; the test keeps the path as it was
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_layer_timings_objective_layers_run(monkeypatch):
+    layers = load_script("layer_timings", monkeypatch).objective_layers(2000, 5, repeats=1)
+    tag = "n=2000,d=5"
+    assert set(layers) == {f"objective.raw_gemv[{tag}]", f"objective.cold_pass[{tag}]",
+                           f"objective.erm_hvp[{tag},memo]",
+                           f"objective.erm_hessian[{tag},memo]"}
+    for stats in layers.values():
+        assert stats["repeats"] == 1
+        assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
