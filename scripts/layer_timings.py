@@ -26,10 +26,9 @@ the steal shares in its header.
     on one worker and once on as many as the passes use (every usable
     core, objective.SPREAD_WORKERS at most), each as its own group with its
     own steal share;
-  * mechanisms, at d = 600: the Wigner draw, its stored (dense) matvec and
-    its matrix-free matvec, which regenerates the draw row by row;
-  * spectral: one Lanczos eigen-check on the noisy d = 600 Hessian at the
-    origin, as a highdim_lanczos solve makes it;
+  * spectral, at n = 30 000, d = 600 (spectral_layers takes any (n, d)):
+    the Wigner draw, its matvec, and one Lanczos eigen-check on the noisy
+    Hessian at the origin, as a highdim_lanczos solve makes it;
   * accountant: one subsampled RDP curve over the default orders, and
     tune_noise_plan at T = 10, s = 0.05, (1, 1e-5) with the sigma_f an
     RdpTuneBudget for that target fixes;
@@ -60,7 +59,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from dpopt import mechanisms, objective  # noqa: E402
+from dpopt import objective  # noqa: E402
 from dpopt.accountant import (ApproxDp, subsampled_gaussian_rdp_curve,  # noqa: E402
                               tune_noise_plan)
 from dpopt.harness import load_dataset, synth_dataset  # noqa: E402
@@ -132,35 +131,27 @@ def spread_layers(workers: int, repeats: int) -> dict:
         objective.usable_cores = cores
 
 
-def spectral_layers(repeats: int) -> dict:
-    n, d = 30_000, 600
+def spectral_layers(n: int, d: int, repeats: int) -> dict:
     ds = synth_dataset("logistic_separable", n, d, seed=1, margin=0.01)
     model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, d)
     w = np.zeros(d)
     memo = MarginMemo(model, ds)
     scale = HESS_NOISE_SCALE
     source = SeededRng(4).child()
-    stored = WignerOperator(d, scale, source)
-    budget = mechanisms.WIGNER_DENSE_BUDGET_BYTES
-    mechanisms.WIGNER_DENSE_BUDGET_BYTES = 0
-    try:
-        free = WignerOperator(d, scale, source)
-    finally:
-        mechanisms.WIGNER_DENSE_BUDGET_BYTES = budget
+    op = WignerOperator(d, scale, source)
     v = SeededRng(5).standard_normal(d)
     norm_bound = model.G + 3.0 * math.sqrt(d) * scale
 
     def check():
-        return lanczos_min_eig(lambda q: erm_hvp(model, ds, w, q, memo=memo) + stored.matvec(q),
+        return lanczos_min_eig(lambda q: erm_hvp(model, ds, w, q, memo=memo) + op.matvec(q),
                                d, norm_bound, 0.245, 0.05, SeededRng(6))
 
     matvecs = check().matvec_count
     return {
-        "mechanisms.wigner_draw[d=600]":
+        f"mechanisms.wigner_draw[d={d}]":
             timed(lambda: wigner_matrix(d, scale, source.fresh()), repeats),
-        "mechanisms.wigner_matvec_dense[d=600]": timed(lambda: stored.matvec(v), repeats),
-        "mechanisms.wigner_matvec_free[d=600]": timed(lambda: free.matvec(v), repeats),
-        f"spectral.lanczos_check[n=30000,d=600,{matvecs} matvecs]": timed(check, repeats),
+        f"mechanisms.wigner_matvec[d={d}]": timed(lambda: op.matvec(v), repeats),
+        f"spectral.lanczos_check[n={n},d={d},{matvecs} matvecs]": timed(check, repeats),
     }
 
 
@@ -233,7 +224,7 @@ def main() -> int:
                         lambda: spread_layers(header["spread_workers"], args.repeats)),
                        ("objective[n=30000,d=600]",
                         lambda: objective_layers(30_000, 600, args.repeats)),
-                       ("spectral", lambda: spectral_layers(args.repeats)),
+                       ("spectral", lambda: spectral_layers(30_000, 600, args.repeats)),
                        ("accountant", lambda: accountant_layers(args.repeats)),
                        ("data", lambda: data_layers(args.repeats))):
         before = cpu_ticks()

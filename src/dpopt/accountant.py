@@ -35,7 +35,8 @@ DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 65)) + (128, 256)
 
 
 class InfeasiblePlanError(ValueError):
-    """No plan on the searched grid meets the privacy target."""
+    """No valid plan meets the privacy target: none on the searched grid,
+    or none whose calibration preconditions hold."""
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,12 @@ class NoisePlan:
     accounting: ClassVar[str] = "zcdp"
 
     def __post_init__(self):
+        # finite too: a zero-noise run multiplies each scale by 0
         for name in ("sigma_f", "sigma_g", "sigma_h"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
-        if self.lambda_svt is not None and not (self.lambda_svt > 0):
-            raise ValueError("lambda_svt must be positive when set")
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
+        if self.lambda_svt is not None and not (0 < self.lambda_svt < math.inf):
+            raise ValueError("lambda_svt must be positive and finite when set")
         if not (0.0 < self.subsample_fraction <= 1.0):
             raise ValueError("subsample_fraction must lie in (0, 1]")
 
@@ -340,17 +342,15 @@ def plan_subsampled_dp(target: ApproxDp, eps_f: float, delta_f: float, s: float,
 
     Splits off (eps_f, delta_f) for the initial loss perturbation and sizes
     the per-iteration Gaussians by advanced composition plus amplification
-    by subsampling.  Warns when the per-iteration eps0 reaches 1, where the
-    classical Gaussian-mechanism calibration stops being valid.
+    by subsampling.  Raises InfeasiblePlanError when the per-iteration eps0
+    reaches 1, where the classical Gaussian-mechanism calibration stops being
+    valid.
     """
     eps0, delta0 = subsampled_dp_split(target, eps_f, delta_f, s, t_budget)
     if eps0 >= 1.0:
-        warnings.warn(
+        raise InfeasiblePlanError(
             f"per-iteration eps0 = {eps0:.3g} >= 1 violates the Gaussian-mechanism "
-            "precondition; the plan is not a valid (eps, delta)-DP calibration",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+            "precondition; no valid (eps, delta)-DP calibration at this s and T")
     sigma_f = math.sqrt(2.0 * math.log(1.25 / delta_f)) / eps_f
     sigma_gh = math.sqrt(2.0 * math.log(1.25 / delta0)) / eps0
     return NoisePlan(sigma_f, sigma_gh, sigma_gh, lambda_svt=None, subsample_fraction=s)

@@ -139,13 +139,16 @@ def _parse_csv(path: Path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
                                   comments=None, ndmin=2)
         except ValueError as err:
             raise _csv_error(path, header) or ValueError(f"{path}: {err}") from None
-    if data.shape[0] == 0:
+    n, d = data.shape[0], data.shape[1] - 1
+    if n == 0:
         raise ValueError(f"{path}: no data rows")
+    if not -(d + 1) <= label_column <= d:
+        raise ValueError(f"{path}: label column {label_column} is outside rows of "
+                         f"{d + 1} fields")
     y = data[:, label_column].copy()
     # drop the label column inside loadtxt's buffer: span by span, row i's
     # features move to offset i * d, which is never past where they were, so
     # no copy the size of X is made
-    n, d = data.shape[0], data.shape[1] - 1
     flat = data.reshape(-1)
     for lo, hi in row_spans(n, d + 1):
         flat[lo * d:hi * d] = np.delete(data[lo:hi], label_column % (d + 1), axis=1).ravel()
@@ -170,6 +173,8 @@ def _parse_libsvm(path: Path, n_features: int | None = None) -> tuple[np.ndarray
                     idx = int(idx_s)
                     if idx < 1:
                         raise ValueError(f"index {idx} is not 1-based")
+                    if n_features is not None and idx > n_features:
+                        raise ValueError(f"index {idx} is above n_features = {n_features}")
                     row.append((idx - 1, float(val_s)))
                     max_idx = max(max_idx, idx)
                 entries.append(row)

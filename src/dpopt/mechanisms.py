@@ -9,13 +9,11 @@ noise sequence bit-for-bit on a given numpy/scipy build:
   * symmetric (Wigner) matrices fill the diagonal and upper triangle with
     i.i.d. Gaussians in row-major order and mirror the result.
 
-The row-major triangle order is normative: it makes Wigner draws
-reproducible across stored and regenerated (matrix-free) code paths.  A
-stored draw takes all d (d + 1) / 2 normals in one call and copies row i's
-d - i of them into row i and its mirror, column i; a regenerated one draws
-row by row.  The quantile transform works in place on the uniforms' array,
-and the generator gives the same doubles in one call as in many, so both
-paths have the same bits.
+A Wigner draw takes all d (d + 1) / 2 normals in one call and copies row
+i's d - i of them into row i and its mirror, column i.  The quantile
+transform works in place on the uniforms' array.  At scale 0 every
+helper returns zeros and draws nothing: a run's zero-noise test mode is
+all of its scales set to 0.
 
 Each uniform, and so each normal, is one 64-bit PCG64 draw, so
 SeededRng.advanced(k) can replay a stream from its (k + 1)-th normal; the
@@ -37,11 +35,6 @@ from scipy.special import ndtri
 # P(||E|| > A sqrt(d) * scale) <= small.  The constant is not pinned down by
 # theory; 2.0 is an empirical calibration used by the sample-size advisors.
 DEFAULT_WIGNER_TAIL_CONSTANT = 2.0
-
-# A WignerOperator stores its draw as a dense matrix while its d^2 doubles
-# fit in this many bytes (d <= 2048); larger draws are regenerated inside
-# every product instead.
-WIGNER_DENSE_BUDGET_BYTES = 32 * 2 ** 20
 
 # smallest uniform fed to the quantile transforms; gen.random() can return
 # exactly 0.0, which would map to -inf
@@ -109,9 +102,11 @@ class SeededRng:
 
 
 def gaussian(scale: float, rng: SeededRng) -> float:
-    """One N(0, scale^2) draw."""
+    """One N(0, scale^2) draw; scale 0 gives 0.0 and draws nothing."""
     if scale < 0:
         raise ValueError("scale must be nonnegative")
+    if scale == 0.0:
+        return 0.0
     return float(scale) * float(rng.standard_normal())
 
 
@@ -176,38 +171,12 @@ def unit_vector(d: int, rng: SeededRng) -> np.ndarray:
 
 
 class WignerOperator:
-    """Lazy view of one Wigner draw: dense matrix or matrix-free products.
-
-    The draw is addressed by a dedicated child stream.  When its d^2 doubles
-    fit WIGNER_DENSE_BUDGET_BYTES it is drawn once, at construction, and
-    stored.  Above the budget nothing is stored: each matrix-vector product
-    regenerates the draw row by row, and `dense` draws it afresh.  Both
-    paths consume the identical row-major triangle sequence and therefore
-    represent the same matrix.
-    """
+    """One Wigner draw, taken from its dedicated child stream at
+    construction and stored: 8 d^2 bytes, no more than X's 8 n d while
+    n >= d."""
 
     def __init__(self, d: int, scale: float, source: SeededRng):
-        self.d = int(d)
-        self.scale = float(scale)
-        self._source = source
-        self._dense = (wigner_matrix(d, scale, source.fresh())
-                       if 8 * self.d * self.d <= WIGNER_DENSE_BUDGET_BYTES else None)
-
-    @property
-    def dense(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
-        return wigner_matrix(self.d, self.scale, self._source.fresh())
+        self.dense = wigner_matrix(d, scale, source)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense @ v
-        if self.scale == 0.0:
-            return np.zeros(self.d)
-        gen = self._source.fresh()
-        out = np.zeros(self.d)
-        for i in range(self.d):
-            seg = self.scale * gen.standard_normal(self.d - i)  # row i, cols i..d-1
-            out[i] += seg @ v[i:]
-            out[i + 1:] += seg[1:] * v[i]
-        return out
+        return self.dense @ v

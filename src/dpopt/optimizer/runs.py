@@ -2,12 +2,14 @@
 
 All variants share one skeleton.  Each iteration perturbs the (mini-batch)
 gradient with Gaussian noise scaled by its sensitivity; while the noisy
-gradient norm exceeds eps_g the iterate moves along the negative noisy
+gradient norm exceeds eps_g the step direction u is the negative noisy
 gradient.  Otherwise a symmetric Gaussian matrix perturbs the Hessian and
-the smallest noisy eigenpair decides between a negative-curvature step and
-termination.  Step sizes are either the conservative fixed choices
-gamma_g = 1/G, gamma_H = 2 |lambda| / M, or are found by a private
-backtracking line search falling back to gamma_bar_g = 2(1 - c1 - c_g)/G and
+the smallest noisy eigenpair decides between termination and a
+negative-curvature step along its eigenvector u, oriented against the noisy
+gradient.  Both kinds of step then take one path: the iterate moves to
+w + gamma u, with gamma the conservative fixed choice (gamma_g = 1/G,
+gamma_H = 2 |lambda| / M) or found by a private backtracking line search
+along u falling back to gamma_bar_g = 2(1 - c1 - c_g)/G and
 gamma_bar_H = t2 |lambda| / M.
 
 The six public solvers differ only in loop kind, accepted budgets,
@@ -27,7 +29,8 @@ never asks which one it has.
 Per-iteration draw order is fixed and documented: batch indices, gradient
 noise, Hessian child stream, Lanczos start vectors, SVT threshold and
 probe noise.  Identical (seed, config, dataset) reproduce bit-identical
-traces.
+traces.  noise_mode "zero" multiplies every noise scale (initial loss,
+gradient, Hessian, SVT sensitivity) by 0, so no noise is drawn.
 
 Accounting charges follow the published per-run formulas: every iteration
 pays one gradient draw, Hessian-drawing iterations (curvature steps and the
@@ -260,27 +263,23 @@ class RunOutcome:
 
 
 class _NoiseSource:
-    """Draws per-iteration noise in the documented order.
+    """Draws per-iteration noise in the documented order.  factor multiplies
+    every scale: 1 draws from the plan, 0 draws nothing (--zero-noise)."""
 
-    mode "standard" draws from the plan; "zero" returns exact quantities
-    (the sigma = 0 test mode behind --zero-noise).
-    """
-
-    def __init__(self, plan: NoisePlan, sens, rng: SeededRng, mode: str):
-        if mode not in ("standard", "zero"):
-            raise ValueError(f"unknown noise mode {mode!r}")
-        zero = mode == "zero"
-        self.grad_scale = 0.0 if zero else sens.delta_g * plan.sigma_g
-        self.hess_scale = 0.0 if zero else sens.delta_h * plan.sigma_h
+    def __init__(self, plan: NoisePlan, sens, rng: SeededRng, factor: float):
+        self.grad_scale = factor * sens.delta_g * plan.sigma_g
+        self.hess_scale = factor * sens.delta_h * plan.sigma_h
         self.rng = rng
 
     def grad_noise(self, d: int) -> np.ndarray:
-        if self.grad_scale == 0.0:
-            return np.zeros(d)
         return gaussian_vector(d, self.grad_scale, self.rng)
 
     def hessian_operator(self, d: int) -> WignerOperator:
         return WignerOperator(d, self.hess_scale, self.rng.child())
+
+
+# noise_mode -> the factor on every noise scale of a run
+_NOISE_FACTORS = {"standard": 1.0, "zero": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +308,9 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         raise ValueError(f"w0 must have shape ({d},)")
     # before any data pass or calibration: a bad mode is not worth an RDP
     # tune, and an infeasible budget must not hide it
+    if noise_mode not in _NOISE_FACTORS:
+        raise ValueError(f"unknown noise mode {noise_mode!r}")
+    noise_factor = _NOISE_FACTORS[noise_mode]
     if accounting is None:
         accounting = "rdp" if m < n and budget.accounting == "zcdp" else budget.accounting
     if accounting not in ("zcdp", "rdp", "approx_dp"):
@@ -318,7 +320,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     f0 = erm_value(model, dataset, w, memo=memo)
-    z = 0.0 if noise_mode == "zero" else gaussian(sens_full.delta_f * budget.sigma_f, rng)
+    z = gaussian(noise_factor * sens_full.delta_f * budget.sigma_f, rng)
     derived = derive_constants(constants, model, loop, f0 + abs(z))
     t_est = derived.t_budget
     t_used = max(1, min(t_est, t_policy(t_est))) if t_policy is not None else t_est
@@ -333,7 +335,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
 
     if line_search and plan.lambda_svt is None:
         raise ValueError("line-search runs need lambda_svt in the plan")
-    noise = _NoiseSource(plan, sens_batch, rng, noise_mode)
+    noise = _NoiseSource(plan, sens_batch, rng, noise_factor)
     svt_charge = (0.5 / plan.lambda_svt ** 2) if line_search else 0.0
     grad_charge = 0.5 / plan.sigma_g ** 2
     hess_charge = 0.5 / plan.sigma_h ** 2
@@ -348,95 +350,74 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     try:
         for k in range(t_used):
             indices = selector.indices(rng, n)
-            g = erm_gradient(model, dataset, w, indices, memo=memo)
-            eps_k = noise.grad_noise(d)
+            g_noisy = erm_gradient(model, dataset, w, indices, memo=memo) + noise.grad_noise(d)
             iters_charged += 1
-            g_noisy = g + eps_k
             g_norm = _require_finite(float(np.linalg.norm(g_noisy)),
                                      "noisy gradient norm", k)
 
+            # a descent step along u: the negative noisy gradient, or else a
+            # negative-curvature direction of the noisy Hessian
             if g_norm > constants.eps_g:
-                probes = 0
-                if line_search:
-                    w_base, f_base, gn = w, loss_now, g_noisy
+                kind, lambda_noisy, charge = "gradient", None, grad_charge
+                u, u_norm = -g_noisy, g_norm
+                short, gamma_bar = 1.0 / model.G, derived.gamma_bar_g
+                b, beta = constants.b_g, constants.beta_g
 
-                    def q_grad(gamma: float) -> float:
-                        return f_base - erm_value(model, dataset, w_base - gamma * gn,
-                                                  memo=memo) \
-                            - constants.c_g * gamma * g_norm ** 2
-
-                    gamma_init = constants.b_g * derived.gamma_bar_g
-                    delta_q = 2.0 / n * gamma_init * model.B_g * g_norm
-                    ls = dp_line_search(q_grad, delta_q, gamma_init, derived.gamma_bar_g,
-                                        constants.beta_g, plan.lambda_svt, rng,
-                                        noise=noise_mode)
-                    gamma, probes = ls.gamma, ls.probes
-                else:
-                    gamma = 1.0 / model.G
-                w = w - gamma * g_noisy
-                loss_after = erm_value(model, dataset, w, memo=memo)
-                w_good = w.copy()
-                trace.append(StepRecord(k, "gradient", gamma, loss_now, loss_after,
-                                        g_norm, None, probes,
-                                        _zcdp_inc(accounting, grad_charge + svt_charge)))
-                loss_now = loss_after
-                continue
-
-            op = noise.hessian_operator(d)
-            hess_charged += 1
-            if lanczos:
-                def hvp(v: np.ndarray) -> np.ndarray:
-                    return _require_finite(
-                        erm_hvp(model, dataset, w, v, indices, memo=memo) + op.matvec(v),
-                        "noisy Hessian-vector product", k)
-
-                norm_bound = model.G + 3.0 * math.sqrt(d) * sens_batch.delta_h * plan.sigma_h
-                eig = lanczos_min_eig(hvp, d, norm_bound, constants.eps_h,
-                                      constants.delta_l, rng)
+                def slack(gamma: float) -> float:
+                    return constants.c_g * gamma * g_norm ** 2
             else:
-                h_noisy = _require_finite(
-                    erm_hessian(model, dataset, w, indices, memo=memo)
-                    + op.dense, "noisy Hessian", k)
-                eig = min_eigenpair_dense(h_noisy)
-            _require_finite(eig.lambda_min, "noisy eigenvalue", k)
-            decision = decide_curvature(eig, constants.eps_h)
+                op = noise.hessian_operator(d)
+                hess_charged += 1
+                if lanczos:
+                    def hvp(v: np.ndarray) -> np.ndarray:
+                        return _require_finite(
+                            erm_hvp(model, dataset, w, v, indices, memo=memo)
+                            + op.matvec(v), "noisy Hessian-vector product", k)
 
-            if decision.negative:
+                    norm_bound = model.G + 3.0 * math.sqrt(d) * sens_batch.delta_h * plan.sigma_h
+                    eig = lanczos_min_eig(hvp, d, norm_bound, constants.eps_h,
+                                          constants.delta_l, rng)
+                else:
+                    h_noisy = _require_finite(
+                        erm_hessian(model, dataset, w, indices, memo=memo)
+                        + op.dense, "noisy Hessian", k)
+                    eig = min_eigenpair_dense(h_noisy)
+                _require_finite(eig.lambda_min, "noisy eigenvalue", k)
+                decision = decide_curvature(eig, constants.eps_h)
+                lambda_noisy, charge = decision.lambda_min, grad_charge + hess_charge
+                if not decision.negative:
+                    trace.append(StepRecord(k, "terminate", None, loss_now, loss_now,
+                                            g_norm, lambda_noisy, 0,
+                                            _zcdp_inc(accounting, charge + svt_charge)))
+                    status = "converged_2s"
+                    break
                 lam_abs = abs(decision.lambda_min)
-                p = orient(decision.direction, g_noisy)
-                probes = 0
-                if line_search:
-                    gamma_bar_h = derived.t2 * lam_abs / model.M
-                    w_base, f_base = w, loss_now
+                kind = "negative_curvature"
+                u, u_norm = orient(decision.direction, g_noisy), 1.0
+                short, gamma_bar = 2.0 * lam_abs / model.M, derived.t2 * lam_abs / model.M
+                b, beta = constants.b_h, constants.beta_h
 
-                    def q_curv(gamma: float) -> float:
-                        return f_base - erm_value(model, dataset, w_base + gamma * p,
-                                                  memo=memo) \
-                            - 0.5 * constants.c_h * gamma ** 2 * lam_abs
+                def slack(gamma: float) -> float:
+                    return 0.5 * constants.c_h * gamma ** 2 * lam_abs
 
-                    gamma_init = constants.b_h * gamma_bar_h
-                    delta_q = 2.0 / n * gamma_init * model.B_g
-                    ls = dp_line_search(q_curv, delta_q, gamma_init, gamma_bar_h,
-                                        constants.beta_h, plan.lambda_svt, rng,
-                                        noise=noise_mode)
-                    gamma, probes = ls.gamma, ls.probes
-                else:
-                    gamma = 2.0 * lam_abs / model.M
-                w = w + gamma * p
-                loss_after = erm_value(model, dataset, w, memo=memo)
-                w_good = w.copy()
-                trace.append(StepRecord(k, "negative_curvature", gamma, loss_now,
-                                        loss_after, g_norm, decision.lambda_min, probes,
-                                        _zcdp_inc(accounting,
-                                                  grad_charge + hess_charge + svt_charge)))
-                loss_now = loss_after
-            else:
-                trace.append(StepRecord(k, "terminate", None, loss_now, loss_now,
-                                        g_norm, decision.lambda_min, 0,
-                                        _zcdp_inc(accounting,
-                                                  grad_charge + hess_charge + svt_charge)))
-                status = "converged_2s"
-                break
+            gamma, probes = short, 0
+            if line_search:
+                def query(gamma: float) -> float:
+                    return loss_now - erm_value(model, dataset, w + gamma * u,
+                                                memo=memo) - slack(gamma)
+
+                gamma_init = b * gamma_bar
+                delta_q = noise_factor * 2.0 / n * gamma_init * model.B_g * u_norm
+                ls = dp_line_search(query, delta_q, gamma_init, gamma_bar, beta,
+                                    plan.lambda_svt, rng)
+                gamma, probes = ls.gamma, ls.probes
+            w = w + gamma * u
+            loss_after = erm_value(model, dataset, w, memo=memo)
+            w_good = w.copy()
+            trace.append(StepRecord(k, kind, gamma, loss_now, loss_after, g_norm,
+                                    lambda_noisy, probes,
+                                    _zcdp_inc(accounting, charge + svt_charge)))
+            loss_now = loss_after
     except (WeightBoxError, _NonFiniteRelease) as err:
         # abort, but hand back the last iterate whose loss was evaluated
         warnings_acc.append(str(err))

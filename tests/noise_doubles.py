@@ -54,9 +54,8 @@ def bounded_noise(model, constants):
         yield
 
 
-def always_failing_line_search(query, delta_q, gamma_init, gamma_bar, beta, lam, rng,
-                               noise="standard"):
+def always_failing_line_search(query, delta_q, gamma_init, gamma_bar, beta, lam, rng):
     """dp_line_search with every probe rejected: the sweep makes all of its
     i_max probes and returns the fallback gamma_bar."""
-    return svt.dp_line_search(lambda gamma: -math.inf, delta_q, gamma_init, gamma_bar,
-                              beta, lam, rng, noise="zero")
+    return svt.dp_line_search(lambda gamma: -math.inf, 0.0, gamma_init, gamma_bar,
+                              beta, lam, rng)

@@ -245,8 +245,9 @@ class TestPlans:
         assert plan.sigma_f > 0 and plan.sigma_g > 0
 
     def test_subsampled_dp_warns_when_eps0_invalid(self):
-        # s -> 0 at fixed T drives the per-iteration eps0 past 1
-        with pytest.warns(RuntimeWarning):
+        # s -> 0 at fixed T drives the per-iteration eps0 past 1, where the
+        # calibration is not valid: no plan, rather than a warning
+        with pytest.raises(InfeasiblePlanError, match="eps0"):
             plan_subsampled_dp(ApproxDp(0.9, 1e-5), 0.1, 1e-6, 1e-6, 10)
 
     def test_subsampled_dp_rejects_degenerate_split(self):
@@ -394,6 +395,10 @@ class TestValidation:
     def test_noise_plan_invariants(self):
         with pytest.raises(ValueError):
             NoisePlan(0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            NoisePlan(1.0, math.inf, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            NoisePlan(1.0, 1.0, 1.0, lambda_svt=math.inf)
         with pytest.raises(ValueError):
             NoisePlan(1.0, 1.0, 1.0, subsample_fraction=0.0)
 

@@ -134,6 +134,12 @@ class TestLibsvmLoader:
         with pytest.raises(ValueError, match=":1"):
             load_dataset(path, "libsvm")
 
+    def test_index_above_n_features_rejected_with_line(self, tmp_path):
+        path = tmp_path / "wide.libsvm"
+        path.write_text("1 1:0.5\n-1 2:0.5 4:0.1\n")
+        with pytest.raises(ValueError, match=r"wide\.libsvm:2: index 4 is above n_features = 3"):
+            load_dataset(path, "libsvm", n_features=3)
+
 
 class TestPreprocessing:
     def test_covertype_preset_idempotent(self, tmp_path):
@@ -496,6 +502,17 @@ class TestCli:
         rc = cli_main(["--dataset", "/nonexistent.csv", "--preset", "covertype_loose",
                        "--variant", "opt", "--epsilon", "1.0", "--seeds", "0"])
         assert rc == 2
+
+    def test_label_column_outside_the_row_is_error(self, tmp_path, capsys):
+        data = tmp_path / "toy.csv"
+        data.write_text("0.5,0.1,1\n0.1,0.2,-1\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"label_column": 3}))
+        rc = cli_main(["--config", str(cfg_path), "--dataset", str(data), "--preset",
+                       "covertype_loose", "--variant", "opt", "--epsilon", "1.0",
+                       "--seeds", "0"])
+        assert rc == 2
+        assert "label column 3 is outside rows of 3 fields" in capsys.readouterr().err
 
     def test_hopeless_synth_margin_is_error(self, capsys):
         args = [a if a != "4" else "600" for a in self.ARGS]  # --synth-d 600, margin 0.15

@@ -70,6 +70,17 @@ class TestGaussianVector:
     def test_scalar_helper(self):
         assert gaussian(0.0, SeededRng(0)) == 0.0
 
+    @pytest.mark.parametrize("draw", [
+        lambda rng: gaussian(0.0, rng), lambda rng: gaussian_vector(5, 0.0, rng),
+        lambda rng: wigner_matrix(5, 0.0, rng), lambda rng: laplace(0.0, rng),
+        lambda rng: WignerOperator(5, 0.0, rng)])
+    def test_zero_scale_draws_nothing(self, draw):
+        # a zero-noise run is every scale set to 0: the stream must not move
+        rng = SeededRng(9)
+        state = rng.generator.bit_generator.state
+        draw(rng)
+        assert rng.generator.bit_generator.state == state
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             gaussian_vector(0, 1.0, SeededRng(0))
@@ -156,20 +167,16 @@ def triu_scatter_wigner(d, scale, rng):
 class TestRowBuiltWigner:
     @pytest.mark.parametrize("scale", [0.0, 0.37])
     @pytest.mark.parametrize("d", [1, 2, 7, 520, 600])
-    def test_matches_triu_scatter(self, d, scale, monkeypatch):
+    def test_matches_triu_scatter(self, d, scale):
         E = wigner_matrix(d, scale, SeededRng(61, 2))
         assert np.array_equal(E, triu_scatter_wigner(d, scale, SeededRng(61, 2)))
-        # stored and regenerated draws of one operator are the same matrix
+        # an operator's stored draw is the same matrix
         src = SeededRng(62).child()
         stored = WignerOperator(d, scale, src)
-        monkeypatch.setattr(mechanisms, "WIGNER_DENSE_BUDGET_BYTES", 0)
-        lazy = WignerOperator(d, scale, src)
         reference = triu_scatter_wigner(d, scale, src.fresh())
         assert np.array_equal(stored.dense, reference)
-        assert np.array_equal(lazy.dense, reference)
         v = SeededRng(63).standard_normal(d)
         assert np.array_equal(stored.matvec(v), reference @ v)
-        assert np.allclose(lazy.matvec(v), reference @ v, rtol=0, atol=1e-12)
 
 
 class _StubGenerator:
@@ -230,31 +237,12 @@ class TestWignerOperator:
         op = WignerOperator(9, 1.5, src)
         assert np.array_equal(op.dense, wigner_matrix(9, 1.5, src.fresh()))
 
-    def test_draw_stored_within_budget(self):
+    def test_draw_stored_once(self):
         d = 40
-        assert 8 * d * d <= mechanisms.WIGNER_DENSE_BUDGET_BYTES
         op = WignerOperator(d, 0.8, SeededRng(2).child())
         v = SeededRng(4).standard_normal(d)
         assert op.dense is op.dense  # drawn once, then kept
         assert np.array_equal(op.matvec(v), op.dense @ v)
-
-    def test_matrix_free_product_matches_dense(self, monkeypatch):
-        # with no memory budget every product regenerates the draw row by row
-        src = SeededRng(17).child()
-        stored_op = WignerOperator(33, 0.8, src)
-        monkeypatch.setattr(mechanisms, "WIGNER_DENSE_BUDGET_BYTES", 0)
-        lazy_op = WignerOperator(33, 0.8, src)
-        assert np.array_equal(lazy_op.dense, stored_op.dense)
-        assert lazy_op.dense is not lazy_op.dense  # drawn afresh, never kept
-        rng = SeededRng(4)
-        for _ in range(3):
-            v = rng.standard_normal(33)
-            assert np.allclose(lazy_op.matvec(v), stored_op.dense @ v, rtol=0, atol=1e-12)
-
-    def test_zero_scale_above_budget_is_zero(self, monkeypatch):
-        monkeypatch.setattr(mechanisms, "WIGNER_DENSE_BUDGET_BYTES", 0)
-        op = WignerOperator(7, 0.0, SeededRng(1).child())
-        assert np.array_equal(op.matvec(np.ones(7)), np.zeros(7))
 
 
 class TestUnitVector:

@@ -11,7 +11,7 @@ from dpopt import objective
 from dpopt.optimizer import runs
 from dpopt.spectral import EigenResult
 from dpopt.accountant import NoisePlan, account_run
-from dpopt.mechanisms import SeededRng
+from dpopt.mechanisms import SeededRng, WignerOperator
 from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
                              sensitivities)
@@ -414,8 +414,9 @@ class TestMarginReuse:
 
 
 class TestTracerContract:
-    """perfbench/tracer.py wraps the four evaluators where runs looks them
-    up, and binds each call's dataset and indices to count the rows read."""
+    """perfbench/tracer.py wraps the four evaluators and dp_line_search where
+    runs looks them up, binding each call's arguments to count rows and
+    probes, and wraps WignerOperator's __init__ and matvec on the class."""
 
     NAMES = ("erm_value", "erm_gradient", "erm_hessian", "erm_hvp")
 
@@ -453,6 +454,49 @@ class TestTracerContract:
         assert out.hess_evals > 0
         assert [calls[name] > 0 for name in self.NAMES] == [True, True, False, True]
 
+    @pytest.fixture
+    def noise_calls(self, monkeypatch):
+        calls = {"dp_line_search": 0, "wigner_init": 0, "wigner_matvec": 0}
+        search, init, matvec = runs.dp_line_search, WignerOperator.__init__, WignerOperator.matvec
+        signature = inspect.signature(search)
+
+        def traced_search(*args, **kwargs):
+            signature.bind(*args, **kwargs)
+            result = search(*args, **kwargs)
+            assert isinstance(result.probes, int) and isinstance(result.exhausted, bool)
+            calls["dp_line_search"] += 1
+            return result
+
+        def traced_init(op, *args, **kwargs):
+            calls["wigner_init"] += 1
+            init(op, *args, **kwargs)
+
+        def traced_matvec(op, v):
+            calls["wigner_matvec"] += 1
+            return matvec(op, v)
+
+        monkeypatch.setattr(runs, "dp_line_search", traced_search)
+        monkeypatch.setattr(WignerOperator, "__init__", traced_init)
+        monkeypatch.setattr(WignerOperator, "matvec", traced_matvec)
+        return calls
+
+    def test_line_search_sweeps_once_per_step(self, noise_calls):
+        ds, model = identical_sample_quartic()
+        out = run_line_search(model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
+                              SeededRng(1), noise_mode="zero")
+        steps = sum(1 for r in out.trace if r.kind != "terminate")
+        assert out.curv_steps > 0 and out.grad_steps > 0
+        assert noise_calls == {"dp_line_search": steps, "wigner_init": out.hess_evals,
+                               "wigner_matvec": 0}
+
+    def test_lanczos_multiplies_by_each_draw(self, noise_calls):
+        ds, model = identical_sample_quartic()
+        out = run_two_phase(model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5),
+                            SeededRng(1), noise_mode="zero", lanczos=True)
+        assert noise_calls["dp_line_search"] == 0
+        assert noise_calls["wigner_init"] == out.hess_evals > 0
+        assert noise_calls["wigner_matvec"] > 0
+
 
 class TestVariantTable:
     def test_selector_needed_by_exactly_the_minibatch_variants(self):
@@ -485,22 +529,27 @@ class TestVariantTable:
 
 
 class TestAccountingCheckedFirst:
-    def test_unknown_accounting_raised_before_any_tune(self, monkeypatch):
-        # an infeasible RDP target at s = 0.25 must not hide the bad mode,
-        # and the mode is rejected before the tuner is paid for
+    """An infeasible RDP target at s = 0.25 must not hide a bad mode, and
+    the mode is rejected before the initial loss or the tuner is paid for."""
+
+    def _rejected(self, monkeypatch, match, **kwargs):
         calls = []
-        original = runs.tune_noise_plan
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(runs, "tune_noise_plan", counting)
+        for name in ("tune_noise_plan", "erm_value"):
+            def counting(*args, _name=name, _original=getattr(runs, name), **kw):
+                calls.append(_name)
+                return _original(*args, **kw)
+            monkeypatch.setattr(runs, name, counting)
         ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
-        with pytest.raises(ValueError, match="unknown accounting") as err:
+        with pytest.raises(ValueError, match=match) as err:
             run_minibatch(model, ds, np.zeros(4), AlgorithmConstants(eps_g=0.06, eps_h=0.245),
                           RdpTuneBudget(1.0, 1e-5), BatchSelector(500), SeededRng(0),
-                          accounting="pure")
+                          **kwargs)
         assert type(err.value) is ValueError
         assert calls == []
+
+    def test_unknown_accounting_raised_before_any_tune(self, monkeypatch):
+        self._rejected(monkeypatch, "unknown accounting", accounting="pure")
+
+    def test_unknown_noise_mode_raised_before_any_tune(self, monkeypatch):
+        self._rejected(monkeypatch, "unknown noise mode", noise_mode="bogus")

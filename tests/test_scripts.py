@@ -27,3 +27,13 @@ def test_layer_timings_objective_layers_run(monkeypatch):
     for stats in layers.values():
         assert stats["repeats"] == 1
         assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
+
+
+def test_layer_timings_spectral_layers_run(monkeypatch):
+    layers = load_script("layer_timings", monkeypatch).spectral_layers(500, 8, repeats=1)
+    names = sorted(layers)
+    assert names[:2] == ["mechanisms.wigner_draw[d=8]", "mechanisms.wigner_matvec[d=8]"]
+    assert len(names) == 3 and names[2].startswith("spectral.lanczos_check[n=500,d=8,")
+    for stats in layers.values():
+        assert stats["repeats"] == 1
+        assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0

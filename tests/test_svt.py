@@ -12,10 +12,12 @@ from noise_doubles import always_failing_line_search
 
 
 class TestZeroNoiseBacktracking:
+    """delta_q = 0 draws no noise: the sweep is exact backtracking."""
+
     def test_returns_first_nonnegative_probe(self):
         # q >= 0 exactly at probes <= 0.25
         q = lambda g: 0.25 - g
-        res = dp_line_search(q, 1.0, 1.0, 0.01, 0.5, 1.0, SeededRng(0), noise="zero")
+        res = dp_line_search(q, 0.0, 1.0, 0.01, 0.5, 1.0, SeededRng(0))
         assert res.gamma == pytest.approx(0.25)
         assert res.probes == 3  # probed 1.0, 0.5, 0.25
         assert not res.exhausted
@@ -24,12 +26,11 @@ class TestZeroNoiseBacktracking:
         # q(gamma) = gamma_bar - gamma: nonnegative only once gamma <= gamma_bar
         gamma_bar = 0.125
         q = lambda g: gamma_bar - g
-        res = dp_line_search(q, 1.0, 1.0, gamma_bar, 0.5, 1.0, SeededRng(0), noise="zero")
+        res = dp_line_search(q, 0.0, 1.0, gamma_bar, 0.5, 1.0, SeededRng(0))
         assert res.gamma <= gamma_bar * (1 + 1e-12)
 
     def test_immediate_accept(self):
-        res = dp_line_search(lambda g: 1.0, 1.0, 2.0, 0.5, 0.5, 1.0, SeededRng(0),
-                             noise="zero")
+        res = dp_line_search(lambda g: 1.0, 0.0, 2.0, 0.5, 0.5, 1.0, SeededRng(0))
         assert res.gamma == 2.0
         assert res.probes == 1
 
@@ -37,8 +38,7 @@ class TestZeroNoiseBacktracking:
 class TestProbeSchedule:
     def test_i_max_count(self):
         # gamma_bar / gamma_init = 2^-19 with beta = 1/2: exactly 20 probes
-        res = dp_line_search(lambda g: -1.0, 0.0, 1.0, 2.0 ** -19, 0.5, 1.0,
-                             SeededRng(1), noise="zero")
+        res = dp_line_search(lambda g: -1.0, 0.0, 1.0, 2.0 ** -19, 0.5, 1.0, SeededRng(1))
         assert res.exhausted
         assert res.probes == 20
         assert res.gamma == 2.0 ** -19
