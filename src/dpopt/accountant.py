@@ -10,6 +10,10 @@ Three budget notions are tracked and converted between:
     through a binomial-sum bound evaluated here in log space.
   * approximate DP pairs (epsilon, delta), the reporting notion.
 
+Each ledger kind composes itself (ZCdp adds rho, RdpCurve adds pointwise on
+one order grid, ApproxDp adds epsilons and deltas), and its spent(delta) is
+the scalar a report shows: rho, the curve's epsilon at delta, or epsilon.
+
 The plan_* helpers calibrate noise multipliers so that a run of at most T
 iterations stays inside a given budget; account_run recomputes the leakage
 of a finished run from its step counts.
@@ -49,6 +53,13 @@ class ZCdp:
         if not (self.rho >= 0.0):
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
+    @classmethod
+    def compose(cls, budgets) -> "ZCdp":
+        return cls(math.fsum(b.rho for b in budgets))
+
+    def spent(self, delta: float) -> float:
+        return self.rho
+
 
 @dataclass(frozen=True, eq=False)
 class RdpCurve:
@@ -76,6 +87,16 @@ class RdpCurve:
     def same_grid(self, other: "RdpCurve") -> bool:
         return np.array_equal(self.orders, other.orders)
 
+    @classmethod
+    def compose(cls, budgets) -> "RdpCurve":
+        first = budgets[0]
+        if not all(first.same_grid(b) for b in budgets[1:]):
+            raise ValueError("RDP curves must share the same order grid")
+        return cls(first.orders.copy(), np.sum([b.epsilons for b in budgets], axis=0))
+
+    def spent(self, delta: float) -> float:
+        return rdp_to_approx_dp(self, delta)[0].epsilon
+
 
 @dataclass(frozen=True)
 class ApproxDp:
@@ -89,6 +110,13 @@ class ApproxDp:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+
+    @classmethod
+    def compose(cls, budgets) -> "ApproxDp":
+        return cls(math.fsum(b.epsilon for b in budgets), math.fsum(b.delta for b in budgets))
+
+    def spent(self, delta: float) -> float:
+        return self.epsilon
 
 
 @dataclass(frozen=True)
@@ -140,6 +168,16 @@ def gaussian_mechanism_zcdp(sigma: float) -> ZCdp:
     return ZCdp(1.0 / (2.0 * sigma * sigma))
 
 
+def gaussian_sigma_zcdp(rho: float) -> float:
+    """The multiplier at which a Gaussian costs rho-zCDP: sqrt(1/(2 rho))."""
+    return math.sqrt(1.0 / (2.0 * rho))
+
+
+def gaussian_sigma_dp(epsilon: float, delta: float) -> float:
+    """Classical (epsilon < 1, delta) Gaussian multiplier sqrt(2 log(1.25/delta))/epsilon."""
+    return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
+
+
 def pure_dp_to_zcdp(epsilon: float) -> ZCdp:
     """An epsilon-DP mechanism is (epsilon^2 / 2)-zCDP."""
     if not (epsilon >= 0):
@@ -163,32 +201,14 @@ def gaussian_rdp_curve(sigma: float, orders=DEFAULT_ORDERS) -> RdpCurve:
 
 
 def compose(budgets):
-    """Sum a nonempty sequence of same-kind budgets.
-
-    ZCdp composes by adding rho, RdpCurve pointwise on identical order
-    grids, ApproxDp by basic composition (epsilons and deltas add).
-    """
+    """Sum a nonempty sequence of same-kind ledgers by their kind's compose."""
     budgets = list(budgets)
     if not budgets:
         raise ValueError("nothing to compose")
-    first = budgets[0]
-    if isinstance(first, ZCdp):
-        if not all(isinstance(b, ZCdp) for b in budgets):
-            raise TypeError("cannot mix budget kinds in one composition")
-        return ZCdp(math.fsum(b.rho for b in budgets))
-    if isinstance(first, RdpCurve):
-        if not all(isinstance(b, RdpCurve) for b in budgets):
-            raise TypeError("cannot mix budget kinds in one composition")
-        for b in budgets[1:]:
-            if not first.same_grid(b):
-                raise ValueError("RDP curves must share the same order grid")
-        total = np.sum([b.epsilons for b in budgets], axis=0)
-        return RdpCurve(first.orders.copy(), total)
-    if isinstance(first, ApproxDp):
-        if not all(isinstance(b, ApproxDp) for b in budgets):
-            raise TypeError("cannot mix budget kinds in one composition")
-        return ApproxDp(math.fsum(b.epsilon for b in budgets), math.fsum(b.delta for b in budgets))
-    raise TypeError(f"unsupported budget type {type(first)!r}")
+    kind = type(budgets[0])
+    if kind not in (ZCdp, RdpCurve, ApproxDp) or any(type(b) is not kind for b in budgets):
+        raise TypeError("compose takes ledgers of one kind: ZCdp, RdpCurve or ApproxDp")
+    return kind.compose(budgets)
 
 
 def zcdp_to_approx_dp(budget: ZCdp, delta: float) -> ApproxDp:
@@ -290,7 +310,7 @@ def plan_short_step(budget: ZCdp, c_f: float, t_budget: int) -> NoisePlan:
         raise ValueError("c_f must lie in (0, 1)")
     if t_budget < 1:
         raise ValueError("t_budget must be >= 1")
-    sigma_f = math.sqrt(1.0 / (2.0 * c_f * rho))
+    sigma_f = gaussian_sigma_zcdp(c_f * rho)
     sigma_gh = math.sqrt(t_budget / ((1.0 - c_f) * rho))
     return NoisePlan(sigma_f, sigma_gh, sigma_gh, lambda_svt=None, subsample_fraction=1.0)
 
@@ -306,7 +326,7 @@ def plan_line_search(budget: ZCdp, rho_f: float, t_budget: int) -> NoisePlan:
         raise ValueError("rho_f must lie in (0, rho)")
     if t_budget < 1:
         raise ValueError("t_budget must be >= 1")
-    sigma_f = math.sqrt(1.0 / (2.0 * rho_f))
+    sigma_f = gaussian_sigma_zcdp(rho_f)
     sigma = math.sqrt(3.0 * t_budget / (2.0 * (rho - rho_f)))
     if sigma > _SIGMA_WARN:
         warnings.warn(
@@ -351,8 +371,8 @@ def plan_subsampled_dp(target: ApproxDp, eps_f: float, delta_f: float, s: float,
         raise InfeasiblePlanError(
             f"per-iteration eps0 = {eps0:.3g} >= 1 violates the Gaussian-mechanism "
             "precondition; no valid (eps, delta)-DP calibration at this s and T")
-    sigma_f = math.sqrt(2.0 * math.log(1.25 / delta_f)) / eps_f
-    sigma_gh = math.sqrt(2.0 * math.log(1.25 / delta0)) / eps0
+    sigma_f = gaussian_sigma_dp(eps_f, delta_f)
+    sigma_gh = gaussian_sigma_dp(eps0, delta0)
     return NoisePlan(sigma_f, sigma_gh, sigma_gh, lambda_svt=None, subsample_fraction=s)
 
 
@@ -398,28 +418,24 @@ def account_run(k_g: int, k_h: int, plan: NoisePlan, mode: str = "short",
     """Post-hoc leakage of a run with k_g gradient-only iterations and k_h
     iterations that also drew a Hessian (curvature steps and the final check).
 
-    Modes: "short" and "line_search" return ZCdp; "minibatch" returns the
-    composed RDP curve.  Every iteration draws a gradient, so k_g + k_h
+    mode is the ledger notion a RunOutcome reports: "short" and
+    "line_search" return ZCdp; "rdp" returns the composed subsampled RDP
+    curve.  Every iteration draws a gradient, so k_g + k_h
     gradient draws are charged; line-search mode additionally charges
     (k_g + k_h) sparse-vector sweeps, which over-counts by at most one sweep
     on converged runs (the terminal check performs no line search).
     """
     if k_g < 0 or k_h < 0:
         raise ValueError("step counts must be nonnegative")
-    if mode == "short":
-        rho = 0.5 * (1.0 / plan.sigma_f ** 2
-                     + (k_g + k_h) / plan.sigma_g ** 2
-                     + k_h / plan.sigma_h ** 2)
-        return ZCdp(rho)
-    if mode == "line_search":
-        if plan.lambda_svt is None:
-            raise ValueError("line_search accounting needs lambda_svt in the plan")
-        rho = 0.5 * (1.0 / plan.sigma_f ** 2
-                     + (k_g + k_h) / plan.sigma_g ** 2
-                     + k_h / plan.sigma_h ** 2
-                     + (k_g + k_h) / plan.lambda_svt ** 2)
-        return ZCdp(rho)
-    if mode == "minibatch":
+    if mode in ("short", "line_search"):
+        sweeps = 0.0
+        if mode == "line_search":
+            if plan.lambda_svt is None:
+                raise ValueError("line_search accounting needs lambda_svt in the plan")
+            sweeps = (k_g + k_h) / plan.lambda_svt ** 2
+        return ZCdp(0.5 * (1.0 / plan.sigma_f ** 2 + (k_g + k_h) / plan.sigma_g ** 2
+                           + k_h / plan.sigma_h ** 2 + sweeps))
+    if mode == "rdp":
         return minibatch_rdp_curve(k_g, k_h, plan, orders)
     raise ValueError(f"unknown accounting mode {mode!r}")
 

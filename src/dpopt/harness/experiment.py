@@ -25,14 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..accountant import (ApproxDp, InfeasiblePlanError, RdpCurve, ZCdp,
-                          approx_dp_to_zcdp, rdp_to_approx_dp, zcdp_to_approx_dp)
+from ..accountant import (ApproxDp, InfeasiblePlanError, ZCdp, approx_dp_to_zcdp,
+                          zcdp_to_approx_dp)
 from ..mechanisms import SeededRng
 from ..objective import (BatchSelector, Dataset, LossModel, builtin_l2_logistic,
                          builtin_nonconvex_logistic, builtin_quartic_saddle)
 from ..optimizer import (VARIANTS, AlgorithmConstants, Budget, LineSearchBudget,
-                         RdpTuneBudget, RunOutcome, ShortStepBudget, SubsampledDpBudget,
-                         Variant, run_variant)
+                         RdpTuneBudget, ShortStepBudget, SubsampledDpBudget, Variant,
+                         run_variant)
 from .data import load_dataset, synth_dataset
 
 # (eps_g, eps_h) tolerance presets used by the benchmark experiments
@@ -158,18 +158,6 @@ def build_model(config: ExperimentConfig, dataset: Dataset) -> LossModel:
     raise ConfigError(f"unknown loss {config.loss!r}")
 
 
-def _spent_scalar(outcome: RunOutcome, delta: float) -> float:
-    """Headline spent budget: rho for zCDP ledgers, epsilon otherwise."""
-    acc = outcome.accounted_privacy
-    if isinstance(acc, ZCdp):
-        return acc.rho
-    if isinstance(acc, RdpCurve):
-        return rdp_to_approx_dp(acc, delta)[0].epsilon
-    if isinstance(acc, ApproxDp):
-        return acc.epsilon
-    raise TypeError(f"unexpected ledger type {type(acc)!r}")
-
-
 def _budget(config: ExperimentConfig, variant: Variant, epsilon: float, rho: float,
             n: int) -> Budget:
     """The budget of one sweep cell.
@@ -232,7 +220,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
                     runtime_s=runtime, iters=outcome.iterations,
                     grad_steps=outcome.grad_steps, curv_steps=outcome.curv_steps,
                     hess_evals=outcome.hess_evals,
-                    rho_spent=_spent_scalar(outcome, config.delta)))
+                    rho_spent=outcome.accounted_privacy.spent(config.delta)))
 
     cells = []
     for variant in config.variants:

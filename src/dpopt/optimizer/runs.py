@@ -19,12 +19,9 @@ run_minibatch ("opt_b") and run_two_phase ("2opt", "2opt_ls", "2opt_b") are
 its named entry points.
 
 Noise-plan finalization is two-staged, matching the data-dependent budget:
-sigma_f is fixed by the budget policy alone, the perturbed initial loss
-fixes the iteration budget T, and only then are sigma_g, sigma_h (and the
-SVT lambda) calibrated to T.  Runs therefore accept either a budget policy
-(calibrated here) or a ready NoisePlan (used as given); both answer the
-same budget protocol (sigma_f, plan, scaled, accounting), so the loop
-never asks which one it has.
+sigma_f is fixed by the budget alone, the perturbed initial loss fixes the
+iteration budget T, and only then are sigma_g, sigma_h (and the SVT lambda)
+calibrated to T; every budget answers one protocol (see "budgets" below).
 
 Per-iteration draw order is fixed and documented: batch indices, gradient
 noise, Hessian child stream, Lanczos start vectors, SVT threshold and
@@ -32,14 +29,14 @@ probe noise.  Identical (seed, config, dataset) reproduce bit-identical
 traces.  noise_mode "zero" multiplies every noise scale (initial loss,
 gradient, Hessian, SVT sensitivity) by 0, so no noise is drawn.
 
-Accounting charges follow the published per-run formulas: every iteration
-pays one gradient draw, Hessian-drawing iterations (curvature steps and the
-terminal check) pay the Hessian draw, and in line-search mode every
-iteration pays one SVT sweep -- which over-counts the terminal check's
-missing sweep by 1/(2 lambda^2), a deliberate conservative choice.  Runs
-aborted by a weight-box violation, or by a non-finite noisy gradient norm
-or noisy eigenvalue, report status "failed_termination" with a warning that
-says why, and still charge the partially completed iteration.
+One ledger per run (_Ledger) picks the run's notion before any data pass
+-- zCDP ("short" or "line_search"), the subsampled RDP curve ("rdp") or
+advanced composition ("approx_dp") -- then draws every gradient noise and
+Wigner matrix, runs every SVT sweep and charges each draw as it makes it;
+it closes to account_run (or account_subsampled_dp) of the draws made.  A
+line-search iteration pays one sweep, the terminal check's missing one
+included, and a run aborted by a weight-box violation or a non-finite
+release ("failed_termination", with a warning) pays its partial iteration.
 
 One run owns one SeededRng stream and its ledger; runs with independent
 streams may execute concurrently without shared mutable state.
@@ -55,8 +52,8 @@ import numpy as np
 
 from ..accountant import (ApproxDp, NoisePlan, ZCdp, account_run,
                           account_subsampled_dp, approx_dp_to_zcdp, compose,
-                          plan_line_search, plan_short_step, plan_subsampled_dp,
-                          tune_noise_plan)
+                          gaussian_sigma_dp, gaussian_sigma_zcdp, plan_line_search,
+                          plan_short_step, plan_subsampled_dp, tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
 from ..objective import (BatchSelector, Dataset, LossModel, MarginMemo, WeightBoxError,
                          erm_gradient, erm_hessian, erm_hvp, erm_value, min_batch_size,
@@ -86,9 +83,7 @@ def _require_finite(value, what: str, k: int):
 #   plan(t_budget, s)     the NoisePlan for T iterations at sampling fraction s;
 #   scaled(fraction)      the same policy with that fraction of the target,
 #                         for one phase of a two-phase run;
-#   accounting            its default ledger notion, "zcdp", "rdp" or
-#                         "approx_dp"; a subsampled run of a zCDP budget
-#                         accounts in RDP, since zCDP has no amplification bound.
+#   accounting            its default ledger notion (see _Ledger.notion).
 
 
 @dataclass(frozen=True)
@@ -102,10 +97,11 @@ class ShortStepBudget:
 
     @property
     def sigma_f(self) -> float:
-        return math.sqrt(1.0 / (2.0 * self.c_f * self.rho))
+        return gaussian_sigma_zcdp(self.c_f * self.rho)
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
-        return plan_short_step(ZCdp(self.rho), self.c_f, t_budget)
+        # a mini-batch run's RDP ledger amplifies at the plan's fraction
+        return replace(plan_short_step(ZCdp(self.rho), self.c_f, t_budget), subsample_fraction=s)
 
     def scaled(self, fraction: float) -> ShortStepBudget:
         return replace(self, rho=self.rho * fraction)
@@ -125,7 +121,7 @@ class LineSearchBudget:
 
     @property
     def sigma_f(self) -> float:
-        return math.sqrt(1.0 / (2.0 * self.rho_f))
+        return gaussian_sigma_zcdp(self.rho_f)
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
         return plan_line_search(ZCdp(self.rho), self.rho_f, t_budget)
@@ -135,19 +131,26 @@ class LineSearchBudget:
 
 
 @dataclass(frozen=True)
-class SubsampledDpBudget:
-    """(epsilon, delta)-DP target for the mini-batch variant, accounted by
-    advanced composition; (eps_f, delta_f) fractions go to the initial loss."""
-
+class _EpsDeltaTarget:
     epsilon: float
     delta: float
-    eps_f_fraction: float = 0.1
-    delta_f_fraction: float = 0.1
-    accounting: ClassVar[str] = "approx_dp"
 
     @property
     def target(self) -> ApproxDp:
         return ApproxDp(self.epsilon, self.delta)
+
+    def scaled(self, fraction: float):
+        return replace(self, epsilon=self.epsilon * fraction, delta=self.delta * fraction)
+
+
+@dataclass(frozen=True)
+class SubsampledDpBudget(_EpsDeltaTarget):
+    """(epsilon, delta)-DP target for the mini-batch variant, accounted by
+    advanced composition; (eps_f, delta_f) fractions go to the initial loss."""
+
+    eps_f_fraction: float = 0.1
+    delta_f_fraction: float = 0.1
+    accounting: ClassVar[str] = "approx_dp"
 
     @property
     def eps_f(self) -> float:
@@ -159,17 +162,14 @@ class SubsampledDpBudget:
 
     @property
     def sigma_f(self) -> float:
-        return math.sqrt(2.0 * math.log(1.25 / self.delta_f)) / self.eps_f
+        return gaussian_sigma_dp(self.eps_f, self.delta_f)
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
         return plan_subsampled_dp(self.target, self.eps_f, self.delta_f, s, t_budget)
 
-    def scaled(self, fraction: float) -> SubsampledDpBudget:
-        return replace(self, epsilon=self.epsilon * fraction, delta=self.delta * fraction)
-
 
 @dataclass(frozen=True)
-class RdpTuneBudget:
+class RdpTuneBudget(_EpsDeltaTarget):
     """(epsilon, delta)-DP target for the mini-batch variant, accounted on the
     subsampled RDP curve with grid-tuned multipliers.
 
@@ -178,27 +178,17 @@ class RdpTuneBudget:
     the per-iteration multipliers.
     """
 
-    epsilon: float
-    delta: float
     c_f: float = 0.1
     sigma_grid: tuple[float, ...] | None = None
     accounting: ClassVar[str] = "rdp"
 
     @property
-    def target(self) -> ApproxDp:
-        return ApproxDp(self.epsilon, self.delta)
-
-    @property
     def sigma_f(self) -> float:
-        rho = approx_dp_to_zcdp(self.target).rho
-        return math.sqrt(1.0 / (2.0 * self.c_f * rho))
+        return gaussian_sigma_zcdp(self.c_f * approx_dp_to_zcdp(self.target).rho)
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
         return tune_noise_plan(self.target, s, t_budget, sigma_f=self.sigma_f,
                                sigma_grid=self.sigma_grid)
-
-    def scaled(self, fraction: float) -> RdpTuneBudget:
-        return replace(self, epsilon=self.epsilon * fraction, delta=self.delta * fraction)
 
 
 Budget = Union[NoisePlan, ShortStepBudget, LineSearchBudget, SubsampledDpBudget, RdpTuneBudget]
@@ -220,7 +210,7 @@ class StepRecord:
     grad_norm_noisy: float
     lambda_noisy: float | None
     probes: int                   # line-search probes (0 for short steps)
-    rho_increment: float | None   # zCDP charge of the iteration (None in RDP/DP modes)
+    rho_increment: float | None   # zCDP charge of the iteration (None in rdp/approx_dp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +221,7 @@ class RunOutcome:
     accounted_privacy: object     # ZCdp | RdpCurve | ApproxDp
     plan: NoisePlan
     t_budget: int
-    mode: str                     # accounting mode used
+    mode: str                     # ledger notion: short | line_search | rdp | approx_dp
     z_draw: float
     final_loss: float
     warnings: tuple[str, ...] = ()
@@ -259,23 +249,70 @@ class RunOutcome:
 
 
 # ---------------------------------------------------------------------------
-# noise source
+# the run's ledger
 
 
-class _NoiseSource:
-    """Draws per-iteration noise in the documented order.  factor multiplies
-    every scale: 1 draws from the plan, 0 draws nothing (--zero-noise)."""
+class _Ledger:
+    """The one place a run draws and charges its per-iteration releases.
+    factor multiplies every noise scale: 1 draws from the plan, 0 draws
+    nothing (--zero-noise); a zero-noise run is charged as a noisy one."""
 
-    def __init__(self, plan: NoisePlan, sens, rng: SeededRng, factor: float):
+    def __init__(self, mode: str, budget: Budget, plan: NoisePlan, t_used: int,
+                 sens, rng: SeededRng, factor: float):
+        if mode == "line_search" and plan.lambda_svt is None:
+            raise ValueError("line-search runs need lambda_svt in the plan")
+        if plan.sigma_f != budget.sigma_f:
+            raise ValueError("the plan's sigma_f is not the budget's, which noised f0")
+        self.mode, self.budget, self.plan, self.t_used = mode, budget, plan, t_used
+        self.rng, self.factor = rng, factor
         self.grad_scale = factor * sens.delta_g * plan.sigma_g
         self.hess_scale = factor * sens.delta_h * plan.sigma_h
-        self.rng = rng
+        self.gradients = self.hessians = 0  # draws; one gradient per iteration begun
+        self._charge = 0.0                  # zCDP charge of this iteration's draws
 
-    def grad_noise(self, d: int) -> np.ndarray:
-        return gaussian_vector(d, self.grad_scale, self.rng)
+    @staticmethod
+    def notion(loop: str, budget: Budget, accounting: str | None, subsampled: bool) -> str:
+        """The run's ledger mode.  accounting overrides the budget's default;
+        a subsampled zCDP budget accounts in RDP (zCDP has no amplification)."""
+        if accounting is None:
+            accounting = "rdp" if subsampled and budget.accounting == "zcdp" else budget.accounting
+        if accounting not in ("zcdp", "rdp", "approx_dp"):
+            raise ValueError(f"unknown accounting {accounting!r}")
+        if accounting == "approx_dp" and budget.accounting != "approx_dp":
+            raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
+        if loop == "line_search" and accounting != "zcdp":
+            raise ValueError("line-search runs account in zcdp: only the zCDP "
+                             "ledger charges their sparse-vector sweeps")
+        return loop if accounting == "zcdp" else accounting
 
-    def hessian_operator(self, d: int) -> WignerOperator:
-        return WignerOperator(d, self.hess_scale, self.rng.child())
+    def gradient_noise(self, d: int) -> np.ndarray:
+        noise = gaussian_vector(d, self.grad_scale, self.rng)
+        self.gradients += 1
+        self._charge = 0.5 / self.plan.sigma_g ** 2
+        return noise
+
+    def hessian_noise(self, d: int) -> WignerOperator:
+        op = WignerOperator(d, self.hess_scale, self.rng.child())
+        self.hessians += 1
+        self._charge = self._charge + 0.5 / self.plan.sigma_h ** 2
+        return op
+
+    def sweep(self, query, sensitivity: float, gamma_init: float, gamma_bar: float, beta: float):
+        return dp_line_search(query, self.factor * sensitivity, gamma_init, gamma_bar,
+                              beta, self.plan.lambda_svt, self.rng)
+
+    def increment(self) -> float | None:
+        """The iteration's zCDP charge for its StepRecord; None outside zCDP."""
+        if self.mode == "line_search":
+            return self._charge + 0.5 / self.plan.lambda_svt ** 2
+        return self._charge if self.mode == "short" else None
+
+    def close(self):
+        if self.mode == "approx_dp":
+            b = self.budget
+            return account_subsampled_dp(self.gradients, b.target, b.eps_f, b.delta_f,
+                                         self.plan.subsample_fraction, self.t_used)
+        return account_run(self.gradients - self.hessians, self.hessians, self.plan, self.mode)
 
 
 # noise_mode -> the factor on every noise scale of a run
@@ -295,11 +332,9 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     n, d = dataset.n, dataset.d
     selector = selector or BatchSelector()
     m = selector.batch_size(n)
-    s = m / n
     line_search = loop == "line_search"
     if line_search and m != n:
         raise ValueError("the line-search variant runs full batch only")
-    sens_full = sensitivities(model, n, d)
     sens_batch = sensitivities(model, m, d)
     warnings_acc: list[str] = []
 
@@ -311,20 +346,15 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     if noise_mode not in _NOISE_FACTORS:
         raise ValueError(f"unknown noise mode {noise_mode!r}")
     noise_factor = _NOISE_FACTORS[noise_mode]
-    if accounting is None:
-        accounting = "rdp" if m < n and budget.accounting == "zcdp" else budget.accounting
-    if accounting not in ("zcdp", "rdp", "approx_dp"):
-        raise ValueError(f"unknown accounting {accounting!r}")
-    if accounting == "approx_dp" and budget.accounting != "approx_dp":
-        raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
+    mode = _Ledger.notion(loop, budget, accounting, m < n)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     f0 = erm_value(model, dataset, w, memo=memo)
-    z = gaussian(noise_factor * sens_full.delta_f * budget.sigma_f, rng)
+    z = gaussian(noise_factor * sensitivities(model, n, d).delta_f * budget.sigma_f, rng)
     derived = derive_constants(constants, model, loop, f0 + abs(z))
     t_est = derived.t_budget
     t_used = max(1, min(t_est, t_policy(t_est))) if t_policy is not None else t_est
-    plan = budget.plan(t_used, s)
+    plan = budget.plan(t_used, m / n)
 
     if m < n:
         m_min = min_batch_size(model, constants, t_used, constants.eta, d)
@@ -333,32 +363,25 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 f"advisory-violated: batch size {m} is below the advised "
                 f"minimum {m_min} for T = {t_used}")
 
-    if line_search and plan.lambda_svt is None:
-        raise ValueError("line-search runs need lambda_svt in the plan")
-    noise = _NoiseSource(plan, sens_batch, rng, noise_factor)
-    svt_charge = (0.5 / plan.lambda_svt ** 2) if line_search else 0.0
-    grad_charge = 0.5 / plan.sigma_g ** 2
-    hess_charge = 0.5 / plan.sigma_h ** 2
+    ledger = _Ledger(mode, budget, plan, t_used, sens_batch, rng, noise_factor)
 
     trace: list[StepRecord] = []
     status = "budget_exhausted"
-    iters_charged = 0
-    hess_charged = 0
     loss_now = f0
     w_good = w.copy()  # last iterate whose loss evaluated inside the box
 
     try:
         for k in range(t_used):
             indices = selector.indices(rng, n)
-            g_noisy = erm_gradient(model, dataset, w, indices, memo=memo) + noise.grad_noise(d)
-            iters_charged += 1
+            g_noisy = (erm_gradient(model, dataset, w, indices, memo=memo)
+                       + ledger.gradient_noise(d))
             g_norm = _require_finite(float(np.linalg.norm(g_noisy)),
                                      "noisy gradient norm", k)
 
             # a descent step along u: the negative noisy gradient, or else a
             # negative-curvature direction of the noisy Hessian
             if g_norm > constants.eps_g:
-                kind, lambda_noisy, charge = "gradient", None, grad_charge
+                kind, lambda_noisy = "gradient", None
                 u, u_norm = -g_noisy, g_norm
                 short, gamma_bar = 1.0 / model.G, derived.gamma_bar_g
                 b, beta = constants.b_g, constants.beta_g
@@ -366,8 +389,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 def slack(gamma: float) -> float:
                     return constants.c_g * gamma * g_norm ** 2
             else:
-                op = noise.hessian_operator(d)
-                hess_charged += 1
+                op = ledger.hessian_noise(d)
                 if lanczos:
                     def hvp(v: np.ndarray) -> np.ndarray:
                         return _require_finite(
@@ -384,11 +406,10 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                     eig = min_eigenpair_dense(h_noisy)
                 _require_finite(eig.lambda_min, "noisy eigenvalue", k)
                 decision = decide_curvature(eig, constants.eps_h)
-                lambda_noisy, charge = decision.lambda_min, grad_charge + hess_charge
+                lambda_noisy = decision.lambda_min
                 if not decision.negative:
                     trace.append(StepRecord(k, "terminate", None, loss_now, loss_now,
-                                            g_norm, lambda_noisy, 0,
-                                            _zcdp_inc(accounting, charge + svt_charge)))
+                                            g_norm, lambda_noisy, 0, ledger.increment()))
                     status = "converged_2s"
                     break
                 lam_abs = abs(decision.lambda_min)
@@ -407,16 +428,14 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                                                 memo=memo) - slack(gamma)
 
                 gamma_init = b * gamma_bar
-                delta_q = noise_factor * 2.0 / n * gamma_init * model.B_g * u_norm
-                ls = dp_line_search(query, delta_q, gamma_init, gamma_bar, beta,
-                                    plan.lambda_svt, rng)
+                ls = ledger.sweep(query, 2.0 / n * gamma_init * model.B_g * u_norm,
+                                  gamma_init, gamma_bar, beta)
                 gamma, probes = ls.gamma, ls.probes
             w = w + gamma * u
             loss_after = erm_value(model, dataset, w, memo=memo)
             w_good = w.copy()
             trace.append(StepRecord(k, kind, gamma, loss_now, loss_after, g_norm,
-                                    lambda_noisy, probes,
-                                    _zcdp_inc(accounting, charge + svt_charge)))
+                                    lambda_noisy, probes, ledger.increment()))
             loss_now = loss_after
     except (WeightBoxError, _NonFiniteRelease) as err:
         # abort, but hand back the last iterate whose loss was evaluated
@@ -424,24 +443,8 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         status = "failed_termination"
         w = w_good
 
-    mode = loop if accounting == "zcdp" else accounting
-    accounted = _account(mode, iters_charged, hess_charged, plan, budget, t_used)
-    return RunOutcome(status, w, tuple(trace), accounted, plan, t_used, mode,
+    return RunOutcome(status, w, tuple(trace), ledger.close(), plan, t_used, ledger.mode,
                       z, erm_value(model, dataset, w, memo=memo), tuple(warnings_acc))
-
-
-def _zcdp_inc(accounting: str, value: float) -> float | None:
-    return value if accounting == "zcdp" else None
-
-
-def _account(mode: str, iters: int, hess: int, plan: NoisePlan, budget: Budget,
-             t_used: int):
-    """The run's ledger; mode is "short" or "line_search" (zCDP), "rdp" or
-    "approx_dp"."""
-    if mode == "approx_dp":
-        return account_subsampled_dp(iters, budget.target, budget.eps_f,
-                                     budget.delta_f, plan.subsample_fraction, t_used)
-    return account_run(iters - hess, hess, plan, "minibatch" if mode == "rdp" else mode)
 
 
 # ---------------------------------------------------------------------------
@@ -522,19 +525,11 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
     phase2 = run(phase1.w_final, budget.scaled(1.0 - budget_split), None)
     trace = phase1.trace + tuple(
         replace(r, k=r.k + phase1.iterations) for r in phase2.trace)
-    return RunOutcome(
-        status=phase2.status,
-        w_final=phase2.w_final,
-        trace=trace,
+    return replace(
+        phase2, trace=trace,
         accounted_privacy=compose([phase1.accounted_privacy, phase2.accounted_privacy]),
-        plan=phase2.plan,
-        t_budget=phase1.t_budget + phase2.t_budget,
-        mode=phase2.mode,
-        z_draw=phase1.z_draw,
-        final_loss=phase2.final_loss,
-        warnings=phase1.warnings + phase2.warnings,
-        phases=(phase1, phase2),
-    )
+        t_budget=phase1.t_budget + phase2.t_budget, z_draw=phase1.z_draw,
+        warnings=phase1.warnings + phase2.warnings, phases=(phase1, phase2))
 
 
 def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,

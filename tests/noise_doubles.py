@@ -5,8 +5,9 @@ bounded-noise conditions of the descent guarantees hold,
 
     ||eps|| <= min(c1 eps_g, c2 eps_h^2 / M)   and   ||E|| <= c eps_h,
 
-so tests can exercise those guarantees on real runs.  Each rejected draw
-comes from the run's own stream, as an accepted one does.
+so tests can exercise those guarantees on real runs.  Each redraw comes
+from the run's own stream, as the first draw does, and only the accepted
+draw is charged to the run's ledger.
 always_failing_line_search forces every sparse-vector sweep to exhaust its
 probes and fall back to gamma_bar, drawing no noise.
 """
@@ -32,25 +33,29 @@ def bounded_noise(model, constants):
                      constants.c2 / model.M * constants.eps_h ** 2)
     hess_bound = constants.c * constants.eps_h
 
-    class BoundedNoise(runs._NoiseSource):
-        def grad_noise(self, d):
+    class BoundedLedger(runs._Ledger):
+        # the ledger's draw is the first try, and a rejected draw is
+        # redrawn uncharged: the ledger keeps the draws the run uses
+        def gradient_noise(self, d):
+            eps = super().gradient_noise(d)
             for _ in range(MAX_REJECTION_TRIES):
-                eps = super().grad_noise(d)
                 if np.linalg.norm(eps) <= grad_bound:
                     return eps
+                eps = runs.gaussian_vector(d, self.grad_scale, self.rng)
             raise RuntimeError("bounded-noise rejection did not accept a gradient "
                                "draw; lower sigma_g relative to the bound")
 
-        def hessian_operator(self, d):
+        def hessian_noise(self, d):
+            op = super().hessian_noise(d)
             for _ in range(MAX_REJECTION_TRIES):
-                op = super().hessian_operator(d)
                 if np.linalg.norm(op.dense, 2) <= hess_bound:
                     return op
+                op = runs.WignerOperator(d, self.hess_scale, self.rng.child())
             raise RuntimeError("bounded-noise rejection did not accept a Hessian "
                                "draw; lower sigma_h relative to the bound")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runs, "_NoiseSource", BoundedNoise)
+        mp.setattr(runs, "_Ledger", BoundedLedger)
         yield
 
 

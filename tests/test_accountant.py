@@ -14,6 +14,7 @@ from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, InfeasiblePlanError,
                               NoisePlan, RdpCurve, ZCdp, account_run,
                               account_subsampled_dp, approx_dp_to_zcdp,
                               combined_sigma, compose, gaussian_mechanism_zcdp,
+                              gaussian_sigma_dp, gaussian_sigma_zcdp,
                               gaussian_rdp_curve, minibatch_rdp_curve,
                               plan_line_search, plan_short_step,
                               plan_subsampled_dp, pure_dp_to_zcdp,
@@ -97,6 +98,37 @@ class TestCompose:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compose([])
+
+    def test_non_ledger_rejected(self):
+        with pytest.raises(TypeError, match="ledgers of one kind"):
+            compose([NoisePlan(1.0, 1.0, 1.0)])
+
+
+class TestSigmaSources:
+    def test_zcdp_sigma_inverts_the_gaussian_cost(self):
+        assert gaussian_mechanism_zcdp(gaussian_sigma_zcdp(0.2)).rho == pytest.approx(0.2)
+
+    def test_plans_take_sigma_f_from_the_one_formula(self):
+        assert plan_short_step(ZCdp(0.5), 0.1, 10).sigma_f == gaussian_sigma_zcdp(0.1 * 0.5)
+        assert plan_line_search(ZCdp(0.5), 0.05, 10).sigma_f == gaussian_sigma_zcdp(0.05)
+        plan = plan_subsampled_dp(ApproxDp(0.8, 1e-5), 0.08, 1e-6, 0.25, 10)
+        assert plan.sigma_f == gaussian_sigma_dp(0.08, 1e-6)
+        assert gaussian_sigma_dp(0.5, 1e-5) == math.sqrt(2.0 * math.log(1.25e5)) / 0.5
+
+
+class TestSpent:
+    """Each ledger kind reports its own spent scalar: rho for zCDP, epsilon
+    at the report's delta for an RDP curve, and its own epsilon otherwise."""
+
+    def test_zcdp_reports_rho(self):
+        assert ZCdp(0.3).spent(1e-5) == 0.3
+
+    def test_rdp_curve_reports_its_converted_epsilon(self):
+        curve = gaussian_rdp_curve(4.0)
+        assert curve.spent(1e-6) == rdp_to_approx_dp(curve, 1e-6)[0].epsilon
+
+    def test_approx_dp_reports_epsilon(self):
+        assert ApproxDp(0.7, 1e-6).spent(1e-5) == 0.7
 
 
 class TestConversions:
@@ -291,7 +323,7 @@ class TestAccountRun:
 
     def test_minibatch_curve_matches_manual_composition(self):
         plan = NoisePlan(5.0, 8.0, 8.0, subsample_fraction=0.01)
-        out = account_run(7, 3, plan, "minibatch")
+        out = account_run(7, 3, plan, "rdp")
         orders = np.asarray(DEFAULT_ORDERS, dtype=float)
         manual = (orders / (2 * 25.0)
                   + 7 * subsampled_gaussian_rdp_curve(8.0, 0.01).epsilons

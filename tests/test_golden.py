@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from dpopt import accountant
-from dpopt.accountant import InfeasiblePlanError, NoisePlan
+from dpopt.accountant import InfeasiblePlanError, NoisePlan, account_run, compose
 from dpopt.harness import ExperimentConfig, emit_report, synth_dataset
 from dpopt.harness import run_experiment
 from dpopt.mechanisms import SeededRng
@@ -244,6 +244,34 @@ def test_run_matches_golden(golden, name):
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_matches_golden(golden, name):
     assert run_sweep(name) == golden["sweeps"][name]
+
+
+def _decode_plan(plan: dict) -> NoisePlan:
+    fields = {name: None if value is None else float.fromhex(value)
+              for name, value in plan.items() if name != "type"}
+    return NoisePlan(**fields)
+
+
+def _trace_ledger(run: dict):
+    """account_run of the run's trace: records with a noisy eigenvalue drew
+    a Hessian as well as a gradient."""
+    k_h = sum(1 for r in run["trace"] if r["lambda_noisy"] is not None)
+    return account_run(len(run["trace"]) - k_h, k_h, _decode_plan(run["plan"]), run["mode"])
+
+
+def test_finished_golden_ledgers_are_account_run_of_their_traces(golden):
+    # every approx_dp case aborts at the weight box, and an aborted run is
+    # also charged its partial iteration; test_runs.py covers both by counting
+    # the draws themselves
+    finished = {name: run for name, run in golden["runs"].items()
+                if "status" in run and run["status"] != "failed_termination"}
+    assert {run["mode"] for run in finished.values()} == {"short", "line_search", "rdp"}
+    for name, run in finished.items():
+        phases = run["phases"] or [run]
+        ledgers = [_trace_ledger(phase) for phase in phases]
+        for phase, ledger in zip(phases, ledgers):
+            assert _encode(ledger) == phase["accounted_privacy"], name
+        assert _encode(compose(ledgers)) == run["accounted_privacy"], name
 
 
 def main() -> int:

@@ -10,7 +10,8 @@ import pytest
 from dpopt import objective
 from dpopt.optimizer import runs
 from dpopt.spectral import EigenResult
-from dpopt.accountant import NoisePlan, account_run
+from dpopt.accountant import (NoisePlan, RdpCurve, account_run, account_subsampled_dp,
+                              compose, rdp_to_approx_dp)
 from dpopt.mechanisms import SeededRng, WignerOperator
 from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
@@ -204,6 +205,38 @@ class TestLedger:
                                  "line_search")
         assert out_ls.accounted_privacy.rho == recomputed.rho
 
+    def test_short_step_budget_plans_at_the_batch_fraction(self):
+        # a zCDP budget's mini-batch run is charged on the RDP curve at its
+        # own s = m/n = 0.25, not at s = 1 (epsilon 12.03 at delta = 1e-5)
+        assert ShortStepBudget(0.5).plan(10, 0.25).subsample_fraction == 0.25
+        ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
+        model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, 4)
+        out = run_minibatch(model, ds, np.zeros(4), AlgorithmConstants(eps_g=0.06, eps_h=0.245),
+                            ShortStepBudget(0.5), BatchSelector(500), SeededRng(4))
+        assert out.status == "converged_2s" and out.mode == "rdp"
+        assert out.plan.subsample_fraction == 0.25
+        spent = rdp_to_approx_dp(out.accounted_privacy, 1e-5)[0].epsilon
+        assert spent == pytest.approx(5.3023, abs=1e-4)
+
+    def test_plan_must_keep_the_budgets_sigma_f(self):
+        # the initial loss is noised at the budget's sigma_f before the plan
+        # exists; a plan charging another sigma_f is refused
+        class Drifting(ShortStepBudget):
+            def plan(self, t_budget, s):
+                return replace(super().plan(t_budget, s), sigma_f=2.0 * self.sigma_f)
+
+        ds, model = identical_sample_quartic()
+        with pytest.raises(ValueError, match="sigma_f"):
+            run_short_step(model, ds, np.array([2.0, 0.0]), TOLS, Drifting(0.5),
+                           SeededRng(0))
+
+    def test_line_search_accounts_in_zcdp_only(self):
+        # only the zCDP ledger charges the sparse-vector sweeps
+        ds, model = identical_sample_quartic()
+        with pytest.raises(ValueError, match="line-search runs account in zcdp"):
+            run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS,
+                        LineSearchBudget(0.5), SeededRng(0), accounting="rdp")
+
     def test_iteration_cap_and_hessian_placement(self):
         ds, model = identical_sample_quartic()
         out = run_short_step(model, ds, np.array([2.0, 0.0]), TOLS,
@@ -214,6 +247,126 @@ class TestLedger:
                 assert rec.grad_norm_noisy <= TOLS.eps_g  # Hessian drawn only here
             else:
                 assert rec.grad_norm_noisy > TOLS.eps_g
+
+
+def _logistic_instance():
+    ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
+    return ds, builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, 4)
+
+
+LOGISTIC = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
+
+
+def _logistic_run(entry, budget, seed, *extra, **kw):
+    ds, model = _logistic_instance()
+    return entry(model, ds, np.zeros(4), LOGISTIC, budget, *extra, SeededRng(seed), **kw)
+
+
+def _weight_box_run():
+    ds, model = planted_instance()
+    return run_short_step(model, ds, np.zeros(6), AlgorithmConstants(eps_g=0.05, eps_h=0.3),
+                          ShortStepBudget(2.0), SeededRng(4))
+
+
+def _two_steps(t_full):
+    return 2
+
+
+DRAWING_RUNS = {
+    "opt": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 0),
+    "opt_lanczos": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 2,
+                                         lanczos=True),
+    "opt_ls": lambda: _logistic_run(run_line_search, LineSearchBudget(0.5), 1),
+    "opt_b_rdp": lambda: _logistic_run(run_minibatch, ShortStepBudget(0.5), 4,
+                                       BatchSelector(500)),
+    "opt_b_noise_plan": lambda: _logistic_run(
+        run_minibatch, NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5, BatchSelector(500)),
+    "opt_b_approx_dp": lambda: _logistic_run(run_minibatch, SubsampledDpBudget(0.8, 1e-5),
+                                             2, BatchSelector(500)),
+    "2opt": lambda: _logistic_run(run_two_phase, ShortStepBudget(0.5), 1,
+                                  phase1_t_policy=_two_steps),
+    "2opt_ls": lambda: _logistic_run(run_two_phase, LineSearchBudget(0.5), 3,
+                                     variant="line_search", phase1_t_policy=_two_steps,
+                                     lanczos=True),
+    "2opt_b": lambda: _logistic_run(run_two_phase, ShortStepBudget(0.5), 6,
+                                    variant="minibatch", selector=BatchSelector(500),
+                                    phase1_t_policy=_two_steps),
+    "2opt_b_approx_dp": lambda: _logistic_run(
+        run_two_phase, SubsampledDpBudget(0.8, 1e-5), 5, variant="minibatch",
+        selector=BatchSelector(500), phase1_t_policy=_two_steps),
+    "weight_box_abort": _weight_box_run,
+}
+
+
+def assert_same_ledger(got, want):
+    assert type(got) is type(want)
+    if type(want) is RdpCurve:
+        assert got.same_grid(want) and np.array_equal(got.epsilons, want.epsilons)
+    else:
+        assert got == want
+
+
+class TestDrawsAndCharges:
+    """A run's ledger is that of the noise it drew: account_run (or
+    account_subsampled_dp) of the gradient draws counted at
+    runs.gaussian_vector and the Wigner draws counted at WignerOperator."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        phases = []  # per phase: [budget, gradient draws, Wigner draws]
+        core, draw, init = runs._run_core, runs.gaussian_vector, WignerOperator.__init__
+
+        def counted_core(loop, model, dataset, w0, constants, budget, *args, **kw):
+            phases.append([budget, 0, 0])
+            return core(loop, model, dataset, w0, constants, budget, *args, **kw)
+
+        def counted_draw(*args, **kw):
+            phases[-1][1] += 1
+            return draw(*args, **kw)
+
+        def counted_init(op, *args, **kw):
+            phases[-1][2] += 1
+            init(op, *args, **kw)
+
+        monkeypatch.setattr(runs, "_run_core", counted_core)
+        monkeypatch.setattr(runs, "gaussian_vector", counted_draw)
+        monkeypatch.setattr(WignerOperator, "__init__", counted_init)
+        return phases
+
+    @pytest.mark.parametrize("name", sorted(DRAWING_RUNS))
+    def test_ledger_charges_exactly_the_draws(self, draws, name):
+        out = DRAWING_RUNS[name]()
+        outcomes = out.phases or (out,)
+        assert len(draws) == len(outcomes)
+        for phase, (budget, grads, wigners) in zip(outcomes, draws):
+            assert wigners == phase.hess_evals
+            if phase.status == "failed_termination":
+                # the aborted iteration drew its gradient and is charged
+                assert grads == phase.iterations + 1
+            else:
+                assert grads == phase.iterations
+            if phase.mode == "approx_dp":
+                want = account_subsampled_dp(grads, budget.target, budget.eps_f,
+                                             budget.delta_f, phase.plan.subsample_fraction,
+                                             phase.t_budget)
+            else:
+                want = account_run(grads - wigners, wigners, phase.plan, phase.mode)
+            assert_same_ledger(phase.accounted_privacy, want)
+            if phase.mode in ("short", "line_search") and phase.status != "failed_termination":
+                steps = math.fsum(r.rho_increment for r in phase.trace)
+                assert steps + 0.5 / phase.plan.sigma_f ** 2 == pytest.approx(
+                    phase.accounted_privacy.rho, rel=1e-12)
+        if len(outcomes) == 2:
+            assert_same_ledger(out.accounted_privacy,
+                               compose(p.accounted_privacy for p in outcomes))
+
+    def test_runs_cover_every_notion_and_a_weight_box_abort(self):
+        outs = {name: case() for name, case in DRAWING_RUNS.items()}
+        modes = {p.mode for out in outs.values() for p in out.phases or (out,)}
+        assert modes == {"short", "line_search", "rdp", "approx_dp"}
+        abort = outs["weight_box_abort"]
+        assert abort.status == "failed_termination"
+        assert any("weight box" in w for w in abort.warnings)
 
 
 class TestDeterminism:
