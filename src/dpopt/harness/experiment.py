@@ -28,8 +28,9 @@ import numpy as np
 from ..accountant import (ApproxDp, InfeasiblePlanError, ZCdp, approx_dp_to_zcdp,
                           zcdp_to_approx_dp)
 from ..mechanisms import SeededRng
-from ..objective import (BatchSelector, Dataset, LossModel, builtin_l2_logistic,
-                         builtin_nonconvex_logistic, builtin_quartic_saddle)
+from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel,
+                         builtin_l2_logistic, builtin_nonconvex_logistic,
+                         builtin_quartic_saddle)
 from ..optimizer import (VARIANTS, AlgorithmConstants, Budget, LineSearchBudget,
                          RdpTuneBudget, ShortStepBudget, SubsampledDpBudget, Variant,
                          run_variant)
@@ -167,7 +168,8 @@ def _budget(config: ExperimentConfig, variant: Variant, epsilon: float, rho: flo
     """
     if variant.minibatch and config.batch_size < n:
         if config.minibatch_accounting == "approx_dp":
-            return SubsampledDpBudget(epsilon, config.delta)
+            c_f = config.constants.c_f
+            return SubsampledDpBudget(epsilon, config.delta, c_f, c_f)
         return RdpTuneBudget(epsilon, config.delta, config.constants.c_f)
     policy = LineSearchBudget if variant.loop == "line_search" else ShortStepBudget
     return policy(rho, config.constants.c_f)
@@ -180,6 +182,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     if any(VARIANTS[v].minibatch for v in config.variants) and config.batch_size > dataset.n:
         raise ConfigError(f"batch_size {config.batch_size} exceeds the {dataset.n} rows "
                           "of the dataset")
+    if not config.lanczos and dataset.d > DENSE_HESSIAN_CAP:
+        raise ConfigError(f"d = {dataset.d} is above the dense Hessian cap "
+                          f"{DENSE_HESSIAN_CAP}: use --lanczos (config key lanczos)")
     model = build_model(config, dataset)
     # (report key, epsilon at config.delta, rho) of each privacy level; a rho
     # level keeps rho as its key, and its mini-batch cells get its epsilon

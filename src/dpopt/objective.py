@@ -79,8 +79,8 @@ import numpy as np
 from scipy.special import expit
 
 # Hessians are materialized densely only up to this dimension; above it only
-# Hessian-vector products are offered.  The solvers and the Lanczos dense
-# fallback share this cap.
+# Hessian-vector products are offered, and the solvers refuse a run without
+# the Lanczos check up front.
 DENSE_HESSIAN_CAP = 512
 
 # Bytes of X per span of the evaluators' passes: a span's rows stay in a

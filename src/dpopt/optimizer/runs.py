@@ -24,7 +24,7 @@ iteration budget T, and only then are sigma_g, sigma_h (and the SVT lambda)
 calibrated to T; every budget answers one protocol (see "budgets" below).
 
 Per-iteration draw order is fixed and documented: batch indices, gradient
-noise, Hessian child stream, Lanczos start vectors, SVT threshold and
+noise, Hessian child stream, Lanczos start vector, SVT threshold and
 probe noise.  Identical (seed, config, dataset) reproduce bit-identical
 traces.  noise_mode "zero" multiplies every noise scale (initial loss,
 gradient, Hessian, SVT sensitivity) by 0, so no noise is drawn.
@@ -55,9 +55,9 @@ from ..accountant import (ApproxDp, NoisePlan, ZCdp, account_run,
                           gaussian_sigma_dp, gaussian_sigma_zcdp, plan_line_search,
                           plan_short_step, plan_subsampled_dp, tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
-from ..objective import (BatchSelector, Dataset, LossModel, MarginMemo, WeightBoxError,
-                         erm_gradient, erm_hessian, erm_hvp, erm_value, min_batch_size,
-                         sensitivities)
+from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel, MarginMemo,
+                         WeightBoxError, erm_gradient, erm_hessian, erm_hvp, erm_value,
+                         min_batch_size, sensitivities)
 from ..spectral import decide_curvature, lanczos_min_eig, min_eigenpair_dense, orient
 from .constants import AlgorithmConstants, derive_constants
 from .svt import dp_line_search
@@ -404,17 +404,15 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                         erm_hessian(model, dataset, w, indices, memo=memo)
                         + op.dense, "noisy Hessian", k)
                     eig = min_eigenpair_dense(h_noisy)
-                _require_finite(eig.lambda_min, "noisy eigenvalue", k)
-                decision = decide_curvature(eig, constants.eps_h)
-                lambda_noisy = decision.lambda_min
-                if not decision.negative:
+                lambda_noisy = _require_finite(eig.lambda_min, "noisy eigenvalue", k)
+                if not decide_curvature(eig, constants.eps_h):
                     trace.append(StepRecord(k, "terminate", None, loss_now, loss_now,
                                             g_norm, lambda_noisy, 0, ledger.increment()))
                     status = "converged_2s"
                     break
-                lam_abs = abs(decision.lambda_min)
+                lam_abs = abs(lambda_noisy)
                 kind = "negative_curvature"
-                u, u_norm = orient(decision.direction, g_noisy), 1.0
+                u, u_norm = orient(eig.direction, g_noisy), 1.0
                 short, gamma_bar = 2.0 * lam_abs / model.M, derived.t2 * lam_abs / model.M
                 b, beta = constants.b_h, constants.beta_h
 
@@ -489,6 +487,7 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
     """Run the public solver name, a key of VARIANTS.
 
     The mini-batch variants need a selector and the others take none.
+    Above objective.DENSE_HESSIAN_CAP the curvature check needs lanczos.
     accounting overrides the budget's default ledger notion.  t_policy caps
     the iteration budget T; in a two-phase run it sets phase 1's T, by
     default ceil(sqrt(T)), and phase 1 spends budget_split of the budget
@@ -503,6 +502,9 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
     if variant.minibatch != (selector is not None):
         need = "need a" if variant.minibatch else "take no"
         raise ValueError(f"{name} runs {need} selector")
+    if not lanczos and dataset.d > DENSE_HESSIAN_CAP:
+        raise ValueError(f"d = {dataset.d} is above the dense Hessian cap {DENSE_HESSIAN_CAP}: "
+                         "run with lanczos=True")
 
     # one pass over X per (iterate, batch): the loss at w also makes the
     # gradient at w, the curvature reuses its margins, an accepted line-search

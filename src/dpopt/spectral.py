@@ -8,12 +8,21 @@ eps/2 within
 
     min{ d, 1 + ceil( (1/2) ln(2.75 d / delta^2) sqrt(M / eps) ) }
 
-iterations, where M bounds the operator norm.  The curvature decision
-thresholds differ by path: the dense value is tested against -eps_h
-directly, while the Lanczos estimate is tested against -eps_h / 2 so that
-its eps/2 error still certifies lambda_min >= -eps_h on the declare-PSD
-branch.  Both are post-processing of the already-noised Hessian and carry
-no privacy cost of their own.
+iterations, where M bounds the operator norm.  One sweep either spends
+that cap or stops early at an invariant Krylov subspace, where the answer
+is exact: the subspace spanned from a start vector q0 is the span of q0's
+components in the eigenspaces of H, and H restricted to it has exactly the
+eigenvalues of the eigenspaces q0 meets.  A uniformly random q0 meets every
+eigenspace with probability 1 (missing one means lying in a proper
+subspace, a set of measure zero), so the smallest Ritz value of an
+invariant subspace is lambda_min.  A Krylov subspace of R^d is invariant
+by dimension d at the latest, so a sweep makes at most min(d, cap) products.
+
+The curvature decision thresholds differ by path: the dense value is tested
+against -eps_h directly, while the Lanczos estimate is tested against
+-eps_h / 2 so that its eps/2 error still certifies lambda_min >= -eps_h on
+the declare-PSD branch.  Both are post-processing of the already-noised
+Hessian and carry no privacy cost of their own.
 """
 
 from __future__ import annotations
@@ -26,27 +35,21 @@ import numpy as np
 import scipy.linalg
 
 from .mechanisms import SeededRng, unit_vector
-from .objective import DENSE_HESSIAN_CAP
 
-_BREAKDOWN_REL = 1e-12
-_EARLY_STOP_REL = 1e-10  # residual threshold: stop only at near-exact capture
+# residual threshold, relative to the norm bound: stop only at near-exact
+# capture.  A breakdown (an invariant subspace, beta ~ 0) has a residual
+# below it too, since the residual is beta times a component of a unit vector.
+_EARLY_STOP_REL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class EigenResult:
-    """Smallest-eigenvalue estimate with its (unit) direction when available."""
+    """Smallest-eigenvalue estimate with its unit direction."""
 
     lambda_min: float
-    direction: np.ndarray | None
+    direction: np.ndarray
     method: str          # "dense" | "lanczos"
     matvec_count: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class CurvatureDecision:
-    negative: bool
-    lambda_min: float
-    direction: np.ndarray | None
 
 
 def min_eigenpair_dense(H: np.ndarray) -> EigenResult:
@@ -70,76 +73,42 @@ def lanczos_iteration_cap(d: int, norm_bound: float, eps: float, delta_l: float)
     return min(d, bound)
 
 
-def _lanczos_sweep(hvp: Callable[[np.ndarray], np.ndarray], d: int, cap: int,
-                   q0: np.ndarray, scale: float):
-    """Lanczos with full reorthogonalization; returns (theta, ritz vector,
-    matvecs, broke_down)."""
-    stop_tol = _EARLY_STOP_REL * scale
-    breakdown_tol = _BREAKDOWN_REL * scale
-    Q = np.empty((d, cap))
-    alphas = np.empty(cap)
-    betas = np.empty(max(cap - 1, 0))
-    q = q0
-    matvecs = 0
-    k = 0
-    theta, y = math.inf, None
-    while k < cap:
-        Q[:, k] = q
-        u = hvp(q)
-        matvecs += 1
-        alpha = float(q @ u)
-        alphas[k] = alpha
-        r = u - alpha * q - (betas[k - 1] * Q[:, k - 1] if k > 0 else 0.0)
-        r -= Q[:, :k + 1] @ (Q[:, :k + 1].T @ r)  # full reorthogonalization
-        k += 1
-        vals, vecs = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[:k - 1])
-        theta = float(vals[0])
-        y = vecs[:, 0]
-        beta = float(np.linalg.norm(r))
-        residual = beta * abs(float(y[-1]))
-        if beta <= breakdown_tol:  # invariant subspace hit
-            return theta, Q[:, :k] @ y, matvecs, True
-        if residual <= stop_tol:
-            break
-        if k < cap:
-            betas[k - 1] = beta
-            q = r / beta
-    v = Q[:, :k] @ y
-    nrm = float(np.linalg.norm(v))
-    return theta, v / nrm if nrm > 0 else v, matvecs, False
-
-
 def lanczos_min_eig(hvp: Callable[[np.ndarray], np.ndarray], d: int, norm_bound: float,
                     eps: float, delta_l: float, rng: SeededRng) -> EigenResult:
     """Randomized-Lanczos estimate of the smallest eigenvalue.
 
-    Runs at most the iteration cap; stops earlier only when the Ritz
-    residual collapses (near-exact Krylov capture).  On breakdown the sweep
-    restarts once from a fresh random vector; a second breakdown at d within
-    DENSE_HESSIAN_CAP falls back to probing the operator column by column
-    and solving densely.
+    One sweep with full reorthogonalization from one random unit vector.
+    It runs at most the iteration cap and stops earlier only when the Ritz
+    residual collapses: near-exact Krylov capture, an invariant subspace
+    included, whose smallest Ritz value is exact (see the module
+    docstring).  So matvec_count <= min(d, cap).
     """
     cap = lanczos_iteration_cap(d, norm_bound, eps, delta_l)
-    scale = max(1.0, norm_bound)
-    total = 0
-    result = None
-    for _attempt in range(2):
-        theta, v, used, broke = _lanczos_sweep(hvp, d, cap, unit_vector(d, rng), scale)
-        total += used
-        result = (theta, v)
-        if not broke:
-            return EigenResult(theta, v, "lanczos", total)
-    if d <= DENSE_HESSIAN_CAP:
-        H = np.column_stack([hvp(col) for col in np.eye(d)])
-        total += d
-        dense = min_eigenpair_dense(0.5 * (H + H.T))
-        return EigenResult(dense.lambda_min, dense.direction, "lanczos", total)
-    theta, v = result
-    return EigenResult(theta, v, "lanczos", total)
+    stop_tol = _EARLY_STOP_REL * max(1.0, norm_bound)
+    Q = np.empty((d, cap))
+    alphas = np.empty(cap)
+    betas = np.empty(cap - 1)
+    q = unit_vector(d, rng)
+    for k in range(cap):
+        Q[:, k] = q
+        u = hvp(q)
+        alpha = float(q @ u)
+        alphas[k] = alpha
+        r = u - alpha * q - (betas[k - 1] * Q[:, k - 1] if k > 0 else 0.0)
+        r -= Q[:, :k + 1] @ (Q[:, :k + 1].T @ r)  # full reorthogonalization
+        vals, vecs = scipy.linalg.eigh_tridiagonal(alphas[:k + 1], betas[:k])
+        y = vecs[:, 0]
+        beta = float(np.linalg.norm(r))
+        if beta * abs(float(y[-1])) <= stop_tol or k + 1 == cap:
+            break
+        betas[k] = beta
+        q = r / beta
+    v = Q[:, :k + 1] @ y
+    return EigenResult(float(vals[0]), v / np.linalg.norm(v), "lanczos", k + 1)
 
 
-def decide_curvature(result: EigenResult, eps_h: float) -> CurvatureDecision:
-    """Negative-curvature vs approximately-PSD decision.
+def decide_curvature(result: EigenResult, eps_h: float) -> bool:
+    """True for negative curvature, False for approximately PSD.
 
     Dense estimates use the exact test lambda < -eps_h; Lanczos estimates
     use lambda <= -eps_h / 2, absorbing their eps/2 error so that the PSD
@@ -148,10 +117,8 @@ def decide_curvature(result: EigenResult, eps_h: float) -> CurvatureDecision:
     if not (eps_h > 0):
         raise ValueError("eps_h must be positive")
     if result.method == "lanczos":
-        negative = result.lambda_min <= -eps_h / 2.0
-    else:
-        negative = result.lambda_min < -eps_h
-    return CurvatureDecision(negative, result.lambda_min, result.direction)
+        return result.lambda_min <= -eps_h / 2.0
+    return result.lambda_min < -eps_h
 
 
 def orient(direction: np.ndarray, g_noisy: np.ndarray) -> np.ndarray:

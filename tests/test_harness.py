@@ -22,8 +22,8 @@ from dpopt import objective
 from dpopt.harness import data
 from dpopt.mechanisms import SeededRng
 from dpopt.objective import builtin_nonconvex_logistic, builtin_quartic_saddle, erm_hessian
-from dpopt.optimizer import (AlgorithmConstants, ShortStepBudget, SubsampledDpBudget,
-                             run_short_step, run_variant, runs)
+from dpopt.optimizer import (VARIANTS, AlgorithmConstants, ShortStepBudget,
+                             SubsampledDpBudget, run_short_step, run_variant, runs)
 
 
 class TestCsvLoader:
@@ -283,15 +283,6 @@ class TestSynthetic:
             synth_dataset(kind, 20_000, 54, seed=4)
         assert threading.active_count() == threads
 
-    def test_keep_probability_matches_scipy_betainc(self):
-        # P(|<x, w*>| >= margin) on the unit sphere of R^d, without scipy.special
-        from scipy.special import betainc
-        for d in (1, 2, 3, 5, 10, 39, 41, 54, 100, 256, 600, 1000):
-            for margin in (0.001, 0.01, 0.05, 0.15, 0.3, 0.5, 0.9):
-                a, x = (d - 1) / 2, 1.0 - margin ** 2
-                assert math.isclose(data._regularized_beta(a, 0.5, x),
-                                    float(betainc(a, 0.5, x)), rel_tol=1e-12), (d, margin)
-
     @pytest.mark.parametrize("d,margin,prob", [(600, 0.15, "0.00022"), (600, 0.5, "2.5e-39")])
     def test_hopeless_margin_rejected_before_any_draw(self, d, margin, prob, monkeypatch):
         def no_draw(rng, out):
@@ -419,6 +410,21 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="batch_size 2001 exceeds the 2000 rows"):
             run_experiment(small_config(variants=("opt", "opt_b"), batch_size=2001))
         assert started == []
+
+    def test_dense_path_above_the_cap_rejected_before_any_cell(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(experiment, "run_variant", lambda *a, **k: started.append(a))
+        with pytest.raises(ConfigError, match="--lanczos"):
+            run_experiment(small_config(synth="planted_saddle", synth_n=4,
+                                        synth_d=objective.DENSE_HESSIAN_CAP + 1))
+        assert started == []
+
+    def test_approx_dp_cells_spend_c_f_on_the_initial_loss(self):
+        config = small_config(variants=("opt_b",), batch_size=20,
+                              minibatch_accounting="approx_dp",
+                              constants=AlgorithmConstants(eps_g=0.06, eps_h=0.245, c_f=0.2))
+        budget = experiment._budget(config, VARIANTS["opt_b"], 1.0, 0.05, 2000)
+        assert budget == SubsampledDpBudget(1.0, 1e-5, 0.2, 0.2)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -398,6 +398,21 @@ class TestLanczosPath:
         assert np.linalg.norm(g) <= TOLS.eps_g
         assert lam_min >= -TOLS.eps_h
 
+    def test_dense_path_above_the_cap_refused_before_any_pass(self, monkeypatch):
+        calls = []
+        for name in ("erm_value", "erm_gradient", "erm_hessian"):
+            def counting(*args, _name=name, _original=getattr(runs, name), **kw):
+                calls.append(_name)
+                return _original(*args, **kw)
+            monkeypatch.setattr(runs, name, counting)
+        d = objective.DENSE_HESSIAN_CAP + 1
+        ds = synth_dataset("planted_saddle", 4, d, seed=0)
+        model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, d)
+        with pytest.raises(ValueError, match="lanczos=True"):
+            run_short_step(model, ds, np.zeros(d), TOLS, ShortStepBudget(0.5), SeededRng(0),
+                           noise_mode="zero")
+        assert calls == []
+
     def test_missing_lambda_rejected_for_line_search(self):
         ds, model = identical_sample_quartic()
         plan = NoisePlan(10.0, 10.0, 10.0)  # no lambda_svt

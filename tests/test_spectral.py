@@ -80,35 +80,40 @@ class TestLanczos:
         assert res.matvec_count <= cap // 2
 
     def test_direction_is_unit_and_consistent(self):
-        H = random_symmetric(30, 77)
+        H = random_symmetric(20, 77)
         nb = float(np.linalg.norm(H, 2))
-        res = lanczos_min_eig(lambda v: H @ v, 30, nb, 0.01, 0.05, SeededRng(9))
+        res = lanczos_min_eig(lambda v: H @ v, 20, nb, 0.01, 0.05, SeededRng(9))
+        assert lanczos_iteration_cap(20, nb, 0.01, 0.05) == 20  # d within the cap
+        assert res.matvec_count <= 20
+        assert res.lambda_min == pytest.approx(min_eigenpair_dense(H).lambda_min, abs=1e-9)
         assert np.linalg.norm(res.direction) == pytest.approx(1.0, rel=1e-9)
         resid = np.linalg.norm(H @ res.direction - res.lambda_min * res.direction)
         assert resid <= 1e-6 * max(1.0, nb)
 
-    def test_breakdown_restarts_then_falls_back_dense(self):
-        # rank-1 operator: the Krylov space collapses after two products
+    def test_invariant_subspace_ends_the_sweep_exactly(self):
+        # rank-1 operator: span{q0, e_1} is invariant after two products
         d = 8
         u = np.zeros(d)
         u[0] = 1.0
         H = -2.0 * np.outer(u, u)
         res = lanczos_min_eig(lambda v: H @ v, d, 2.0, 0.1, 0.05, SeededRng(5))
-        assert res.lambda_min == pytest.approx(-2.0, abs=1e-9)
+        assert res.matvec_count == 2
+        assert res.lambda_min == pytest.approx(-2.0, abs=1e-12)
+        assert np.linalg.norm(res.direction) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDecideCurvature:
     def test_lanczos_threshold_half(self):
         res = EigenResult(-0.2, np.array([1.0]), "lanczos")
-        assert decide_curvature(res, 0.3).negative  # -0.2 <= -0.15
+        assert decide_curvature(res, 0.3) is True  # -0.2 <= -0.15
 
     def test_lanczos_above_threshold_declares_psd(self):
         res = EigenResult(-0.1, np.array([1.0]), "lanczos")
-        assert not decide_curvature(res, 0.3).negative
+        assert decide_curvature(res, 0.3) is False
 
     def test_dense_strict_threshold(self):
-        assert decide_curvature(EigenResult(-0.31, np.array([1.0]), "dense"), 0.3).negative
-        assert not decide_curvature(EigenResult(-0.3, np.array([1.0]), "dense"), 0.3).negative
+        assert decide_curvature(EigenResult(-0.31, np.array([1.0]), "dense"), 0.3) is True
+        assert decide_curvature(EigenResult(-0.3, np.array([1.0]), "dense"), 0.3) is False
 
 
 class TestOrient:
