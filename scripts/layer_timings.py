@@ -21,11 +21,11 @@ the steal shares in its header.
     with a warm memo (the cost per call inside a run, margins and curvature
     already kept), and one raw gemv over X (X @ v), the floor of any pass
     that reads X;
-  * spread, at n = 500 000, d = 54: the fused value-and-gradient pass
-    (erm_gradient without a memo) and erm_hessian with a warm memo, once
-    on one worker and once on as many as the passes use (every usable
-    core, objective.SPREAD_WORKERS at most), each as its own group with its
-    own steal share;
+  * spread, at n = 500 000, d = 54 (spread_layers takes any (n, d)): the
+    fused value-and-gradient pass (erm_gradient without a memo) and
+    erm_hessian with a warm memo, once on one worker and once on as many as
+    the passes use (two, the calling thread and one more, where two cores
+    are usable), each as its own group with its own steal share;
   * spectral, at n = 30 000, d = 600 (spectral_layers takes any (n, d)):
     the Wigner draw, its matvec, and one Lanczos eigen-check on the noisy
     Hessian at the origin, as a highdim_lanczos solve makes it;
@@ -114,11 +114,11 @@ def objective_layers(n: int, d: int, repeats: int) -> dict:
     return out
 
 
-def spread_layers(workers: int, repeats: int) -> dict:
-    """The passes that spread over the cores, at 500 000 x 54, on this many
+def spread_layers(n: int, d: int, workers: int, repeats: int) -> dict:
+    """The passes that spread over the cores, at n x d, on this many
     workers."""
-    ds, model, memo, w, _ = objective_inputs(500_000, 54)
-    tag = f"n=500000,d=54,workers={workers}"
+    ds, model, memo, w, _ = objective_inputs(n, d)
+    tag = f"n={n},d={d},workers={workers}"
     cores = objective.usable_cores
     objective.usable_cores = lambda: workers
     try:
@@ -212,16 +212,18 @@ def main() -> int:
     header = {"nproc": objective.usable_cores(),
               "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
               "synth_workers": synth_workers(),
-              "spread_workers": min(objective.usable_cores(), objective.SPREAD_WORKERS),
+              "spread_workers": min(objective.usable_cores(), 2),
               "numpy": np.__version__}
     print(" ".join(f"{k}={v}" for k, v in header.items()))
     layers: dict = {}
     steal = header["steal_share"] = {}
     for group, run in (("objective[n=500000,d=54]",
                         lambda: objective_layers(500_000, 54, args.repeats)),
-                       ("spread[workers=1]", lambda: spread_layers(1, args.repeats)),
+                       ("spread[workers=1]",
+                        lambda: spread_layers(500_000, 54, 1, args.repeats)),
                        (f"spread[workers={header['spread_workers']}]",
-                        lambda: spread_layers(header["spread_workers"], args.repeats)),
+                        lambda: spread_layers(500_000, 54, header["spread_workers"],
+                                              args.repeats)),
                        ("objective[n=30000,d=600]",
                         lambda: objective_layers(30_000, 600, args.repeats)),
                        ("spectral", lambda: spectral_layers(30_000, 600, args.repeats)),

@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 
 from ..optimizer import AlgorithmConstants
-from .experiment import (ConfigError, ExperimentConfig, TOLERANCE_PRESETS,
+from .experiment import (LOSSES, TOLERANCE_PRESETS, ConfigError, ExperimentConfig,
                          emit_report, render_markdown, run_experiment)
 
 
@@ -27,7 +27,7 @@ def _parse_args(argv):
     parser.add_argument("--dataset", help="dataset file path, or synth:<kind>")
     parser.add_argument("--dataset-format", choices=("csv", "libsvm"))
     parser.add_argument("--preprocessing", choices=("none", "covertype", "ijcnn"))
-    parser.add_argument("--loss", choices=("nonconvex_logistic", "l2_logistic", "quartic_saddle"))
+    parser.add_argument("--loss", choices=tuple(LOSSES))
     parser.add_argument("--lambda-reg", type=float, dest="lambda_reg")
     parser.add_argument("--variant", help="comma-separated list, e.g. opt,opt_ls,2opt_ls")
     parser.add_argument("--epsilon", help="comma-separated privacy levels, e.g. 0.2,0.6,1.0")

@@ -28,9 +28,8 @@ import numpy as np
 from ..accountant import (ApproxDp, InfeasiblePlanError, ZCdp, approx_dp_to_zcdp,
                           zcdp_to_approx_dp)
 from ..mechanisms import SeededRng
-from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel,
-                         builtin_l2_logistic, builtin_nonconvex_logistic,
-                         builtin_quartic_saddle)
+from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, builtin_l2_logistic,
+                         builtin_nonconvex_logistic, builtin_quartic_saddle)
 from ..optimizer import (VARIANTS, AlgorithmConstants, Budget, LineSearchBudget,
                          RdpTuneBudget, ShortStepBudget, SubsampledDpBudget, Variant,
                          run_variant)
@@ -42,6 +41,16 @@ TOLERANCE_PRESETS = {
     "covertype_tight": (0.030, 0.173),
     "ijcnn_loose": (0.040, 0.200),
     "ijcnn_tight": (0.020, 0.141),
+}
+
+# the built-in losses by config name, each built from the config and the
+# dataset's feature-norm bound R and width d
+LOSSES = {
+    "nonconvex_logistic": lambda config, R, d: builtin_nonconvex_logistic(
+        config.lambda_reg, R, d, config.weight_box),
+    "l2_logistic": lambda config, R, d: builtin_l2_logistic(
+        config.lambda_reg, R, d, config.weight_box),
+    "quartic_saddle": lambda config, R, d: builtin_quartic_saddle(R, d, config.weight_box),
 }
 
 CSV_COLUMNS = ("variant", "epsilon", "seed", "status", "final_loss", "runtime_s",
@@ -67,7 +76,7 @@ class ExperimentConfig:
     synth_seed: int = 0
 
     # loss
-    loss: str = "nonconvex_logistic"   # nonconvex_logistic | l2_logistic | quartic_saddle
+    loss: str = "nonconvex_logistic"   # a key of LOSSES
     lambda_reg: float = 1e-3
     weight_box: float = 10.0
 
@@ -90,6 +99,10 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}; choose from {tuple(VARIANTS)}")
+        if self.loss not in LOSSES:
+            raise ConfigError(f"unknown loss {self.loss!r}; choose from {tuple(LOSSES)}")
+        if not 0.0 < self.delta < 1.0:
+            raise ConfigError(f"delta {self.delta} must lie in (0, 1)")
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("configure exactly one of dataset_path and synth")
         if not self.seeds:
@@ -129,7 +142,6 @@ class Cell:
     loss_std: float
     runtime_mean: float
     runtime_std: float
-    hess_evals_mean: float
     failed: bool
 
 
@@ -148,17 +160,6 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
                         config.preprocessing, config.label_column)
 
 
-def build_model(config: ExperimentConfig, dataset: Dataset) -> LossModel:
-    R, d = dataset.feature_norm_bound, dataset.d
-    if config.loss == "nonconvex_logistic":
-        return builtin_nonconvex_logistic(config.lambda_reg, R, d, config.weight_box)
-    if config.loss == "l2_logistic":
-        return builtin_l2_logistic(config.lambda_reg, R, d, config.weight_box)
-    if config.loss == "quartic_saddle":
-        return builtin_quartic_saddle(R, d, config.weight_box)
-    raise ConfigError(f"unknown loss {config.loss!r}")
-
-
 def _budget(config: ExperimentConfig, variant: Variant, epsilon: float, rho: float,
             n: int) -> Budget:
     """The budget of one sweep cell.
@@ -168,8 +169,7 @@ def _budget(config: ExperimentConfig, variant: Variant, epsilon: float, rho: flo
     """
     if variant.minibatch and config.batch_size < n:
         if config.minibatch_accounting == "approx_dp":
-            c_f = config.constants.c_f
-            return SubsampledDpBudget(epsilon, config.delta, c_f, c_f)
+            return SubsampledDpBudget(epsilon, config.delta, config.constants.c_f)
         return RdpTuneBudget(epsilon, config.delta, config.constants.c_f)
     policy = LineSearchBudget if variant.loop == "line_search" else ShortStepBudget
     return policy(rho, config.constants.c_f)
@@ -185,7 +185,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     if not config.lanczos and dataset.d > DENSE_HESSIAN_CAP:
         raise ConfigError(f"d = {dataset.d} is above the dense Hessian cap "
                           f"{DENSE_HESSIAN_CAP}: use --lanczos (config key lanczos)")
-    model = build_model(config, dataset)
+    model = LOSSES[config.loss](config, dataset.feature_norm_bound, dataset.d)
     # (report key, epsilon at config.delta, rho) of each privacy level; a rho
     # level keeps rho as its key, and its mini-batch cells get its epsilon
     if config.rhos is not None:
@@ -233,14 +233,12 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             group = [r for r in rows if r.variant == variant and r.epsilon == eps_label]
             losses = np.array([r.final_loss for r in group])
             times = np.array([r.runtime_s for r in group])
-            hess = np.array([r.hess_evals for r in group], dtype=float)
             std = (float(np.std(losses, ddof=1)), float(np.std(times, ddof=1))) \
                 if len(group) > 1 else (0.0, 0.0)
             cells.append(Cell(
                 variant=variant, epsilon=eps_label,
                 loss_mean=float(np.mean(losses)), loss_std=std[0],
                 runtime_mean=float(np.mean(times)), runtime_std=std[1],
-                hess_evals_mean=float(np.mean(hess)),
                 failed=any(r.status != "converged_2s" for r in group)))
     return AggregateReport(tuple(rows), tuple(cells),
                            tuple(lv[0] for lv in levels), tuple(config.variants))

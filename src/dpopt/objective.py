@@ -21,7 +21,9 @@ Every evaluator passes over the selected rows of X in fixed spans of about
 SPAN_BYTES of X each.  Each span yields a partial -- its margins
 y * (X_s @ w), its gradient term X_s^T (phi'(t) y), its Hessian block
 X_s^T diag(curv) X_s or its product X_s^T (curv * (X_s v)) -- while its rows
-are still in cache, and the partials are added in span order.  The spans
+are still in cache.  The partials are added in two halves: the spans split
+at the middle span, mid = ceil(spans / 2), each half's partials are added in
+span order, and the second half's sum is added to the first's.  The spans
 depend on n and d alone, so the results are bit-identical from run to run.
 A span's row count is a multiple of the BLAS kernels' row blocking and each
 margin is a per-row dot product, so a margin has the bits it would have in
@@ -31,18 +33,15 @@ spans (max_row_norm), so set-up holds no temporary the size of X either,
 and the synthetic builders in harness.data fill X one span_rows block at a
 time.
 
-Two passes spread over the cores (_spread_sum): a fused value-and-gradient
+Two passes spread over two cores (_spread_sum): a fused value-and-gradient
 pass whose spans hold at least SPREAD_MIN_SPAN_ROWS rows (d <= 256), and
-every dense Hessian.  The calling thread and one more thread per further
-usable core, SPREAD_WORKERS threads at most, claim spans in row order and
-write each partial into a ring of slots (SPREAD_RING_BYTES per thread, and
-at least one slot per thread plus one); the thread that completes the
-lowest unfolded span adds the completed partials to the total in span
-order.  So every sum has the bits of the one-thread loop at any core count,
-the ring bounds the memory whatever n is, and no thread outlives the call.
-The rule comes from a width scan (150 MB of X, fused pass, forced to spread
-from d = 384, and Hessian on 1 -> 2 threads, medians in ms, 2-vCPU VM, one
-BLAS thread):
+every dense Hessian.  With more than one usable core and at least
+SPREAD_MIN_SPANS spans, one more thread sums the second half while the
+calling thread sums the first; every other sum runs both halves on the
+calling thread, in the same order.  So every sum has the same bits at any
+core count, and no thread outlives the call.  The rule comes from a width
+scan (150 MB of X, fused pass, forced to spread from d = 384, and Hessian on
+1 -> 2 threads, medians in ms, 2-vCPU VM, one BLAS thread):
 
     d           20      128      256      384      512      600
     pass      61->40   32->22   25->16   21->29   21->22   21->23
@@ -98,25 +97,9 @@ SPAN_ROW_ALIGN = 64
 # rows a span), bound by memory bandwidth.
 SPREAD_MIN_SPAN_ROWS = 512
 
-# Threads a spread pass runs on at most, the calling thread included.  The
-# rule above was measured on 2 vCPUs only; each further thread would hold a
-# scaled Hessian span and a ring share of its own and contend for the one
-# lock turn per span, and no run has shown that it pays.
-SPREAD_WORKERS = 2
-
-# A pass of fewer spans than this runs on the calling thread.  It is what the
-# first design's ring of four slots a thread held at two threads; no shorter
-# spread pass was timed.
+# A pass of fewer spans than this runs on the calling thread: 4-6-span passes
+# at d = 54 ran about 0.3 ms slower on two threads than on one.
 SPREAD_MIN_SPANS = 8
-
-# Bytes of span partials in flight per thread of a spread pass: a thread may
-# run as far ahead of the lowest span not yet added as the ring allows before
-# it waits for a slot.  The ring also holds at least one slot per thread plus
-# one, so a gradient's small partials get a deep ring and a Hessian's large
-# blocks a short one.  With a worker's vCPU half taken by another process,
-# four slots a thread made the d = 54 pass slower than one thread (78-96
-# against 76-85 ms) and sixteen or more faster (67-76 ms).
-SPREAD_RING_BYTES = 1 << 16
 
 # sup |phi'''| of the logistic link, attained where expit = (1 +- 1/sqrt(3))/2
 LOGISTIC_THIRD_DERIV_MAX = 1.0 / (6.0 * math.sqrt(3.0))
@@ -218,12 +201,9 @@ def _quartic_link() -> MarginLink:
 class LossModel:
     """A per-sample loss with declared bounds and smoothness constants.
 
-    kind selects the built-in margin link and regularizer; "custom" models
-    carry their own link.  All bound fields are valid on the weight box
-    ||w||_inf <= weight_box.
+    All bound fields are valid on the weight box ||w||_inf <= weight_box.
     """
 
-    kind: str
     lambda_reg: float
     B: float
     B_g: float
@@ -266,7 +246,7 @@ def builtin_nonconvex_logistic(lambda_reg: float, R: float, d: int,
     B_g = R + lambda_reg * REG_GRAD_COORD_MAX * sqd
     B_H = R * R / 4.0 + REG_HESS_COORD_MAX * lambda_reg
     M = R ** 3 * LOGISTIC_THIRD_DERIV_MAX + lambda_reg * REG_THIRD_DERIV_MAX
-    return LossModel("nonconvex_logistic", lambda_reg, B, B_g, B_H, B_H, M,
+    return LossModel(lambda_reg, B, B_g, B_H, B_H, M,
                      f_lower=0.0, weight_box=weight_box,
                      link=_logistic_link(), regularizer="nonconvex")
 
@@ -283,7 +263,7 @@ def builtin_l2_logistic(lambda_reg: float, R: float, d: int,
     B_g = R + lambda_reg * w2_box
     B_H = R * R / 4.0 + lambda_reg
     M = R ** 3 * LOGISTIC_THIRD_DERIV_MAX
-    return LossModel("l2_logistic", lambda_reg, B, B_g, B_H, B_H, M,
+    return LossModel(lambda_reg, B, B_g, B_H, B_H, M,
                      f_lower=0.0, weight_box=weight_box,
                      link=_logistic_link(), regularizer="l2")
 
@@ -304,7 +284,7 @@ def builtin_quartic_saddle(R: float, d: int, weight_box: float = 2.0) -> LossMod
     B_g = R * dphi_max
     B_H = R * R * max(1.0, 3.0 * t_box ** 2 - 1.0)
     M = 6.0 * t_box * R ** 3
-    return LossModel("custom", 0.0, B, B_g, B_H, B_H, M,
+    return LossModel(0.0, B, B_g, B_H, B_H, M,
                      f_lower=0.0, weight_box=weight_box,
                      link=_quartic_link(), regularizer="none")
 
@@ -314,7 +294,7 @@ def custom_margin_model(link: MarginLink, *, B: float, B_g: float, B_H: float,
                         weight_box: float, lambda_reg: float = 0.0,
                         regularizer: str = "none") -> LossModel:
     """A margin loss with caller-supplied bounds (caller certifies them)."""
-    return LossModel("custom", lambda_reg, B, B_g, B_H, G, M,
+    return LossModel(lambda_reg, B, B_g, B_H, G, M,
                      f_lower=f_lower, weight_box=weight_box,
                      link=link, regularizer=regularizer)
 
@@ -381,84 +361,54 @@ def usable_cores() -> int:
 
 def _spread_sum(fn: Callable, n: int, d: int, shape: tuple, scratch: Callable = lambda: None,
                 spread: bool = True) -> np.ndarray:
-    """The sum in span order of the partials fn(lo, hi, out, own) writes into
-    out, an array of the given shape, over the spans of n rows of width d;
-    own is the scratch that scratch() made for the thread running fn.
+    """The sum of the partials fn(lo, hi, out, own) writes into out, an
+    array of the given shape, over the spans of n rows of width d; own is
+    the scratch that scratch() made for the thread running fn.
 
-    With spread set and more than one usable core, the calling thread and
-    one more thread per further core, SPREAD_WORKERS threads at most, claim
-    spans in row order, each partial into a ring of SPREAD_RING_BYTES of
-    slots per thread, and at least one slot per thread plus one.  The thread
-    that completes the lowest span not yet added adds it, and every
-    completed span after it, to the total in span order, so the sum has the
-    bits of the one-thread loop.  A thread waits only for a free slot.
-    Every array is made on the calling thread, so the threads' malloc arenas
-    keep none of them.  A thread's exception is raised here, after every
-    thread has stopped.  One core, or fewer than SPREAD_MIN_SPANS spans,
-    runs the same loop on the calling thread.
+    The spans split at the middle span, each half's partials are added in
+    span order, and the second half's sum is added to the first's.  With
+    spread set, more than one usable core and SPREAD_MIN_SPANS spans or more,
+    one more thread sums the second half while the calling thread sums the
+    first; otherwise the calling thread sums both.  Every array is made on
+    the calling thread, so the other thread's malloc arena keeps none of
+    them.  Its exception is raised here, after it has stopped.
     """
     rows = span_rows(d)
     spans = -(-n // rows)
-    workers = min(usable_cores(), SPREAD_WORKERS) if spread else 1
-    total = np.empty(shape)
-    if workers == 1 or spans < SPREAD_MIN_SPANS:
-        own, part, bounds = scratch(), np.empty(shape), row_spans(n, d)
-        fn(*next(bounds), total, own)
-        for lo, hi in bounds:
-            fn(lo, hi, part, own)
+    mid = -(-spans // 2)
+    spread = spread and spans >= SPREAD_MIN_SPANS and usable_cores() > 1
+
+    def add_up(k0: int, k1: int, total: np.ndarray, part: np.ndarray, own) -> np.ndarray:
+        fn(k0 * rows, min(n, (k0 + 1) * rows), total, own)
+        for k in range(k0 + 1, k1):
+            fn(k * rows, min(n, (k + 1) * rows), part, own)
             total += part
         return total
 
-    slots = min(spans, max(workers + 1, workers * (SPREAD_RING_BYTES // total.nbytes)))
-    ring = np.empty((slots,) + shape)
-    done = [False] * slots
-    claimed = added = 0
-    failure: BaseException | None = None
-    cond = threading.Condition()
+    first = (np.empty(shape), np.empty(shape), scratch())  # (sum, partial, scratch)
+    if spans == 1:
+        return add_up(0, 1, *first)
+    second = (np.empty(shape),) + ((np.empty(shape), scratch()) if spread else first[1:])
+    if not spread:
+        return np.add(add_up(0, mid, *first), add_up(mid, spans, *second), out=first[0])
 
-    def work(own) -> None:
-        nonlocal claimed, added, failure
-        k = None  # the span this thread completed last
+    failure: list[BaseException] = []
+
+    def second_half() -> None:
         try:
-            while True:
-                with cond:  # one turn of the lock per span: complete, add, claim
-                    if k is not None:
-                        done[k % slots] = True
-                        while added < spans and done[added % slots]:
-                            part = ring[added % slots]
-                            if added:
-                                np.add(total, part, out=total)
-                            else:
-                                np.copyto(total, part)
-                            done[added % slots] = False
-                            added += 1
-                        cond.notify_all()
-                    while failure is None and claimed < spans and claimed - added == slots:
-                        cond.wait()
-                    if failure is not None or claimed == spans:
-                        return
-                    k = claimed
-                    claimed += 1
-                fn(k * rows, min(n, (k + 1) * rows), ring[k % slots], own)
+            add_up(mid, spans, *second)
         except BaseException as exc:  # the calling thread raises it
-            with cond:
-                failure = failure or exc
-                cond.notify_all()
+            failure.append(exc)
 
-    owns = [scratch() for _ in range(workers)]
-    threads = []
+    thread = threading.Thread(target=second_half, daemon=True)
+    thread.start()
     try:
-        for own in owns[1:]:
-            thread = threading.Thread(target=work, args=(own,), daemon=True)
-            thread.start()
-            threads.append(thread)
-        work(owns[0])
+        add_up(0, mid, *first)
     finally:
-        for thread in threads:
-            thread.join()
-    if failure is not None:
-        raise failure
-    return total
+        thread.join()
+    if failure:
+        raise failure[0]
+    return np.add(first[0], second[0], out=first[0])
 
 
 def max_row_norm(X: np.ndarray) -> float:
@@ -679,24 +629,3 @@ class BatchSelector:
             return None
         idx = rng.generator.choice(n, size=m, replace=False)
         return np.sort(idx)
-
-
-def _subsampling_branches(model: LossModel, constants, T: int, eta: float,
-                          d: int) -> tuple[float, float]:
-    """The gradient and Hessian subsampling-deviation branches of the
-    published sample sizes, at a batch fraction of 1: the batch size under
-    which the batch's deviation stays within half of each noise allowance."""
-    log_term = math.log(2.0 * d * T / eta)
-    grad_branch = (64.0 * model.B_g ** 2 * (log_term + 0.25)
-                   * max(constants.c1 ** -2 * constants.eps_g ** -2,
-                         (model.M ** 2 / constants.c2 ** 2) * constants.eps_h ** -4))
-    hess_branch = 32.0 * model.B_H ** 2 * log_term * constants.c ** -2 * constants.eps_h ** -2
-    return grad_branch, hess_branch
-
-
-def min_batch_size(model: LossModel, constants, T: int, eta: float, d: int) -> int:
-    """Smallest mini-batch size under which the subsampling deviation of the
-    gradient and Hessian stays within half of the bounded-noise allowances."""
-    if T < 1 or d < 1 or not (0.0 < eta < 1.0):
-        raise ValueError("need T >= 1, d >= 1, eta in (0, 1)")
-    return int(math.ceil(max(_subsampling_branches(model, constants, T, eta, d))))

@@ -1,8 +1,9 @@
 """Private second-order solvers and their constant machinery."""
 
 from .constants import (AlgorithmConstants, DerivedConstants, derive_constants,
-                        iteration_budget, min_dec_line_search, min_dec_short,
-                        min_samples_advisor, probe_count, roots_t1_t2, svt_slack)
+                        iteration_budget, min_batch_size, min_dec_line_search,
+                        min_dec_short, min_samples_advisor, probe_count, roots_t1_t2,
+                        svt_slack)
 from .svt import LineSearchResult, dp_line_search
 from .runs import (VARIANTS, Budget, LineSearchBudget, RdpTuneBudget, RunOutcome,
                    ShortStepBudget, StepRecord, SubsampledDpBudget, Variant,
@@ -11,7 +12,7 @@ from .runs import (VARIANTS, Budget, LineSearchBudget, RdpTuneBudget, RunOutcome
 
 __all__ = [
     "AlgorithmConstants", "DerivedConstants", "derive_constants",
-    "iteration_budget", "min_dec_line_search", "min_dec_short",
+    "iteration_budget", "min_batch_size", "min_dec_line_search", "min_dec_short",
     "min_samples_advisor", "probe_count", "roots_t1_t2", "svt_slack",
     "LineSearchResult", "dp_line_search",
     "VARIANTS", "Budget", "LineSearchBudget", "RdpTuneBudget", "RunOutcome",

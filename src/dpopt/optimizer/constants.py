@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..mechanisms import DEFAULT_WIGNER_TAIL_CONSTANT
 from ..accountant import NoisePlan
-from ..objective import LossModel, _subsampling_branches
+from ..objective import LossModel
 
 
 @dataclass(frozen=True)
@@ -174,6 +174,28 @@ def derive_constants(constants: AlgorithmConstants, model: LossModel,
     T = iteration_budget(f0_plus_z, 0.0, model.f_lower, md)
     gamma_bar_g = 2.0 * (1.0 - constants.c1 - constants.c_g) / model.G
     return DerivedConstants(t1, t2, md, T, gamma_bar_g)
+
+
+def _subsampling_branches(model: LossModel, constants: AlgorithmConstants, T: int,
+                          eta: float, d: int) -> tuple[float, float]:
+    """The gradient and Hessian subsampling-deviation branches of the
+    published sample sizes, at a batch fraction of 1: the batch size under
+    which the batch's deviation stays within half of each noise allowance."""
+    log_term = math.log(2.0 * d * T / eta)
+    grad_branch = (64.0 * model.B_g ** 2 * (log_term + 0.25)
+                   * max(constants.c1 ** -2 * constants.eps_g ** -2,
+                         (model.M ** 2 / constants.c2 ** 2) * constants.eps_h ** -4))
+    hess_branch = 32.0 * model.B_H ** 2 * log_term * constants.c ** -2 * constants.eps_h ** -2
+    return grad_branch, hess_branch
+
+
+def min_batch_size(model: LossModel, constants: AlgorithmConstants, T: int, eta: float,
+                   d: int) -> int:
+    """Smallest mini-batch size under which the subsampling deviation of the
+    gradient and Hessian stays within half of the bounded-noise allowances."""
+    if T < 1 or d < 1 or not (0.0 < eta < 1.0):
+        raise ValueError("need T >= 1, d >= 1, eta in (0, 1)")
+    return int(math.ceil(max(_subsampling_branches(model, constants, T, eta, d))))
 
 
 def min_samples_advisor(model: LossModel, constants: AlgorithmConstants,

@@ -57,9 +57,9 @@ from ..accountant import (ApproxDp, NoisePlan, ZCdp, account_run,
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
 from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel, MarginMemo,
                          WeightBoxError, erm_gradient, erm_hessian, erm_hvp, erm_value,
-                         min_batch_size, sensitivities)
+                         sensitivities)
 from ..spectral import decide_curvature, lanczos_min_eig, min_eigenpair_dense, orient
-from .constants import AlgorithmConstants, derive_constants
+from .constants import AlgorithmConstants, derive_constants, min_batch_size
 from .svt import dp_line_search
 
 
@@ -109,15 +109,15 @@ class ShortStepBudget:
 
 @dataclass(frozen=True)
 class LineSearchBudget:
-    """rho-zCDP target for the line-search variant; rho_f = rho_f_fraction * rho."""
+    """rho-zCDP target for the line-search variant; rho_f = c_f * rho."""
 
     rho: float
-    rho_f_fraction: float = 0.1
+    c_f: float = 0.1
     accounting: ClassVar[str] = "zcdp"
 
     @property
     def rho_f(self) -> float:
-        return self.rho_f_fraction * self.rho
+        return self.c_f * self.rho
 
     @property
     def sigma_f(self) -> float:
@@ -146,19 +146,19 @@ class _EpsDeltaTarget:
 @dataclass(frozen=True)
 class SubsampledDpBudget(_EpsDeltaTarget):
     """(epsilon, delta)-DP target for the mini-batch variant, accounted by
-    advanced composition; (eps_f, delta_f) fractions go to the initial loss."""
+    advanced composition; the fraction c_f of epsilon and of delta goes to
+    the initial loss."""
 
-    eps_f_fraction: float = 0.1
-    delta_f_fraction: float = 0.1
+    c_f: float = 0.1
     accounting: ClassVar[str] = "approx_dp"
 
     @property
     def eps_f(self) -> float:
-        return self.eps_f_fraction * self.epsilon
+        return self.c_f * self.epsilon
 
     @property
     def delta_f(self) -> float:
-        return self.delta_f_fraction * self.delta
+        return self.c_f * self.delta
 
     @property
     def sigma_f(self) -> float:

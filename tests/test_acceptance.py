@@ -24,12 +24,12 @@ from dpopt.harness import synth_dataset
 from dpopt.mechanisms import SeededRng, wigner_matrix
 from dpopt.objective import (BatchSelector, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
-                             min_batch_size, sensitivities)
+                             sensitivities)
 from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
-                             ShortStepBudget, dp_line_search, min_dec_line_search,
-                             min_dec_short, min_samples_advisor, roots_t1_t2,
-                             run_line_search, run_minibatch, run_short_step,
-                             run_two_phase, svt_slack)
+                             ShortStepBudget, dp_line_search, min_batch_size,
+                             min_dec_line_search, min_dec_short, min_samples_advisor,
+                             roots_t1_t2, run_line_search, run_minibatch,
+                             run_short_step, run_two_phase, svt_slack)
 from dpopt.spectral import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_dense
 from noise_doubles import bounded_noise
 

@@ -424,7 +424,17 @@ class TestRunExperiment:
                               minibatch_accounting="approx_dp",
                               constants=AlgorithmConstants(eps_g=0.06, eps_h=0.245, c_f=0.2))
         budget = experiment._budget(config, VARIANTS["opt_b"], 1.0, 0.05, 2000)
-        assert budget == SubsampledDpBudget(1.0, 1e-5, 0.2, 0.2)
+        assert budget == SubsampledDpBudget(1.0, 1e-5, 0.2)
+        assert (budget.eps_f, budget.delta_f) == (0.2 * 1.0, 0.2 * 1e-5)
+
+    @pytest.mark.parametrize("bad", [{"loss": "hinge"}, {"delta": 0.0}, {"delta": 1.0},
+                                     {"delta": -1e-5}, {"delta": float("nan")}])
+    def test_bad_loss_or_delta_rejected_before_the_dataset_is_built(self, bad, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiment, "synth_dataset", lambda *a, **k: built.append(a))
+        with pytest.raises(ConfigError, match="loss" if "loss" in bad else "delta"):
+            run_experiment(small_config(**bad))
+        assert built == []
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -492,6 +502,14 @@ class TestCli:
         cfg_path.write_text(json.dumps(cfg))
         rc = cli_main(["--config", str(cfg_path), "--seeds", "0,1"])
         assert rc == 0
+
+    def test_loss_choices_are_the_loss_table(self, monkeypatch):
+        monkeypatch.setitem(experiment.LOSSES, "mirror",
+                            experiment.LOSSES["nonconvex_logistic"])
+        rc = cli_main(self.ARGS + ["--loss", "mirror", "--seeds", "0"])
+        assert rc == 0
+        with pytest.raises(SystemExit):
+            cli_main(self.ARGS + ["--loss", "hinge"])
 
     def test_missing_tolerances_is_config_error(self):
         rc = cli_main(["--dataset", "synth:logistic_separable", "--variant", "opt",

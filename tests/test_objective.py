@@ -17,10 +17,9 @@ from dpopt.mechanisms import DEFAULT_WIGNER_TAIL_CONSTANT, SeededRng
 from dpopt.objective import (BatchSelector, Dataset, MarginMemo, WeightBoxError,
                              builtin_l2_logistic, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, custom_margin_model, erm_gradient,
-                             erm_hessian, erm_hvp, erm_value, min_batch_size,
-                             sensitivities)
+                             erm_hessian, erm_hvp, erm_value, sensitivities)
 from dpopt.accountant import NoisePlan
-from dpopt.optimizer import AlgorithmConstants, min_samples_advisor
+from dpopt.optimizer import AlgorithmConstants, min_batch_size, min_samples_advisor
 
 
 def random_dataset(n, d, seed, row_norm=1.0):
@@ -327,12 +326,20 @@ def per_span_curvature_reference(model, ds, w, v, indices):
         block = X[lo:hi]
         return block.T @ (model.link.second(t[lo:hi]) * (block @ v))
 
-    def span_sum(fn):
-        spans = objective.row_spans(*X.shape)
-        total = fn(*next(spans))
-        for lo, hi in spans:
+    def half_sum(fn, spans):
+        total = fn(*spans[0])
+        for lo, hi in spans[1:]:
             total += fn(lo, hi)
         return total
+
+    def span_sum(fn):
+        # each half of the spans in span order, then the second half's sum
+        # added to the first's
+        spans = list(objective.row_spans(*X.shape))
+        if len(spans) == 1:
+            return half_sum(fn, spans)
+        mid = -(-len(spans) // 2)
+        return half_sum(fn, spans[:mid]) + half_sum(fn, spans[mid:])
 
     H = span_sum(hess_span) / X.shape[0]
     H = 0.5 * (H + H.T)
@@ -500,8 +507,7 @@ def counted_thread_starts(monkeypatch):
 
 
 class TestSpreadOverCores:
-    # 41 spans of 512 rows and a tail: more than the ring holds with no ring
-    # bytes, at every core count
+    # 41 spans of 512 rows and a tail
     N, D = 41 * 512 + 77, 6
 
     def _evaluate(self, model, ds, w, indices, with_memo):
@@ -518,33 +524,31 @@ class TestSpreadOverCores:
         assert objective.usable_cores() == cores
         assert data.synth_workers() == min(cores, data.BLOCKS_IN_FLIGHT)
 
-    @pytest.mark.parametrize("ring_bytes", [objective.SPREAD_RING_BYTES, 0])
+    @pytest.mark.parametrize("spans", [1, 2, 3, 7, 8, 9])
     @pytest.mark.parametrize("name,make", [ALL_MODELS[0], ALL_MODELS[2]])
-    def test_bits_do_not_depend_on_worker_count(self, name, make, ring_bytes, monkeypatch):
-        # with no ring bytes the ring holds one slot per thread plus one,
-        # which the 42 spans wrap around many times
-        monkeypatch.setattr(objective, "SPREAD_RING_BYTES", ring_bytes)
+    def test_bits_do_not_depend_on_worker_count(self, name, make, spans, monkeypatch):
         monkeypatch.setattr(objective, "span_rows", lambda d: 512)
-        ds = random_dataset(self.N, self.D, 61)
+        n = (spans - 1) * 512 + 77  # a short tail span
+        ds = random_dataset(n, self.D, 61)
         model = make(self.D)
         rng = SeededRng(62)
         w = 0.4 * rng.standard_normal(self.D)
-        batch = np.sort(rng.generator.choice(self.N, size=18_000))  # repeats rows
+        batch = np.sort(rng.generator.choice(n, size=n))  # repeats rows
         cases = list(product((None, batch), (False, True)))
         set_cores(monkeypatch, 1)
         reference = [self._evaluate(model, ds, w, idx, memo) for idx, memo in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # a thread switch after almost every bytecode
         try:
-            for cores in (2, 8):
-                set_cores(monkeypatch, cores)
-                starts = counted_thread_starts(monkeypatch)
-                for (idx, memo), ref in zip(cases, reference):
-                    got = self._evaluate(model, ds, w, idx, memo)
-                    assert got[0] == ref[0], (cores, memo)
-                    assert np.array_equal(got[1], ref[1]), (cores, memo)
-                    assert np.array_equal(got[2], ref[2]), (cores, memo)
-                assert len(starts) > 0  # the passes did spread
+            set_cores(monkeypatch, 2)
+            starts = counted_thread_starts(monkeypatch)
+            for (idx, memo), ref in zip(cases, reference):
+                got = self._evaluate(model, ds, w, idx, memo)
+                assert got[0] == ref[0], memo
+                assert np.array_equal(got[1], ref[1]), memo
+                assert np.array_equal(got[2], ref[2]), memo
+            # the passes spread from SPREAD_MIN_SPANS spans on
+            assert (len(starts) > 0) == (spans >= objective.SPREAD_MIN_SPANS)
         finally:
             sys.setswitchinterval(interval)
 
@@ -598,8 +602,8 @@ class TestSpreadOverCores:
         assert abs(peaks[1] - peaks[0]) < rows * d * 8
 
     def test_threads_and_memory_do_not_grow_with_cores(self, monkeypatch):
-        # each thread holds a scaled Hessian span of its own, so without the
-        # cap the peak would grow by one span per core
+        # each thread holds a scaled Hessian span of its own, so a thread per
+        # core would grow the peak by one span per core
         rows, d = 2048, 8
         monkeypatch.setattr(objective, "span_rows", lambda d: rows)
         model = builtin_nonconvex_logistic(1e-3, 1.0, d)
@@ -617,13 +621,13 @@ class TestSpreadOverCores:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert len(starts) == objective.SPREAD_WORKERS - 1, cores
+            assert len(starts) == 1, cores
         assert max(peaks) - min(peaks) < rows * d * 8
 
     def test_only_narrow_gradient_passes_and_hessians_start_threads(self, monkeypatch):
         set_cores(monkeypatch, 2)
-        # d = 600: spans of 192 rows, bound by memory bandwidth; 9 spans, more
-        # than the ring of two cores holds
+        # d = 600: spans of 192 rows, bound by memory bandwidth; 9 spans, enough
+        # to spread
         wide = random_dataset(9 * objective.span_rows(600), 600, 65)
         assert objective.span_rows(600) < objective.SPREAD_MIN_SPAN_ROWS
         model = builtin_nonconvex_logistic(1e-3, 1.0, 600)

@@ -4,6 +4,7 @@ package they call cannot break them silently."""
 import importlib.util
 import math
 import sys
+import threading
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -34,6 +35,24 @@ def test_layer_timings_spectral_layers_run(monkeypatch):
     names = sorted(layers)
     assert names[:2] == ["mechanisms.wigner_draw[d=8]", "mechanisms.wigner_matvec[d=8]"]
     assert len(names) == 3 and names[2].startswith("spectral.lanczos_check[n=500,d=8,")
+    for stats in layers.values():
+        assert stats["repeats"] == 1
+        assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
+
+
+def test_layer_timings_spread_layers_run(monkeypatch):
+    from dpopt import objective
+    monkeypatch.setattr(objective, "span_rows", lambda d: 64)  # 32 spans: the passes spread
+    cores = objective.usable_cores
+    starts = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
+    layers = load_script("layer_timings", monkeypatch).spread_layers(2048, 5, 2, repeats=1)
+    tag = "n=2048,d=5,workers=2"
+    assert set(layers) == {f"objective.erm_gradient[{tag}]",
+                           f"objective.erm_hessian[{tag},memo]"}
+    assert starts  # two workers: the second half ran on a thread of its own
+    assert objective.usable_cores is cores
     for stats in layers.values():
         assert stats["repeats"] == 1
         assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
