@@ -1,22 +1,25 @@
 """Privacy arithmetic for the optimization runs.
 
-Three budget notions are tracked and converted between:
+A run's releases are a log of Release entries (mechanism, parameters,
+sampling fraction, count), and each of three notions is one function of a
+log, account_run(log, notion) = notion.of(log):
 
-  * zCDP with parameter rho, additive under composition.  The Gaussian
-    mechanism at noise multiplier sigma costs 1/(2 sigma^2); a sparse-vector
-    sweep at parameter lam is (1/lam)-DP and hence (1/(2 lam^2))-zCDP.
-  * RDP curves eps(alpha) over a grid of orders alpha > 1, pointwise
+  * ZCdp: rho, additive.  A Gaussian or Wigner draw at multiplier sigma
+    costs 1/(2 sigma^2); a sparse-vector sweep at lam is (1/lam)-DP and
+    hence costs 1/(2 lam^2).
+  * RdpCurve: eps(alpha) over a grid of orders alpha > 1, pointwise
     additive.  Subsampling without replacement amplifies per-order leakage
     through a binomial-sum bound evaluated here in log space.
-  * approximate DP pairs (epsilon, delta), the reporting notion.
+  * ApproxDp: (epsilon, delta), the reporting notion.
 
-Each ledger kind composes itself (ZCdp adds rho, RdpCurve adds pointwise on
-one order grid, ApproxDp adds epsilons and deltas), and its spent(delta) is
-the scalar a report shows: rho, the curve's epsilon at delta, or epsilon.
+Each ledger kind also composes itself (ZCdp adds rho, RdpCurve adds
+pointwise on one order grid, ApproxDp adds epsilons and deltas), and its
+spent(delta) is the scalar a report shows: rho, the curve's epsilon at
+delta, or epsilon.
 
 The plan_* helpers calibrate noise multipliers so that a run of at most T
-iterations stays inside a given budget; account_run recomputes the leakage
-of a finished run from its step counts.
+iterations stays inside a given budget; tune_noise_plan converts its worst
+case with the RdpCurve.of that converts a run's log.
 
 Everything here is a pure function over frozen dataclasses; the module is
 safe to use from any number of threads.
@@ -26,8 +29,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -43,6 +47,38 @@ class InfeasiblePlanError(ValueError):
     or none whose calibration preconditions hold."""
 
 
+# the order in which every notion sums a log's releases
+MECHANISMS = ("gaussian", "wigner", "svt", "dp")
+
+
+class Release(NamedTuple):
+    """count releases of one mechanism, by params: "gaussian" (sigma,);
+    "wigner" (sigma_h, sigma_g), drawn on the batch of a gradient at sigma_g;
+    "svt" (lam,), a (1/lam)-DP sweep; "dp" (eps, delta), or on a batch
+    (eps0, delta0, delta_rest), one step of an advanced composition that
+    spends delta_rest.  fraction is the sampling fraction of the release's
+    batch; None on the whole dataset, where no amplification is claimed."""
+
+    mechanism: str
+    params: tuple
+    fraction: float | None = None
+    count: int = 1
+
+
+def tally(log) -> list[Release]:
+    """The log with equal releases merged and zero counts dropped, in
+    MECHANISMS order: a log and its count form convert to the same bits."""
+    counts: Counter = Counter()
+    for r in log:
+        counts[r[:3]] += r.count
+    releases = [Release(*key, count) for key, count in counts.items() if count]
+    for r in releases:
+        if r.mechanism not in MECHANISMS or r.count < 0 or not all(
+                0.0 < p < math.inf for p in r.params):
+            raise ValueError(f"not a valid release: {r}")
+    return sorted(releases, key=lambda r: MECHANISMS.index(r.mechanism))
+
+
 @dataclass(frozen=True)
 class ZCdp:
     """A zCDP budget; rho adds up under composition."""
@@ -56,6 +92,17 @@ class ZCdp:
     @classmethod
     def compose(cls, budgets) -> "ZCdp":
         return cls(math.fsum(b.rho for b in budgets))
+
+    @classmethod
+    def of(cls, log) -> "ZCdp":
+        """0.5 sum count / p^2, p a Gaussian's sigma, a Wigner draw's sigma_h
+        or a sweep's lam; zCDP claims no amplification."""
+        total = 0.0
+        for r in tally(log):
+            if r.mechanism == "dp":
+                raise ValueError("an (eps, delta) release has no zCDP cost")
+            total = total + r.count / r.params[0] ** 2
+        return cls(0.5 * total)
 
     def spent(self, delta: float) -> float:
         return self.rho
@@ -94,6 +141,29 @@ class RdpCurve:
             raise ValueError("RDP curves must share the same order grid")
         return cls(first.orders.copy(), np.sum([b.epsilons for b in budgets], axis=0))
 
+    @classmethod
+    def of(cls, log, orders=DEFAULT_ORDERS) -> "RdpCurve":
+        """A Gaussian costs alpha / (2 sigma^2) on the whole dataset and the
+        subsampled bound on a batch.  A Wigner draw and the gradient on its
+        batch are one release, at combined_sigma of their multipliers."""
+        releases = tally(log)
+        orders_f = np.asarray(orders, dtype=float)
+        eps = np.zeros_like(orders_f)
+        for mechanism, params, s, count in releases:
+            if mechanism == "wigner":
+                sigma = combined_sigma(params[1], params[0])
+            elif mechanism == "gaussian":
+                sigma = params[0]
+                count -= sum(r.count for r in releases if r.mechanism == "wigner"
+                             and r.params[1:] == params and r.fraction == s)
+            else:
+                raise ValueError(f"a {mechanism} release has no RDP cost here")
+            if s is None:
+                eps = eps + count * (orders_f / (2.0 * sigma ** 2))
+            elif count:
+                eps = eps + count * subsampled_gaussian_rdp_curve(sigma, s, orders).epsilons
+        return cls(orders_f, eps)
+
     def spent(self, delta: float) -> float:
         return rdp_to_approx_dp(self, delta)[0].epsilon
 
@@ -114,6 +184,23 @@ class ApproxDp:
     @classmethod
     def compose(cls, budgets) -> "ApproxDp":
         return cls(math.fsum(b.epsilon for b in budgets), math.fsum(b.delta for b in budgets))
+
+    @classmethod
+    def of(cls, log) -> "ApproxDp":
+        """Whole-dataset releases add up; k steps on batches at fraction s
+        compose by advanced composition after amplification, to the plan's
+        target at k = T."""
+        eps = delta = 0.0
+        for mechanism, params, s, k in tally(log):
+            if mechanism != "dp":
+                raise ValueError(f"a {mechanism} release has no (eps, delta) cost here")
+            if s is None:
+                eps, delta = eps + k * params[0], delta + k * params[1]
+            else:
+                eps0, delta0, rest = params
+                eps = eps + 8.0 * s * eps0 * math.sqrt(2.0 * k * math.log(2.0 / rest))
+                delta = delta + 2.0 * s * delta0 * k + rest / 2.0
+        return cls(eps, delta)
 
     def spent(self, delta: float) -> float:
         return self.epsilon
@@ -161,13 +248,6 @@ class NoisePlan:
 # single-mechanism budgets and conversions
 
 
-def gaussian_mechanism_zcdp(sigma: float) -> ZCdp:
-    """Gaussian mechanism at noise multiplier sigma: rho = 1/(2 sigma^2)."""
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
-    return ZCdp(1.0 / (2.0 * sigma * sigma))
-
-
 def gaussian_sigma_zcdp(rho: float) -> float:
     """The multiplier at which a Gaussian costs rho-zCDP: sqrt(1/(2 rho))."""
     return math.sqrt(1.0 / (2.0 * rho))
@@ -176,28 +256,6 @@ def gaussian_sigma_zcdp(rho: float) -> float:
 def gaussian_sigma_dp(epsilon: float, delta: float) -> float:
     """Classical (epsilon < 1, delta) Gaussian multiplier sqrt(2 log(1.25/delta))/epsilon."""
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def pure_dp_to_zcdp(epsilon: float) -> ZCdp:
-    """An epsilon-DP mechanism is (epsilon^2 / 2)-zCDP."""
-    if not (epsilon >= 0):
-        raise ValueError("epsilon must be nonnegative")
-    return ZCdp(0.5 * epsilon * epsilon)
-
-
-def svt_zcdp(lam: float) -> ZCdp:
-    """One sparse-vector sweep at parameter lam is (1/lam)-DP, so 1/(2 lam^2)-zCDP."""
-    if not (lam > 0):
-        raise ValueError("lambda must be positive")
-    return pure_dp_to_zcdp(1.0 / lam)
-
-
-def gaussian_rdp_curve(sigma: float, orders=DEFAULT_ORDERS) -> RdpCurve:
-    """Analytic Gaussian curve eps(alpha) = alpha / (2 sigma^2)."""
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
-    orders = np.asarray(orders, dtype=float)
-    return RdpCurve(orders, orders / (2.0 * sigma * sigma))
 
 
 def compose(budgets):
@@ -376,68 +434,27 @@ def plan_subsampled_dp(target: ApproxDp, eps_f: float, delta_f: float, s: float,
     return NoisePlan(sigma_f, sigma_gh, sigma_gh, lambda_svt=None, subsample_fraction=s)
 
 
-def account_subsampled_dp(k: int, target: ApproxDp, eps_f: float, delta_f: float,
-                          s: float, t_budget: int) -> ApproxDp:
-    """Realized (eps, delta) spend of a subsampled run after k iterations.
-
-    Re-applies advanced composition with the actual iteration count k <= T;
-    at k = T this returns exactly the planned target.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return ApproxDp(eps_f, delta_f)
-    eps0, delta0 = subsampled_dp_split(target, eps_f, delta_f, s, t_budget)
-    eps = eps_f + 8.0 * s * eps0 * math.sqrt(2.0 * k * math.log(2.0 / (target.delta - delta_f)))
-    delta = delta_f + 2.0 * s * delta0 * k + (target.delta - delta_f) / 2.0
-    return ApproxDp(eps, delta)
-
-
 def combined_sigma(sigma_g: float, sigma_h: float) -> float:
     """Effective multiplier of one iteration that draws both noises:
     1/sigma^2 = 1/sigma_g^2 + 1/sigma_h^2."""
     return 1.0 / math.sqrt(1.0 / sigma_g ** 2 + 1.0 / sigma_h ** 2)
 
 
-def minibatch_rdp_curve(k_g: int, k_h: int, plan: NoisePlan, orders=DEFAULT_ORDERS) -> RdpCurve:
-    """Composed RDP curve of a subsampled run: the full-batch initial loss
-    perturbation plus k_g gradient-only and k_h gradient+Hessian iterations."""
-    orders_f = np.asarray(orders, dtype=float)
-    eps = orders_f / (2.0 * plan.sigma_f ** 2)
+def run_log(plan: NoisePlan, k_g: int, k_h: int, sweeps: int = 0) -> list[Release]:
+    """The log, in count form, of a run under plan with k_g gradient-only
+    iterations, k_h that also drew a Hessian, and sweeps sweeps."""
+    if min(k_g, k_h, sweeps) < 0 or (sweeps and plan.lambda_svt is None):
+        raise ValueError("counts must be nonnegative, and sweeps need lambda_svt")
     s = plan.subsample_fraction
-    if k_g > 0:
-        eps = eps + k_g * subsampled_gaussian_rdp_curve(plan.sigma_g, s, orders).epsilons
-    if k_h > 0:
-        sigma_gh = combined_sigma(plan.sigma_g, plan.sigma_h)
-        eps = eps + k_h * subsampled_gaussian_rdp_curve(sigma_gh, s, orders).epsilons
-    return RdpCurve(orders_f, eps)
+    return [Release("gaussian", (plan.sigma_f,)),
+            Release("gaussian", (plan.sigma_g,), s, k_g + k_h),
+            Release("wigner", (plan.sigma_h, plan.sigma_g), s, k_h),
+            Release("svt", (plan.lambda_svt,), None, sweeps)]
 
 
-def account_run(k_g: int, k_h: int, plan: NoisePlan, mode: str = "short",
-                orders=DEFAULT_ORDERS):
-    """Post-hoc leakage of a run with k_g gradient-only iterations and k_h
-    iterations that also drew a Hessian (curvature steps and the final check).
-
-    mode is the ledger notion a RunOutcome reports: "short" and
-    "line_search" return ZCdp; "rdp" returns the composed subsampled RDP
-    curve.  Every iteration draws a gradient, so k_g + k_h
-    gradient draws are charged; line-search mode additionally charges
-    (k_g + k_h) sparse-vector sweeps, which over-counts by at most one sweep
-    on converged runs (the terminal check performs no line search).
-    """
-    if k_g < 0 or k_h < 0:
-        raise ValueError("step counts must be nonnegative")
-    if mode in ("short", "line_search"):
-        sweeps = 0.0
-        if mode == "line_search":
-            if plan.lambda_svt is None:
-                raise ValueError("line_search accounting needs lambda_svt in the plan")
-            sweeps = (k_g + k_h) / plan.lambda_svt ** 2
-        return ZCdp(0.5 * (1.0 / plan.sigma_f ** 2 + (k_g + k_h) / plan.sigma_g ** 2
-                           + k_h / plan.sigma_h ** 2 + sweeps))
-    if mode == "rdp":
-        return minibatch_rdp_curve(k_g, k_h, plan, orders)
-    raise ValueError(f"unknown accounting mode {mode!r}")
+def account_run(log, notion):
+    """A run's ledger: its log converted by notion, ZCdp, RdpCurve or ApproxDp."""
+    return notion.of(log)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +469,9 @@ def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
                     sigma_grid=None, orders=DEFAULT_ORDERS) -> NoisePlan:
     """Smallest grid multiplier sigma_g = sigma_h whose worst-case
     T-iteration subsampled curve, with the initial-loss multiplier sigma_f,
-    converts to at most the (eps, delta) target.
+    converts to at most the (eps, delta) target.  The worst case is the log
+    of T gradient-only and T curvature iterations, converted by the
+    RdpCurve.of that converts a run's log.
 
     sigma_f is fixed in advance: the run perturbs its initial loss f0 before
     T is known, since T is derived from the noised f0.  Every term of the
@@ -475,7 +494,7 @@ def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
         return NoisePlan(float(sigma_f), sigma, sigma, None, s)
 
     def feasible(i: int) -> bool:
-        curve = minibatch_rdp_curve(t_budget, t_budget, plan_at(i), orders)
+        curve = RdpCurve.of(run_log(plan_at(i), t_budget, t_budget), orders)
         converted, _ = rdp_to_approx_dp(curve, target.delta)
         return converted.epsilon <= target.epsilon
 

@@ -19,6 +19,7 @@ loss/runtime column pair per privacy level.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,6 +110,11 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if self.rhos is None and not self.epsilons:
             raise ConfigError("at least one privacy level is required")
+        if not all(0.0 < level < math.inf for level in (*self.epsilons, *(self.rhos or ()))):
+            raise ConfigError("every epsilons and rhos entry must be positive and finite")
+        if not (self.lambda_reg >= 0.0 and self.weight_box > 0.0):
+            raise ConfigError(f"need lambda_reg >= 0 and weight_box > 0, got "
+                              f"{self.lambda_reg} and {self.weight_box}")
         if any(VARIANTS[v].minibatch for v in self.variants) and self.batch_size is None:
             raise ConfigError("mini-batch variants need batch_size")
         if self.batch_size is not None and self.batch_size < 1:

@@ -29,14 +29,13 @@ probe noise.  Identical (seed, config, dataset) reproduce bit-identical
 traces.  noise_mode "zero" multiplies every noise scale (initial loss,
 gradient, Hessian, SVT sensitivity) by 0, so no noise is drawn.
 
-One ledger per run (_Ledger) picks the run's notion before any data pass
--- zCDP ("short" or "line_search"), the subsampled RDP curve ("rdp") or
-advanced composition ("approx_dp") -- then draws every gradient noise and
-Wigner matrix, runs every SVT sweep and charges each draw as it makes it;
-it closes to account_run (or account_subsampled_dp) of the draws made.  A
-line-search iteration pays one sweep, the terminal check's missing one
-included, and a run aborted by a weight-box violation or a non-finite
-release ("failed_termination", with a warning) pays its partial iteration.
+One ledger per run (_Ledger) draws every gradient noise and Wigner
+matrix, runs every SVT sweep and logs each release (accountant.Release);
+the run's notion, picked before any data pass, converts the log at close
+and, in zCDP, each iteration's releases for its StepRecord.  A line-search
+iteration logs one sweep, the terminal check's missing one included, and a
+run aborted by a weight-box violation or a non-finite release
+("failed_termination", with a warning) logs its partial iteration.
 
 One run owns one SeededRng stream and its ledger; runs with independent
 streams may execute concurrently without shared mutable state.
@@ -50,10 +49,11 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from ..accountant import (ApproxDp, NoisePlan, ZCdp, account_run,
-                          account_subsampled_dp, approx_dp_to_zcdp, compose,
-                          gaussian_sigma_dp, gaussian_sigma_zcdp, plan_line_search,
-                          plan_short_step, plan_subsampled_dp, tune_noise_plan)
+from ..accountant import (ApproxDp, NoisePlan, RdpCurve, Release, ZCdp, account_run,
+                          approx_dp_to_zcdp, compose, gaussian_sigma_dp,
+                          gaussian_sigma_zcdp, plan_line_search, plan_short_step,
+                          plan_subsampled_dp, run_log, subsampled_dp_split,
+                          tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
 from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel, MarginMemo,
                          WeightBoxError, erm_gradient, erm_hessian, erm_hvp, erm_value,
@@ -83,7 +83,7 @@ def _require_finite(value, what: str, k: int):
 #   plan(t_budget, s)     the NoisePlan for T iterations at sampling fraction s;
 #   scaled(fraction)      the same policy with that fraction of the target,
 #                         for one phase of a two-phase run;
-#   accounting            its default ledger notion (see _Ledger.notion).
+#   accounting            its default ledger notion (see _notion).
 
 
 @dataclass(frozen=True)
@@ -252,49 +252,70 @@ class RunOutcome:
 # the run's ledger
 
 
-class _Ledger:
-    """The one place a run draws and charges its per-iteration releases.
-    factor multiplies every noise scale: 1 draws from the plan, 0 draws
-    nothing (--zero-noise); a zero-noise run is charged as a noisy one."""
+# accounting -> the ledger kind that converts a run's log, and the charge a
+# StepRecord reports for its iteration's releases (None outside zCDP)
+_NOTIONS = {"zcdp": (ZCdp, lambda step: ZCdp.of(step).rho),
+            "rdp": (RdpCurve, lambda step: None),
+            "approx_dp": (ApproxDp, lambda step: None)}
 
-    def __init__(self, mode: str, budget: Budget, plan: NoisePlan, t_used: int,
-                 sens, rng: SeededRng, factor: float):
-        if mode == "line_search" and plan.lambda_svt is None:
-            raise ValueError("line-search runs need lambda_svt in the plan")
-        if plan.sigma_f != budget.sigma_f:
-            raise ValueError("the plan's sigma_f is not the budget's, which noised f0")
-        self.mode, self.budget, self.plan, self.t_used = mode, budget, plan, t_used
-        self.rng, self.factor = rng, factor
+
+def _notion(loop: str, budget: Budget, accounting: str | None, subsampled: bool):
+    """The run's report label, ledger kind and StepRecord charge.
+    accounting overrides the budget's default; a subsampled zCDP budget
+    accounts in RDP (zCDP has no amplification)."""
+    if accounting is None:
+        accounting = "rdp" if subsampled and budget.accounting == "zcdp" else budget.accounting
+    if accounting not in _NOTIONS:
+        raise ValueError(f"unknown accounting {accounting!r}")
+    if accounting == "approx_dp" and budget.accounting != "approx_dp":
+        raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
+    if loop == "line_search" and accounting != "zcdp":
+        raise ValueError("line-search runs account in zcdp: only the zCDP "
+                         "ledger charges their sparse-vector sweeps")
+    return (loop if accounting == "zcdp" else accounting, *_NOTIONS[accounting])
+
+
+def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search: bool):
+    """A run's initial-loss release, those each iteration begun logs and
+    those each Wigner draw logs.  In (eps, delta) an iteration is one step
+    at the plan's (eps0, delta0), Hessian or not."""
+    if plan.sigma_f != budget.sigma_f:
+        raise ValueError("the plan's sigma_f is not the budget's, which noised f0")
+    if notion is ApproxDp:
+        s = plan.subsample_fraction
+        eps0, delta0 = subsampled_dp_split(budget.target, budget.eps_f, budget.delta_f, s,
+                                           t_used)
+        step = Release("dp", (eps0, delta0, budget.delta - budget.delta_f), s)
+        return Release("dp", (budget.eps_f, budget.delta_f)), (step,), ()
+    f0, gradient, wigner, sweep = run_log(plan, 0, 1, int(line_search))
+    return f0, (gradient, sweep) if line_search else (gradient,), (wigner,)
+
+
+class _Ledger:
+    """The one place a run draws and logs its per-iteration releases, after
+    its initial loss's (see _releases).  factor multiplies every noise
+    scale: 1 draws from the plan, 0 draws nothing (--zero-noise); a
+    zero-noise run logs as a noisy one."""
+
+    def __init__(self, notion, increment, releases, plan: NoisePlan, sens,
+                 rng: SeededRng, factor: float):
+        self.notion, self._increment, self.plan, self.rng, self.factor = (
+            notion, increment, plan, rng, factor)
         self.grad_scale = factor * sens.delta_g * plan.sigma_g
         self.hess_scale = factor * sens.delta_h * plan.sigma_h
-        self.gradients = self.hessians = 0  # draws; one gradient per iteration begun
-        self._charge = 0.0                  # zCDP charge of this iteration's draws
-
-    @staticmethod
-    def notion(loop: str, budget: Budget, accounting: str | None, subsampled: bool) -> str:
-        """The run's ledger mode.  accounting overrides the budget's default;
-        a subsampled zCDP budget accounts in RDP (zCDP has no amplification)."""
-        if accounting is None:
-            accounting = "rdp" if subsampled and budget.accounting == "zcdp" else budget.accounting
-        if accounting not in ("zcdp", "rdp", "approx_dp"):
-            raise ValueError(f"unknown accounting {accounting!r}")
-        if accounting == "approx_dp" and budget.accounting != "approx_dp":
-            raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
-        if loop == "line_search" and accounting != "zcdp":
-            raise ValueError("line-search runs account in zcdp: only the zCDP "
-                             "ledger charges their sparse-vector sweeps")
-        return loop if accounting == "zcdp" else accounting
+        f0, self._begun, self._curvature = releases
+        self.log = [f0]
+        self._step = 1  # where the current iteration's releases start
 
     def gradient_noise(self, d: int) -> np.ndarray:
         noise = gaussian_vector(d, self.grad_scale, self.rng)
-        self.gradients += 1
-        self._charge = 0.5 / self.plan.sigma_g ** 2
+        self._step = len(self.log)
+        self.log.extend(self._begun)
         return noise
 
     def hessian_noise(self, d: int) -> WignerOperator:
         op = WignerOperator(d, self.hess_scale, self.rng.child())
-        self.hessians += 1
-        self._charge = self._charge + 0.5 / self.plan.sigma_h ** 2
+        self.log.extend(self._curvature)
         return op
 
     def sweep(self, query, sensitivity: float, gamma_init: float, gamma_bar: float, beta: float):
@@ -302,17 +323,11 @@ class _Ledger:
                               beta, self.plan.lambda_svt, self.rng)
 
     def increment(self) -> float | None:
-        """The iteration's zCDP charge for its StepRecord; None outside zCDP."""
-        if self.mode == "line_search":
-            return self._charge + 0.5 / self.plan.lambda_svt ** 2
-        return self._charge if self.mode == "short" else None
+        """The charge of this iteration's releases, for its StepRecord."""
+        return self._increment(self.log[self._step:])
 
     def close(self):
-        if self.mode == "approx_dp":
-            b = self.budget
-            return account_subsampled_dp(self.gradients, b.target, b.eps_f, b.delta_f,
-                                         self.plan.subsample_fraction, self.t_used)
-        return account_run(self.gradients - self.hessians, self.hessians, self.plan, self.mode)
+        return account_run(self.log, self.notion)
 
 
 # noise_mode -> the factor on every noise scale of a run
@@ -346,7 +361,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     if noise_mode not in _NOISE_FACTORS:
         raise ValueError(f"unknown noise mode {noise_mode!r}")
     noise_factor = _NOISE_FACTORS[noise_mode]
-    mode = _Ledger.notion(loop, budget, accounting, m < n)
+    mode, notion, increment = _notion(loop, budget, accounting, m < n)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     f0 = erm_value(model, dataset, w, memo=memo)
@@ -363,7 +378,8 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 f"advisory-violated: batch size {m} is below the advised "
                 f"minimum {m_min} for T = {t_used}")
 
-    ledger = _Ledger(mode, budget, plan, t_used, sens_batch, rng, noise_factor)
+    ledger = _Ledger(notion, increment, _releases(notion, budget, plan, t_used, line_search),
+                     plan, sens_batch, rng, noise_factor)
 
     trace: list[StepRecord] = []
     status = "budget_exhausted"
@@ -441,7 +457,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         status = "failed_termination"
         w = w_good
 
-    return RunOutcome(status, w, tuple(trace), ledger.close(), plan, t_used, ledger.mode,
+    return RunOutcome(status, w, tuple(trace), ledger.close(), plan, t_used, mode,
                       z, erm_value(model, dataset, w, memo=memo), tuple(warnings_acc))
 
 

@@ -10,6 +10,9 @@ from the run's own stream, as the first draw does, and only the accepted
 draw is charged to the run's ledger.
 always_failing_line_search forces every sparse-vector sweep to exhaust its
 probes and fall back to gamma_bar, drawing no noise.
+recorded_scales records the scale of every draw a run makes, so tests can
+check each against its sensitivity and the plan without the golden traces.
+kept_ledgers keeps every run's ledger, and with it the run's release log.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from dpopt.mechanisms import WignerOperator
 from dpopt.optimizer import runs, svt
 
 MAX_REJECTION_TRIES = 10_000
@@ -64,3 +68,60 @@ def always_failing_line_search(query, delta_q, gamma_init, gamma_bar, beta, lam,
     i_max probes and returns the fallback gamma_bar."""
     return svt.dp_line_search(lambda gamma: -math.inf, 0.0, gamma_init, gamma_bar,
                               beta, lam, rng)
+
+
+@contextmanager
+def recorded_scales():
+    """Within the block, record every draw's scale, one dict per run (each
+    phase of a two-phase run is one) in draw order: the initial loss's
+    scale "f0", the "gradient" and "wigner" scales, and each sweep's
+    (sensitivity, gamma_init, lam) as "sweep"."""
+    phases = []
+    f0, vector, wigner, search = (runs.gaussian, runs.gaussian_vector,
+                                  WignerOperator.__init__, runs.dp_line_search)
+
+    def recorded_f0(scale, rng):
+        # the initial loss is each run's first draw
+        phases.append({"f0": scale, "gradient": [], "wigner": [], "sweep": []})
+        return f0(scale, rng)
+
+    def recorded_vector(d, scale, rng):
+        phases[-1]["gradient"].append(scale)
+        return vector(d, scale, rng)
+
+    def recorded_wigner(op, d, scale, source):
+        phases[-1]["wigner"].append(scale)
+        wigner(op, d, scale, source)
+
+    def recorded_search(query, delta_q, gamma_init, gamma_bar, beta, lam, rng):
+        phases[-1]["sweep"].append((delta_q, gamma_init, lam))
+        return search(query, delta_q, gamma_init, gamma_bar, beta, lam, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runs, "gaussian", recorded_f0)
+        mp.setattr(runs, "gaussian_vector", recorded_vector)
+        mp.setattr(WignerOperator, "__init__", recorded_wigner)
+        mp.setattr(runs, "dp_line_search", recorded_search)
+        yield phases
+
+
+@contextmanager
+def kept_ledgers():
+    """Within the block, keep each run's ledger, in run order, with the
+    length of its log as each iteration began ("starts"), so that tests can
+    convert the log of the initial loss and the first j iterations."""
+    ledgers = []
+
+    class KeptLedger(runs._Ledger):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.starts = []
+            ledgers.append(self)
+
+        def gradient_noise(self, d):
+            self.starts.append(len(self.log))
+            return super().gradient_noise(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runs, "_Ledger", KeptLedger)
+        yield ledgers

@@ -14,10 +14,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, NoisePlan, ZCdp,
-                              account_run, approx_dp_to_zcdp, combined_sigma,
-                              gaussian_mechanism_zcdp, gaussian_rdp_curve,
-                              plan_short_step, rdp_to_approx_dp,
+from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, NoisePlan, RdpCurve, Release,
+                              ZCdp, account_run, approx_dp_to_zcdp, combined_sigma,
+                              plan_short_step, rdp_to_approx_dp, run_log,
                               subsampled_gaussian_rdp,
                               subsampled_gaussian_rdp_curve, zcdp_to_approx_dp)
 from dpopt.harness import synth_dataset
@@ -113,11 +112,11 @@ def minibatch_run():
 
 
 def test_criterion_1_accountant_golden_values():
-    ok = gaussian_mechanism_zcdp(1.0).rho == 0.5
+    ok = account_run([Release("gaussian", (1.0,))], ZCdp).rho == 0.5
     expected = 0.5 + math.sqrt(2.0 * math.log(1e5))
     got = zcdp_to_approx_dp(ZCdp(0.5), 1e-5).epsilon
     ok &= abs(got - expected) <= 1e-9
-    curve = gaussian_rdp_curve(5.0)
+    curve = account_run([Release("gaussian", (5.0,))], RdpCurve)
     converted, _ = rdp_to_approx_dp(curve, 1e-5)
     brute = min(float(e) + math.log(1e5) / (float(a) - 1.0)
                 for a, e in zip(curve.orders, curve.epsilons))
@@ -263,9 +262,11 @@ def test_criterion_7_privacy_ledger_audit(zero_noise_runs, bounded_runs, minibat
                  + [(r, "short", None) for r in bounded_runs[0]]
                  + [(r, "line_search", None) for r in bounded_runs[1]])
     for out, mode, rho_target in zcdp_runs:
-        recomputed = account_run(out.grad_steps, out.hess_evals, out.plan, mode)
+        sweeps = out.iterations if mode == "line_search" else 0
+        recomputed = account_run(run_log(out.plan, out.grad_steps, out.hess_evals, sweeps), ZCdp)
         ok &= out.accounted_privacy.rho == recomputed.rho
-        worst = account_run(0, out.t_budget, out.plan, mode).rho
+        worst_sweeps = out.t_budget if mode == "line_search" else 0
+        worst = account_run(run_log(out.plan, 0, out.t_budget, worst_sweeps), ZCdp).rho
         ok &= out.accounted_privacy.rho <= worst + 1e-12
         if rho_target is not None:
             ok &= out.accounted_privacy.rho <= rho_target + 1e-12

@@ -1,4 +1,5 @@
-"""Accountant unit tests: mechanism budgets, conversions, subsampling, plans."""
+"""Accountant unit tests: release logs and their notions, conversions,
+subsampling, plans."""
 
 import functools
 import itertools
@@ -11,53 +12,110 @@ from hypothesis import strategies as st
 
 from dpopt import accountant
 from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, InfeasiblePlanError,
-                              NoisePlan, RdpCurve, ZCdp, account_run,
-                              account_subsampled_dp, approx_dp_to_zcdp,
-                              combined_sigma, compose, gaussian_mechanism_zcdp,
+                              NoisePlan, RdpCurve, Release, ZCdp, account_run,
+                              approx_dp_to_zcdp, combined_sigma, compose,
                               gaussian_sigma_dp, gaussian_sigma_zcdp,
-                              gaussian_rdp_curve, minibatch_rdp_curve,
                               plan_line_search, plan_short_step,
-                              plan_subsampled_dp, pure_dp_to_zcdp,
-                              rdp_to_approx_dp, subsampled_dp_split,
-                              subsampled_gaussian_rdp,
-                              subsampled_gaussian_rdp_curve, svt_zcdp,
+                              plan_subsampled_dp, rdp_to_approx_dp, run_log,
+                              subsampled_dp_split, subsampled_gaussian_rdp,
+                              subsampled_gaussian_rdp_curve, tally,
                               tune_noise_plan, zcdp_to_approx_dp)
 from dpopt.optimizer import RdpTuneBudget
 
 
+def gaussian_rho(sigma):
+    """rho of one whole-dataset Gaussian release at multiplier sigma."""
+    return account_run([Release("gaussian", (sigma,))], ZCdp).rho
+
+
+def gaussian_curve(sigma):
+    """RDP curve of one whole-dataset Gaussian release: alpha / (2 sigma^2)."""
+    return account_run([Release("gaussian", (sigma,))], RdpCurve)
+
+
+def dp_log(target, eps_f, delta_f, s, t_budget, k):
+    """The (eps, delta) log of a subsampled plan after k of its T steps."""
+    eps0, delta0 = subsampled_dp_split(target, eps_f, delta_f, s, t_budget)
+    return [Release("dp", (eps_f, delta_f)),
+            Release("dp", (eps0, delta0, target.delta - delta_f), s, k)]
+
+
 class TestGaussianMechanism:
     def test_unit_sigma(self):
-        assert gaussian_mechanism_zcdp(1.0).rho == 0.5
+        assert gaussian_rho(1.0) == 0.5
 
     def test_half_closed_form(self):
-        assert gaussian_mechanism_zcdp(2.0).rho == 0.125
+        assert gaussian_rho(2.0) == 0.125
 
     def test_vanishing_leakage(self):
-        assert gaussian_mechanism_zcdp(1e6).rho == pytest.approx(5e-13, rel=1e-12)
+        assert gaussian_rho(1e6) == pytest.approx(5e-13, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            gaussian_mechanism_zcdp(0.0)
+            gaussian_rho(0.0)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     def test_identity_rho_times_two_sigma_sq(self, sigma):
-        rho = gaussian_mechanism_zcdp(sigma).rho
+        rho = gaussian_rho(sigma)
         assert rho * 2.0 * sigma * sigma == pytest.approx(1.0, rel=1e-12)
+
+    def test_analytic_curve_on_the_whole_dataset(self):
+        orders = np.asarray(DEFAULT_ORDERS, dtype=float)
+        assert np.array_equal(gaussian_curve(5.0).epsilons, orders / 50.0)
 
 
 class TestSvt:
+    @staticmethod
+    def svt_rho(lam):
+        return account_run([Release("svt", (lam,))], ZCdp).rho
+
     def test_unit_lambda(self):
-        assert svt_zcdp(1.0).rho == 0.5
+        assert self.svt_rho(1.0) == 0.5
 
     def test_lambda_ten(self):
-        assert svt_zcdp(10.0).rho == pytest.approx(0.005, rel=1e-12)
+        assert self.svt_rho(10.0) == pytest.approx(0.005, rel=1e-12)
 
     def test_matches_pure_dp_conversion(self):
-        assert svt_zcdp(3.0).rho == pure_dp_to_zcdp(1.0 / 3.0).rho
+        # a sweep is (1/lam)-DP, and epsilon-DP is (epsilon^2 / 2)-zCDP
+        assert self.svt_rho(3.0) == pytest.approx(0.5 * (1.0 / 3.0) ** 2, rel=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            svt_zcdp(-1.0)
+            self.svt_rho(-1.0)
+
+
+class TestReleaseLog:
+    def test_tally_merges_equal_releases_in_mechanism_order(self):
+        f0, g = Release("gaussian", (3.0,)), Release("gaussian", (5.0,), 0.25)
+        w, sweep = Release("wigner", (6.0, 5.0), 0.25), Release("svt", (7.0,))
+        assert tally([f0, g, sweep, w, g, sweep]) == [
+            f0, Release("gaussian", (5.0,), 0.25, 2), w, Release("svt", (7.0,), count=2)]
+        assert tally([f0, Release("svt", (7.0,), count=0)]) == [f0]
+
+    def test_a_log_and_its_count_form_convert_to_the_same_bits(self):
+        plan = NoisePlan(3.0, 5.0, 6.0, lambda_svt=7.0, subsample_fraction=0.25)
+        f0, gradient, wigner, sweep = run_log(plan, 0, 1, 1)
+        log = [f0] + [gradient, sweep] * 5 + [gradient, sweep, wigner] * 2
+        assert account_run(log, ZCdp) == account_run(run_log(plan, 5, 2, 7), ZCdp)
+        assert np.array_equal(account_run(log[:1] + [gradient] * 7 + [wigner] * 2,
+                                          RdpCurve).epsilons,
+                              account_run(run_log(plan, 5, 2), RdpCurve).epsilons)
+
+    def test_each_notion_refuses_releases_it_cannot_cost(self):
+        with pytest.raises(ValueError, match="no zCDP cost"):
+            account_run([Release("dp", (0.1, 1e-6))], ZCdp)
+        with pytest.raises(ValueError, match="no RDP cost"):
+            account_run([Release("svt", (3.0,))], RdpCurve)
+        with pytest.raises(ValueError, match=r"no \(eps, delta\) cost"):
+            account_run([Release("gaussian", (3.0,))], ApproxDp)
+
+    @pytest.mark.parametrize("bad", [
+        Release("laplace", (1.0,)), Release("gaussian", (math.inf,)),
+        Release("svt", (-1.0,)), Release("gaussian", (1.0,), count=-1)])
+    def test_invalid_releases_refused(self, bad):
+        for notion in (ZCdp, RdpCurve, ApproxDp):
+            with pytest.raises(ValueError, match="not a valid release"):
+                account_run([bad], notion)
 
 
 class TestCompose:
@@ -106,7 +164,7 @@ class TestCompose:
 
 class TestSigmaSources:
     def test_zcdp_sigma_inverts_the_gaussian_cost(self):
-        assert gaussian_mechanism_zcdp(gaussian_sigma_zcdp(0.2)).rho == pytest.approx(0.2)
+        assert gaussian_rho(gaussian_sigma_zcdp(0.2)) == pytest.approx(0.2)
 
     def test_plans_take_sigma_f_from_the_one_formula(self):
         assert plan_short_step(ZCdp(0.5), 0.1, 10).sigma_f == gaussian_sigma_zcdp(0.1 * 0.5)
@@ -124,7 +182,7 @@ class TestSpent:
         assert ZCdp(0.3).spent(1e-5) == 0.3
 
     def test_rdp_curve_reports_its_converted_epsilon(self):
-        curve = gaussian_rdp_curve(4.0)
+        curve = gaussian_curve(4.0)
         assert curve.spent(1e-6) == rdp_to_approx_dp(curve, 1e-6)[0].epsilon
 
     def test_approx_dp_reports_epsilon(self):
@@ -164,7 +222,7 @@ class TestConversions:
 
 class TestRdpToApproxDp:
     def test_matches_brute_force_scan(self):
-        curve = gaussian_rdp_curve(5.0)
+        curve = gaussian_curve(5.0)
         out, alpha = rdp_to_approx_dp(curve, 1e-5)
         log1d = math.log(1e5)
         brute = min(a / 50.0 + log1d / (a - 1.0) for a in curve.orders)
@@ -178,13 +236,13 @@ class TestRdpToApproxDp:
         assert alpha == 2.0
 
     def test_monotone_in_delta(self):
-        curve = gaussian_rdp_curve(3.0)
+        curve = gaussian_curve(3.0)
         eps = [rdp_to_approx_dp(curve, d)[0].epsilon for d in (1e-8, 1e-6, 1e-4, 1e-2)]
         assert all(a >= b for a, b in zip(eps, eps[1:]))
 
     @given(st.floats(min_value=0.0, max_value=2.0))
     def test_monotone_in_curve(self, bump):
-        base = gaussian_rdp_curve(4.0)
+        base = gaussian_curve(4.0)
         larger = RdpCurve(base.orders, base.epsilons + bump)
         assert (rdp_to_approx_dp(larger, 1e-5)[0].epsilon
                 >= rdp_to_approx_dp(base, 1e-5)[0].epsilon - 1e-12)
@@ -242,9 +300,9 @@ class TestPlans:
         # within the target
         rho, T = 0.5, 100
         plan = plan_short_step(ZCdp(rho), 0.1, T)
-        assert account_run(0, T, plan, "short").rho == pytest.approx(rho, rel=1e-12)
+        assert account_run(run_log(plan, 0, T), ZCdp).rho == pytest.approx(rho, rel=1e-12)
         for k_g, k_h in ((T, 0), (T - 10, 10), (0, T), (37, 41)):
-            assert account_run(k_g, k_h, plan, "short").rho <= rho + 1e-12
+            assert account_run(run_log(plan, k_g, k_h), ZCdp).rho <= rho + 1e-12
 
     def test_line_search_closed_form(self):
         plan = plan_line_search(ZCdp(1.0), 0.25, 50)
@@ -252,9 +310,9 @@ class TestPlans:
 
     def test_line_search_account_round_trip(self):
         plan = plan_line_search(ZCdp(1.0), 0.25, 50)
-        assert account_run(0, 50, plan, "line_search").rho == pytest.approx(1.0, rel=1e-12)
+        assert account_run(run_log(plan, 0, 50, 50), ZCdp).rho == pytest.approx(1.0, rel=1e-12)
         for k_g, k_h in ((50, 0), (25, 25), (10, 3)):
-            assert account_run(k_g, k_h, plan, "line_search").rho <= 1.0 + 1e-12
+            assert account_run(run_log(plan, k_g, k_h, k_g + k_h), ZCdp).rho <= 1.0 + 1e-12
 
     def test_line_search_warns_on_exhausted_budget(self):
         with pytest.warns(RuntimeWarning):
@@ -288,42 +346,42 @@ class TestPlans:
         with pytest.raises(ValueError):
             plan_subsampled_dp(ApproxDp(0.5, 1e-5), 0.1, 2e-5, 0.01, 10)
 
-    def test_account_subsampled_dp_hits_target_at_full_budget(self):
+    def test_subsampled_dp_log_hits_target_at_full_budget(self):
         target = ApproxDp(0.9, 1e-5)
         eps_f, delta_f, s, T = 0.09, 1e-6, 0.01, 123
-        spent = account_subsampled_dp(T, target, eps_f, delta_f, s, T)
+        spent = account_run(dp_log(target, eps_f, delta_f, s, T, T), ApproxDp)
         assert spent.epsilon == pytest.approx(target.epsilon, rel=1e-12)
         assert spent.delta <= target.delta * (1 + 1e-12)
-        partial = account_subsampled_dp(T // 2, target, eps_f, delta_f, s, T)
+        partial = account_run(dp_log(target, eps_f, delta_f, s, T, T // 2), ApproxDp)
         assert partial.epsilon < spent.epsilon
-        zero = account_subsampled_dp(0, target, eps_f, delta_f, s, T)
+        zero = account_run(dp_log(target, eps_f, delta_f, s, T, 0), ApproxDp)
         assert zero.epsilon == eps_f and zero.delta == delta_f
 
 
 class TestAccountRun:
     def test_short_worked_example(self):
         plan = NoisePlan(2.0, 10.0, 10.0)
-        out = account_run(10, 2, plan, "short")
+        out = account_run(run_log(plan, 10, 2), ZCdp)
         assert out.rho == pytest.approx(0.5 * (0.25 + 12 / 100 + 2 / 100), rel=1e-12)
         assert out.rho == pytest.approx(0.195, rel=1e-12)
 
     def test_zero_steps_only_f_charge(self):
         plan = NoisePlan(2.0, 10.0, 10.0)
-        assert account_run(0, 0, plan, "short").rho == pytest.approx(1 / 8)
+        assert account_run(run_log(plan, 0, 0), ZCdp).rho == pytest.approx(1 / 8)
 
     def test_line_search_adds_svt_term(self):
         plan = NoisePlan(2.0, 10.0, 10.0, lambda_svt=5.0)
-        short = account_run(10, 2, plan, "short").rho
-        ls = account_run(10, 2, plan, "line_search").rho
+        short = account_run(run_log(plan, 10, 2), ZCdp).rho
+        ls = account_run(run_log(plan, 10, 2, 12), ZCdp).rho
         assert ls == pytest.approx(short + 12 / (2 * 25.0), rel=1e-12)
 
     def test_line_search_requires_lambda(self):
         with pytest.raises(ValueError):
-            account_run(1, 0, NoisePlan(2.0, 10.0, 10.0), "line_search")
+            run_log(NoisePlan(2.0, 10.0, 10.0), 1, 0, 1)
 
     def test_minibatch_curve_matches_manual_composition(self):
         plan = NoisePlan(5.0, 8.0, 8.0, subsample_fraction=0.01)
-        out = account_run(7, 3, plan, "rdp")
+        out = account_run(run_log(plan, 7, 3), RdpCurve)
         orders = np.asarray(DEFAULT_ORDERS, dtype=float)
         manual = (orders / (2 * 25.0)
                   + 7 * subsampled_gaussian_rdp_curve(8.0, 0.01).epsilons
@@ -332,7 +390,9 @@ class TestAccountRun:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            account_run(-1, 0, NoisePlan(1.0, 1.0, 1.0), "short")
+            run_log(NoisePlan(1.0, 1.0, 1.0), -1, 0)
+        with pytest.raises(ValueError):
+            run_log(NoisePlan(1.0, 1.0, 1.0), -1, 1)
 
 
 # the initial-loss multiplier RdpTuneBudget(1, 1e-5) would fix is about 17
@@ -343,7 +403,7 @@ class TestTuneNoisePlan:
     def test_returned_plan_is_feasible(self):
         target = ApproxDp(1.0, 1e-5)
         plan = tune_noise_plan(target, 0.01, 100, SIGMA_F)
-        curve = minibatch_rdp_curve(100, 100, plan)
+        curve = account_run(run_log(plan, 100, 100), RdpCurve)
         assert rdp_to_approx_dp(curve, 1e-5)[0].epsilon <= 1.0
 
     def test_minimality_on_the_grid(self):
@@ -354,7 +414,8 @@ class TestTuneNoisePlan:
         if idx > 0:
             smaller = NoisePlan(SIGMA_F, float(grid[idx - 1]), float(grid[idx - 1]),
                                 subsample_fraction=0.01)
-            eps = rdp_to_approx_dp(minibatch_rdp_curve(100, 100, smaller), 1e-5)[0].epsilon
+            eps = rdp_to_approx_dp(account_run(run_log(smaller, 100, 100), RdpCurve),
+                                   1e-5)[0].epsilon
             assert eps > 1.0
 
     def test_unconstrained_target_returns_grid_minimum(self):
@@ -385,8 +446,8 @@ class TestTuneNoisePlan:
             target = ApproxDp(eps, 1e-5)
             sigma_f = RdpTuneBudget(eps, 1e-5).sigma_f
             feasible = [
-                rdp_to_approx_dp(minibatch_rdp_curve(t, t, NoisePlan(sigma_f, g, g, None, s)),
-                                 1e-5)[0].epsilon <= eps
+                rdp_to_approx_dp(account_run(run_log(NoisePlan(sigma_f, g, g, None, s), t, t),
+                                             RdpCurve), 1e-5)[0].epsilon <= eps
                 for g in grid.tolist()]
             assert feasible == sorted(feasible), (eps, s, t, feasible)
             if not any(feasible):

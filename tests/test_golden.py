@@ -29,7 +29,8 @@ import numpy as np
 import pytest
 
 from dpopt import accountant
-from dpopt.accountant import InfeasiblePlanError, NoisePlan, account_run, compose
+from dpopt.accountant import (InfeasiblePlanError, NoisePlan, RdpCurve, ZCdp, account_run,
+                              compose, run_log)
 from dpopt.harness import ExperimentConfig, emit_report, synth_dataset
 from dpopt.harness import run_experiment
 from dpopt.mechanisms import SeededRng
@@ -252,11 +253,17 @@ def _decode_plan(plan: dict) -> NoisePlan:
     return NoisePlan(**fields)
 
 
+NOTIONS = {"short": ZCdp, "line_search": ZCdp, "rdp": RdpCurve}
+
+
 def _trace_ledger(run: dict):
-    """account_run of the run's trace: records with a noisy eigenvalue drew
-    a Hessian as well as a gradient."""
+    """account_run of the log of the run's trace: records with a noisy
+    eigenvalue drew a Hessian as well as a gradient, and a line-search
+    record logs one sweep."""
+    k, mode = len(run["trace"]), run["mode"]
     k_h = sum(1 for r in run["trace"] if r["lambda_noisy"] is not None)
-    return account_run(len(run["trace"]) - k_h, k_h, _decode_plan(run["plan"]), run["mode"])
+    log = run_log(_decode_plan(run["plan"]), k - k_h, k_h, k if mode == "line_search" else 0)
+    return account_run(log, NOTIONS[mode])
 
 
 def test_finished_golden_ledgers_are_account_run_of_their_traces(golden):

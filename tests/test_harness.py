@@ -436,6 +436,18 @@ class TestRunExperiment:
             run_experiment(small_config(**bad))
         assert built == []
 
+    @pytest.mark.parametrize("bad", [
+        {"epsilons": (1.0, -0.5)}, {"epsilons": (math.inf,)}, {"epsilons": (math.nan,)},
+        {"rhos": (-0.1,)}, {"rhos": (0.2, math.inf)},
+        {"lambda_reg": -1e-3}, {"weight_box": 0.0}, {"weight_box": -1.0}])
+    def test_bad_level_or_loss_setting_rejected_before_the_dataset_is_built(
+            self, bad, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiment, "synth_dataset", lambda *a, **k: built.append(a))
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            run_experiment(small_config(**bad))
+        assert built == []
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             small_config(variants=("opt_x",))
@@ -515,6 +527,14 @@ class TestCli:
         rc = cli_main(["--dataset", "synth:logistic_separable", "--variant", "opt",
                        "--epsilon", "1.0", "--seeds", "0"])
         assert rc == 2
+
+    def test_negative_epsilon_exits_2_before_the_dataset_is_built(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(experiment, "synth_dataset", lambda *a, **k: built.append(a))
+        args = [a if a != "1.0" else "-1.0" for a in self.ARGS]  # --epsilon -1.0
+        assert cli_main(args) == 2
+        assert "epsilons" in capsys.readouterr().err
+        assert built == []
 
     def test_unknown_config_key_is_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

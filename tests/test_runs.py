@@ -10,8 +10,8 @@ import pytest
 from dpopt import objective
 from dpopt.optimizer import runs
 from dpopt.spectral import EigenResult
-from dpopt.accountant import (NoisePlan, RdpCurve, account_run, account_subsampled_dp,
-                              compose, rdp_to_approx_dp)
+from dpopt.accountant import (ApproxDp, NoisePlan, RdpCurve, Release, ZCdp, account_run,
+                              compose, rdp_to_approx_dp, run_log, subsampled_dp_split)
 from dpopt.mechanisms import SeededRng, WignerOperator
 from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
@@ -22,7 +22,8 @@ from dpopt.optimizer import (VARIANTS, AlgorithmConstants, LineSearchBudget,
                              default_phase1_policy, min_dec_line_search,
                              min_dec_short, roots_t1_t2, run_line_search,
                              run_minibatch, run_short_step, run_two_phase, run_variant)
-from noise_doubles import always_failing_line_search, bounded_noise
+from noise_doubles import (always_failing_line_search, bounded_noise, kept_ledgers,
+                           recorded_scales)
 
 TOLS = AlgorithmConstants(eps_g=1e-2, eps_h=1e-1)
 
@@ -186,7 +187,7 @@ class TestLedger:
         plan = bounded_plan(model, ds, BOUNDED)
         with bounded_noise(model, BOUNDED):
             out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0))
-        recomputed = account_run(out.grad_steps, out.hess_evals, out.plan, "short")
+        recomputed = account_run(run_log(out.plan, out.grad_steps, out.hess_evals), ZCdp)
         assert out.accounted_privacy.rho == recomputed.rho
         increments = math.fsum(r.rho_increment for r in out.trace)
         f_charge = 0.5 / out.plan.sigma_f ** 2
@@ -201,8 +202,8 @@ class TestLedger:
         out_ls = run_line_search(model, ds, np.array([2.0, 0.0]), TOLS,
                                  LineSearchBudget(rho), SeededRng(2), noise_mode="zero")
         assert out_ls.accounted_privacy.rho <= rho + 1e-12
-        recomputed = account_run(out_ls.grad_steps, out_ls.hess_evals, out_ls.plan,
-                                 "line_search")
+        recomputed = account_run(run_log(out_ls.plan, out_ls.grad_steps, out_ls.hess_evals,
+                                         out_ls.iterations), ZCdp)
         assert out_ls.accounted_privacy.rho == recomputed.rho
 
     def test_short_step_budget_plans_at_the_batch_fraction(self):
@@ -262,10 +263,12 @@ def _logistic_run(entry, budget, seed, *extra, **kw):
     return entry(model, ds, np.zeros(4), LOGISTIC, budget, *extra, SeededRng(seed), **kw)
 
 
+WEIGHT_BOX = AlgorithmConstants(eps_g=0.05, eps_h=0.3)
+
+
 def _weight_box_run():
     ds, model = planted_instance()
-    return run_short_step(model, ds, np.zeros(6), AlgorithmConstants(eps_g=0.05, eps_h=0.3),
-                          ShortStepBudget(2.0), SeededRng(4))
+    return run_short_step(model, ds, np.zeros(6), WEIGHT_BOX, ShortStepBudget(2.0), SeededRng(4))
 
 
 def _two_steps(t_full):
@@ -298,6 +301,54 @@ DRAWING_RUNS = {
 }
 
 
+def _drawing_setting(name):
+    """(dataset, model, constants, batch size or None) of a DRAWING_RUNS case."""
+    if name == "weight_box_abort":
+        return (*planted_instance(), WEIGHT_BOX, None)
+    return (*_logistic_instance(), LOGISTIC, 500 if "_b" in name else None)
+
+
+class TestNoiseScales:
+    """Every draw is at its sensitivity times the plan's multiplier, checked
+    without the golden traces: the gradients and Wigner matrices at the
+    batch size, the initial loss at n, and each sweep at 2 gamma_init B_g
+    ||u|| / n, recomputed from its step, with the plan's lambda."""
+
+    @pytest.mark.parametrize("name", sorted(DRAWING_RUNS))
+    def test_every_draw_is_at_its_planned_scale(self, name):
+        with recorded_scales() as drawn_by_phase:
+            out = DRAWING_RUNS[name]()
+        ds, model, constants, m = _drawing_setting(name)
+        n, d = ds.n, ds.d
+        full, batch = sensitivities(model, n, d), sensitivities(model, m or n, d)
+        _, t2 = roots_t1_t2(constants.c, constants.c2, constants.c_h)
+        outcomes = out.phases or (out,)
+        assert len(drawn_by_phase) == len(outcomes)
+        for phase, drawn in zip(outcomes, drawn_by_phase):
+            plan = phase.plan
+            assert drawn["f0"] == full.delta_f * plan.sigma_f
+            assert drawn["gradient"]
+            assert set(drawn["gradient"]) == {batch.delta_g * plan.sigma_g}
+            assert len(drawn["wigner"]) >= phase.hess_evals
+            assert set(drawn["wigner"]) <= {batch.delta_h * plan.sigma_h}
+            steps = [r for r in phase.trace if r.kind != "terminate"]
+            if "ls" not in name:
+                assert drawn["sweep"] == []
+                continue
+            assert steps and len(drawn["sweep"]) >= len(steps)
+            for rec, (delta_q, gamma_init, lam) in zip(steps, drawn["sweep"]):
+                if rec.kind == "gradient":
+                    gamma_bar = 2.0 * (1.0 - constants.c1 - constants.c_g) / model.G
+                    want_init, u_norm = constants.b_g * gamma_bar, rec.grad_norm_noisy
+                else:
+                    gamma_bar = t2 * abs(rec.lambda_noisy) / model.M
+                    want_init, u_norm = constants.b_h * gamma_bar, 1.0
+                assert gamma_init == pytest.approx(want_init, rel=1e-12)
+                assert delta_q == pytest.approx(2.0 * gamma_init * model.B_g * u_norm / n,
+                                                rel=1e-12)
+                assert lam == plan.lambda_svt
+
+
 def assert_same_ledger(got, want):
     assert type(got) is type(want)
     if type(want) is RdpCurve:
@@ -306,10 +357,33 @@ def assert_same_ledger(got, want):
         assert got == want
 
 
+# RunOutcome.mode -> the ledger kind that converts the run's log
+NOTIONS = {"short": ZCdp, "line_search": ZCdp, "rdp": RdpCurve, "approx_dp": ApproxDp}
+
+
+def dp_step(budget, plan, t_budget):
+    """The one (eps0, delta0) step an (eps, delta) plan logs per iteration."""
+    s = plan.subsample_fraction
+    eps0, delta0 = subsampled_dp_split(budget.target, budget.eps_f, budget.delta_f, s, t_budget)
+    return eps0, delta0, budget.delta - budget.delta_f
+
+
+def drawn_log(budget, phase, grads, wigners):
+    """The log of a phase's counted draws: a gradient per iteration begun,
+    a Wigner matrix per Hessian, and in a line search a sweep per gradient;
+    in (eps, delta), one plan step per iteration."""
+    if phase.mode == "approx_dp":
+        return [Release("dp", (budget.eps_f, budget.delta_f)),
+                Release("dp", dp_step(budget, phase.plan, phase.t_budget),
+                        phase.plan.subsample_fraction, grads)]
+    sweeps = grads if phase.mode == "line_search" else 0
+    return run_log(phase.plan, grads - wigners, wigners, sweeps)
+
+
 class TestDrawsAndCharges:
-    """A run's ledger is that of the noise it drew: account_run (or
-    account_subsampled_dp) of the gradient draws counted at
-    runs.gaussian_vector and the Wigner draws counted at WignerOperator."""
+    """A run's ledger is the conversion of the noise it drew: account_run of
+    the log of the gradient draws counted at runs.gaussian_vector and the
+    Wigner draws counted at WignerOperator."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -345,20 +419,44 @@ class TestDrawsAndCharges:
                 assert grads == phase.iterations + 1
             else:
                 assert grads == phase.iterations
-            if phase.mode == "approx_dp":
-                want = account_subsampled_dp(grads, budget.target, budget.eps_f,
-                                             budget.delta_f, phase.plan.subsample_fraction,
-                                             phase.t_budget)
-            else:
-                want = account_run(grads - wigners, wigners, phase.plan, phase.mode)
+            want = account_run(drawn_log(budget, phase, grads, wigners), NOTIONS[phase.mode])
             assert_same_ledger(phase.accounted_privacy, want)
-            if phase.mode in ("short", "line_search") and phase.status != "failed_termination":
-                steps = math.fsum(r.rho_increment for r in phase.trace)
-                assert steps + 0.5 / phase.plan.sigma_f ** 2 == pytest.approx(
-                    phase.accounted_privacy.rho, rel=1e-12)
         if len(outcomes) == 2:
             assert_same_ledger(out.accounted_privacy,
                                compose(p.accounted_privacy for p in outcomes))
+
+    @pytest.mark.parametrize("name", sorted(DRAWING_RUNS))
+    def test_spend_of_each_prefix_of_the_log(self, draws, name):
+        # prefix j is the log of the initial loss and the first j iterations
+        with kept_ledgers() as ledgers:
+            out = DRAWING_RUNS[name]()
+        outcomes = out.phases or (out,)
+        assert len(ledgers) == len(outcomes)
+        for phase, ledger, (budget, _, _) in zip(outcomes, ledgers, draws):
+            spends = [account_run(ledger.log[:start], ledger.notion)
+                      for start in ledger.starts] + [account_run(ledger.log, ledger.notion)]
+            assert len(spends) == len(phase.trace) + 1 + (phase.status == "failed_termination")
+            assert_same_ledger(spends[-1], phase.accounted_privacy)
+            if phase.mode in ("short", "line_search"):
+                f0 = 0.5 / phase.plan.sigma_f ** 2
+                increments = [r.rho_increment for r in phase.trace]
+                for j, spend in enumerate(spends[:len(increments) + 1]):
+                    assert spend.rho == pytest.approx(f0 + math.fsum(increments[:j]), rel=1e-12)
+            elif phase.mode == "rdp":
+                assert all(r.rho_increment is None for r in phase.trace)
+                for before, after in zip(spends, spends[1:]):
+                    assert np.all(after.epsilons >= before.epsilons)
+                    assert after.spent(1e-5) >= before.spent(1e-5)
+            else:
+                eps0, delta0, rest = dp_step(budget, phase.plan, phase.t_budget)
+                s = phase.plan.subsample_fraction
+                assert spends[0] == ApproxDp(budget.eps_f, budget.delta_f)
+                for j, spend in enumerate(spends[1:], start=1):
+                    assert spend.epsilon == pytest.approx(
+                        budget.eps_f + 8 * s * eps0 * math.sqrt(2 * j * math.log(2 / rest)),
+                        rel=1e-12)
+                    assert spend.delta == pytest.approx(
+                        budget.delta_f + 2 * s * delta0 * j + rest / 2, rel=1e-12)
 
     def test_runs_cover_every_notion_and_a_weight_box_abort(self):
         outs = {name: case() for name, case in DRAWING_RUNS.items()}
@@ -454,7 +552,7 @@ class TestNonFiniteRelease:
         assert out.trace == ()
         assert np.array_equal(out.w_final, np.zeros(3))
         assert math.isfinite(out.final_loss)
-        assert out.accounted_privacy == account_run(1, 0, out.plan, "short")
+        assert out.accounted_privacy == account_run(run_log(out.plan, 1, 0), ZCdp)
 
     @pytest.mark.parametrize("path,what", [
         ("dense", "noisy Hessian at"), ("lanczos", "noisy Hessian-vector product"),
@@ -472,7 +570,7 @@ class TestNonFiniteRelease:
         assert out.status == "failed_termination"
         assert any(f"non-finite {what}" in w for w in out.warnings)
         assert out.trace == ()
-        assert out.accounted_privacy == account_run(0, 1, out.plan, "short")
+        assert out.accounted_privacy == account_run(run_log(out.plan, 0, 1), ZCdp)
 
 
 class TestTwoPhase:

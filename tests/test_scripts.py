@@ -56,3 +56,11 @@ def test_layer_timings_spread_layers_run(monkeypatch):
     for stats in layers.values():
         assert stats["repeats"] == 1
         assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
+
+
+def test_privacy_mutants_each_match_once_in_src(monkeypatch):
+    mutants = load_script("privacy_mutants", monkeypatch)
+    assert len(mutants.MUTANTS) >= 10
+    for name, (original, replacement, _) in mutants.MUTANTS.items():
+        assert len(mutants.occurrences(original)) == 1, name
+        assert replacement != original, name
