@@ -56,8 +56,9 @@ class Release(NamedTuple):
     "wigner" (sigma_h, sigma_g), drawn on the batch of a gradient at sigma_g;
     "svt" (lam,), a (1/lam)-DP sweep; "dp" (eps, delta), or on a batch
     (eps0, delta0, delta_rest), one step of an advanced composition that
-    spends delta_rest.  fraction is the sampling fraction of the release's
-    batch; None on the whole dataset, where no amplification is claimed."""
+    spends delta_rest.  fraction None is the unamplified cost; a float is
+    the sampling fraction of the release's batch, whose amplified bound is
+    charged, at s = 1 too (full-batch plans log their iterations at 1.0)."""
 
     mechanism: str
     params: tuple
@@ -143,21 +144,25 @@ class RdpCurve:
 
     @classmethod
     def of(cls, log, orders=DEFAULT_ORDERS) -> "RdpCurve":
-        """A Gaussian costs alpha / (2 sigma^2) on the whole dataset and the
-        subsampled bound on a batch.  A Wigner draw and the gradient on its
-        batch are one release, at combined_sigma of their multipliers."""
+        """A Gaussian costs alpha / (2 sigma^2) at fraction None and the
+        subsampled bound at a fraction.  A Wigner draw (sigma_h, sigma_g) and
+        a gradient at sigma_g on its batch are one release, at combined_sigma
+        of their multipliers; the gradients left unpaired are charged alone."""
         releases = tally(log)
+        alone = Counter()  # by (sigma_g,) and fraction: gradients less Wigner draws
+        for mechanism, params, s, count in releases:
+            if mechanism not in ("gaussian", "wigner"):
+                raise ValueError(f"a {mechanism} release has no RDP cost here")
+            alone[params[-1:], s] += count if mechanism == "gaussian" else -count
+        if min(alone.values(), default=0) < 0:
+            raise ValueError("more Wigner draws than gradients on their batches")
         orders_f = np.asarray(orders, dtype=float)
         eps = np.zeros_like(orders_f)
         for mechanism, params, s, count in releases:
             if mechanism == "wigner":
                 sigma = combined_sigma(params[1], params[0])
-            elif mechanism == "gaussian":
-                sigma = params[0]
-                count -= sum(r.count for r in releases if r.mechanism == "wigner"
-                             and r.params[1:] == params and r.fraction == s)
             else:
-                raise ValueError(f"a {mechanism} release has no RDP cost here")
+                sigma, count = params[0], alone[params, s]
             if s is None:
                 eps = eps + count * (orders_f / (2.0 * sigma ** 2))
             elif count:
@@ -495,8 +500,7 @@ def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
 
     def feasible(i: int) -> bool:
         curve = RdpCurve.of(run_log(plan_at(i), t_budget, t_budget), orders)
-        converted, _ = rdp_to_approx_dp(curve, target.delta)
-        return converted.epsilon <= target.epsilon
+        return curve.spent(target.delta) <= target.epsilon
 
     hi = len(sigma_grid) - 1
     if not feasible(hi):

@@ -19,6 +19,11 @@ from .experiment import (LOSSES, TOLERANCE_PRESETS, ConfigError, ExperimentConfi
                          emit_report, render_markdown, run_experiment)
 
 
+# the flags whose value, when given, is the ExperimentConfig field of that name
+_FIELD_FLAGS = ("dataset_format", "preprocessing", "loss", "lambda_reg", "delta",
+                "batch_size", "synth_n", "synth_d", "zero_noise", "lanczos")
+
+
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="dpopt",
@@ -73,32 +78,15 @@ def _build_config(args) -> ExperimentConfig:
         else:
             raw["dataset_path"] = args.dataset
             raw.pop("synth", None)
-    if args.dataset_format:
-        raw["dataset_format"] = args.dataset_format
-    if args.preprocessing:
-        raw["preprocessing"] = args.preprocessing
-    if args.loss:
-        raw["loss"] = args.loss
-    if args.lambda_reg is not None:
-        raw["lambda_reg"] = args.lambda_reg
+    for key in _FIELD_FLAGS:
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     if args.variant:
         raw["variants"] = tuple(args.variant.split(","))
     if args.epsilon:
         raw["epsilons"] = tuple(float(e) for e in args.epsilon.split(","))
-    if args.delta is not None:
-        raw["delta"] = args.delta
     if args.seeds:
         raw["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if args.batch_size is not None:
-        raw["batch_size"] = args.batch_size
-    if args.synth_n is not None:
-        raw["synth_n"] = args.synth_n
-    if args.synth_d is not None:
-        raw["synth_d"] = args.synth_d
-    if args.zero_noise is not None:
-        raw["zero_noise"] = True
-    if args.lanczos is not None:
-        raw["lanczos"] = True
 
     for key in ("variants", "epsilons", "seeds", "rhos"):
         if key in raw and raw[key] is not None:

@@ -213,12 +213,6 @@ def load_dataset(path, fmt: str = "csv", preprocessing: str = "none",
     return Dataset(X, y, max_row_norm(X))
 
 
-def preprocess(dataset: Dataset, preprocessing: str) -> Dataset:
-    """Apply a preset to an already loaded dataset (used for idempotence checks)."""
-    X, y = _apply_preset(dataset.features, dataset.labels, preprocessing)
-    return Dataset(X, y, max_row_norm(X))
-
-
 def synth_workers(blocks: int = BLOCKS_IN_FLIGHT) -> int:
     """Threads synth_dataset draws `blocks` blocks in flight on: one per
     usable core, at most one per block."""

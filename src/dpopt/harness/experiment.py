@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,8 @@ LOSSES = {
 
 CSV_COLUMNS = ("variant", "epsilon", "seed", "status", "final_loss", "runtime_s",
                "iters", "grad_steps", "curv_steps", "hess_evals", "rho_spent")
+# each column's type: a float is written as its repr, so it reads back exactly
+_CSV_KINDS = (str, float, int, str, float, float, int, int, int, int, float)
 
 
 class ConfigError(ValueError):
@@ -264,10 +266,7 @@ def emit_report(report: AggregateReport, fmt: str, path) -> Path:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for r in report.rows:
-                writer.writerow([r.variant, repr(r.epsilon), r.seed, r.status,
-                                 repr(r.final_loss), repr(r.runtime_s), r.iters,
-                                 r.grad_steps, r.curv_steps, r.hess_evals,
-                                 repr(r.rho_spent)])
+                writer.writerow([repr(v) if isinstance(v, float) else v for v in astuple(r)])
     elif fmt == "markdown":
         with open(path, "w") as fh:
             fh.write(render_markdown(report))
@@ -311,9 +310,5 @@ def read_report_csv(path) -> tuple[RunRow, ...]:
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header {header}")
         for rec in reader:
-            rows.append(RunRow(
-                variant=rec[0], epsilon=float(rec[1]), seed=int(rec[2]),
-                status=rec[3], final_loss=float(rec[4]), runtime_s=float(rec[5]),
-                iters=int(rec[6]), grad_steps=int(rec[7]), curv_steps=int(rec[8]),
-                hess_evals=int(rec[9]), rho_spent=float(rec[10])))
+            rows.append(RunRow(*(kind(v) for kind, v in zip(_CSV_KINDS, rec))))
     return tuple(rows)

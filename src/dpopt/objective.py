@@ -289,16 +289,6 @@ def builtin_quartic_saddle(R: float, d: int, weight_box: float = 2.0) -> LossMod
                      link=_quartic_link(), regularizer="none")
 
 
-def custom_margin_model(link: MarginLink, *, B: float, B_g: float, B_H: float,
-                        G: float, M: float, f_lower: float,
-                        weight_box: float, lambda_reg: float = 0.0,
-                        regularizer: str = "none") -> LossModel:
-    """A margin loss with caller-supplied bounds (caller certifies them)."""
-    return LossModel(lambda_reg, B, B_g, B_H, G, M,
-                     f_lower=f_lower, weight_box=weight_box,
-                     link=link, regularizer=regularizer)
-
-
 # ---------------------------------------------------------------------------
 # regularizers (value, gradient, Hessian diagonal)
 

@@ -31,8 +31,8 @@ gradient, Hessian, SVT sensitivity) by 0, so no noise is drawn.
 
 One ledger per run (_Ledger) draws every gradient noise and Wigner
 matrix, runs every SVT sweep and logs each release (accountant.Release);
-the run's notion, picked before any data pass, converts the log at close
-and, in zCDP, each iteration's releases for its StepRecord.  A line-search
+the run's notion, picked before any data pass, converts the log at the
+end and, in zCDP, each iteration's releases for its StepRecord.  A line-search
 iteration logs one sweep, the terminal check's missing one included, and a
 run aborted by a weight-box violation or a non-finite release
 ("failed_termination", with a warning) logs its partial iteration.
@@ -87,30 +87,7 @@ def _require_finite(value, what: str, k: int):
 
 
 @dataclass(frozen=True)
-class ShortStepBudget:
-    """rho-zCDP target for the short-step variant; c_f is the fraction spent
-    on the initial loss perturbation."""
-
-    rho: float
-    c_f: float = 0.1
-    accounting: ClassVar[str] = "zcdp"
-
-    @property
-    def sigma_f(self) -> float:
-        return gaussian_sigma_zcdp(self.c_f * self.rho)
-
-    def plan(self, t_budget: int, s: float) -> NoisePlan:
-        # a mini-batch run's RDP ledger amplifies at the plan's fraction
-        return replace(plan_short_step(ZCdp(self.rho), self.c_f, t_budget), subsample_fraction=s)
-
-    def scaled(self, fraction: float) -> ShortStepBudget:
-        return replace(self, rho=self.rho * fraction)
-
-
-@dataclass(frozen=True)
-class LineSearchBudget:
-    """rho-zCDP target for the line-search variant; rho_f = c_f * rho."""
-
+class _RhoTarget:
     rho: float
     c_f: float = 0.1
     accounting: ClassVar[str] = "zcdp"
@@ -123,17 +100,33 @@ class LineSearchBudget:
     def sigma_f(self) -> float:
         return gaussian_sigma_zcdp(self.rho_f)
 
+    def scaled(self, fraction: float):
+        return replace(self, rho=self.rho * fraction)
+
+
+@dataclass(frozen=True)
+class ShortStepBudget(_RhoTarget):
+    """rho-zCDP target for the short-step variant; c_f is the fraction spent
+    on the initial loss perturbation."""
+
+    def plan(self, t_budget: int, s: float) -> NoisePlan:
+        # a mini-batch run's RDP ledger amplifies at the plan's fraction
+        return replace(plan_short_step(ZCdp(self.rho), self.c_f, t_budget), subsample_fraction=s)
+
+
+@dataclass(frozen=True)
+class LineSearchBudget(_RhoTarget):
+    """rho-zCDP target for the line-search variant; rho_f = c_f * rho."""
+
     def plan(self, t_budget: int, s: float) -> NoisePlan:
         return plan_line_search(ZCdp(self.rho), self.rho_f, t_budget)
-
-    def scaled(self, fraction: float) -> LineSearchBudget:
-        return replace(self, rho=self.rho * fraction)
 
 
 @dataclass(frozen=True)
 class _EpsDeltaTarget:
     epsilon: float
     delta: float
+    c_f: float = 0.1
 
     @property
     def target(self) -> ApproxDp:
@@ -149,7 +142,6 @@ class SubsampledDpBudget(_EpsDeltaTarget):
     advanced composition; the fraction c_f of epsilon and of delta goes to
     the initial loss."""
 
-    c_f: float = 0.1
     accounting: ClassVar[str] = "approx_dp"
 
     @property
@@ -178,7 +170,6 @@ class RdpTuneBudget(_EpsDeltaTarget):
     the per-iteration multipliers.
     """
 
-    c_f: float = 0.1
     sigma_grid: tuple[float, ...] | None = None
     accounting: ClassVar[str] = "rdp"
 
@@ -293,14 +284,12 @@ def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search:
 
 class _Ledger:
     """The one place a run draws and logs its per-iteration releases, after
-    its initial loss's (see _releases).  factor multiplies every noise
-    scale: 1 draws from the plan, 0 draws nothing (--zero-noise); a
-    zero-noise run logs as a noisy one."""
+    its initial loss's (see _releases); the run's notion converts the log.
+    factor multiplies every noise scale: 1 draws from the plan, 0 draws
+    nothing (--zero-noise); a zero-noise run logs as a noisy one."""
 
-    def __init__(self, notion, increment, releases, plan: NoisePlan, sens,
-                 rng: SeededRng, factor: float):
-        self.notion, self._increment, self.plan, self.rng, self.factor = (
-            notion, increment, plan, rng, factor)
+    def __init__(self, releases, plan: NoisePlan, sens, rng: SeededRng, factor: float):
+        self.plan, self.rng, self.factor = plan, rng, factor
         self.grad_scale = factor * sens.delta_g * plan.sigma_g
         self.hess_scale = factor * sens.delta_h * plan.sigma_h
         f0, self._begun, self._curvature = releases
@@ -322,12 +311,10 @@ class _Ledger:
         return dp_line_search(query, self.factor * sensitivity, gamma_init, gamma_bar,
                               beta, self.plan.lambda_svt, self.rng)
 
-    def increment(self) -> float | None:
-        """The charge of this iteration's releases, for its StepRecord."""
-        return self._increment(self.log[self._step:])
-
-    def close(self):
-        return account_run(self.log, self.notion)
+    @property
+    def step(self) -> list[Release]:
+        """The releases of the iteration begun last."""
+        return self.log[self._step:]
 
 
 # noise_mode -> the factor on every noise scale of a run
@@ -378,8 +365,8 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 f"advisory-violated: batch size {m} is below the advised "
                 f"minimum {m_min} for T = {t_used}")
 
-    ledger = _Ledger(notion, increment, _releases(notion, budget, plan, t_used, line_search),
-                     plan, sens_batch, rng, noise_factor)
+    ledger = _Ledger(_releases(notion, budget, plan, t_used, line_search), plan, sens_batch,
+                     rng, noise_factor)
 
     trace: list[StepRecord] = []
     status = "budget_exhausted"
@@ -423,7 +410,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 lambda_noisy = _require_finite(eig.lambda_min, "noisy eigenvalue", k)
                 if not decide_curvature(eig, constants.eps_h):
                     trace.append(StepRecord(k, "terminate", None, loss_now, loss_now,
-                                            g_norm, lambda_noisy, 0, ledger.increment()))
+                                            g_norm, lambda_noisy, 0, increment(ledger.step)))
                     status = "converged_2s"
                     break
                 lam_abs = abs(lambda_noisy)
@@ -449,7 +436,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
             loss_after = erm_value(model, dataset, w, memo=memo)
             w_good = w.copy()
             trace.append(StepRecord(k, kind, gamma, loss_now, loss_after, g_norm,
-                                    lambda_noisy, probes, ledger.increment()))
+                                    lambda_noisy, probes, increment(ledger.step)))
             loss_now = loss_after
     except (WeightBoxError, _NonFiniteRelease) as err:
         # abort, but hand back the last iterate whose loss was evaluated
@@ -457,8 +444,8 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         status = "failed_termination"
         w = w_good
 
-    return RunOutcome(status, w, tuple(trace), ledger.close(), plan, t_used, mode,
-                      z, erm_value(model, dataset, w, memo=memo), tuple(warnings_acc))
+    return RunOutcome(status, w, tuple(trace), account_run(ledger.log, notion), plan, t_used,
+                      mode, z, erm_value(model, dataset, w, memo=memo), tuple(warnings_acc))
 
 
 # ---------------------------------------------------------------------------

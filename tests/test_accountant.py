@@ -117,6 +117,19 @@ class TestReleaseLog:
             with pytest.raises(ValueError, match="not a valid release"):
                 account_run([bad], notion)
 
+    @pytest.mark.parametrize("gradients", [0, 1])
+    def test_more_wigner_draws_than_gradients_on_their_batch_refused(self, gradients):
+        # each Wigner draw is charged with a gradient at its sigma_g and
+        # fraction: more draws than such gradients would charge a negative count
+        log = [Release("gaussian", (5.0,), 0.25, gradients),
+               Release("wigner", (6.0, 5.0), 0.25, 2)]
+        with pytest.raises(ValueError, match="more Wigner draws than gradients"):
+            account_run(log, RdpCurve)
+        # a gradient at another fraction or multiplier does not pair with it
+        for other in (Release("gaussian", (5.0,), 0.5, 2), Release("gaussian", (4.0,), 0.25, 2)):
+            with pytest.raises(ValueError, match="more Wigner draws than gradients"):
+                account_run(log + [other], RdpCurve)
+
 
 class TestCompose:
     def test_zcdp_sum(self):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dpopt.harness import (ExperimentConfig, TOLERANCE_PRESETS, emit_report,
-                           load_dataset, preprocess, read_report_csv,
+                           load_dataset, read_report_csv,
                            render_markdown, run_experiment, synth_dataset)
 from dpopt.harness.cli import main as cli_main
 from dpopt.accountant import InfeasiblePlanError, ZCdp, zcdp_to_approx_dp
@@ -150,9 +150,9 @@ class TestPreprocessing:
         path = tmp_path / "cover.csv"
         path.write_text("\n".join(rows) + "\n")
         once = load_dataset(path, "csv", preprocessing="covertype")
-        twice = preprocess(once, "covertype")
-        assert np.allclose(once.features, twice.features, atol=1e-12)
-        assert np.array_equal(once.labels, twice.labels)
+        features, labels = data._apply_preset(once.features, once.labels, "covertype")
+        assert np.allclose(once.features, features, atol=1e-12)
+        assert np.array_equal(once.labels, labels)
 
     def test_ijcnn_preset_normalizes_all_columns(self, tmp_path):
         path = tmp_path / "ij.csv"

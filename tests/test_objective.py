@@ -16,7 +16,7 @@ from dpopt import objective
 from dpopt.mechanisms import DEFAULT_WIGNER_TAIL_CONSTANT, SeededRng
 from dpopt.objective import (BatchSelector, Dataset, MarginMemo, WeightBoxError,
                              builtin_l2_logistic, builtin_nonconvex_logistic,
-                             builtin_quartic_saddle, custom_margin_model, erm_gradient,
+                             builtin_quartic_saddle, erm_gradient,
                              erm_hessian, erm_hvp, erm_value, sensitivities)
 from dpopt.accountant import NoisePlan
 from dpopt.optimizer import AlgorithmConstants, min_batch_size, min_samples_advisor
@@ -570,9 +570,10 @@ class TestSpreadOverCores:
                 raise SpanFailed("third span")
             return t
 
-        model = custom_margin_model(
-            objective.MarginLink(value=lambda t: t * t, deriv=deriv, second=np.ones_like),
-            B=1.0, B_g=1.0, B_H=1.0, G=1.0, M=1.0, f_lower=0.0, weight_box=10.0)
+        model = objective.LossModel(
+            0.0, B=1.0, B_g=1.0, B_H=1.0, G=1.0, M=1.0, f_lower=0.0, weight_box=10.0,
+            link=objective.MarginLink(value=lambda t: t * t, deriv=deriv, second=np.ones_like),
+            regularizer="none")
         ds = random_dataset(self.N, self.D, 63)
         threads = threading.active_count()
         with pytest.raises(SpanFailed, match="third span"):
@@ -709,12 +710,12 @@ class TestDeclaredBounds:
 
 class TestCustomModel:
     def test_caller_supplied_link_and_bounds(self):
-        from dpopt.objective import MarginLink, custom_margin_model
+        from dpopt.objective import LossModel, MarginLink
 
         link = MarginLink(value=lambda t: t * t, deriv=lambda t: 2 * t,
                           second=lambda t: np.full_like(t, 2.0))
-        model = custom_margin_model(link, B=4.0, B_g=4.0, B_H=2.0, G=2.0, M=0.0,
-                                    f_lower=0.0, weight_box=2.0)
+        model = LossModel(0.0, B=4.0, B_g=4.0, B_H=2.0, G=2.0, M=0.0, f_lower=0.0,
+                          weight_box=2.0, link=link, regularizer="none")
         ds = random_dataset(10, 3, 20)
         w = np.array([0.5, -0.5, 0.25])
         t = ds.labels * (ds.features @ w)

@@ -433,8 +433,9 @@ class TestDrawsAndCharges:
         outcomes = out.phases or (out,)
         assert len(ledgers) == len(outcomes)
         for phase, ledger, (budget, _, _) in zip(outcomes, ledgers, draws):
-            spends = [account_run(ledger.log[:start], ledger.notion)
-                      for start in ledger.starts] + [account_run(ledger.log, ledger.notion)]
+            notion = NOTIONS[phase.mode]
+            spends = [account_run(ledger.log[:start], notion)
+                      for start in ledger.starts] + [account_run(ledger.log, notion)]
             assert len(spends) == len(phase.trace) + 1 + (phase.status == "failed_termination")
             assert_same_ledger(spends[-1], phase.accounted_privacy)
             if phase.mode in ("short", "line_search"):
