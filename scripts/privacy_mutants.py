@@ -49,6 +49,13 @@ MUTANTS = {
            "scales mini-batch noise to the full-batch sensitivity"),
     "M10": ("z = gaussian(noise_factor * ", "z = gaussian(0.5 * noise_factor * ",
             "halves the initial-loss noise"),
+    "M11": ("math.sqrt(t_budget / ((1.0 - self.c_f) * self.rho))",
+            "math.sqrt(0.5 * t_budget / ((1.0 - self.c_f) * self.rho))",
+            "plans short steps for half the iterations"),
+    "M12": ("math.sqrt(3.0 * t_budget", "math.sqrt(2.0 * t_budget",
+            "plans line searches with no sparse-vector share"),
+    "M13": ("(8.0 * s * math.sqrt(2.0 * t_budget", "(4.0 * s * math.sqrt(2.0 * t_budget",
+            "doubles the advanced-composition step eps0"),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

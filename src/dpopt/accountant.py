@@ -17,9 +17,10 @@ pointwise on one order grid, ApproxDp adds epsilons and deltas), and its
 spent(delta) is the scalar a report shows: rho, the curve's epsilon at
 delta, or epsilon.
 
-The plan_* helpers calibrate noise multipliers so that a run of at most T
-iterations stays inside a given budget; tune_noise_plan converts its worst
-case with the RdpCurve.of that converts a run's log.
+The noise plans themselves come from the budget policies in
+optimizer.runs, each the one source of its calibration.  tune_noise_plan,
+the grid search behind the RDP policy, converts its worst case with the
+RdpCurve.of that converts a run's log.
 
 Everything here is a pure function over frozen dataclasses; the module is
 safe to use from any number of threads.
@@ -28,7 +29,6 @@ safe to use from any number of threads.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -354,89 +354,7 @@ def subsampled_gaussian_rdp_curve(sigma: float, s: float, orders=DEFAULT_ORDERS)
 
 
 # ---------------------------------------------------------------------------
-# noise-plan calibration
-
-_SIGMA_WARN = 1e6
-
-
-def plan_short_step(budget: ZCdp, c_f: float, t_budget: int) -> NoisePlan:
-    """Multipliers for a T-iteration short-step run under rho-zCDP.
-
-    sigma_f^2 = 1/(2 c_f rho) spends the fraction c_f on the initial loss
-    perturbation; sigma_g^2 = sigma_h^2 = T / ((1 - c_f) rho) covers up to T
-    gradient and T Hessian draws.
-    """
-    rho = budget.rho
-    if not (rho > 0):
-        raise ValueError("rho must be positive")
-    if not (0.0 < c_f < 1.0):
-        raise ValueError("c_f must lie in (0, 1)")
-    if t_budget < 1:
-        raise ValueError("t_budget must be >= 1")
-    sigma_f = gaussian_sigma_zcdp(c_f * rho)
-    sigma_gh = math.sqrt(t_budget / ((1.0 - c_f) * rho))
-    return NoisePlan(sigma_f, sigma_gh, sigma_gh, lambda_svt=None, subsample_fraction=1.0)
-
-
-def plan_line_search(budget: ZCdp, rho_f: float, t_budget: int) -> NoisePlan:
-    """Multipliers for a T-iteration line-search run under rho-zCDP.
-
-    sigma_g^2 = sigma_h^2 = lambda^2 = 3T / (2 (rho - rho_f)); the factor 3
-    covers the gradient, Hessian, and sparse-vector charge per iteration.
-    """
-    rho = budget.rho
-    if not (0.0 < rho_f < rho):
-        raise ValueError("rho_f must lie in (0, rho)")
-    if t_budget < 1:
-        raise ValueError("t_budget must be >= 1")
-    sigma_f = gaussian_sigma_zcdp(rho_f)
-    sigma = math.sqrt(3.0 * t_budget / (2.0 * (rho - rho_f)))
-    if sigma > _SIGMA_WARN:
-        warnings.warn(
-            f"line-search noise multiplier {sigma:.3g} exceeds {_SIGMA_WARN:.0e}; "
-            "the remaining budget rho - rho_f is nearly exhausted",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return NoisePlan(sigma_f, sigma, sigma, lambda_svt=sigma, subsample_fraction=1.0)
-
-
-def subsampled_dp_split(target: ApproxDp, eps_f: float, delta_f: float, s: float,
-                        t_budget: int) -> tuple[float, float]:
-    """Per-iteration (eps0, delta0) for the subsampled plan under (eps, delta)-DP."""
-    eps, delta = target.epsilon, target.delta
-    if not (0.0 < eps_f < eps) or not (0.0 < delta_f < delta):
-        raise ValueError("need 0 < eps_f < eps and 0 < delta_f < delta")
-    if not (eps - eps_f < 1.0):
-        raise ValueError("advanced composition requires the per-run budget "
-                         "eps - eps_f to lie in (0, 1)")
-    if not (0.0 < s <= 1.0):
-        raise ValueError("s must lie in (0, 1]")
-    if t_budget < 1:
-        raise ValueError("t_budget must be >= 1")
-    eps0 = (eps - eps_f) / (8.0 * s * math.sqrt(2.0 * t_budget * math.log(2.0 / (delta - delta_f))))
-    delta0 = (delta - delta_f) / (4.0 * s * t_budget)
-    return eps0, delta0
-
-
-def plan_subsampled_dp(target: ApproxDp, eps_f: float, delta_f: float, s: float,
-                       t_budget: int) -> NoisePlan:
-    """Multipliers for a T-iteration subsampled short-step run under (eps, delta)-DP.
-
-    Splits off (eps_f, delta_f) for the initial loss perturbation and sizes
-    the per-iteration Gaussians by advanced composition plus amplification
-    by subsampling.  Raises InfeasiblePlanError when the per-iteration eps0
-    reaches 1, where the classical Gaussian-mechanism calibration stops being
-    valid.
-    """
-    eps0, delta0 = subsampled_dp_split(target, eps_f, delta_f, s, t_budget)
-    if eps0 >= 1.0:
-        raise InfeasiblePlanError(
-            f"per-iteration eps0 = {eps0:.3g} >= 1 violates the Gaussian-mechanism "
-            "precondition; no valid (eps, delta)-DP calibration at this s and T")
-    sigma_f = gaussian_sigma_dp(eps_f, delta_f)
-    sigma_gh = gaussian_sigma_dp(eps0, delta0)
-    return NoisePlan(sigma_f, sigma_gh, sigma_gh, lambda_svt=None, subsample_fraction=s)
+# a run's log
 
 
 def combined_sigma(sigma_g: float, sigma_h: float) -> float:

@@ -110,6 +110,11 @@ class ExperimentConfig:
             raise ConfigError("configure exactly one of dataset_path and synth")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0 or self.rng_stream < 0:
+            raise ConfigError(f"seeds {self.seeds} and rng_stream {self.rng_stream} "
+                              "must be nonnegative")
+        if not 0.0 < self.budget_split < 1.0:
+            raise ConfigError(f"budget_split {self.budget_split} must lie in (0, 1)")
         if self.rhos is None and not self.epsilons:
             raise ConfigError("at least one privacy level is required")
         if not all(0.0 < level < math.inf for level in (*self.epsilons, *(self.rhos or ()))):

@@ -49,10 +49,9 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from ..accountant import (ApproxDp, NoisePlan, RdpCurve, Release, ZCdp, account_run,
-                          approx_dp_to_zcdp, compose, gaussian_sigma_dp,
-                          gaussian_sigma_zcdp, plan_line_search, plan_short_step,
-                          plan_subsampled_dp, run_log, subsampled_dp_split,
+from ..accountant import (ApproxDp, InfeasiblePlanError, NoisePlan, RdpCurve, Release,
+                          ZCdp, account_run, approx_dp_to_zcdp, compose,
+                          gaussian_sigma_dp, gaussian_sigma_zcdp, run_log,
                           tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
 from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel, MarginMemo,
@@ -78,9 +77,10 @@ def _require_finite(value, what: str, k: int):
 # budgets
 #
 # A budget is a NoisePlan, used as given, or one of the four policies below,
-# which calibrate a plan once T is known.  Each has:
+# each the one source of its plan and checked when it is made.  Each has:
 #   sigma_f               the initial-loss multiplier, fixed before T;
-#   plan(t_budget, s)     the NoisePlan for T iterations at sampling fraction s;
+#   plan(t_budget, s)     the NoisePlan for T iterations at sampling fraction s,
+#                         with the policy's own sigma_f;
 #   scaled(fraction)      the same policy with that fraction of the target,
 #                         for one phase of a two-phase run;
 #   accounting            its default ledger notion (see _notion).
@@ -91,6 +91,11 @@ class _RhoTarget:
     rho: float
     c_f: float = 0.1
     accounting: ClassVar[str] = "zcdp"
+
+    def __post_init__(self):
+        if not (0.0 < self.rho < math.inf and 0.0 < self.c_f < 1.0):
+            raise ValueError(f"need 0 < rho < inf and 0 < c_f < 1, got rho = {self.rho}, "
+                             f"c_f = {self.c_f}")
 
     @property
     def rho_f(self) -> float:
@@ -110,8 +115,10 @@ class ShortStepBudget(_RhoTarget):
     on the initial loss perturbation."""
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
-        # a mini-batch run's RDP ledger amplifies at the plan's fraction
-        return replace(plan_short_step(ZCdp(self.rho), self.c_f, t_budget), subsample_fraction=s)
+        """sigma_g^2 = sigma_h^2 = T / ((1 - c_f) rho) covers up to T gradient
+        and T Hessian draws; a mini-batch run's RDP ledger amplifies at s."""
+        sigma_gh = math.sqrt(t_budget / ((1.0 - self.c_f) * self.rho))
+        return NoisePlan(self.sigma_f, sigma_gh, sigma_gh, None, s)
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,10 @@ class LineSearchBudget(_RhoTarget):
     """rho-zCDP target for the line-search variant; rho_f = c_f * rho."""
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
-        return plan_line_search(ZCdp(self.rho), self.rho_f, t_budget)
+        """sigma_g^2 = sigma_h^2 = lambda^2 = 3T / (2 (rho - rho_f)); the 3
+        covers the gradient, Hessian and sparse-vector charge per iteration."""
+        sigma = math.sqrt(3.0 * t_budget / (2.0 * (self.rho - self.rho_f)))
+        return NoisePlan(self.sigma_f, sigma, sigma, lambda_svt=sigma)
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,12 @@ class _EpsDeltaTarget:
     epsilon: float
     delta: float
     c_f: float = 0.1
+
+    def __post_init__(self):
+        if not (0.0 < self.epsilon < math.inf and 0.0 < self.delta < 1.0
+                and 0.0 < self.c_f < 1.0):
+            raise ValueError(f"need 0 < epsilon < inf, 0 < delta < 1 and 0 < c_f < 1, got "
+                             f"epsilon = {self.epsilon}, delta = {self.delta}, c_f = {self.c_f}")
 
     @property
     def target(self) -> ApproxDp:
@@ -156,8 +172,24 @@ class SubsampledDpBudget(_EpsDeltaTarget):
     def sigma_f(self) -> float:
         return gaussian_sigma_dp(self.eps_f, self.delta_f)
 
+    def step(self, t_budget: int, s: float) -> tuple[float, float, float]:
+        """(eps0, delta0, delta_rest) of one of T Gaussian steps on batches at
+        fraction s, which compose to (eps - eps_f, delta - delta_f) by
+        amplification and advanced composition.  Both need eps - eps_f < 1,
+        and the classical Gaussian calibration needs eps0 < 1: otherwise
+        InfeasiblePlanError."""
+        eps, rest = self.epsilon - self.eps_f, self.delta - self.delta_f
+        eps0 = eps / (8.0 * s * math.sqrt(2.0 * t_budget * math.log(2.0 / rest)))
+        if not (eps < 1.0 and eps0 < 1.0):
+            raise InfeasiblePlanError(
+                f"eps - eps_f = {eps:.3g} and per-iteration eps0 = {eps0:.3g} must both "
+                f"be below 1; no valid (eps, delta)-DP calibration at s = {s}, T = {t_budget}")
+        return eps0, rest / (4.0 * s * t_budget), rest
+
     def plan(self, t_budget: int, s: float) -> NoisePlan:
-        return plan_subsampled_dp(self.target, self.eps_f, self.delta_f, s, t_budget)
+        eps0, delta0, _ = self.step(t_budget, s)
+        sigma_gh = gaussian_sigma_dp(eps0, delta0)
+        return NoisePlan(self.sigma_f, sigma_gh, sigma_gh, None, s)
 
 
 @dataclass(frozen=True)
@@ -172,6 +204,12 @@ class RdpTuneBudget(_EpsDeltaTarget):
 
     sigma_grid: tuple[float, ...] | None = None
     accounting: ClassVar[str] = "rdp"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.sigma_grid is not None and not (
+                len(self.sigma_grid) and all(0.0 < x < math.inf for x in self.sigma_grid)):
+            raise ValueError("sigma_grid must be nonempty, positive and finite")
 
     @property
     def sigma_f(self) -> float:
@@ -274,9 +312,7 @@ def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search:
         raise ValueError("the plan's sigma_f is not the budget's, which noised f0")
     if notion is ApproxDp:
         s = plan.subsample_fraction
-        eps0, delta0 = subsampled_dp_split(budget.target, budget.eps_f, budget.delta_f, s,
-                                           t_used)
-        step = Release("dp", (eps0, delta0, budget.delta - budget.delta_f), s)
+        step = Release("dp", budget.step(t_used, s), s)
         return Release("dp", (budget.eps_f, budget.delta_f)), (step,), ()
     f0, gradient, wigner, sweep = run_log(plan, 0, 1, int(line_search))
     return f0, (gradient, sweep) if line_search else (gradient,), (wigner,)

@@ -16,7 +16,7 @@ import pytest
 
 from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, NoisePlan, RdpCurve, Release,
                               ZCdp, account_run, approx_dp_to_zcdp, combined_sigma,
-                              plan_short_step, rdp_to_approx_dp, run_log,
+                              rdp_to_approx_dp, run_log,
                               subsampled_gaussian_rdp,
                               subsampled_gaussian_rdp_curve, zcdp_to_approx_dp)
 from dpopt.harness import synth_dataset

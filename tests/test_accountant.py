@@ -15,12 +15,11 @@ from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, InfeasiblePlanError,
                               NoisePlan, RdpCurve, Release, ZCdp, account_run,
                               approx_dp_to_zcdp, combined_sigma, compose,
                               gaussian_sigma_dp, gaussian_sigma_zcdp,
-                              plan_line_search, plan_short_step,
-                              plan_subsampled_dp, rdp_to_approx_dp, run_log,
-                              subsampled_dp_split, subsampled_gaussian_rdp,
+                              rdp_to_approx_dp, run_log, subsampled_gaussian_rdp,
                               subsampled_gaussian_rdp_curve, tally,
                               tune_noise_plan, zcdp_to_approx_dp)
-from dpopt.optimizer import RdpTuneBudget
+from dpopt.optimizer import (LineSearchBudget, RdpTuneBudget, ShortStepBudget,
+                             SubsampledDpBudget)
 
 
 def gaussian_rho(sigma):
@@ -33,11 +32,10 @@ def gaussian_curve(sigma):
     return account_run([Release("gaussian", (sigma,))], RdpCurve)
 
 
-def dp_log(target, eps_f, delta_f, s, t_budget, k):
+def dp_log(budget, s, t_budget, k):
     """The (eps, delta) log of a subsampled plan after k of its T steps."""
-    eps0, delta0 = subsampled_dp_split(target, eps_f, delta_f, s, t_budget)
-    return [Release("dp", (eps_f, delta_f)),
-            Release("dp", (eps0, delta0, target.delta - delta_f), s, k)]
+    return [Release("dp", (budget.eps_f, budget.delta_f)),
+            Release("dp", budget.step(t_budget, s), s, k)]
 
 
 class TestGaussianMechanism:
@@ -180,9 +178,11 @@ class TestSigmaSources:
         assert gaussian_rho(gaussian_sigma_zcdp(0.2)) == pytest.approx(0.2)
 
     def test_plans_take_sigma_f_from_the_one_formula(self):
-        assert plan_short_step(ZCdp(0.5), 0.1, 10).sigma_f == gaussian_sigma_zcdp(0.1 * 0.5)
-        assert plan_line_search(ZCdp(0.5), 0.05, 10).sigma_f == gaussian_sigma_zcdp(0.05)
-        plan = plan_subsampled_dp(ApproxDp(0.8, 1e-5), 0.08, 1e-6, 0.25, 10)
+        assert ShortStepBudget(0.5, 0.1).plan(10, 1.0).sigma_f == gaussian_sigma_zcdp(0.1 * 0.5)
+        # c_f = 0.1 of rho = 0.5 is rho_f = 0.05 exactly
+        assert LineSearchBudget(0.5, 0.1).plan(10, 1.0).sigma_f == gaussian_sigma_zcdp(0.05)
+        # half of (0.16, 2e-6) is (0.08, 1e-6) exactly
+        plan = SubsampledDpBudget(0.16, 2e-6, 0.5).plan(10, 0.25)
         assert plan.sigma_f == gaussian_sigma_dp(0.08, 1e-6)
         assert gaussian_sigma_dp(0.5, 1e-5) == math.sqrt(2.0 * math.log(1.25e5)) / 0.5
 
@@ -296,14 +296,14 @@ class TestSubsampledGaussianRdp:
 
 class TestPlans:
     def test_short_step_closed_form(self):
-        plan = plan_short_step(ZCdp(0.5), 0.1, 100)
+        plan = ShortStepBudget(0.5, 0.1).plan(100, 1.0)
         assert plan.sigma_f == pytest.approx(math.sqrt(10.0), rel=1e-12)
         assert plan.sigma_g == plan.sigma_h == pytest.approx(math.sqrt(100.0 / 0.45), rel=1e-12)
         assert plan.lambda_svt is None
         assert plan.subsample_fraction == 1.0
 
     def test_short_step_single_iteration(self):
-        plan = plan_short_step(ZCdp(1.0), 0.5, 1)
+        plan = ShortStepBudget(1.0, 0.5).plan(1, 1.0)
         assert plan.sigma_f == pytest.approx(1.0)
         assert plan.sigma_g == pytest.approx(math.sqrt(2.0))
 
@@ -312,63 +312,67 @@ class TestPlans:
         # Hessian, i.e. k_g = 0, k_h = T; any split with k_g + k_h <= T stays
         # within the target
         rho, T = 0.5, 100
-        plan = plan_short_step(ZCdp(rho), 0.1, T)
+        plan = ShortStepBudget(rho, 0.1).plan(T, 1.0)
         assert account_run(run_log(plan, 0, T), ZCdp).rho == pytest.approx(rho, rel=1e-12)
         for k_g, k_h in ((T, 0), (T - 10, 10), (0, T), (37, 41)):
             assert account_run(run_log(plan, k_g, k_h), ZCdp).rho <= rho + 1e-12
 
     def test_line_search_closed_form(self):
-        plan = plan_line_search(ZCdp(1.0), 0.25, 50)
+        plan = LineSearchBudget(1.0, 0.25).plan(50, 1.0)
         assert plan.sigma_g == plan.sigma_h == plan.lambda_svt == pytest.approx(10.0)
 
     def test_line_search_account_round_trip(self):
-        plan = plan_line_search(ZCdp(1.0), 0.25, 50)
+        plan = LineSearchBudget(1.0, 0.25).plan(50, 1.0)
         assert account_run(run_log(plan, 0, 50, 50), ZCdp).rho == pytest.approx(1.0, rel=1e-12)
         for k_g, k_h in ((50, 0), (25, 25), (10, 3)):
             assert account_run(run_log(plan, k_g, k_h, k_g + k_h), ZCdp).rho <= 1.0 + 1e-12
 
-    def test_line_search_warns_on_exhausted_budget(self):
-        with pytest.warns(RuntimeWarning):
-            plan_line_search(ZCdp(1.0), 1.0 - 1e-14, 50)
-
     def test_subsampled_dp_closed_form(self):
-        target = ApproxDp(1.0, 1e-5)
+        budget = SubsampledDpBudget(1.0, 1e-5, 0.1)
         eps_f, delta_f, s, T = 0.1, 1e-6, 0.01, 400
-        eps0, delta0 = subsampled_dp_split(target, eps_f, delta_f, s, T)
+        eps0, delta0, rest = budget.step(T, s)
         assert eps0 == pytest.approx(
             0.9 / (8 * s * math.sqrt(2 * T * math.log(2 / (1e-5 - 1e-6)))), rel=1e-12)
         assert delta0 == pytest.approx((1e-5 - 1e-6) / (4 * s * T), rel=1e-12)
-        plan = plan_subsampled_dp(target, eps_f, delta_f, s, T)
+        assert rest == pytest.approx(1e-5 - 1e-6, rel=1e-12)
+        plan = budget.plan(T, s)
         assert plan.sigma_f == pytest.approx(math.sqrt(2 * math.log(1.25 / delta_f)) / eps_f)
         assert plan.sigma_g == pytest.approx(math.sqrt(2 * math.log(1.25 / delta0)) / eps0)
 
     def test_subsampled_dp_symmetric_split(self):
-        target = ApproxDp(0.8, 1e-5)
-        plan = plan_subsampled_dp(target, 0.4, 5e-6, 0.01, 100)
+        plan = SubsampledDpBudget(0.8, 1e-5, 0.5).plan(100, 0.01)
         assert plan.sigma_f > 0 and plan.sigma_g > 0
 
     def test_subsampled_dp_warns_when_eps0_invalid(self):
         # s -> 0 at fixed T drives the per-iteration eps0 past 1, where the
         # calibration is not valid: no plan, rather than a warning
         with pytest.raises(InfeasiblePlanError, match="eps0"):
-            plan_subsampled_dp(ApproxDp(0.9, 1e-5), 0.1, 1e-6, 1e-6, 10)
+            SubsampledDpBudget(0.9, 1e-5).plan(10, 1e-6)
 
     def test_subsampled_dp_rejects_degenerate_split(self):
-        with pytest.raises(ValueError):
-            plan_subsampled_dp(ApproxDp(0.5, 1e-5), 0.6, 1e-6, 0.01, 10)
-        with pytest.raises(ValueError):
-            plan_subsampled_dp(ApproxDp(0.5, 1e-5), 0.1, 2e-5, 0.01, 10)
+        # the initial loss would take more than the whole target
+        with pytest.raises(ValueError, match="c_f"):
+            SubsampledDpBudget(0.5, 1e-5, 1.2)
+
+    @pytest.mark.parametrize("epsilon", [1.0 / 0.9, 2.0])
+    def test_subsampled_dp_infeasible_when_the_run_budget_reaches_one(self, epsilon):
+        # eps - eps_f >= 1 is outside advanced composition, at any s and T
+        budget = SubsampledDpBudget(epsilon, 1e-5)
+        with pytest.raises(InfeasiblePlanError, match="eps - eps_f"):
+            budget.step(100, 0.5)
+        with pytest.raises(InfeasiblePlanError, match="eps - eps_f"):
+            budget.plan(100, 0.5)
 
     def test_subsampled_dp_log_hits_target_at_full_budget(self):
-        target = ApproxDp(0.9, 1e-5)
-        eps_f, delta_f, s, T = 0.09, 1e-6, 0.01, 123
-        spent = account_run(dp_log(target, eps_f, delta_f, s, T, T), ApproxDp)
-        assert spent.epsilon == pytest.approx(target.epsilon, rel=1e-12)
-        assert spent.delta <= target.delta * (1 + 1e-12)
-        partial = account_run(dp_log(target, eps_f, delta_f, s, T, T // 2), ApproxDp)
+        budget = SubsampledDpBudget(0.9, 1e-5, 0.1)
+        s, T = 0.01, 123
+        spent = account_run(dp_log(budget, s, T, T), ApproxDp)
+        assert spent.epsilon == pytest.approx(budget.epsilon, rel=1e-12)
+        assert spent.delta <= budget.delta * (1 + 1e-12)
+        partial = account_run(dp_log(budget, s, T, T // 2), ApproxDp)
         assert partial.epsilon < spent.epsilon
-        zero = account_run(dp_log(target, eps_f, delta_f, s, T, 0), ApproxDp)
-        assert zero.epsilon == eps_f and zero.delta == delta_f
+        zero = account_run(dp_log(budget, s, T, 0), ApproxDp)
+        assert zero.epsilon == budget.eps_f and zero.delta == budget.delta_f
 
 
 class TestAccountRun:

@@ -448,6 +448,30 @@ class TestRunExperiment:
             run_experiment(small_config(**bad))
         assert built == []
 
+    @pytest.mark.parametrize("bad", [{"budget_split": 0.0}, {"budget_split": 1.0},
+                                     {"budget_split": math.nan}, {"seeds": (0, -1)},
+                                     {"rng_stream": -1}])
+    def test_bad_split_seed_or_stream_rejected_before_the_dataset_is_built(
+            self, bad, monkeypatch):
+        built = []
+        monkeypatch.setattr(experiment, "synth_dataset", lambda *a, **k: built.append(a))
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            run_experiment(small_config(**bad))
+        assert built == []
+
+    def test_approx_dp_cell_past_advanced_composition_is_na(self):
+        # at eps = 2, eps - eps_f = 1.8 >= 1 is outside advanced composition:
+        # that cell records "NA" and the sweep goes on
+        config = small_config(variants=("opt", "opt_b"), epsilons=(0.6, 2.0), batch_size=50,
+                              minibatch_accounting="approx_dp", seeds=(0, 1))
+        report = run_experiment(config)
+        cells = {(r.variant, r.epsilon) for r in report.rows}
+        assert cells == {(v, eps) for v in ("opt", "opt_b") for eps in (0.6, 2.0)}
+        assert [r.status for r in report.rows if r.variant == "opt_b" and r.epsilon == 2.0] \
+            == ["infeasible_plan"] * 2
+        opt_b_row = render_markdown(report).splitlines()[3]
+        assert opt_b_row.startswith("| opt_b |") and opt_b_row.endswith("| NA | NA |")
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             small_config(variants=("opt_x",))
@@ -534,6 +558,14 @@ class TestCli:
         args = [a if a != "1.0" else "-1.0" for a in self.ARGS]  # --epsilon -1.0
         assert cli_main(args) == 2
         assert "epsilons" in capsys.readouterr().err
+        assert built == []
+
+    def test_negative_seed_exits_2_before_the_dataset_is_built(self, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(experiment, "synth_dataset", lambda *a, **k: built.append(a))
+        args = [a if a != "0,1" else "0,-1" for a in self.ARGS]  # --seeds 0,-1
+        assert cli_main(args) == 2
+        assert "seeds (0, -1)" in capsys.readouterr().err
         assert built == []
 
     def test_unknown_config_key_is_error(self, tmp_path):

@@ -219,15 +219,14 @@ class TestMinSamplesAdvisor:
     def test_eps_h_halving_scales_like_seven_halves_power(self):
         # regime where the eps_h^(-7/2) contribution dominates: sigma ~ sqrt(T)
         # with T ~ eps_h^-3 and the gradient branch floor at c2 eps_h^2 / M
-        from dpopt.accountant import ZCdp, plan_short_step
-        from dpopt.optimizer import min_dec_short, iteration_budget
+        from dpopt.optimizer import ShortStepBudget, min_dec_short, iteration_budget
 
         def advised(eps_h):
             c = AlgorithmConstants(eps_g=1.0, eps_h=eps_h, c=0.1, c1=0.1, c2=0.1)
             model = _model_with(1.0, 1.0, 1.0)
             md = min_dec_short(model.G, model.M, 1.0, eps_h, 0.1, 0.1, 0.1)
             T = iteration_budget(1.0, 0.0, 0.0, md)
-            plan = plan_short_step(ZCdp(0.1), 0.1, T)
+            plan = ShortStepBudget(0.1, 0.1).plan(T, 1.0)
             return min_samples_advisor(model, c, plan, "short", 10, T)
 
         ratio = advised(0.05) / advised(0.1)

@@ -11,7 +11,7 @@ from dpopt import objective
 from dpopt.optimizer import runs
 from dpopt.spectral import EigenResult
 from dpopt.accountant import (ApproxDp, NoisePlan, RdpCurve, Release, ZCdp, account_run,
-                              compose, rdp_to_approx_dp, run_log, subsampled_dp_split)
+                              compose, rdp_to_approx_dp, run_log)
 from dpopt.mechanisms import SeededRng, WignerOperator
 from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
@@ -363,9 +363,7 @@ NOTIONS = {"short": ZCdp, "line_search": ZCdp, "rdp": RdpCurve, "approx_dp": App
 
 def dp_step(budget, plan, t_budget):
     """The one (eps0, delta0) step an (eps, delta) plan logs per iteration."""
-    s = plan.subsample_fraction
-    eps0, delta0 = subsampled_dp_split(budget.target, budget.eps_f, budget.delta_f, s, t_budget)
-    return eps0, delta0, budget.delta - budget.delta_f
+    return budget.step(t_budget, plan.subsample_fraction)
 
 
 def drawn_log(budget, phase, grads, wigners):
@@ -793,6 +791,37 @@ class TestVariantTable:
             plan.plan(7, 0.5)
         with pytest.raises(TypeError, match="budget policy"):
             plan.scaled(0.5)
+
+
+_RHO_POLICIES = (ShortStepBudget, LineSearchBudget)
+_EPS_POLICIES = (SubsampledDpBudget, RdpTuneBudget)
+_BAD_C_F = (0.0, 1.0, 1.5, -0.1)
+BAD_BUDGETS = (
+    [(policy, (rho,)) for policy in _RHO_POLICIES for rho in (0.0, -1.0, math.nan, math.inf)]
+    + [(policy, (0.5, c_f)) for policy in _RHO_POLICIES for c_f in _BAD_C_F]
+    + [(policy, (1.0, 1e-5, c_f)) for policy in _EPS_POLICIES for c_f in _BAD_C_F]
+    + [(policy, (eps, 1e-5)) for policy in _EPS_POLICIES for eps in (0.0, math.nan, math.inf)]
+    + [(policy, (1.0, delta)) for policy in _EPS_POLICIES for delta in (0.0, 1.0)]
+    + [(RdpTuneBudget, (1.0, 1e-5, 0.1, ()))])
+
+
+class TestBudgetChecks:
+    """A budget is checked when it is made, before any data pass could run."""
+
+    @pytest.mark.parametrize("policy,args", BAD_BUDGETS,
+                             ids=[f"{p.__name__}{a}" for p, a in BAD_BUDGETS])
+    def test_bad_budget_refused_when_made(self, policy, args):
+        with pytest.raises(ValueError):
+            policy(*args)
+
+    @pytest.mark.parametrize("budget", [ShortStepBudget(0.5), LineSearchBudget(0.5),
+                                        SubsampledDpBudget(0.8, 1e-5),
+                                        RdpTuneBudget(1.0, 1e-5)])
+    def test_scaled_share_is_checked_again(self, budget):
+        with pytest.raises(ValueError):
+            budget.scaled(0.0)
+        with pytest.raises(ValueError):
+            budget.scaled(math.nan)
 
 
 class TestAccountingCheckedFirst:
