@@ -56,6 +56,10 @@ MUTANTS = {
             "plans line searches with no sparse-vector share"),
     "M13": ("(8.0 * s * math.sqrt(2.0 * t_budget", "(4.0 * s * math.sqrt(2.0 * t_budget",
             "doubles the advanced-composition step eps0"),
+    "M14": ("laplace(4.0 * lam * delta_q, rng)", "laplace(2.0 * lam * delta_q, rng)",
+            "halves the sweep's probe noise"),
+    "M15": ("tally(phase1.releases + phase2.releases)", "tally(phase2.releases)",
+            "drops phase 1's releases from the joined two-phase log"),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

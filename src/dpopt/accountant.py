@@ -7,15 +7,14 @@ log, account_run(log, notion) = notion.of(log):
   * ZCdp: rho, additive.  A Gaussian or Wigner draw at multiplier sigma
     costs 1/(2 sigma^2); a sparse-vector sweep at lam is (1/lam)-DP and
     hence costs 1/(2 lam^2).
-  * RdpCurve: eps(alpha) over a grid of orders alpha > 1, pointwise
+  * RdpCurve: eps(alpha) over the orders alpha of DEFAULT_ORDERS, pointwise
     additive.  Subsampling without replacement amplifies per-order leakage
     through a binomial-sum bound evaluated here in log space.
   * ApproxDp: (epsilon, delta), the reporting notion.
 
-Each ledger kind also composes itself (ZCdp adds rho, RdpCurve adds
-pointwise on one order grid, ApproxDp adds epsilons and deltas), and its
-spent(delta) is the scalar a report shows: rho, the curve's epsilon at
-delta, or epsilon.
+A run's ledger is the one conversion of its releases in count form,
+tally(log); a two-phase run's releases join both phases'.  spent(delta) is
+the scalar a report shows: rho, the curve's epsilon at delta, or epsilon.
 
 The noise plans themselves come from the budget policies in
 optimizer.runs, each the one source of its calibration.  tune_noise_plan,
@@ -91,10 +90,6 @@ class ZCdp:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
 
     @classmethod
-    def compose(cls, budgets) -> "ZCdp":
-        return cls(math.fsum(b.rho for b in budgets))
-
-    @classmethod
     def of(cls, log) -> "ZCdp":
         """0.5 sum count / p^2, p a Gaussian's sigma, a Wigner draw's sigma_h
         or a sweep's lam; zCDP claims no amplification."""
@@ -111,7 +106,7 @@ class ZCdp:
 
 @dataclass(frozen=True, eq=False)
 class RdpCurve:
-    """Per-order Renyi leakage eps(alpha) on a fixed ascending grid."""
+    """Per-order Renyi leakage eps(alpha); a run's curves are on DEFAULT_ORDERS."""
 
     orders: np.ndarray
     epsilons: np.ndarray
@@ -132,18 +127,8 @@ class RdpCurve:
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "epsilons", epsilons)
 
-    def same_grid(self, other: "RdpCurve") -> bool:
-        return np.array_equal(self.orders, other.orders)
-
     @classmethod
-    def compose(cls, budgets) -> "RdpCurve":
-        first = budgets[0]
-        if not all(first.same_grid(b) for b in budgets[1:]):
-            raise ValueError("RDP curves must share the same order grid")
-        return cls(first.orders.copy(), np.sum([b.epsilons for b in budgets], axis=0))
-
-    @classmethod
-    def of(cls, log, orders=DEFAULT_ORDERS) -> "RdpCurve":
+    def of(cls, log) -> "RdpCurve":
         """A Gaussian costs alpha / (2 sigma^2) at fraction None and the
         subsampled bound at a fraction.  A Wigner draw (sigma_h, sigma_g) and
         a gradient at sigma_g on its batch are one release, at combined_sigma
@@ -156,18 +141,18 @@ class RdpCurve:
             alone[params[-1:], s] += count if mechanism == "gaussian" else -count
         if min(alone.values(), default=0) < 0:
             raise ValueError("more Wigner draws than gradients on their batches")
-        orders_f = np.asarray(orders, dtype=float)
-        eps = np.zeros_like(orders_f)
+        orders = np.asarray(DEFAULT_ORDERS, dtype=float)
+        eps = np.zeros_like(orders)
         for mechanism, params, s, count in releases:
             if mechanism == "wigner":
                 sigma = combined_sigma(params[1], params[0])
             else:
                 sigma, count = params[0], alone[params, s]
             if s is None:
-                eps = eps + count * (orders_f / (2.0 * sigma ** 2))
+                eps = eps + count * (orders / (2.0 * sigma ** 2))
             elif count:
-                eps = eps + count * subsampled_gaussian_rdp_curve(sigma, s, orders).epsilons
-        return cls(orders_f, eps)
+                eps = eps + count * subsampled_gaussian_rdp_curve(sigma, s).epsilons
+        return cls(orders, eps)
 
     def spent(self, delta: float) -> float:
         return rdp_to_approx_dp(self, delta)[0].epsilon
@@ -185,10 +170,6 @@ class ApproxDp:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-    @classmethod
-    def compose(cls, budgets) -> "ApproxDp":
-        return cls(math.fsum(b.epsilon for b in budgets), math.fsum(b.delta for b in budgets))
 
     @classmethod
     def of(cls, log) -> "ApproxDp":
@@ -261,17 +242,6 @@ def gaussian_sigma_zcdp(rho: float) -> float:
 def gaussian_sigma_dp(epsilon: float, delta: float) -> float:
     """Classical (epsilon < 1, delta) Gaussian multiplier sqrt(2 log(1.25/delta))/epsilon."""
     return math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-
-
-def compose(budgets):
-    """Sum a nonempty sequence of same-kind ledgers by their kind's compose."""
-    budgets = list(budgets)
-    if not budgets:
-        raise ValueError("nothing to compose")
-    kind = type(budgets[0])
-    if kind not in (ZCdp, RdpCurve, ApproxDp) or any(type(b) is not kind for b in budgets):
-        raise TypeError("compose takes ledgers of one kind: ZCdp, RdpCurve or ApproxDp")
-    return kind.compose(budgets)
 
 
 def zcdp_to_approx_dp(budget: ZCdp, delta: float) -> ApproxDp:
@@ -347,10 +317,9 @@ def subsampled_gaussian_rdp(alpha: int, sigma: float, s: float) -> float:
     return float(logsumexp(terms)) / (alpha - 1)
 
 
-def subsampled_gaussian_rdp_curve(sigma: float, s: float, orders=DEFAULT_ORDERS) -> RdpCurve:
-    orders = tuple(int(a) for a in orders)
-    eps = np.array([subsampled_gaussian_rdp(a, sigma, s) for a in orders])
-    return RdpCurve(np.asarray(orders, dtype=float), eps)
+def subsampled_gaussian_rdp_curve(sigma: float, s: float) -> RdpCurve:
+    eps = np.array([subsampled_gaussian_rdp(a, sigma, s) for a in DEFAULT_ORDERS])
+    return RdpCurve(np.asarray(DEFAULT_ORDERS, dtype=float), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +358,7 @@ def _default_sigma_grid() -> np.ndarray:
 
 
 def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
-                    sigma_grid=None, orders=DEFAULT_ORDERS) -> NoisePlan:
+                    sigma_grid=None) -> NoisePlan:
     """Smallest grid multiplier sigma_g = sigma_h whose worst-case
     T-iteration subsampled curve, with the initial-loss multiplier sigma_f,
     converts to at most the (eps, delta) target.  The worst case is the log
@@ -417,7 +386,7 @@ def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
         return NoisePlan(float(sigma_f), sigma, sigma, None, s)
 
     def feasible(i: int) -> bool:
-        curve = RdpCurve.of(run_log(plan_at(i), t_budget, t_budget), orders)
+        curve = RdpCurve.of(run_log(plan_at(i), t_budget, t_budget))
         return curve.spent(target.delta) <= target.epsilon
 
     hi = len(sigma_grid) - 1

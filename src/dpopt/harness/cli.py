@@ -15,6 +15,7 @@ import sys
 from dataclasses import fields
 
 from ..optimizer import AlgorithmConstants
+from .data import LOADER_CHOICES
 from .experiment import (LOSSES, TOLERANCE_PRESETS, ConfigError, ExperimentConfig,
                          emit_report, render_markdown, run_experiment)
 
@@ -30,8 +31,8 @@ def _parse_args(argv):
         description="Run differentially private second-order optimization sweeps.")
     parser.add_argument("--config", help="JSON config file; flags override its keys")
     parser.add_argument("--dataset", help="dataset file path, or synth:<kind>")
-    parser.add_argument("--dataset-format", choices=("csv", "libsvm"))
-    parser.add_argument("--preprocessing", choices=("none", "covertype", "ijcnn"))
+    parser.add_argument("--dataset-format", choices=LOADER_CHOICES["dataset_format"])
+    parser.add_argument("--preprocessing", choices=LOADER_CHOICES["preprocessing"])
     parser.add_argument("--loss", choices=tuple(LOSSES))
     parser.add_argument("--lambda-reg", type=float, dest="lambda_reg")
     parser.add_argument("--variant", help="comma-separated list, e.g. opt,opt_ls,2opt_ls")

@@ -63,6 +63,10 @@ from ..objective import (SPAN_ROW_ALIGN, Dataset, max_row_norm, row_spans, span_
 
 _COVERTYPE_NUMERIC_COLS = 10
 
+# the names each file-loading option of an experiment config accepts
+LOADER_CHOICES = {"dataset_format": ("csv", "libsvm"),
+                  "preprocessing": ("none", "covertype", "ijcnn")}
+
 # Blocks of the normal stream synth_dataset draws ahead of the rows it has
 # copied into X.  Their ring of buffers bounds set-up's memory above X at
 # about this many objective.SPAN_BYTES, whatever the core count.
@@ -86,9 +90,13 @@ def _zscore(X: np.ndarray, cols: slice) -> np.ndarray:
     return X
 
 
+def check_loader_choice(key: str, value: str, error: type = ValueError) -> None:
+    """Refuse a value of a loader option that LOADER_CHOICES does not name."""
+    if value not in LOADER_CHOICES[key]:
+        raise error(f"unknown {key} {value!r}; choose from {LOADER_CHOICES[key]}")
+
+
 def _apply_preset(X: np.ndarray, y: np.ndarray, preprocessing: str):
-    if preprocessing == "none":
-        return X, y
     if preprocessing == "covertype":
         keep = np.isin(y, (1.0, 2.0, -1.0))
         X, y = X[keep], y[keep].copy()
@@ -98,7 +106,7 @@ def _apply_preset(X: np.ndarray, y: np.ndarray, preprocessing: str):
         return _zscore(X, slice(0, min(_COVERTYPE_NUMERIC_COLS, X.shape[1]))), y
     if preprocessing == "ijcnn":
         return _zscore(X, slice(0, X.shape[1])), y
-    raise ValueError(f"unknown preprocessing preset {preprocessing!r}")
+    return X, y
 
 
 def _csv_row(line: str) -> list[float]:
@@ -197,12 +205,9 @@ def load_dataset(path, fmt: str = "csv", preprocessing: str = "none",
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    if fmt == "csv":
-        X, y = _parse_csv(path, label_column)
-    elif fmt == "libsvm":
-        X, y = _parse_libsvm(path, n_features)
-    else:
-        raise ValueError(f"unknown dataset format {fmt!r}")
+    check_loader_choice("dataset_format", fmt)
+    check_loader_choice("preprocessing", preprocessing)
+    X, y = _parse_csv(path, label_column) if fmt == "csv" else _parse_libsvm(path, n_features)
     X, y = _apply_preset(X, y, preprocessing)
     bad = ~np.isin(y, (-1.0, 1.0))
     if np.any(bad):

@@ -34,7 +34,7 @@ from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, builtin_l2_l
 from ..optimizer import (VARIANTS, AlgorithmConstants, Budget, LineSearchBudget,
                          RdpTuneBudget, ShortStepBudget, SubsampledDpBudget, Variant,
                          run_variant)
-from .data import load_dataset, synth_dataset
+from .data import LOADER_CHOICES, check_loader_choice, load_dataset, synth_dataset
 
 # (eps_g, eps_h) tolerance presets used by the benchmark experiments
 TOLERANCE_PRESETS = {
@@ -104,6 +104,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown variant {v!r}; choose from {tuple(VARIANTS)}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; choose from {tuple(LOSSES)}")
+        for key in LOADER_CHOICES:
+            check_loader_choice(key, getattr(self, key), ConfigError)
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta {self.delta} must lie in (0, 1)")
         if (self.dataset_path is None) == (self.synth is None):

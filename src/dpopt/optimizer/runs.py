@@ -30,9 +30,10 @@ traces.  noise_mode "zero" multiplies every noise scale (initial loss,
 gradient, Hessian, SVT sensitivity) by 0, so no noise is drawn.
 
 One ledger per run (_Ledger) draws every gradient noise and Wigner
-matrix, runs every SVT sweep and logs each release (accountant.Release);
-the run's notion, picked before any data pass, converts the log at the
-end and, in zCDP, each iteration's releases for its StepRecord.  A line-search
+matrix, runs every SVT sweep and logs each release (accountant.Release).
+The run's notion, picked before any data pass, converts the log in count
+form (RunOutcome.releases; a two-phase run's join both phases') and, in
+zCDP, each iteration's releases for its StepRecord.  A line-search
 iteration logs one sweep, the terminal check's missing one included, and a
 run aborted by a weight-box violation or a non-finite release
 ("failed_termination", with a warning) logs its partial iteration.
@@ -50,9 +51,8 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from ..accountant import (ApproxDp, InfeasiblePlanError, NoisePlan, RdpCurve, Release,
-                          ZCdp, account_run, approx_dp_to_zcdp, compose,
-                          gaussian_sigma_dp, gaussian_sigma_zcdp, run_log,
-                          tune_noise_plan)
+                          ZCdp, account_run, approx_dp_to_zcdp, gaussian_sigma_dp,
+                          gaussian_sigma_zcdp, run_log, tally, tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
 from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel, MarginMemo,
                          WeightBoxError, erm_gradient, erm_hessian, erm_hvp, erm_value,
@@ -247,7 +247,8 @@ class RunOutcome:
     status: str                   # "converged_2s" | "budget_exhausted" | "failed_termination"
     w_final: np.ndarray
     trace: tuple[StepRecord, ...]
-    accounted_privacy: object     # ZCdp | RdpCurve | ApproxDp
+    releases: tuple[Release, ...]  # the run's log in count form: tally(log)
+    accounted_privacy: object     # account_run(releases, notion): ZCdp | RdpCurve | ApproxDp
     plan: NoisePlan
     t_budget: int
     mode: str                     # ledger notion: short | line_search | rdp | approx_dp
@@ -371,8 +372,6 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     selector = selector or BatchSelector()
     m = selector.batch_size(n)
     line_search = loop == "line_search"
-    if line_search and m != n:
-        raise ValueError("the line-search variant runs full batch only")
     sens_batch = sensitivities(model, m, d)
     warnings_acc: list[str] = []
 
@@ -480,8 +479,10 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         status = "failed_termination"
         w = w_good
 
-    return RunOutcome(status, w, tuple(trace), account_run(ledger.log, notion), plan, t_used,
-                      mode, z, erm_value(model, dataset, w, memo=memo), tuple(warnings_acc))
+    releases = tuple(tally(ledger.log))
+    return RunOutcome(status, w, tuple(trace), releases, account_run(releases, notion), plan,
+                      t_used, mode, z, erm_value(model, dataset, w, memo=memo),
+                      tuple(warnings_acc))
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +567,10 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
     phase2 = run(phase1.w_final, budget.scaled(1.0 - budget_split), None)
     trace = phase1.trace + tuple(
         replace(r, k=r.k + phase1.iterations) for r in phase2.trace)
+    releases = tuple(tally(phase1.releases + phase2.releases))
     return replace(
-        phase2, trace=trace,
-        accounted_privacy=compose([phase1.accounted_privacy, phase2.accounted_privacy]),
+        phase2, trace=trace, releases=releases,
+        accounted_privacy=account_run(releases, type(phase2.accounted_privacy)),
         t_budget=phase1.t_budget + phase2.t_budget, z_draw=phase1.z_draw,
         warnings=phase1.warnings + phase2.warnings, phases=(phase1, phase2))
 
@@ -625,7 +627,7 @@ def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
     (default ceil(sqrt(T))).  If it does not converge, phase 2 re-runs the
     full method from the phase-1 iterate with the remaining budget and a
     fresh worst-case T.  The combined outcome concatenates both traces and
-    composes both ledgers.
+    joins both phases' releases, converted once into its ledger.
 
     variant selects the underlying method: "short", "line_search", or
     "minibatch" (which needs selector).

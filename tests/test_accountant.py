@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dpopt import accountant
 from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, InfeasiblePlanError,
                               NoisePlan, RdpCurve, Release, ZCdp, account_run,
-                              approx_dp_to_zcdp, combined_sigma, compose,
+                              approx_dp_to_zcdp, combined_sigma,
                               gaussian_sigma_dp, gaussian_sigma_zcdp,
                               rdp_to_approx_dp, run_log, subsampled_gaussian_rdp,
                               subsampled_gaussian_rdp_curve, tally,
@@ -129,48 +129,24 @@ class TestReleaseLog:
                 account_run(log + [other], RdpCurve)
 
 
-class TestCompose:
-    def test_zcdp_sum(self):
-        assert compose([ZCdp(0.1), ZCdp(0.2)]).rho == pytest.approx(0.3, abs=1e-15)
-
-    def test_zero_identity(self):
-        assert compose([ZCdp(0.0)] * 7).rho == 0.0
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=8))
-    def test_order_invariant_and_additive(self, rhos):
-        fwd = compose([ZCdp(r) for r in rhos]).rho
-        rev = compose([ZCdp(r) for r in reversed(rhos)]).rho
-        assert fwd == rev == pytest.approx(math.fsum(rhos), rel=1e-15, abs=0.0)
-
-    def test_rdp_pointwise(self):
-        orders = np.array([2.0, 4.0, 8.0])
-        a = RdpCurve(orders, orders / 2.0)
-        b = RdpCurve(orders, orders / 4.0)
-        out = compose([a, b])
-        assert np.allclose(out.epsilons, orders * 0.75, rtol=1e-15)
-
-    def test_rdp_grid_mismatch(self):
-        a = RdpCurve(np.array([2.0, 4.0]), np.array([1.0, 2.0]))
-        b = RdpCurve(np.array([2.0, 8.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            compose([a, b])
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(TypeError):
-            compose([ZCdp(0.1), ApproxDp(0.1, 1e-6)])
-
-    def test_approx_dp_basic_composition(self):
-        out = compose([ApproxDp(0.5, 1e-6), ApproxDp(0.25, 2e-6)])
-        assert out.epsilon == pytest.approx(0.75)
-        assert out.delta == pytest.approx(3e-6)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compose([])
-
-    def test_non_ledger_rejected(self):
-        with pytest.raises(TypeError, match="ledgers of one kind"):
-            compose([NoisePlan(1.0, 1.0, 1.0)])
+class TestAdditivity:
+    def test_joined_logs_of_two_plans_convert_to_the_sum_of_their_ledgers(self):
+        # two runs under distinct plans share no release, so the conversion
+        # of their joined logs adds up in each notion: what a two-phase
+        # run's joined releases cost
+        a = run_log(NoisePlan(3.0, 5.0, 6.0, subsample_fraction=0.25), 4, 2)
+        b = run_log(NoisePlan(4.0, 9.0, 8.0, subsample_fraction=0.25), 7, 3)
+        assert account_run(a + b, ZCdp).rho == pytest.approx(
+            account_run(a, ZCdp).rho + account_run(b, ZCdp).rho, rel=1e-15, abs=0.0)
+        np.testing.assert_allclose(
+            account_run(a + b, RdpCurve).epsilons,
+            account_run(a, RdpCurve).epsilons + account_run(b, RdpCurve).epsilons,
+            rtol=1e-15, atol=0.0)
+        a = dp_log(SubsampledDpBudget(0.8, 1e-5), 0.25, 10, 7)
+        b = dp_log(SubsampledDpBudget(0.4, 5e-6), 0.25, 30, 12)
+        joined, one, other = (account_run(log, ApproxDp) for log in (a + b, a, b))
+        assert joined.epsilon == pytest.approx(one.epsilon + other.epsilon, rel=1e-15, abs=0.0)
+        assert joined.delta == pytest.approx(one.delta + other.delta, rel=1e-15, abs=0.0)
 
 
 class TestSigmaSources:
@@ -453,7 +429,7 @@ class TestTuneNoisePlan:
                             sigma_grid=np.array([0.5, 1.0]))
 
     def test_feasibility_monotone_and_tuner_returns_first_feasible(self, monkeypatch):
-        # a curve depends only on (sigma, s, orders), so memoizing it keeps
+        # a curve depends only on (sigma, s), so memoizing it keeps
         # every value and lets the test scan each grid point exhaustively
         monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve",
                             functools.lru_cache(maxsize=None)(subsampled_gaussian_rdp_curve))

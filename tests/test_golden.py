@@ -2,8 +2,9 @@
 
 Each case runs one public solver call (or one small sweep) on a small
 synthetic instance and compares the whole outcome with tests/data/
-golden_runs.json: status, every trace record, the ledger, the plan,
-t_budget, z_draw, final_loss, w_final and, for two-phase runs, each phase.
+golden_runs.json: status, every trace record, the releases, the ledger,
+the plan, t_budget, z_draw, final_loss, w_final and, for two-phase runs,
+each phase.
 Floats are stored as float.hex, so the comparison is exact.  A case that
 raises stores the exception type instead.
 
@@ -30,7 +31,7 @@ import pytest
 
 from dpopt import accountant
 from dpopt.accountant import (InfeasiblePlanError, NoisePlan, RdpCurve, ZCdp, account_run,
-                              compose, run_log)
+                              run_log, tally)
 from dpopt.harness import ExperimentConfig, emit_report, synth_dataset
 from dpopt.harness import run_experiment
 from dpopt.mechanisms import SeededRng
@@ -256,14 +257,12 @@ def _decode_plan(plan: dict) -> NoisePlan:
 NOTIONS = {"short": ZCdp, "line_search": ZCdp, "rdp": RdpCurve}
 
 
-def _trace_ledger(run: dict):
-    """account_run of the log of the run's trace: records with a noisy
-    eigenvalue drew a Hessian as well as a gradient, and a line-search
-    record logs one sweep."""
+def _trace_log(run: dict):
+    """The log of the run's trace: records with a noisy eigenvalue drew a
+    Hessian as well as a gradient, and a line-search record logs one sweep."""
     k, mode = len(run["trace"]), run["mode"]
     k_h = sum(1 for r in run["trace"] if r["lambda_noisy"] is not None)
-    log = run_log(_decode_plan(run["plan"]), k - k_h, k_h, k if mode == "line_search" else 0)
-    return account_run(log, NOTIONS[mode])
+    return run_log(_decode_plan(run["plan"]), k - k_h, k_h, k if mode == "line_search" else 0)
 
 
 def test_finished_golden_ledgers_are_account_run_of_their_traces(golden):
@@ -274,11 +273,15 @@ def test_finished_golden_ledgers_are_account_run_of_their_traces(golden):
                 if "status" in run and run["status"] != "failed_termination"}
     assert {run["mode"] for run in finished.values()} == {"short", "line_search", "rdp"}
     for name, run in finished.items():
-        phases = run["phases"] or [run]
-        ledgers = [_trace_ledger(phase) for phase in phases]
-        for phase, ledger in zip(phases, ledgers):
-            assert _encode(ledger) == phase["accounted_privacy"], name
-        assert _encode(compose(ledgers)) == run["accounted_privacy"], name
+        joined = []
+        for phase in run["phases"] or [run]:
+            log = _trace_log(phase)
+            assert _encode(tally(log)) == phase["releases"], name
+            assert (_encode(account_run(log, NOTIONS[phase["mode"]]))
+                    == phase["accounted_privacy"]), name
+            joined += log
+        assert _encode(tally(joined)) == run["releases"], name
+        assert _encode(account_run(joined, NOTIONS[run["mode"]])) == run["accounted_privacy"], name
 
 
 def main() -> int:

@@ -459,6 +459,18 @@ class TestRunExperiment:
             run_experiment(small_config(**bad))
         assert built == []
 
+    @pytest.mark.parametrize("bad", [{"preprocessing": "covtype"},
+                                     {"dataset_format": "parquet"}])
+    def test_unknown_preset_or_format_rejected_before_the_file_is_read(
+            self, bad, tmp_path, monkeypatch):
+        path = tmp_path / "toy.csv"
+        path.write_text("0.5,0.1,1\n0.1,0.2,-1\n")
+        parsed, parse = [], data._parse_csv
+        monkeypatch.setattr(data, "_parse_csv", lambda *a: parsed.append(a) or parse(*a))
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            run_experiment(small_config(synth=None, dataset_path=str(path), **bad))
+        assert parsed == []
+
     def test_approx_dp_cell_past_advanced_composition_is_na(self):
         # at eps = 2, eps - eps_f = 1.8 >= 1 is outside advanced composition:
         # that cell records "NA" and the sweep goes on
@@ -567,6 +579,21 @@ class TestCli:
         assert cli_main(args) == 2
         assert "seeds (0, -1)" in capsys.readouterr().err
         assert built == []
+
+    def test_unknown_preset_in_the_config_file_exits_2_before_the_file_is_read(
+            self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "toy.csv"
+        path.write_text("0.5,0.1,1\n0.1,0.2,-1\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"preprocessing": "covtype"}))
+        parsed, parse = [], data._parse_csv
+        monkeypatch.setattr(data, "_parse_csv", lambda *a: parsed.append(a) or parse(*a))
+        rc = cli_main(["--config", str(cfg_path), "--dataset", str(path), "--preset",
+                       "covertype_loose", "--variant", "opt", "--epsilon", "1.0",
+                       "--seeds", "0"])
+        assert rc == 2
+        assert "unknown preprocessing 'covtype'" in capsys.readouterr().err
+        assert parsed == []
 
     def test_unknown_config_key_is_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

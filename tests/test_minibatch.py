@@ -95,7 +95,7 @@ class TestSelectorValidation:
 
 
 class TestTwoPhaseMinibatch:
-    def test_two_phase_composes_ledgers(self, instance):
+    def test_two_phase_converges_within_its_epsilon(self, instance):
         ds, model = instance
         out = run_two_phase(model, ds, np.zeros(5), CONSTS, RdpTuneBudget(1.0, 1e-5),
                             SeededRng(4), variant="minibatch", selector=BatchSelector(600))

@@ -11,7 +11,7 @@ from dpopt import objective
 from dpopt.optimizer import runs
 from dpopt.spectral import EigenResult
 from dpopt.accountant import (ApproxDp, NoisePlan, RdpCurve, Release, ZCdp, account_run,
-                              compose, rdp_to_approx_dp, run_log)
+                              rdp_to_approx_dp, run_log, tally)
 from dpopt.mechanisms import SeededRng, WignerOperator
 from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
@@ -352,7 +352,8 @@ class TestNoiseScales:
 def assert_same_ledger(got, want):
     assert type(got) is type(want)
     if type(want) is RdpCurve:
-        assert got.same_grid(want) and np.array_equal(got.epsilons, want.epsilons)
+        assert np.array_equal(got.orders, want.orders)
+        assert np.array_equal(got.epsilons, want.epsilons)
     else:
         assert got == want
 
@@ -379,9 +380,10 @@ def drawn_log(budget, phase, grads, wigners):
 
 
 class TestDrawsAndCharges:
-    """A run's ledger is the conversion of the noise it drew: account_run of
-    the log of the gradient draws counted at runs.gaussian_vector and the
-    Wigner draws counted at WignerOperator."""
+    """A run's releases are the log of the noise it drew, in count form, and
+    its ledger their conversion: the gradient draws counted at
+    runs.gaussian_vector and the Wigner draws counted at WignerOperator; a
+    two-phase run's are both phases' logs joined."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -410,6 +412,7 @@ class TestDrawsAndCharges:
         out = DRAWING_RUNS[name]()
         outcomes = out.phases or (out,)
         assert len(draws) == len(outcomes)
+        logs = []
         for phase, (budget, grads, wigners) in zip(outcomes, draws):
             assert wigners == phase.hess_evals
             if phase.status == "failed_termination":
@@ -417,11 +420,12 @@ class TestDrawsAndCharges:
                 assert grads == phase.iterations + 1
             else:
                 assert grads == phase.iterations
-            want = account_run(drawn_log(budget, phase, grads, wigners), NOTIONS[phase.mode])
-            assert_same_ledger(phase.accounted_privacy, want)
-        if len(outcomes) == 2:
-            assert_same_ledger(out.accounted_privacy,
-                               compose(p.accounted_privacy for p in outcomes))
+            log = drawn_log(budget, phase, grads, wigners)
+            assert list(phase.releases) == tally(log)
+            assert_same_ledger(phase.accounted_privacy, account_run(log, NOTIONS[phase.mode]))
+            logs += log
+        assert list(out.releases) == tally(logs)
+        assert_same_ledger(out.accounted_privacy, account_run(logs, NOTIONS[out.mode]))
 
     @pytest.mark.parametrize("name", sorted(DRAWING_RUNS))
     def test_spend_of_each_prefix_of_the_log(self, draws, name):

@@ -1,13 +1,15 @@
 """Sparse-vector line-search tests: probe schedule, accuracy, fallback."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from dpopt.mechanisms import SeededRng
-from dpopt.optimizer import dp_line_search, svt_slack
+from dpopt.optimizer import dp_line_search, svt, svt_slack
 from noise_doubles import always_failing_line_search
 
 
@@ -97,6 +99,71 @@ class TestAccuracy:
             if res.exhausted:
                 fallback += 1
         assert fallback / trials >= 0.99
+
+
+def _laplace_cdf(x, b):
+    return 0.5 * math.exp(x / b) if x < 0 else 1.0 - 0.5 * math.exp(-x / b)
+
+
+def _laplace_sf(x, b):
+    return 1.0 - 0.5 * math.exp(x / b) if x < 0 else 0.5 * math.exp(-x / b)
+
+
+class TestPrivacy:
+    """The sweep's (1/lam)-DP claim, on the exact distribution of its
+    outcome: the probe it accepts, or exhaustion.  Given the threshold t the
+    probes are independent, so each outcome's probability is a 1-D integral
+    over the Laplace threshold of a product of Laplace tails."""
+
+    @staticmethod
+    def drawn(lam, delta_q, gamma_bar, beta):
+        """The Laplace scales of the threshold and of each probe, as the
+        sweep draws them, and the probed step sizes; every probe rejects."""
+        scales, gammas = [], []
+
+        def recording(scale, rng):
+            scales.append(scale)
+            return 0.0
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(svt, "laplace", recording)
+            res = dp_line_search(lambda g: gammas.append(g) or -1.0, delta_q, 1.0,
+                                 gamma_bar, beta, lam, SeededRng(0))
+        assert res.exhausted and len(scales) == len(gammas) + 1
+        return scales[0], scales[1:], gammas
+
+    @staticmethod
+    def outcome_probabilities(q, b_threshold, b_probes):
+        """P(the sweep accepts probe i) for each i, then P(it exhausts), for
+        query values q at the probes."""
+        def density(t, i):
+            p = math.exp(-abs(t) / b_threshold) / (2.0 * b_threshold)
+            for q_j, b in zip(q[:i], b_probes):
+                p *= _laplace_cdf(t - q_j, b)  # probe j rejects: q_j + nu_j < t
+            return p * _laplace_sf(t - q[i], b_probes[i]) if i < len(q) else p
+
+        kinks = sorted({0.0, *q})
+        pieces = [(-math.inf, kinks[0]), *zip(kinks, kinks[1:]), (kinks[-1], math.inf)]
+        return [math.fsum(quad(density, lo, hi, args=(i,), epsabs=0.0, epsrel=1e-12,
+                               limit=200)[0] for lo, hi in pieces)
+                for i in range(len(q) + 1)]
+
+    @pytest.mark.parametrize("lam, beta, i_max",
+                             list(itertools.product((0.5, 2.0), (0.5, 0.8), (1, 3))))
+    def test_every_outcome_within_one_over_lambda(self, lam, beta, i_max):
+        delta_q = 0.3
+        b_threshold, b_probes, gammas = self.drawn(lam, delta_q, beta ** (i_max - 0.5), beta)
+        assert len(gammas) == i_max
+        # queries that fall along the probes: an early probe rejects only
+        # under a high threshold, the case that bounds the leakage
+        q = [6.0 * lam * delta_q * (g - 0.5) for g in gammas]
+        p = self.outcome_probabilities(q, b_threshold, b_probes)
+        assert math.fsum(p) == pytest.approx(1.0, abs=1e-10)
+        for signs in itertools.product((-1.0, 1.0), repeat=i_max):
+            near = [q_i + sign * delta_q for q_i, sign in zip(q, signs)]
+            p_near = self.outcome_probabilities(near, b_threshold, b_probes)
+            for a, b in zip(p, p_near):
+                assert abs(math.log(a / b)) <= 1.0 / lam
 
 
 class TestValidation:
