@@ -60,6 +60,13 @@ MUTANTS = {
             "halves the sweep's probe noise"),
     "M15": ("tally(phase1.releases + phase2.releases)", "tally(phase2.releases)",
             "drops phase 1's releases from the joined two-phase log"),
+    "M16": ("run_log(plan_at(i), 0, t_budget)",
+            "run_log(plan_at(i), t_budget - t_budget // 2, t_budget // 2)",
+            "tunes for a run with a Wigner draw on half its iterations"),
+    "M17": ("math.log(2.0) + _J * log_s", "_J * log_s",
+            "drops the factor 2 of the j >= 3 terms of the subsampled bound"),
+    "M18": ("_LOG_BINOM[_J > _ORDERS[:, None]] = -np.inf", "None",
+            "keeps terms j > alpha in the subsampled bound"),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -9,7 +9,7 @@ log, account_run(log, notion) = notion.of(log):
     hence costs 1/(2 lam^2).
   * RdpCurve: eps(alpha) over the orders alpha of DEFAULT_ORDERS, pointwise
     additive.  Subsampling without replacement amplifies per-order leakage
-    through a binomial-sum bound evaluated here in log space.
+    through a binomial-sum bound, one log-space array over the orders.
   * ApproxDp: (epsilon, delta), the reporting notion.
 
 A run's ledger is the one conversion of its releases in count form,
@@ -39,6 +39,8 @@ from scipy.special import gammaln, logsumexp
 # bound is stated for integer alpha >= 2 only, so conversions stay on this
 # grid; it covers the practical (epsilon, delta) range.
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(2, 65)) + (128, 256)
+_ORDERS = np.asarray(DEFAULT_ORDERS, dtype=float)
+_ORDERS.flags.writeable = False
 
 
 class InfeasiblePlanError(ValueError):
@@ -106,25 +108,17 @@ class ZCdp:
 
 @dataclass(frozen=True, eq=False)
 class RdpCurve:
-    """Per-order Renyi leakage eps(alpha); a run's curves are on DEFAULT_ORDERS."""
+    """Per-order Renyi leakage eps(alpha), one value per order of DEFAULT_ORDERS."""
 
-    orders: np.ndarray
+    orders: ClassVar[np.ndarray] = _ORDERS
     epsilons: np.ndarray
 
     def __post_init__(self):
-        orders = np.asarray(self.orders, dtype=float)
         epsilons = np.asarray(self.epsilons, dtype=float)
-        if orders.ndim != 1 or orders.size == 0:
-            raise ValueError("orders must be a nonempty 1-d sequence")
-        if orders.shape != epsilons.shape:
-            raise ValueError("orders and epsilons must have the same length")
-        if np.any(orders <= 1.0):
-            raise ValueError("all orders must be > 1")
-        if np.any(np.diff(orders) <= 0):
-            raise ValueError("orders must be strictly ascending")
-        if np.any(epsilons < 0):
+        if epsilons.shape != self.orders.shape:
+            raise ValueError(f"need one eps(alpha) per order, got shape {epsilons.shape}")
+        if not np.all(epsilons >= 0):
             raise ValueError("all eps(alpha) must be nonnegative")
-        object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "epsilons", epsilons)
 
     @classmethod
@@ -141,18 +135,17 @@ class RdpCurve:
             alone[params[-1:], s] += count if mechanism == "gaussian" else -count
         if min(alone.values(), default=0) < 0:
             raise ValueError("more Wigner draws than gradients on their batches")
-        orders = np.asarray(DEFAULT_ORDERS, dtype=float)
-        eps = np.zeros_like(orders)
+        eps = np.zeros_like(cls.orders)
         for mechanism, params, s, count in releases:
             if mechanism == "wigner":
                 sigma = combined_sigma(params[1], params[0])
             else:
                 sigma, count = params[0], alone[params, s]
             if s is None:
-                eps = eps + count * (orders / (2.0 * sigma ** 2))
+                eps = eps + count * (cls.orders / (2.0 * sigma ** 2))
             elif count:
                 eps = eps + count * subsampled_gaussian_rdp_curve(sigma, s).epsilons
-        return cls(orders, eps)
+        return cls(eps)
 
     def spent(self, delta: float) -> float:
         return rdp_to_approx_dp(self, delta)[0].epsilon
@@ -173,7 +166,8 @@ class ApproxDp:
 
     @classmethod
     def of(cls, log) -> "ApproxDp":
-        """Whole-dataset releases add up; k steps on batches at fraction s
+        """Whole-dataset releases add up; k steps on batches at fraction s,
+        each pricing both draws of an iteration (SubsampledDpBudget.step),
         compose by advanced composition after amplification, to the plan's
         target at k = T."""
         eps = delta = 0.0
@@ -279,47 +273,40 @@ def rdp_to_approx_dp(curve: RdpCurve, delta: float) -> tuple[ApproxDp, float]:
 # ---------------------------------------------------------------------------
 # subsampling amplification (without replacement)
 
-
-def _log_expm1(x: float) -> float:
-    # log(e^x - 1), stable for both tiny and large x
-    if x > 30.0:
-        return x + math.log1p(-math.exp(-x))
-    return math.log(math.expm1(x))
-
-
-def _log_binom(n: int, k: int) -> float:
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
-
-
-def subsampled_gaussian_rdp(alpha: int, sigma: float, s: float) -> float:
-    """Order-alpha RDP of a Gaussian mechanism run on a without-replacement
-    subsample with sampling fraction s = m/n.
-
-    Evaluates the binomial-sum amplification bound for integer alpha >= 2
-    with the Gaussian base curve eps(j) = j / (2 sigma^2).  The j-sum is
-    accumulated in log space; e^{(j-1) j / (2 sigma^2)} overflows otherwise.
-    """
-    if int(alpha) != alpha or alpha < 2:
-        raise ValueError("alpha must be an integer >= 2")
-    alpha = int(alpha)
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
-    if not (0.0 < s <= 1.0):
-        raise ValueError("s must lie in (0, 1]")
-    inv = 1.0 / (sigma * sigma)
-    log_s = math.log(s)
-    # j = 2 term: s^2 C(alpha,2) min{4 (e^{1/sigma^2} - 1), 2 e^{1/sigma^2}}
-    log_min = min(math.log(4.0) + _log_expm1(inv), math.log(2.0) + inv)
-    terms = [0.0, 2.0 * log_s + _log_binom(alpha, 2) + log_min]
-    # j >= 3 terms: 2 s^j C(alpha,j) e^{(j-1) j / (2 sigma^2)}
-    for j in range(3, alpha + 1):
-        terms.append(math.log(2.0) + j * log_s + _log_binom(alpha, j) + (j - 1) * j * inv / 2.0)
-    return float(logsumexp(terms)) / (alpha - 1)
+# log C(alpha, j) for the orders alpha of DEFAULT_ORDERS (rows) and
+# j = 2 ... 256 (columns), -inf where j > alpha
+_J = np.arange(2, DEFAULT_ORDERS[-1] + 1)
+_LOG_BINOM = (gammaln(_ORDERS[:, None] + 1) - gammaln(_J + 1)
+              - gammaln(np.maximum(_ORDERS[:, None] - _J, 0) + 1))
+_LOG_BINOM[_J > _ORDERS[:, None]] = -np.inf
 
 
 def subsampled_gaussian_rdp_curve(sigma: float, s: float) -> RdpCurve:
-    eps = np.array([subsampled_gaussian_rdp(a, sigma, s) for a in DEFAULT_ORDERS])
-    return RdpCurve(np.asarray(DEFAULT_ORDERS, dtype=float), eps)
+    """RDP curve of a Gaussian mechanism on a without-replacement subsample at
+    fraction s = m/n: the binomial-sum bound (Wang, Balle & Kasiviswanathan
+    2019) on the base curve j / (2 sigma^2), eps(alpha) = log(1 + sum of the
+    j = 2 ... alpha terms) / (alpha - 1), as one log-space array over the orders."""
+    if not (sigma > 0 and 0.0 < s <= 1.0):
+        raise ValueError(f"need sigma > 0 and s in (0, 1], got sigma = {sigma}, s = {s}")
+    inv, log_s = 1.0 / (sigma * sigma), math.log(s)
+    # j >= 3: 2 s^j C(alpha,j) e^{(j-1) j / (2 sigma^2)}
+    terms = math.log(2.0) + _J * log_s + _LOG_BINOM + (_J - 1) * _J * inv / 2.0
+    # j = 2: s^2 C(alpha,2) min{4 (e^{1/sigma^2} - 1), 2 e^{1/sigma^2}}; past 1/sigma^2 = log 2
+    # the second is the smaller
+    log_min = math.log(2.0) + inv
+    if inv < 1.0:
+        log_min = min(math.log(4.0) + math.log(math.expm1(inv)), log_min)
+    terms[:, 0] = 2.0 * log_s + _LOG_BINOM[:, 0] + log_min
+    # the 0 term, then j = 2, 3, ... in one sum
+    return RdpCurve(logsumexp(np.hstack([np.zeros((len(_ORDERS), 1)), terms]), axis=1)
+                    / (_ORDERS - 1.0))
+
+
+def subsampled_gaussian_rdp(alpha: int, sigma: float, s: float) -> float:
+    """subsampled_gaussian_rdp_curve(sigma, s) at alpha, one of DEFAULT_ORDERS."""
+    if alpha not in DEFAULT_ORDERS:
+        raise ValueError(f"alpha must be one of DEFAULT_ORDERS, got {alpha}")
+    return float(subsampled_gaussian_rdp_curve(sigma, s).epsilons[DEFAULT_ORDERS.index(alpha)])
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +348,10 @@ def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
                     sigma_grid=None) -> NoisePlan:
     """Smallest grid multiplier sigma_g = sigma_h whose worst-case
     T-iteration subsampled curve, with the initial-loss multiplier sigma_f,
-    converts to at most the (eps, delta) target.  The worst case is the log
-    of T gradient-only and T curvature iterations, converted by the
-    RdpCurve.of that converts a run's log.
+    converts to at most the (eps, delta) target.  The worst case is T
+    curvature iterations, run_log(plan, 0, T): a run draws at most T
+    gradients, and RdpCurve.of charges a Wigner draw with its gradient at
+    combined_sigma, which leaks more than a lone gradient.
 
     sigma_f is fixed in advance: the run perturbs its initial loss f0 before
     T is known, since T is derived from the noised f0.  Every term of the
@@ -371,9 +359,7 @@ def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
     sorted grid and bisection finds the smallest feasible point.  Raises
     InfeasiblePlanError when even the largest grid point leaks too much.
     """
-    if not (0.0 < s <= 1.0):
-        raise ValueError("s must lie in (0, 1]")
-    if t_budget < 1:
+    if t_budget < 1:  # s is checked by the plan
         raise ValueError("t_budget must be >= 1")
     if sigma_grid is None:
         sigma_grid = _default_sigma_grid()
@@ -386,7 +372,7 @@ def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
         return NoisePlan(float(sigma_f), sigma, sigma, None, s)
 
     def feasible(i: int) -> bool:
-        curve = RdpCurve.of(run_log(plan_at(i), t_budget, t_budget))
+        curve = RdpCurve.of(run_log(plan_at(i), 0, t_budget))
         return curve.spent(target.delta) <= target.epsilon
 
     hi = len(sigma_grid) - 1

@@ -141,6 +141,15 @@ def _parse_csv(path: Path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
             header = bool(first.strip())  # a first line that is not numbers
         if not header:
             fh.seek(0)
+        start, row = fh.tell(), fh.readline()
+        while row and not row.strip():
+            row = fh.readline()
+        # every row has the first data row's width, or loadtxt refuses the file
+        width = len(row.split(","))
+        if row and not -width <= label_column < width:
+            raise ValueError(f"{path}: label column {label_column} is outside rows of "
+                             f"{width} fields")
+        fh.seek(start)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
@@ -151,9 +160,6 @@ def _parse_csv(path: Path, label_column: int) -> tuple[np.ndarray, np.ndarray]:
     n, d = data.shape[0], data.shape[1] - 1
     if n == 0:
         raise ValueError(f"{path}: no data rows")
-    if not -(d + 1) <= label_column <= d:
-        raise ValueError(f"{path}: label column {label_column} is outside rows of "
-                         f"{d + 1} fields")
     y = data[:, label_column].copy()
     # drop the label column inside loadtxt's buffer: span by span, row i's
     # features move to offset i * d, which is never past where they were, so

@@ -173,11 +173,18 @@ class SubsampledDpBudget(_EpsDeltaTarget):
         return gaussian_sigma_dp(self.eps_f, self.delta_f)
 
     def step(self, t_budget: int, s: float) -> tuple[float, float, float]:
-        """(eps0, delta0, delta_rest) of one of T Gaussian steps on batches at
-        fraction s, which compose to (eps - eps_f, delta - delta_f) by
-        amplification and advanced composition.  Both need eps - eps_f < 1,
-        and the classical Gaussian calibration needs eps0 < 1: otherwise
-        InfeasiblePlanError."""
+        """(eps0, delta0, delta_rest) of each Gaussian draw of T iterations on
+        batches at fraction s, which compose to (E, delta_rest) =
+        (eps - eps_f, delta - delta_f).  The 8 is 2 (amplification) x 2 (an
+        iteration's gradient and Wigner draw) x 2 (advanced composition's
+        second-order term): the pair is (2 eps0, 2 delta0)-DP, amplified to
+        e' = log(1 + s (e^{2 eps0} - 1)) and 2 s delta0, and T such steps
+        compose (Dwork, Rothblum & Vadhan) at delta'' = delta_rest / 2 to
+        sqrt(2 T log(1/delta'')) e' + T e' (e^{e'} - 1) and 2 s delta0 T +
+        delta'' = delta_rest.  As e^{e'} - 1 <= 3.2 s (2 eps0) for eps0 < 1,
+        the first term is at most 0.8 E and, at E < 1 and delta_rest <= 0.1,
+        the second at most 0.11 E.  Both need E < 1, and the classical
+        Gaussian calibration needs eps0 < 1: otherwise InfeasiblePlanError."""
         eps, rest = self.epsilon - self.eps_f, self.delta - self.delta_f
         eps0 = eps / (8.0 * s * math.sqrt(2.0 * t_budget * math.log(2.0 / rest)))
         if not (eps < 1.0 and eps0 < 1.0):

@@ -1,6 +1,8 @@
 """Accountant unit tests: release logs and their notions, conversions,
 subsampling, plans."""
 
+import dataclasses
+import decimal
 import functools
 import itertools
 import math
@@ -218,12 +220,6 @@ class TestRdpToApproxDp:
         assert out.epsilon == pytest.approx(brute, abs=1e-9)
         assert alpha in curve.orders
 
-    def test_single_degenerate_order(self):
-        curve = RdpCurve(np.array([2.0]), np.array([0.0]))
-        out, alpha = rdp_to_approx_dp(curve, 1e-5)
-        assert out.epsilon == pytest.approx(math.log(1e5))
-        assert alpha == 2.0
-
     def test_monotone_in_delta(self):
         curve = gaussian_curve(3.0)
         eps = [rdp_to_approx_dp(curve, d)[0].epsilon for d in (1e-8, 1e-6, 1e-4, 1e-2)]
@@ -232,7 +228,7 @@ class TestRdpToApproxDp:
     @given(st.floats(min_value=0.0, max_value=2.0))
     def test_monotone_in_curve(self, bump):
         base = gaussian_curve(4.0)
-        larger = RdpCurve(base.orders, base.epsilons + bump)
+        larger = RdpCurve(base.epsilons + bump)
         assert (rdp_to_approx_dp(larger, 1e-5)[0].epsilon
                 >= rdp_to_approx_dp(base, 1e-5)[0].epsilon - 1e-12)
 
@@ -254,6 +250,38 @@ class TestSubsampledGaussianRdp:
             vals = [subsampled_gaussian_rdp(a, 10.0, s) for a in range(2, 33)]
             assert all(a <= b + 1e-18 for a, b in zip(vals, vals[1:]))
 
+    def test_reads_the_curve(self):
+        curve = subsampled_gaussian_rdp_curve(3.0, 0.05)
+        assert [subsampled_gaussian_rdp(a, 3.0, 0.05) for a in DEFAULT_ORDERS] == list(
+            curve.epsilons)
+
+    @staticmethod
+    def oracle_curve(sigma, s):
+        """The binomial sum at every order, from the formula alone: exact
+        binomial coefficients and 50-digit decimal arithmetic,
+        eps(alpha) = log(1 + s^2 C(alpha,2) min{4 (e^{1/sigma^2} - 1), 2 e^{1/sigma^2}}
+        + sum_{j=3}^{alpha} 2 s^j C(alpha,j) e^{(j-1) j / (2 sigma^2)}) / (alpha - 1)."""
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = 50, decimal.MAX_EMAX, decimal.MIN_EMIN
+            s, inv = decimal.Decimal(s), 1 / decimal.Decimal(sigma) ** 2
+            pair = s ** 2 * min(4 * (inv.exp() - 1), 2 * inv.exp())
+            # 2 s^j e^{(j-1) j / (2 sigma^2)}, shared by every order
+            tail = [2 * s ** j * ((j - 1) * j * inv / 2).exp()
+                    for j in range(DEFAULT_ORDERS[-1] + 1)]
+            return [float((1 + math.comb(a, 2) * pair + sum(
+                math.comb(a, j) * tail[j] for j in range(3, a + 1))).ln() / (a - 1))
+                for a in DEFAULT_ORDERS]
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0, 5.0, 10.0, 100.0])
+    def test_matches_a_decimal_oracle_at_every_order(self, sigma):
+        # log C(256, j) is a difference of log-gammas near 1167, whose rounding
+        # reaches 3e-13 in the j = 2 term: up to 2.5e-13 of eps(256) on this grid
+        rtol = np.where(np.asarray(DEFAULT_ORDERS) < 256, 1e-13, 5e-13)
+        for s in (0.001, 0.01, 0.05, 0.25, 1.0):
+            got = subsampled_gaussian_rdp_curve(sigma, s).epsilons
+            want = np.array(self.oracle_curve(sigma, s))
+            assert np.all(np.abs(got - want) <= rtol * want), (s, np.abs(got / want - 1.0))
+
     def test_vanishes_with_large_sigma_at_alpha2(self):
         assert subsampled_gaussian_rdp(2, 1e6, 0.5) < 1e-11
 
@@ -264,6 +292,8 @@ class TestSubsampledGaussianRdp:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             subsampled_gaussian_rdp(1, 10.0, 0.1)
+        with pytest.raises(ValueError, match="DEFAULT_ORDERS"):
+            subsampled_gaussian_rdp(65, 10.0, 0.1)  # an integer order off the grid
         with pytest.raises(ValueError):
             subsampled_gaussian_rdp(2, 10.0, 0.0)
         with pytest.raises(ValueError):
@@ -339,6 +369,29 @@ class TestPlans:
         with pytest.raises(InfeasiblePlanError, match="eps - eps_f"):
             budget.plan(100, 0.5)
 
+    def test_subsampled_dp_ledger_bounds_the_exact_composition_of_both_draws(self):
+        # an iteration draws a gradient and a Wigner draw at (eps0, delta0)
+        # each on one batch: (2 eps0, 2 delta0), amplified at fraction s to
+        # (log(1 + s (e^{2 eps0} - 1)), 2 s delta0), then T of them composed by
+        # the exact advanced-composition bound at delta'' = delta_rest / 2
+        checked, worst = 0, 0.0
+        for eps, delta, s, t in itertools.product(
+                (0.1, 0.3, 0.6, 0.9, 1.1), (1e-8, 1e-5, 1e-3),
+                (0.001, 0.01, 0.05, 0.25, 1.0), (1, 10, 100, 1000)):
+            budget = SubsampledDpBudget(eps, delta)
+            try:
+                eps0, delta0, rest = budget.step(t, s)
+            except InfeasiblePlanError:
+                continue
+            pair = math.log1p(s * math.expm1(2.0 * eps0))
+            exact = (math.sqrt(2.0 * t * math.log(2.0 / rest)) * pair
+                     + t * pair * math.expm1(pair))
+            ledger = account_run([Release("dp", (eps0, delta0, rest), s, t)], ApproxDp)
+            assert exact <= ledger.epsilon, (eps, delta, s, t)
+            assert t * 2.0 * s * delta0 + rest / 2.0 == pytest.approx(ledger.delta, rel=1e-15)
+            checked, worst = checked + 1, max(worst, exact / ledger.epsilon)
+        assert checked >= 100 and worst > 0.7  # the grid reaches where the bound is tight
+
     def test_subsampled_dp_log_hits_target_at_full_budget(self):
         budget = SubsampledDpBudget(0.9, 1e-5, 0.1)
         s, T = 0.01, 123
@@ -396,8 +449,20 @@ class TestTuneNoisePlan:
     def test_returned_plan_is_feasible(self):
         target = ApproxDp(1.0, 1e-5)
         plan = tune_noise_plan(target, 0.01, 100, SIGMA_F)
-        curve = account_run(run_log(plan, 100, 100), RdpCurve)
+        curve = account_run(run_log(plan, 0, 100), RdpCurve)
         assert rdp_to_approx_dp(curve, 1e-5)[0].epsilon <= 1.0
+
+    @pytest.mark.parametrize("eps,s,t_budget", [(1.0, 0.01, 100), (1.0, 0.05, 10),
+                                                 (8.0, 0.25, 50), (2.0, 0.05, 100)])
+    def test_tuned_plan_meets_the_target_on_every_split_of_its_iterations(
+            self, eps, s, t_budget, monkeypatch):
+        # a T-iteration run draws T gradients, k of them with a Wigner draw
+        monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve",
+                            functools.lru_cache(maxsize=None)(subsampled_gaussian_rdp_curve))
+        plan = RdpTuneBudget(eps, 1e-5).plan(t_budget, s)
+        for k in range(t_budget + 1):
+            curve = account_run(run_log(plan, t_budget - k, k), RdpCurve)
+            assert curve.spent(1e-5) <= eps, k
 
     def test_minimality_on_the_grid(self):
         target = ApproxDp(1.0, 1e-5)
@@ -407,7 +472,7 @@ class TestTuneNoisePlan:
         if idx > 0:
             smaller = NoisePlan(SIGMA_F, float(grid[idx - 1]), float(grid[idx - 1]),
                                 subsample_fraction=0.01)
-            eps = rdp_to_approx_dp(account_run(run_log(smaller, 100, 100), RdpCurve),
+            eps = rdp_to_approx_dp(account_run(run_log(smaller, 0, 100), RdpCurve),
                                    1e-5)[0].epsilon
             assert eps > 1.0
 
@@ -422,6 +487,11 @@ class TestTuneNoisePlan:
         small = tune_noise_plan(target, 0.01, 50, SIGMA_F)
         large = tune_noise_plan(target, 0.01, 200, SIGMA_F)
         assert large.sigma_g >= small.sigma_g - 1e-12
+
+    @pytest.mark.parametrize("s", [0.0, 1.5, math.nan])
+    def test_fraction_outside_the_unit_interval_refused(self, s):
+        with pytest.raises(ValueError, match="subsample_fraction"):
+            tune_noise_plan(ApproxDp(1.0, 1e-5), s, 10, SIGMA_F)
 
     def test_infeasible_grid_reported_distinctly(self):
         with pytest.raises(InfeasiblePlanError):
@@ -439,7 +509,7 @@ class TestTuneNoisePlan:
             target = ApproxDp(eps, 1e-5)
             sigma_f = RdpTuneBudget(eps, 1e-5).sigma_f
             feasible = [
-                rdp_to_approx_dp(account_run(run_log(NoisePlan(sigma_f, g, g, None, s), t, t),
+                rdp_to_approx_dp(account_run(run_log(NoisePlan(sigma_f, g, g, None, s), 0, t),
                                              RdpCurve), 1e-5)[0].epsilon <= eps
                 for g in grid.tolist()]
             assert feasible == sorted(feasible), (eps, s, t, feasible)
@@ -465,18 +535,27 @@ class TestTuneNoisePlan:
         monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve", counting)
         RdpTuneBudget(1.0, 1e-5).plan(100, 0.01)
         # one probe of the largest point, then at most seven halvings of 81 points,
-        # each probe building the gradient and gradient+Hessian curves
-        assert len(calls) <= 16
+        # each probe building one curve: every gradient is paired with a Wigner draw
+        assert len(calls) <= 8
 
 
 class TestValidation:
     def test_rdp_curve_invariants(self):
-        with pytest.raises(ValueError):
-            RdpCurve(np.array([1.0, 2.0]), np.array([0.1, 0.2]))  # order <= 1
-        with pytest.raises(ValueError):
-            RdpCurve(np.array([3.0, 2.0]), np.array([0.1, 0.2]))  # not ascending
-        with pytest.raises(ValueError):
-            RdpCurve(np.array([2.0, 3.0]), np.array([-0.1, 0.2]))  # negative eps
+        eps = np.full(len(DEFAULT_ORDERS), 0.1)
+        assert np.array_equal(RdpCurve(eps).orders, DEFAULT_ORDERS)
+        with pytest.raises(ValueError, match="one eps"):
+            RdpCurve(eps[:-1])  # not one value per order
+        with pytest.raises(ValueError, match="one eps"):
+            RdpCurve(eps[:, None])
+        for bad in (-0.1, math.nan):
+            eps[3] = bad
+            with pytest.raises(ValueError, match="nonnegative"):
+                RdpCurve(eps)
+
+    def test_rdp_curve_orders_are_the_read_only_default_grid(self):
+        assert "orders" not in {f.name for f in dataclasses.fields(RdpCurve)}
+        with pytest.raises(ValueError, match="read-only"):
+            RdpCurve.orders[0] = 1.5
 
     def test_noise_plan_invariants(self):
         with pytest.raises(ValueError):

@@ -115,6 +115,19 @@ class TestCsvLoader:
         assert np.array_equal(ds.features, np.delete(table, label_column % 6, axis=1))
         assert np.array_equal(ds.labels, table[:, label_column])
 
+    @pytest.mark.parametrize("label_column", [3, -4, 99])
+    def test_label_column_outside_the_row_refused_before_parsing(self, tmp_path,
+                                                                 label_column, monkeypatch):
+        # the first data row after the header and blank lines has the width
+        path = tmp_path / "wide.csv"
+        path.write_text("x1,x2,y\n\n0.5,0.1,1\n0.1,0.2,-1\n")
+        calls = []
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=f"label column {label_column} is outside "
+                                             "rows of 3 fields"):
+            load_dataset(path, "csv", label_column=label_column)
+        assert calls == []
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_dataset("/nonexistent/file.csv")

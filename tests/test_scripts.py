@@ -58,6 +58,15 @@ def test_layer_timings_spread_layers_run(monkeypatch):
         assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
 
 
+def test_layer_timings_accountant_layers_run(monkeypatch):
+    layers = load_script("layer_timings", monkeypatch).accountant_layers(repeats=1)
+    assert set(layers) == {"accountant.rdp_curve[sigma=5,s=0.01]",
+                           "accountant.tune_noise_plan[T=10,s=0.05]"}
+    for stats in layers.values():
+        assert stats["repeats"] == 1
+        assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
+
+
 def test_privacy_mutants_each_match_once_in_src(monkeypatch):
     mutants = load_script("privacy_mutants", monkeypatch)
     assert len(mutants.MUTANTS) >= 10
