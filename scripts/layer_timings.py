@@ -19,13 +19,18 @@ the steal shares in its header.
     (erm_value makes the same pass: a miss computes the loss and the
     gradient together, so one timing covers both), erm_hessian and erm_hvp
     with a warm memo (the cost per call inside a run, margins and curvature
-    already kept), and one raw gemv over X (X @ v), the floor of any pass
-    that reads X;
+    already kept), one raw gemv over X (X @ v) on one thread, and the
+    link's value and derivative over one span of margins, as the fused pass
+    computes them (median of 100 calls a repeat, per call);
   * spread, at n = 500 000, d = 54 (spread_layers takes any (n, d)): the
-    fused value-and-gradient pass (erm_gradient without a memo) and
-    erm_hessian with a warm memo, once on one worker and once on as many as
-    the passes use (two, the calling thread and one more, where two cores
-    are usable), each as its own group with its own steal share;
+    fused value-and-gradient pass (erm_gradient without a memo),
+    erm_hessian with a warm memo and the read floor of X (X_s @ w alone, the
+    pass's first product, over each span into scratch of the worker's own,
+    spread as the pass spreads), once on one worker
+    and once on as many as the passes use (two, the calling thread and one
+    more, where two cores are usable), each as its own group with its own
+    steal share: a pass is near the floor only against the floor on its
+    own worker count;
   * spectral, at n = 30 000, d = 600 (spectral_layers takes any (n, d)):
     the Wigner draw, its matvec, and one Lanczos eigen-check on the noisy
     Hessian at the origin, as a highdim_lanczos solve makes it;
@@ -76,14 +81,16 @@ CSV_ROWS = 100_000
 HESS_NOISE_SCALE = 0.002
 
 
-def timed(fn, repeats: int) -> dict:
-    """Median and quartiles of fn's wall time in ms, after one untimed call."""
+def timed(fn, repeats: int, calls: int = 1) -> dict:
+    """Median and quartiles of fn's wall time in ms, after one untimed call;
+    each repeat times calls calls and counts their mean."""
     fn()
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
+        for _ in range(calls):
+            fn()
+        times.append((time.perf_counter() - start) / calls)
     p25, p50, p75 = np.percentile(np.array(times) * 1e3, [25, 50, 75])
     return {"median_ms": p50, "p25_ms": p25, "p75_ms": p75, "repeats": repeats}
 
@@ -102,8 +109,13 @@ def objective_inputs(n: int, d: int) -> tuple:
 def objective_layers(n: int, d: int, repeats: int) -> dict:
     ds, model, memo, w, v = objective_inputs(n, d)
     tag = f"n={n},d={d}"
+    rows = min(objective.span_rows(d), n)
+    t = memo.margins(w, None)[2][:rows]
+    value, deriv = np.empty(rows), np.empty(rows)
     out = {
         f"objective.raw_gemv[{tag}]": timed(lambda: ds.features @ v, repeats),
+        f"objective.link_span[rows={rows}]":
+            timed(lambda: model.link.value_and_deriv(t, value, deriv), repeats, calls=100),
         f"objective.cold_pass[{tag}]": timed(lambda: erm_gradient(model, ds, w), repeats),
         f"objective.erm_hvp[{tag},memo]":
             timed(lambda: erm_hvp(model, ds, w, v, memo=memo), repeats),
@@ -119,10 +131,18 @@ def spread_layers(n: int, d: int, workers: int, repeats: int) -> dict:
     workers."""
     ds, model, memo, w, _ = objective_inputs(n, d)
     tag = f"n={n},d={d},workers={workers}"
+    X, rows = ds.features, min(objective.span_rows(d), n)
+
+    def read(lo: int, hi: int, out: np.ndarray, own: np.ndarray) -> None:
+        out[0] = np.matmul(X[lo:hi], w, out=own[:hi - lo])[0]
+
     cores = objective.usable_cores
     objective.usable_cores = lambda: workers
     try:
         return {
+            f"objective.read_floor[{tag}]":
+                timed(lambda: objective._spread_sum(read, n, d, (1,), lambda: np.empty(rows)),
+                      repeats),
             f"objective.erm_gradient[{tag}]": timed(lambda: erm_gradient(model, ds, w), repeats),
             f"objective.erm_hessian[{tag},memo]":
                 timed(lambda: erm_hessian(model, ds, w, memo=memo), repeats),

@@ -65,7 +65,7 @@ MUTANTS = {
             "tunes for a run with a Wigner draw on half its iterations"),
     "M17": ("math.log(2.0) + _J * log_s", "_J * log_s",
             "drops the factor 2 of the j >= 3 terms of the subsampled bound"),
-    "M18": ("_LOG_BINOM[_J > _ORDERS[:, None]] = -np.inf", "None",
+    "M18": ("if j <= a else -math.inf", "if j <= a else 0.0",
             "keeps terms j > alpha in the subsampled bound"),
 }
 

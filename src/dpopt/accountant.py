@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 # Integer Renyi orders used by default.  The without-replacement subsampling
 # bound is stated for integer alpha >= 2 only, so conversions stay on this
@@ -274,11 +274,12 @@ def rdp_to_approx_dp(curve: RdpCurve, delta: float) -> tuple[ApproxDp, float]:
 # subsampling amplification (without replacement)
 
 # log C(alpha, j) for the orders alpha of DEFAULT_ORDERS (rows) and
-# j = 2 ... 256 (columns), -inf where j > alpha
+# j = 2 ... 256 (columns), logs of exact binomials, -inf where j > alpha
 _J = np.arange(2, DEFAULT_ORDERS[-1] + 1)
-_LOG_BINOM = (gammaln(_ORDERS[:, None] + 1) - gammaln(_J + 1)
-              - gammaln(np.maximum(_ORDERS[:, None] - _J, 0) + 1))
-_LOG_BINOM[_J > _ORDERS[:, None]] = -np.inf
+_LOG_BINOM = np.array([[math.log(math.comb(a, j)) if j <= a else -math.inf for j in _J]
+                       for a in DEFAULT_ORDERS])
+# below this sigma the bound's largest exponent, 255 * 256 / (2 sigma^2), overflows
+SIGMA_MIN = 2e-152
 
 
 def subsampled_gaussian_rdp_curve(sigma: float, s: float) -> RdpCurve:
@@ -286,8 +287,9 @@ def subsampled_gaussian_rdp_curve(sigma: float, s: float) -> RdpCurve:
     fraction s = m/n: the binomial-sum bound (Wang, Balle & Kasiviswanathan
     2019) on the base curve j / (2 sigma^2), eps(alpha) = log(1 + sum of the
     j = 2 ... alpha terms) / (alpha - 1), as one log-space array over the orders."""
-    if not (sigma > 0 and 0.0 < s <= 1.0):
-        raise ValueError(f"need sigma > 0 and s in (0, 1], got sigma = {sigma}, s = {s}")
+    if not (sigma >= SIGMA_MIN and 0.0 < s <= 1.0):
+        raise ValueError(f"need sigma >= {SIGMA_MIN} (1/sigma^2 overflows the exponents below "
+                         f"it) and s in (0, 1], got sigma = {sigma}, s = {s}")
     inv, log_s = 1.0 / (sigma * sigma), math.log(s)
     # j >= 3: 2 s^j C(alpha,j) e^{(j-1) j / (2 sigma^2)}
     terms = math.log(2.0) + _J * log_s + _LOG_BINOM + (_J - 1) * _J * inv / 2.0

@@ -54,6 +54,16 @@ dense path allows.  The curvature pass and the HVP stay on the calling
 thread: the HVP serves Lanczos checks above DENSE_HESSIAN_CAP, where a pass
 is bound by memory bandwidth.
 
+The logistic link takes one e = exp(-|t|) and one log1p(e) per margin in
+numpy's vectorized ufuncs: phi(t) = max(-t, 0) + log1p(e), phi'(t) =
+expm1(-phi(t)) = -1/(1 + e^t), and phi''(t) = s (1 - s) with s = e/(1 + e).
+phi' and phi'' are within 1e-15 relative of 50-digit decimal values where
+they are normal floats (|t| <= 708), and phi keeps the bits of its formula.
+The pass writes phi' into span scratch of each worker's own.  At n = 500 000,
+d = 54 it took 18 ms on two workers against a read floor (X_s @ w alone,
+spread the same way) of 11 ms, and 34 against 20 ms on one (medians, 2-vCPU
+VM, one BLAS thread): compare a pass with the floor of its own worker count.
+
 Every evaluator reads X through a MarginMemo bound to one model and one
 dataset: the caller's (memo=), or a fresh one made for the call.  A miss
 makes the margins, the loss and the gradient sum of an (iterate, batch)
@@ -75,7 +85,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 # Hessians are materialized densely only up to this dimension; above it only
 # Hessian-vector products are offered, and the solvers refuse a run without
@@ -161,40 +170,57 @@ class Dataset:
 
 @dataclass(frozen=True)
 class MarginLink:
-    """Scalar link phi with its first two derivatives, vectorized over margins."""
+    """Scalar link phi with its first two derivatives, vectorized over margins.
 
-    value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
+    value_and_deriv(t, value, deriv) writes phi(t) into value and phi'(t)
+    into deriv, arrays shaped like t that it may use as scratch on the way.
+    The fused pass calls it span by span, and value() and deriv() call it.
+    """
+
+    value_and_deriv: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
     second: Callable[[np.ndarray], np.ndarray]
 
+    def value(self, t: np.ndarray) -> np.ndarray:
+        return self._both(t)[0]
 
-def _softplus_neg(t: np.ndarray) -> np.ndarray:
-    # log(1 + e^-t) = max(-t, 0) + log1p(e^-|t|): overflow-free, and unlike
-    # np.logaddexp it runs on numpy's vectorized exp and log1p
-    return np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    def deriv(self, t: np.ndarray) -> np.ndarray:
+        return self._both(t)[1]
+
+    def _both(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value, deriv = np.empty(np.shape(t)), np.empty(np.shape(t))
+        self.value_and_deriv(t, value, deriv)
+        return value, deriv
+
+
+def _logistic_value_and_deriv(t: np.ndarray, value: np.ndarray, deriv: np.ndarray) -> None:
+    # phi(t) = log(1 + e^-t) = max(-t, 0) + log1p(e^-|t|), overflow-free, and
+    # phi'(t) = -1/(1 + e^t) = e^-phi(t) - 1 = expm1(-phi(t)); deriv holds
+    # max(-t, 0) on the way
+    np.negative(np.abs(t, out=value), out=value)
+    np.log1p(np.exp(value, out=value), out=value)
+    np.maximum(np.negative(t, out=deriv), 0.0, out=deriv)
+    np.add(deriv, value, out=value)
+    np.expm1(np.negative(value, out=deriv), out=deriv)
 
 
 def _logistic_curvature(t: np.ndarray) -> np.ndarray:
-    # expit(t) expit(-t) is even in t, so one sigmoid of -|t| gives both factors
-    s = expit(-np.abs(t))
+    # phi''(t) = s (1 - s) with s = e^-|t| / (1 + e^-|t|), the sigmoid of -|t|:
+    # phi'' is even in t, and e^-|t| cannot overflow
+    e = np.exp(-np.abs(t))
+    s = e / (1.0 + e)
     return s * (1.0 - s)
 
 
-def _logistic_link() -> MarginLink:
-    return MarginLink(
-        value=_softplus_neg,
-        deriv=lambda t: -expit(-t),
-        second=_logistic_curvature,
-    )
+_LOGISTIC_LINK = MarginLink(_logistic_value_and_deriv, _logistic_curvature)
 
 
-def _quartic_link() -> MarginLink:
+def _quartic_value_and_deriv(t: np.ndarray, value: np.ndarray, deriv: np.ndarray) -> None:
     # phi(t) = (t^2 - 1)^2 / 4: a double well with a strict maximum at t = 0
-    return MarginLink(
-        value=lambda t: 0.25 * (t * t - 1.0) ** 2,
-        deriv=lambda t: t * t * t - t,
-        second=lambda t: 3.0 * t * t - 1.0,
-    )
+    value[...] = 0.25 * (t * t - 1.0) ** 2
+    deriv[...] = t * t * t - t
+
+
+_QUARTIC_LINK = MarginLink(_quartic_value_and_deriv, lambda t: 3.0 * t * t - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +274,7 @@ def builtin_nonconvex_logistic(lambda_reg: float, R: float, d: int,
     M = R ** 3 * LOGISTIC_THIRD_DERIV_MAX + lambda_reg * REG_THIRD_DERIV_MAX
     return LossModel(lambda_reg, B, B_g, B_H, B_H, M,
                      f_lower=0.0, weight_box=weight_box,
-                     link=_logistic_link(), regularizer="nonconvex")
+                     link=_LOGISTIC_LINK, regularizer="nonconvex")
 
 
 def builtin_l2_logistic(lambda_reg: float, R: float, d: int,
@@ -265,7 +291,7 @@ def builtin_l2_logistic(lambda_reg: float, R: float, d: int,
     M = R ** 3 * LOGISTIC_THIRD_DERIV_MAX
     return LossModel(lambda_reg, B, B_g, B_H, B_H, M,
                      f_lower=0.0, weight_box=weight_box,
-                     link=_logistic_link(), regularizer="l2")
+                     link=_LOGISTIC_LINK, regularizer="l2")
 
 
 def builtin_quartic_saddle(R: float, d: int, weight_box: float = 2.0) -> LossModel:
@@ -286,7 +312,7 @@ def builtin_quartic_saddle(R: float, d: int, weight_box: float = 2.0) -> LossMod
     M = 6.0 * t_box * R ** 3
     return LossModel(0.0, B, B_g, B_H, B_H, M,
                      f_lower=0.0, weight_box=weight_box,
-                     link=_quartic_link(), regularizer="none")
+                     link=_QUARTIC_LINK, regularizer="none")
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +443,16 @@ def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray, link: MarginLink,
     The pass spreads over the cores when its spans hold SPREAD_MIN_SPAN_ROWS
     rows or more."""
 
-    def span(lo: int, hi: int, out: np.ndarray, own) -> None:
-        t_s = np.multiply(y[lo:hi], X[lo:hi] @ w, out=t[lo:hi])
-        values[lo:hi] = link.value(t_s)
-        np.matmul(X[lo:hi].T, link.deriv(t_s) * y[lo:hi], out=out)
-
     n, d = X.shape
-    g = _spread_sum(span, n, d, (d,), spread=span_rows(d) >= SPREAD_MIN_SPAN_ROWS)
+
+    def span(lo: int, hi: int, out: np.ndarray, own: np.ndarray) -> None:
+        t_s, deriv = t[lo:hi], own[:hi - lo]
+        np.multiply(y[lo:hi], np.matmul(X[lo:hi], w, out=t_s), out=t_s)
+        link.value_and_deriv(t_s, values[lo:hi], deriv)
+        np.matmul(X[lo:hi].T, np.multiply(deriv, y[lo:hi], out=deriv), out=out)
+
+    g = _spread_sum(span, n, d, (d,), lambda: np.empty(min(span_rows(d), n)),
+                    spread=span_rows(d) >= SPREAD_MIN_SPAN_ROWS)
     # one mean over all n values, so the loss has the bits of an unspanned pass
     return float(np.mean(values)), g
 

@@ -274,13 +274,21 @@ class TestSubsampledGaussianRdp:
 
     @pytest.mark.parametrize("sigma", [0.7, 1.0, 2.0, 5.0, 10.0, 100.0])
     def test_matches_a_decimal_oracle_at_every_order(self, sigma):
-        # log C(256, j) is a difference of log-gammas near 1167, whose rounding
-        # reaches 3e-13 in the j = 2 term: up to 2.5e-13 of eps(256) on this grid
-        rtol = np.where(np.asarray(DEFAULT_ORDERS) < 256, 1e-13, 5e-13)
         for s in (0.001, 0.01, 0.05, 0.25, 1.0):
             got = subsampled_gaussian_rdp_curve(sigma, s).epsilons
             want = np.array(self.oracle_curve(sigma, s))
-            assert np.all(np.abs(got - want) <= rtol * want), (s, np.abs(got / want - 1.0))
+            assert np.all(np.abs(got - want) <= 1e-13 * want), (s, np.abs(got / want - 1.0))
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-170])
+    def test_refuses_a_sigma_whose_exponents_overflow(self, sigma):
+        with pytest.raises(ValueError, match="1/sigma\\^2 overflows"):
+            subsampled_gaussian_rdp_curve(sigma, 0.01)
+
+    def test_finite_down_to_the_smallest_sigma(self):
+        with np.errstate(over="raise", invalid="raise"):
+            for s in (1e-6, 0.01, 1.0):
+                curve = subsampled_gaussian_rdp_curve(accountant.SIGMA_MIN, s)
+                assert np.all(np.isfinite(curve.epsilons))
 
     def test_vanishes_with_large_sigma_at_alpha2(self):
         assert subsampled_gaussian_rdp(2, 1e6, 0.5) < 1e-11

@@ -1,6 +1,7 @@
 """Objective tests: derivatives vs finite differences, declared bounds,
 replace-one sensitivities, batching."""
 
+import decimal
 import math
 import os
 import sys
@@ -196,6 +197,53 @@ class TestLogisticLink:
         t = np.linspace(-50.0, 50.0, 10_001)
         curv = builtin_l2_logistic(0.0, 1.0, 1).link.second(t)
         assert np.allclose(curv, expit(t) * expit(-t), rtol=1e-12, atol=1e-300)
+
+    # |t| <= 100 and the tails out to where e^-|t| underflows
+    GRID = np.concatenate([np.linspace(-100.0, 100.0, 2_001),
+                           SeededRng(31).uniform(400) * 200.0 - 100.0,
+                           np.linspace(100.0, 745.0, 130), -np.linspace(100.0, 745.0, 130)])
+
+    @staticmethod
+    def decimal_derivatives(t):
+        """phi'(t) = -1/(1 + e^t) and phi''(t) = 1/((1 + e^t)(1 + e^-t)) in
+        50-digit decimal arithmetic, rounded once to float."""
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = 50, decimal.MAX_EMAX, decimal.MIN_EMIN
+            x = decimal.Decimal(float(t))
+            up, down = 1 + x.exp(), 1 + (-x).exp()
+            return float(-1 / up), float(1 / (up * down))
+
+    def test_derivatives_match_a_decimal_oracle(self):
+        link = builtin_nonconvex_logistic(0.0, 1.0, 1).link
+        want = np.array([self.decimal_derivatives(t) for t in self.GRID]).T
+        # below the smallest normal, e^-|t| keeps only its subnormal bits
+        for got, ref in zip((link.deriv(self.GRID), link.second(self.GRID)), want):
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref) + 2.0 ** -1074)
+
+    def test_value_keeps_the_softplus_bits(self):
+        t = self.GRID
+        link = builtin_nonconvex_logistic(0.0, 1.0, 1).link
+        assert np.array_equal(link.value(t),
+                              np.maximum(-t, 0.0) + np.log1p(np.exp(-np.abs(t))))
+
+    @pytest.mark.parametrize("name,make", ALL_MODELS)
+    def test_pass_has_the_standalone_link_bits(self, name, make, monkeypatch):
+        # spans of 7 rows start off any SIMD alignment, and the pass runs them
+        # in row order on the calling thread; its link values and derivatives
+        # have the bits of the link's own over all the margins at once
+        monkeypatch.setattr(objective, "span_rows", lambda d: 7)
+        ds = random_dataset(60, 4, 32, row_norm=30.0)
+        base = make(4)
+        derivs = []
+
+        def recorded(t, value, deriv):
+            base.link.value_and_deriv(t, value, deriv)
+            derivs.append(deriv.copy())
+
+        memo = MarginMemo(replace(base, link=replace(base.link, value_and_deriv=recorded)), ds)
+        t = memo.margins(0.4 * SeededRng(33).standard_normal(4), None)[2]
+        assert np.array_equal(memo._scratch, base.link.value(t))
+        assert np.array_equal(np.concatenate(derivs), base.link.deriv(t))
 
 
 class TestMarginMemo:
@@ -530,7 +578,15 @@ class TestSpreadOverCores:
         monkeypatch.setattr(objective, "span_rows", lambda d: 512)
         n = (spans - 1) * 512 + 77  # a short tail span
         ds = random_dataset(n, self.D, 61)
-        model = make(self.D)
+        base = make(self.D)
+        scratch_users = {}  # id of a pass's link scratch -> (the scratch, its threads)
+
+        def recorded(t, value, deriv):
+            users = scratch_users.setdefault(id(deriv.base), (deriv.base, set()))[1]
+            users.add(threading.get_ident())
+            base.link.value_and_deriv(t, value, deriv)
+
+        model = replace(base, link=replace(base.link, value_and_deriv=recorded))
         rng = SeededRng(62)
         w = 0.4 * rng.standard_normal(self.D)
         batch = np.sort(rng.generator.choice(n, size=n))  # repeats rows
@@ -542,6 +598,7 @@ class TestSpreadOverCores:
         try:
             set_cores(monkeypatch, 2)
             starts = counted_thread_starts(monkeypatch)
+            scratch_users.clear()
             for (idx, memo), ref in zip(cases, reference):
                 got = self._evaluate(model, ds, w, idx, memo)
                 assert got[0] == ref[0], memo
@@ -549,6 +606,11 @@ class TestSpreadOverCores:
                 assert np.array_equal(got[2], ref[2]), memo
             # the passes spread from SPREAD_MIN_SPANS spans on
             assert (len(starts) > 0) == (spans >= objective.SPREAD_MIN_SPANS)
+            # each thread's link writes go to scratch of its own
+            assert all(len(threads) == 1 for _, threads in scratch_users.values())
+            threads = set().union(*(threads for _, threads in scratch_users.values()))
+            assert threading.get_ident() in threads
+            assert (len(threads) > 1) == (len(starts) > 0)
         finally:
             sys.setswitchinterval(interval)
 
@@ -562,17 +624,18 @@ class TestSpreadOverCores:
         calls = []
         lock = threading.Lock()
 
-        def deriv(t):
+        def value_and_deriv(t, value, deriv):
             with lock:
                 calls.append(None)
                 third = len(calls) == 3
             if third:
                 raise SpanFailed("third span")
-            return t
+            np.multiply(t, t, out=value)
+            deriv[...] = t
 
         model = objective.LossModel(
             0.0, B=1.0, B_g=1.0, B_H=1.0, G=1.0, M=1.0, f_lower=0.0, weight_box=10.0,
-            link=objective.MarginLink(value=lambda t: t * t, deriv=deriv, second=np.ones_like),
+            link=objective.MarginLink(value_and_deriv, second=np.ones_like),
             regularizer="none")
         ds = random_dataset(self.N, self.D, 63)
         threads = threading.active_count()
@@ -601,6 +664,29 @@ class TestSpreadOverCores:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < rows * d * 8
+
+    def test_pass_memory_does_not_grow_with_n(self, monkeypatch):
+        # the memo's n-vectors are made by the first two misses; a later miss
+        # recycles them, so what it makes is its threads' span scratch
+        rows, d = 2048, 8
+        monkeypatch.setattr(objective, "span_rows", lambda d: rows)
+        set_cores(monkeypatch, 2)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, d)
+        peaks = []
+        for n in (9 * rows + 5, 36 * rows + 20):
+            ds = random_dataset(n, d, 68)
+            memo = MarginMemo(model, ds)
+            for w in (0.01, 0.02):
+                erm_gradient(model, ds, np.full(d, w), memo=memo)
+            tracemalloc.start()
+            try:
+                erm_gradient(model, ds, np.full(d, 0.03), memo=memo)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < rows * 8
+        # two threads' link scratch of one span each, and a thread's own state
+        assert max(peaks) < 4 * rows * 8
 
     def test_threads_and_memory_do_not_grow_with_cores(self, monkeypatch):
         # each thread holds a scaled Hessian span of its own, so a thread per
@@ -712,8 +798,11 @@ class TestCustomModel:
     def test_caller_supplied_link_and_bounds(self):
         from dpopt.objective import LossModel, MarginLink
 
-        link = MarginLink(value=lambda t: t * t, deriv=lambda t: 2 * t,
-                          second=lambda t: np.full_like(t, 2.0))
+        def value_and_deriv(t, value, deriv):
+            np.multiply(t, t, out=value)
+            np.multiply(t, 2.0, out=deriv)
+
+        link = MarginLink(value_and_deriv, second=lambda t: np.full_like(t, 2.0))
         model = LossModel(0.0, B=4.0, B_g=4.0, B_H=2.0, G=2.0, M=0.0, f_lower=0.0,
                           weight_box=2.0, link=link, regularizer="none")
         ds = random_dataset(10, 3, 20)

@@ -546,8 +546,13 @@ class TestNonFiniteRelease:
 
     def test_nan_gradient_norm_fails_the_run(self):
         ds = synth_dataset("logistic_separable", 200, 3, seed=1)
-        model = self._with_link(builtin_nonconvex_logistic(1e-3, 1.0, 3),
-                                deriv=lambda t: np.full_like(t, np.nan))
+        base = builtin_nonconvex_logistic(1e-3, 1.0, 3)
+
+        def nan_deriv(t, value, deriv):
+            base.link.value_and_deriv(t, value, deriv)
+            deriv.fill(np.nan)
+
+        model = self._with_link(base, value_and_deriv=nan_deriv)
         out = run_short_step(model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5),
                              SeededRng(0))
         assert out.status == "failed_termination"

@@ -22,8 +22,8 @@ def load_script(name, monkeypatch):
 def test_layer_timings_objective_layers_run(monkeypatch):
     layers = load_script("layer_timings", monkeypatch).objective_layers(2000, 5, repeats=1)
     tag = "n=2000,d=5"
-    assert set(layers) == {f"objective.raw_gemv[{tag}]", f"objective.cold_pass[{tag}]",
-                           f"objective.erm_hvp[{tag},memo]",
+    assert set(layers) == {f"objective.raw_gemv[{tag}]", "objective.link_span[rows=2000]",
+                           f"objective.cold_pass[{tag}]", f"objective.erm_hvp[{tag},memo]",
                            f"objective.erm_hessian[{tag},memo]"}
     for stats in layers.values():
         assert stats["repeats"] == 1
@@ -49,7 +49,7 @@ def test_layer_timings_spread_layers_run(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
     layers = load_script("layer_timings", monkeypatch).spread_layers(2048, 5, 2, repeats=1)
     tag = "n=2048,d=5,workers=2"
-    assert set(layers) == {f"objective.erm_gradient[{tag}]",
+    assert set(layers) == {f"objective.read_floor[{tag}]", f"objective.erm_gradient[{tag}]",
                            f"objective.erm_hessian[{tag},memo]"}
     assert starts  # two workers: the second half ran on a thread of its own
     assert objective.usable_cores is cores
