@@ -22,15 +22,23 @@ the steal shares in its header.
     already kept), one raw gemv over X (X @ v) on one thread, and the
     link's value and derivative over one span of margins, as the fused pass
     computes them (median of 100 calls a repeat, per call);
-  * spread, at n = 500 000, d = 54 (spread_layers takes any (n, d)): the
-    fused value-and-gradient pass (erm_gradient without a memo),
-    erm_hessian with a warm memo and the read floor of X (X_s @ w alone, the
-    pass's first product, over each span into scratch of the worker's own,
-    spread as the pass spreads), once on one worker
-    and once on as many as the passes use (two, the calling thread and one
-    more, where two cores are usable), each as its own group with its own
-    steal share: a pass is near the floor only against the floor on its
-    own worker count;
+  * GIL probe: one in-cache mat-vec over a 192 x 600 block (a span at
+    d = 600) by np.matmul and by np.dot, 200 calls on one thread and 200 on
+    each of two, and the two threads' throughput over the one thread's
+    (scaling: about 2 where the threads overlap, 1 or below where they take
+    turns).  np.matmul holds the interpreter lock when its output has at
+    most 500 elements, so there it reads below 1; np.dot
+    releases the lock at any size.  A numpy that moves that threshold shows
+    here first;
+  * spread, at n = 500 000, d = 54 and at n = 30 000, d = 600
+    (spread_layers takes any (n, d)): the fused value-and-gradient pass
+    (erm_gradient without a memo), erm_hvp and, up to the dense cap,
+    erm_hessian with a warm memo, and the read floor of X (X_s @ w alone,
+    the pass's first product, over each span into scratch of the worker's
+    own, spread as the pass spreads), once on one worker and once on as
+    many as the passes use (two, the calling thread and one more, where two
+    cores are usable), each as its own group with its own steal share: a
+    pass is near the floor only against the floor on its own worker count;
   * spectral, at n = 30 000, d = 600 (spectral_layers takes any (n, d)):
     the Wigner draw, its matvec, and one Lanczos eigen-check on the noisy
     Hessian at the origin, as a highdim_lanczos solve makes it;
@@ -55,6 +63,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -76,6 +85,9 @@ from dpopt.optimizer import RdpTuneBudget  # noqa: E402
 from dpopt.spectral import lanczos_min_eig  # noqa: E402
 
 CSV_ROWS = 100_000
+# the GIL probe: calls a thread makes per repeat on one span-sized block
+PROBE_CALLS = 200
+
 # the Wigner entries' standard deviation in a highdim_lanczos solve's check
 # (0.0017 to 0.0024 at seed 0), which gives its Lanczos cap of 10 matvecs
 HESS_NOISE_SCALE = 0.002
@@ -120,33 +132,64 @@ def objective_layers(n: int, d: int, repeats: int) -> dict:
         f"objective.erm_hvp[{tag},memo]":
             timed(lambda: erm_hvp(model, ds, w, v, memo=memo), repeats),
     }
-    if d <= 512:
+    if d <= objective.DENSE_HESSIAN_CAP:
         out[f"objective.erm_hessian[{tag},memo]"] = timed(
             lambda: erm_hessian(model, ds, w, memo=memo), repeats)
+    return out
+
+
+def gil_probe(rows: int, d: int, repeats: int) -> dict:
+    """PROBE_CALLS mat-vecs over one rows x d block on two threads at once,
+    by np.matmul and by np.dot, with the throughput of the two threads over
+    that of the same calls on one (scaling)."""
+    block = SeededRng(9).standard_normal((rows, d))
+    v = SeededRng(10).standard_normal(d)
+    outs = [np.empty(rows), np.empty(rows)]
+    out = {}
+    for name, product in (("np.matmul", np.matmul), ("np.dot", np.dot)):
+        def calls(o: np.ndarray) -> None:
+            for _ in range(PROBE_CALLS):
+                product(block, v, out=o)
+
+        def two_threads() -> None:
+            threads = [threading.Thread(target=calls, args=(o,)) for o in outs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+
+        one = timed(lambda: calls(outs[0]), repeats)
+        two = timed(two_threads, repeats)
+        out[f"objective.gil_probe[{name},{rows}x{d},threads=2]"] = dict(
+            two, scaling=2.0 * one["median_ms"] / two["median_ms"])
     return out
 
 
 def spread_layers(n: int, d: int, workers: int, repeats: int) -> dict:
     """The passes that spread over the cores, at n x d, on this many
     workers."""
-    ds, model, memo, w, _ = objective_inputs(n, d)
+    ds, model, memo, w, v = objective_inputs(n, d)
     tag = f"n={n},d={d},workers={workers}"
     X, rows = ds.features, min(objective.span_rows(d), n)
 
     def read(lo: int, hi: int, out: np.ndarray, own: np.ndarray) -> None:
-        out[0] = np.matmul(X[lo:hi], w, out=own[:hi - lo])[0]
+        out[0] = np.dot(X[lo:hi], w, out=own[:hi - lo])[0]
 
     cores = objective.usable_cores
     objective.usable_cores = lambda: workers
     try:
-        return {
+        out = {
             f"objective.read_floor[{tag}]":
                 timed(lambda: objective._spread_sum(read, n, d, (1,), lambda: np.empty(rows)),
                       repeats),
             f"objective.erm_gradient[{tag}]": timed(lambda: erm_gradient(model, ds, w), repeats),
-            f"objective.erm_hessian[{tag},memo]":
-                timed(lambda: erm_hessian(model, ds, w, memo=memo), repeats),
+            f"objective.erm_hvp[{tag},memo]":
+                timed(lambda: erm_hvp(model, ds, w, v, memo=memo), repeats),
         }
+        if d <= objective.DENSE_HESSIAN_CAP:
+            out[f"objective.erm_hessian[{tag},memo]"] = timed(
+                lambda: erm_hessian(model, ds, w, memo=memo), repeats)
+        return out
     finally:
         objective.usable_cores = cores
 
@@ -237,24 +280,30 @@ def main() -> int:
     print(" ".join(f"{k}={v}" for k, v in header.items()))
     layers: dict = {}
     steal = header["steal_share"] = {}
+
+    def spread(n: int, d: int, workers: int) -> tuple:
+        return (f"spread[n={n},d={d},workers={workers}]",
+                lambda: spread_layers(n, d, workers, args.repeats))
+
     for group, run in (("objective[n=500000,d=54]",
                         lambda: objective_layers(500_000, 54, args.repeats)),
-                       ("spread[workers=1]",
-                        lambda: spread_layers(500_000, 54, 1, args.repeats)),
-                       (f"spread[workers={header['spread_workers']}]",
-                        lambda: spread_layers(500_000, 54, header["spread_workers"],
-                                              args.repeats)),
+                       spread(500_000, 54, 1),
+                       spread(500_000, 54, header["spread_workers"]),
                        ("objective[n=30000,d=600]",
                         lambda: objective_layers(30_000, 600, args.repeats)),
+                       spread(30_000, 600, 1),
+                       spread(30_000, 600, header["spread_workers"]),
+                       ("gil_probe", lambda: gil_probe(192, 600, args.repeats)),
                        ("spectral", lambda: spectral_layers(30_000, 600, args.repeats)),
                        ("accountant", lambda: accountant_layers(args.repeats)),
                        ("data", lambda: data_layers(args.repeats))):
         before = cpu_ticks()
         for name, stats in run().items():
             layers[name] = stats
+            scaling = f"  scaling {stats['scaling']:.2f}" if "scaling" in stats else ""
             print(f"{name:52s} {stats['median_ms']:10.3f} ms  "
-                  f"[{stats['p25_ms']:.3f}, {stats['p75_ms']:.3f}]  x{stats['repeats']}",
-                  flush=True)
+                  f"[{stats['p25_ms']:.3f}, {stats['p75_ms']:.3f}]  x{stats['repeats']}"
+                  f"{scaling}", flush=True)
         steal[group] = steal_share(before, cpu_ticks())
         shown = "n/a" if steal[group] is None else f"{steal[group]:.4f}"
         print(f"  host steal share over {group}: {shown}", flush=True)

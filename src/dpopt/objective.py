@@ -33,26 +33,26 @@ spans (max_row_norm), so set-up holds no temporary the size of X either,
 and the synthetic builders in harness.data fill X one span_rows block at a
 time.
 
-Two passes spread over two cores (_spread_sum): a fused value-and-gradient
-pass whose spans hold at least SPREAD_MIN_SPAN_ROWS rows (d <= 256), and
-every dense Hessian.  With more than one usable core and at least
-SPREAD_MIN_SPANS spans, one more thread sums the second half while the
-calling thread sums the first; every other sum runs both halves on the
-calling thread, in the same order.  So every sum has the same bits at any
-core count, and no thread outlives the call.  The rule comes from a width
-scan (150 MB of X, fused pass, forced to spread from d = 384, and Hessian on
-1 -> 2 threads, medians in ms, 2-vCPU VM, one BLAS thread):
+Every pass spreads over two cores (_spread_sum): the fused value-and-
+gradient pass, the HVP and the dense Hessian.  With more than one usable
+core and at least SPREAD_MIN_SPANS spans, one more thread sums the second
+half while the calling thread sums the first; a pass of fewer spans runs
+both halves on the calling thread, in the same order, and the curvature
+sweep, which is no sum, runs there too.  So every sum has the same bits at
+any core count, and no thread outlives the call.  Every span product is an
+np.dot call: np.matmul holds the interpreter lock when its output has at
+most 500 elements (X_s @ v over every span from d = 257 on), so two threads
+of it ran no faster than one there; np.dot calls the same BLAS, gives the
+same bits and lets go of the lock at any size.  Width scan (150 MB of X,
+1 -> 2 workers, medians of 9 repeats in ms, 2-vCPU VM, one BLAS thread):
 
-    d           20      128      256      384      512      600
-    pass      61->40   32->22   25->16   21->29   21->22   21->23
-    Hessian   89->77  144->79  207->107 305->170 427->240     -
+    d            54       256      384      600     1000
+    pass      24->14   19->12   18->12   15->10   15->9
+    HVP       19->12   18->10   16->11   14->9    14->8
 
-A narrow pass is bound by the link functions and the narrow gemv, which a
-second core shares; from d = 384 on it is bound by memory bandwidth and
-gains nothing.  The Hessian's syrk is bound by compute at every width the
-dense path allows.  The curvature pass and the HVP stay on the calling
-thread: the HVP serves Lanczos checks above DENSE_HESSIAN_CAP, where a pass
-is bound by memory bandwidth.
+With np.matmul the pass read 18 -> 18 ms at d = 384 and 15 -> 15 at d = 600.
+The Hessian (1 -> 2 threads: 89 -> 77 ms at d = 20, 427 -> 240 at d = 512)
+is bound by its syrk at every width the dense path allows.
 
 The logistic link takes one e = exp(-|t|) and one log1p(e) per margin in
 numpy's vectorized ufuncs: phi(t) = max(-t, 0) + log1p(e), phi'(t) =
@@ -99,12 +99,6 @@ SPAN_BYTES = 1 << 20
 # A span's row count is a multiple of this, which covers the BLAS kernels'
 # row blocking, so a margin's bits do not depend on the span it falls in.
 SPAN_ROW_ALIGN = 64
-
-# A fused value-and-gradient pass spreads over the cores when a span holds at
-# least this many rows (d <= 256).  The crossover, 1 -> 2 threads on 150 MB
-# of X: 25 -> 16 ms at d = 256, bound by compute; 21 -> 29 ms at d = 384 (320
-# rows a span), bound by memory bandwidth.
-SPREAD_MIN_SPAN_ROWS = 512
 
 # A pass of fewer spans than this runs on the calling thread: 4-6-span passes
 # at d = 54 ran about 0.3 ms slower on two threads than on one.
@@ -375,24 +369,23 @@ def usable_cores() -> int:
             else os.cpu_count() or 1)
 
 
-def _spread_sum(fn: Callable, n: int, d: int, shape: tuple, scratch: Callable = lambda: None,
-                spread: bool = True) -> np.ndarray:
+def _spread_sum(fn: Callable, n: int, d: int, shape: tuple, scratch: Callable) -> np.ndarray:
     """The sum of the partials fn(lo, hi, out, own) writes into out, an
     array of the given shape, over the spans of n rows of width d; own is
     the scratch that scratch() made for the thread running fn.
 
     The spans split at the middle span, each half's partials are added in
     span order, and the second half's sum is added to the first's.  With
-    spread set, more than one usable core and SPREAD_MIN_SPANS spans or more,
-    one more thread sums the second half while the calling thread sums the
-    first; otherwise the calling thread sums both.  Every array is made on
-    the calling thread, so the other thread's malloc arena keeps none of
-    them.  Its exception is raised here, after it has stopped.
+    more than one usable core and SPREAD_MIN_SPANS spans or more, one more
+    thread sums the second half while the calling thread sums the first;
+    otherwise the calling thread sums both.  Every array is made on the
+    calling thread, so the other thread's malloc arena keeps none of them.
+    Its exception is raised here, after it has stopped.
     """
     rows = span_rows(d)
     spans = -(-n // rows)
     mid = -(-spans // 2)
-    spread = spread and spans >= SPREAD_MIN_SPANS and usable_cores() > 1
+    spread = spans >= SPREAD_MIN_SPANS and usable_cores() > 1
 
     def add_up(k0: int, k1: int, total: np.ndarray, part: np.ndarray, own) -> np.ndarray:
         fn(k0 * rows, min(n, (k0 + 1) * rows), total, own)
@@ -439,20 +432,17 @@ def _margin_pass(X: np.ndarray, y: np.ndarray, w: np.ndarray, link: MarginLink,
                  t: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
     """Margins y * (X @ w) into t, the mean link value over them and the
     gradient sum X^T (phi'(t) y), made span by span while each span is in
-    cache.  The link values go to values; t and values have len(X) entries.
-    The pass spreads over the cores when its spans hold SPREAD_MIN_SPAN_ROWS
-    rows or more."""
+    cache.  The link values go to values; t and values have len(X) entries."""
 
     n, d = X.shape
 
     def span(lo: int, hi: int, out: np.ndarray, own: np.ndarray) -> None:
         t_s, deriv = t[lo:hi], own[:hi - lo]
-        np.multiply(y[lo:hi], np.matmul(X[lo:hi], w, out=t_s), out=t_s)
+        np.multiply(y[lo:hi], np.dot(X[lo:hi], w, out=t_s), out=t_s)
         link.value_and_deriv(t_s, values[lo:hi], deriv)
-        np.matmul(X[lo:hi].T, np.multiply(deriv, y[lo:hi], out=deriv), out=out)
+        np.dot(X[lo:hi].T, np.multiply(deriv, y[lo:hi], out=deriv), out=out)
 
-    g = _spread_sum(span, n, d, (d,), lambda: np.empty(min(span_rows(d), n)),
-                    spread=span_rows(d) >= SPREAD_MIN_SPAN_ROWS)
+    g = _spread_sum(span, n, d, (d,), lambda: np.empty(min(span_rows(d), n)))
     # one mean over all n values, so the loss has the bits of an unspanned pass
     return float(np.mean(values)), g
 
@@ -578,9 +568,9 @@ def erm_hessian(model: LossModel, dataset: Dataset, w: np.ndarray, indices=None,
             # numpy hands A^T A to syrk, which does half the gemm's work; einsum
             # makes the broadcast's products, faster on narrow rows
             np.einsum('ij,i->ij', block, np.sqrt(c, out=own[1][:hi - lo]), out=scaled)
-            np.matmul(scaled.T, scaled, out=out)
+            np.dot(scaled.T, scaled, out=out)
         else:
-            np.matmul(block.T, np.multiply(block, c[:, None], out=scaled), out=out)
+            np.dot(block.T, np.multiply(block, c[:, None], out=scaled), out=out)
 
     H = _spread_sum(span, n, d, (d, d), scratch) / n
     H = 0.5 * (H + H.T)  # a gemm block is symmetric only up to rounding
@@ -593,13 +583,15 @@ def erm_hvp(model: LossModel, dataset: Dataset, w: np.ndarray, v: np.ndarray,
             indices=None, *, memo: MarginMemo | None = None) -> np.ndarray:
     _check_box(model, w)
     X, curv = _memo(model, dataset, memo).curvature(w, indices)
-
-    def span(lo: int, hi: int, out: np.ndarray, own) -> None:
-        block = X[lo:hi]
-        np.matmul(block.T, curv[lo:hi] * (block @ v), out=out)
-
     n, d = X.shape
-    return _spread_sum(span, n, d, (d,), spread=False) / n + _reg_hess_diag(model, w) * v
+
+    def span(lo: int, hi: int, out: np.ndarray, own: np.ndarray) -> None:
+        block, z = X[lo:hi], own[:hi - lo]
+        np.multiply(curv[lo:hi], np.dot(block, v, out=z), out=z)
+        np.dot(block.T, z, out=out)
+
+    return (_spread_sum(span, n, d, (d,), lambda: np.empty(min(span_rows(d), n))) / n
+            + _reg_hess_diag(model, w) * v)
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,10 @@ from typing import Callable, ClassVar, Union
 
 import numpy as np
 
-from ..accountant import (ApproxDp, InfeasiblePlanError, NoisePlan, RdpCurve, Release,
-                          ZCdp, account_run, approx_dp_to_zcdp, gaussian_sigma_dp,
-                          gaussian_sigma_zcdp, run_log, tally, tune_noise_plan)
+from ..accountant import (SIGMA_MIN, ApproxDp, InfeasiblePlanError, NoisePlan, RdpCurve,
+                          Release, ZCdp, account_run, approx_dp_to_zcdp, combined_sigma,
+                          gaussian_sigma_dp, gaussian_sigma_zcdp, run_log, tally,
+                          tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
 from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel, MarginMemo,
                          WeightBoxError, erm_gradient, erm_hessian, erm_hvp, erm_value,
@@ -309,6 +310,13 @@ def _notion(loop: str, budget: Budget, accounting: str | None, subsampled: bool)
     if loop == "line_search" and accounting != "zcdp":
         raise ValueError("line-search runs account in zcdp: only the zCDP "
                          "ledger charges their sparse-vector sweeps")
+    if accounting == "rdp" and subsampled and isinstance(budget, NoisePlan):
+        # the curve charges Wigner draws at combined_sigma, below both sigmas;
+        # min() first keeps it from squaring a tiny sigma to 0
+        sigmas = (budget.sigma_g, budget.sigma_h)
+        if not (min(sigmas) >= SIGMA_MIN and combined_sigma(*sigmas) >= SIGMA_MIN):
+            raise ValueError(f"a subsampled RDP run needs sigma_g and combined_sigma(sigma_g, "
+                             f"sigma_h) >= accountant.SIGMA_MIN = {SIGMA_MIN}, got {sigmas}")
     return (loop if accounting == "zcdp" else accounting, *_NOTIONS[accounting])
 
 

@@ -228,10 +228,12 @@ class TestLogisticLink:
 
     @pytest.mark.parametrize("name,make", ALL_MODELS)
     def test_pass_has_the_standalone_link_bits(self, name, make, monkeypatch):
-        # spans of 7 rows start off any SIMD alignment, and the pass runs them
-        # in row order on the calling thread; its link values and derivatives
-        # have the bits of the link's own over all the margins at once
+        # spans of 7 rows start off any SIMD alignment, and on one core the
+        # pass runs them in row order on the calling thread; its link values
+        # and derivatives have the bits of the link's own over all the margins
+        # at once
         monkeypatch.setattr(objective, "span_rows", lambda d: 7)
+        set_cores(monkeypatch, 1)
         ds = random_dataset(60, 4, 32, row_norm=30.0)
         base = make(4)
         derivs = []
@@ -558,11 +560,12 @@ class TestSpreadOverCores:
     # 41 spans of 512 rows and a tail
     N, D = 41 * 512 + 77, 6
 
-    def _evaluate(self, model, ds, w, indices, with_memo):
+    def _evaluate(self, model, ds, w, v, indices, with_memo):
         memo = MarginMemo(model, ds) if with_memo else None
         return (erm_value(model, ds, w, indices, memo=memo),
                 erm_gradient(model, ds, w, indices, memo=memo),
-                erm_hessian(model, ds, w, indices, memo=memo))
+                erm_hessian(model, ds, w, indices, memo=memo),
+                erm_hvp(model, ds, w, v, indices, memo=memo))
 
     @pytest.mark.parametrize("cpu_count,cores", [(3, 3), (None, 1)])
     def test_cores_without_an_affinity_call(self, cpu_count, cores, monkeypatch):
@@ -587,30 +590,44 @@ class TestSpreadOverCores:
             base.link.value_and_deriv(t, value, deriv)
 
         model = replace(base, link=replace(base.link, value_and_deriv=recorded))
+        hvp_users = {}  # id of an HVP worker's span scratch -> (the scratch, its threads)
+        spread_sum = objective._spread_sum
+
+        def recorded_sum(fn, n, d, shape, scratch):
+            def span(lo, hi, out, own):
+                if fn.__qualname__.startswith("erm_hvp."):
+                    hvp_users.setdefault(id(own), (own, set()))[1].add(threading.get_ident())
+                fn(lo, hi, out, own)
+            return spread_sum(span, n, d, shape, scratch)
+
+        monkeypatch.setattr(objective, "_spread_sum", recorded_sum)
         rng = SeededRng(62)
         w = 0.4 * rng.standard_normal(self.D)
+        v = rng.standard_normal(self.D)
         batch = np.sort(rng.generator.choice(n, size=n))  # repeats rows
         cases = list(product((None, batch), (False, True)))
         set_cores(monkeypatch, 1)
-        reference = [self._evaluate(model, ds, w, idx, memo) for idx, memo in cases]
+        reference = [self._evaluate(model, ds, w, v, idx, memo) for idx, memo in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # a thread switch after almost every bytecode
         try:
             set_cores(monkeypatch, 2)
             starts = counted_thread_starts(monkeypatch)
-            scratch_users.clear()
+            for users in (scratch_users, hvp_users):
+                users.clear()
             for (idx, memo), ref in zip(cases, reference):
-                got = self._evaluate(model, ds, w, idx, memo)
+                got = self._evaluate(model, ds, w, v, idx, memo)
                 assert got[0] == ref[0], memo
-                assert np.array_equal(got[1], ref[1]), memo
-                assert np.array_equal(got[2], ref[2]), memo
+                for part, want in zip(got[1:], ref[1:]):
+                    assert np.array_equal(part, want), memo
             # the passes spread from SPREAD_MIN_SPANS spans on
             assert (len(starts) > 0) == (spans >= objective.SPREAD_MIN_SPANS)
-            # each thread's link writes go to scratch of its own
-            assert all(len(threads) == 1 for _, threads in scratch_users.values())
-            threads = set().union(*(threads for _, threads in scratch_users.values()))
-            assert threading.get_ident() in threads
-            assert (len(threads) > 1) == (len(starts) > 0)
+            # each thread's link writes and HVP products go to scratch of its own
+            for users in (scratch_users, hvp_users):
+                assert all(len(threads) == 1 for _, threads in users.values())
+                threads = set().union(*(threads for _, threads in users.values()))
+                assert threading.get_ident() in threads
+                assert (len(threads) > 1) == (len(starts) > 0)
         finally:
             sys.setswitchinterval(interval)
 
@@ -711,34 +728,34 @@ class TestSpreadOverCores:
             assert len(starts) == 1, cores
         assert max(peaks) - min(peaks) < rows * d * 8
 
-    def test_only_narrow_gradient_passes_and_hessians_start_threads(self, monkeypatch):
+    @pytest.mark.parametrize("d", [6, 600])
+    @pytest.mark.parametrize("spans", [objective.SPREAD_MIN_SPANS - 1,
+                                       objective.SPREAD_MIN_SPANS])
+    def test_every_pass_of_enough_spans_starts_one_thread(self, d, spans, monkeypatch):
+        # at any width, the fused pass, the HVP and the Hessian each start one
+        # thread from SPREAD_MIN_SPANS spans on, and the curvature sweep none
         set_cores(monkeypatch, 2)
-        # d = 600: spans of 192 rows, bound by memory bandwidth; 9 spans, enough
-        # to spread
-        wide = random_dataset(9 * objective.span_rows(600), 600, 65)
-        assert objective.span_rows(600) < objective.SPREAD_MIN_SPAN_ROWS
-        model = builtin_nonconvex_logistic(1e-3, 1.0, 600)
-        w, v = np.full(600, 0.01), np.ones(600)
+        ds = random_dataset(spans * objective.span_rows(d), d, 65)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, d)
+        w, v = np.full(d, 0.01), np.ones(d)
+        each = int(spans >= objective.SPREAD_MIN_SPANS)
         starts = counted_thread_starts(monkeypatch)
-        memo = MarginMemo(model, wide)
-        for m in (None, memo):
-            erm_value(model, wide, w, memo=m)
-            erm_gradient(model, wide, w, memo=m)
-            erm_hvp(model, wide, w, v, memo=m)
-        assert starts == []
-        # narrow rows: the curvature pass and the HVP stay on the calling
-        # thread; the gradient pass and the Hessian spread
-        monkeypatch.setattr(objective, "span_rows", lambda d: objective.SPREAD_MIN_SPAN_ROWS)
-        narrow = random_dataset(9 * objective.SPREAD_MIN_SPAN_ROWS, 6, 66)
-        model = builtin_nonconvex_logistic(1e-3, 1.0, 6)
-        w, v = np.full(6, 0.01), np.ones(6)
-        memo = MarginMemo(model, narrow)
-        erm_gradient(model, narrow, w, memo=memo)
-        assert len(starts) == 1
-        erm_hvp(model, narrow, w, v, memo=memo)
-        assert len(starts) == 1
-        erm_hessian(model, narrow, w, memo=memo)
-        assert len(starts) == 2  # one more for the Hessian, none for its margins
+        erm_value(model, ds, w)
+        assert len(starts) == each
+        erm_gradient(model, ds, w)
+        assert len(starts) == 2 * each
+        erm_hvp(model, ds, w, v)  # a margin pass and the product; the curvature none
+        assert len(starts) == 4 * each
+        memo = MarginMemo(model, ds)
+        erm_gradient(model, ds, w, memo=memo)
+        assert len(starts) == 5 * each
+        memo.curvature(w, None)
+        assert len(starts) == 5 * each
+        erm_hvp(model, ds, w, v, memo=memo)
+        assert len(starts) == 6 * each
+        if d <= objective.DENSE_HESSIAN_CAP:
+            erm_hessian(model, ds, w, memo=memo)
+            assert len(starts) == 7 * each
 
 
 class TestDeclaredBounds:

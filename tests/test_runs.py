@@ -10,8 +10,8 @@ import pytest
 from dpopt import objective
 from dpopt.optimizer import runs
 from dpopt.spectral import EigenResult
-from dpopt.accountant import (ApproxDp, NoisePlan, RdpCurve, Release, ZCdp, account_run,
-                              rdp_to_approx_dp, run_log, tally)
+from dpopt.accountant import (SIGMA_MIN, ApproxDp, NoisePlan, RdpCurve, Release, ZCdp,
+                              account_run, combined_sigma, rdp_to_approx_dp, run_log, tally)
 from dpopt.mechanisms import SeededRng, WignerOperator
 from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
@@ -858,3 +858,21 @@ class TestAccountingCheckedFirst:
 
     def test_unknown_noise_mode_raised_before_any_tune(self, monkeypatch):
         self._rejected(monkeypatch, "unknown noise mode", noise_mode="bogus")
+
+    @pytest.mark.parametrize("sigma_g,sigma_h", [(1e-160, 1.0), (1.0, 1e-160),
+                                                 (2.5e-152, 2.5e-152)])
+    def test_plan_below_the_rdp_floor_refused_before_any_pass(self, sigma_g, sigma_h,
+                                                               monkeypatch):
+        # each multiplier alone may clear SIGMA_MIN while the combined_sigma
+        # a Wigner draw is charged at does not
+        assert combined_sigma(2.5e-152, 2.5e-152) < SIGMA_MIN < 2.5e-152
+        calls = []
+        for name in ("erm_value", "erm_gradient", "erm_hessian", "erm_hvp"):
+            monkeypatch.setattr(runs, name, lambda *a, _name=name, **kw: calls.append(_name))
+        ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
+        plan = NoisePlan(1.0, sigma_g, sigma_h, subsample_fraction=0.1)
+        with pytest.raises(ValueError, match=r"accountant\.SIGMA_MIN"):
+            run_variant("opt_b", model, ds, np.zeros(4), TOLS, plan, SeededRng(0),
+                        selector=BatchSelector(200), accounting="rdp")
+        assert calls == []

@@ -7,6 +7,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -40,22 +42,38 @@ def test_layer_timings_spectral_layers_run(monkeypatch):
         assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
 
 
-def test_layer_timings_spread_layers_run(monkeypatch):
+@pytest.mark.parametrize("cap", [512, 4])
+def test_layer_timings_spread_layers_run(cap, monkeypatch):
     from dpopt import objective
     monkeypatch.setattr(objective, "span_rows", lambda d: 64)  # 32 spans: the passes spread
+    monkeypatch.setattr(objective, "DENSE_HESSIAN_CAP", cap)
     cores = objective.usable_cores
     starts = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda t: (starts.append(t), start(t)))
     layers = load_script("layer_timings", monkeypatch).spread_layers(2048, 5, 2, repeats=1)
     tag = "n=2048,d=5,workers=2"
+    # above the dense cap, as at d = 600, the group has no Hessian
     assert set(layers) == {f"objective.read_floor[{tag}]", f"objective.erm_gradient[{tag}]",
-                           f"objective.erm_hessian[{tag},memo]"}
+                           f"objective.erm_hvp[{tag},memo]"} | (
+        {f"objective.erm_hessian[{tag},memo]"} if cap >= 5 else set())
     assert starts  # two workers: the second half ran on a thread of its own
     assert objective.usable_cores is cores
     for stats in layers.values():
         assert stats["repeats"] == 1
         assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
+
+
+def test_layer_timings_gil_probe_runs(monkeypatch):
+    script = load_script("layer_timings", monkeypatch)
+    monkeypatch.setattr(script, "PROBE_CALLS", 3)
+    layers = script.gil_probe(192, 6, repeats=1)
+    assert set(layers) == {"objective.gil_probe[np.matmul,192x6,threads=2]",
+                           "objective.gil_probe[np.dot,192x6,threads=2]"}
+    for stats in layers.values():
+        assert stats["repeats"] == 1
+        assert math.isfinite(stats["median_ms"]) and stats["median_ms"] >= 0.0
+        assert stats["scaling"] > 0.0
 
 
 def test_layer_timings_accountant_layers_run(monkeypatch):
