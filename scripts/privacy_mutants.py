@@ -49,10 +49,10 @@ MUTANTS = {
            "scales mini-batch noise to the full-batch sensitivity"),
     "M10": ("z = gaussian(noise_factor * ", "z = gaussian(0.5 * noise_factor * ",
             "halves the initial-loss noise"),
-    "M11": ("math.sqrt(t_budget / ((1.0 - self.c_f) * self.rho))",
-            "math.sqrt(0.5 * t_budget / ((1.0 - self.c_f) * self.rho))",
-            "plans short steps for half the iterations"),
-    "M12": ("math.sqrt(3.0 * t_budget", "math.sqrt(2.0 * t_budget",
+    "M11": ("s), 0, t_budget,\n            t_budget * self.sweeps)",
+            "s), 0, t_budget // 2,\n            t_budget // 2 * self.sweeps)",
+            "plans zCDP runs for half the iterations"),
+    "M12": ("t_budget * self.sweeps)", "0)",
             "plans line searches with no sparse-vector share"),
     "M13": ("(8.0 * s * math.sqrt(2.0 * t_budget", "(4.0 * s * math.sqrt(2.0 * t_budget",
             "doubles the advanced-composition step eps0"),
@@ -60,13 +60,17 @@ MUTANTS = {
             "halves the sweep's probe noise"),
     "M15": ("tally(phase1.releases + phase2.releases)", "tally(phase2.releases)",
             "drops phase 1's releases from the joined two-phase log"),
-    "M16": ("run_log(plan_at(i), 0, t_budget)",
-            "run_log(plan_at(i), t_budget - t_budget // 2, t_budget // 2)",
+    "M16": ("None, s), 0, t_budget))",
+            "None, s), t_budget - t_budget // 2, t_budget // 2))",
             "tunes for a run with a Wigner draw on half its iterations"),
     "M17": ("math.log(2.0) + _J * log_s", "_J * log_s",
             "drops the factor 2 of the j >= 3 terms of the subsampled bound"),
     "M18": ("if j <= a else -math.inf", "if j <= a else 0.0",
             "keeps terms j > alpha in the subsampled bound"),
+    "M19": ("return hi", "return lo",
+            "calibrates RDP plans to the infeasible end of the bisection"),
+    "M20": ("calibrate(ZCdp, (1.0 - self.c_f) * self.rho,", "calibrate(ZCdp, self.rho,",
+            "plans zCDP runs on the whole rho, leaving nothing for f0's share"),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

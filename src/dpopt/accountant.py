@@ -16,10 +16,10 @@ A run's ledger is the one conversion of its releases in count form,
 tally(log); a two-phase run's releases join both phases'.  spent(delta) is
 the scalar a report shows: rho, the curve's epsilon at delta, or epsilon.
 
-The noise plans themselves come from the budget policies in
-optimizer.runs, each the one source of its calibration.  tune_noise_plan,
-the grid search behind the RDP policy, converts its worst case with the
-RdpCurve.of that converts a run's log.
+Every budget policy of optimizer.runs but SubsampledDpBudget plans by one
+rule, calibrate: the least multiplier at which the run's worst-case log,
+converted by the notion that converts a run's log, spends at most the
+target (tune_noise_plan is its use on the RDP curve).
 
 Everything here is a pure function over frozen dataclasses; the module is
 safe to use from any number of threads.
@@ -44,7 +44,7 @@ _ORDERS.flags.writeable = False
 
 
 class InfeasiblePlanError(ValueError):
-    """No valid plan meets the privacy target: none on the searched grid,
+    """No valid plan meets the privacy target: none in the searched bracket,
     or none whose calibration preconditions hold."""
 
 
@@ -339,54 +339,48 @@ def account_run(log, notion):
 
 
 # ---------------------------------------------------------------------------
-# grid tuning for the subsampled (RDP-accounted) variant
+# calibration: the least multiplier whose worst-case log meets a target
+
+# the multipliers a bisecting calibration searches, and the width in log
+# sigma it narrows them to
+SIGMA_BRACKET = (0.5, 2e4)
+SIGMA_RTOL = 2.0 ** -10
 
 
-def _default_sigma_grid() -> np.ndarray:
-    return np.geomspace(0.5, 2e4, 81)
+def calibrate(notion, target: float, delta: float | None, log_at) -> float:
+    """The least multiplier sigma at which notion.of(log_at(sigma)), a run's
+    worst-case log, spends at most target at delta.  In ZCdp every release
+    of log_at(sigma) must be at sigma, so the cost is cost(1) / sigma^2 and
+    sigma has a closed form.  Otherwise each cost falls as sigma grows, and
+    bisection on log sigma over SIGMA_BRACKET to width SIGMA_RTOL returns
+    the feasible end, or raises InfeasiblePlanError when the top is not."""
+    if notion is ZCdp:
+        return math.sqrt(notion.of(log_at(1.0)).spent(delta) / target)
+
+    def feasible(sigma: float) -> bool:
+        return notion.of(log_at(sigma)).spent(delta) <= target
+
+    lo, hi = SIGMA_BRACKET
+    if not feasible(hi):
+        raise InfeasiblePlanError(f"no multiplier up to {hi} spends at most {target} "
+                                  f"at delta = {delta}")
+    if feasible(lo):
+        return lo
+    while math.log(hi / lo) > SIGMA_RTOL:  # lo infeasible, hi feasible
+        mid = math.sqrt(lo * hi)
+        lo, hi = (lo, mid) if feasible(mid) else (mid, hi)
+    return hi
 
 
-def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float,
-                    sigma_grid=None) -> NoisePlan:
-    """Smallest grid multiplier sigma_g = sigma_h whose worst-case
-    T-iteration subsampled curve, with the initial-loss multiplier sigma_f,
-    converts to at most the (eps, delta) target.  The worst case is T
-    curvature iterations, run_log(plan, 0, T): a run draws at most T
-    gradients, and RdpCurve.of charges a Wigner draw with its gradient at
-    combined_sigma, which leaks more than a lone gradient.
-
-    sigma_f is fixed in advance: the run perturbs its initial loss f0 before
-    T is known, since T is derived from the noised f0.  Every term of the
-    curve falls as sigma_g grows, so feasibility is monotone along the
-    sorted grid and bisection finds the smallest feasible point.  Raises
-    InfeasiblePlanError when even the largest grid point leaks too much.
-    """
+def tune_noise_plan(target: ApproxDp, s: float, t_budget: int, sigma_f: float) -> NoisePlan:
+    """The plan whose sigma_g = sigma_h is calibrated on the subsampled RDP
+    curve to the (eps, delta) target.  The worst case is T curvature
+    iterations, run_log(plan, 0, T): a run draws at most T gradients, and
+    RdpCurve.of charges a Wigner draw with its gradient at combined_sigma,
+    which leaks more than a lone gradient.  sigma_f is fixed in advance: the
+    run noises its initial loss f0 before T, derived from the noised f0."""
     if t_budget < 1:  # s is checked by the plan
         raise ValueError("t_budget must be >= 1")
-    if sigma_grid is None:
-        sigma_grid = _default_sigma_grid()
-    sigma_grid = np.sort(np.asarray(sigma_grid, dtype=float))
-    if sigma_grid.size == 0:
-        raise ValueError("sigma_grid must be nonempty")
-
-    def plan_at(i: int) -> NoisePlan:
-        sigma = float(sigma_grid[i])
-        return NoisePlan(float(sigma_f), sigma, sigma, None, s)
-
-    def feasible(i: int) -> bool:
-        curve = RdpCurve.of(run_log(plan_at(i), 0, t_budget))
-        return curve.spent(target.delta) <= target.epsilon
-
-    hi = len(sigma_grid) - 1
-    if not feasible(hi):
-        raise InfeasiblePlanError(
-            f"no plan on the grid meets eps <= {target.epsilon} at delta = {target.delta} "
-            f"(s = {s}, T = {t_budget})")
-    lo = -1  # grid[lo] infeasible (or below the grid), grid[hi] feasible
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return plan_at(hi)
+    sigma = calibrate(RdpCurve, target.epsilon, target.delta, lambda sigma: run_log(
+        NoisePlan(sigma_f, sigma, sigma, None, s), 0, t_budget))
+    return NoisePlan(float(sigma_f), sigma, sigma, None, s)

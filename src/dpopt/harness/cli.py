@@ -59,7 +59,9 @@ def _build_config(args) -> ExperimentConfig:
     raw: dict = {}
     if args.config:
         with open(args.config) as fh:
-            raw.update(json.load(fh))
+            raw = json.load(fh)
+        if not (isinstance(raw, dict) and isinstance(raw.get("constants", {}), dict)):
+            raise ConfigError(f"{args.config} must hold a JSON object, and constants one too")
 
     constants_kw = raw.pop("constants", {})
     if args.preset:
@@ -89,15 +91,18 @@ def _build_config(args) -> ExperimentConfig:
     if args.seeds:
         raw["seeds"] = tuple(int(s) for s in args.seeds.split(","))
 
-    for key in ("variants", "epsilons", "seeds", "rhos"):
-        if key in raw and raw[key] is not None:
-            raw[key] = tuple(raw[key])
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    raw["constants"] = AlgorithmConstants(**constants_kw)
-    return ExperimentConfig(**raw)
+    try:
+        for key in ("variants", "epsilons", "seeds", "rhos"):
+            if raw.get(key) is not None:
+                raw[key] = tuple(raw[key])
+        raw["constants"] = AlgorithmConstants(**constants_kw)
+        return ExperimentConfig(**raw)
+    except TypeError as err:  # an unknown constant, or a value of a wrong type
+        raise ConfigError(f"bad config: {err}") from err
 
 
 def main(argv=None) -> int:

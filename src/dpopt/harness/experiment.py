@@ -110,8 +110,17 @@ class ExperimentConfig:
             raise ConfigError(f"delta {self.delta} must lie in (0, 1)")
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("configure exactly one of dataset_path and synth")
+        if not isinstance(self.dataset_path, (str, Path, type(None))):
+            raise ConfigError(f"dataset_path must be a path, got {self.dataset_path!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if not all(isinstance(v, (int, np.integer)) for v in (
+                self.label_column, self.synth_n, self.synth_d, self.synth_seed,
+                self.rng_stream, *self.seeds, self.batch_size or 0)):
+            raise ConfigError("label_column, synth_n, synth_d, synth_seed, rng_stream, seeds "
+                              "and batch_size must be integers")
+        if not (isinstance(self.zero_noise, bool) and isinstance(self.lanczos, bool)):
+            raise ConfigError("zero_noise and lanczos must be true or false")
         if min(self.seeds) < 0 or self.rng_stream < 0:
             raise ConfigError(f"seeds {self.seeds} and rng_stream {self.rng_stream} "
                               "must be nonnegative")

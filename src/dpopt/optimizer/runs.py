@@ -51,9 +51,9 @@ from typing import Callable, ClassVar, Union
 import numpy as np
 
 from ..accountant import (SIGMA_MIN, ApproxDp, InfeasiblePlanError, NoisePlan, RdpCurve,
-                          Release, ZCdp, account_run, approx_dp_to_zcdp, combined_sigma,
-                          gaussian_sigma_dp, gaussian_sigma_zcdp, run_log, tally,
-                          tune_noise_plan)
+                          Release, ZCdp, account_run, approx_dp_to_zcdp, calibrate,
+                          combined_sigma, gaussian_sigma_dp, gaussian_sigma_zcdp, run_log,
+                          tally, tune_noise_plan)
 from ..mechanisms import SeededRng, WignerOperator, gaussian, gaussian_vector
 from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel, MarginMemo,
                          WeightBoxError, erm_gradient, erm_hessian, erm_hvp, erm_value,
@@ -78,10 +78,11 @@ def _require_finite(value, what: str, k: int):
 # budgets
 #
 # A budget is a NoisePlan, used as given, or one of the four policies below,
-# each the one source of its plan and checked when it is made.  Each has:
+# each checked when it is made.  Each has:
 #   sigma_f               the initial-loss multiplier, fixed before T;
 #   plan(t_budget, s)     the NoisePlan for T iterations at sampling fraction s,
-#                         with the policy's own sigma_f;
+#                         with the policy's own sigma_f, by accountant.calibrate
+#                         (SubsampledDpBudget: from its step);
 #   scaled(fraction)      the same policy with that fraction of the target,
 #                         for one phase of a two-phase run;
 #   accounting            its default ledger notion (see _notion).
@@ -92,6 +93,7 @@ class _RhoTarget:
     rho: float
     c_f: float = 0.1
     accounting: ClassVar[str] = "zcdp"
+    sweeps: ClassVar[int] = 0  # sparse-vector sweeps per iteration
 
     def __post_init__(self):
         if not (0.0 < self.rho < math.inf and 0.0 < self.c_f < 1.0):
@@ -99,12 +101,17 @@ class _RhoTarget:
                              f"c_f = {self.c_f}")
 
     @property
-    def rho_f(self) -> float:
-        return self.c_f * self.rho
-
-    @property
     def sigma_f(self) -> float:
-        return gaussian_sigma_zcdp(self.rho_f)
+        return gaussian_sigma_zcdp(self.c_f * self.rho)
+
+    def plan(self, t_budget: int, s: float) -> NoisePlan:
+        """sigma_g = sigma_h (= lambda_svt with sweeps) at which T curvature
+        iterations and their sweeps cost (1 - c_f) rho, all that f0 leaves;
+        a mini-batch run's RDP ledger amplifies the plan at s."""
+        sigma = calibrate(ZCdp, (1.0 - self.c_f) * self.rho, None, lambda sigma: run_log(
+            NoisePlan(self.sigma_f, sigma, sigma, sigma, s), 0, t_budget,
+            t_budget * self.sweeps)[1:])  # less f0's release
+        return NoisePlan(self.sigma_f, sigma, sigma, sigma if self.sweeps else None, s)
 
     def scaled(self, fraction: float):
         return replace(self, rho=self.rho * fraction)
@@ -115,22 +122,13 @@ class ShortStepBudget(_RhoTarget):
     """rho-zCDP target for the short-step variant; c_f is the fraction spent
     on the initial loss perturbation."""
 
-    def plan(self, t_budget: int, s: float) -> NoisePlan:
-        """sigma_g^2 = sigma_h^2 = T / ((1 - c_f) rho) covers up to T gradient
-        and T Hessian draws; a mini-batch run's RDP ledger amplifies at s."""
-        sigma_gh = math.sqrt(t_budget / ((1.0 - self.c_f) * self.rho))
-        return NoisePlan(self.sigma_f, sigma_gh, sigma_gh, None, s)
-
 
 @dataclass(frozen=True)
 class LineSearchBudget(_RhoTarget):
-    """rho-zCDP target for the line-search variant; rho_f = c_f * rho."""
+    """rho-zCDP target for the line-search variant, whose iterations each
+    also run a sparse-vector sweep at lambda_svt = sigma_g."""
 
-    def plan(self, t_budget: int, s: float) -> NoisePlan:
-        """sigma_g^2 = sigma_h^2 = lambda^2 = 3T / (2 (rho - rho_f)); the 3
-        covers the gradient, Hessian and sparse-vector charge per iteration."""
-        sigma = math.sqrt(3.0 * t_budget / (2.0 * (self.rho - self.rho_f)))
-        return NoisePlan(self.sigma_f, sigma, sigma, lambda_svt=sigma)
+    sweeps: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -203,29 +201,21 @@ class SubsampledDpBudget(_EpsDeltaTarget):
 @dataclass(frozen=True)
 class RdpTuneBudget(_EpsDeltaTarget):
     """(epsilon, delta)-DP target for the mini-batch variant, accounted on the
-    subsampled RDP curve with grid-tuned multipliers.
+    subsampled RDP curve, whose multipliers tune_noise_plan calibrates.
 
     sigma_f must be fixed before T is known, so it is pre-committed from the
-    zCDP-equivalent budget (fraction c_f); the grid search then tunes only
+    zCDP-equivalent budget (fraction c_f); the calibration then tunes only
     the per-iteration multipliers.
     """
 
-    sigma_grid: tuple[float, ...] | None = None
     accounting: ClassVar[str] = "rdp"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.sigma_grid is not None and not (
-                len(self.sigma_grid) and all(0.0 < x < math.inf for x in self.sigma_grid)):
-            raise ValueError("sigma_grid must be nonempty, positive and finite")
 
     @property
     def sigma_f(self) -> float:
         return gaussian_sigma_zcdp(self.c_f * approx_dp_to_zcdp(self.target).rho)
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
-        return tune_noise_plan(self.target, s, t_budget, sigma_f=self.sigma_f,
-                               sigma_grid=self.sigma_grid)
+        return tune_noise_plan(self.target, s, t_budget, self.sigma_f)
 
 
 Budget = Union[NoisePlan, ShortStepBudget, LineSearchBudget, SubsampledDpBudget, RdpTuneBudget]

@@ -472,22 +472,19 @@ class TestTuneNoisePlan:
             curve = account_run(run_log(plan, t_budget - k, k), RdpCurve)
             assert curve.spent(1e-5) <= eps, k
 
-    def test_minimality_on_the_grid(self):
-        target = ApproxDp(1.0, 1e-5)
-        grid = np.geomspace(0.5, 2e4, 81)
-        plan = tune_noise_plan(target, 0.01, 100, SIGMA_F, sigma_grid=grid)
-        idx = int(np.argmin(np.abs(grid - plan.sigma_g)))
-        if idx > 0:
-            smaller = NoisePlan(SIGMA_F, float(grid[idx - 1]), float(grid[idx - 1]),
-                                subsample_fraction=0.01)
-            eps = rdp_to_approx_dp(account_run(run_log(smaller, 0, 100), RdpCurve),
-                                   1e-5)[0].epsilon
-            assert eps > 1.0
+    @staticmethod
+    def spent(plan, t_budget):
+        return account_run(run_log(plan, 0, t_budget), RdpCurve).spent(1e-5)
 
-    def test_unconstrained_target_returns_grid_minimum(self):
-        grid = np.geomspace(1.0, 100.0, 11)
-        plan = tune_noise_plan(ApproxDp(50.0, 1e-5), 0.001, 10, 3.7, sigma_grid=grid)
-        assert plan.sigma_g == grid[0]
+    def test_returned_sigma_is_the_least_feasible_to_the_tolerance(self):
+        plan = tune_noise_plan(ApproxDp(1.0, 1e-5), 0.01, 100, SIGMA_F)
+        assert accountant.SIGMA_BRACKET[0] < plan.sigma_g
+        smaller = plan.sigma_g * math.exp(-accountant.SIGMA_RTOL)
+        assert self.spent(NoisePlan(SIGMA_F, smaller, smaller, None, 0.01), 100) > 1.0
+
+    def test_unconstrained_target_returns_the_bracket_bottom(self):
+        plan = tune_noise_plan(ApproxDp(50.0, 1e-5), 0.001, 10, 3.7)
+        assert plan.sigma_g == plan.sigma_h == accountant.SIGMA_BRACKET[0] == 0.5
         assert plan.sigma_f == 3.7
 
     def test_larger_t_budget_weakly_increases_sigma(self):
@@ -501,39 +498,44 @@ class TestTuneNoisePlan:
         with pytest.raises(ValueError, match="subsample_fraction"):
             tune_noise_plan(ApproxDp(1.0, 1e-5), s, 10, SIGMA_F)
 
-    def test_infeasible_grid_reported_distinctly(self):
+    def test_target_infeasible_at_the_bracket_top_reported_distinctly(self):
+        top = accountant.SIGMA_BRACKET[1]
+        assert top == 2e4
+        assert self.spent(NoisePlan(0.5, top, top, None, 0.5), 1000) > 0.01
         with pytest.raises(InfeasiblePlanError):
-            tune_noise_plan(ApproxDp(0.01, 1e-5), 0.5, 1000, 0.5,
-                            sigma_grid=np.array([0.5, 1.0]))
+            tune_noise_plan(ApproxDp(0.01, 1e-5), 0.5, 1000, 0.5)
 
-    def test_feasibility_monotone_and_tuner_returns_first_feasible(self, monkeypatch):
-        # a curve depends only on (sigma, s), so memoizing it keeps
-        # every value and lets the test scan each grid point exhaustively
+    def test_feasibility_monotone_and_tuner_returns_its_least_point(self, monkeypatch):
+        # a curve depends only on (sigma, s), so memoizing it keeps every
+        # value and lets the test scan the bracket on a grid of its own
         monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve",
                             functools.lru_cache(maxsize=None)(subsampled_gaussian_rdp_curve))
-        grid = np.geomspace(1.0, 32.0, 6)
+        bottom, top = accountant.SIGMA_BRACKET
         outcomes = set()
-        for eps, s, t in itertools.product((0.3, 1.0, 8.0), (0.01, 0.25), (1, 100)):
-            target = ApproxDp(eps, 1e-5)
+        for eps, s, t in itertools.product((0.3, 1.0, 8.0, 50.0), (0.01, 0.25), (1, 100)):
             sigma_f = RdpTuneBudget(eps, 1e-5).sigma_f
-            feasible = [
-                rdp_to_approx_dp(account_run(run_log(NoisePlan(sigma_f, g, g, None, s), 0, t),
-                                             RdpCurve), 1e-5)[0].epsilon <= eps
-                for g in grid.tolist()]
-            assert feasible == sorted(feasible), (eps, s, t, feasible)
-            if not any(feasible):
+
+            def feasible(sigma):
+                return self.spent(NoisePlan(sigma_f, sigma, sigma, None, s), t) <= eps
+
+            flags = [feasible(x) for x in np.geomspace(bottom, top, 9).tolist()]
+            assert flags == sorted(flags), (eps, s, t, flags)
+            if not flags[-1]:
                 outcomes.add("infeasible")
                 with pytest.raises(InfeasiblePlanError):
-                    tune_noise_plan(target, s, t, sigma_f, sigma_grid=grid)
+                    tune_noise_plan(ApproxDp(eps, 1e-5), s, t, sigma_f)
                 continue
-            first = feasible.index(True)
-            outcomes.add("minimum" if first == 0 else "interior")
-            plan = tune_noise_plan(target, s, t, sigma_f, sigma_grid=grid)
-            assert (plan.sigma_f, plan.sigma_g, plan.sigma_h) == (sigma_f, grid[first],
-                                                                  grid[first])
-        assert outcomes == {"infeasible", "minimum", "interior"}
+            plan = tune_noise_plan(ApproxDp(eps, 1e-5), s, t, sigma_f)
+            assert plan.sigma_f == sigma_f and plan.sigma_g == plan.sigma_h
+            assert feasible(plan.sigma_g), (eps, s, t)
+            if plan.sigma_g == bottom:
+                outcomes.add("bottom")
+            else:
+                outcomes.add("interior")
+                assert not feasible(plan.sigma_g * math.exp(-accountant.SIGMA_RTOL)), (eps, s, t)
+        assert outcomes == {"infeasible", "bottom", "interior"}
 
-    def test_default_grid_tune_evaluates_few_curves(self, monkeypatch):
+    def test_tune_builds_at_most_sixteen_curves(self, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -542,9 +544,23 @@ class TestTuneNoisePlan:
 
         monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve", counting)
         RdpTuneBudget(1.0, 1e-5).plan(100, 0.01)
-        # one probe of the largest point, then at most seven halvings of 81 points,
-        # each probe building one curve: every gradient is paired with a Wigner draw
-        assert len(calls) <= 8
+        # one probe of each end of the bracket, then 14 halvings of its log
+        # width, log(4e4) ~ 10.6, to at most SIGMA_RTOL = 2^-10; each probe
+        # builds one curve, since every gradient is paired with a Wigner draw
+        assert len(calls) <= 16
+
+
+class TestZCdpCalibration:
+    @pytest.mark.parametrize("rho,c_f", itertools.product((0.02, 0.1, 0.5, 2.0), (0.1, 0.3)))
+    def test_worst_case_log_converts_to_rho(self, rho, c_f):
+        # the worst case is T curvature iterations, each with a sweep in a line search
+        for t_budget in (1, 7, 100, 1000):
+            short = ShortStepBudget(rho, c_f).plan(t_budget, 1.0)
+            line = LineSearchBudget(rho, c_f).plan(t_budget, 1.0)
+            assert short.lambda_svt is None and line.lambda_svt == line.sigma_g
+            for spent in (ZCdp.of(run_log(short, 0, t_budget)).rho,
+                          ZCdp.of(run_log(line, 0, t_budget, t_budget)).rho):
+                assert abs(spent - rho) <= 4 * math.ulp(rho), (t_budget, spent)
 
 
 class TestValidation:

@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpopt import accountant
 from dpopt.accountant import (InfeasiblePlanError, NoisePlan, RdpCurve, ZCdp, account_run,
                               run_log, tally)
 from dpopt.harness import ExperimentConfig, emit_report, synth_dataset
@@ -45,8 +44,6 @@ GOLDEN = Path(__file__).parent / "data" / "golden_runs.json"
 
 CONSTS = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
 SADDLE_CONSTS = AlgorithmConstants(eps_g=0.05, eps_h=0.3)
-# a short grid keeps each tune to a few curves
-SIGMA_GRID = (1.0, 10.0, 100.0, 1e3, 1e4)
 BATCH = 500
 
 
@@ -89,7 +86,7 @@ def _cap(t_full: int) -> int:
     return min(t_full, 12)
 
 
-RDP = RdpTuneBudget(1.0, 1e-5, sigma_grid=SIGMA_GRID)
+RDP = RdpTuneBudget(1.0, 1e-5)
 SUBSAMPLED = SubsampledDpBudget(0.8, 1e-5)
 SMALL_BATCH = 20
 PLAN_SADDLE = NoisePlan(10.0, 0.03, 0.03, lambda_svt=0.03)
@@ -119,6 +116,8 @@ CASES = {
     "opt_b_rdp": lambda: _minibatch(RDP, 0),
     "opt_b_rdp_small_batch": lambda: _minibatch(RDP, 1, m=SMALL_BATCH),
     "opt_b_rdp_explicit": lambda: _minibatch(RDP, 1, m=SMALL_BATCH, accounting="rdp"),
+    # a calibrated RDP run that finishes, so its ledger is checked against its trace
+    "opt_b_rdp_finished": lambda: _minibatch(RdpTuneBudget(4.0, 1e-5), 0, m=100),
     "opt_b_approx_dp": lambda: _minibatch(SUBSAMPLED, 2, accounting="approx_dp"),
     "opt_b_approx_dp_default": lambda: _minibatch(SUBSAMPLED, 3),
     "opt_b_short_budget": lambda: _minibatch(ShortStepBudget(0.5), 4),
@@ -127,8 +126,7 @@ CASES = {
                                                 accounting="zcdp"),
     "opt_b_zero_noise": lambda: _minibatch(ShortStepBudget(0.5), 7, noise_mode="zero"),
     "opt_b_lanczos": lambda: _minibatch(ShortStepBudget(0.5), 8, lanczos=True),
-    "opt_b_infeasible": lambda: _minibatch(
-        RdpTuneBudget(0.05, 1e-5, sigma_grid=SIGMA_GRID), 9, m=SMALL_BATCH),
+    "opt_b_infeasible": lambda: _minibatch(RdpTuneBudget(0.05, 1e-5), 9, m=SMALL_BATCH),
     # two-phase
     "2opt": lambda: _two_phase(ShortStepBudget(0.5), 0, "short"),
     "2opt_fallback": lambda: _two_phase(ShortStepBudget(0.5), 1, "short",
@@ -216,9 +214,7 @@ def run_sweep(name: str) -> list[list[str]]:
         synth="logistic_separable", synth_n=2000, synth_d=4, synth_seed=3,
         variants=("opt", "opt_b", "opt_ls", "2opt", "2opt_b", "2opt_ls"),
         epsilons=(1.0,), seeds=(0,), constants=CONSTS, **SWEEPS[name])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(accountant, "_default_sigma_grid", lambda: np.array(SIGMA_GRID))
-        report = run_experiment(config)
+    report = run_experiment(config)
     with tempfile.TemporaryDirectory() as tmp:
         path = emit_report(report, "csv", Path(tmp) / "sweep.csv")
         with open(path, newline="") as fh:

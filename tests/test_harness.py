@@ -614,6 +614,23 @@ class TestCli:
         rc = cli_main(["--config", str(cfg_path), "--preset", "covertype_loose"])
         assert rc == 2
 
+    @pytest.mark.parametrize("cfg", [
+        {"constants": {"eps_g": 0.06, "eps_h": 0.245, "bogus": 1},
+         "synth": "logistic_separable"},
+        {"seeds": 5, "synth": "logistic_separable"},
+        [1, 2],
+        {"synth": "logistic_separable", "synth_n": "abc"},
+        {"synth": "logistic_separable", "zero_noise": "no"},  # a truthy string: no noise
+        {"dataset_path": 0},
+    ], ids=["unknown_constant", "scalar_seeds", "not_an_object", "string_synth_n",
+            "string_zero_noise", "integer_dataset_path"])
+    def test_malformed_config_file_exits_2(self, cfg, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = cli_main(["--config", str(cfg_path), "--preset", "covertype_loose"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_dataset_file_is_error(self):
         rc = cli_main(["--dataset", "/nonexistent.csv", "--preset", "covertype_loose",
                        "--variant", "opt", "--epsilon", "1.0", "--seeds", "0"])

@@ -785,7 +785,7 @@ class TestVariantTable:
 
     @pytest.mark.parametrize("budget", [
         ShortStepBudget(0.3, c_f=0.2), LineSearchBudget(0.3, 0.2),
-        SubsampledDpBudget(0.8, 1e-5), RdpTuneBudget(1.0, 1e-5, sigma_grid=(10.0, 1e4))])
+        SubsampledDpBudget(0.8, 1e-5), RdpTuneBudget(1.0, 1e-5)])
     def test_pre_committed_sigma_f_is_the_plans(self, budget):
         # sigma_f is fixed before T; the plan calibrated at T must keep it
         assert budget.plan(10, 0.01).sigma_f == budget.sigma_f
@@ -810,8 +810,7 @@ BAD_BUDGETS = (
     + [(policy, (0.5, c_f)) for policy in _RHO_POLICIES for c_f in _BAD_C_F]
     + [(policy, (1.0, 1e-5, c_f)) for policy in _EPS_POLICIES for c_f in _BAD_C_F]
     + [(policy, (eps, 1e-5)) for policy in _EPS_POLICIES for eps in (0.0, math.nan, math.inf)]
-    + [(policy, (1.0, delta)) for policy in _EPS_POLICIES for delta in (0.0, 1.0)]
-    + [(RdpTuneBudget, (1.0, 1e-5, 0.1, ()))])
+    + [(policy, (1.0, delta)) for policy in _EPS_POLICIES for delta in (0.0, 1.0)])
 
 
 class TestBudgetChecks:
