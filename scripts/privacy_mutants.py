@@ -39,7 +39,7 @@ MUTANTS = {
            "understates the zCDP-to-DP conversion"),
     "M5": ("2.0 * model.B_H * math.sqrt(d) / m", "model.B_H * math.sqrt(d) / m",
            "halves the Hessian sensitivity"),
-    "M6": ("self.log.extend(self._curvature)", "None",
+    "M6": ("self.log = tuple(tally(self.log + self._curvature))", "None",
            "logs no Wigner draw"),
     "M7": ("beta, self.plan.lambda_svt, self.rng)", "beta, 0.5 * self.plan.lambda_svt, self.rng)",
            "halves the lambda of every sweep, still logged at the plan's"),
@@ -71,6 +71,8 @@ MUTANTS = {
             "calibrates RDP plans to the infeasible end of the bisection"),
     "M20": ("calibrate(ZCdp, (1.0 - self.c_f) * self.rho,", "calibrate(ZCdp, self.rho,",
             "plans zCDP runs on the whole rho, leaving nothing for f0's share"),
+    "M21": ("releases=tuple(tally(phase1.releases + r.releases))", "releases=r.releases",
+            "joins phase 2's records without phase 1's releases"),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

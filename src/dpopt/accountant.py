@@ -193,7 +193,7 @@ class NoisePlan:
     Actual noise scales are multiplier times the query sensitivity.
     lambda_svt is None for plans whose variant performs no line search.
     A plan is also a run's budget, used as given (see optimizer.runs): it
-    accounts in zCDP by default and cannot be split into phases.
+    accounts in zCDP by default, and no two-phase variant takes it.
     """
 
     sigma_f: float
@@ -219,9 +219,6 @@ class NoisePlan:
                 f"plan subsample_fraction {self.subsample_fraction} does not "
                 f"match the selector fraction {s}")
         return self
-
-    def scaled(self, fraction: float):
-        raise TypeError("two-phase runs need a budget policy, not a raw NoisePlan")
 
 
 # ---------------------------------------------------------------------------

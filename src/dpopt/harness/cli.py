@@ -97,6 +97,8 @@ def _build_config(args) -> ExperimentConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         for key in ("variants", "epsilons", "seeds", "rhos"):
+            if isinstance(raw.get(key), str):  # not a tuple of its characters
+                raise ConfigError(f"{key} must be a list, got the string {raw[key]!r}")
             if raw.get(key) is not None:
                 raw[key] = tuple(raw[key])
         raw["constants"] = AlgorithmConstants(**constants_kw)

@@ -4,8 +4,8 @@ A sweep runs every (variant, privacy level, seed) cell of the configured
 grid through optimizer.run_variant, whose VARIANTS table names the six
 solvers; the harness only picks each cell's budget (zCDP for full-batch
 runs, the configured mini-batch accounting otherwise).  It records per-seed
-rows (status, final loss, runtime, step counts, spent budget), and
-aggregates mean +- sample standard deviation per cell.
+rows (status, final loss, runtime, step counts, ledger notion and spend,
+budget target), and aggregates mean +- sample standard deviation per cell.
 A cell is marked failed whenever any of its seeds did not converge -- such
 cells print the conventional "×" marker next to their runtime.  Cells whose
 budget admits no feasible noise calibration render as "NA".  Runtime is
@@ -21,8 +21,9 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -53,12 +54,6 @@ LOSSES = {
         config.lambda_reg, R, d, config.weight_box),
     "quartic_saddle": lambda config, R, d: builtin_quartic_saddle(R, d, config.weight_box),
 }
-
-CSV_COLUMNS = ("variant", "epsilon", "seed", "status", "final_loss", "runtime_s",
-               "iters", "grad_steps", "curv_steps", "hess_evals", "rho_spent")
-# each column's type: a float is written as its repr, so it reads back exactly
-_CSV_KINDS = (str, float, int, str, float, float, int, int, int, int, float)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -153,7 +148,14 @@ class RunRow:
     grad_steps: int
     curv_steps: int
     hess_evals: int
-    rho_spent: float
+    notion: str           # the ledger kind: ZCdp, RdpCurve or ApproxDp
+    ledger_spent: float   # the ledger's spent(delta): rho in ZCdp, else epsilon
+    target: float         # the budget's claim, target.spent(delta)
+
+
+# a column per RunRow field; a float is written as its repr, so it reads back exactly
+CSV_COLUMNS = tuple(f.name for f in fields(RunRow))
+_CSV_KINDS = tuple(get_type_hints(RunRow).values())
 
 
 @dataclass(frozen=True)
@@ -227,6 +229,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         selector = BatchSelector(config.batch_size) if kind.minibatch else None
         for eps_label, epsilon, rho in levels:
             budget = _budget(config, kind, epsilon, rho, dataset.n)
+            target = budget.target.spent(config.delta)
             for seed in config.seeds:
                 start = time.perf_counter()
                 try:
@@ -240,7 +243,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
                     # benchmark tables); record and keep sweeping
                     rows.append(RunRow(variant, eps_label, seed, "infeasible_plan",
                                        nan, time.perf_counter() - start,
-                                       0, 0, 0, 0, nan))
+                                       0, 0, 0, 0, "NA", nan, target))
                     continue
                 runtime = time.perf_counter() - start
                 rows.append(RunRow(
@@ -248,8 +251,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
                     status=outcome.status, final_loss=outcome.final_loss,
                     runtime_s=runtime, iters=outcome.iterations,
                     grad_steps=outcome.grad_steps, curv_steps=outcome.curv_steps,
-                    hess_evals=outcome.hess_evals,
-                    rho_spent=outcome.accounted_privacy.spent(config.delta)))
+                    hess_evals=outcome.hess_evals, notion=type(outcome.accounted_privacy).__name__,
+                    ledger_spent=outcome.accounted_privacy.spent(config.delta), target=target))
 
     cells = []
     for variant in config.variants:

@@ -345,7 +345,7 @@ def _reg_hess_diag(model: LossModel, w: np.ndarray) -> np.ndarray:
 
 def _check_box(model: LossModel, w: np.ndarray) -> None:
     top = float(np.max(np.abs(w))) if w.size else 0.0
-    if top > model.weight_box * (1.0 + 1e-12):
+    if not top <= model.weight_box * (1.0 + 1e-12):  # a NaN entry fails too
         raise WeightBoxError(
             f"iterate left the declared weight box: ||w||_inf = {top:.6g} > "
             f"W = {model.weight_box:.6g}; loss bounds no longer hold")

@@ -30,10 +30,11 @@ traces.  noise_mode "zero" multiplies every noise scale (initial loss,
 gradient, Hessian, SVT sensitivity) by 0, so no noise is drawn.
 
 One ledger per run (_Ledger) draws every gradient noise and Wigner
-matrix, runs every SVT sweep and logs each release (accountant.Release).
-The run's notion, picked before any data pass, converts the log in count
-form (RunOutcome.releases; a two-phase run's join both phases') and, in
-zCDP, each iteration's releases for its StepRecord.  A line-search
+matrix, runs every SVT sweep and logs each release (accountant.Release) in
+count form.  Each StepRecord keeps the log through its iteration, so the
+spend after step k is account_run(trace[k].releases, notion).spent(delta);
+the run's notion, picked before any data pass, converts the whole log once
+(RunOutcome.releases; a two-phase run's join both phases').  A line-search
 iteration logs one sweep, the terminal check's missing one included, and a
 run aborted by a weight-box violation or a non-finite release
 ("failed_termination", with a warning) logs its partial iteration.
@@ -78,13 +79,14 @@ def _require_finite(value, what: str, k: int):
 # budgets
 #
 # A budget is a NoisePlan, used as given, or one of the four policies below,
-# each checked when it is made.  Each has:
+# each checked when it is made.  Each policy has:
 #   sigma_f               the initial-loss multiplier, fixed before T;
 #   plan(t_budget, s)     the NoisePlan for T iterations at sampling fraction s,
 #                         with the policy's own sigma_f, by accountant.calibrate
 #                         (SubsampledDpBudget: from its step);
 #   scaled(fraction)      the same policy with that fraction of the target,
 #                         for one phase of a two-phase run;
+#   target                the claim, ZCdp(rho) or ApproxDp(epsilon, delta);
 #   accounting            its default ledger notion (see _notion).
 
 
@@ -99,6 +101,10 @@ class _RhoTarget:
         if not (0.0 < self.rho < math.inf and 0.0 < self.c_f < 1.0):
             raise ValueError(f"need 0 < rho < inf and 0 < c_f < 1, got rho = {self.rho}, "
                              f"c_f = {self.c_f}")
+
+    @property
+    def target(self) -> ZCdp:
+        return ZCdp(self.rho)
 
     @property
     def sigma_f(self) -> float:
@@ -237,7 +243,7 @@ class StepRecord:
     grad_norm_noisy: float
     lambda_noisy: float | None
     probes: int                   # line-search probes (0 for short steps)
-    rho_increment: float | None   # zCDP charge of the iteration (None in rdp/approx_dp)
+    releases: tuple[Release, ...]  # the run's log through this iteration: tally(log)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +255,6 @@ class RunOutcome:
     accounted_privacy: object     # account_run(releases, notion): ZCdp | RdpCurve | ApproxDp
     plan: NoisePlan
     t_budget: int
-    mode: str                     # ledger notion: short | line_search | rdp | approx_dp
     z_draw: float
     final_loss: float
     warnings: tuple[str, ...] = ()
@@ -280,17 +285,14 @@ class RunOutcome:
 # the run's ledger
 
 
-# accounting -> the ledger kind that converts a run's log, and the charge a
-# StepRecord reports for its iteration's releases (None outside zCDP)
-_NOTIONS = {"zcdp": (ZCdp, lambda step: ZCdp.of(step).rho),
-            "rdp": (RdpCurve, lambda step: None),
-            "approx_dp": (ApproxDp, lambda step: None)}
+# accounting -> the ledger kind that converts a run's log
+_NOTIONS = {"zcdp": ZCdp, "rdp": RdpCurve, "approx_dp": ApproxDp}
 
 
 def _notion(loop: str, budget: Budget, accounting: str | None, subsampled: bool):
-    """The run's report label, ledger kind and StepRecord charge.
-    accounting overrides the budget's default; a subsampled zCDP budget
-    accounts in RDP (zCDP has no amplification)."""
+    """The ledger kind that converts the run's log.  accounting overrides
+    the budget's default; a subsampled zCDP budget accounts in RDP (zCDP has
+    no amplification)."""
     if accounting is None:
         accounting = "rdp" if subsampled and budget.accounting == "zcdp" else budget.accounting
     if accounting not in _NOTIONS:
@@ -307,7 +309,7 @@ def _notion(loop: str, budget: Budget, accounting: str | None, subsampled: bool)
         if not (min(sigmas) >= SIGMA_MIN and combined_sigma(*sigmas) >= SIGMA_MIN):
             raise ValueError(f"a subsampled RDP run needs sigma_g and combined_sigma(sigma_g, "
                              f"sigma_h) >= accountant.SIGMA_MIN = {SIGMA_MIN}, got {sigmas}")
-    return (loop if accounting == "zcdp" else accounting, *_NOTIONS[accounting])
+    return _NOTIONS[accounting]
 
 
 def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search: bool):
@@ -326,7 +328,8 @@ def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search:
 
 class _Ledger:
     """The one place a run draws and logs its per-iteration releases, after
-    its initial loss's (see _releases); the run's notion converts the log.
+    its initial loss's (see _releases).  log is the run's releases so far in
+    count form; each StepRecord keeps it, and the run's notion converts it.
     factor multiplies every noise scale: 1 draws from the plan, 0 draws
     nothing (--zero-noise); a zero-noise run logs as a noisy one."""
 
@@ -335,28 +338,21 @@ class _Ledger:
         self.grad_scale = factor * sens.delta_g * plan.sigma_g
         self.hess_scale = factor * sens.delta_h * plan.sigma_h
         f0, self._begun, self._curvature = releases
-        self.log = [f0]
-        self._step = 1  # where the current iteration's releases start
+        self.log = (f0,)
 
     def gradient_noise(self, d: int) -> np.ndarray:
         noise = gaussian_vector(d, self.grad_scale, self.rng)
-        self._step = len(self.log)
-        self.log.extend(self._begun)
+        self.log = tuple(tally(self.log + self._begun))
         return noise
 
     def hessian_noise(self, d: int) -> WignerOperator:
         op = WignerOperator(d, self.hess_scale, self.rng.child())
-        self.log.extend(self._curvature)
+        self.log = tuple(tally(self.log + self._curvature))
         return op
 
     def sweep(self, query, sensitivity: float, gamma_init: float, gamma_bar: float, beta: float):
         return dp_line_search(query, self.factor * sensitivity, gamma_init, gamma_bar,
                               beta, self.plan.lambda_svt, self.rng)
-
-    @property
-    def step(self) -> list[Release]:
-        """The releases of the iteration begun last."""
-        return self.log[self._step:]
 
 
 # noise_mode -> the factor on every noise scale of a run
@@ -388,7 +384,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     if noise_mode not in _NOISE_FACTORS:
         raise ValueError(f"unknown noise mode {noise_mode!r}")
     noise_factor = _NOISE_FACTORS[noise_mode]
-    mode, notion, increment = _notion(loop, budget, accounting, m < n)
+    notion = _notion(loop, budget, accounting, m < n)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     f0 = erm_value(model, dataset, w, memo=memo)
@@ -450,7 +446,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
                 lambda_noisy = _require_finite(eig.lambda_min, "noisy eigenvalue", k)
                 if not decide_curvature(eig, constants.eps_h):
                     trace.append(StepRecord(k, "terminate", None, loss_now, loss_now,
-                                            g_norm, lambda_noisy, 0, increment(ledger.step)))
+                                            g_norm, lambda_noisy, 0, ledger.log))
                     status = "converged_2s"
                     break
                 lam_abs = abs(lambda_noisy)
@@ -476,7 +472,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
             loss_after = erm_value(model, dataset, w, memo=memo)
             w_good = w.copy()
             trace.append(StepRecord(k, kind, gamma, loss_now, loss_after, g_norm,
-                                    lambda_noisy, probes, increment(ledger.step)))
+                                    lambda_noisy, probes, ledger.log))
             loss_now = loss_after
     except (WeightBoxError, _NonFiniteRelease) as err:
         # abort, but hand back the last iterate whose loss was evaluated
@@ -484,9 +480,8 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
         status = "failed_termination"
         w = w_good
 
-    releases = tuple(tally(ledger.log))
-    return RunOutcome(status, w, tuple(trace), releases, account_run(releases, notion), plan,
-                      t_used, mode, z, erm_value(model, dataset, w, memo=memo),
+    return RunOutcome(status, w, tuple(trace), ledger.log, account_run(ledger.log, notion),
+                      plan, t_used, z, erm_value(model, dataset, w, memo=memo),
                       tuple(warnings_acc))
 
 
@@ -505,21 +500,20 @@ class Variant:
 
     loop: str                     # "short" | "line_search"
     budgets: tuple[type, ...]     # the budget types it accepts
-    minibatch: bool               # draws mini-batches, so it needs a BatchSelector
-    two_phase: bool               # an optimistic phase, then a fallback phase
+    minibatch: bool = False       # draws mini-batches, so it needs a BatchSelector
+    two_phase: bool = False       # an optimistic phase, then a fallback phase
 
 
-_SHORT_BUDGETS = (NoisePlan, ShortStepBudget)
-_LS_BUDGETS = (NoisePlan, LineSearchBudget)
-_MINIBATCH_BUDGETS = (NoisePlan, ShortStepBudget, SubsampledDpBudget, RdpTuneBudget)
+_MINIBATCH_POLICIES = (ShortStepBudget, SubsampledDpBudget, RdpTuneBudget)
 
+# a NoisePlan is used as given, so it cannot be split into two phases
 VARIANTS = {
-    "opt": Variant("short", _SHORT_BUDGETS, minibatch=False, two_phase=False),
-    "opt_b": Variant("short", _MINIBATCH_BUDGETS, minibatch=True, two_phase=False),
-    "opt_ls": Variant("line_search", _LS_BUDGETS, minibatch=False, two_phase=False),
-    "2opt": Variant("short", _SHORT_BUDGETS, minibatch=False, two_phase=True),
-    "2opt_b": Variant("short", _MINIBATCH_BUDGETS, minibatch=True, two_phase=True),
-    "2opt_ls": Variant("line_search", _LS_BUDGETS, minibatch=False, two_phase=True),
+    "opt": Variant("short", (NoisePlan, ShortStepBudget)),
+    "opt_b": Variant("short", (NoisePlan, *_MINIBATCH_POLICIES), minibatch=True),
+    "opt_ls": Variant("line_search", (NoisePlan, LineSearchBudget)),
+    "2opt": Variant("short", (ShortStepBudget,), two_phase=True),
+    "2opt_b": Variant("short", _MINIBATCH_POLICIES, minibatch=True, two_phase=True),
+    "2opt_ls": Variant("line_search", (LineSearchBudget,), two_phase=True),
 }
 
 
@@ -571,7 +565,8 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
         return replace(phase1, phases=(phase1,))
     phase2 = run(phase1.w_final, budget.scaled(1.0 - budget_split), None)
     trace = phase1.trace + tuple(
-        replace(r, k=r.k + phase1.iterations) for r in phase2.trace)
+        replace(r, k=r.k + phase1.iterations, releases=tuple(tally(phase1.releases + r.releases)))
+        for r in phase2.trace)
     releases = tuple(tally(phase1.releases + phase2.releases))
     return replace(
         phase2, trace=trace, releases=releases,

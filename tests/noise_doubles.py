@@ -12,7 +12,6 @@ always_failing_line_search forces every sparse-vector sweep to exhaust its
 probes and fall back to gamma_bar, drawing no noise.
 recorded_scales records the scale of every draw a run makes, so tests can
 check each against its sensitivity and the plan without the golden traces.
-kept_ledgers keeps every run's ledger, and with it the run's release log.
 """
 
 from __future__ import annotations
@@ -104,24 +103,3 @@ def recorded_scales():
         mp.setattr(runs, "dp_line_search", recorded_search)
         yield phases
 
-
-@contextmanager
-def kept_ledgers():
-    """Within the block, keep each run's ledger, in run order, with the
-    length of its log as each iteration began ("starts"), so that tests can
-    convert the log of the initial loss and the first j iterations."""
-    ledgers = []
-
-    class KeptLedger(runs._Ledger):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.starts = []
-            ledgers.append(self)
-
-        def gradient_noise(self, d):
-            self.starts.append(len(self.log))
-            return super().gradient_noise(d)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(runs, "_Ledger", KeptLedger)
-        yield ledgers

@@ -250,15 +250,16 @@ def _decode_plan(plan: dict) -> NoisePlan:
     return NoisePlan(**fields)
 
 
-NOTIONS = {"short": ZCdp, "line_search": ZCdp, "rdp": RdpCurve}
+# the type name of an encoded ledger -> the ledger kind
+NOTIONS = {"ZCdp": ZCdp, "RdpCurve": RdpCurve}
 
 
-def _trace_log(run: dict):
+def _trace_log(run: dict, line_search: bool):
     """The log of the run's trace: records with a noisy eigenvalue drew a
     Hessian as well as a gradient, and a line-search record logs one sweep."""
-    k, mode = len(run["trace"]), run["mode"]
+    k = len(run["trace"])
     k_h = sum(1 for r in run["trace"] if r["lambda_noisy"] is not None)
-    return run_log(_decode_plan(run["plan"]), k - k_h, k_h, k if mode == "line_search" else 0)
+    return run_log(_decode_plan(run["plan"]), k - k_h, k_h, k if line_search else 0)
 
 
 def test_finished_golden_ledgers_are_account_run_of_their_traces(golden):
@@ -267,17 +268,19 @@ def test_finished_golden_ledgers_are_account_run_of_their_traces(golden):
     # the draws themselves
     finished = {name: run for name, run in golden["runs"].items()
                 if "status" in run and run["status"] != "failed_termination"}
-    assert {run["mode"] for run in finished.values()} == {"short", "line_search", "rdp"}
+    assert {run["accounted_privacy"]["type"] for run in finished.values()} == set(NOTIONS)
+    assert any("_ls" in name for name in finished)
     for name, run in finished.items():
         joined = []
         for phase in run["phases"] or [run]:
-            log = _trace_log(phase)
+            log = _trace_log(phase, "_ls" in name)
+            notion = NOTIONS[phase["accounted_privacy"]["type"]]
             assert _encode(tally(log)) == phase["releases"], name
-            assert (_encode(account_run(log, NOTIONS[phase["mode"]]))
-                    == phase["accounted_privacy"]), name
+            assert _encode(account_run(log, notion)) == phase["accounted_privacy"], name
             joined += log
+        notion = NOTIONS[run["accounted_privacy"]["type"]]
         assert _encode(tally(joined)) == run["releases"], name
-        assert _encode(account_run(joined, NOTIONS[run["mode"]])) == run["accounted_privacy"], name
+        assert _encode(account_run(joined, notion)) == run["accounted_privacy"], name
 
 
 def main() -> int:

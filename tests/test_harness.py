@@ -412,7 +412,7 @@ class TestRunExperiment:
             assert (a.variant, a.epsilon, a.seed, a.status) == \
                    (b.variant, b.epsilon, b.seed, b.status)
             assert a.final_loss == b.final_loss
-            assert a.rho_spent == b.rho_spent
+            assert a.ledger_spent == b.ledger_spent
             assert (a.iters, a.grad_steps, a.curv_steps, a.hess_evals) == \
                    (b.iters, b.grad_steps, b.curv_steps, b.hess_evals)
 
@@ -622,14 +622,24 @@ class TestCli:
         {"synth": "logistic_separable", "synth_n": "abc"},
         {"synth": "logistic_separable", "zero_noise": "no"},  # a truthy string: no noise
         {"dataset_path": 0},
+        # a string where a list belongs, not a tuple of its characters
+        {"synth": "logistic_separable", "variants": "opt"},
+        {"synth": "logistic_separable", "epsilons": "1.0"},
+        {"synth": "logistic_separable", "seeds": "12"},
+        {"synth": "logistic_separable", "rhos": "0.5"},
     ], ids=["unknown_constant", "scalar_seeds", "not_an_object", "string_synth_n",
-            "string_zero_noise", "integer_dataset_path"])
+            "string_zero_noise", "integer_dataset_path", "string_variants",
+            "string_epsilons", "string_seeds", "string_rhos"])
     def test_malformed_config_file_exits_2(self, cfg, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = cli_main(["--config", str(cfg_path), "--preset", "covertype_loose"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        for key in ("variants", "epsilons", "seeds", "rhos"):
+            if isinstance(cfg, dict) and isinstance(cfg.get(key), str):
+                assert err.startswith(f"error: {key} must be a list")
 
     def test_missing_dataset_file_is_error(self):
         rc = cli_main(["--dataset", "/nonexistent.csv", "--preset", "covertype_loose",

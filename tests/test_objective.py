@@ -171,8 +171,9 @@ class TestEvaluation:
     def test_weight_box_violation_raises(self):
         ds = random_dataset(4, 2, 10)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 2, weight_box=0.5)
-        with pytest.raises(WeightBoxError):
-            erm_value(model, ds, np.array([0.6, 0.0]))
+        for top in (0.6, math.inf, math.nan):
+            with pytest.raises(WeightBoxError):
+                erm_value(model, ds, np.array([top, 0.0]))
 
     def test_l2_logistic_hessian_psd(self):
         ds = random_dataset(30, 4, 11)

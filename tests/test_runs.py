@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,8 +23,7 @@ from dpopt.optimizer import (VARIANTS, AlgorithmConstants, LineSearchBudget,
                              default_phase1_policy, min_dec_line_search,
                              min_dec_short, roots_t1_t2, run_line_search,
                              run_minibatch, run_short_step, run_two_phase, run_variant)
-from noise_doubles import (always_failing_line_search, bounded_noise, kept_ledgers,
-                           recorded_scales)
+from noise_doubles import always_failing_line_search, bounded_noise, recorded_scales
 
 TOLS = AlgorithmConstants(eps_g=1e-2, eps_h=1e-1)
 
@@ -189,9 +189,15 @@ class TestLedger:
             out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0))
         recomputed = account_run(run_log(out.plan, out.grad_steps, out.hess_evals), ZCdp)
         assert out.accounted_privacy.rho == recomputed.rho
-        increments = math.fsum(r.rho_increment for r in out.trace)
-        f_charge = 0.5 / out.plan.sigma_f ** 2
-        assert increments + f_charge == pytest.approx(out.accounted_privacy.rho, rel=1e-12)
+        # each record's log costs f0's charge plus a gradient's per iteration
+        # through it, and a Wigner draw's per Hessian
+        spent = 0.5 / out.plan.sigma_f ** 2
+        for rec in out.trace:
+            spent += 0.5 / out.plan.sigma_g ** 2
+            if rec.lambda_noisy is not None:
+                spent += 0.5 / out.plan.sigma_h ** 2
+            assert account_run(rec.releases, ZCdp).rho == pytest.approx(spent, rel=1e-12)
+        assert out.trace[-1].releases == out.releases
 
     def test_ledger_never_exceeds_planned_budget(self):
         ds, model = identical_sample_quartic()
@@ -214,7 +220,7 @@ class TestLedger:
         model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, 4)
         out = run_minibatch(model, ds, np.zeros(4), AlgorithmConstants(eps_g=0.06, eps_h=0.245),
                             ShortStepBudget(0.5), BatchSelector(500), SeededRng(4))
-        assert out.status == "converged_2s" and out.mode == "rdp"
+        assert out.status == "converged_2s" and type(out.accounted_privacy) is RdpCurve
         assert out.plan.subsample_fraction == 0.25
         spent = rdp_to_approx_dp(out.accounted_privacy, 1e-5)[0].epsilon
         assert spent == pytest.approx(5.3023, abs=1e-4)
@@ -358,10 +364,6 @@ def assert_same_ledger(got, want):
         assert got == want
 
 
-# RunOutcome.mode -> the ledger kind that converts the run's log
-NOTIONS = {"short": ZCdp, "line_search": ZCdp, "rdp": RdpCurve, "approx_dp": ApproxDp}
-
-
 def dp_step(budget, plan, t_budget):
     """The one (eps0, delta0) step an (eps, delta) plan logs per iteration."""
     return budget.step(t_budget, plan.subsample_fraction)
@@ -371,12 +373,21 @@ def drawn_log(budget, phase, grads, wigners):
     """The log of a phase's counted draws: a gradient per iteration begun,
     a Wigner matrix per Hessian, and in a line search a sweep per gradient;
     in (eps, delta), one plan step per iteration."""
-    if phase.mode == "approx_dp":
+    if type(phase.accounted_privacy) is ApproxDp:
         return [Release("dp", (budget.eps_f, budget.delta_f)),
                 Release("dp", dp_step(budget, phase.plan, phase.t_budget),
                         phase.plan.subsample_fraction, grads)]
-    sweeps = grads if phase.mode == "line_search" else 0
+    sweeps = grads if isinstance(budget, LineSearchBudget) else 0
     return run_log(phase.plan, grads - wigners, wigners, sweeps)
+
+
+def drawn_since(later, earlier) -> list[Release]:
+    """The releases of the count-form log later less those of earlier: what
+    a run drew between the two; a release of earlier missing from later
+    leaves a negative count, which tally refuses."""
+    counts = Counter({r[:3]: r.count for r in later})
+    counts.subtract({r[:3]: r.count for r in earlier})
+    return tally(Release(*key, count) for key, count in counts.items())
 
 
 class TestDrawsAndCharges:
@@ -422,31 +433,34 @@ class TestDrawsAndCharges:
                 assert grads == phase.iterations
             log = drawn_log(budget, phase, grads, wigners)
             assert list(phase.releases) == tally(log)
-            assert_same_ledger(phase.accounted_privacy, account_run(log, NOTIONS[phase.mode]))
+            notion = type(phase.accounted_privacy)
+            assert_same_ledger(phase.accounted_privacy, account_run(log, notion))
             logs += log
         assert list(out.releases) == tally(logs)
-        assert_same_ledger(out.accounted_privacy, account_run(logs, NOTIONS[out.mode]))
+        assert_same_ledger(out.accounted_privacy,
+                           account_run(logs, type(out.accounted_privacy)))
 
     @pytest.mark.parametrize("name", sorted(DRAWING_RUNS))
     def test_spend_of_each_prefix_of_the_log(self, draws, name):
-        # prefix j is the log of the initial loss and the first j iterations
-        with kept_ledgers() as ledgers:
-            out = DRAWING_RUNS[name]()
-        outcomes = out.phases or (out,)
-        assert len(ledgers) == len(outcomes)
-        for phase, ledger, (budget, _, _) in zip(outcomes, ledgers, draws):
-            notion = NOTIONS[phase.mode]
-            spends = [account_run(ledger.log[:start], notion)
-                      for start in ledger.starts] + [account_run(ledger.log, notion)]
-            assert len(spends) == len(phase.trace) + 1 + (phase.status == "failed_termination")
-            assert_same_ledger(spends[-1], phase.accounted_privacy)
-            if phase.mode in ("short", "line_search"):
+        # prefix j is the log of the initial loss and the first j iterations:
+        # f0's alone, then each record's
+        out = DRAWING_RUNS[name]()
+        for phase, (budget, _, _) in zip(out.phases or (out,), draws):
+            notion = type(phase.accounted_privacy)
+            spends = [account_run(drawn_log(budget, phase, 0, 0)[:1], notion)] + [
+                account_run(r.releases, notion) for r in phase.trace]
+            if phase.status != "failed_termination":
+                assert_same_ledger(spends[-1], phase.accounted_privacy)
+            if notion is ZCdp:
+                # the charge of each iteration's gradient, Wigner draw and sweep
+                g, h = 0.5 / phase.plan.sigma_g ** 2, 0.5 / phase.plan.sigma_h ** 2
+                sweep = (0.5 / phase.plan.lambda_svt ** 2
+                         if isinstance(budget, LineSearchBudget) else 0.0)
+                increments = [g + sweep + h * (r.lambda_noisy is not None) for r in phase.trace]
                 f0 = 0.5 / phase.plan.sigma_f ** 2
-                increments = [r.rho_increment for r in phase.trace]
-                for j, spend in enumerate(spends[:len(increments) + 1]):
+                for j, spend in enumerate(spends):
                     assert spend.rho == pytest.approx(f0 + math.fsum(increments[:j]), rel=1e-12)
-            elif phase.mode == "rdp":
-                assert all(r.rho_increment is None for r in phase.trace)
+            elif notion is RdpCurve:
                 for before, after in zip(spends, spends[1:]):
                     assert np.all(after.epsilons >= before.epsilons)
                     assert after.spent(1e-5) >= before.spent(1e-5)
@@ -461,10 +475,47 @@ class TestDrawsAndCharges:
                     assert spend.delta == pytest.approx(
                         budget.delta_f + 2 * s * delta0 * j + rest / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("name", sorted(DRAWING_RUNS))
+    def test_each_record_keeps_the_log_so_far(self, draws, name):
+        # record k's releases are f0's and those of iterations 0..k, in count
+        # form: one iteration's draws past record k - 1's; a finished run's
+        # last record is its releases, an aborted run's releases add the
+        # aborted iteration's draws; and the spend never falls
+        out = DRAWING_RUNS[name]()
+
+        def one_iteration(budget, phase, curvature: bool) -> list[Release]:
+            return tally(drawn_log(budget, phase, 1, int(curvature))[1:])
+
+        for phase, (budget, _, _) in zip(out.phases or (out,), draws):
+            logs = [tuple(tally(drawn_log(budget, phase, 0, 0)[:1]))]
+            for rec in phase.trace:
+                assert list(rec.releases) == tally(rec.releases)
+                assert drawn_since(rec.releases, logs[-1]) == one_iteration(
+                    budget, phase, rec.lambda_noisy is not None)
+                logs.append(rec.releases)
+            if phase.status == "failed_termination":
+                assert drawn_since(phase.releases, logs[-1]) in (
+                    one_iteration(budget, phase, False), one_iteration(budget, phase, True))
+            else:
+                assert logs[-1] == phase.releases
+        if out.phases:
+            p1 = out.phases[0]
+            assert out.trace[:p1.iterations] == p1.trace
+            for rec, own in zip(out.trace[p1.iterations:], out.phases[-1].trace):
+                assert rec.releases == tuple(tally(p1.releases + own.releases))
+        if out.status != "failed_termination":
+            assert out.trace[-1].releases == out.releases
+        notion = type(out.accounted_privacy)
+        spends = [account_run(r.releases, notion).spent(1e-5) for r in out.trace]
+        spends.append(out.accounted_privacy.spent(1e-5))
+        assert all(a <= b for a, b in zip(spends, spends[1:]))
+
     def test_runs_cover_every_notion_and_a_weight_box_abort(self):
         outs = {name: case() for name, case in DRAWING_RUNS.items()}
-        modes = {p.mode for out in outs.values() for p in out.phases or (out,)}
-        assert modes == {"short", "line_search", "rdp", "approx_dp"}
+        phases = [p for out in outs.values() for p in out.phases or (out,)]
+        assert {type(p.accounted_privacy) for p in phases} == {ZCdp, RdpCurve, ApproxDp}
+        assert any(r.mechanism == "svt" for p in phases for r in p.releases)
+        assert any(len(out.phases) == 2 for out in outs.values())
         abort = outs["weight_box_abort"]
         assert abort.status == "failed_termination"
         assert any("weight box" in w for w in abort.warnings)
@@ -534,6 +585,17 @@ class TestWeightBox:
         # the returned iterate is the last one inside the box, with a real loss
         assert np.max(np.abs(out.w_final)) <= 0.4 * (1 + 1e-12)
         assert math.isfinite(out.final_loss)
+
+    @pytest.mark.parametrize("top", [0.5, math.inf, math.nan])
+    def test_start_outside_the_box_refused_at_the_initial_loss(self, top):
+        # a NaN entry of w0 is outside the box as an infinite one is, and
+        # ends there, not in the iteration budget its loss would make NaN
+        ds = synth_dataset("logistic_separable", 200, 3, seed=1)
+        model = builtin_nonconvex_logistic(1e-3, 1.0, 3, weight_box=0.4)
+        with pytest.raises(objective.WeightBoxError):
+            run_short_step(model, ds, np.array([top, 0.0, 0.0]),
+                           AlgorithmConstants(eps_g=1e-4, eps_h=0.2),
+                           ShortStepBudget(0.5), SeededRng(0))
 
 
 class TestNonFiniteRelease:
@@ -798,8 +860,12 @@ class TestVariantTable:
         assert plan.plan(7, 0.25) is plan
         with pytest.raises(ValueError, match="subsample_fraction"):
             plan.plan(7, 0.5)
-        with pytest.raises(TypeError, match="budget policy"):
-            plan.scaled(0.5)
+        ds, model = identical_sample_quartic()
+        for name in ("2opt", "2opt_ls", "2opt_b"):
+            selector = BatchSelector(2) if VARIANTS[name].minibatch else None
+            with pytest.raises(TypeError, match=f"{name} takes a "):
+                run_variant(name, model, ds, np.zeros(2), TOLS, plan, SeededRng(0),
+                            selector=selector, noise_mode="zero")
 
 
 _RHO_POLICIES = (ShortStepBudget, LineSearchBudget)
