@@ -12,7 +12,7 @@ survivors; the exit status is the number of survivors.
 
     python scripts/privacy_mutants.py
 
-One mutant takes up to one tier-1 run, about 35 s on a 2-vCPU machine.
+One mutant takes up to one tier-1 run, about 15 s on a 2-vCPU machine.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ MUTANTS = {
             "plans zCDP runs on the whole rho, leaving nothing for f0's share"),
     "M21": ("releases=tuple(tally(phase1.releases + r.releases))", "releases=r.releases",
             "joins phase 2's records without phase 1's releases"),
+    "M22": ('if subsampled and budget.accounting == "zcdp":', "if False:",
+            "runs a zCDP budget on mini-batches, which zCDP cannot amplify"),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

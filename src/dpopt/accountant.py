@@ -192,8 +192,8 @@ class NoisePlan:
 
     Actual noise scales are multiplier times the query sensitivity.
     lambda_svt is None for plans whose variant performs no line search.
-    A plan is also a run's budget, used as given (see optimizer.runs): it
-    accounts in zCDP by default, and no two-phase variant takes it.
+    A plan is also a run's budget, used as given (see optimizer.runs), and
+    no two-phase variant takes it.
     """
 
     sigma_f: float
@@ -201,7 +201,10 @@ class NoisePlan:
     sigma_h: float
     lambda_svt: float | None = None
     subsample_fraction: float = 1.0
-    accounting: ClassVar[str] = "zcdp"
+
+    @property
+    def accounting(self) -> str:  # a plan that samples accounts in RDP
+        return "rdp" if self.subsample_fraction < 1.0 else "zcdp"
 
     def __post_init__(self):
         # finite too: a zero-noise run multiplies each scale by 0

@@ -101,9 +101,12 @@ def _build_config(args) -> ExperimentConfig:
                 raise ConfigError(f"{key} must be a list, got the string {raw[key]!r}")
             if raw.get(key) is not None:
                 raw[key] = tuple(raw[key])
+        for key, value in constants_kw.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"constants.{key}: {value!r} is not a number")
         raw["constants"] = AlgorithmConstants(**constants_kw)
         return ExperimentConfig(**raw)
-    except TypeError as err:  # an unknown constant, or a value of a wrong type
+    except TypeError as err:  # an unknown constant, or a number where a list belongs
         raise ConfigError(f"bad config: {err}") from err
 
 

@@ -59,6 +59,22 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+# what each field, or each entry of a list field, must be, since a JSON
+# config may hold any type there; a JSON true is no integer
+_FIELD_TYPES = {
+    **dict.fromkeys(("label_column", "synth_n", "synth_d", "synth_seed", "seeds",
+                     "rng_stream", "batch_size"), ("an integer", (int, np.integer))),
+    **dict.fromkeys(("lambda_reg", "weight_box", "epsilons", "delta", "rhos", "budget_split"),
+                    ("a number", (int, float, np.integer, np.floating))),
+    **dict.fromkeys(("dataset_format", "preprocessing", "synth", "loss", "variants",
+                     "minibatch_accounting"), ("a string", (str,))),
+    "dataset_path": ("a path", (str, Path)),
+    **dict.fromkeys(("zero_noise", "lanczos"), ("true or false", (bool,))),
+}
+_LISTS = ("variants", "epsilons", "rhos", "seeds")
+_OPTIONAL = ("dataset_path", "synth", "rhos", "batch_size")  # None is allowed too
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: dataset x loss x variants x privacy levels x seeds."""
@@ -94,6 +110,17 @@ class ExperimentConfig:
     lanczos: bool = False
 
     def __post_init__(self):
+        for key, (what, kinds) in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if value is None and key in _OPTIONAL:
+                continue
+            for entry in value if key in _LISTS else (value,):
+                if not isinstance(entry, kinds) or isinstance(entry, bool) and bool not in kinds:
+                    raise ConfigError(f"{key}: {entry!r} is not {what}")
+        for key in ("seeds", "epsilons", "rhos"):
+            values = getattr(self, key) or ()
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} {values} repeat an entry")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}; choose from {tuple(VARIANTS)}")
@@ -105,17 +132,8 @@ class ExperimentConfig:
             raise ConfigError(f"delta {self.delta} must lie in (0, 1)")
         if (self.dataset_path is None) == (self.synth is None):
             raise ConfigError("configure exactly one of dataset_path and synth")
-        if not isinstance(self.dataset_path, (str, Path, type(None))):
-            raise ConfigError(f"dataset_path must be a path, got {self.dataset_path!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if not all(isinstance(v, (int, np.integer)) for v in (
-                self.label_column, self.synth_n, self.synth_d, self.synth_seed,
-                self.rng_stream, *self.seeds, self.batch_size or 0)):
-            raise ConfigError("label_column, synth_n, synth_d, synth_seed, rng_stream, seeds "
-                              "and batch_size must be integers")
-        if not (isinstance(self.zero_noise, bool) and isinstance(self.lanczos, bool)):
-            raise ConfigError("zero_noise and lanczos must be true or false")
         if min(self.seeds) < 0 or self.rng_stream < 0:
             raise ConfigError(f"seeds {self.seeds} and rng_stream {self.rng_stream} "
                               "must be nonnegative")
@@ -125,8 +143,8 @@ class ExperimentConfig:
             raise ConfigError("at least one privacy level is required")
         if not all(0.0 < level < math.inf for level in (*self.epsilons, *(self.rhos or ()))):
             raise ConfigError("every epsilons and rhos entry must be positive and finite")
-        if not (self.lambda_reg >= 0.0 and self.weight_box > 0.0):
-            raise ConfigError(f"need lambda_reg >= 0 and weight_box > 0, got "
+        if not (0.0 <= self.lambda_reg < math.inf and 0.0 < self.weight_box < math.inf):
+            raise ConfigError(f"need finite lambda_reg >= 0 and weight_box > 0, got "
                               f"{self.lambda_reg} and {self.weight_box}")
         if any(VARIANTS[v].minibatch for v in self.variants) and self.batch_size is None:
             raise ConfigError("mini-batch variants need batch_size")

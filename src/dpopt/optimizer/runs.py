@@ -87,7 +87,7 @@ def _require_finite(value, what: str, k: int):
 #   scaled(fraction)      the same policy with that fraction of the target,
 #                         for one phase of a two-phase run;
 #   target                the claim, ZCdp(rho) or ApproxDp(epsilon, delta);
-#   accounting            its default ledger notion (see _notion).
+#   accounting            the notion its runs account in (see _notion).
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ class _RhoTarget:
 
     def plan(self, t_budget: int, s: float) -> NoisePlan:
         """sigma_g = sigma_h (= lambda_svt with sweeps) at which T curvature
-        iterations and their sweeps cost (1 - c_f) rho, all that f0 leaves;
-        a mini-batch run's RDP ledger amplifies the plan at s."""
+        iterations and their sweeps cost (1 - c_f) rho, all that f0 leaves."""
         sigma = calibrate(ZCdp, (1.0 - self.c_f) * self.rho, None, lambda sigma: run_log(
             NoisePlan(self.sigma_f, sigma, sigma, sigma, s), 0, t_budget,
             t_budget * self.sweeps)[1:])  # less f0's release
@@ -289,27 +288,19 @@ class RunOutcome:
 _NOTIONS = {"zcdp": ZCdp, "rdp": RdpCurve, "approx_dp": ApproxDp}
 
 
-def _notion(loop: str, budget: Budget, accounting: str | None, subsampled: bool):
-    """The ledger kind that converts the run's log.  accounting overrides
-    the budget's default; a subsampled zCDP budget accounts in RDP (zCDP has
-    no amplification)."""
-    if accounting is None:
-        accounting = "rdp" if subsampled and budget.accounting == "zcdp" else budget.accounting
-    if accounting not in _NOTIONS:
-        raise ValueError(f"unknown accounting {accounting!r}")
-    if accounting == "approx_dp" and budget.accounting != "approx_dp":
-        raise ValueError("approx_dp accounting requires a SubsampledDpBudget")
-    if loop == "line_search" and accounting != "zcdp":
-        raise ValueError("line-search runs account in zcdp: only the zCDP "
-                         "ledger charges their sparse-vector sweeps")
-    if accounting == "rdp" and subsampled and isinstance(budget, NoisePlan):
+def _notion(budget: Budget, subsampled: bool):
+    """The ledger kind that converts the run's log: the budget's own notion.
+    zCDP has no amplification by subsampling, so it needs full batches."""
+    if subsampled and budget.accounting == "zcdp":
+        raise ValueError(f"a {type(budget).__name__} accounts in zcdp: run it on all n rows")
+    if subsampled and isinstance(budget, NoisePlan):
         # the curve charges Wigner draws at combined_sigma, below both sigmas;
         # min() first keeps it from squaring a tiny sigma to 0
         sigmas = (budget.sigma_g, budget.sigma_h)
         if not (min(sigmas) >= SIGMA_MIN and combined_sigma(*sigmas) >= SIGMA_MIN):
             raise ValueError(f"a subsampled RDP run needs sigma_g and combined_sigma(sigma_g, "
                              f"sigma_h) >= accountant.SIGMA_MIN = {SIGMA_MIN}, got {sigmas}")
-    return _NOTIONS[accounting]
+    return _NOTIONS[budget.accounting]
 
 
 def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search: bool):
@@ -366,8 +357,7 @@ _NOISE_FACTORS = {"standard": 1.0, "zero": 0.0}
 def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
               constants: AlgorithmConstants, budget: Budget, rng: SeededRng,
               memo: MarginMemo, *, selector: BatchSelector | None = None,
-              accounting: str | None = None, noise_mode: str = "standard",
-              lanczos: bool = False,
+              noise_mode: str = "standard", lanczos: bool = False,
               t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     n, d = dataset.n, dataset.d
     selector = selector or BatchSelector()
@@ -384,7 +374,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     if noise_mode not in _NOISE_FACTORS:
         raise ValueError(f"unknown noise mode {noise_mode!r}")
     noise_factor = _NOISE_FACTORS[noise_mode]
-    notion = _notion(loop, budget, accounting, m < n)
+    notion = _notion(budget, m < n)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     f0 = erm_value(model, dataset, w, memo=memo)
@@ -519,15 +509,14 @@ VARIANTS = {
 
 def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
                 constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
-                selector: BatchSelector | None = None, accounting: str | None = None,
-                noise_mode: str = "standard", lanczos: bool = False,
-                t_policy: Callable[[int], int] | None = None,
+                selector: BatchSelector | None = None, noise_mode: str = "standard",
+                lanczos: bool = False, t_policy: Callable[[int], int] | None = None,
                 budget_split: float = 0.75) -> RunOutcome:
     """Run the public solver name, a key of VARIANTS.
 
     The mini-batch variants need a selector and the others take none.
     Above objective.DENSE_HESSIAN_CAP the curvature check needs lanczos.
-    accounting overrides the budget's default ledger notion.  t_policy caps
+    The run accounts in the budget's own notion (see _notion).  t_policy caps
     the iteration budget T; in a two-phase run it sets phase 1's T, by
     default ceil(sqrt(T)), and phase 1 spends budget_split of the budget
     (see run_two_phase).
@@ -553,8 +542,8 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
 
     def run(w_start, bud: Budget, policy) -> RunOutcome:
         return _run_core(variant.loop, model, dataset, w_start, constants, bud, rng, memo,
-                         selector=selector, accounting=accounting, noise_mode=noise_mode,
-                         lanczos=lanczos, t_policy=policy)
+                         selector=selector, noise_mode=noise_mode, lanczos=lanczos,
+                         t_policy=policy)
 
     if not variant.two_phase:
         return run(w0, budget, t_policy)
@@ -601,14 +590,16 @@ def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
                   t_policy: Callable[[int], int] | None = None) -> RunOutcome:
     """Short-step variant on per-iteration without-replacement mini-batches.
 
-    Sensitivities scale with the batch size; privacy is tracked either on
-    the subsampled RDP curve ("rdp", the default) or as (epsilon, delta)-DP
-    via advanced composition ("approx_dp", requires a SubsampledDpBudget).
-    A batch below the advised minimum size only flags the outcome.
+    Sensitivities scale with the batch size.  The run accounts in its
+    budget's notion, which accounting may only restate; a zCDP budget needs
+    a batch of all n rows.  A batch below the advised minimum size only
+    flags the outcome.
     """
+    if accounting is not None and accounting != budget.accounting:
+        raise ValueError(f"the budget accounts in {budget.accounting}, not {accounting!r}")
     return run_variant("opt_b", model, dataset, w0, constants, budget, rng,
-                       selector=selector, accounting=accounting, noise_mode=noise_mode,
-                       lanczos=lanczos, t_policy=t_policy)
+                       selector=selector, noise_mode=noise_mode, lanczos=lanczos,
+                       t_policy=t_policy)
 
 
 # run_two_phase's variant argument names the method its phases run
@@ -630,11 +621,12 @@ def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
     joins both phases' releases, converted once into its ledger.
 
     variant selects the underlying method: "short", "line_search", or
-    "minibatch" (which needs selector).
+    "minibatch" (which needs selector).  accounting is as in run_minibatch.
     """
     if variant not in _TWO_PHASE:
         raise ValueError(f"unknown variant {variant!r}")
+    if accounting is not None and accounting != budget.accounting:
+        raise ValueError(f"the budget accounts in {budget.accounting}, not {accounting!r}")
     return run_variant(_TWO_PHASE[variant], model, dataset, w0, constants, budget, rng,
-                       selector=selector, accounting=accounting, noise_mode=noise_mode,
-                       lanczos=lanczos, t_policy=phase1_t_policy,
-                       budget_split=budget_split)
+                       selector=selector, noise_mode=noise_mode, lanczos=lanczos,
+                       t_policy=phase1_t_policy, budget_split=budget_split)

@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpopt.accountant import (InfeasiblePlanError, NoisePlan, RdpCurve, ZCdp, account_run,
-                              run_log, tally)
+from dpopt.accountant import (ApproxDp, InfeasiblePlanError, NoisePlan, RdpCurve, ZCdp,
+                              account_run, run_log, tally)
 from dpopt.harness import ExperimentConfig, emit_report, synth_dataset
 from dpopt.harness import run_experiment
 from dpopt.mechanisms import SeededRng
@@ -38,7 +38,7 @@ from dpopt.objective import (BatchSelector, builtin_nonconvex_logistic,
                              builtin_quartic_saddle)
 from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
                              ShortStepBudget, SubsampledDpBudget, run_line_search,
-                             run_minibatch, run_short_step, run_two_phase)
+                             run_minibatch, run_short_step, run_two_phase, runs)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.json"
 
@@ -87,6 +87,9 @@ def _cap(t_full: int) -> int:
 
 
 RDP = RdpTuneBudget(1.0, 1e-5)
+# a target that has a plan on a batch of RDP_BATCH rows, so its runs draw Hessians
+LOOSE_RDP = RdpTuneBudget(4.0, 1e-5)
+RDP_BATCH = 100
 SUBSAMPLED = SubsampledDpBudget(0.8, 1e-5)
 SMALL_BATCH = 20
 PLAN_SADDLE = NoisePlan(10.0, 0.03, 0.03, lambda_svt=0.03)
@@ -112,20 +115,19 @@ CASES = {
                                                   lanczos=True, t_policy=_cap),
     "opt_ls_zero_noise_saddle": lambda: _saddle_run(run_line_search, LineSearchBudget(0.5),
                                                     1, noise_mode="zero", t_policy=_cap),
-    # mini-batch: RDP, approx_dp and zCDP
+    # mini-batch: RDP and approx_dp; zCDP on a batch of all n rows only
     "opt_b_rdp": lambda: _minibatch(RDP, 0),
     "opt_b_rdp_small_batch": lambda: _minibatch(RDP, 1, m=SMALL_BATCH),
     "opt_b_rdp_explicit": lambda: _minibatch(RDP, 1, m=SMALL_BATCH, accounting="rdp"),
     # a calibrated RDP run that finishes, so its ledger is checked against its trace
-    "opt_b_rdp_finished": lambda: _minibatch(RdpTuneBudget(4.0, 1e-5), 0, m=100),
+    "opt_b_rdp_finished": lambda: _minibatch(LOOSE_RDP, 0, m=RDP_BATCH),
     "opt_b_approx_dp": lambda: _minibatch(SUBSAMPLED, 2, accounting="approx_dp"),
     "opt_b_approx_dp_default": lambda: _minibatch(SUBSAMPLED, 3),
-    "opt_b_short_budget": lambda: _minibatch(ShortStepBudget(0.5), 4),
     "opt_b_noise_plan": lambda: _minibatch(NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5),
     "opt_b_full_batch_zcdp": lambda: _minibatch(ShortStepBudget(0.5), 6, m=2000,
                                                 accounting="zcdp"),
-    "opt_b_zero_noise": lambda: _minibatch(ShortStepBudget(0.5), 7, noise_mode="zero"),
-    "opt_b_lanczos": lambda: _minibatch(ShortStepBudget(0.5), 8, lanczos=True),
+    "opt_b_zero_noise": lambda: _minibatch(LOOSE_RDP, 7, m=RDP_BATCH, noise_mode="zero"),
+    "opt_b_lanczos": lambda: _minibatch(LOOSE_RDP, 8, m=RDP_BATCH, lanczos=True),
     "opt_b_infeasible": lambda: _minibatch(RdpTuneBudget(0.05, 1e-5), 9, m=SMALL_BATCH),
     # two-phase
     "2opt": lambda: _two_phase(ShortStepBudget(0.5), 0, "short"),
@@ -141,8 +143,10 @@ CASES = {
     "2opt_b_approx_dp": lambda: _two_phase(SUBSAMPLED, 5, "minibatch",
                                            accounting="approx_dp",
                                            phase1_t_policy=_fallback),
-    "2opt_b_short_budget": lambda: _two_phase(ShortStepBudget(0.5), 6, "minibatch",
-                                              phase1_t_policy=_fallback),
+    # an RDP run that falls back and draws a Hessian in phase 2
+    "2opt_b_rdp_fallback": lambda: _two_phase(
+        RdpTuneBudget(8.0, 1e-5), 10, "minibatch", selector=BatchSelector(RDP_BATCH),
+        phase1_t_policy=_fallback),
     "2opt_zero_noise": lambda: _two_phase(ShortStepBudget(0.5), 7, "short",
                                           noise_mode="zero", phase1_t_policy=_fallback),
     "2opt_split": lambda: _two_phase(ShortStepBudget(0.5), 8, "short", budget_split=0.5,
@@ -157,6 +161,10 @@ CASES = {
         ShortStepBudget(0.5), 0, accounting="approx_dp"),
     "reject_opt_b_unknown_accounting": lambda: _minibatch(ShortStepBudget(0.5), 0,
                                                           accounting="pure"),
+    # zCDP has no amplification by subsampling
+    "opt_b_short_budget": lambda: _minibatch(ShortStepBudget(0.5), 4),
+    "2opt_b_short_budget": lambda: _two_phase(ShortStepBudget(0.5), 6, "minibatch",
+                                              phase1_t_policy=_fallback),
     "reject_opt_b_plan_fraction": lambda: _minibatch(NoisePlan(10.0, 20.0, 20.0), 0),
     "reject_opt_b_batch_above_n": lambda: _minibatch(RDP, 0, m=2001),
     "reject_opt_ls_plan_without_lambda": lambda: _logistic_run(
@@ -281,6 +289,51 @@ def test_finished_golden_ledgers_are_account_run_of_their_traces(golden):
         notion = NOTIONS[run["accounted_privacy"]["type"]]
         assert _encode(tally(joined)) == run["releases"], name
         assert _encode(account_run(joined, notion)) == run["accounted_privacy"], name
+
+
+class _Budget(Exception):
+    """Carries the budget a case hands to run_variant, before any run."""
+
+
+def _budget_of(name: str, monkeypatch):
+    def stop(*args, **kw):
+        raise _Budget(args[5])  # run_variant(name, model, dataset, w0, constants, budget, ...)
+
+    monkeypatch.setattr(runs, "run_variant", stop)
+    with pytest.raises(_Budget) as caught:
+        CASES[name]()
+    return caught.value.args[0]
+
+
+def _decode_ledger(ledger: dict):
+    kind = {"ZCdp": ZCdp, "RdpCurve": RdpCurve, "ApproxDp": ApproxDp}[ledger["type"]]
+    return kind(**{key: np.array([float.fromhex(x) for x in value]) if isinstance(value, list)
+                   else float.fromhex(value) for key, value in ledger.items() if key != "type"})
+
+
+def test_every_policy_run_spends_within_its_target(golden, monkeypatch):
+    # in the ledger's notion, which is the budget's own: rho against rho,
+    # epsilon at delta = 1e-5 (every golden budget's) against epsilon.  A
+    # NoisePlan is used as given and claims no target.
+    checked = 0
+    for name, run in golden["runs"].items():
+        if "status" not in run:
+            continue  # refused
+        budget = _budget_of(name, monkeypatch)
+        if isinstance(budget, NoisePlan):
+            continue
+        ledger, target = _decode_ledger(run["accounted_privacy"]), budget.target
+        assert (type(ledger) is ZCdp) == (type(target) is ZCdp), name
+        assert ledger.spent(1e-5) <= target.spent(1e-5), name
+        if type(ledger) is ApproxDp:
+            assert ledger.delta <= target.delta, name
+        checked += 1
+    assert checked >= 20
+    for name, (header, *rows) in golden["sweeps"].items():
+        for row in rows:
+            cells = dict(zip(header, row))
+            if cells["notion"] != "NA":
+                assert float(cells["ledger_spent"]) <= float(cells["target"]), (name, row)
 
 
 def main() -> int:

@@ -452,7 +452,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("bad", [
         {"epsilons": (1.0, -0.5)}, {"epsilons": (math.inf,)}, {"epsilons": (math.nan,)},
         {"rhos": (-0.1,)}, {"rhos": (0.2, math.inf)},
-        {"lambda_reg": -1e-3}, {"weight_box": 0.0}, {"weight_box": -1.0}])
+        {"lambda_reg": -1e-3}, {"weight_box": 0.0}, {"weight_box": -1.0},
+        # finite too, or the sweep stops at its first run for want of a bound B
+        {"lambda_reg": math.inf}, {"weight_box": math.inf},
+        # a repeated level or seed would report one run as several
+        {"epsilons": (1.0, 1.0)}, {"rhos": (0.5, 0.5)}])
     def test_bad_level_or_loss_setting_rejected_before_the_dataset_is_built(
             self, bad, monkeypatch):
         built = []
@@ -463,7 +467,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("bad", [{"budget_split": 0.0}, {"budget_split": 1.0},
                                      {"budget_split": math.nan}, {"seeds": (0, -1)},
-                                     {"rng_stream": -1}])
+                                     {"rng_stream": -1}, {"seeds": (0, 0)}])
     def test_bad_split_seed_or_stream_rejected_before_the_dataset_is_built(
             self, bad, monkeypatch):
         built = []
@@ -640,6 +644,23 @@ class TestCli:
         for key in ("variants", "epsilons", "seeds", "rhos"):
             if isinstance(cfg, dict) and isinstance(cfg.get(key), str):
                 assert err.startswith(f"error: {key} must be a list")
+
+    @pytest.mark.parametrize("key,value", [
+        ("seeds", [True]), ("synth_n", True), ("batch_size", False), ("epsilons", ["1.0"]),
+        ("delta", "1e-5"), ("lambda_reg", "0.1"), ("budget_split", "0.5"), ("loss", []),
+        ("variants", [["opt"]]), ("weight_box", 1e400), ("seeds", [0, 0]),
+        ("constants", {"c_f": True}), ("constants", {"c_f": "0.1"})])
+    def test_wrong_type_or_value_names_its_key(self, key, value, tmp_path, monkeypatch,
+                                               capsys):
+        built = []
+        monkeypatch.setattr(experiment, "synth_dataset", lambda *a, **k: built.append(a))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": "logistic_separable", key: value}))
+        rc = cli_main(["--config", str(cfg_path), "--preset", "covertype_loose"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert built == []
 
     def test_missing_dataset_file_is_error(self):
         rc = cli_main(["--dataset", "/nonexistent.csv", "--preset", "covertype_loose",

@@ -12,7 +12,7 @@ from dpopt import objective
 from dpopt.optimizer import runs
 from dpopt.spectral import EigenResult
 from dpopt.accountant import (SIGMA_MIN, ApproxDp, NoisePlan, RdpCurve, Release, ZCdp,
-                              account_run, combined_sigma, rdp_to_approx_dp, run_log, tally)
+                              account_run, combined_sigma, run_log, tally)
 from dpopt.mechanisms import SeededRng, WignerOperator
 from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
@@ -212,18 +212,19 @@ class TestLedger:
                                          out_ls.iterations), ZCdp)
         assert out_ls.accounted_privacy.rho == recomputed.rho
 
-    def test_short_step_budget_plans_at_the_batch_fraction(self):
-        # a zCDP budget's mini-batch run is charged on the RDP curve at its
-        # own s = m/n = 0.25, not at s = 1 (epsilon 12.03 at delta = 1e-5)
-        assert ShortStepBudget(0.5).plan(10, 0.25).subsample_fraction == 0.25
-        ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
-        model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, 4)
-        out = run_minibatch(model, ds, np.zeros(4), AlgorithmConstants(eps_g=0.06, eps_h=0.245),
-                            ShortStepBudget(0.5), BatchSelector(500), SeededRng(4))
-        assert out.status == "converged_2s" and type(out.accounted_privacy) is RdpCurve
-        assert out.plan.subsample_fraction == 0.25
-        spent = rdp_to_approx_dp(out.accounted_privacy, 1e-5)[0].epsilon
-        assert spent == pytest.approx(5.3023, abs=1e-4)
+    @pytest.mark.parametrize("name", ["opt_b", "2opt_b"])
+    def test_short_step_budget_on_a_batch_refused_before_any_pass(self, name, monkeypatch):
+        # zCDP has no amplification by subsampling: a zCDP budget at m < n is
+        # refused, not charged in another notion than the one it claims
+        calls = []
+        for evaluator in ("erm_value", "erm_gradient", "erm_hessian", "erm_hvp"):
+            monkeypatch.setattr(runs, evaluator,
+                                lambda *a, _name=evaluator, **kw: calls.append(_name))
+        ds, model = _logistic_instance()
+        with pytest.raises(ValueError, match="ShortStepBudget accounts in zcdp"):
+            run_variant(name, model, ds, np.zeros(4), LOGISTIC, ShortStepBudget(0.5),
+                        SeededRng(4), selector=BatchSelector(500))
+        assert calls == []
 
     def test_plan_must_keep_the_budgets_sigma_f(self):
         # the initial loss is noised at the budget's sigma_f before the plan
@@ -236,13 +237,6 @@ class TestLedger:
         with pytest.raises(ValueError, match="sigma_f"):
             run_short_step(model, ds, np.array([2.0, 0.0]), TOLS, Drifting(0.5),
                            SeededRng(0))
-
-    def test_line_search_accounts_in_zcdp_only(self):
-        # only the zCDP ledger charges the sparse-vector sweeps
-        ds, model = identical_sample_quartic()
-        with pytest.raises(ValueError, match="line-search runs account in zcdp"):
-            run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS,
-                        LineSearchBudget(0.5), SeededRng(0), accounting="rdp")
 
     def test_iteration_cap_and_hessian_placement(self):
         ds, model = identical_sample_quartic()
@@ -281,13 +275,17 @@ def _two_steps(t_full):
     return 2
 
 
+# a target with a plan on a batch of RDP_BATCH of the 2000 rows
+LOOSE_RDP = RdpTuneBudget(4.0, 1e-5)
+RDP_BATCH = 100
+
+
 DRAWING_RUNS = {
     "opt": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 0),
     "opt_lanczos": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 2,
                                          lanczos=True),
     "opt_ls": lambda: _logistic_run(run_line_search, LineSearchBudget(0.5), 1),
-    "opt_b_rdp": lambda: _logistic_run(run_minibatch, ShortStepBudget(0.5), 4,
-                                       BatchSelector(500)),
+    "opt_b_rdp": lambda: _logistic_run(run_minibatch, LOOSE_RDP, 4, BatchSelector(RDP_BATCH)),
     "opt_b_noise_plan": lambda: _logistic_run(
         run_minibatch, NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5, BatchSelector(500)),
     "opt_b_approx_dp": lambda: _logistic_run(run_minibatch, SubsampledDpBudget(0.8, 1e-5),
@@ -297,8 +295,8 @@ DRAWING_RUNS = {
     "2opt_ls": lambda: _logistic_run(run_two_phase, LineSearchBudget(0.5), 3,
                                      variant="line_search", phase1_t_policy=_two_steps,
                                      lanczos=True),
-    "2opt_b": lambda: _logistic_run(run_two_phase, ShortStepBudget(0.5), 6,
-                                    variant="minibatch", selector=BatchSelector(500),
+    "2opt_b": lambda: _logistic_run(run_two_phase, RdpTuneBudget(8.0, 1e-5), 10,
+                                    variant="minibatch", selector=BatchSelector(RDP_BATCH),
                                     phase1_t_policy=_two_steps),
     "2opt_b_approx_dp": lambda: _logistic_run(
         run_two_phase, SubsampledDpBudget(0.8, 1e-5), 5, variant="minibatch",
@@ -311,7 +309,8 @@ def _drawing_setting(name):
     """(dataset, model, constants, batch size or None) of a DRAWING_RUNS case."""
     if name == "weight_box_abort":
         return (*planted_instance(), WEIGHT_BOX, None)
-    return (*_logistic_instance(), LOGISTIC, 500 if "_b" in name else None)
+    batch = RDP_BATCH if name in ("opt_b_rdp", "2opt_b") else 500
+    return (*_logistic_instance(), LOGISTIC, batch if "_b" in name else None)
 
 
 class TestNoiseScales:
@@ -732,8 +731,8 @@ class TestMarginReuse:
             out = run_line_search(model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng)
             assert sum(r.probes for r in out.trace) > 0
         elif run == "minibatch":
-            out = run_minibatch(model, ds, w0, self.CONSTS, ShortStepBudget(0.5),
-                                BatchSelector(500), rng)
+            out = run_minibatch(model, ds, w0, self.CONSTS, LOOSE_RDP, BatchSelector(RDP_BATCH),
+                                rng)
         elif run == "lanczos":
             out = run_short_step(model, ds, w0, self.CONSTS, ShortStepBudget(0.5), rng,
                                  lanczos=True)
@@ -918,8 +917,11 @@ class TestAccountingCheckedFirst:
         assert type(err.value) is ValueError
         assert calls == []
 
-    def test_unknown_accounting_raised_before_any_tune(self, monkeypatch):
-        self._rejected(monkeypatch, "unknown accounting", accounting="pure")
+    @pytest.mark.parametrize("accounting", ["pure", "zcdp", "approx_dp"])
+    def test_accounting_other_than_the_budgets_raised_before_any_tune(self, accounting,
+                                                                      monkeypatch):
+        self._rejected(monkeypatch, f"the budget accounts in rdp, not '{accounting}'",
+                       accounting=accounting)
 
     def test_unknown_noise_mode_raised_before_any_tune(self, monkeypatch):
         self._rejected(monkeypatch, "unknown noise mode", noise_mode="bogus")
@@ -939,5 +941,5 @@ class TestAccountingCheckedFirst:
         plan = NoisePlan(1.0, sigma_g, sigma_h, subsample_fraction=0.1)
         with pytest.raises(ValueError, match=r"accountant\.SIGMA_MIN"):
             run_variant("opt_b", model, ds, np.zeros(4), TOLS, plan, SeededRng(0),
-                        selector=BatchSelector(200), accounting="rdp")
+                        selector=BatchSelector(200))
         assert calls == []
