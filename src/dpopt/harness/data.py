@@ -24,25 +24,27 @@ Synthetic instances (deterministic per seed):
     sqrt(a^2 + b^2).  Paired with the double-well margin loss, the full risk
     has zero gradient at the origin and Hessian -(1/n) X^T X there, i.e. a
     strict saddle with lambda_min <= -a^2 (1 - o(1)).
-  * logistic_separable: unit-norm rows labeled by a fixed unit vector with a
-    minimum margin, so logistic-family losses are driven to small gradients.
+  * logistic_separable: rows x uniform on the unit sphere conditioned on
+    |t| >= margin, t = <x, w*> with w* = ones(d) / sqrt(d), labelled sign(t),
+    so logistic-family losses are driven to small gradients.  Each row is
+    drawn exactly, with no rejection: 1 - t^2 ~ Beta((d - 1) / 2, 1/2), so
+    its quantile (betaincinv) of a uniform on [0, P(|t| >= margin)) is
+    1 - t^2 conditioned; x = t w* + sqrt(1 - t^2) v, with v, independent of
+    t, d normals whose w* component is removed, normalized.
 
 Set-up holds one copy of X.  Every loader takes the feature-norm bound R
 with objective.max_row_norm, span by span.  The CSV loader drops the label
 column inside np.loadtxt's own array, so X is a view of its first n * d
 values (the last n stay allocated behind it).
 
-Both synthetic kinds read one row-major stream of normals: planted_saddle
-takes its first n rows, with signs from the global row index, and
-logistic_separable keeps the first n rows that pass the margin test,
-labelled by the sign of the projection the test took.  A margin that keeps
-a row with probability below MIN_KEEP_PROB is refused.  Block k of the
-stream starts k * rows * d draws in, where PCG64 jumps straight to, so one
-worker thread per core (synth_workers) fills blocks -- normals, row norms,
-margin test -- into a ring of BLOCKS_IN_FLIGHT buffers, while the calling
-thread copies the kept rows into X in block order.  The rows do not depend
-on the block size, the worker count or the scheduling, the ring bounds the
-memory above X, and no thread outlives the call.
+Row i of either kind reads draws [i d, (i + 1) d) of the seed's stream 0
+as normals; planted_saddle's sign comes from i, and logistic_separable's
+label and t from draw i of stream 1.  A block of rows starts that far into
+each stream, where PCG64 jumps straight to, so one worker thread per core
+(synth_workers) writes blocks straight into X and y, each with the scratch
+of one slot of a ring of BLOCKS_IN_FLIGHT.  The rows do not depend on the
+block size, the worker count or the scheduling, the ring bounds the memory
+above X, and no thread outlives the call.
 """
 
 from __future__ import annotations
@@ -55,11 +57,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from ..mechanisms import SeededRng
-from ..objective import (SPAN_ROW_ALIGN, Dataset, max_row_norm, row_spans, span_rows,
-                         usable_cores)
+from ..objective import Dataset, max_row_norm, row_spans, span_rows, usable_cores
 
 _COVERTYPE_NUMERIC_COLS = 10
 
@@ -67,14 +68,10 @@ _COVERTYPE_NUMERIC_COLS = 10
 LOADER_CHOICES = {"dataset_format": ("csv", "libsvm"),
                   "preprocessing": ("none", "covertype", "ijcnn")}
 
-# Blocks of the normal stream synth_dataset draws ahead of the rows it has
-# copied into X.  Their ring of buffers bounds set-up's memory above X at
-# about this many objective.SPAN_BYTES, whatever the core count.
+# Blocks of rows synth_dataset draws at once.  Their ring of scratch (a
+# slot: a chunk of _NORM_CHUNK_BYTES and three vectors of a block's rows)
+# bounds set-up's memory above X, whatever the core count.
 BLOCKS_IN_FLIGHT = 4
-
-# logistic_separable refuses a margin that keeps a row with a smaller
-# probability: the build would draw n / p rows, or never end.
-MIN_KEEP_PROB = 1e-3
 
 # rows squared at a time when a block takes its row norms
 _NORM_CHUNK_BYTES = 1 << 17
@@ -231,72 +228,60 @@ def synth_workers(blocks: int = BLOCKS_IN_FLIGHT) -> int:
 
 
 class _Block:
-    """One slot of the ring: a block of rows of the normal stream, their
-    labels and which of them are kept, with the scratch to fill them, so
-    that workers make no temporaries that their malloc arenas would keep.
-    The slot is an anonymous mapping of its own, whose pages go back to the
-    system when the call ends; a ring from malloc stayed in the heap, 0.4
-    to 0.9 MB more RSS after three covertype-scale set-ups."""
+    """Scratch for one block in flight, a chunk of squared rows and three
+    per-row vectors, so that workers make no temporaries that their malloc
+    arenas would keep; the rows go straight into X.  The slot is an
+    anonymous mapping, whose pages go back to the system when the call
+    ends; a ring from malloc stayed in the heap, 0.4 to 0.9 MB more RSS
+    after three covertype-scale set-ups."""
 
     def __init__(self, rows: int, d: int):
         chunk = max(1, min(rows, _NORM_CHUNK_BYTES // (8 * d)))
-        floats = rows * d + chunk * d + 2 * rows
-        self.mapping = mmap.mmap(-1, 8 * floats + rows)
+        floats = chunk * d + 3 * rows
+        self.mapping = mmap.mmap(-1, 8 * floats)
         f = np.frombuffer(self.mapping, dtype=float, count=floats)
-        self.rows = f[:rows * d].reshape(rows, d)
-        self.squares = f[rows * d:(rows + chunk) * d].reshape(chunk, d)
-        self.labels, self.norms = f[(rows + chunk) * d:].reshape(2, rows)
-        self.keep = np.frombuffer(self.mapping, dtype=bool, offset=8 * floats)
+        self.squares = f[:chunk * d].reshape(chunk, d)
+        self.norms, self.scale, self.shift = f[chunk * d:].reshape(3, rows)
 
-    def normalize(self, floor: float | None = None) -> None:
-        """Scale every row to unit norm.  The norms are np.linalg.norm's,
+    def row_norms(self, rows: np.ndarray, floor: float) -> np.ndarray:
+        """Each row's norm, floored, into self.norms: np.linalg.norm's,
         sqrt(add.reduce(x * x, axis=1)), taken a chunk of rows at a time."""
         step = self.squares.shape[0]
-        for lo in range(0, self.rows.shape[0], step):
-            chunk = self.rows[lo:lo + step]
+        norms = self.norms[:rows.shape[0]]
+        for lo in range(0, rows.shape[0], step):
+            chunk = rows[lo:lo + step]
             sq = self.squares[:chunk.shape[0]]
             np.multiply(chunk, chunk, out=sq)
-            np.add.reduce(sq, axis=1, out=self.norms[lo:lo + step])
-        np.sqrt(self.norms, out=self.norms)
-        if floor is not None:
-            np.maximum(self.norms, floor, out=self.norms)
-        np.divide(self.rows, self.norms[:, None], out=self.rows)
+            np.add.reduce(sq, axis=1, out=norms[lo:lo + step])
+        np.sqrt(norms, out=norms)
+        return np.maximum(norms, floor, out=norms)
 
 
-def _kept_rows(n: int, d: int, seed: int, keep_prob: float,
-               fill) -> tuple[np.ndarray, np.ndarray]:
-    """X and y from the first n kept rows of seed's row-major normal stream.
-
-    Block k holds the stream's rows [k * rows, (k + 1) * rows), k * rows * d
-    draws in.  fill(rng, block, lo) draws it from rng, already advanced
-    there, and marks its kept rows and their labels; lo is its first row.
-    """
-    rows = min(span_rows(d), max(SPAN_ROW_ALIGN, math.ceil(n / keep_prob)))
-    expected = math.ceil(n / (rows * keep_prob))
-    ring = [_Block(rows, d) for _ in range(min(BLOCKS_IN_FLIGHT, expected))]
-    source = SeededRng(seed)
-
-    def draw(k: int) -> tuple[_Block, Future]:
-        # the generator is made on this thread: 400 of them made on a worker
-        # grew its malloc arena by 0.5 MB
-        block = ring[k % len(ring)]
-        return block, pool.submit(fill, source.advanced(k * rows * d), block, k * rows)
-
+def _drawn_rows(n: int, d: int, seed: int, fill) -> tuple[np.ndarray, np.ndarray]:
+    """X and y, block by block: fill(normals, uniforms, X[lo:hi], y[lo:hi],
+    block, lo) writes rows [lo, hi) from seed's streams 0 and 1, advanced to
+    their draws lo * d and lo, with block, a slot's scratch."""
+    rows = min(span_rows(d), n)
+    blocks = math.ceil(n / rows)
+    ring = [_Block(rows, d) for _ in range(min(BLOCKS_IN_FLIGHT, blocks))]
+    normals, uniforms = SeededRng(seed), SeededRng(seed, 1)
     X, y = np.empty((n, d)), np.empty(n)
+
+    def draw(k: int) -> Future:
+        # the generators are made on this thread: 400 of them made on a
+        # worker grew its malloc arena by 0.5 MB
+        lo, hi = k * rows, min(n, (k + 1) * rows)
+        return pool.submit(fill, normals.advanced(lo * d), uniforms.advanced(lo),
+                           X[lo:hi], y[lo:hi], ring[k % len(ring)], lo)
+
     pool = ThreadPoolExecutor(synth_workers(len(ring)))
     try:
         pending = deque(draw(k) for k in range(len(ring)))
-        k, filled = len(ring), 0
-        while filled < n:
-            block, done = pending.popleft()
+        for k in range(len(ring), blocks):
+            pending.popleft().result()
+            pending.append(draw(k))  # into the slot just emptied
+        for done in pending:
             done.result()
-            kept = np.flatnonzero(block.keep)[:n - filled]
-            block.rows.take(kept, axis=0, out=X[filled:filled + kept.size], mode="clip")
-            block.labels.take(kept, out=y[filled:filled + kept.size], mode="clip")
-            filled += kept.size
-            if filled < n:
-                pending.append(draw(k))  # into the slot just emptied
-                k += 1
     finally:
         pool.shutdown(cancel_futures=True)  # and wait for the running blocks
     return X, y
@@ -312,40 +297,53 @@ def synth_dataset(kind: str, n: int, d: int, seed: int, *,
         if d < 2:
             raise ValueError("planted_saddle needs d >= 2")
 
-        def saddle_rows(rng, block, lo):
-            Z = rng.standard_normal_into(block.rows)
-            signs = block.labels  # scratch until the labels are written
+        def saddle_rows(normals, uniforms, Z, labels, block, lo):
+            normals.standard_normal_into(Z)
             Z[:, 0] = 0.0
-            block.normalize(floor=1e-300)
+            np.divide(Z, block.row_norms(Z, 1e-300)[:, None], out=Z)
             np.multiply(saddle_noise, Z, out=Z)
-            signs[lo % 2::2] = 1.0  # +1 on even global rows, -1 on odd ones
-            signs[1 - lo % 2::2] = -1.0
-            np.multiply(saddle_signal, signs, out=signs)
-            Z[:, 0] += signs
-            block.labels.fill(1.0)
-            block.keep.fill(True)
+            # labels holds a s_i until it is written: s_i = +1 on even
+            # global rows, -1 on odd ones
+            labels[lo % 2::2], labels[1 - lo % 2::2] = saddle_signal, -saddle_signal
+            Z[:, 0] += labels
+            labels.fill(1.0)
 
-        X, y = _kept_rows(n, d, seed, 1.0, saddle_rows)
+        X, y = _drawn_rows(n, d, seed, saddle_rows)
         return Dataset(X, y, math.sqrt(saddle_signal ** 2 + saddle_noise ** 2))
     if kind == "logistic_separable":
         if not (0.0 < margin < 1.0):
             raise ValueError("margin must lie in (0, 1)")
-        # P(|<x, w*>| >= margin) for x uniform on the unit sphere of R^d
-        keep_prob = float(betainc((d - 1) / 2, 0.5, 1.0 - margin ** 2))
-        if keep_prob < MIN_KEEP_PROB:
-            raise ValueError(
-                f"margin {margin} at d = {d} keeps a row with probability {keep_prob:.2g}, "
-                f"below {MIN_KEEP_PROB:g}: the build would draw about n / {keep_prob:.2g} rows")
-        w_star = np.ones(d) / math.sqrt(d)
+        a = (d - 1) / 2
+        # 1 - t^2 ~ Beta((d - 1) / 2, 1/2); |t| >= margin is its lower tail
+        # of mass tail, which stays representable where the upper one rounds
+        # to 0 (margin 0.5 at d = 600 keeps 2.5e-39 of the sphere)
+        tail = float(betainc(a, 0.5, 1.0 - margin ** 2))
 
-        def separable_rows(rng, block, lo):
-            rng.standard_normal_into(block.rows)
-            block.normalize()
-            proj = np.matmul(block.rows, w_star, out=block.labels)
-            np.greater_equal(np.abs(proj, out=block.norms), margin, out=block.keep)
-            # a kept row has |proj| >= margin > 0, so its sign is its label
-            np.sign(proj, out=block.labels)
+        def separable_rows(normals, uniforms, V, labels, block, lo):
+            s, shift = block.scale[:len(V)], block.shift[:len(V)]
+            # one uniform per row: its half is the label, its place in the
+            # half the quantile of 1 - t^2 within the tail
+            np.modf(np.multiply(uniforms.generator.random(out=shift), 2.0, out=shift),
+                    shift, labels)
+            np.subtract(np.multiply(labels, 2.0, out=labels), 1.0, out=labels)
+            if d > 1:
+                betaincinv(a, 0.5, np.multiply(shift, tail, out=s), out=s)
+                np.minimum(s, 1.0 - margin ** 2, out=s)
+            else:
+                s.fill(0.0)  # t^2 = 1: the sphere of R^1 is {-1, +1}
+            np.sqrt(np.subtract(1.0, s, out=shift), out=shift)
+            np.multiply(shift, labels, out=shift)
+            np.multiply(shift, 1.0 / math.sqrt(d), out=shift)  # t w*_j
+            np.sqrt(s, out=s)
+            # v: normals with their mean, the w* component, removed twice, so
+            # that rounding leaves no part of it even where they cancel (d = 2)
+            normals.standard_normal_into(V)
+            for _ in range(2):
+                np.subtract(V, np.mean(V, axis=1, out=block.norms[:len(V)])[:, None], out=V)
+            np.divide(s, block.row_norms(V, 1e-300), out=s)
+            np.multiply(V, s[:, None], out=V)
+            np.add(V, shift[:, None], out=V)
 
-        X, y = _kept_rows(n, d, seed, keep_prob, separable_rows)
+        X, y = _drawn_rows(n, d, seed, separable_rows)
         return Dataset(X, y, 1.0)
     raise ValueError(f"unknown synthetic kind {kind!r}")

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import betainc, betaincinv
 
 from dpopt.harness import (ExperimentConfig, TOLERANCE_PRESETS, emit_report,
                            load_dataset, read_report_csv,
@@ -177,35 +178,76 @@ class TestPreprocessing:
 
 
 def one_batch_synth(kind, n, d, seed, margin):
-    """Reference: synth_dataset as it was before it built X span by span,
-    drawing whole batches of rows at once."""
-    rng = SeededRng(seed)
+    """Reference: synth_dataset's rows drawn over the whole array at once,
+    with no blocks and no threads."""
+    G = SeededRng(seed).standard_normal((n, d))
     if kind == "planted_saddle":
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        Z = rng.standard_normal((n, d))
-        Z[:, 0] = 0.0
-        Z /= np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-300)
-        X = 0.5 * Z
+        G[:, 0] = 0.0
+        G /= np.maximum(np.linalg.norm(G, axis=1, keepdims=True), 1e-300)
+        X = 0.5 * G
         X[:, 0] += 2.0 * signs
         return X, np.ones(n)
+    # row i: label and 1 - t^2 from uniform i of stream 1, v from normals
+    # [i d, (i + 1) d) of stream 0 with their w* component removed twice
+    u = 2.0 * SeededRng(seed, 1).uniform(n)
+    y = np.floor(u)
+    u -= y
+    y = 2.0 * y - 1.0
+    a = (d - 1) / 2
+    s2 = (np.zeros(n) if d == 1 else
+          np.minimum(betaincinv(a, 0.5, u * betainc(a, 0.5, 1.0 - margin ** 2)),
+                     1.0 - margin ** 2))
+    t = np.sqrt(1.0 - s2) * y
+    for _ in range(2):
+        G -= G.mean(axis=1, keepdims=True)
+    scale = np.sqrt(s2) / np.maximum(np.linalg.norm(G, axis=1), 1e-300)
+    return G * scale[:, None] + (t * (1.0 / math.sqrt(d)))[:, None], y
+
+
+def ks_within_one_percent(sample, cdf) -> bool:
+    """Whether the Kolmogorov-Smirnov statistic D of the sample against the
+    continuous CDF passes at the 1 % level: sqrt(n) D < 1.628, the
+    asymptotic critical value, close for n in the thousands."""
+    n = len(sample)
+    F = cdf(np.sort(sample))
+    i = np.arange(1, n + 1)
+    return math.sqrt(n) * max(np.max(i / n - F), np.max(F - (i - 1) / n)) < 1.628
+
+
+def check_separable_distribution(ds, margin):
+    """x uniform on the unit sphere conditioned on |<x, w*>| >= margin: t^2 =
+    <x, w*>^2 is Beta(1/2, (d - 1) / 2) truncated to [margin^2, 1], the label
+    is sign(t), balanced, and v, the direction of x - t w*, is uniform on
+    the sphere of w*-perp, independent of t."""
+    X, (n, d) = ds.features, ds.features.shape
     w_star = np.ones(d) / math.sqrt(d)
-    X = np.empty((n, d))
-    filled = 0
-    while filled < n:
-        batch = rng.standard_normal((max(n - filled, 64), d))
-        batch /= np.linalg.norm(batch, axis=1, keepdims=True)
-        take = batch[np.abs(batch @ w_star) >= margin][: n - filled]
-        X[filled:filled + take.shape[0]] = take
-        filled += take.shape[0]
-    return X, np.sign(X @ w_star)
+    t = X @ w_star
+    assert np.all(np.abs(t) >= margin - 1e-12)
+    assert np.array_equal(ds.labels, np.sign(t))
+    assert abs(np.sum(ds.labels)) < 2.576 * math.sqrt(n)  # binomial, at the 1 % level
+    # t^2's CDF through the lower tail of 1 - t^2 ~ Beta((d - 1) / 2, 1/2)
+    a = (d - 1) / 2
+    tail = betainc(a, 0.5, 1.0 - margin ** 2)
+    assert ks_within_one_percent(t ** 2, lambda x: 1.0 - betainc(a, 0.5, 1.0 - x) / tail)
+    if d > 2:
+        V = X - t[:, None] * w_star
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        # e_1's part in w*-perp has norm sqrt(1 - 1/d); along it, the square
+        # of a coordinate of the (d - 2)-sphere is Beta(1/2, (d - 2) / 2)
+        z = V[:, 0] / math.sqrt(1.0 - 1.0 / d)
+        assert ks_within_one_percent(
+            z, lambda z: 0.5 + 0.5 * np.sign(z) * betainc(0.5, (d - 2) / 2, z * z))
+        # and v does not lean with t
+        assert abs(np.corrcoef(np.abs(t), z)[0, 1]) < 4 / math.sqrt(n)
 
 
 class TestSynthetic:
     @pytest.mark.parametrize("d,margin", [(3, 0.15), (54, 0.15), (600, 0.01)])
     @pytest.mark.parametrize("kind", ["logistic_separable", "planted_saddle"])
     def test_spanwise_build_matches_one_batch(self, kind, d, margin):
-        # the rows are the first n accepted rows of the row-major normal
-        # stream, whatever size the blocks drawn from it have
+        # row i reads the same draws of the streams whatever size the
+        # blocks drawn from them have
         for n in (1, 6, 63, 2000, 10_007):
             for seed in (0, 1, 330):
                 ds = synth_dataset(kind, n, d, seed, margin=margin)
@@ -296,29 +338,38 @@ class TestSynthetic:
             synth_dataset(kind, 20_000, 54, seed=4)
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("d,margin,prob", [(600, 0.15, "0.00022"), (600, 0.5, "2.5e-39")])
-    def test_hopeless_margin_rejected_before_any_draw(self, d, margin, prob, monkeypatch):
-        def no_draw(rng, out):
-            raise AssertionError("drew normals for a hopeless margin")
-
-        monkeypatch.setattr(SeededRng, "standard_normal_into", no_draw)
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"probability {prob}"):
-            synth_dataset("logistic_separable", 20_000, d, seed=0, margin=margin)
-        assert time.perf_counter() - start < 1.0
-
     def test_planted_saddle_has_negative_curvature_at_origin(self):
         ds = synth_dataset("planted_saddle", 100, 2, seed=1)
         model = builtin_quartic_saddle(ds.feature_norm_bound, 2)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, np.zeros(2)))[0]
         assert lam_min < 0.0
 
-    def test_logistic_separable_margin_and_norms(self):
-        ds = synth_dataset("logistic_separable", 500, 6, seed=2, margin=0.2)
-        w_star = np.ones(6) / math.sqrt(6)
-        assert np.all(np.abs(ds.features @ w_star) >= 0.2 - 1e-12)
-        assert np.allclose(np.linalg.norm(ds.features, axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(ds.labels, np.sign(ds.features @ w_star))
+    @pytest.mark.parametrize("d,n", [(1, 1000), (2, 200_000), (3, 200_000), (54, 20_000),
+                                     (600, 5_000)])
+    def test_logistic_separable_margin_and_norms(self, d, n):
+        # v's w* component is removed twice: once, at d = 2, rounding left
+        # up to 1e-10 of w* in v where its two normals nearly cancel, and
+        # rows above Dataset's 1e-12 slack on R = 1
+        ds = synth_dataset("logistic_separable", n, d, seed=2, margin=0.2)
+        proj = ds.features @ (np.ones(d) / math.sqrt(d))
+        assert np.all(np.abs(proj) >= 0.2 - 1e-12)
+        assert np.max(np.abs(np.linalg.norm(ds.features, axis=1) - 1.0)) <= 1e-15
+        assert np.array_equal(ds.labels, np.sign(proj))
+
+    @pytest.mark.parametrize("d,margin,n", [(2, 0.15, 20_000), (54, 0.15, 20_000),
+                                            (600, 0.01, 5_000)])
+    def test_logistic_separable_distribution(self, d, margin, n):
+        check_separable_distribution(synth_dataset("logistic_separable", n, d, seed=12,
+                                                   margin=margin), margin)
+
+    def test_margin_of_a_tiny_cap_builds_at_once(self):
+        # margin 0.5 at d = 600 keeps 2.5e-39 of the sphere: a rejection
+        # sampler would never end, and the upper tail of t^2's CDF would
+        # round that mass to 0
+        start = time.perf_counter()
+        ds = synth_dataset("logistic_separable", 20_000, 600, seed=0, margin=0.5)
+        assert time.perf_counter() - start < 1.0
+        check_separable_distribution(ds, 0.5)
 
     def test_separable_instance_is_solvable_without_noise(self):
         ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
@@ -678,10 +729,11 @@ class TestCli:
         assert rc == 2
         assert "label column 3 is outside rows of 3 fields" in capsys.readouterr().err
 
-    def test_hopeless_synth_margin_is_error(self, capsys):
-        args = [a if a != "4" else "600" for a in self.ARGS]  # --synth-d 600, margin 0.15
+    def test_synth_build_error_is_error(self, capsys):
+        args = [{"4": "1", "synth:logistic_separable": "synth:planted_saddle"}.get(a, a)
+                for a in self.ARGS]  # --synth-d 1
         assert cli_main(args) == 2
-        assert "probability 0.00022" in capsys.readouterr().err
+        assert "planted_saddle needs d >= 2" in capsys.readouterr().err
 
     def test_presets_match_published_settings(self):
         assert TOLERANCE_PRESETS["covertype_loose"] == (0.060, 0.245)

@@ -91,3 +91,25 @@ def test_privacy_mutants_each_match_once_in_src(monkeypatch):
     for name, (original, replacement, _) in mutants.MUTANTS.items():
         assert len(mutants.occurrences(original)) == 1, name
         assert replacement != original, name
+
+
+def test_golden_diff_counts_the_floats_that_moved(tmp_path, monkeypatch, capsys):
+    import json
+
+    golden_diff = load_script("golden_diff", monkeypatch)
+    golden = Path(__file__).resolve().parent / "data" / "golden_runs.json"
+    assert golden_diff.main([str(golden), str(golden)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("0 of ")
+
+    data = json.loads(golden.read_text())
+    old = data["runs"]["opt_zcdp"]["w_final"][1]
+    data["runs"]["opt_zcdp"]["w_final"][1] = float.hex(float.fromhex(old) * (1 + 2 ** -40))
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    assert golden_diff.main([str(golden), str(edited)]) == 1
+    moved = golden_diff.diff(json.loads(golden.read_text()), data)
+    assert list(moved) == ["runs/opt_zcdp"]
+    assert moved["runs/opt_zcdp"].floats == 1 and moved["runs/opt_zcdp"].others == 0
+    assert moved["runs/opt_zcdp"].fields == {"w_final[]"}
+    assert moved["runs/opt_zcdp"].max_rel == pytest.approx(2 ** -40, rel=1e-3)
+    assert "| runs/opt_zcdp | 1 | 9.1e-13 | 0 | w_final[] |" in capsys.readouterr().out
