@@ -2,8 +2,8 @@
 
 Each mutant below is an exact text substitution in src/ whose original text
 occurs exactly once there (tests/test_scripts.py checks that, so the list
-cannot go stale).  The script copies src/, tests/, scripts/ and
-pyproject.toml to a temporary directory, checks that the unmutated copy
+cannot go stale).  The script copies src/, tests/, scripts/, pyproject.toml
+and README.md to a temporary directory, checks that the unmutated copy
 passes, then applies one mutant at a time and runs tier-1 on it with
 tests/test_golden.py ignored, since a change that regenerates the goldens
 would pin a slip rather than catch it, and with the known-red acceptance
@@ -105,7 +105,8 @@ def main() -> int:
         for name in ("src", "tests", "scripts"):
             shutil.copytree(ROOT / name, copy / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):  # tier-1 runs README's examples
+            shutil.copy(ROOT / name, copy)
         if not tier1_passes(copy):
             print("the unmutated copy fails tier-1; no mutant can be judged")
             return len(MUTANTS)

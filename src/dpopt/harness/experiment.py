@@ -193,8 +193,9 @@ class Cell:
 class AggregateReport:
     rows: tuple[RunRow, ...]
     cells: tuple[Cell, ...]
-    epsilons: tuple[float, ...]
+    epsilons: tuple[float, ...]   # the privacy levels, each an epsilon or a rho
     variants: tuple[str, ...]
+    level: str                    # what a level is: "eps", or "rho" in a rhos sweep
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
@@ -285,8 +286,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
                 loss_mean=float(np.mean(losses)), loss_std=std[0],
                 runtime_mean=float(np.mean(times)), runtime_std=std[1],
                 failed=any(r.status != "converged_2s" for r in group)))
-    return AggregateReport(tuple(rows), tuple(cells),
-                           tuple(lv[0] for lv in levels), tuple(config.variants))
+    return AggregateReport(tuple(rows), tuple(cells), tuple(lv[0] for lv in levels),
+                           tuple(config.variants), "eps" if config.rhos is None else "rho")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +321,7 @@ def render_markdown(report: AggregateReport) -> str:
     eps_list = report.epsilons
     header = ["method"]
     for eps in eps_list:
-        header += [f"loss (eps={eps:g})", f"runtime (eps={eps:g})"]
+        header += [f"loss ({report.level}={eps:g})", f"runtime ({report.level}={eps:g})"]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "---|" * len(header)]
     by_key = {(c.variant, c.epsilon): c for c in report.cells}

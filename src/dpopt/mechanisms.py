@@ -33,7 +33,7 @@ from scipy.special import ndtri
 
 # Tail constant A for symmetric sub-Gaussian random matrices,
 # P(||E|| > A sqrt(d) * scale) <= small.  The constant is not pinned down by
-# theory; 2.0 is an empirical calibration used by the sample-size advisors.
+# theory; 2.0 is an empirical calibration used by the sample-size advisor.
 DEFAULT_WIGNER_TAIL_CONSTANT = 2.0
 
 # smallest uniform fed to the quantile transforms; gen.random() can return

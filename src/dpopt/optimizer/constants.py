@@ -15,10 +15,10 @@ The curvature line search needs the roots 0 < t1 < t2 of
 which exist exactly when c_h < 1 - c - sqrt(8 c2 / 3); sufficient decrease
 holds for step sizes t |lambda| / M with t in [t1, t2].
 
-The sample-size advisors reproduce the published minimum-n expressions
+min_samples_advisor reproduces the published minimum-n expressions
 verbatim (they mix a concentration log factor into the Hessian branch and
-drop a factor 2 relative to the underlying tail bounds; they are advisory
-predicates, not enforcement).
+drop a factor 2 relative to the underlying tail bounds).  No run calls it:
+the expressions are published, and acceptance criterion 10 checks them.
 """
 
 from __future__ import annotations
@@ -176,37 +176,15 @@ def derive_constants(constants: AlgorithmConstants, model: LossModel,
     return DerivedConstants(t1, t2, md, T, gamma_bar_g)
 
 
-def _subsampling_branches(model: LossModel, constants: AlgorithmConstants, T: int,
-                          eta: float, d: int) -> tuple[float, float]:
-    """The gradient and Hessian subsampling-deviation branches of the
-    published sample sizes, at a batch fraction of 1: the batch size under
-    which the batch's deviation stays within half of each noise allowance."""
-    log_term = math.log(2.0 * d * T / eta)
-    grad_branch = (64.0 * model.B_g ** 2 * (log_term + 0.25)
-                   * max(constants.c1 ** -2 * constants.eps_g ** -2,
-                         (model.M ** 2 / constants.c2 ** 2) * constants.eps_h ** -4))
-    hess_branch = 32.0 * model.B_H ** 2 * log_term * constants.c ** -2 * constants.eps_h ** -2
-    return grad_branch, hess_branch
-
-
-def min_batch_size(model: LossModel, constants: AlgorithmConstants, T: int, eta: float,
-                   d: int) -> int:
-    """Smallest mini-batch size under which the subsampling deviation of the
-    gradient and Hessian stays within half of the bounded-noise allowances."""
-    if T < 1 or d < 1 or not (0.0 < eta < 1.0):
-        raise ValueError("need T >= 1, d >= 1, eta in (0, 1)")
-    return int(math.ceil(max(_subsampling_branches(model, constants, T, eta, d))))
-
-
 def min_samples_advisor(model: LossModel, constants: AlgorithmConstants,
-                        plan: NoisePlan, variant: str, d: int, T: int,
-                        wigner_c: float = DEFAULT_WIGNER_TAIL_CONSTANT) -> int:
+                        plan: NoisePlan, variant: str, d: int, T: int) -> int:
     """Published minimum sample size for the requested variant, verbatim.
 
     variant "short": the gradient- and Hessian-concentration branches.
     "line_search": adds the sparse-vector accuracy branch.
     "minibatch": doubles the concentration branches and adds the two
-    subsampling-deviation branches scaled by 1/s.
+    subsampling-deviation branches (the batch gradient and Hessian within
+    half of each noise allowance) scaled by 1/s.
     """
     if d < 1 or T < 1:
         raise ValueError("need d >= 1 and T >= 1")
@@ -214,7 +192,7 @@ def min_samples_advisor(model: LossModel, constants: AlgorithmConstants,
     log_tz = math.log(T / cst.zeta)
     noise_floor = min(cst.c1 * cst.eps_g, cst.c2 / model.M * cst.eps_h ** 2)
     grad_branch = math.sqrt(2.0 * d) * model.B_g * plan.sigma_g * log_tz / noise_floor
-    hess_branch = (wigner_c * math.sqrt(d) * model.B_H * plan.sigma_h * log_tz
+    hess_branch = (DEFAULT_WIGNER_TAIL_CONSTANT * math.sqrt(d) * model.B_H * plan.sigma_h * log_tz
                    / (cst.c * cst.eps_h))
     if variant == "short":
         return int(math.ceil(max(grad_branch, hess_branch)))
@@ -230,7 +208,11 @@ def min_samples_advisor(model: LossModel, constants: AlgorithmConstants,
         return int(math.ceil(max(grad_branch, hess_branch, svt_branch)))
     if variant == "minibatch":
         s = plan.subsample_fraction
-        sub_grad, sub_hess = _subsampling_branches(model, cst, T, cst.eta, d)
+        log_term = math.log(2.0 * d * T / cst.eta)
+        sub_grad = (64.0 * model.B_g ** 2 * (log_term + 0.25)
+                    * max(cst.c1 ** -2 * cst.eps_g ** -2,
+                          (model.M ** 2 / cst.c2 ** 2) * cst.eps_h ** -4))
+        sub_hess = 32.0 * model.B_H ** 2 * log_term * cst.c ** -2 * cst.eps_h ** -2
         return int(math.ceil(max(2.0 * grad_branch, 2.0 * hess_branch,
                                  sub_grad / s, sub_hess / s)))
     raise ValueError(f"unknown variant {variant!r}")

@@ -60,7 +60,7 @@ from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, LossModel, M
                          WeightBoxError, erm_gradient, erm_hessian, erm_hvp, erm_value,
                          sensitivities)
 from ..spectral import decide_curvature, lanczos_min_eig, min_eigenpair_dense, orient
-from .constants import AlgorithmConstants, derive_constants, min_batch_size
+from .constants import AlgorithmConstants, derive_constants
 from .svt import dp_line_search
 
 
@@ -364,7 +364,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     m = selector.batch_size(n)
     line_search = loop == "line_search"
     sens_batch = sensitivities(model, m, d)
-    warnings_acc: list[str] = []
+    warnings: tuple[str, ...] = ()
 
     w = np.asarray(w0, dtype=float).copy()
     if w.shape != (d,):
@@ -383,14 +383,6 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     t_est = derived.t_budget
     t_used = max(1, min(t_est, t_policy(t_est))) if t_policy is not None else t_est
     plan = budget.plan(t_used, m / n)
-
-    if m < n:
-        m_min = min_batch_size(model, constants, t_used, constants.eta, d)
-        if m < m_min:
-            warnings_acc.append(
-                f"advisory-violated: batch size {m} is below the advised "
-                f"minimum {m_min} for T = {t_used}")
-
     ledger = _Ledger(_releases(notion, budget, plan, t_used, line_search), plan, sens_batch,
                      rng, noise_factor)
 
@@ -466,13 +458,13 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
             loss_now = loss_after
     except (WeightBoxError, _NonFiniteRelease) as err:
         # abort, but hand back the last iterate whose loss was evaluated
-        warnings_acc.append(str(err))
+        warnings = (str(err),)
         status = "failed_termination"
         w = w_good
 
     return RunOutcome(status, w, tuple(trace), ledger.log, account_run(ledger.log, notion),
                       plan, t_used, z, erm_value(model, dataset, w, memo=memo),
-                      tuple(warnings_acc))
+                      warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +584,7 @@ def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmCo
 
     Sensitivities scale with the batch size.  The run accounts in its
     budget's notion, which accounting may only restate; a zCDP budget needs
-    a batch of all n rows.  A batch below the advised minimum size only
-    flags the outcome.
+    a batch of all n rows.
     """
     if accounting is not None and accounting != budget.accounting:
         raise ValueError(f"the budget accounts in {budget.accounting}, not {accounting!r}")

@@ -25,8 +25,8 @@ from dpopt.objective import (BatchSelector, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
                              sensitivities)
 from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
-                             ShortStepBudget, dp_line_search, min_batch_size,
-                             min_dec_line_search, min_dec_short, min_samples_advisor,
+                             ShortStepBudget, dp_line_search, min_dec_line_search,
+                             min_dec_short, min_samples_advisor,
                              roots_t1_t2, run_line_search, run_minibatch,
                              run_short_step, run_two_phase, svt_slack)
 from dpopt.spectral import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_dense
@@ -395,9 +395,13 @@ def test_criterion_10_advisory_formulas():
         mb = min_samples_advisor(model, consts, plan, "minibatch", p["d"], p["T"])
         lo_b, hi_b = ceil_band(max(2 * g_branch, 2 * h_branch, sub_g, sub_h))
         ok &= lo_b <= mb <= hi_b
-        batch = min_batch_size(model, consts, p["T"], p["eta"], p["d"])
+        # at s = 1 and a negligible plan only the subsampling branches bind
+        tiny = NoisePlan(1.0, 1e-9, 1e-9)
+        batch = min_samples_advisor(model, consts, tiny, "minibatch", p["d"], p["T"])
+        ok &= 2 * min_samples_advisor(model, consts, tiny, "short", p["d"], p["T"]) < batch
         lo_b, hi_b = ceil_band(max(sub_g * p["s"], sub_h * p["s"]))
         ok &= lo_b <= batch <= hi_b
-    report(10, ok, "advisor and batch-size formulas reproduce three hand-evaluated "
-                   "constant sets within one ulp before rounding")
+    report(10, ok, "advisor formulas, the mini-batch size's subsampling branches "
+                   "included, reproduce three hand-evaluated constant sets within one "
+                   "ulp before rounding")
     assert ok

@@ -579,6 +579,16 @@ class TestReports:
         assert any(ln.startswith("| opt ") for ln in lines)
         assert any(ln.startswith("| 2opt ") for ln in lines)
 
+    @pytest.mark.parametrize("levels, label", [
+        (dict(epsilons=(0.6, 1.0)), ["eps=0.6", "eps=1"]),
+        (dict(rhos=(0.5,)), ["rho=0.5"])], ids=["epsilons", "rhos"])
+    def test_markdown_header_names_the_level(self, levels, label):
+        # a rhos sweep keys its cells by rho, and its header says so
+        report = run_experiment(small_config(seeds=(0,), **levels))
+        header = render_markdown(report).splitlines()[0]
+        assert header == "| method | " + " | ".join(
+            f"{col} ({lv})" for lv in label for col in ("loss", "runtime")) + " |"
+
     def test_failure_marker_in_markdown(self):
         report = run_experiment(small_config(zero_noise=False, epsilons=(1e-3,),
                                              seeds=(0,)))
@@ -586,7 +596,7 @@ class TestReports:
 
     def test_empty_report_rejected(self, tmp_path):
         report = run_experiment(small_config(seeds=(0,)))
-        empty = type(report)((), (), (), ())
+        empty = type(report)((), (), (), (), "eps")
         with pytest.raises(ValueError):
             emit_report(empty, "csv", tmp_path / "never.csv")
 

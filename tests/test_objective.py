@@ -20,7 +20,7 @@ from dpopt.objective import (BatchSelector, Dataset, MarginMemo, WeightBoxError,
                              builtin_quartic_saddle, erm_gradient,
                              erm_hessian, erm_hvp, erm_value, sensitivities)
 from dpopt.accountant import NoisePlan
-from dpopt.optimizer import AlgorithmConstants, min_batch_size, min_samples_advisor
+from dpopt.optimizer import AlgorithmConstants, min_samples_advisor
 
 
 def random_dataset(n, d, seed, row_norm=1.0):
@@ -906,8 +906,12 @@ class TestBatching:
         assert abs(avg_v - full_v) <= 1e-14
 
 
-class TestMinBatchSize:
+class TestAdvisorSubsamplingBranches:
+    """The subsampling-deviation branches of min_samples_advisor's "minibatch"
+    size, read at s = 1 under a plan whose noise branches lie far below."""
+
     CONSTANTS = AlgorithmConstants(eps_g=0.1, eps_h=0.3, c=0.1, c1=0.1, c2=0.1)
+    TINY_NOISE = NoisePlan(1.0, 1e-9, 1e-9)
 
     def _model(self, B_g=1.0, B_H=1.0, M=1.0):
         model = builtin_quartic_saddle(1.0, 4)
@@ -916,33 +920,39 @@ class TestMinBatchSize:
         object.__setattr__(model, "M", M)
         return model
 
+    def _batch_size(self, model, c, T, d):
+        """The advisor's "minibatch" size at s = 1, where only the subsampling
+        branches can bind: twice the "short" size lies below it."""
+        size = min_samples_advisor(model, c, self.TINY_NOISE, "minibatch", d, T)
+        assert 2 * min_samples_advisor(model, c, self.TINY_NOISE, "short", d, T) < size
+        return size
+
     def test_hand_evaluated(self):
         model = self._model()
-        c = AlgorithmConstants(eps_g=0.1, eps_h=0.3, c=0.1, c1=0.1, c2=0.1)
+        c = AlgorithmConstants(eps_g=0.1, eps_h=0.3, c=0.1, c1=0.1, c2=0.1, eta=0.1)
         T, eta, d = 100, 0.1, 10
         log_term = math.log(2 * d * T / eta)
         grad = 64.0 * (log_term + 0.25) * max(100.0 / 0.01, (1.0 / 0.01) / 0.0081)
         hess = 32.0 * log_term * 100.0 / 0.09
-        assert min_batch_size(model, c, T, eta, d) == math.ceil(max(grad, hess))
+        assert self._batch_size(model, c, T, d) == math.ceil(max(grad, hess))
 
     def test_eps_h_halving_inflates_hessian_branch(self):
         model = self._model(B_g=1e-6, B_H=1.0)  # make the Hessian branch binding
         c1 = AlgorithmConstants(eps_g=0.1, eps_h=0.3, c=0.1, c1=0.1, c2=0.1)
         c2 = AlgorithmConstants(eps_g=0.1, eps_h=0.15, c=0.1, c1=0.1, c2=0.1)
-        a = min_batch_size(model, c1, 100, 0.1, 10)
-        b = min_batch_size(model, c2, 100, 0.1, 10)
+        a = self._batch_size(model, c1, 100, 10)
+        b = self._batch_size(model, c2, 100, 10)
         assert b / a == pytest.approx(4.0, rel=1e-4)  # ceil() jitters the exact 4x
 
     def test_monotone_in_eta(self):
         model = self._model()
-        sizes = [min_batch_size(model, self.CONSTANTS, 100, eta, 10)
+        sizes = [self._batch_size(model, replace(self.CONSTANTS, eta=eta), 100, 10)
                  for eta in (0.01, 0.1, 0.5, 0.9)]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_grid_keeps_both_callers_values(self):
-        # the two subsampling branches as min_batch_size and the mini-batch
-        # branch of min_samples_advisor each spelled them out before they
-        # shared one helper; both must give the same sizes on the grid
+    def test_grid_matches_the_published_branches(self):
+        # at s = 1 under a negligible plan the subsampling branches alone;
+        # at s < 1 and a real plan all four branches
         for B_g, B_H, M, eps_h, T, eta, d, s in product(
                 (0.5, 3.0), (0.25, 2.0), (0.1, 5.0), (0.05, 0.3), (1, 40, 1000),
                 (0.01, 0.1, 0.9), (1, 54, 600), (0.01, 0.3)):
@@ -952,7 +962,7 @@ class TestMinBatchSize:
             grad = (64.0 * B_g ** 2 * (log_term + 0.25)
                     * max(c.c1 ** -2 * c.eps_g ** -2, (M ** 2 / c.c2 ** 2) * c.eps_h ** -4))
             hess = 32.0 * B_H ** 2 * log_term * c.c ** -2 * c.eps_h ** -2
-            assert min_batch_size(model, c, T, eta, d) == int(math.ceil(max(grad, hess)))
+            assert self._batch_size(model, c, T, d) == int(math.ceil(max(grad, hess)))
             plan = NoisePlan(sigma_f=1.0, sigma_g=2.0, sigma_h=3.0, subsample_fraction=s)
             log_tz = math.log(T / c.zeta)
             noise_floor = min(c.c1 * c.eps_g, c.c2 / M * c.eps_h ** 2)
