@@ -2,9 +2,10 @@
 
 Each mutant below is an exact text substitution in src/ whose original text
 occurs exactly once there (tests/test_scripts.py checks that, so the list
-cannot go stale).  The script copies src/, tests/, scripts/, pyproject.toml
-and README.md to a temporary directory, checks that the unmutated copy
-passes, then applies one mutant at a time and runs tier-1 on it with
+cannot go stale).  The script copies src/, tests/, scripts/, perfbench/
+(tier-1 imports its workloads), pyproject.toml and README.md to a temporary
+directory, checks that the unmutated copy passes, then applies one mutant
+at a time and runs tier-1 on it with
 tests/test_golden.py ignored, since a change that regenerates the goldens
 would pin a slip rather than catch it, and with the known-red acceptance
 criterion 2 deselected.  It prints each mutant's fate and lists the
@@ -102,9 +103,9 @@ def tier1_passes(copy: Path) -> bool:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="privacy-mutants-") as tmp:
         copy = Path(tmp)
-        for name in ("src", "tests", "scripts"):
+        for name in ("src", "tests", "scripts", "perfbench"):
             shutil.copytree(ROOT / name, copy / name,
-                            ignore=shutil.ignore_patterns("__pycache__"))
+                            ignore=shutil.ignore_patterns("__pycache__", "_work"))
         for name in ("pyproject.toml", "README.md"):  # tier-1 runs README's examples
             shutil.copy(ROOT / name, copy)
         if not tier1_passes(copy):

@@ -7,8 +7,9 @@ runs, the configured mini-batch accounting otherwise).  It records per-seed
 rows (status, final loss, runtime, step counts, ledger notion and spend,
 budget target), and aggregates mean +- sample standard deviation per cell.
 A cell is marked failed whenever any of its seeds did not converge -- such
-cells print the conventional "×" marker next to their runtime.  Cells whose
-budget admits no feasible noise calibration render as "NA".  Runtime is
+cells print the conventional "×" marker next to their runtime.  A seed whose
+budget admits no feasible noise calibration did not run: a cell averages
+only the seeds that ran, and renders as "NA" when none did.  Runtime is
 wall-clock seconds from a monotonic clock and is hardware-specific.
 
 Reports are emitted as a per-seed CSV (deterministic byte output,
@@ -158,6 +159,7 @@ class ExperimentConfig:
 class RunRow:
     variant: str
     epsilon: float
+    level: str            # what epsilon holds: "eps", or "rho" in a rhos sweep
     seed: int
     status: str
     final_loss: float
@@ -234,11 +236,11 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     # (report key, epsilon at config.delta, rho) of each privacy level; a rho
     # level keeps rho as its key, and its mini-batch cells get its epsilon
     if config.rhos is not None:
-        levels = [(rho, zcdp_to_approx_dp(ZCdp(rho), config.delta).epsilon, rho)
-                  for rho in config.rhos]
+        level, levels = "rho", [(rho, zcdp_to_approx_dp(ZCdp(rho), config.delta).epsilon, rho)
+                                for rho in config.rhos]
     else:
-        levels = [(eps, eps, approx_dp_to_zcdp(ApproxDp(eps, config.delta)).rho)
-                  for eps in config.epsilons]
+        level, levels = "eps", [(eps, eps, approx_dp_to_zcdp(ApproxDp(eps, config.delta)).rho)
+                                for eps in config.epsilons]
 
     rows: list[RunRow] = []
     nan = float("nan")
@@ -258,15 +260,15 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
                         noise_mode=noise_mode, lanczos=config.lanczos,
                         budget_split=config.budget_split)
                 except InfeasiblePlanError:
-                    # no calibration meets this budget (the "NA" cells of the
-                    # benchmark tables); record and keep sweeping
-                    rows.append(RunRow(variant, eps_label, seed, "infeasible_plan",
+                    # no calibration meets this budget at this seed's T: the
+                    # seed did not run; record it and keep sweeping
+                    rows.append(RunRow(variant, eps_label, level, seed, "infeasible_plan",
                                        nan, time.perf_counter() - start,
                                        0, 0, 0, 0, "NA", nan, target))
                     continue
                 runtime = time.perf_counter() - start
                 rows.append(RunRow(
-                    variant=variant, epsilon=eps_label, seed=seed,
+                    variant=variant, epsilon=eps_label, level=level, seed=seed,
                     status=outcome.status, final_loss=outcome.final_loss,
                     runtime_s=runtime, iters=outcome.iterations,
                     grad_steps=outcome.grad_steps, curv_steps=outcome.curv_steps,
@@ -277,17 +279,20 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     for variant in config.variants:
         for eps_label, _, _ in levels:
             group = [r for r in rows if r.variant == variant and r.epsilon == eps_label]
-            losses = np.array([r.final_loss for r in group])
-            times = np.array([r.runtime_s for r in group])
+            # a seed with no plan did not run: it fails the cell but adds no
+            # loss or runtime, so the cell is NA only when no seed ran
+            ran = [r for r in group if r.status != "infeasible_plan"]
+            losses = np.array([r.final_loss for r in ran])
+            times = np.array([r.runtime_s for r in ran])
+            mean = (float(np.mean(losses)), float(np.mean(times))) if ran else (nan, nan)
             std = (float(np.std(losses, ddof=1)), float(np.std(times, ddof=1))) \
-                if len(group) > 1 else (0.0, 0.0)
+                if len(ran) > 1 else (0.0, 0.0)
             cells.append(Cell(
-                variant=variant, epsilon=eps_label,
-                loss_mean=float(np.mean(losses)), loss_std=std[0],
-                runtime_mean=float(np.mean(times)), runtime_std=std[1],
+                variant=variant, epsilon=eps_label, loss_mean=mean[0], loss_std=std[0],
+                runtime_mean=mean[1], runtime_std=std[1],
                 failed=any(r.status != "converged_2s" for r in group)))
     return AggregateReport(tuple(rows), tuple(cells), tuple(lv[0] for lv in levels),
-                           tuple(config.variants), "eps" if config.rhos is None else "rho")
+                           tuple(config.variants), level)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ along u falling back to gamma_bar_g = 2(1 - c1 - c_g)/G and
 gamma_bar_H = t2 |lambda| / M.
 
 The six public solvers differ only in loop kind, accepted budgets,
-batching and phasing; VARIANTS holds one row per name, and run_variant runs
-any of them.  run_short_step ("opt"), run_line_search ("opt_ls"),
-run_minibatch ("opt_b") and run_two_phase ("2opt", "2opt_ls", "2opt_b") are
-its named entry points.
+batching and phasing; VARIANTS holds one row per name, and run_variant, the
+one entry point, runs any of them.  run_short_step, run_line_search,
+run_minibatch and run_two_phase only adapt the benchmark's calls
+(perfbench/workloads.py) to it, until the benchmark calls run_variant.
 
 Noise-plan finalization is two-staged, matching the data-dependent budget:
 sigma_f is fixed by the budget alone, the perturbed initial loss fixes the
@@ -356,9 +356,8 @@ _NOISE_FACTORS = {"standard": 1.0, "zero": 0.0}
 
 def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
               constants: AlgorithmConstants, budget: Budget, rng: SeededRng,
-              memo: MarginMemo, *, selector: BatchSelector | None = None,
-              noise_mode: str = "standard", lanczos: bool = False,
-              t_policy: Callable[[int], int] | None = None) -> RunOutcome:
+              memo: MarginMemo, *, selector: BatchSelector | None, noise_mode: str,
+              lanczos: bool, t_policy: Callable[[int], int] | None) -> RunOutcome:
     n, d = dataset.n, dataset.d
     selector = selector or BatchSelector()
     m = selector.batch_size(n)
@@ -509,9 +508,11 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
     The mini-batch variants need a selector and the others take none.
     Above objective.DENSE_HESSIAN_CAP the curvature check needs lanczos.
     The run accounts in the budget's own notion (see _notion).  t_policy caps
-    the iteration budget T; in a two-phase run it sets phase 1's T, by
-    default ceil(sqrt(T)), and phase 1 spends budget_split of the budget
-    (see run_two_phase).
+    the iteration budget T.  A two-phase run spends budget_split of the
+    budget on phase 1, whose T t_policy sets (default ceil(sqrt(T))); if
+    phase 1 does not converge, phase 2 re-runs the method from its iterate
+    with the rest and a fresh worst-case T, and the outcome joins both
+    traces and both phases' releases, converted once.
     """
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}")
@@ -556,41 +557,29 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
         warnings=phase1.warnings + phase2.warnings, phases=(phase1, phase2))
 
 
+# ---------------------------------------------------------------------------
+# the benchmark's adapters: perfbench/workloads.py makes these calls, and
+# they go once it calls run_variant
+
+
 def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
-                   budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
-                   lanczos: bool = False,
-                   t_policy: Callable[[int], int] | None = None) -> RunOutcome:
-    """Fixed-step variant: gamma_g = 1/G, gamma_H = 2 |lambda| / M."""
-    return run_variant("opt", model, dataset, w0, constants, budget, rng,
-                       noise_mode=noise_mode, lanczos=lanczos, t_policy=t_policy)
+                   budget: Budget, rng: SeededRng, *, lanczos: bool) -> RunOutcome:
+    return run_variant("opt", model, dataset, w0, constants, budget, rng, lanczos=lanczos)
 
 
 def run_line_search(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
-                    budget: Budget, rng: SeededRng, *, noise_mode: str = "standard",
-                    lanczos: bool = False,
-                    t_policy: Callable[[int], int] | None = None) -> RunOutcome:
-    """Backtracking variant: private SVT line searches with short-step-like
-    fallbacks gamma_bar_g and gamma_bar_H = t2 |lambda| / M."""
-    return run_variant("opt_ls", model, dataset, w0, constants, budget, rng,
-                       noise_mode=noise_mode, lanczos=lanczos, t_policy=t_policy)
+                    budget: Budget, rng: SeededRng, *, lanczos: bool) -> RunOutcome:
+    return run_variant("opt_ls", model, dataset, w0, constants, budget, rng, lanczos=lanczos)
 
 
 def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
                   budget: Budget, selector: BatchSelector, rng: SeededRng, *,
-                  accounting: str | None = None, noise_mode: str = "standard",
-                  lanczos: bool = False,
-                  t_policy: Callable[[int], int] | None = None) -> RunOutcome:
-    """Short-step variant on per-iteration without-replacement mini-batches.
-
-    Sensitivities scale with the batch size.  The run accounts in its
-    budget's notion, which accounting may only restate; a zCDP budget needs
-    a batch of all n rows.
-    """
-    if accounting is not None and accounting != budget.accounting:
+                  accounting: str, lanczos: bool) -> RunOutcome:
+    """accounting may only restate the budget's own notion."""
+    if accounting != budget.accounting:
         raise ValueError(f"the budget accounts in {budget.accounting}, not {accounting!r}")
-    return run_variant("opt_b", model, dataset, w0, constants, budget, rng,
-                       selector=selector, noise_mode=noise_mode, lanczos=lanczos,
-                       t_policy=t_policy)
+    return run_variant("opt_b", model, dataset, w0, constants, budget, rng, selector=selector,
+                       lanczos=lanczos)
 
 
 # run_two_phase's variant argument names the method its phases run
@@ -598,26 +587,11 @@ _TWO_PHASE = {"short": "2opt", "line_search": "2opt_ls", "minibatch": "2opt_b"}
 
 
 def run_two_phase(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
-                  budget: Budget, rng: SeededRng, *, variant: str = "short",
-                  budget_split: float = 0.75,
-                  phase1_t_policy: Callable[[int], int] = default_phase1_policy,
-                  selector: BatchSelector | None = None, accounting: str | None = None,
-                  noise_mode: str = "standard", lanczos: bool = False) -> RunOutcome:
-    """Optimistic-then-fallback strategy.
-
-    Phase 1 spends budget_split of the budget on a reduced iteration count
-    (default ceil(sqrt(T))).  If it does not converge, phase 2 re-runs the
-    full method from the phase-1 iterate with the remaining budget and a
-    fresh worst-case T.  The combined outcome concatenates both traces and
-    joins both phases' releases, converted once into its ledger.
-
-    variant selects the underlying method: "short", "line_search", or
-    "minibatch" (which needs selector).  accounting is as in run_minibatch.
-    """
-    if variant not in _TWO_PHASE:
-        raise ValueError(f"unknown variant {variant!r}")
-    if accounting is not None and accounting != budget.accounting:
+                  budget: Budget, rng: SeededRng, *, variant: str, lanczos: bool,
+                  selector: BatchSelector | None = None,
+                  accounting: str | None = None) -> RunOutcome:
+    """accounting, if given, is as in run_minibatch."""
+    if accounting not in (None, budget.accounting):
         raise ValueError(f"the budget accounts in {budget.accounting}, not {accounting!r}")
     return run_variant(_TWO_PHASE[variant], model, dataset, w0, constants, budget, rng,
-                       selector=selector, noise_mode=noise_mode, lanczos=lanczos,
-                       t_policy=phase1_t_policy, budget_split=budget_split)
+                       selector=selector, lanczos=lanczos)

@@ -26,9 +26,8 @@ from dpopt.objective import (BatchSelector, builtin_nonconvex_logistic,
                              sensitivities)
 from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
                              ShortStepBudget, dp_line_search, min_dec_line_search,
-                             min_dec_short, min_samples_advisor,
-                             roots_t1_t2, run_line_search, run_minibatch,
-                             run_short_step, run_two_phase, svt_slack)
+                             min_dec_short, min_samples_advisor, roots_t1_t2,
+                             run_variant, svt_slack)
 from dpopt.spectral import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_dense
 from noise_doubles import bounded_noise
 
@@ -76,13 +75,12 @@ def zero_noise_runs(saddle_instance):
     w0 = np.zeros(10)
     w0[0] = 0.8
     runs = {
-        "short": run_short_step(model, ds, w0, SADDLE_TOLS, ShortStepBudget(0.5),
-                                SeededRng(0), noise_mode="zero"),
-        "line_search": run_line_search(model, ds, w0, SADDLE_TOLS, LineSearchBudget(0.5),
-                                       SeededRng(0), noise_mode="zero"),
-        "short_from_saddle": run_short_step(model, ds, np.zeros(10), SADDLE_TOLS,
-                                            ShortStepBudget(0.5), SeededRng(1),
-                                            noise_mode="zero"),
+        "short": run_variant("opt", model, ds, w0, SADDLE_TOLS, ShortStepBudget(0.5), SeededRng(0),
+                             noise_mode="zero"),
+        "line_search": run_variant("opt_ls", model, ds, w0, SADDLE_TOLS, LineSearchBudget(0.5),
+                                   SeededRng(0), noise_mode="zero"),
+        "short_from_saddle": run_variant("opt", model, ds, np.zeros(10), SADDLE_TOLS,
+                                         ShortStepBudget(0.5), SeededRng(1), noise_mode="zero"),
     }
     return runs
 
@@ -94,10 +92,10 @@ def bounded_runs(bounded_instance):
     short, ls = [], []
     with bounded_noise(model, BOUNDED_TOLS):
         for seed in range(10):
-            short.append(run_short_step(model, ds, np.zeros(6), BOUNDED_TOLS, plan,
-                                        SeededRng(seed)))
-            ls.append(run_line_search(model, ds, np.zeros(6), BOUNDED_TOLS, plan,
-                                      SeededRng(100 + seed)))
+            short.append(run_variant("opt", model, ds, np.zeros(6), BOUNDED_TOLS, plan,
+                                     SeededRng(seed)))
+            ls.append(run_variant("opt_ls", model, ds, np.zeros(6), BOUNDED_TOLS, plan,
+                                  SeededRng(100 + seed)))
     return short, ls
 
 
@@ -106,8 +104,8 @@ def minibatch_run():
     ds = synth_dataset("logistic_separable", 60000, 5, seed=123)
     model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, 5, 10.0)
     consts = AlgorithmConstants(eps_g=0.060, eps_h=0.245)
-    out = run_minibatch(model, ds, np.zeros(5), consts, RdpTuneBudget(1.0, 1e-5),
-                        BatchSelector(600), SeededRng(0))
+    out = run_variant("opt_b", model, ds, np.zeros(5), consts, RdpTuneBudget(1.0, 1e-5),
+                      SeededRng(0), selector=BatchSelector(600))
     return ds, out
 
 
@@ -294,9 +292,9 @@ def test_criterion_8_minibatch_degeneracy_and_unbiasedness():
     model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, 5, 10.0)
     consts = AlgorithmConstants(eps_g=0.060, eps_h=0.245)
     w0 = np.zeros(5)
-    full = run_short_step(model, ds, w0, consts, ShortStepBudget(0.05), SeededRng(42))
-    batched = run_minibatch(model, ds, w0, consts, ShortStepBudget(0.05),
-                            BatchSelector(ds.n), SeededRng(42), accounting="zcdp")
+    full = run_variant("opt", model, ds, w0, consts, ShortStepBudget(0.05), SeededRng(42))
+    batched = run_variant("opt_b", model, ds, w0, consts, ShortStepBudget(0.05), SeededRng(42),
+                          selector=BatchSelector(ds.n))
     identical = full.trace == batched.trace and np.array_equal(full.w_final, batched.w_final)
 
     tiny = synth_dataset("logistic_separable", 6, 3, seed=11)
@@ -321,10 +319,10 @@ def test_criterion_9_synthetic_reproduction_bands():
     w0 = np.zeros(5)
 
     loose = AlgorithmConstants(eps_g=0.060, eps_h=0.245)
-    base_short = run_short_step(model, ds, w0, loose, ShortStepBudget(1.0),
-                                SeededRng(999), noise_mode="zero")
+    base_short = run_variant("opt", model, ds, w0, loose, ShortStepBudget(1.0), SeededRng(999),
+                             noise_mode="zero")
     rho_1 = approx_dp_to_zcdp(ApproxDp(1.0, 1e-5)).rho
-    opt_runs = [run_short_step(model, ds, w0, loose, ShortStepBudget(rho_1), SeededRng(s))
+    opt_runs = [run_variant("opt", model, ds, w0, loose, ShortStepBudget(rho_1), SeededRng(s))
                 for s in range(5)]
     opt_mean = float(np.mean([r.final_loss for r in opt_runs]))
     ok = all(r.status == "converged_2s" for r in opt_runs)
@@ -332,11 +330,11 @@ def test_criterion_9_synthetic_reproduction_bands():
     ok &= all(r.hess_evals <= 5 for r in opt_runs)
 
     tight = AlgorithmConstants(eps_g=0.030, eps_h=0.173)
-    base_ls = run_two_phase(model, ds, w0, tight, LineSearchBudget(1.0), SeededRng(999),
-                            variant="line_search", noise_mode="zero")
+    base_ls = run_variant("2opt_ls", model, ds, w0, tight, LineSearchBudget(1.0), SeededRng(999),
+                          noise_mode="zero")
     rho_06 = approx_dp_to_zcdp(ApproxDp(0.6, 1e-5)).rho
-    ls_runs = [run_two_phase(model, ds, w0, tight, LineSearchBudget(rho_06), SeededRng(s),
-                             variant="line_search") for s in range(5)]
+    ls_runs = [run_variant("2opt_ls", model, ds, w0, tight, LineSearchBudget(rho_06),
+                           SeededRng(s)) for s in range(5)]
     ls_mean = float(np.mean([r.final_loss for r in ls_runs]))
     ok &= all(r.status == "converged_2s" for r in ls_runs)
     ok &= abs(ls_mean - base_ls.final_loss) <= 0.10 * base_ls.final_loss

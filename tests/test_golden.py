@@ -37,8 +37,7 @@ from dpopt.mechanisms import SeededRng
 from dpopt.objective import (BatchSelector, builtin_nonconvex_logistic,
                              builtin_quartic_saddle)
 from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
-                             ShortStepBudget, SubsampledDpBudget, run_line_search,
-                             run_minibatch, run_short_step, run_two_phase, runs)
+                             ShortStepBudget, SubsampledDpBudget, run_minibatch, runs)
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.json"
 
@@ -58,24 +57,33 @@ def _saddle():
     return ds, builtin_quartic_saddle(ds.feature_norm_bound, 6, weight_box=1.0)
 
 
-def _logistic_run(entry, budget, seed, *extra, **kw):
+def _logistic_run(name, budget, seed, **kw):
     ds, model = _logistic()
-    return entry(model, ds, np.zeros(ds.d), CONSTS, budget, *extra, SeededRng(seed), **kw)
+    return runs.run_variant(name, model, ds, np.zeros(ds.d), CONSTS, budget, SeededRng(seed),
+                            **kw)
 
 
-def _saddle_run(entry, budget, seed, **kw):
+def _saddle_run(name, budget, seed, **kw):
     ds, model = _saddle()
-    return entry(model, ds, np.zeros(ds.d), SADDLE_CONSTS, budget, SeededRng(seed), **kw)
+    return runs.run_variant(name, model, ds, np.zeros(ds.d), SADDLE_CONSTS, budget,
+                            SeededRng(seed), **kw)
 
 
 def _minibatch(budget, seed, m=BATCH, **kw):
-    return _logistic_run(run_minibatch, budget, seed, BatchSelector(m), **kw)
+    return _logistic_run("opt_b", budget, seed, selector=BatchSelector(m), **kw)
 
 
-def _two_phase(budget, seed, variant, **kw):
-    if variant == "minibatch":
+def _accounting(budget, seed, accounting, m=BATCH):
+    """run_minibatch's accounting keyword, which may only restate the budget's notion."""
+    ds, model = _logistic()
+    return run_minibatch(model, ds, np.zeros(ds.d), CONSTS, budget, BatchSelector(m),
+                         SeededRng(seed), accounting=accounting, lanczos=False)
+
+
+def _two_phase(budget, seed, name, **kw):
+    if name == "2opt_b":
         kw.setdefault("selector", BatchSelector(BATCH))
-    return _logistic_run(run_two_phase, budget, seed, variant=variant, **kw)
+    return _logistic_run(name, budget, seed, **kw)
 
 
 def _fallback(t_full: int) -> int:
@@ -96,88 +104,73 @@ PLAN_SADDLE = NoisePlan(10.0, 0.03, 0.03, lambda_svt=0.03)
 
 CASES = {
     # full batch, zCDP
-    "opt_zcdp": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 0),
-    "opt_ls_zcdp": lambda: _logistic_run(run_line_search, LineSearchBudget(0.5), 1),
-    "opt_lanczos": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 2,
-                                         lanczos=True),
-    "opt_ls_lanczos": lambda: _logistic_run(run_line_search, LineSearchBudget(0.5), 3,
-                                            lanczos=True),
-    "opt_weight_box": lambda: _saddle_run(run_short_step, ShortStepBudget(2.0), 4),
-    "opt_zero_noise": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 5,
-                                            noise_mode="zero"),
-    "opt_ls_zero_noise": lambda: _logistic_run(run_line_search, LineSearchBudget(0.5), 6,
+    "opt_zcdp": lambda: _logistic_run("opt", ShortStepBudget(0.5), 0),
+    "opt_ls_zcdp": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 1),
+    "opt_lanczos": lambda: _logistic_run("opt", ShortStepBudget(0.5), 2, lanczos=True),
+    "opt_ls_lanczos": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 3, lanczos=True),
+    "opt_weight_box": lambda: _saddle_run("opt", ShortStepBudget(2.0), 4),
+    "opt_zero_noise": lambda: _logistic_run("opt", ShortStepBudget(0.5), 5, noise_mode="zero"),
+    "opt_ls_zero_noise": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 6,
                                                noise_mode="zero"),
     # a saddle start: noisy negative-curvature steps, dense and Lanczos
-    "opt_noise_plan": lambda: _saddle_run(run_short_step, PLAN_SADDLE, 6, t_policy=_cap),
-    "opt_ls_noise_plan": lambda: _saddle_run(run_line_search, PLAN_SADDLE, 7,
-                                             t_policy=_cap),
-    "opt_lanczos_noise_plan": lambda: _saddle_run(run_short_step, PLAN_SADDLE, 8,
-                                                  lanczos=True, t_policy=_cap),
-    "opt_ls_zero_noise_saddle": lambda: _saddle_run(run_line_search, LineSearchBudget(0.5),
-                                                    1, noise_mode="zero", t_policy=_cap),
+    "opt_noise_plan": lambda: _saddle_run("opt", PLAN_SADDLE, 6, t_policy=_cap),
+    "opt_ls_noise_plan": lambda: _saddle_run("opt_ls", PLAN_SADDLE, 7, t_policy=_cap),
+    "opt_lanczos_noise_plan": lambda: _saddle_run("opt", PLAN_SADDLE, 8, lanczos=True,
+                                                  t_policy=_cap),
+    "opt_ls_zero_noise_saddle": lambda: _saddle_run("opt_ls", LineSearchBudget(0.5), 1,
+                                                    noise_mode="zero", t_policy=_cap),
     # mini-batch: RDP and approx_dp; zCDP on a batch of all n rows only
     "opt_b_rdp": lambda: _minibatch(RDP, 0),
     "opt_b_rdp_small_batch": lambda: _minibatch(RDP, 1, m=SMALL_BATCH),
-    "opt_b_rdp_explicit": lambda: _minibatch(RDP, 1, m=SMALL_BATCH, accounting="rdp"),
+    "opt_b_rdp_explicit": lambda: _accounting(RDP, 1, "rdp", m=SMALL_BATCH),
     # a calibrated RDP run that finishes, so its ledger is checked against its trace
     "opt_b_rdp_finished": lambda: _minibatch(LOOSE_RDP, 0, m=RDP_BATCH),
-    "opt_b_approx_dp": lambda: _minibatch(SUBSAMPLED, 2, accounting="approx_dp"),
+    "opt_b_approx_dp": lambda: _accounting(SUBSAMPLED, 2, "approx_dp"),
     "opt_b_approx_dp_default": lambda: _minibatch(SUBSAMPLED, 3),
     "opt_b_noise_plan": lambda: _minibatch(NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5),
-    "opt_b_full_batch_zcdp": lambda: _minibatch(ShortStepBudget(0.5), 6, m=2000,
-                                                accounting="zcdp"),
+    "opt_b_full_batch_zcdp": lambda: _accounting(ShortStepBudget(0.5), 6, "zcdp", m=2000),
     "opt_b_zero_noise": lambda: _minibatch(LOOSE_RDP, 7, m=RDP_BATCH, noise_mode="zero"),
     "opt_b_lanczos": lambda: _minibatch(LOOSE_RDP, 8, m=RDP_BATCH, lanczos=True),
     "opt_b_infeasible": lambda: _minibatch(RdpTuneBudget(0.05, 1e-5), 9, m=SMALL_BATCH),
     # two-phase
-    "2opt": lambda: _two_phase(ShortStepBudget(0.5), 0, "short"),
-    "2opt_fallback": lambda: _two_phase(ShortStepBudget(0.5), 1, "short",
-                                        phase1_t_policy=_fallback),
-    "2opt_ls": lambda: _two_phase(LineSearchBudget(0.5), 2, "line_search"),
-    "2opt_ls_fallback": lambda: _two_phase(LineSearchBudget(0.5), 3, "line_search",
-                                           phase1_t_policy=_fallback, lanczos=True),
-    "2opt_b_rdp": lambda: _two_phase(RDP, 4, "minibatch", phase1_t_policy=_fallback),
+    "2opt": lambda: _two_phase(ShortStepBudget(0.5), 0, "2opt"),
+    "2opt_fallback": lambda: _two_phase(ShortStepBudget(0.5), 1, "2opt", t_policy=_fallback),
+    "2opt_ls": lambda: _two_phase(LineSearchBudget(0.5), 2, "2opt_ls"),
+    "2opt_ls_fallback": lambda: _two_phase(LineSearchBudget(0.5), 3, "2opt_ls",
+                                           t_policy=_fallback, lanczos=True),
+    "2opt_b_rdp": lambda: _two_phase(RDP, 4, "2opt_b", t_policy=_fallback),
     "2opt_b_rdp_small_batch": lambda: _two_phase(
-        RDP, 4, "minibatch", selector=BatchSelector(SMALL_BATCH),
-        phase1_t_policy=_fallback),
-    "2opt_b_approx_dp": lambda: _two_phase(SUBSAMPLED, 5, "minibatch",
-                                           accounting="approx_dp",
-                                           phase1_t_policy=_fallback),
+        RDP, 4, "2opt_b", selector=BatchSelector(SMALL_BATCH), t_policy=_fallback),
+    "2opt_b_approx_dp": lambda: _two_phase(SUBSAMPLED, 5, "2opt_b", t_policy=_fallback),
     # an RDP run that falls back and draws a Hessian in phase 2
     "2opt_b_rdp_fallback": lambda: _two_phase(
-        RdpTuneBudget(8.0, 1e-5), 10, "minibatch", selector=BatchSelector(RDP_BATCH),
-        phase1_t_policy=_fallback),
-    "2opt_zero_noise": lambda: _two_phase(ShortStepBudget(0.5), 7, "short",
-                                          noise_mode="zero", phase1_t_policy=_fallback),
-    "2opt_split": lambda: _two_phase(ShortStepBudget(0.5), 8, "short", budget_split=0.5,
-                                     phase1_t_policy=_fallback),
+        RdpTuneBudget(8.0, 1e-5), 10, "2opt_b", selector=BatchSelector(RDP_BATCH),
+        t_policy=_fallback),
+    "2opt_zero_noise": lambda: _two_phase(ShortStepBudget(0.5), 7, "2opt", noise_mode="zero",
+                                          t_policy=_fallback),
+    "2opt_split": lambda: _two_phase(ShortStepBudget(0.5), 8, "2opt", budget_split=0.5,
+                                     t_policy=_fallback),
     # rejected inputs
-    "reject_opt_line_search_budget": lambda: _logistic_run(
-        run_short_step, LineSearchBudget(0.5), 0),
-    "reject_opt_ls_short_budget": lambda: _logistic_run(
-        run_line_search, ShortStepBudget(0.5), 0),
+    "reject_opt_line_search_budget": lambda: _logistic_run("opt", LineSearchBudget(0.5), 0),
+    "reject_opt_ls_short_budget": lambda: _logistic_run("opt_ls", ShortStepBudget(0.5), 0),
     "reject_opt_b_line_search_budget": lambda: _minibatch(LineSearchBudget(0.5), 0),
-    "reject_opt_b_approx_dp_short_budget": lambda: _minibatch(
-        ShortStepBudget(0.5), 0, accounting="approx_dp"),
-    "reject_opt_b_unknown_accounting": lambda: _minibatch(ShortStepBudget(0.5), 0,
-                                                          accounting="pure"),
+    "reject_opt_b_approx_dp_short_budget": lambda: _accounting(ShortStepBudget(0.5), 0,
+                                                               "approx_dp"),
+    "reject_opt_b_unknown_accounting": lambda: _accounting(ShortStepBudget(0.5), 0, "pure"),
     # zCDP has no amplification by subsampling
     "opt_b_short_budget": lambda: _minibatch(ShortStepBudget(0.5), 4),
-    "2opt_b_short_budget": lambda: _two_phase(ShortStepBudget(0.5), 6, "minibatch",
-                                              phase1_t_policy=_fallback),
+    "2opt_b_short_budget": lambda: _two_phase(ShortStepBudget(0.5), 6, "2opt_b",
+                                              t_policy=_fallback),
     "reject_opt_b_plan_fraction": lambda: _minibatch(NoisePlan(10.0, 20.0, 20.0), 0),
     "reject_opt_b_batch_above_n": lambda: _minibatch(RDP, 0, m=2001),
     "reject_opt_ls_plan_without_lambda": lambda: _logistic_run(
-        run_line_search, NoisePlan(10.0, 20.0, 20.0), 0),
-    "reject_2opt_noise_plan": lambda: _two_phase(NoisePlan(10.0, 20.0, 20.0), 0, "short"),
+        "opt_ls", NoisePlan(10.0, 20.0, 20.0), 0),
+    "reject_2opt_noise_plan": lambda: _two_phase(NoisePlan(10.0, 20.0, 20.0), 0, "2opt"),
     "reject_2opt_unknown_variant": lambda: _two_phase(ShortStepBudget(0.5), 0, "newton"),
-    "reject_2opt_split": lambda: _two_phase(ShortStepBudget(0.5), 0, "short",
-                                            budget_split=1.0),
-    "reject_2opt_b_no_selector": lambda: _two_phase(RDP, 0, "minibatch", selector=None),
-    "reject_2opt_b_line_search_budget": lambda: _two_phase(
-        LineSearchBudget(0.5), 0, "minibatch"),
-    "reject_2opt_ls_short_budget": lambda: _two_phase(
-        ShortStepBudget(0.5), 0, "line_search"),
+    "reject_2opt_split": lambda: _two_phase(ShortStepBudget(0.5), 0, "2opt", budget_split=1.0),
+    "reject_2opt_b_no_selector": lambda: _two_phase(RDP, 0, "2opt_b", selector=None),
+    "reject_2opt_b_line_search_budget": lambda: _two_phase(LineSearchBudget(0.5), 0, "2opt_b"),
+    "reject_2opt_ls_short_budget": lambda: _two_phase(ShortStepBudget(0.5), 0, "2opt_ls"),
 }
 
 # small sweeps over all six names pin how the harness maps a name to a run:

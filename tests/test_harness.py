@@ -24,7 +24,7 @@ from dpopt.harness import data
 from dpopt.mechanisms import SeededRng
 from dpopt.objective import builtin_nonconvex_logistic, builtin_quartic_saddle, erm_hessian
 from dpopt.optimizer import (VARIANTS, AlgorithmConstants, ShortStepBudget,
-                             SubsampledDpBudget, run_short_step, run_variant, runs)
+                             SubsampledDpBudget, run_variant, runs)
 
 
 class TestCsvLoader:
@@ -374,9 +374,9 @@ class TestSynthetic:
     def test_separable_instance_is_solvable_without_noise(self):
         ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
-        out = run_short_step(model, ds, np.zeros(4),
-                             AlgorithmConstants(eps_g=0.06, eps_h=0.245),
-                             ShortStepBudget(0.5), SeededRng(0), noise_mode="zero")
+        out = run_variant("opt", model, ds, np.zeros(4),
+                          AlgorithmConstants(eps_g=0.06, eps_h=0.245), ShortStepBudget(0.5),
+                          SeededRng(0), noise_mode="zero")
         assert out.status == "converged_2s"
 
     def test_unknown_kind(self):
@@ -450,6 +450,30 @@ class TestRunExperiment:
         assert asked == [expected]
         assert report.epsilons == (0.05,)
         assert [(r.epsilon, r.status) for r in report.rows] == [(0.05, "infeasible_plan")]
+
+    def test_cell_averages_only_the_seeds_that_ran(self, monkeypatch):
+        # a seed with no plan fails its cell but adds no loss or runtime to
+        # it, so the cell is NA only when no seed ran
+        def odd_seeds_only(*args, **kwargs):
+            if args[6].seed % 2 == 0:  # run_variant(name, ..., budget, rng, ...)
+                raise InfeasiblePlanError("even seed")
+            return run_variant(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_variant", odd_seeds_only)
+        report = run_experiment(small_config(seeds=(0, 1, 2, 3)))
+        assert [r.status for r in report.rows] == ["infeasible_plan", "converged_2s"] * 2
+        ran = report.rows[1::2]
+        cell = report.cells[0]
+        assert cell.failed
+        assert cell.loss_mean == np.mean([r.final_loss for r in ran])
+        assert cell.loss_std == np.std([r.final_loss for r in ran], ddof=1)
+        assert cell.runtime_mean == np.mean([r.runtime_s for r in ran])
+        assert cell.runtime_std == np.std([r.runtime_s for r in ran], ddof=1)
+        assert render_markdown(report).splitlines()[2] == (
+            f"| opt | {cell.loss_mean:.3f} ± {cell.loss_std:.3f} | "
+            f"× ({cell.runtime_mean:.2f} ± {cell.runtime_std:.2f}) |")
+        none_ran = run_experiment(small_config(seeds=(0, 2)))
+        assert render_markdown(none_ran).splitlines()[2] == "| opt | NA | NA |"
 
     def test_two_phase_variants_run(self):
         report = run_experiment(small_config(variants=("2opt", "2opt_ls"), seeds=(0,)))
@@ -570,6 +594,19 @@ class TestReports:
         report = run_experiment(small_config(seeds=(0, 1)))
         path = emit_report(report, "csv", tmp_path / "out.csv")
         assert read_report_csv(path) == report.rows
+
+    @pytest.mark.parametrize("levels, level", [(dict(epsilons=(0.6,)), "eps"),
+                                               (dict(rhos=(0.5,)), "rho")],
+                             ids=["epsilons", "rhos"])
+    def test_csv_says_what_its_epsilon_column_holds(self, levels, level, tmp_path):
+        report = run_experiment(small_config(seeds=(0, 1), **levels))
+        path = emit_report(report, "csv", tmp_path / "out.csv")
+        header = path.read_text().splitlines()[0].split(",")
+        assert header[header.index("epsilon") + 1] == "level"
+        rows = read_report_csv(path)
+        assert rows == report.rows
+        assert report.level == level
+        assert {(r.epsilon, r.level) for r in rows} == {(report.epsilons[0], level)}
 
     def test_markdown_one_row_per_variant(self):
         report = run_experiment(small_config(variants=("opt", "2opt"), seeds=(0,)))

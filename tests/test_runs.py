@@ -21,8 +21,7 @@ from dpopt.harness import synth_dataset
 from dpopt.optimizer import (VARIANTS, AlgorithmConstants, LineSearchBudget,
                              RdpTuneBudget, ShortStepBudget, SubsampledDpBudget,
                              default_phase1_policy, min_dec_line_search,
-                             min_dec_short, roots_t1_t2, run_line_search,
-                             run_minibatch, run_short_step, run_two_phase, run_variant)
+                             min_dec_short, roots_t1_t2, run_minibatch, run_variant)
 from noise_doubles import always_failing_line_search, bounded_noise, recorded_scales
 
 TOLS = AlgorithmConstants(eps_g=1e-2, eps_h=1e-1)
@@ -56,8 +55,8 @@ def bounded_plan(model, ds, constants, lam=1e-8):
 class TestZeroNoiseConvergence:
     def test_short_step_reaches_exact_second_order_point(self):
         ds, model = identical_sample_quartic()
-        out = run_short_step(model, ds, np.array([2.0, 0.0]), TOLS,
-                             ShortStepBudget(0.5), SeededRng(0), noise_mode="zero")
+        out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(0.5),
+                          SeededRng(0), noise_mode="zero")
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, out.w_final))[0]
@@ -66,8 +65,8 @@ class TestZeroNoiseConvergence:
 
     def test_line_search_reaches_exact_second_order_point(self):
         ds, model = identical_sample_quartic()
-        out = run_line_search(model, ds, np.array([2.0, 0.0]), TOLS,
-                              LineSearchBudget(0.5), SeededRng(0), noise_mode="zero")
+        out = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, LineSearchBudget(0.5),
+                          SeededRng(0), noise_mode="zero")
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, out.w_final))[0]
@@ -76,8 +75,8 @@ class TestZeroNoiseConvergence:
 
     def test_saddle_start_takes_curvature_step_first(self):
         ds, model = identical_sample_quartic()
-        out = run_short_step(model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5),
-                             SeededRng(1), noise_mode="zero")
+        out = run_variant("opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1),
+                          noise_mode="zero")
         first = out.trace[0]
         assert first.kind == "negative_curvature"
         assert first.grad_norm_noisy == 0.0
@@ -88,18 +87,18 @@ class TestZeroNoiseConvergence:
         # with b_g > 1 the search probes longer steps than 1/G from the same point
         ds, model = identical_sample_quartic()
         w0 = np.array([2.0, 0.0])
-        short = run_short_step(model, ds, w0, TOLS, ShortStepBudget(0.5),
-                               SeededRng(0), noise_mode="zero")
-        ls = run_line_search(model, ds, w0, TOLS, LineSearchBudget(0.5),
-                             SeededRng(0), noise_mode="zero")
+        short = run_variant("opt", model, ds, w0, TOLS, ShortStepBudget(0.5), SeededRng(0),
+                            noise_mode="zero")
+        ls = run_variant("opt_ls", model, ds, w0, TOLS, LineSearchBudget(0.5), SeededRng(0),
+                         noise_mode="zero")
         dec_short = short.trace[0].loss_before - short.trace[0].loss_after
         dec_ls = ls.trace[0].loss_before - ls.trace[0].loss_after
         assert dec_ls >= dec_short
 
     def test_line_search_accepted_steps_satisfy_sufficient_decrease(self):
         ds, model = identical_sample_quartic()
-        out = run_line_search(model, ds, np.array([2.0, 0.0]), TOLS,
-                              LineSearchBudget(0.5), SeededRng(0), noise_mode="zero")
+        out = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, LineSearchBudget(0.5),
+                          SeededRng(0), noise_mode="zero")
         for rec in out.trace:
             if rec.kind == "gradient":
                 # SD1 with the noiseless gradient: decrease >= c_g gamma ||g||^2
@@ -109,8 +108,8 @@ class TestZeroNoiseConvergence:
     def test_line_search_curvature_step_in_window(self):
         ds, model = identical_sample_quartic()
         t1, t2 = roots_t1_t2(TOLS.c, TOLS.c2, TOLS.c_h)
-        out = run_line_search(model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
-                              SeededRng(1), noise_mode="zero")
+        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
+                          SeededRng(1), noise_mode="zero")
         curv = [r for r in out.trace if r.kind == "negative_curvature"]
         assert curv
         for rec in curv:
@@ -132,7 +131,7 @@ class TestBoundedNoiseDescent:
                                 BOUNDED.c1, BOUNDED.c2, BOUNDED.c)
         for seed in range(3):
             with bounded_noise(model, BOUNDED):
-                out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(seed))
+                out = run_variant("opt", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(seed))
             assert out.status == "converged_2s"
             for rec in out.trace:
                 if rec.kind != "terminate":
@@ -146,7 +145,7 @@ class TestBoundedNoiseDescent:
                                       BOUNDED.c1, BOUNDED.c_g, BOUNDED.c_h, t2)
         for seed in range(3):
             with bounded_noise(model, BOUNDED):
-                out = run_line_search(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(seed))
+                out = run_variant("opt_ls", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(seed))
             assert out.status == "converged_2s"
             for rec in out.trace:
                 if rec.kind != "terminate":
@@ -157,7 +156,7 @@ class TestBoundedNoiseDescent:
         ds, model = planted_instance()
         plan = bounded_plan(model, ds, BOUNDED)
         with bounded_noise(model, BOUNDED):
-            out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0))
+            out = run_variant("opt", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0))
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, out.w_final))[0]
@@ -173,7 +172,7 @@ class TestBoundedNoiseDescent:
         gamma_bar_g = 2.0 * (1.0 - BOUNDED.c1 - BOUNDED.c_g) / model.G
         monkeypatch.setattr(runs, "dp_line_search", always_failing_line_search)
         with bounded_noise(model, BOUNDED):
-            out = run_line_search(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(4))
+            out = run_variant("opt_ls", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(4))
         assert out.status == "converged_2s"
         for rec in out.trace:
             if rec.kind == "gradient":
@@ -186,7 +185,7 @@ class TestLedger:
         ds, model = planted_instance()
         plan = bounded_plan(model, ds, BOUNDED)
         with bounded_noise(model, BOUNDED):
-            out = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0))
+            out = run_variant("opt", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(0))
         recomputed = account_run(run_log(out.plan, out.grad_steps, out.hess_evals), ZCdp)
         assert out.accounted_privacy.rho == recomputed.rho
         # each record's log costs f0's charge plus a gradient's per iteration
@@ -202,11 +201,11 @@ class TestLedger:
     def test_ledger_never_exceeds_planned_budget(self):
         ds, model = identical_sample_quartic()
         rho = 0.3
-        out = run_short_step(model, ds, np.array([2.0, 0.0]), TOLS,
-                             ShortStepBudget(rho), SeededRng(2), noise_mode="zero")
+        out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(rho),
+                          SeededRng(2), noise_mode="zero")
         assert out.accounted_privacy.rho <= rho + 1e-12
-        out_ls = run_line_search(model, ds, np.array([2.0, 0.0]), TOLS,
-                                 LineSearchBudget(rho), SeededRng(2), noise_mode="zero")
+        out_ls = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS,
+                             LineSearchBudget(rho), SeededRng(2), noise_mode="zero")
         assert out_ls.accounted_privacy.rho <= rho + 1e-12
         recomputed = account_run(run_log(out_ls.plan, out_ls.grad_steps, out_ls.hess_evals,
                                          out_ls.iterations), ZCdp)
@@ -235,13 +234,12 @@ class TestLedger:
 
         ds, model = identical_sample_quartic()
         with pytest.raises(ValueError, match="sigma_f"):
-            run_short_step(model, ds, np.array([2.0, 0.0]), TOLS, Drifting(0.5),
-                           SeededRng(0))
+            run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, Drifting(0.5), SeededRng(0))
 
     def test_iteration_cap_and_hessian_placement(self):
         ds, model = identical_sample_quartic()
-        out = run_short_step(model, ds, np.array([2.0, 0.0]), TOLS,
-                             ShortStepBudget(0.5), SeededRng(0), noise_mode="zero")
+        out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(0.5),
+                          SeededRng(0), noise_mode="zero")
         assert out.iterations <= out.t_budget
         for rec in out.trace:
             if rec.lambda_noisy is not None:
@@ -258,9 +256,9 @@ def _logistic_instance():
 LOGISTIC = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
 
 
-def _logistic_run(entry, budget, seed, *extra, **kw):
+def _logistic_run(name, budget, seed, **kw):
     ds, model = _logistic_instance()
-    return entry(model, ds, np.zeros(4), LOGISTIC, budget, *extra, SeededRng(seed), **kw)
+    return run_variant(name, model, ds, np.zeros(4), LOGISTIC, budget, SeededRng(seed), **kw)
 
 
 WEIGHT_BOX = AlgorithmConstants(eps_g=0.05, eps_h=0.3)
@@ -268,7 +266,8 @@ WEIGHT_BOX = AlgorithmConstants(eps_g=0.05, eps_h=0.3)
 
 def _weight_box_run():
     ds, model = planted_instance()
-    return run_short_step(model, ds, np.zeros(6), WEIGHT_BOX, ShortStepBudget(2.0), SeededRng(4))
+    return run_variant("opt", model, ds, np.zeros(6), WEIGHT_BOX, ShortStepBudget(2.0),
+                       SeededRng(4))
 
 
 def _two_steps(t_full):
@@ -281,26 +280,23 @@ RDP_BATCH = 100
 
 
 DRAWING_RUNS = {
-    "opt": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 0),
-    "opt_lanczos": lambda: _logistic_run(run_short_step, ShortStepBudget(0.5), 2,
-                                         lanczos=True),
-    "opt_ls": lambda: _logistic_run(run_line_search, LineSearchBudget(0.5), 1),
-    "opt_b_rdp": lambda: _logistic_run(run_minibatch, LOOSE_RDP, 4, BatchSelector(RDP_BATCH)),
+    "opt": lambda: _logistic_run("opt", ShortStepBudget(0.5), 0),
+    "opt_lanczos": lambda: _logistic_run("opt", ShortStepBudget(0.5), 2, lanczos=True),
+    "opt_ls": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 1),
+    "opt_b_rdp": lambda: _logistic_run("opt_b", LOOSE_RDP, 4,
+                                       selector=BatchSelector(RDP_BATCH)),
     "opt_b_noise_plan": lambda: _logistic_run(
-        run_minibatch, NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5, BatchSelector(500)),
-    "opt_b_approx_dp": lambda: _logistic_run(run_minibatch, SubsampledDpBudget(0.8, 1e-5),
-                                             2, BatchSelector(500)),
-    "2opt": lambda: _logistic_run(run_two_phase, ShortStepBudget(0.5), 1,
-                                  phase1_t_policy=_two_steps),
-    "2opt_ls": lambda: _logistic_run(run_two_phase, LineSearchBudget(0.5), 3,
-                                     variant="line_search", phase1_t_policy=_two_steps,
-                                     lanczos=True),
-    "2opt_b": lambda: _logistic_run(run_two_phase, RdpTuneBudget(8.0, 1e-5), 10,
-                                    variant="minibatch", selector=BatchSelector(RDP_BATCH),
-                                    phase1_t_policy=_two_steps),
+        "opt_b", NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5, selector=BatchSelector(500)),
+    "opt_b_approx_dp": lambda: _logistic_run("opt_b", SubsampledDpBudget(0.8, 1e-5), 2,
+                                             selector=BatchSelector(500)),
+    "2opt": lambda: _logistic_run("2opt", ShortStepBudget(0.5), 1, t_policy=_two_steps),
+    "2opt_ls": lambda: _logistic_run("2opt_ls", LineSearchBudget(0.5), 3,
+                                     t_policy=_two_steps, lanczos=True),
+    "2opt_b": lambda: _logistic_run("2opt_b", RdpTuneBudget(8.0, 1e-5), 10,
+                                    selector=BatchSelector(RDP_BATCH), t_policy=_two_steps),
     "2opt_b_approx_dp": lambda: _logistic_run(
-        run_two_phase, SubsampledDpBudget(0.8, 1e-5), 5, variant="minibatch",
-        selector=BatchSelector(500), phase1_t_policy=_two_steps),
+        "2opt_b", SubsampledDpBudget(0.8, 1e-5), 5, selector=BatchSelector(500),
+        t_policy=_two_steps),
     "weight_box_abort": _weight_box_run,
 }
 
@@ -524,8 +520,8 @@ class TestDeterminism:
     def test_identical_seeds_produce_identical_traces(self):
         ds, model = planted_instance()
         plan = bounded_plan(model, ds, BOUNDED)
-        a = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(11))
-        b = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(11))
+        a = run_variant("opt", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(11))
+        b = run_variant("opt", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(11))
         assert a.trace == b.trace
         assert np.array_equal(a.w_final, b.w_final)
         assert a.z_draw == b.z_draw
@@ -533,16 +529,16 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         ds, model = planted_instance()
         plan = bounded_plan(model, ds, BOUNDED)
-        a = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(11))
-        b = run_short_step(model, ds, np.zeros(6), BOUNDED, plan, SeededRng(12))
+        a = run_variant("opt", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(11))
+        b = run_variant("opt", model, ds, np.zeros(6), BOUNDED, plan, SeededRng(12))
         assert a.z_draw != b.z_draw
 
 
 class TestLanczosPath:
     def test_zero_noise_lanczos_run_converges_with_exact_checks(self):
         ds, model = planted_instance()
-        out = run_short_step(model, ds, np.zeros(6), TOLS, ShortStepBudget(0.5),
-                             SeededRng(0), noise_mode="zero", lanczos=True)
+        out = run_variant("opt", model, ds, np.zeros(6), TOLS, ShortStepBudget(0.5), SeededRng(0),
+                          noise_mode="zero", lanczos=True)
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, out.w_final))[0]
@@ -560,25 +556,24 @@ class TestLanczosPath:
         ds = synth_dataset("planted_saddle", 4, d, seed=0)
         model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, d)
         with pytest.raises(ValueError, match="lanczos=True"):
-            run_short_step(model, ds, np.zeros(d), TOLS, ShortStepBudget(0.5), SeededRng(0),
-                           noise_mode="zero")
+            run_variant("opt", model, ds, np.zeros(d), TOLS, ShortStepBudget(0.5), SeededRng(0),
+                        noise_mode="zero")
         assert calls == []
 
     def test_missing_lambda_rejected_for_line_search(self):
         ds, model = identical_sample_quartic()
         plan = NoisePlan(10.0, 10.0, 10.0)  # no lambda_svt
         with pytest.raises(ValueError, match="lambda_svt"):
-            run_line_search(model, ds, np.array([2.0, 0.0]), TOLS, plan,
-                            SeededRng(0), noise_mode="zero")
+            run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, plan, SeededRng(0),
+                        noise_mode="zero")
 
 
 class TestWeightBox:
     def test_violation_aborts_with_failed_termination(self):
         ds = synth_dataset("logistic_separable", 200, 3, seed=1)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 3, weight_box=0.4)
-        out = run_short_step(model, ds, np.zeros(3),
-                             AlgorithmConstants(eps_g=1e-4, eps_h=0.2),
-                             ShortStepBudget(0.5), SeededRng(0), noise_mode="zero")
+        out = run_variant("opt", model, ds, np.zeros(3), AlgorithmConstants(eps_g=1e-4, eps_h=0.2),
+                          ShortStepBudget(0.5), SeededRng(0), noise_mode="zero")
         assert out.status == "failed_termination"
         assert any("weight box" in w for w in out.warnings)
         # the returned iterate is the last one inside the box, with a real loss
@@ -592,9 +587,9 @@ class TestWeightBox:
         ds = synth_dataset("logistic_separable", 200, 3, seed=1)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 3, weight_box=0.4)
         with pytest.raises(objective.WeightBoxError):
-            run_short_step(model, ds, np.array([top, 0.0, 0.0]),
-                           AlgorithmConstants(eps_g=1e-4, eps_h=0.2),
-                           ShortStepBudget(0.5), SeededRng(0))
+            run_variant("opt", model, ds, np.array([top, 0.0, 0.0]),
+                        AlgorithmConstants(eps_g=1e-4, eps_h=0.2), ShortStepBudget(0.5),
+                        SeededRng(0))
 
 
 class TestNonFiniteRelease:
@@ -614,8 +609,7 @@ class TestNonFiniteRelease:
             deriv.fill(np.nan)
 
         model = self._with_link(base, value_and_deriv=nan_deriv)
-        out = run_short_step(model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5),
-                             SeededRng(0))
+        out = run_variant("opt", model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5), SeededRng(0))
         assert out.status == "failed_termination"
         assert any("non-finite noisy gradient norm" in w for w in out.warnings)
         assert out.trace == ()
@@ -634,8 +628,8 @@ class TestNonFiniteRelease:
                 math.nan, np.full(H.shape[0], math.nan), "dense"))
         else:
             model = self._with_link(model, second=lambda t: np.full_like(t, np.nan))
-        out = run_short_step(model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5),
-                             SeededRng(0), noise_mode="zero", lanczos=path == "lanczos")
+        out = run_variant("opt", model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5), SeededRng(0),
+                          noise_mode="zero", lanczos=path == "lanczos")
         assert out.status == "failed_termination"
         assert any(f"non-finite {what}" in w for w in out.warnings)
         assert out.trace == ()
@@ -648,8 +642,8 @@ class TestTwoPhase:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
         rho = 0.5
-        out = run_two_phase(model, ds, np.zeros(4), consts, ShortStepBudget(rho),
-                            SeededRng(0), variant="short", noise_mode="zero")
+        out = run_variant("2opt", model, ds, np.zeros(4), consts, ShortStepBudget(rho),
+                          SeededRng(0), noise_mode="zero")
         assert out.status == "converged_2s"
         assert len(out.phases) == 1
         assert out.accounted_privacy.rho <= 0.75 * rho + 1e-12
@@ -659,9 +653,8 @@ class TestTwoPhase:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
         rho = 0.5
-        out = run_two_phase(model, ds, np.zeros(4), consts, ShortStepBudget(rho),
-                            SeededRng(1), variant="short", noise_mode="zero",
-                            phase1_t_policy=lambda t: 2)
+        out = run_variant("2opt", model, ds, np.zeros(4), consts, ShortStepBudget(rho),
+                          SeededRng(1), noise_mode="zero", t_policy=lambda t: 2)
         p1, p2 = out.phases
         assert p1.status == "budget_exhausted" and p1.iterations == 2
         assert p2.status == "converged_2s"
@@ -679,8 +672,8 @@ class TestTwoPhase:
         ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
-        out = run_two_phase(model, ds, np.zeros(4), consts, LineSearchBudget(0.5),
-                            SeededRng(5), variant="line_search", noise_mode="zero")
+        out = run_variant("2opt_ls", model, ds, np.zeros(4), consts, LineSearchBudget(0.5),
+                          SeededRng(5), noise_mode="zero")
         assert out.status == "converged_2s"
         assert out.accounted_privacy.rho <= 0.5 + 1e-12
 
@@ -716,8 +709,8 @@ class TestMarginReuse:
 
     def test_short_step_one_product_per_iterate(self, products):
         ds, model = self._instance()
-        out = run_short_step(model, ds, np.zeros(4), self.CONSTS, ShortStepBudget(0.5),
-                             SeededRng(2))
+        out = run_variant("opt", model, ds, np.zeros(4), self.CONSTS, ShortStepBudget(0.5),
+                          SeededRng(2))
         steps = out.iterations - out.converged
         assert len(products["keys"]) == 1 + steps
         # f0, each gradient and loss after a step, the Hessian, the final loss
@@ -728,17 +721,17 @@ class TestMarginReuse:
         ds, model = self._instance()
         w0, rng = np.zeros(4), SeededRng(4)
         if run == "line_search":
-            out = run_line_search(model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng)
+            out = run_variant("opt_ls", model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng)
             assert sum(r.probes for r in out.trace) > 0
         elif run == "minibatch":
-            out = run_minibatch(model, ds, w0, self.CONSTS, LOOSE_RDP, BatchSelector(RDP_BATCH),
-                                rng)
+            out = run_variant("opt_b", model, ds, w0, self.CONSTS, LOOSE_RDP, rng,
+                              selector=BatchSelector(RDP_BATCH))
         elif run == "lanczos":
-            out = run_short_step(model, ds, w0, self.CONSTS, ShortStepBudget(0.5), rng,
-                                 lanczos=True)
+            out = run_variant("opt", model, ds, w0, self.CONSTS, ShortStepBudget(0.5), rng,
+                              lanczos=True)
         else:
-            out = run_two_phase(model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng,
-                                variant="line_search", phase1_t_policy=lambda t: 2)
+            out = run_variant("2opt_ls", model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng,
+                              t_policy=lambda t: 2)
         assert out.status != "failed_termination"
         keys = products["keys"]
         # both phases of a two-phase run share one memo, so phase 2's start
@@ -777,15 +770,15 @@ class TestTracerContract:
 
     def test_dense_line_search_calls_each_dense_evaluator(self, calls):
         ds, model = identical_sample_quartic()
-        out = run_line_search(model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
-                              SeededRng(1), noise_mode="zero")
+        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
+                          SeededRng(1), noise_mode="zero")
         assert out.hess_evals > 0
         assert [calls[name] > 0 for name in self.NAMES] == [True, True, True, False]
 
     def test_lanczos_two_phase_calls_the_hvp(self, calls):
         ds, model = identical_sample_quartic()
-        out = run_two_phase(model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5),
-                            SeededRng(1), noise_mode="zero", lanczos=True)
+        out = run_variant("2opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1),
+                          noise_mode="zero", lanczos=True)
         assert out.hess_evals > 0
         assert [calls[name] > 0 for name in self.NAMES] == [True, True, False, True]
 
@@ -817,8 +810,8 @@ class TestTracerContract:
 
     def test_line_search_sweeps_once_per_step(self, noise_calls):
         ds, model = identical_sample_quartic()
-        out = run_line_search(model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
-                              SeededRng(1), noise_mode="zero")
+        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
+                          SeededRng(1), noise_mode="zero")
         steps = sum(1 for r in out.trace if r.kind != "terminate")
         assert out.curv_steps > 0 and out.grad_steps > 0
         assert noise_calls == {"dp_line_search": steps, "wigner_init": out.hess_evals,
@@ -826,8 +819,8 @@ class TestTracerContract:
 
     def test_lanczos_multiplies_by_each_draw(self, noise_calls):
         ds, model = identical_sample_quartic()
-        out = run_two_phase(model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5),
-                            SeededRng(1), noise_mode="zero", lanczos=True)
+        out = run_variant("2opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1),
+                          noise_mode="zero", lanczos=True)
         assert noise_calls["dp_line_search"] == 0
         assert noise_calls["wigner_init"] == out.hess_evals > 0
         assert noise_calls["wigner_matvec"] > 0
@@ -901,7 +894,7 @@ class TestAccountingCheckedFirst:
     """An infeasible RDP target at s = 0.25 must not hide a bad mode, and
     the mode is rejected before the initial loss or the tuner is paid for."""
 
-    def _rejected(self, monkeypatch, match, **kwargs):
+    def _rejected(self, monkeypatch, match, run):
         calls = []
         for name in ("tune_noise_plan", "erm_value"):
             def counting(*args, _name=name, _original=getattr(runs, name), **kw):
@@ -911,20 +904,22 @@ class TestAccountingCheckedFirst:
         ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         with pytest.raises(ValueError, match=match) as err:
-            run_minibatch(model, ds, np.zeros(4), AlgorithmConstants(eps_g=0.06, eps_h=0.245),
-                          RdpTuneBudget(1.0, 1e-5), BatchSelector(500), SeededRng(0),
-                          **kwargs)
+            run(model, ds, np.zeros(4), AlgorithmConstants(eps_g=0.06, eps_h=0.245),
+                RdpTuneBudget(1.0, 1e-5))
         assert type(err.value) is ValueError
         assert calls == []
 
     @pytest.mark.parametrize("accounting", ["pure", "zcdp", "approx_dp"])
     def test_accounting_other_than_the_budgets_raised_before_any_tune(self, accounting,
                                                                       monkeypatch):
+        # run_minibatch's own keyword, which may only restate the budget's notion
         self._rejected(monkeypatch, f"the budget accounts in rdp, not '{accounting}'",
-                       accounting=accounting)
+                       lambda *args: run_minibatch(*args, BatchSelector(500), SeededRng(0),
+                                                   accounting=accounting, lanczos=False))
 
     def test_unknown_noise_mode_raised_before_any_tune(self, monkeypatch):
-        self._rejected(monkeypatch, "unknown noise mode", noise_mode="bogus")
+        self._rejected(monkeypatch, "unknown noise mode", lambda *args: run_variant(
+            "opt_b", *args, SeededRng(0), selector=BatchSelector(500), noise_mode="bogus"))
 
     @pytest.mark.parametrize("sigma_g,sigma_h", [(1e-160, 1.0), (1.0, 1e-160),
                                                  (2.5e-152, 2.5e-152)])
