@@ -48,7 +48,7 @@ MUTANTS = {
            "charges no Hessian on the RDP curve"),
     "M9": ("sens_batch = sensitivities(model, m, d)", "sens_batch = sensitivities(model, n, d)",
            "scales mini-batch noise to the full-batch sensitivity"),
-    "M10": ("z = gaussian(noise_factor * ", "z = gaussian(0.5 * noise_factor * ",
+    "M10": ("z = gaussian(sensitivities(", "z = gaussian(0.5 * sensitivities(",
             "halves the initial-loss noise"),
     "M11": ("s), 0, t_budget,\n            t_budget * self.sweeps)",
             "s), 0, t_budget // 2,\n            t_budget // 2 * self.sweeps)",

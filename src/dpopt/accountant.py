@@ -207,7 +207,6 @@ class NoisePlan:
         return "rdp" if self.subsample_fraction < 1.0 else "zcdp"
 
     def __post_init__(self):
-        # finite too: a zero-noise run multiplies each scale by 0
         for name in ("sigma_f", "sigma_g", "sigma_h"):
             if not (0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be positive and finite")

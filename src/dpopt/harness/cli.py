@@ -22,7 +22,7 @@ from .experiment import (LOSSES, TOLERANCE_PRESETS, ConfigError, ExperimentConfi
 
 # the flags whose value, when given, is the ExperimentConfig field of that name
 _FIELD_FLAGS = ("dataset_format", "preprocessing", "loss", "lambda_reg", "delta",
-                "batch_size", "synth_n", "synth_d", "zero_noise", "lanczos")
+                "batch_size", "synth_n", "synth_d", "lanczos")
 
 
 def _parse_args(argv):
@@ -46,8 +46,6 @@ def _parse_args(argv):
     parser.add_argument("--eps-h", type=float, dest="eps_h")
     parser.add_argument("--synth-n", type=int, dest="synth_n")
     parser.add_argument("--synth-d", type=int, dest="synth_d")
-    parser.add_argument("--zero-noise", action="store_true", default=None,
-                        help="test mode: run with all noise set to zero")
     parser.add_argument("--lanczos", action="store_true", default=None,
                         help="estimate the smallest eigenvalue with randomized Lanczos")
     parser.add_argument("--out", help="report output path")
@@ -86,8 +84,9 @@ def _build_config(args) -> ExperimentConfig:
             raw[key] = getattr(args, key)
     if args.variant:
         raw["variants"] = tuple(args.variant.split(","))
-    if args.epsilon:
+    if args.epsilon:  # the file's rhos would override it
         raw["epsilons"] = tuple(float(e) for e in args.epsilon.split(","))
+        raw.pop("rhos", None)
     if args.seeds:
         raw["seeds"] = tuple(int(s) for s in args.seeds.split(","))
 

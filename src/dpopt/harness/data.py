@@ -210,6 +210,9 @@ def load_dataset(path, fmt: str = "csv", preprocessing: str = "none",
         raise FileNotFoundError(path)
     check_loader_choice("dataset_format", fmt)
     check_loader_choice("preprocessing", preprocessing)
+    if fmt == "csv" and n_features is not None:
+        raise ValueError(f"n_features = {n_features} applies to libsvm files only: a CSV "
+                         "file's width is its column count")
     X, y = _parse_csv(path, label_column) if fmt == "csv" else _parse_libsvm(path, n_features)
     X, y = _apply_preset(X, y, preprocessing)
     bad = ~np.isin(y, (-1.0, 1.0))

@@ -64,13 +64,13 @@ class ConfigError(ValueError):
 # config may hold any type there; a JSON true is no integer
 _FIELD_TYPES = {
     **dict.fromkeys(("label_column", "synth_n", "synth_d", "synth_seed", "seeds",
-                     "rng_stream", "batch_size"), ("an integer", (int, np.integer))),
+                     "batch_size"), ("an integer", (int, np.integer))),
     **dict.fromkeys(("lambda_reg", "weight_box", "epsilons", "delta", "rhos", "budget_split"),
                     ("a number", (int, float, np.integer, np.floating))),
     **dict.fromkeys(("dataset_format", "preprocessing", "synth", "loss", "variants",
                      "minibatch_accounting"), ("a string", (str,))),
     "dataset_path": ("a path", (str, Path)),
-    **dict.fromkeys(("zero_noise", "lanczos"), ("true or false", (bool,))),
+    "lanczos": ("true or false", (bool,)),
 }
 _LISTS = ("variants", "epsilons", "rhos", "seeds")
 _OPTIONAL = ("dataset_path", "synth", "rhos", "batch_size")  # None is allowed too
@@ -103,11 +103,9 @@ class ExperimentConfig:
     constants: AlgorithmConstants = field(
         default_factory=lambda: AlgorithmConstants(eps_g=0.060, eps_h=0.245))
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    rng_stream: int = 0
     batch_size: int | None = None
     minibatch_accounting: str = "rdp"       # rdp | approx_dp
     budget_split: float = 0.75
-    zero_noise: bool = False
     lanczos: bool = False
 
     def __post_init__(self):
@@ -135,9 +133,8 @@ class ExperimentConfig:
             raise ConfigError("configure exactly one of dataset_path and synth")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if min(self.seeds) < 0 or self.rng_stream < 0:
-            raise ConfigError(f"seeds {self.seeds} and rng_stream {self.rng_stream} "
-                              "must be nonnegative")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds {self.seeds} must be nonnegative")
         if not 0.0 < self.budget_split < 1.0:
             raise ConfigError(f"budget_split {self.budget_split} must lie in (0, 1)")
         if self.rhos is None and not self.epsilons:
@@ -244,7 +241,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     rows: list[RunRow] = []
     nan = float("nan")
-    noise_mode = "zero" if config.zero_noise else "standard"
     for variant in config.variants:
         kind = VARIANTS[variant]
         selector = BatchSelector(config.batch_size) if kind.minibatch else None
@@ -256,8 +252,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
                 try:
                     outcome = run_variant(
                         variant, model, dataset, np.zeros(dataset.d), config.constants,
-                        budget, SeededRng(seed, config.rng_stream), selector=selector,
-                        noise_mode=noise_mode, lanczos=config.lanczos,
+                        budget, SeededRng(seed), selector=selector, lanczos=config.lanczos,
                         budget_split=config.budget_split)
                 except InfeasiblePlanError:
                     # no calibration meets this budget at this seed's T: the

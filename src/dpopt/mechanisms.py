@@ -12,8 +12,7 @@ noise sequence bit-for-bit on a given numpy/scipy build:
 A Wigner draw takes all d (d + 1) / 2 normals in one call and copies row
 i's d - i of them into row i and its mirror, column i.  The quantile
 transform works in place on the uniforms' array.  At scale 0 every
-helper returns zeros and draws nothing: a run's zero-noise test mode is
-all of its scales set to 0.
+helper returns zeros and draws nothing.
 
 Each uniform, and so each normal, is one 64-bit PCG64 draw, so
 SeededRng.advanced(k) can replay a stream from its (k + 1)-th normal; the

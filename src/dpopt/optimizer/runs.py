@@ -26,8 +26,7 @@ calibrated to T; every budget answers one protocol (see "budgets" below).
 Per-iteration draw order is fixed and documented: batch indices, gradient
 noise, Hessian child stream, Lanczos start vector, SVT threshold and
 probe noise.  Identical (seed, config, dataset) reproduce bit-identical
-traces.  noise_mode "zero" multiplies every noise scale (initial loss,
-gradient, Hessian, SVT sensitivity) by 0, so no noise is drawn.
+traces.
 
 One ledger per run (_Ledger) draws every gradient noise and Wigner
 matrix, runs every SVT sweep and logs each release (accountant.Release) in
@@ -320,14 +319,12 @@ def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search:
 class _Ledger:
     """The one place a run draws and logs its per-iteration releases, after
     its initial loss's (see _releases).  log is the run's releases so far in
-    count form; each StepRecord keeps it, and the run's notion converts it.
-    factor multiplies every noise scale: 1 draws from the plan, 0 draws
-    nothing (--zero-noise); a zero-noise run logs as a noisy one."""
+    count form; each StepRecord keeps it, and the run's notion converts it."""
 
-    def __init__(self, releases, plan: NoisePlan, sens, rng: SeededRng, factor: float):
-        self.plan, self.rng, self.factor = plan, rng, factor
-        self.grad_scale = factor * sens.delta_g * plan.sigma_g
-        self.hess_scale = factor * sens.delta_h * plan.sigma_h
+    def __init__(self, releases, plan: NoisePlan, sens, rng: SeededRng):
+        self.plan, self.rng = plan, rng
+        self.grad_scale = sens.delta_g * plan.sigma_g
+        self.hess_scale = sens.delta_h * plan.sigma_h
         f0, self._begun, self._curvature = releases
         self.log = (f0,)
 
@@ -342,12 +339,8 @@ class _Ledger:
         return op
 
     def sweep(self, query, sensitivity: float, gamma_init: float, gamma_bar: float, beta: float):
-        return dp_line_search(query, self.factor * sensitivity, gamma_init, gamma_bar,
+        return dp_line_search(query, sensitivity, gamma_init, gamma_bar,
                               beta, self.plan.lambda_svt, self.rng)
-
-
-# noise_mode -> the factor on every noise scale of a run
-_NOISE_FACTORS = {"standard": 1.0, "zero": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +349,8 @@ _NOISE_FACTORS = {"standard": 1.0, "zero": 0.0}
 
 def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
               constants: AlgorithmConstants, budget: Budget, rng: SeededRng,
-              memo: MarginMemo, *, selector: BatchSelector | None, noise_mode: str,
-              lanczos: bool, t_policy: Callable[[int], int] | None) -> RunOutcome:
+              memo: MarginMemo, *, selector: BatchSelector | None, lanczos: bool,
+              t_policy: Callable[[int], int] | None) -> RunOutcome:
     n, d = dataset.n, dataset.d
     selector = selector or BatchSelector()
     m = selector.batch_size(n)
@@ -368,22 +361,16 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     w = np.asarray(w0, dtype=float).copy()
     if w.shape != (d,):
         raise ValueError(f"w0 must have shape ({d},)")
-    # before any data pass or calibration: a bad mode is not worth an RDP
-    # tune, and an infeasible budget must not hide it
-    if noise_mode not in _NOISE_FACTORS:
-        raise ValueError(f"unknown noise mode {noise_mode!r}")
-    noise_factor = _NOISE_FACTORS[noise_mode]
     notion = _notion(budget, m < n)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     f0 = erm_value(model, dataset, w, memo=memo)
-    z = gaussian(noise_factor * sensitivities(model, n, d).delta_f * budget.sigma_f, rng)
+    z = gaussian(sensitivities(model, n, d).delta_f * budget.sigma_f, rng)
     derived = derive_constants(constants, model, loop, f0 + abs(z))
     t_est = derived.t_budget
     t_used = max(1, min(t_est, t_policy(t_est))) if t_policy is not None else t_est
     plan = budget.plan(t_used, m / n)
-    ledger = _Ledger(_releases(notion, budget, plan, t_used, line_search), plan, sens_batch,
-                     rng, noise_factor)
+    ledger = _Ledger(_releases(notion, budget, plan, t_used, line_search), plan, sens_batch, rng)
 
     trace: list[StepRecord] = []
     status = "budget_exhausted"
@@ -500,8 +487,8 @@ VARIANTS = {
 
 def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
                 constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
-                selector: BatchSelector | None = None, noise_mode: str = "standard",
-                lanczos: bool = False, t_policy: Callable[[int], int] | None = None,
+                selector: BatchSelector | None = None, lanczos: bool = False,
+                t_policy: Callable[[int], int] | None = None,
                 budget_split: float = 0.75) -> RunOutcome:
     """Run the public solver name, a key of VARIANTS.
 
@@ -535,8 +522,7 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
 
     def run(w_start, bud: Budget, policy) -> RunOutcome:
         return _run_core(variant.loop, model, dataset, w_start, constants, bud, rng, memo,
-                         selector=selector, noise_mode=noise_mode, lanczos=lanczos,
-                         t_policy=policy)
+                         selector=selector, lanczos=lanczos, t_policy=policy)
 
     if not variant.two_phase:
         return run(w0, budget, t_policy)

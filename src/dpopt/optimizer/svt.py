@@ -7,8 +7,7 @@ sweep makes at most i_max = floor(log_beta(gamma_bar / gamma_init)) + 1
 probes and falls back to gamma_bar on exhaustion (a fallback, not an error:
 the callers choose gamma_bar so the sufficient-decrease query there is
 nonnegative).  The whole sweep is (1/lam)-DP regardless of the number of
-probes.  Delta_q = 0 draws no noise: the sweep is then exact backtracking,
-the test mode behind the harness's zero-noise runs.
+probes.  Delta_q = 0 draws no noise: the sweep is then exact backtracking.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ bounded-noise conditions of the descent guarantees hold,
 so tests can exercise those guarantees on real runs.  Each redraw comes
 from the run's own stream, as the first draw does, and only the accepted
 draw is charged to the run's ledger.
+zero_noise sets every noise scale of a run to 0 (the initial loss, the
+gradient and Hessian draws and each sweep's sensitivity), so no noise is
+drawn; its runs log their releases as noisy runs do.
 always_failing_line_search forces every sparse-vector sweep to exhaust its
 probes and fall back to gamma_bar, drawing no noise.
 recorded_scales records the scale of every draw a run makes, so tests can
@@ -22,6 +25,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from dpopt import mechanisms
 from dpopt.mechanisms import WignerOperator
 from dpopt.optimizer import runs, svt
 
@@ -59,6 +63,25 @@ def bounded_noise(model, constants):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runs, "_Ledger", BoundedLedger)
+        yield
+
+
+@contextmanager
+def zero_noise():
+    """Within the block, runs draw no noise: each draw is at scale 0, which
+    the mechanisms answer with zeros, leaving the run's stream where it is."""
+
+    class ZeroLedger(runs._Ledger):
+        def __init__(self, releases, plan, sens, rng):
+            super().__init__(releases, plan, sens, rng)
+            self.grad_scale = self.hess_scale = 0.0
+
+        def sweep(self, query, sensitivity, gamma_init, gamma_bar, beta):
+            return super().sweep(query, 0.0, gamma_init, gamma_bar, beta)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runs, "_Ledger", ZeroLedger)
+        mp.setattr(runs, "gaussian", lambda scale, rng: mechanisms.gaussian(0.0, rng))
         yield
 
 

@@ -29,7 +29,7 @@ from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget
                              min_dec_short, min_samples_advisor, roots_t1_t2,
                              run_variant, svt_slack)
 from dpopt.spectral import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_dense
-from noise_doubles import bounded_noise
+from noise_doubles import bounded_noise, zero_noise
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -74,15 +74,15 @@ def zero_noise_runs(saddle_instance):
     ds, model = saddle_instance
     w0 = np.zeros(10)
     w0[0] = 0.8
-    runs = {
-        "short": run_variant("opt", model, ds, w0, SADDLE_TOLS, ShortStepBudget(0.5), SeededRng(0),
-                             noise_mode="zero"),
-        "line_search": run_variant("opt_ls", model, ds, w0, SADDLE_TOLS, LineSearchBudget(0.5),
-                                   SeededRng(0), noise_mode="zero"),
-        "short_from_saddle": run_variant("opt", model, ds, np.zeros(10), SADDLE_TOLS,
-                                         ShortStepBudget(0.5), SeededRng(1), noise_mode="zero"),
-    }
-    return runs
+    with zero_noise():
+        return {
+            "short": run_variant("opt", model, ds, w0, SADDLE_TOLS, ShortStepBudget(0.5),
+                                 SeededRng(0)),
+            "line_search": run_variant("opt_ls", model, ds, w0, SADDLE_TOLS,
+                                       LineSearchBudget(0.5), SeededRng(0)),
+            "short_from_saddle": run_variant("opt", model, ds, np.zeros(10), SADDLE_TOLS,
+                                             ShortStepBudget(0.5), SeededRng(1)),
+        }
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +319,9 @@ def test_criterion_9_synthetic_reproduction_bands():
     w0 = np.zeros(5)
 
     loose = AlgorithmConstants(eps_g=0.060, eps_h=0.245)
-    base_short = run_variant("opt", model, ds, w0, loose, ShortStepBudget(1.0), SeededRng(999),
-                             noise_mode="zero")
+    with zero_noise():
+        base_short = run_variant("opt", model, ds, w0, loose, ShortStepBudget(1.0),
+                                 SeededRng(999))
     rho_1 = approx_dp_to_zcdp(ApproxDp(1.0, 1e-5)).rho
     opt_runs = [run_variant("opt", model, ds, w0, loose, ShortStepBudget(rho_1), SeededRng(s))
                 for s in range(5)]
@@ -330,8 +331,9 @@ def test_criterion_9_synthetic_reproduction_bands():
     ok &= all(r.hess_evals <= 5 for r in opt_runs)
 
     tight = AlgorithmConstants(eps_g=0.030, eps_h=0.173)
-    base_ls = run_variant("2opt_ls", model, ds, w0, tight, LineSearchBudget(1.0), SeededRng(999),
-                          noise_mode="zero")
+    with zero_noise():
+        base_ls = run_variant("2opt_ls", model, ds, w0, tight, LineSearchBudget(1.0),
+                              SeededRng(999))
     rho_06 = approx_dp_to_zcdp(ApproxDp(0.6, 1e-5)).rho
     ls_runs = [run_variant("2opt_ls", model, ds, w0, tight, LineSearchBudget(rho_06),
                            SeededRng(s)) for s in range(5)]

@@ -6,7 +6,8 @@ golden_runs.json: status, every trace record, the releases, the ledger,
 the plan, t_budget, z_draw, final_loss, w_final and, for two-phase runs,
 each phase.
 Floats are stored as float.hex, so the comparison is exact.  A case that
-raises stores the exception type instead.
+raises stores the exception type instead.  The zero-noise cases run inside
+tests/noise_doubles.zero_noise.
 
 The instances fit in one span of a feature pass (n <= 2000, d <= 6), so no
 span boundary moves a sum.  The bits hold at one BLAS thread, which
@@ -38,6 +39,7 @@ from dpopt.objective import (BatchSelector, builtin_nonconvex_logistic,
                              builtin_quartic_saddle)
 from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
                              ShortStepBudget, SubsampledDpBudget, run_minibatch, runs)
+from noise_doubles import zero_noise
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.json"
 
@@ -86,6 +88,14 @@ def _two_phase(budget, seed, name, **kw):
     return _logistic_run(name, budget, seed, **kw)
 
 
+def _zero(case):
+    """The case run inside the zero-noise double."""
+    def run():
+        with zero_noise():
+            return case()
+    return run
+
+
 def _fallback(t_full: int) -> int:
     return 2
 
@@ -109,16 +119,15 @@ CASES = {
     "opt_lanczos": lambda: _logistic_run("opt", ShortStepBudget(0.5), 2, lanczos=True),
     "opt_ls_lanczos": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 3, lanczos=True),
     "opt_weight_box": lambda: _saddle_run("opt", ShortStepBudget(2.0), 4),
-    "opt_zero_noise": lambda: _logistic_run("opt", ShortStepBudget(0.5), 5, noise_mode="zero"),
-    "opt_ls_zero_noise": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 6,
-                                               noise_mode="zero"),
+    "opt_zero_noise": _zero(lambda: _logistic_run("opt", ShortStepBudget(0.5), 5)),
+    "opt_ls_zero_noise": _zero(lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 6)),
     # a saddle start: noisy negative-curvature steps, dense and Lanczos
     "opt_noise_plan": lambda: _saddle_run("opt", PLAN_SADDLE, 6, t_policy=_cap),
     "opt_ls_noise_plan": lambda: _saddle_run("opt_ls", PLAN_SADDLE, 7, t_policy=_cap),
     "opt_lanczos_noise_plan": lambda: _saddle_run("opt", PLAN_SADDLE, 8, lanczos=True,
                                                   t_policy=_cap),
-    "opt_ls_zero_noise_saddle": lambda: _saddle_run("opt_ls", LineSearchBudget(0.5), 1,
-                                                    noise_mode="zero", t_policy=_cap),
+    "opt_ls_zero_noise_saddle": _zero(lambda: _saddle_run("opt_ls", LineSearchBudget(0.5), 1,
+                                                          t_policy=_cap)),
     # mini-batch: RDP and approx_dp; zCDP on a batch of all n rows only
     "opt_b_rdp": lambda: _minibatch(RDP, 0),
     "opt_b_rdp_small_batch": lambda: _minibatch(RDP, 1, m=SMALL_BATCH),
@@ -129,7 +138,7 @@ CASES = {
     "opt_b_approx_dp_default": lambda: _minibatch(SUBSAMPLED, 3),
     "opt_b_noise_plan": lambda: _minibatch(NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5),
     "opt_b_full_batch_zcdp": lambda: _accounting(ShortStepBudget(0.5), 6, "zcdp", m=2000),
-    "opt_b_zero_noise": lambda: _minibatch(LOOSE_RDP, 7, m=RDP_BATCH, noise_mode="zero"),
+    "opt_b_zero_noise": _zero(lambda: _minibatch(LOOSE_RDP, 7, m=RDP_BATCH)),
     "opt_b_lanczos": lambda: _minibatch(LOOSE_RDP, 8, m=RDP_BATCH, lanczos=True),
     "opt_b_infeasible": lambda: _minibatch(RdpTuneBudget(0.05, 1e-5), 9, m=SMALL_BATCH),
     # two-phase
@@ -146,8 +155,8 @@ CASES = {
     "2opt_b_rdp_fallback": lambda: _two_phase(
         RdpTuneBudget(8.0, 1e-5), 10, "2opt_b", selector=BatchSelector(RDP_BATCH),
         t_policy=_fallback),
-    "2opt_zero_noise": lambda: _two_phase(ShortStepBudget(0.5), 7, "2opt", noise_mode="zero",
-                                          t_policy=_fallback),
+    "2opt_zero_noise": _zero(lambda: _two_phase(ShortStepBudget(0.5), 7, "2opt",
+                                                t_policy=_fallback)),
     "2opt_split": lambda: _two_phase(ShortStepBudget(0.5), 8, "2opt", budget_split=0.5,
                                      t_policy=_fallback),
     # rejected inputs
@@ -173,12 +182,27 @@ CASES = {
     "reject_2opt_ls_short_budget": lambda: _two_phase(ShortStepBudget(0.5), 0, "2opt_ls"),
 }
 
+
+def _sweep(**config) -> list[list[str]]:
+    """The sweep's CSV rows without the runtime_s column, header first."""
+    report = run_experiment(ExperimentConfig(
+        synth="logistic_separable", synth_n=2000, synth_d=4, synth_seed=3,
+        variants=("opt", "opt_b", "opt_ls", "2opt", "2opt_b", "2opt_ls"),
+        epsilons=(1.0,), seeds=(0,), constants=CONSTS, **config))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = emit_report(report, "csv", Path(tmp) / "sweep.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    drop = rows[0].index("runtime_s")
+    return [row[:drop] + row[drop + 1:] for row in rows]
+
+
 # small sweeps over all six names pin how the harness maps a name to a run:
 # both mini-batch accounting modes, and a batch of all n rows
 SWEEPS = {
-    "rdp": dict(batch_size=SMALL_BATCH, minibatch_accounting="rdp"),
-    "approx_dp": dict(batch_size=SMALL_BATCH, minibatch_accounting="approx_dp"),
-    "full_batch_zero_noise_lanczos": dict(batch_size=2000, zero_noise=True, lanczos=True),
+    "rdp": lambda: _sweep(batch_size=SMALL_BATCH, minibatch_accounting="rdp"),
+    "approx_dp": lambda: _sweep(batch_size=SMALL_BATCH, minibatch_accounting="approx_dp"),
+    "full_batch_zero_noise_lanczos": _zero(lambda: _sweep(batch_size=2000, lanczos=True)),
 }
 
 
@@ -209,21 +233,6 @@ def run_case(name: str):
     return _encode(outcome)
 
 
-def run_sweep(name: str) -> list[list[str]]:
-    """The sweep's CSV rows without the runtime_s column, header first."""
-    config = ExperimentConfig(
-        synth="logistic_separable", synth_n=2000, synth_d=4, synth_seed=3,
-        variants=("opt", "opt_b", "opt_ls", "2opt", "2opt_b", "2opt_ls"),
-        epsilons=(1.0,), seeds=(0,), constants=CONSTS, **SWEEPS[name])
-    report = run_experiment(config)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = emit_report(report, "csv", Path(tmp) / "sweep.csv")
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    drop = rows[0].index("runtime_s")
-    return [row[:drop] + row[drop + 1:] for row in rows]
-
-
 @pytest.fixture(scope="module")
 def golden():
     with open(GOLDEN) as fh:
@@ -242,7 +251,7 @@ def test_run_matches_golden(golden, name):
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
 def test_sweep_matches_golden(golden, name):
-    assert run_sweep(name) == golden["sweeps"][name]
+    assert SWEEPS[name]() == golden["sweeps"][name]
 
 
 def _decode_plan(plan: dict) -> NoisePlan:
@@ -331,7 +340,7 @@ def test_every_policy_run_spends_within_its_target(golden, monkeypatch):
 
 def main() -> int:
     data = {"runs": {name: run_case(name) for name in sorted(CASES)},
-            "sweeps": {name: run_sweep(name) for name in sorted(SWEEPS)}}
+            "sweeps": {name: SWEEPS[name]() for name in sorted(SWEEPS)}}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data['runs'])} runs and {len(data['sweeps'])} sweeps to {GOLDEN}",

@@ -25,6 +25,7 @@ from dpopt.mechanisms import SeededRng
 from dpopt.objective import builtin_nonconvex_logistic, builtin_quartic_saddle, erm_hessian
 from dpopt.optimizer import (VARIANTS, AlgorithmConstants, ShortStepBudget,
                              SubsampledDpBudget, run_variant, runs)
+from noise_doubles import zero_noise
 
 
 class TestCsvLoader:
@@ -34,6 +35,13 @@ class TestCsvLoader:
         ds = load_dataset(path, "csv", preprocessing="covertype")
         assert ds.n == 2
         assert set(ds.labels.tolist()) == {1.0, -1.0}
+
+    def test_n_features_refused(self, tmp_path):
+        # a CSV file's width is its column count: a stated width is not silently dropped
+        path = tmp_path / "toy.csv"
+        path.write_text("0.5,0.1,1\n0.1,0.2,-1\n")
+        with pytest.raises(ValueError, match="n_features = 7"):
+            load_dataset(path, "csv", n_features=7)
 
     def test_header_detected_and_skipped(self, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -374,9 +382,10 @@ class TestSynthetic:
     def test_separable_instance_is_solvable_without_noise(self):
         ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
-        out = run_variant("opt", model, ds, np.zeros(4),
-                          AlgorithmConstants(eps_g=0.06, eps_h=0.245), ShortStepBudget(0.5),
-                          SeededRng(0), noise_mode="zero")
+        with zero_noise():
+            out = run_variant("opt", model, ds, np.zeros(4),
+                              AlgorithmConstants(eps_g=0.06, eps_h=0.245), ShortStepBudget(0.5),
+                              SeededRng(0))
         assert out.status == "converged_2s"
 
     def test_unknown_kind(self):
@@ -390,14 +399,20 @@ def small_config(**overrides):
         loss="nonconvex_logistic", lambda_reg=1e-3,
         variants=("opt",), epsilons=(1.0,), delta=1e-5,
         constants=AlgorithmConstants(eps_g=0.06, eps_h=0.245),
-        seeds=(0, 1, 2, 3, 4), zero_noise=True)
+        seeds=(0, 1, 2, 3, 4))
     base.update(overrides)
     return ExperimentConfig(**base)
 
 
+def run_noiseless(config):
+    """run_experiment inside the zero-noise double."""
+    with zero_noise():
+        return run_experiment(config)
+
+
 class TestRunExperiment:
     def test_aggregates_five_seeds(self):
-        report = run_experiment(small_config())
+        report = run_noiseless(small_config())
         assert len(report.rows) == 5
         cell = report.cells[0]
         assert not cell.failed
@@ -406,19 +421,18 @@ class TestRunExperiment:
         assert cell.loss_std == pytest.approx(np.std(losses, ddof=1))
 
     def test_single_seed_zero_std(self):
-        report = run_experiment(small_config(seeds=(0,)))
+        report = run_noiseless(small_config(seeds=(0,)))
         assert report.cells[0].loss_std == 0.0
 
     def test_failed_seed_marks_cell(self):
         # microscopic budget: noise swamps the checks, runs cannot converge
-        report = run_experiment(small_config(zero_noise=False, epsilons=(1e-3,),
-                                             seeds=(0, 1)))
+        report = run_experiment(small_config(epsilons=(1e-3,), seeds=(0, 1)))
         assert report.cells[0].failed
         assert any(r.status != "converged_2s" for r in report.rows)
 
     def test_zero_noise_opt_equals_opt_b_at_full_batch(self):
-        report = run_experiment(small_config(variants=("opt", "opt_b"),
-                                             batch_size=2000, seeds=(0, 1)))
+        report = run_noiseless(small_config(variants=("opt", "opt_b"),
+                                            batch_size=2000, seeds=(0, 1)))
         by_variant = {}
         for row in report.rows:
             by_variant.setdefault(row.variant, []).append(row.final_loss)
@@ -442,7 +456,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runs, "tune_noise_plan", no_plan)
         monkeypatch.setattr(experiment, "run_variant", no_run)
-        report = run_experiment(small_config(
+        report = run_noiseless(small_config(
             variants=("opt_b",), rhos=(0.05,), batch_size=20, seeds=(0,),
             minibatch_accounting=accounting))
         expected = zcdp_to_approx_dp(ZCdp(0.05), 1e-5).epsilon
@@ -460,7 +474,7 @@ class TestRunExperiment:
             return run_variant(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "run_variant", odd_seeds_only)
-        report = run_experiment(small_config(seeds=(0, 1, 2, 3)))
+        report = run_noiseless(small_config(seeds=(0, 1, 2, 3)))
         assert [r.status for r in report.rows] == ["infeasible_plan", "converged_2s"] * 2
         ran = report.rows[1::2]
         cell = report.cells[0]
@@ -472,17 +486,17 @@ class TestRunExperiment:
         assert render_markdown(report).splitlines()[2] == (
             f"| opt | {cell.loss_mean:.3f} ± {cell.loss_std:.3f} | "
             f"× ({cell.runtime_mean:.2f} ± {cell.runtime_std:.2f}) |")
-        none_ran = run_experiment(small_config(seeds=(0, 2)))
+        none_ran = run_noiseless(small_config(seeds=(0, 2)))
         assert render_markdown(none_ran).splitlines()[2] == "| opt | NA | NA |"
 
     def test_two_phase_variants_run(self):
-        report = run_experiment(small_config(variants=("2opt", "2opt_ls"), seeds=(0,)))
+        report = run_noiseless(small_config(variants=("2opt", "2opt_ls"), seeds=(0,)))
         assert all(r.status == "converged_2s" for r in report.rows)
 
     def test_pipeline_deterministic_up_to_runtime(self):
         cfg = small_config(seeds=(0, 1))
-        first = run_experiment(cfg)
-        second = run_experiment(cfg)
+        first = run_noiseless(cfg)
+        second = run_noiseless(cfg)
         for a, b in zip(first.rows, second.rows):
             assert (a.variant, a.epsilon, a.seed, a.status) == \
                    (b.variant, b.epsilon, b.seed, b.status)
@@ -542,8 +556,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("bad", [{"budget_split": 0.0}, {"budget_split": 1.0},
                                      {"budget_split": math.nan}, {"seeds": (0, -1)},
-                                     {"rng_stream": -1}, {"seeds": (0, 0)}])
-    def test_bad_split_seed_or_stream_rejected_before_the_dataset_is_built(
+                                     {"seeds": (0, 0)}])
+    def test_bad_split_or_seed_rejected_before_the_dataset_is_built(
             self, bad, monkeypatch):
         built = []
         monkeypatch.setattr(experiment, "synth_dataset", lambda *a, **k: built.append(a))
@@ -568,7 +582,7 @@ class TestRunExperiment:
         # that cell records "NA" and the sweep goes on
         config = small_config(variants=("opt", "opt_b"), epsilons=(0.6, 2.0), batch_size=50,
                               minibatch_accounting="approx_dp", seeds=(0, 1))
-        report = run_experiment(config)
+        report = run_noiseless(config)
         cells = {(r.variant, r.epsilon) for r in report.rows}
         assert cells == {(v, eps) for v in ("opt", "opt_b") for eps in (0.6, 2.0)}
         assert [r.status for r in report.rows if r.variant == "opt_b" and r.epsilon == 2.0] \
@@ -591,7 +605,7 @@ class TestRunExperiment:
 
 class TestReports:
     def test_csv_round_trip(self, tmp_path):
-        report = run_experiment(small_config(seeds=(0, 1)))
+        report = run_noiseless(small_config(seeds=(0, 1)))
         path = emit_report(report, "csv", tmp_path / "out.csv")
         assert read_report_csv(path) == report.rows
 
@@ -599,7 +613,7 @@ class TestReports:
                                                (dict(rhos=(0.5,)), "rho")],
                              ids=["epsilons", "rhos"])
     def test_csv_says_what_its_epsilon_column_holds(self, levels, level, tmp_path):
-        report = run_experiment(small_config(seeds=(0, 1), **levels))
+        report = run_noiseless(small_config(seeds=(0, 1), **levels))
         path = emit_report(report, "csv", tmp_path / "out.csv")
         header = path.read_text().splitlines()[0].split(",")
         assert header[header.index("epsilon") + 1] == "level"
@@ -609,7 +623,7 @@ class TestReports:
         assert {(r.epsilon, r.level) for r in rows} == {(report.epsilons[0], level)}
 
     def test_markdown_one_row_per_variant(self):
-        report = run_experiment(small_config(variants=("opt", "2opt"), seeds=(0,)))
+        report = run_noiseless(small_config(variants=("opt", "2opt"), seeds=(0,)))
         md = render_markdown(report)
         lines = [ln for ln in md.splitlines() if ln.startswith("|")]
         assert len(lines) == 2 + 2  # header, separator, two variant rows
@@ -621,24 +635,23 @@ class TestReports:
         (dict(rhos=(0.5,)), ["rho=0.5"])], ids=["epsilons", "rhos"])
     def test_markdown_header_names_the_level(self, levels, label):
         # a rhos sweep keys its cells by rho, and its header says so
-        report = run_experiment(small_config(seeds=(0,), **levels))
+        report = run_noiseless(small_config(seeds=(0,), **levels))
         header = render_markdown(report).splitlines()[0]
         assert header == "| method | " + " | ".join(
             f"{col} ({lv})" for lv in label for col in ("loss", "runtime")) + " |"
 
     def test_failure_marker_in_markdown(self):
-        report = run_experiment(small_config(zero_noise=False, epsilons=(1e-3,),
-                                             seeds=(0,)))
+        report = run_experiment(small_config(epsilons=(1e-3,), seeds=(0,)))
         assert "×" in render_markdown(report)
 
     def test_empty_report_rejected(self, tmp_path):
-        report = run_experiment(small_config(seeds=(0,)))
+        report = run_noiseless(small_config(seeds=(0,)))
         empty = type(report)((), (), (), (), "eps")
         with pytest.raises(ValueError):
             emit_report(empty, "csv", tmp_path / "never.csv")
 
     def test_deterministic_bytes(self, tmp_path):
-        report = run_experiment(small_config(seeds=(0,)))
+        report = run_noiseless(small_config(seeds=(0,)))
         p1 = emit_report(report, "csv", tmp_path / "a.csv")
         p2 = emit_report(report, "csv", tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
@@ -647,7 +660,12 @@ class TestReports:
 class TestCli:
     ARGS = ["--dataset", "synth:logistic_separable", "--synth-n", "2000",
             "--synth-d", "4", "--preset", "covertype_loose", "--variant", "opt",
-            "--epsilon", "1.0", "--seeds", "0,1", "--zero-noise"]
+            "--epsilon", "1.0", "--seeds", "0,1"]
+
+    @pytest.fixture(autouse=True)
+    def _no_noise(self):
+        with zero_noise():
+            yield
 
     def test_sweep_completes_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -660,11 +678,19 @@ class TestCli:
     def test_config_file_with_overrides(self, tmp_path):
         cfg = {"synth": "logistic_separable", "synth_n": 2000, "synth_d": 4,
                "variants": ["opt"], "epsilons": [1.0], "seeds": [0],
-               "zero_noise": True, "constants": {"eps_g": 0.06, "eps_h": 0.245}}
+               "constants": {"eps_g": 0.06, "eps_h": 0.245}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = cli_main(["--config", str(cfg_path), "--seeds", "0,1"])
         assert rc == 0
+
+    def test_epsilon_flag_overrides_the_files_rhos(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rhos": [0.5]}))
+        rc = cli_main(["--config", str(cfg_path)] + self.ARGS)
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "| method | loss (eps=1) | runtime (eps=1) |")
 
     def test_loss_choices_are_the_loss_table(self, monkeypatch):
         monkeypatch.setitem(experiment.LOSSES, "mirror",
@@ -710,11 +736,14 @@ class TestCli:
         assert "unknown preprocessing 'covtype'" in capsys.readouterr().err
         assert parsed == []
 
-    def test_unknown_config_key_is_error(self, tmp_path):
+    # zero_noise and rng_stream are retired keys: an old config must not run as if it had none
+    @pytest.mark.parametrize("key", ["mystery_key", "zero_noise", "rng_stream"])
+    def test_unknown_config_key_is_error(self, key, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"mystery_key": 1}))
+        cfg_path.write_text(json.dumps({"synth": "logistic_separable", key: 1}))
         rc = cli_main(["--config", str(cfg_path), "--preset", "covertype_loose"])
         assert rc == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg", [
         {"constants": {"eps_g": 0.06, "eps_h": 0.245, "bogus": 1},
@@ -722,7 +751,7 @@ class TestCli:
         {"seeds": 5, "synth": "logistic_separable"},
         [1, 2],
         {"synth": "logistic_separable", "synth_n": "abc"},
-        {"synth": "logistic_separable", "zero_noise": "no"},  # a truthy string: no noise
+        {"synth": "logistic_separable", "lanczos": "no"},  # a truthy string: not false
         {"dataset_path": 0},
         # a string where a list belongs, not a tuple of its characters
         {"synth": "logistic_separable", "variants": "opt"},
@@ -730,7 +759,7 @@ class TestCli:
         {"synth": "logistic_separable", "seeds": "12"},
         {"synth": "logistic_separable", "rhos": "0.5"},
     ], ids=["unknown_constant", "scalar_seeds", "not_an_object", "string_synth_n",
-            "string_zero_noise", "integer_dataset_path", "string_variants",
+            "string_lanczos", "integer_dataset_path", "string_variants",
             "string_epsilons", "string_seeds", "string_rhos"])
     def test_malformed_config_file_exits_2(self, cfg, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

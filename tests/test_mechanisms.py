@@ -75,7 +75,7 @@ class TestGaussianVector:
         lambda rng: wigner_matrix(5, 0.0, rng), lambda rng: laplace(0.0, rng),
         lambda rng: WignerOperator(5, 0.0, rng)])
     def test_zero_scale_draws_nothing(self, draw):
-        # a zero-noise run is every scale set to 0: the stream must not move
+        # noise_doubles.zero_noise sets every scale of a run to 0: the stream must not move
         rng = SeededRng(9)
         state = rng.generator.bit_generator.state
         draw(rng)

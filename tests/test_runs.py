@@ -22,7 +22,7 @@ from dpopt.optimizer import (VARIANTS, AlgorithmConstants, LineSearchBudget,
                              RdpTuneBudget, ShortStepBudget, SubsampledDpBudget,
                              default_phase1_policy, min_dec_line_search,
                              min_dec_short, roots_t1_t2, run_minibatch, run_variant)
-from noise_doubles import always_failing_line_search, bounded_noise, recorded_scales
+from noise_doubles import always_failing_line_search, bounded_noise, recorded_scales, zero_noise
 
 TOLS = AlgorithmConstants(eps_g=1e-2, eps_h=1e-1)
 
@@ -53,10 +53,15 @@ def bounded_plan(model, ds, constants, lam=1e-8):
 
 
 class TestZeroNoiseConvergence:
+    @pytest.fixture(autouse=True)
+    def _no_noise(self):
+        with zero_noise():
+            yield
+
     def test_short_step_reaches_exact_second_order_point(self):
         ds, model = identical_sample_quartic()
         out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(0.5),
-                          SeededRng(0), noise_mode="zero")
+                          SeededRng(0))
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, out.w_final))[0]
@@ -66,7 +71,7 @@ class TestZeroNoiseConvergence:
     def test_line_search_reaches_exact_second_order_point(self):
         ds, model = identical_sample_quartic()
         out = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, LineSearchBudget(0.5),
-                          SeededRng(0), noise_mode="zero")
+                          SeededRng(0))
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, out.w_final))[0]
@@ -75,8 +80,7 @@ class TestZeroNoiseConvergence:
 
     def test_saddle_start_takes_curvature_step_first(self):
         ds, model = identical_sample_quartic()
-        out = run_variant("opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1),
-                          noise_mode="zero")
+        out = run_variant("opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1))
         first = out.trace[0]
         assert first.kind == "negative_curvature"
         assert first.grad_norm_noisy == 0.0
@@ -87,10 +91,8 @@ class TestZeroNoiseConvergence:
         # with b_g > 1 the search probes longer steps than 1/G from the same point
         ds, model = identical_sample_quartic()
         w0 = np.array([2.0, 0.0])
-        short = run_variant("opt", model, ds, w0, TOLS, ShortStepBudget(0.5), SeededRng(0),
-                            noise_mode="zero")
-        ls = run_variant("opt_ls", model, ds, w0, TOLS, LineSearchBudget(0.5), SeededRng(0),
-                         noise_mode="zero")
+        short = run_variant("opt", model, ds, w0, TOLS, ShortStepBudget(0.5), SeededRng(0))
+        ls = run_variant("opt_ls", model, ds, w0, TOLS, LineSearchBudget(0.5), SeededRng(0))
         dec_short = short.trace[0].loss_before - short.trace[0].loss_after
         dec_ls = ls.trace[0].loss_before - ls.trace[0].loss_after
         assert dec_ls >= dec_short
@@ -98,7 +100,7 @@ class TestZeroNoiseConvergence:
     def test_line_search_accepted_steps_satisfy_sufficient_decrease(self):
         ds, model = identical_sample_quartic()
         out = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, LineSearchBudget(0.5),
-                          SeededRng(0), noise_mode="zero")
+                          SeededRng(0))
         for rec in out.trace:
             if rec.kind == "gradient":
                 # SD1 with the noiseless gradient: decrease >= c_g gamma ||g||^2
@@ -109,7 +111,7 @@ class TestZeroNoiseConvergence:
         ds, model = identical_sample_quartic()
         t1, t2 = roots_t1_t2(TOLS.c, TOLS.c2, TOLS.c_h)
         out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
-                          SeededRng(1), noise_mode="zero")
+                          SeededRng(1))
         curv = [r for r in out.trace if r.kind == "negative_curvature"]
         assert curv
         for rec in curv:
@@ -201,11 +203,12 @@ class TestLedger:
     def test_ledger_never_exceeds_planned_budget(self):
         ds, model = identical_sample_quartic()
         rho = 0.3
-        out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(rho),
-                          SeededRng(2), noise_mode="zero")
+        with zero_noise():
+            out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(rho),
+                              SeededRng(2))
+            out_ls = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS,
+                                 LineSearchBudget(rho), SeededRng(2))
         assert out.accounted_privacy.rho <= rho + 1e-12
-        out_ls = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS,
-                             LineSearchBudget(rho), SeededRng(2), noise_mode="zero")
         assert out_ls.accounted_privacy.rho <= rho + 1e-12
         recomputed = account_run(run_log(out_ls.plan, out_ls.grad_steps, out_ls.hess_evals,
                                          out_ls.iterations), ZCdp)
@@ -238,8 +241,9 @@ class TestLedger:
 
     def test_iteration_cap_and_hessian_placement(self):
         ds, model = identical_sample_quartic()
-        out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(0.5),
-                          SeededRng(0), noise_mode="zero")
+        with zero_noise():
+            out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(0.5),
+                              SeededRng(0))
         assert out.iterations <= out.t_budget
         for rec in out.trace:
             if rec.lambda_noisy is not None:
@@ -537,8 +541,9 @@ class TestDeterminism:
 class TestLanczosPath:
     def test_zero_noise_lanczos_run_converges_with_exact_checks(self):
         ds, model = planted_instance()
-        out = run_variant("opt", model, ds, np.zeros(6), TOLS, ShortStepBudget(0.5), SeededRng(0),
-                          noise_mode="zero", lanczos=True)
+        with zero_noise():
+            out = run_variant("opt", model, ds, np.zeros(6), TOLS, ShortStepBudget(0.5),
+                              SeededRng(0), lanczos=True)
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
         lam_min = np.linalg.eigvalsh(erm_hessian(model, ds, out.w_final))[0]
@@ -556,24 +561,24 @@ class TestLanczosPath:
         ds = synth_dataset("planted_saddle", 4, d, seed=0)
         model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, d)
         with pytest.raises(ValueError, match="lanczos=True"):
-            run_variant("opt", model, ds, np.zeros(d), TOLS, ShortStepBudget(0.5), SeededRng(0),
-                        noise_mode="zero")
+            run_variant("opt", model, ds, np.zeros(d), TOLS, ShortStepBudget(0.5), SeededRng(0))
         assert calls == []
 
     def test_missing_lambda_rejected_for_line_search(self):
         ds, model = identical_sample_quartic()
         plan = NoisePlan(10.0, 10.0, 10.0)  # no lambda_svt
         with pytest.raises(ValueError, match="lambda_svt"):
-            run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, plan, SeededRng(0),
-                        noise_mode="zero")
+            run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, plan, SeededRng(0))
 
 
 class TestWeightBox:
     def test_violation_aborts_with_failed_termination(self):
         ds = synth_dataset("logistic_separable", 200, 3, seed=1)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 3, weight_box=0.4)
-        out = run_variant("opt", model, ds, np.zeros(3), AlgorithmConstants(eps_g=1e-4, eps_h=0.2),
-                          ShortStepBudget(0.5), SeededRng(0), noise_mode="zero")
+        with zero_noise():
+            out = run_variant("opt", model, ds, np.zeros(3),
+                              AlgorithmConstants(eps_g=1e-4, eps_h=0.2), ShortStepBudget(0.5),
+                              SeededRng(0))
         assert out.status == "failed_termination"
         assert any("weight box" in w for w in out.warnings)
         # the returned iterate is the last one inside the box, with a real loss
@@ -628,8 +633,9 @@ class TestNonFiniteRelease:
                 math.nan, np.full(H.shape[0], math.nan), "dense"))
         else:
             model = self._with_link(model, second=lambda t: np.full_like(t, np.nan))
-        out = run_variant("opt", model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5), SeededRng(0),
-                          noise_mode="zero", lanczos=path == "lanczos")
+        with zero_noise():
+            out = run_variant("opt", model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5),
+                              SeededRng(0), lanczos=path == "lanczos")
         assert out.status == "failed_termination"
         assert any(f"non-finite {what}" in w for w in out.warnings)
         assert out.trace == ()
@@ -642,8 +648,9 @@ class TestTwoPhase:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
         rho = 0.5
-        out = run_variant("2opt", model, ds, np.zeros(4), consts, ShortStepBudget(rho),
-                          SeededRng(0), noise_mode="zero")
+        with zero_noise():
+            out = run_variant("2opt", model, ds, np.zeros(4), consts, ShortStepBudget(rho),
+                              SeededRng(0))
         assert out.status == "converged_2s"
         assert len(out.phases) == 1
         assert out.accounted_privacy.rho <= 0.75 * rho + 1e-12
@@ -653,8 +660,9 @@ class TestTwoPhase:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
         rho = 0.5
-        out = run_variant("2opt", model, ds, np.zeros(4), consts, ShortStepBudget(rho),
-                          SeededRng(1), noise_mode="zero", t_policy=lambda t: 2)
+        with zero_noise():
+            out = run_variant("2opt", model, ds, np.zeros(4), consts, ShortStepBudget(rho),
+                              SeededRng(1), t_policy=lambda t: 2)
         p1, p2 = out.phases
         assert p1.status == "budget_exhausted" and p1.iterations == 2
         assert p2.status == "converged_2s"
@@ -672,8 +680,9 @@ class TestTwoPhase:
         ds = synth_dataset("logistic_separable", 2000, 4, seed=3)
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
-        out = run_variant("2opt_ls", model, ds, np.zeros(4), consts, LineSearchBudget(0.5),
-                          SeededRng(5), noise_mode="zero")
+        with zero_noise():
+            out = run_variant("2opt_ls", model, ds, np.zeros(4), consts, LineSearchBudget(0.5),
+                              SeededRng(5))
         assert out.status == "converged_2s"
         assert out.accounted_privacy.rho <= 0.5 + 1e-12
 
@@ -748,6 +757,11 @@ class TestTracerContract:
 
     NAMES = ("erm_value", "erm_gradient", "erm_hessian", "erm_hvp")
 
+    @pytest.fixture(autouse=True)
+    def _no_noise(self):
+        with zero_noise():
+            yield
+
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {name: 0 for name in self.NAMES}
@@ -771,14 +785,14 @@ class TestTracerContract:
     def test_dense_line_search_calls_each_dense_evaluator(self, calls):
         ds, model = identical_sample_quartic()
         out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
-                          SeededRng(1), noise_mode="zero")
+                          SeededRng(1))
         assert out.hess_evals > 0
         assert [calls[name] > 0 for name in self.NAMES] == [True, True, True, False]
 
     def test_lanczos_two_phase_calls_the_hvp(self, calls):
         ds, model = identical_sample_quartic()
         out = run_variant("2opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1),
-                          noise_mode="zero", lanczos=True)
+                          lanczos=True)
         assert out.hess_evals > 0
         assert [calls[name] > 0 for name in self.NAMES] == [True, True, False, True]
 
@@ -811,7 +825,7 @@ class TestTracerContract:
     def test_line_search_sweeps_once_per_step(self, noise_calls):
         ds, model = identical_sample_quartic()
         out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
-                          SeededRng(1), noise_mode="zero")
+                          SeededRng(1))
         steps = sum(1 for r in out.trace if r.kind != "terminate")
         assert out.curv_steps > 0 and out.grad_steps > 0
         assert noise_calls == {"dp_line_search": steps, "wigner_init": out.hess_evals,
@@ -820,7 +834,7 @@ class TestTracerContract:
     def test_lanczos_multiplies_by_each_draw(self, noise_calls):
         ds, model = identical_sample_quartic()
         out = run_variant("2opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1),
-                          noise_mode="zero", lanczos=True)
+                          lanczos=True)
         assert noise_calls["dp_line_search"] == 0
         assert noise_calls["wigner_init"] == out.hess_evals > 0
         assert noise_calls["wigner_matvec"] > 0
@@ -835,7 +849,7 @@ class TestVariantTable:
             selector = None if variant.minibatch else BatchSelector(4)
             with pytest.raises(ValueError, match="selector"):
                 run_variant(name, model, ds, np.zeros(2), TOLS, budget, SeededRng(0),
-                            selector=selector, noise_mode="zero")
+                            selector=selector)
 
     @pytest.mark.parametrize("budget", [
         ShortStepBudget(0.3, c_f=0.2), LineSearchBudget(0.3, 0.2),
@@ -857,7 +871,7 @@ class TestVariantTable:
             selector = BatchSelector(2) if VARIANTS[name].minibatch else None
             with pytest.raises(TypeError, match=f"{name} takes a "):
                 run_variant(name, model, ds, np.zeros(2), TOLS, plan, SeededRng(0),
-                            selector=selector, noise_mode="zero")
+                            selector=selector)
 
 
 _RHO_POLICIES = (ShortStepBudget, LineSearchBudget)
@@ -891,8 +905,8 @@ class TestBudgetChecks:
 
 
 class TestAccountingCheckedFirst:
-    """An infeasible RDP target at s = 0.25 must not hide a bad mode, and
-    the mode is rejected before the initial loss or the tuner is paid for."""
+    """An infeasible RDP target at s = 0.25 must not hide a bad accounting
+    mode, and the mode is rejected before the initial loss or the tuner is paid for."""
 
     def _rejected(self, monkeypatch, match, run):
         calls = []
@@ -916,10 +930,6 @@ class TestAccountingCheckedFirst:
         self._rejected(monkeypatch, f"the budget accounts in rdp, not '{accounting}'",
                        lambda *args: run_minibatch(*args, BatchSelector(500), SeededRng(0),
                                                    accounting=accounting, lanczos=False))
-
-    def test_unknown_noise_mode_raised_before_any_tune(self, monkeypatch):
-        self._rejected(monkeypatch, "unknown noise mode", lambda *args: run_variant(
-            "opt_b", *args, SeededRng(0), selector=BatchSelector(500), noise_mode="bogus"))
 
     @pytest.mark.parametrize("sigma_g,sigma_h", [(1e-160, 1.0), (1.0, 1e-160),
                                                  (2.5e-152, 2.5e-152)])
