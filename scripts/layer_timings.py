@@ -43,8 +43,8 @@ the steal shares in its header.
     the Wigner draw, its matvec, and one Lanczos eigen-check on the noisy
     Hessian at the origin, as a highdim_lanczos solve makes it;
   * accountant: one subsampled RDP curve over the default orders, and
-    tune_noise_plan at T = 10, s = 0.05, (1, 1e-5) with the sigma_f an
-    RdpTuneBudget for that target fixes;
+    tune_noise_plan at T = 10, s = 0.05, (1, 1e-5) with the sigma_f a
+    Budget for that target fixes;
   * data: CSV ingest scaled to 100 000 rows of 54 features (the file is
     written to a temporary directory first, untimed), and synth_dataset at
     the two benchmark shapes (500 000 x 54 at margin 0.15, 30 000 x 600 at
@@ -81,7 +81,7 @@ from dpopt.harness.data import synth_workers  # noqa: E402
 from dpopt.mechanisms import SeededRng, WignerOperator, wigner_matrix  # noqa: E402
 from dpopt.objective import (MarginMemo, builtin_nonconvex_logistic, erm_gradient,  # noqa: E402
                              erm_hessian, erm_hvp)
-from dpopt.optimizer import RdpTuneBudget  # noqa: E402
+from dpopt.optimizer import Budget  # noqa: E402
 from dpopt.spectral import lanczos_min_eig  # noqa: E402
 
 CSV_ROWS = 100_000
@@ -219,7 +219,7 @@ def spectral_layers(n: int, d: int, repeats: int) -> dict:
 
 
 def accountant_layers(repeats: int) -> dict:
-    sigma_f = RdpTuneBudget(1.0, 1e-5).sigma_f
+    sigma_f = Budget(ApproxDp(1.0, 1e-5)).sigma_f
     return {
         "accountant.rdp_curve[sigma=5,s=0.01]":
             timed(lambda: subsampled_gaussian_rdp_curve(5.0, 0.01), repeats),

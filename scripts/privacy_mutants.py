@@ -50,10 +50,10 @@ MUTANTS = {
            "scales mini-batch noise to the full-batch sensitivity"),
     "M10": ("z = gaussian(sensitivities(", "z = gaussian(0.5 * sensitivities(",
             "halves the initial-loss noise"),
-    "M11": ("s), 0, t_budget,\n            t_budget * self.sweeps)",
-            "s), 0, t_budget // 2,\n            t_budget // 2 * self.sweeps)",
+    "M11": ("s), 0, t_budget,\n            t_budget * sweeps)",
+            "s), 0, t_budget // 2,\n            t_budget // 2 * sweeps)",
             "plans zCDP runs for half the iterations"),
-    "M12": ("t_budget * self.sweeps)", "0)",
+    "M12": ("t_budget * sweeps)", "0)",
             "plans line searches with no sparse-vector share"),
     "M13": ("(8.0 * s * math.sqrt(2.0 * t_budget", "(4.0 * s * math.sqrt(2.0 * t_budget",
             "doubles the advanced-composition step eps0"),
@@ -70,12 +70,17 @@ MUTANTS = {
             "keeps terms j > alpha in the subsampled bound"),
     "M19": ("return hi", "return lo",
             "calibrates RDP plans to the infeasible end of the bisection"),
-    "M20": ("calibrate(ZCdp, (1.0 - self.c_f) * self.rho,", "calibrate(ZCdp, self.rho,",
+    "M20": ("calibrate(ZCdp, (1.0 - self.c_f) * self.target.rho,",
+            "calibrate(ZCdp, self.target.rho,",
             "plans zCDP runs on the whole rho, leaving nothing for f0's share"),
     "M21": ("releases=tuple(tally(phase1.releases + r.releases))", "releases=r.releases",
             "joins phase 2's records without phase 1's releases"),
     "M22": ('if subsampled and budget.accounting == "zcdp":', "if False:",
             "runs a zCDP budget on mini-batches, which zCDP cannot amplify"),
+    "M23": ("if not minibatch and isinstance(budget, Budget) and isinstance(budget.target, "
+            "ApproxDp):", "if False:",
+            "runs an (epsilon, delta) target on a full-batch variant, whose line search its "
+            "plan leaves unpriced"),
 }
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",

@@ -16,10 +16,11 @@ A run's ledger is the one conversion of its releases in count form,
 tally(log); a two-phase run's releases join both phases'.  spent(delta) is
 the scalar a report shows: rho, the curve's epsilon at delta, or epsilon.
 
-Every budget policy of optimizer.runs but SubsampledDpBudget plans by one
-rule, calibrate: the least multiplier at which the run's worst-case log,
-converted by the notion that converts a run's log, spends at most the
-target (tune_noise_plan is its use on the RDP curve).
+An optimizer.runs.Budget plans by one rule, calibrate, unless its
+(epsilon, delta) target composes by advanced composition: the least
+multiplier at which the run's worst-case log, converted by the notion that
+converts a run's log, spends at most the target (tune_noise_plan is its
+use on the RDP curve).
 
 Everything here is a pure function over frozen dataclasses; the module is
 safe to use from any number of threads.
@@ -167,7 +168,7 @@ class ApproxDp:
     @classmethod
     def of(cls, log) -> "ApproxDp":
         """Whole-dataset releases add up; k steps on batches at fraction s,
-        each pricing both draws of an iteration (SubsampledDpBudget.step),
+        each pricing both draws of an iteration (optimizer.runs.Budget.step),
         compose by advanced composition after amplification, to the plan's
         target at k = T."""
         eps = delta = 0.0
@@ -215,7 +216,7 @@ class NoisePlan:
         if not (0.0 < self.subsample_fraction <= 1.0):
             raise ValueError("subsample_fraction must lie in (0, 1]")
 
-    def plan(self, t_budget: int, s: float) -> NoisePlan:
+    def plan(self, t_budget: int, s: float, sweeps: int) -> NoisePlan:
         if not math.isclose(self.subsample_fraction, s, rel_tol=1e-12):
             raise ValueError(
                 f"plan subsample_fraction {self.subsample_fraction} does not "

@@ -203,8 +203,9 @@ def _parse_libsvm(path: Path, n_features: int | None = None) -> tuple[np.ndarray
 
 
 def load_dataset(path, fmt: str = "csv", preprocessing: str = "none",
-                 label_column: int = -1, n_features: int | None = None) -> Dataset:
-    """Load and preprocess a dataset file into an in-memory Dataset."""
+                 label_column: int | None = None, n_features: int | None = None) -> Dataset:
+    """Load and preprocess a dataset file into an in-memory Dataset.  A
+    CSV's labels are its last column unless label_column names another."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -213,7 +214,11 @@ def load_dataset(path, fmt: str = "csv", preprocessing: str = "none",
     if fmt == "csv" and n_features is not None:
         raise ValueError(f"n_features = {n_features} applies to libsvm files only: a CSV "
                          "file's width is its column count")
-    X, y = _parse_csv(path, label_column) if fmt == "csv" else _parse_libsvm(path, n_features)
+    if fmt == "libsvm" and label_column is not None:
+        raise ValueError(f"label_column = {label_column} applies to CSV files only: a libsvm "
+                         "line's label is its first token")
+    X, y = (_parse_csv(path, -1 if label_column is None else label_column) if fmt == "csv"
+            else _parse_libsvm(path, n_features))
     X, y = _apply_preset(X, y, preprocessing)
     bad = ~np.isin(y, (-1.0, 1.0))
     if np.any(bad):

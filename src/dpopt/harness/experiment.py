@@ -33,9 +33,7 @@ from ..accountant import (ApproxDp, InfeasiblePlanError, ZCdp, approx_dp_to_zcdp
 from ..mechanisms import SeededRng
 from ..objective import (DENSE_HESSIAN_CAP, BatchSelector, Dataset, builtin_l2_logistic,
                          builtin_nonconvex_logistic, builtin_quartic_saddle)
-from ..optimizer import (VARIANTS, AlgorithmConstants, Budget, LineSearchBudget,
-                         RdpTuneBudget, ShortStepBudget, SubsampledDpBudget, Variant,
-                         run_variant)
+from ..optimizer import VARIANTS, AlgorithmConstants, Budget, run_variant
 from .data import LOADER_CHOICES, check_loader_choice, load_dataset, synth_dataset
 
 # (eps_g, eps_h) tolerance presets used by the benchmark experiments
@@ -73,7 +71,7 @@ _FIELD_TYPES = {
     "lanczos": ("true or false", (bool,)),
 }
 _LISTS = ("variants", "epsilons", "rhos", "seeds")
-_OPTIONAL = ("dataset_path", "synth", "rhos", "batch_size")  # None is allowed too
+_OPTIONAL = ("dataset_path", "label_column", "synth", "rhos", "batch_size")  # None too
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class ExperimentConfig:
     dataset_path: str | None = None
     dataset_format: str = "csv"
     preprocessing: str = "none"
-    label_column: int = -1
+    label_column: int | None = None    # a CSV's label column; None is the last
     synth: str | None = None
     synth_n: int = 1000
     synth_d: int = 10
@@ -204,21 +202,6 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
                         config.preprocessing, config.label_column)
 
 
-def _budget(config: ExperimentConfig, variant: Variant, epsilon: float, rho: float,
-            n: int) -> Budget:
-    """The budget of one sweep cell.
-
-    A batch of all n rows is draw-for-draw a full-batch run, so it keeps the
-    zCDP policy (the amplification bound is vacuous at sampling fraction 1).
-    """
-    if variant.minibatch and config.batch_size < n:
-        if config.minibatch_accounting == "approx_dp":
-            return SubsampledDpBudget(epsilon, config.delta, config.constants.c_f)
-        return RdpTuneBudget(epsilon, config.delta, config.constants.c_f)
-    policy = LineSearchBudget if variant.loop == "line_search" else ShortStepBudget
-    return policy(rho, config.constants.c_f)
-
-
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Execute the sweep; per-seed failures are recorded, never raised."""
     dataset = build_dataset(config)
@@ -241,11 +224,16 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     rows: list[RunRow] = []
     nan = float("nan")
+    composition = {"rdp": "rdp", "approx_dp": "advanced"}[config.minibatch_accounting]
     for variant in config.variants:
         kind = VARIANTS[variant]
         selector = BatchSelector(config.batch_size) if kind.minibatch else None
+        # a batch of all n rows is draw-for-draw a full-batch run, so it keeps a
+        # zCDP target (the amplification bound is vacuous at sampling fraction 1)
+        sampled = kind.minibatch and config.batch_size < dataset.n
         for eps_label, epsilon, rho in levels:
-            budget = _budget(config, kind, epsilon, rho, dataset.n)
+            budget = (Budget(ApproxDp(epsilon, config.delta), config.constants.c_f, composition)
+                      if sampled else Budget(ZCdp(rho), config.constants.c_f))
             target = budget.target.spent(config.delta)
             for seed in config.seeds:
                 start = time.perf_counter()

@@ -5,9 +5,9 @@ from .constants import (AlgorithmConstants, DerivedConstants, derive_constants,
                         min_samples_advisor, probe_count, roots_t1_t2, svt_slack)
 from .svt import LineSearchResult, dp_line_search
 from .runs import (VARIANTS, Budget, LineSearchBudget, RdpTuneBudget, RunOutcome,
-                   ShortStepBudget, StepRecord, SubsampledDpBudget, Variant,
-                   default_phase1_policy, run_line_search, run_minibatch,
-                   run_short_step, run_two_phase, run_variant)
+                   ShortStepBudget, StepRecord, Variant, default_phase1_policy,
+                   run_line_search, run_minibatch, run_short_step, run_two_phase,
+                   run_variant)
 
 __all__ = [
     "AlgorithmConstants", "DerivedConstants", "derive_constants",
@@ -15,7 +15,7 @@ __all__ = [
     "min_samples_advisor", "probe_count", "roots_t1_t2", "svt_slack",
     "LineSearchResult", "dp_line_search",
     "VARIANTS", "Budget", "LineSearchBudget", "RdpTuneBudget", "RunOutcome",
-    "ShortStepBudget", "StepRecord", "SubsampledDpBudget", "Variant",
+    "ShortStepBudget", "StepRecord", "Variant",
     "default_phase1_policy", "run_line_search", "run_minibatch",
     "run_short_step", "run_two_phase", "run_variant",
 ]

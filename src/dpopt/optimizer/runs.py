@@ -12,11 +12,11 @@ gamma_H = 2 |lambda| / M) or found by a private backtracking line search
 along u falling back to gamma_bar_g = 2(1 - c1 - c_g)/G and
 gamma_bar_H = t2 |lambda| / M.
 
-The six public solvers differ only in loop kind, accepted budgets,
-batching and phasing; VARIANTS holds one row per name, and run_variant, the
-one entry point, runs any of them.  run_short_step, run_line_search,
-run_minibatch and run_two_phase only adapt the benchmark's calls
-(perfbench/workloads.py) to it, until the benchmark calls run_variant.
+The six public solvers differ only in loop kind, batching and phasing;
+VARIANTS holds one row per name, and run_variant, the one entry point, runs
+any of them.  run_short_step, run_line_search, run_minibatch and
+run_two_phase only adapt the benchmark's calls (perfbench/workloads.py) to
+it, until the benchmark calls run_variant.
 
 Noise-plan finalization is two-staged, matching the data-dependent budget:
 sigma_f is fixed by the budget alone, the perturbed initial loss fixes the
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, Union
+from typing import Callable
 
 import numpy as np
 
@@ -77,103 +77,61 @@ def _require_finite(value, what: str, k: int):
 # ---------------------------------------------------------------------------
 # budgets
 #
-# A budget is a NoisePlan, used as given, or one of the four policies below,
-# each checked when it is made.  Each policy has:
-#   sigma_f               the initial-loss multiplier, fixed before T;
-#   plan(t_budget, s)     the NoisePlan for T iterations at sampling fraction s,
-#                         with the policy's own sigma_f, by accountant.calibrate
-#                         (SubsampledDpBudget: from its step);
-#   scaled(fraction)      the same policy with that fraction of the target,
-#                         for one phase of a two-phase run;
-#   target                the claim, ZCdp(rho) or ApproxDp(epsilon, delta);
-#   accounting            the notion its runs account in (see _notion).
+# A run's budget is a NoisePlan, used as given, or a Budget, which plans
+# itself.  Both have sigma_f, the initial-loss multiplier fixed before T;
+# plan(t_budget, s, sweeps), the NoisePlan with that sigma_f for T iterations
+# at sampling fraction s, each with sweeps sparse-vector sweeps; and
+# accounting, the notion their runs account in (see _notion).
+
+# composition -> the notion a run of the budget accounts in; None is a zCDP target's
+_ACCOUNTING = {None: "zcdp", "rdp": "rdp", "advanced": "approx_dp"}
 
 
 @dataclass(frozen=True)
-class _RhoTarget:
-    rho: float
+class Budget:
+    """A privacy target, ZCdp(rho) or ApproxDp(epsilon, delta), whose
+    fraction c_f goes to the initial loss.  An (epsilon, delta) target is
+    for runs on mini-batches, and composes on the subsampled RDP curve
+    (composition "rdp", the default) or by advanced composition
+    ("advanced"); a zCDP target adds up and takes no composition.
+    scaled(fraction) is the same budget with that fraction of the target,
+    for one phase of a two-phase run."""
+
+    target: ZCdp | ApproxDp
     c_f: float = 0.1
-    accounting: ClassVar[str] = "zcdp"
-    sweeps: ClassVar[int] = 0  # sparse-vector sweeps per iteration
+    composition: str | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.rho < math.inf and 0.0 < self.c_f < 1.0):
-            raise ValueError(f"need 0 < rho < inf and 0 < c_f < 1, got rho = {self.rho}, "
-                             f"c_f = {self.c_f}")
+        target = self.target
+        if isinstance(target, ApproxDp) and self.composition is None:
+            object.__setattr__(self, "composition", "rdp")
+        kind = ZCdp if self.composition is None else ApproxDp
+        if not isinstance(target, kind) or self.composition not in _ACCOUNTING:
+            raise ValueError(f"a zCDP target takes no composition, an (epsilon, delta) one "
+                             f"'rdp' or 'advanced': got {target!r} and {self.composition!r}")
+        level = target.rho if kind is ZCdp else target.epsilon
+        if not (0.0 < level < math.inf and 0.0 < self.c_f < 1.0):
+            raise ValueError(f"need a positive, finite rho or epsilon and 0 < c_f < 1, "
+                             f"got {target!r} and c_f = {self.c_f}")
 
     @property
-    def target(self) -> ZCdp:
-        return ZCdp(self.rho)
+    def accounting(self) -> str:
+        return _ACCOUNTING[self.composition]
+
+    @property
+    def f0_dp(self) -> tuple[float, float]:
+        """(eps_f, delta_f): the share of an (epsilon, delta) target that an
+        advanced composition spends on the initial loss."""
+        return self.c_f * self.target.epsilon, self.c_f * self.target.delta
 
     @property
     def sigma_f(self) -> float:
-        return gaussian_sigma_zcdp(self.c_f * self.rho)
-
-    def plan(self, t_budget: int, s: float) -> NoisePlan:
-        """sigma_g = sigma_h (= lambda_svt with sweeps) at which T curvature
-        iterations and their sweeps cost (1 - c_f) rho, all that f0 leaves."""
-        sigma = calibrate(ZCdp, (1.0 - self.c_f) * self.rho, None, lambda sigma: run_log(
-            NoisePlan(self.sigma_f, sigma, sigma, sigma, s), 0, t_budget,
-            t_budget * self.sweeps)[1:])  # less f0's release
-        return NoisePlan(self.sigma_f, sigma, sigma, sigma if self.sweeps else None, s)
-
-    def scaled(self, fraction: float):
-        return replace(self, rho=self.rho * fraction)
-
-
-@dataclass(frozen=True)
-class ShortStepBudget(_RhoTarget):
-    """rho-zCDP target for the short-step variant; c_f is the fraction spent
-    on the initial loss perturbation."""
-
-
-@dataclass(frozen=True)
-class LineSearchBudget(_RhoTarget):
-    """rho-zCDP target for the line-search variant, whose iterations each
-    also run a sparse-vector sweep at lambda_svt = sigma_g."""
-
-    sweeps: ClassVar[int] = 1
-
-
-@dataclass(frozen=True)
-class _EpsDeltaTarget:
-    epsilon: float
-    delta: float
-    c_f: float = 0.1
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < math.inf and 0.0 < self.delta < 1.0
-                and 0.0 < self.c_f < 1.0):
-            raise ValueError(f"need 0 < epsilon < inf, 0 < delta < 1 and 0 < c_f < 1, got "
-                             f"epsilon = {self.epsilon}, delta = {self.delta}, c_f = {self.c_f}")
-
-    @property
-    def target(self) -> ApproxDp:
-        return ApproxDp(self.epsilon, self.delta)
-
-    def scaled(self, fraction: float):
-        return replace(self, epsilon=self.epsilon * fraction, delta=self.delta * fraction)
-
-
-@dataclass(frozen=True)
-class SubsampledDpBudget(_EpsDeltaTarget):
-    """(epsilon, delta)-DP target for the mini-batch variant, accounted by
-    advanced composition; the fraction c_f of epsilon and of delta goes to
-    the initial loss."""
-
-    accounting: ClassVar[str] = "approx_dp"
-
-    @property
-    def eps_f(self) -> float:
-        return self.c_f * self.epsilon
-
-    @property
-    def delta_f(self) -> float:
-        return self.c_f * self.delta
-
-    @property
-    def sigma_f(self) -> float:
-        return gaussian_sigma_dp(self.eps_f, self.delta_f)
+        """At the share c_f of rho, of the zCDP equivalent of an RDP-composed
+        target (as sigma_f is fixed before T), or of (epsilon, delta)."""
+        if self.composition == "advanced":
+            return gaussian_sigma_dp(*self.f0_dp)
+        rho = self.target.rho if self.composition is None else approx_dp_to_zcdp(self.target).rho
+        return gaussian_sigma_zcdp(self.c_f * rho)
 
     def step(self, t_budget: int, s: float) -> tuple[float, float, float]:
         """(eps0, delta0, delta_rest) of each Gaussian draw of T iterations on
@@ -188,7 +146,8 @@ class SubsampledDpBudget(_EpsDeltaTarget):
         the first term is at most 0.8 E and, at E < 1 and delta_rest <= 0.1,
         the second at most 0.11 E.  Both need E < 1, and the classical
         Gaussian calibration needs eps0 < 1: otherwise InfeasiblePlanError."""
-        eps, rest = self.epsilon - self.eps_f, self.delta - self.delta_f
+        eps_f, delta_f = self.f0_dp
+        eps, rest = self.target.epsilon - eps_f, self.target.delta - delta_f
         eps0 = eps / (8.0 * s * math.sqrt(2.0 * t_budget * math.log(2.0 / rest)))
         if not (eps < 1.0 and eps0 < 1.0):
             raise InfeasiblePlanError(
@@ -196,33 +155,27 @@ class SubsampledDpBudget(_EpsDeltaTarget):
                 f"be below 1; no valid (eps, delta)-DP calibration at s = {s}, T = {t_budget}")
         return eps0, rest / (4.0 * s * t_budget), rest
 
-    def plan(self, t_budget: int, s: float) -> NoisePlan:
-        eps0, delta0, _ = self.step(t_budget, s)
-        sigma_gh = gaussian_sigma_dp(eps0, delta0)
-        return NoisePlan(self.sigma_f, sigma_gh, sigma_gh, None, s)
+    def plan(self, t_budget: int, s: float, sweeps: int) -> NoisePlan:
+        """sigma_g = sigma_h (= lambda_svt with sweeps) at which T curvature
+        iterations and their sweeps spend all that f0 leaves: (1 - c_f) rho
+        by accountant.calibrate, the target on the RDP curve by
+        tune_noise_plan, or per step by advanced composition.  An (epsilon,
+        delta) plan prices no sweep; _notion keeps such targets off line
+        searches."""
+        if self.composition == "rdp":
+            return tune_noise_plan(self.target, s, t_budget, self.sigma_f)
+        if self.composition == "advanced":
+            sigma = gaussian_sigma_dp(*self.step(t_budget, s)[:2])
+            return NoisePlan(self.sigma_f, sigma, sigma, None, s)
+        sigma = calibrate(ZCdp, (1.0 - self.c_f) * self.target.rho, None, lambda sigma: run_log(
+            NoisePlan(self.sigma_f, sigma, sigma, sigma, s), 0, t_budget,
+            t_budget * sweeps)[1:])  # less f0's release
+        return NoisePlan(self.sigma_f, sigma, sigma, sigma if sweeps else None, s)
 
-
-@dataclass(frozen=True)
-class RdpTuneBudget(_EpsDeltaTarget):
-    """(epsilon, delta)-DP target for the mini-batch variant, accounted on the
-    subsampled RDP curve, whose multipliers tune_noise_plan calibrates.
-
-    sigma_f must be fixed before T is known, so it is pre-committed from the
-    zCDP-equivalent budget (fraction c_f); the calibration then tunes only
-    the per-iteration multipliers.
-    """
-
-    accounting: ClassVar[str] = "rdp"
-
-    @property
-    def sigma_f(self) -> float:
-        return gaussian_sigma_zcdp(self.c_f * approx_dp_to_zcdp(self.target).rho)
-
-    def plan(self, t_budget: int, s: float) -> NoisePlan:
-        return tune_noise_plan(self.target, s, t_budget, self.sigma_f)
-
-
-Budget = Union[NoisePlan, ShortStepBudget, LineSearchBudget, SubsampledDpBudget, RdpTuneBudget]
+    def scaled(self, fraction: float) -> "Budget":
+        t = self.target
+        return replace(self, target=ZCdp(t.rho * fraction) if isinstance(t, ZCdp)
+                       else ApproxDp(t.epsilon * fraction, t.delta * fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +240,17 @@ class RunOutcome:
 _NOTIONS = {"zcdp": ZCdp, "rdp": RdpCurve, "approx_dp": ApproxDp}
 
 
-def _notion(budget: Budget, subsampled: bool):
+def _notion(budget: Budget | NoisePlan, subsampled: bool, minibatch: bool):
     """The ledger kind that converts the run's log: the budget's own notion.
-    zCDP has no amplification by subsampling, so it needs full batches."""
+    zCDP has no amplification by subsampling, so it needs full batches; an
+    (epsilon, delta) plan prices no sweep, so its target needs a variant
+    that draws mini-batches, whose loop runs none."""
     if subsampled and budget.accounting == "zcdp":
-        raise ValueError(f"a {type(budget).__name__} accounts in zcdp: run it on all n rows")
+        raise ValueError("a zCDP target has no amplification by subsampling: run it on all "
+                         "n rows")
+    if not minibatch and isinstance(budget, Budget) and isinstance(budget.target, ApproxDp):
+        raise ValueError("an (epsilon, delta) target is for the mini-batch variants: give "
+                         "this one a zCDP target")
     if subsampled and isinstance(budget, NoisePlan):
         # the curve charges Wigner draws at combined_sigma, below both sigmas;
         # min() first keeps it from squaring a tiny sigma to 0
@@ -302,7 +261,8 @@ def _notion(budget: Budget, subsampled: bool):
     return _NOTIONS[budget.accounting]
 
 
-def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search: bool):
+def _releases(notion, budget: Budget | NoisePlan, plan: NoisePlan, t_used: int,
+              line_search: bool):
     """A run's initial-loss release, those each iteration begun logs and
     those each Wigner draw logs.  In (eps, delta) an iteration is one step
     at the plan's (eps0, delta0), Hessian or not."""
@@ -311,7 +271,7 @@ def _releases(notion, budget: Budget, plan: NoisePlan, t_used: int, line_search:
     if notion is ApproxDp:
         s = plan.subsample_fraction
         step = Release("dp", budget.step(t_used, s), s)
-        return Release("dp", (budget.eps_f, budget.delta_f)), (step,), ()
+        return Release("dp", budget.f0_dp), (step,), ()
     f0, gradient, wigner, sweep = run_log(plan, 0, 1, int(line_search))
     return f0, (gradient, sweep) if line_search else (gradient,), (wigner,)
 
@@ -348,12 +308,12 @@ class _Ledger:
 
 
 def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
-              constants: AlgorithmConstants, budget: Budget, rng: SeededRng,
+              constants: AlgorithmConstants, budget: Budget | NoisePlan, rng: SeededRng,
               memo: MarginMemo, *, selector: BatchSelector | None, lanczos: bool,
-              t_policy: Callable[[int], int] | None) -> RunOutcome:
+              phase_policy: Callable[[int], int] | None) -> RunOutcome:
     n, d = dataset.n, dataset.d
-    selector = selector or BatchSelector()
-    m = selector.batch_size(n)
+    sampler = selector or BatchSelector()
+    m = sampler.batch_size(n)
     line_search = loop == "line_search"
     sens_batch = sensitivities(model, m, d)
     warnings: tuple[str, ...] = ()
@@ -361,15 +321,14 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
     w = np.asarray(w0, dtype=float).copy()
     if w.shape != (d,):
         raise ValueError(f"w0 must have shape ({d},)")
-    notion = _notion(budget, m < n)
+    notion = _notion(budget, m < n, selector is not None)
 
     # stage 1: perturb the initial loss, fix T, then calibrate the plan
     f0 = erm_value(model, dataset, w, memo=memo)
     z = gaussian(sensitivities(model, n, d).delta_f * budget.sigma_f, rng)
     derived = derive_constants(constants, model, loop, f0 + abs(z))
-    t_est = derived.t_budget
-    t_used = max(1, min(t_est, t_policy(t_est))) if t_policy is not None else t_est
-    plan = budget.plan(t_used, m / n)
+    t_used = phase_policy(derived.t_budget) if phase_policy else derived.t_budget
+    plan = budget.plan(t_used, m / n, int(line_search))
     ledger = _Ledger(_releases(notion, budget, plan, t_used, line_search), plan, sens_batch, rng)
 
     trace: list[StepRecord] = []
@@ -379,7 +338,7 @@ def _run_core(loop: str, model: LossModel, dataset: Dataset, w0: np.ndarray,
 
     try:
         for k in range(t_used):
-            indices = selector.indices(rng, n)
+            indices = sampler.indices(rng, n)
             g_noisy = (erm_gradient(model, dataset, w, indices, memo=memo)
                        + ledger.gradient_noise(d))
             g_norm = _require_finite(float(np.linalg.norm(g_noisy)),
@@ -467,46 +426,41 @@ class Variant:
     """How one of the public solvers runs."""
 
     loop: str                     # "short" | "line_search"
-    budgets: tuple[type, ...]     # the budget types it accepts
     minibatch: bool = False       # draws mini-batches, so it needs a BatchSelector
     two_phase: bool = False       # an optimistic phase, then a fallback phase
 
 
-_MINIBATCH_POLICIES = (ShortStepBudget, SubsampledDpBudget, RdpTuneBudget)
-
-# a NoisePlan is used as given, so it cannot be split into two phases
 VARIANTS = {
-    "opt": Variant("short", (NoisePlan, ShortStepBudget)),
-    "opt_b": Variant("short", (NoisePlan, *_MINIBATCH_POLICIES), minibatch=True),
-    "opt_ls": Variant("line_search", (NoisePlan, LineSearchBudget)),
-    "2opt": Variant("short", (ShortStepBudget,), two_phase=True),
-    "2opt_b": Variant("short", _MINIBATCH_POLICIES, minibatch=True, two_phase=True),
-    "2opt_ls": Variant("line_search", (LineSearchBudget,), two_phase=True),
+    "opt": Variant("short"),
+    "opt_b": Variant("short", minibatch=True),
+    "opt_ls": Variant("line_search"),
+    "2opt": Variant("short", two_phase=True),
+    "2opt_b": Variant("short", minibatch=True, two_phase=True),
+    "2opt_ls": Variant("line_search", two_phase=True),
 }
 
 
 def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
-                constants: AlgorithmConstants, budget: Budget, rng: SeededRng, *,
+                constants: AlgorithmConstants, budget: Budget | NoisePlan, rng: SeededRng, *,
                 selector: BatchSelector | None = None, lanczos: bool = False,
-                t_policy: Callable[[int], int] | None = None,
                 budget_split: float = 0.75) -> RunOutcome:
     """Run the public solver name, a key of VARIANTS.
 
     The mini-batch variants need a selector and the others take none.
     Above objective.DENSE_HESSIAN_CAP the curvature check needs lanczos.
-    The run accounts in the budget's own notion (see _notion).  t_policy caps
-    the iteration budget T.  A two-phase run spends budget_split of the
-    budget on phase 1, whose T t_policy sets (default ceil(sqrt(T))); if
-    phase 1 does not converge, phase 2 re-runs the method from its iterate
-    with the rest and a fresh worst-case T, and the outcome joins both
-    traces and both phases' releases, converted once.
+    The run accounts in the budget's own notion (see _notion).  A two-phase
+    run takes a Budget, not a NoisePlan, which cannot be split.  It spends
+    budget_split of the budget on phase 1, whose T is
+    default_phase1_policy(T); if phase 1 does not converge, phase 2 re-runs
+    the method from its iterate with the rest and a fresh worst-case T, and
+    the outcome joins both traces and both phases' releases, converted once.
     """
     if name not in VARIANTS:
         raise ValueError(f"unknown variant {name!r}")
     variant = VARIANTS[name]
-    if not isinstance(budget, variant.budgets):
-        raise TypeError(f"{name} takes a "
-                        + " or ".join(kind.__name__ for kind in variant.budgets))
+    kinds = (Budget,) if variant.two_phase else (NoisePlan, Budget)
+    if not isinstance(budget, kinds):
+        raise TypeError(f"{name} takes a " + " or ".join(kind.__name__ for kind in kinds))
     if variant.minibatch != (selector is not None):
         need = "need a" if variant.minibatch else "take no"
         raise ValueError(f"{name} runs {need} selector")
@@ -520,18 +474,18 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
     # initial loss is phase 1's final one
     memo = MarginMemo(model, dataset)
 
-    def run(w_start, bud: Budget, policy) -> RunOutcome:
+    def run(w_start, bud: Budget | NoisePlan, policy=None) -> RunOutcome:
         return _run_core(variant.loop, model, dataset, w_start, constants, bud, rng, memo,
-                         selector=selector, lanczos=lanczos, t_policy=policy)
+                         selector=selector, lanczos=lanczos, phase_policy=policy)
 
     if not variant.two_phase:
-        return run(w0, budget, t_policy)
+        return run(w0, budget)
     if not (0.0 < budget_split < 1.0):
         raise ValueError("budget_split must lie in (0, 1)")
-    phase1 = run(w0, budget.scaled(budget_split), t_policy or default_phase1_policy)
+    phase1 = run(w0, budget.scaled(budget_split), default_phase1_policy)
     if phase1.converged:
         return replace(phase1, phases=(phase1,))
-    phase2 = run(phase1.w_final, budget.scaled(1.0 - budget_split), None)
+    phase2 = run(phase1.w_final, budget.scaled(1.0 - budget_split))
     trace = phase1.trace + tuple(
         replace(r, k=r.k + phase1.iterations, releases=tuple(tally(phase1.releases + r.releases)))
         for r in phase2.trace)
@@ -544,22 +498,33 @@ def run_variant(name: str, model: LossModel, dataset: Dataset, w0,
 
 
 # ---------------------------------------------------------------------------
-# the benchmark's adapters: perfbench/workloads.py makes these calls, and
-# they go once it calls run_variant
+# the benchmark's budget constructors and adapters: perfbench/workloads.py
+# makes these calls, and they go once it calls run_variant with a Budget
+
+
+def ShortStepBudget(rho: float, c_f: float = 0.1) -> Budget:
+    return Budget(ZCdp(rho), c_f)
+
+
+LineSearchBudget = ShortStepBudget
+
+
+def RdpTuneBudget(epsilon: float, delta: float, c_f: float = 0.1) -> Budget:
+    return Budget(ApproxDp(epsilon, delta), c_f)
 
 
 def run_short_step(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
-                   budget: Budget, rng: SeededRng, *, lanczos: bool) -> RunOutcome:
+                   budget: Budget | NoisePlan, rng: SeededRng, *, lanczos: bool) -> RunOutcome:
     return run_variant("opt", model, dataset, w0, constants, budget, rng, lanczos=lanczos)
 
 
 def run_line_search(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
-                    budget: Budget, rng: SeededRng, *, lanczos: bool) -> RunOutcome:
+                    budget: Budget | NoisePlan, rng: SeededRng, *, lanczos: bool) -> RunOutcome:
     return run_variant("opt_ls", model, dataset, w0, constants, budget, rng, lanczos=lanczos)
 
 
 def run_minibatch(model: LossModel, dataset: Dataset, w0, constants: AlgorithmConstants,
-                  budget: Budget, selector: BatchSelector, rng: SeededRng, *,
+                  budget: Budget | NoisePlan, selector: BatchSelector, rng: SeededRng, *,
                   accounting: str, lanczos: bool) -> RunOutcome:
     """accounting may only restate the budget's own notion."""
     if accounting != budget.accounting:

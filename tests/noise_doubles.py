@@ -15,11 +15,14 @@ always_failing_line_search forces every sparse-vector sweep to exhaust its
 probes and fall back to gamma_bar, drawing no noise.
 recorded_scales records the scale of every draw a run makes, so tests can
 check each against its sensitivity and the plan without the golden traces.
+capped_t caps a run's iteration budget T, so tests can stop a run early or
+force a two-phase run into its second phase.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from contextlib import contextmanager
 
 import numpy as np
@@ -126,3 +129,26 @@ def recorded_scales():
         mp.setattr(runs, "dp_line_search", recorded_search)
         yield phases
 
+
+
+@contextmanager
+def capped_t(policy, variant: str):
+    """Within the block, runs of variant have the iteration budget
+    max(1, min(T, policy(T))) in place of T: a single-phase run through
+    derive_constants, a two-phase run in phase 1 only, through
+    default_phase1_policy, so that phase 2 keeps its worst-case T."""
+    def capped(t_full: int) -> int:
+        return max(1, min(t_full, policy(t_full)))
+
+    derive = runs.derive_constants
+
+    def capped_derive(*args):
+        derived = derive(*args)
+        return replace(derived, t_budget=capped(derived.t_budget))
+
+    with pytest.MonkeyPatch.context() as mp:
+        if runs.VARIANTS[variant].two_phase:
+            mp.setattr(runs, "default_phase1_policy", capped)
+        else:
+            mp.setattr(runs, "derive_constants", capped_derive)
+        yield

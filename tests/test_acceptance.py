@@ -24,10 +24,9 @@ from dpopt.mechanisms import SeededRng, wigner_matrix
 from dpopt.objective import (BatchSelector, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
                              sensitivities)
-from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
-                             ShortStepBudget, dp_line_search, min_dec_line_search,
-                             min_dec_short, min_samples_advisor, roots_t1_t2,
-                             run_variant, svt_slack)
+from dpopt.optimizer import (AlgorithmConstants, Budget, dp_line_search,
+                             min_dec_line_search, min_dec_short, min_samples_advisor,
+                             roots_t1_t2, run_variant, svt_slack)
 from dpopt.spectral import lanczos_iteration_cap, lanczos_min_eig, min_eigenpair_dense
 from noise_doubles import bounded_noise, zero_noise
 
@@ -76,12 +75,12 @@ def zero_noise_runs(saddle_instance):
     w0[0] = 0.8
     with zero_noise():
         return {
-            "short": run_variant("opt", model, ds, w0, SADDLE_TOLS, ShortStepBudget(0.5),
+            "short": run_variant("opt", model, ds, w0, SADDLE_TOLS, Budget(ZCdp(0.5)),
                                  SeededRng(0)),
             "line_search": run_variant("opt_ls", model, ds, w0, SADDLE_TOLS,
-                                       LineSearchBudget(0.5), SeededRng(0)),
+                                       Budget(ZCdp(0.5)), SeededRng(0)),
             "short_from_saddle": run_variant("opt", model, ds, np.zeros(10), SADDLE_TOLS,
-                                             ShortStepBudget(0.5), SeededRng(1)),
+                                             Budget(ZCdp(0.5)), SeededRng(1)),
         }
 
 
@@ -104,7 +103,7 @@ def minibatch_run():
     ds = synth_dataset("logistic_separable", 60000, 5, seed=123)
     model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, 5, 10.0)
     consts = AlgorithmConstants(eps_g=0.060, eps_h=0.245)
-    out = run_variant("opt_b", model, ds, np.zeros(5), consts, RdpTuneBudget(1.0, 1e-5),
+    out = run_variant("opt_b", model, ds, np.zeros(5), consts, Budget(ApproxDp(1.0, 1e-5)),
                       SeededRng(0), selector=BatchSelector(600))
     return ds, out
 
@@ -292,8 +291,8 @@ def test_criterion_8_minibatch_degeneracy_and_unbiasedness():
     model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, 5, 10.0)
     consts = AlgorithmConstants(eps_g=0.060, eps_h=0.245)
     w0 = np.zeros(5)
-    full = run_variant("opt", model, ds, w0, consts, ShortStepBudget(0.05), SeededRng(42))
-    batched = run_variant("opt_b", model, ds, w0, consts, ShortStepBudget(0.05), SeededRng(42),
+    full = run_variant("opt", model, ds, w0, consts, Budget(ZCdp(0.05)), SeededRng(42))
+    batched = run_variant("opt_b", model, ds, w0, consts, Budget(ZCdp(0.05)), SeededRng(42),
                           selector=BatchSelector(ds.n))
     identical = full.trace == batched.trace and np.array_equal(full.w_final, batched.w_final)
 
@@ -320,10 +319,10 @@ def test_criterion_9_synthetic_reproduction_bands():
 
     loose = AlgorithmConstants(eps_g=0.060, eps_h=0.245)
     with zero_noise():
-        base_short = run_variant("opt", model, ds, w0, loose, ShortStepBudget(1.0),
+        base_short = run_variant("opt", model, ds, w0, loose, Budget(ZCdp(1.0)),
                                  SeededRng(999))
     rho_1 = approx_dp_to_zcdp(ApproxDp(1.0, 1e-5)).rho
-    opt_runs = [run_variant("opt", model, ds, w0, loose, ShortStepBudget(rho_1), SeededRng(s))
+    opt_runs = [run_variant("opt", model, ds, w0, loose, Budget(ZCdp(rho_1)), SeededRng(s))
                 for s in range(5)]
     opt_mean = float(np.mean([r.final_loss for r in opt_runs]))
     ok = all(r.status == "converged_2s" for r in opt_runs)
@@ -332,10 +331,10 @@ def test_criterion_9_synthetic_reproduction_bands():
 
     tight = AlgorithmConstants(eps_g=0.030, eps_h=0.173)
     with zero_noise():
-        base_ls = run_variant("2opt_ls", model, ds, w0, tight, LineSearchBudget(1.0),
+        base_ls = run_variant("2opt_ls", model, ds, w0, tight, Budget(ZCdp(1.0)),
                               SeededRng(999))
     rho_06 = approx_dp_to_zcdp(ApproxDp(0.6, 1e-5)).rho
-    ls_runs = [run_variant("2opt_ls", model, ds, w0, tight, LineSearchBudget(rho_06),
+    ls_runs = [run_variant("2opt_ls", model, ds, w0, tight, Budget(ZCdp(rho_06)),
                            SeededRng(s)) for s in range(5)]
     ls_mean = float(np.mean([r.final_loss for r in ls_runs]))
     ok &= all(r.status == "converged_2s" for r in ls_runs)

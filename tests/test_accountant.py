@@ -20,8 +20,7 @@ from dpopt.accountant import (ApproxDp, DEFAULT_ORDERS, InfeasiblePlanError,
                               rdp_to_approx_dp, run_log, subsampled_gaussian_rdp,
                               subsampled_gaussian_rdp_curve, tally,
                               tune_noise_plan, zcdp_to_approx_dp)
-from dpopt.optimizer import (LineSearchBudget, RdpTuneBudget, ShortStepBudget,
-                             SubsampledDpBudget)
+from dpopt.optimizer import Budget
 
 
 def gaussian_rho(sigma):
@@ -36,7 +35,7 @@ def gaussian_curve(sigma):
 
 def dp_log(budget, s, t_budget, k):
     """The (eps, delta) log of a subsampled plan after k of its T steps."""
-    return [Release("dp", (budget.eps_f, budget.delta_f)),
+    return [Release("dp", budget.f0_dp),
             Release("dp", budget.step(t_budget, s), s, k)]
 
 
@@ -144,8 +143,8 @@ class TestAdditivity:
             account_run(a + b, RdpCurve).epsilons,
             account_run(a, RdpCurve).epsilons + account_run(b, RdpCurve).epsilons,
             rtol=1e-15, atol=0.0)
-        a = dp_log(SubsampledDpBudget(0.8, 1e-5), 0.25, 10, 7)
-        b = dp_log(SubsampledDpBudget(0.4, 5e-6), 0.25, 30, 12)
+        a = dp_log(Budget(ApproxDp(0.8, 1e-5), composition="advanced"), 0.25, 10, 7)
+        b = dp_log(Budget(ApproxDp(0.4, 5e-6), composition="advanced"), 0.25, 30, 12)
         joined, one, other = (account_run(log, ApproxDp) for log in (a + b, a, b))
         assert joined.epsilon == pytest.approx(one.epsilon + other.epsilon, rel=1e-15, abs=0.0)
         assert joined.delta == pytest.approx(one.delta + other.delta, rel=1e-15, abs=0.0)
@@ -156,11 +155,11 @@ class TestSigmaSources:
         assert gaussian_rho(gaussian_sigma_zcdp(0.2)) == pytest.approx(0.2)
 
     def test_plans_take_sigma_f_from_the_one_formula(self):
-        assert ShortStepBudget(0.5, 0.1).plan(10, 1.0).sigma_f == gaussian_sigma_zcdp(0.1 * 0.5)
+        assert Budget(ZCdp(0.5), 0.1).plan(10, 1.0, 0).sigma_f == gaussian_sigma_zcdp(0.1 * 0.5)
         # c_f = 0.1 of rho = 0.5 is rho_f = 0.05 exactly
-        assert LineSearchBudget(0.5, 0.1).plan(10, 1.0).sigma_f == gaussian_sigma_zcdp(0.05)
+        assert Budget(ZCdp(0.5), 0.1).plan(10, 1.0, 1).sigma_f == gaussian_sigma_zcdp(0.05)
         # half of (0.16, 2e-6) is (0.08, 1e-6) exactly
-        plan = SubsampledDpBudget(0.16, 2e-6, 0.5).plan(10, 0.25)
+        plan = Budget(ApproxDp(0.16, 2e-6), 0.5, composition="advanced").plan(10, 0.25, 0)
         assert plan.sigma_f == gaussian_sigma_dp(0.08, 1e-6)
         assert gaussian_sigma_dp(0.5, 1e-5) == math.sqrt(2.0 * math.log(1.25e5)) / 0.5
 
@@ -310,14 +309,14 @@ class TestSubsampledGaussianRdp:
 
 class TestPlans:
     def test_short_step_closed_form(self):
-        plan = ShortStepBudget(0.5, 0.1).plan(100, 1.0)
+        plan = Budget(ZCdp(0.5), 0.1).plan(100, 1.0, 0)
         assert plan.sigma_f == pytest.approx(math.sqrt(10.0), rel=1e-12)
         assert plan.sigma_g == plan.sigma_h == pytest.approx(math.sqrt(100.0 / 0.45), rel=1e-12)
         assert plan.lambda_svt is None
         assert plan.subsample_fraction == 1.0
 
     def test_short_step_single_iteration(self):
-        plan = ShortStepBudget(1.0, 0.5).plan(1, 1.0)
+        plan = Budget(ZCdp(1.0), 0.5).plan(1, 1.0, 0)
         assert plan.sigma_f == pytest.approx(1.0)
         assert plan.sigma_g == pytest.approx(math.sqrt(2.0))
 
@@ -326,56 +325,56 @@ class TestPlans:
         # Hessian, i.e. k_g = 0, k_h = T; any split with k_g + k_h <= T stays
         # within the target
         rho, T = 0.5, 100
-        plan = ShortStepBudget(rho, 0.1).plan(T, 1.0)
+        plan = Budget(ZCdp(rho), 0.1).plan(T, 1.0, 0)
         assert account_run(run_log(plan, 0, T), ZCdp).rho == pytest.approx(rho, rel=1e-12)
         for k_g, k_h in ((T, 0), (T - 10, 10), (0, T), (37, 41)):
             assert account_run(run_log(plan, k_g, k_h), ZCdp).rho <= rho + 1e-12
 
     def test_line_search_closed_form(self):
-        plan = LineSearchBudget(1.0, 0.25).plan(50, 1.0)
+        plan = Budget(ZCdp(1.0), 0.25).plan(50, 1.0, 1)
         assert plan.sigma_g == plan.sigma_h == plan.lambda_svt == pytest.approx(10.0)
 
     def test_line_search_account_round_trip(self):
-        plan = LineSearchBudget(1.0, 0.25).plan(50, 1.0)
+        plan = Budget(ZCdp(1.0), 0.25).plan(50, 1.0, 1)
         assert account_run(run_log(plan, 0, 50, 50), ZCdp).rho == pytest.approx(1.0, rel=1e-12)
         for k_g, k_h in ((50, 0), (25, 25), (10, 3)):
             assert account_run(run_log(plan, k_g, k_h, k_g + k_h), ZCdp).rho <= 1.0 + 1e-12
 
     def test_subsampled_dp_closed_form(self):
-        budget = SubsampledDpBudget(1.0, 1e-5, 0.1)
+        budget = Budget(ApproxDp(1.0, 1e-5), 0.1, composition="advanced")
         eps_f, delta_f, s, T = 0.1, 1e-6, 0.01, 400
         eps0, delta0, rest = budget.step(T, s)
         assert eps0 == pytest.approx(
             0.9 / (8 * s * math.sqrt(2 * T * math.log(2 / (1e-5 - 1e-6)))), rel=1e-12)
         assert delta0 == pytest.approx((1e-5 - 1e-6) / (4 * s * T), rel=1e-12)
         assert rest == pytest.approx(1e-5 - 1e-6, rel=1e-12)
-        plan = budget.plan(T, s)
+        plan = budget.plan(T, s, 0)
         assert plan.sigma_f == pytest.approx(math.sqrt(2 * math.log(1.25 / delta_f)) / eps_f)
         assert plan.sigma_g == pytest.approx(math.sqrt(2 * math.log(1.25 / delta0)) / eps0)
 
     def test_subsampled_dp_symmetric_split(self):
-        plan = SubsampledDpBudget(0.8, 1e-5, 0.5).plan(100, 0.01)
+        plan = Budget(ApproxDp(0.8, 1e-5), 0.5, composition="advanced").plan(100, 0.01, 0)
         assert plan.sigma_f > 0 and plan.sigma_g > 0
 
     def test_subsampled_dp_warns_when_eps0_invalid(self):
         # s -> 0 at fixed T drives the per-iteration eps0 past 1, where the
         # calibration is not valid: no plan, rather than a warning
         with pytest.raises(InfeasiblePlanError, match="eps0"):
-            SubsampledDpBudget(0.9, 1e-5).plan(10, 1e-6)
+            Budget(ApproxDp(0.9, 1e-5), composition="advanced").plan(10, 1e-6, 0)
 
     def test_subsampled_dp_rejects_degenerate_split(self):
         # the initial loss would take more than the whole target
         with pytest.raises(ValueError, match="c_f"):
-            SubsampledDpBudget(0.5, 1e-5, 1.2)
+            Budget(ApproxDp(0.5, 1e-5), 1.2, composition="advanced")
 
     @pytest.mark.parametrize("epsilon", [1.0 / 0.9, 2.0])
     def test_subsampled_dp_infeasible_when_the_run_budget_reaches_one(self, epsilon):
         # eps - eps_f >= 1 is outside advanced composition, at any s and T
-        budget = SubsampledDpBudget(epsilon, 1e-5)
+        budget = Budget(ApproxDp(epsilon, 1e-5), composition="advanced")
         with pytest.raises(InfeasiblePlanError, match="eps - eps_f"):
             budget.step(100, 0.5)
         with pytest.raises(InfeasiblePlanError, match="eps - eps_f"):
-            budget.plan(100, 0.5)
+            budget.plan(100, 0.5, 0)
 
     def test_subsampled_dp_ledger_bounds_the_exact_composition_of_both_draws(self):
         # an iteration draws a gradient and a Wigner draw at (eps0, delta0)
@@ -386,7 +385,7 @@ class TestPlans:
         for eps, delta, s, t in itertools.product(
                 (0.1, 0.3, 0.6, 0.9, 1.1), (1e-8, 1e-5, 1e-3),
                 (0.001, 0.01, 0.05, 0.25, 1.0), (1, 10, 100, 1000)):
-            budget = SubsampledDpBudget(eps, delta)
+            budget = Budget(ApproxDp(eps, delta), composition="advanced")
             try:
                 eps0, delta0, rest = budget.step(t, s)
             except InfeasiblePlanError:
@@ -401,15 +400,15 @@ class TestPlans:
         assert checked >= 100 and worst > 0.7  # the grid reaches where the bound is tight
 
     def test_subsampled_dp_log_hits_target_at_full_budget(self):
-        budget = SubsampledDpBudget(0.9, 1e-5, 0.1)
+        budget = Budget(ApproxDp(0.9, 1e-5), 0.1, composition="advanced")
         s, T = 0.01, 123
         spent = account_run(dp_log(budget, s, T, T), ApproxDp)
-        assert spent.epsilon == pytest.approx(budget.epsilon, rel=1e-12)
-        assert spent.delta <= budget.delta * (1 + 1e-12)
+        assert spent.epsilon == pytest.approx(budget.target.epsilon, rel=1e-12)
+        assert spent.delta <= budget.target.delta * (1 + 1e-12)
         partial = account_run(dp_log(budget, s, T, T // 2), ApproxDp)
         assert partial.epsilon < spent.epsilon
         zero = account_run(dp_log(budget, s, T, 0), ApproxDp)
-        assert zero.epsilon == budget.eps_f and zero.delta == budget.delta_f
+        assert (zero.epsilon, zero.delta) == budget.f0_dp
 
 
 class TestAccountRun:
@@ -449,7 +448,7 @@ class TestAccountRun:
             run_log(NoisePlan(1.0, 1.0, 1.0), -1, 1)
 
 
-# the initial-loss multiplier RdpTuneBudget(1, 1e-5) would fix is about 17
+# the initial-loss multiplier Budget(ApproxDp(1, 1e-5)) would fix is about 17
 SIGMA_F = 20.0
 
 
@@ -467,7 +466,7 @@ class TestTuneNoisePlan:
         # a T-iteration run draws T gradients, k of them with a Wigner draw
         monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve",
                             functools.lru_cache(maxsize=None)(subsampled_gaussian_rdp_curve))
-        plan = RdpTuneBudget(eps, 1e-5).plan(t_budget, s)
+        plan = Budget(ApproxDp(eps, 1e-5)).plan(t_budget, s, 0)
         for k in range(t_budget + 1):
             curve = account_run(run_log(plan, t_budget - k, k), RdpCurve)
             assert curve.spent(1e-5) <= eps, k
@@ -513,7 +512,7 @@ class TestTuneNoisePlan:
         bottom, top = accountant.SIGMA_BRACKET
         outcomes = set()
         for eps, s, t in itertools.product((0.3, 1.0, 8.0, 50.0), (0.01, 0.25), (1, 100)):
-            sigma_f = RdpTuneBudget(eps, 1e-5).sigma_f
+            sigma_f = Budget(ApproxDp(eps, 1e-5)).sigma_f
 
             def feasible(sigma):
                 return self.spent(NoisePlan(sigma_f, sigma, sigma, None, s), t) <= eps
@@ -543,7 +542,7 @@ class TestTuneNoisePlan:
             return subsampled_gaussian_rdp_curve(*args, **kwargs)
 
         monkeypatch.setattr(accountant, "subsampled_gaussian_rdp_curve", counting)
-        RdpTuneBudget(1.0, 1e-5).plan(100, 0.01)
+        Budget(ApproxDp(1.0, 1e-5)).plan(100, 0.01, 0)
         # one probe of each end of the bracket, then 14 halvings of its log
         # width, log(4e4) ~ 10.6, to at most SIGMA_RTOL = 2^-10; each probe
         # builds one curve, since every gradient is paired with a Wigner draw
@@ -555,8 +554,8 @@ class TestZCdpCalibration:
     def test_worst_case_log_converts_to_rho(self, rho, c_f):
         # the worst case is T curvature iterations, each with a sweep in a line search
         for t_budget in (1, 7, 100, 1000):
-            short = ShortStepBudget(rho, c_f).plan(t_budget, 1.0)
-            line = LineSearchBudget(rho, c_f).plan(t_budget, 1.0)
+            short = Budget(ZCdp(rho), c_f).plan(t_budget, 1.0, 0)
+            line = Budget(ZCdp(rho), c_f).plan(t_budget, 1.0, 1)
             assert short.lambda_svt is None and line.lambda_svt == line.sigma_g
             for spent in (ZCdp.of(run_log(short, 0, t_budget)).rho,
                           ZCdp.of(run_log(line, 0, t_budget, t_budget)).rho):

@@ -1,10 +1,11 @@
 """The benchmark's solver calls are run_variant calls.
 
 perfbench/workloads.py, imported unedited as scripts/bench_fingerprint.py
-imports it, calls the four named adapters of dpopt.optimizer.runs.  Each of
-its calls must give the outcome of the run_variant call it stands for, bit
-for bit, or raise the same error: an adapter that drops or ignores a
-keyword the benchmark passes fails here.
+imports it, calls the four named adapters of dpopt.optimizer.runs with
+budgets from its three budget constructors.  Each of its calls must give
+the outcome of the run_variant call it stands for, built on Budget itself,
+bit for bit, or raise the same error: an adapter or constructor that drops
+or ignores an argument the benchmark passes fails here.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpopt.accountant import ApproxDp, InfeasiblePlanError, approx_dp_to_zcdp
+from dpopt.accountant import ApproxDp, InfeasiblePlanError, ZCdp, approx_dp_to_zcdp
 from dpopt.mechanisms import SeededRng
 from dpopt.objective import BatchSelector
-from dpopt.optimizer import (VARIANTS, LineSearchBudget, RdpTuneBudget, ShortStepBudget,
-                             run_variant)
+from dpopt.optimizer import VARIANTS, Budget, run_variant
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,12 +37,10 @@ def _stands_for(workloads, workload, solve, dataset, model):
     rho = approx_dp_to_zcdp(ApproxDp(eps, workloads.DELTA)).rho
     kw = dict(lanczos=workload.lanczos)
     if solve.variant.endswith("_b"):
-        budget = RdpTuneBudget(eps, workloads.DELTA, c_f)
+        budget = Budget(ApproxDp(eps, workloads.DELTA), c_f, "rdp")
         kw["selector"] = BatchSelector(workload.batch_size)
-    elif solve.variant.endswith("_ls"):
-        budget = LineSearchBudget(rho, c_f)
     else:
-        budget = ShortStepBudget(rho, c_f)
+        budget = Budget(ZCdp(rho), c_f)
     return run_variant(solve.variant, model, dataset, np.zeros(dataset.d),
                        workloads.COVERTYPE_LOOSE, budget, SeededRng(solve.seed), **kw)
 

@@ -7,7 +7,8 @@ the plan, t_budget, z_draw, final_loss, w_final and, for two-phase runs,
 each phase.
 Floats are stored as float.hex, so the comparison is exact.  A case that
 raises stores the exception type instead.  The zero-noise cases run inside
-tests/noise_doubles.zero_noise.
+tests/noise_doubles.zero_noise, and the cases with a cap on T inside
+tests/noise_doubles.capped_t.
 
 The instances fit in one span of a feature pass (n <= 2000, d <= 6), so no
 span boundary moves a sum.  The bits hold at one BLAS thread, which
@@ -20,6 +21,7 @@ To rewrite the file after a change that is meant to alter the traces:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -37,9 +39,8 @@ from dpopt.harness import run_experiment
 from dpopt.mechanisms import SeededRng
 from dpopt.objective import (BatchSelector, builtin_nonconvex_logistic,
                              builtin_quartic_saddle)
-from dpopt.optimizer import (AlgorithmConstants, LineSearchBudget, RdpTuneBudget,
-                             ShortStepBudget, SubsampledDpBudget, run_minibatch, runs)
-from noise_doubles import zero_noise
+from dpopt.optimizer import AlgorithmConstants, Budget, run_minibatch, runs
+from noise_doubles import capped_t, zero_noise
 
 GOLDEN = Path(__file__).parent / "data" / "golden_runs.json"
 
@@ -59,16 +60,23 @@ def _saddle():
     return ds, builtin_quartic_saddle(ds.feature_norm_bound, 6, weight_box=1.0)
 
 
-def _logistic_run(name, budget, seed, **kw):
+def _capped(name, cap):
+    """A run of name with its T capped by cap, or as it is with no cap."""
+    return capped_t(cap, name) if cap else contextlib.nullcontext()
+
+
+def _logistic_run(name, budget, seed, cap=None, **kw):
     ds, model = _logistic()
-    return runs.run_variant(name, model, ds, np.zeros(ds.d), CONSTS, budget, SeededRng(seed),
-                            **kw)
+    with _capped(name, cap):
+        return runs.run_variant(name, model, ds, np.zeros(ds.d), CONSTS, budget,
+                                SeededRng(seed), **kw)
 
 
-def _saddle_run(name, budget, seed, **kw):
+def _saddle_run(name, budget, seed, cap=None, **kw):
     ds, model = _saddle()
-    return runs.run_variant(name, model, ds, np.zeros(ds.d), SADDLE_CONSTS, budget,
-                            SeededRng(seed), **kw)
+    with _capped(name, cap):
+        return runs.run_variant(name, model, ds, np.zeros(ds.d), SADDLE_CONSTS, budget,
+                                SeededRng(seed), **kw)
 
 
 def _minibatch(budget, seed, m=BATCH, **kw):
@@ -104,30 +112,30 @@ def _cap(t_full: int) -> int:
     return min(t_full, 12)
 
 
-RDP = RdpTuneBudget(1.0, 1e-5)
+RDP = Budget(ApproxDp(1.0, 1e-5))
 # a target that has a plan on a batch of RDP_BATCH rows, so its runs draw Hessians
-LOOSE_RDP = RdpTuneBudget(4.0, 1e-5)
+LOOSE_RDP = Budget(ApproxDp(4.0, 1e-5))
 RDP_BATCH = 100
-SUBSAMPLED = SubsampledDpBudget(0.8, 1e-5)
+SUBSAMPLED = Budget(ApproxDp(0.8, 1e-5), composition="advanced")
 SMALL_BATCH = 20
 PLAN_SADDLE = NoisePlan(10.0, 0.03, 0.03, lambda_svt=0.03)
 
 CASES = {
     # full batch, zCDP
-    "opt_zcdp": lambda: _logistic_run("opt", ShortStepBudget(0.5), 0),
-    "opt_ls_zcdp": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 1),
-    "opt_lanczos": lambda: _logistic_run("opt", ShortStepBudget(0.5), 2, lanczos=True),
-    "opt_ls_lanczos": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 3, lanczos=True),
-    "opt_weight_box": lambda: _saddle_run("opt", ShortStepBudget(2.0), 4),
-    "opt_zero_noise": _zero(lambda: _logistic_run("opt", ShortStepBudget(0.5), 5)),
-    "opt_ls_zero_noise": _zero(lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 6)),
+    "opt_zcdp": lambda: _logistic_run("opt", Budget(ZCdp(0.5)), 0),
+    "opt_ls_zcdp": lambda: _logistic_run("opt_ls", Budget(ZCdp(0.5)), 1),
+    "opt_lanczos": lambda: _logistic_run("opt", Budget(ZCdp(0.5)), 2, lanczos=True),
+    "opt_ls_lanczos": lambda: _logistic_run("opt_ls", Budget(ZCdp(0.5)), 3, lanczos=True),
+    "opt_weight_box": lambda: _saddle_run("opt", Budget(ZCdp(2.0)), 4),
+    "opt_zero_noise": _zero(lambda: _logistic_run("opt", Budget(ZCdp(0.5)), 5)),
+    "opt_ls_zero_noise": _zero(lambda: _logistic_run("opt_ls", Budget(ZCdp(0.5)), 6)),
     # a saddle start: noisy negative-curvature steps, dense and Lanczos
-    "opt_noise_plan": lambda: _saddle_run("opt", PLAN_SADDLE, 6, t_policy=_cap),
-    "opt_ls_noise_plan": lambda: _saddle_run("opt_ls", PLAN_SADDLE, 7, t_policy=_cap),
+    "opt_noise_plan": lambda: _saddle_run("opt", PLAN_SADDLE, 6, cap=_cap),
+    "opt_ls_noise_plan": lambda: _saddle_run("opt_ls", PLAN_SADDLE, 7, cap=_cap),
     "opt_lanczos_noise_plan": lambda: _saddle_run("opt", PLAN_SADDLE, 8, lanczos=True,
-                                                  t_policy=_cap),
-    "opt_ls_zero_noise_saddle": _zero(lambda: _saddle_run("opt_ls", LineSearchBudget(0.5), 1,
-                                                          t_policy=_cap)),
+                                                  cap=_cap),
+    "opt_ls_zero_noise_saddle": _zero(lambda: _saddle_run("opt_ls", Budget(ZCdp(0.5)), 1,
+                                                          cap=_cap)),
     # mini-batch: RDP and approx_dp; zCDP on a batch of all n rows only
     "opt_b_rdp": lambda: _minibatch(RDP, 0),
     "opt_b_rdp_small_batch": lambda: _minibatch(RDP, 1, m=SMALL_BATCH),
@@ -137,49 +145,44 @@ CASES = {
     "opt_b_approx_dp": lambda: _accounting(SUBSAMPLED, 2, "approx_dp"),
     "opt_b_approx_dp_default": lambda: _minibatch(SUBSAMPLED, 3),
     "opt_b_noise_plan": lambda: _minibatch(NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5),
-    "opt_b_full_batch_zcdp": lambda: _accounting(ShortStepBudget(0.5), 6, "zcdp", m=2000),
+    "opt_b_full_batch_zcdp": lambda: _accounting(Budget(ZCdp(0.5)), 6, "zcdp", m=2000),
     "opt_b_zero_noise": _zero(lambda: _minibatch(LOOSE_RDP, 7, m=RDP_BATCH)),
     "opt_b_lanczos": lambda: _minibatch(LOOSE_RDP, 8, m=RDP_BATCH, lanczos=True),
-    "opt_b_infeasible": lambda: _minibatch(RdpTuneBudget(0.05, 1e-5), 9, m=SMALL_BATCH),
+    "opt_b_infeasible": lambda: _minibatch(Budget(ApproxDp(0.05, 1e-5)), 9, m=SMALL_BATCH),
     # two-phase
-    "2opt": lambda: _two_phase(ShortStepBudget(0.5), 0, "2opt"),
-    "2opt_fallback": lambda: _two_phase(ShortStepBudget(0.5), 1, "2opt", t_policy=_fallback),
-    "2opt_ls": lambda: _two_phase(LineSearchBudget(0.5), 2, "2opt_ls"),
-    "2opt_ls_fallback": lambda: _two_phase(LineSearchBudget(0.5), 3, "2opt_ls",
-                                           t_policy=_fallback, lanczos=True),
-    "2opt_b_rdp": lambda: _two_phase(RDP, 4, "2opt_b", t_policy=_fallback),
+    "2opt": lambda: _two_phase(Budget(ZCdp(0.5)), 0, "2opt"),
+    "2opt_fallback": lambda: _two_phase(Budget(ZCdp(0.5)), 1, "2opt", cap=_fallback),
+    "2opt_ls": lambda: _two_phase(Budget(ZCdp(0.5)), 2, "2opt_ls"),
+    "2opt_ls_fallback": lambda: _two_phase(Budget(ZCdp(0.5)), 3, "2opt_ls",
+                                           cap=_fallback, lanczos=True),
+    "2opt_b_rdp": lambda: _two_phase(RDP, 4, "2opt_b", cap=_fallback),
     "2opt_b_rdp_small_batch": lambda: _two_phase(
-        RDP, 4, "2opt_b", selector=BatchSelector(SMALL_BATCH), t_policy=_fallback),
-    "2opt_b_approx_dp": lambda: _two_phase(SUBSAMPLED, 5, "2opt_b", t_policy=_fallback),
+        RDP, 4, "2opt_b", selector=BatchSelector(SMALL_BATCH), cap=_fallback),
+    "2opt_b_approx_dp": lambda: _two_phase(SUBSAMPLED, 5, "2opt_b", cap=_fallback),
     # an RDP run that falls back and draws a Hessian in phase 2
     "2opt_b_rdp_fallback": lambda: _two_phase(
-        RdpTuneBudget(8.0, 1e-5), 10, "2opt_b", selector=BatchSelector(RDP_BATCH),
-        t_policy=_fallback),
-    "2opt_zero_noise": _zero(lambda: _two_phase(ShortStepBudget(0.5), 7, "2opt",
-                                                t_policy=_fallback)),
-    "2opt_split": lambda: _two_phase(ShortStepBudget(0.5), 8, "2opt", budget_split=0.5,
-                                     t_policy=_fallback),
+        Budget(ApproxDp(8.0, 1e-5)), 10, "2opt_b", selector=BatchSelector(RDP_BATCH),
+        cap=_fallback),
+    "2opt_zero_noise": _zero(lambda: _two_phase(Budget(ZCdp(0.5)), 7, "2opt",
+                                                cap=_fallback)),
+    "2opt_split": lambda: _two_phase(Budget(ZCdp(0.5)), 8, "2opt", budget_split=0.5,
+                                     cap=_fallback),
     # rejected inputs
-    "reject_opt_line_search_budget": lambda: _logistic_run("opt", LineSearchBudget(0.5), 0),
-    "reject_opt_ls_short_budget": lambda: _logistic_run("opt_ls", ShortStepBudget(0.5), 0),
-    "reject_opt_b_line_search_budget": lambda: _minibatch(LineSearchBudget(0.5), 0),
-    "reject_opt_b_approx_dp_short_budget": lambda: _accounting(ShortStepBudget(0.5), 0,
+    "reject_opt_b_approx_dp_short_budget": lambda: _accounting(Budget(ZCdp(0.5)), 0,
                                                                "approx_dp"),
-    "reject_opt_b_unknown_accounting": lambda: _accounting(ShortStepBudget(0.5), 0, "pure"),
+    "reject_opt_b_unknown_accounting": lambda: _accounting(Budget(ZCdp(0.5)), 0, "pure"),
     # zCDP has no amplification by subsampling
-    "opt_b_short_budget": lambda: _minibatch(ShortStepBudget(0.5), 4),
-    "2opt_b_short_budget": lambda: _two_phase(ShortStepBudget(0.5), 6, "2opt_b",
-                                              t_policy=_fallback),
+    "opt_b_short_budget": lambda: _minibatch(Budget(ZCdp(0.5)), 4),
+    "2opt_b_short_budget": lambda: _two_phase(Budget(ZCdp(0.5)), 6, "2opt_b",
+                                              cap=_fallback),
     "reject_opt_b_plan_fraction": lambda: _minibatch(NoisePlan(10.0, 20.0, 20.0), 0),
     "reject_opt_b_batch_above_n": lambda: _minibatch(RDP, 0, m=2001),
     "reject_opt_ls_plan_without_lambda": lambda: _logistic_run(
         "opt_ls", NoisePlan(10.0, 20.0, 20.0), 0),
     "reject_2opt_noise_plan": lambda: _two_phase(NoisePlan(10.0, 20.0, 20.0), 0, "2opt"),
-    "reject_2opt_unknown_variant": lambda: _two_phase(ShortStepBudget(0.5), 0, "newton"),
-    "reject_2opt_split": lambda: _two_phase(ShortStepBudget(0.5), 0, "2opt", budget_split=1.0),
+    "reject_2opt_unknown_variant": lambda: _two_phase(Budget(ZCdp(0.5)), 0, "newton"),
+    "reject_2opt_split": lambda: _two_phase(Budget(ZCdp(0.5)), 0, "2opt", budget_split=1.0),
     "reject_2opt_b_no_selector": lambda: _two_phase(RDP, 0, "2opt_b", selector=None),
-    "reject_2opt_b_line_search_budget": lambda: _two_phase(LineSearchBudget(0.5), 0, "2opt_b"),
-    "reject_2opt_ls_short_budget": lambda: _two_phase(ShortStepBudget(0.5), 0, "2opt_ls"),
 }
 
 

@@ -16,15 +16,14 @@ from dpopt.harness import (ExperimentConfig, TOLERANCE_PRESETS, emit_report,
                            load_dataset, read_report_csv,
                            render_markdown, run_experiment, synth_dataset)
 from dpopt.harness.cli import main as cli_main
-from dpopt.accountant import InfeasiblePlanError, ZCdp, zcdp_to_approx_dp
+from dpopt.accountant import ApproxDp, InfeasiblePlanError, ZCdp, zcdp_to_approx_dp
 from dpopt.harness import experiment
 from dpopt.harness.experiment import ConfigError
 from dpopt import objective
 from dpopt.harness import data
 from dpopt.mechanisms import SeededRng
 from dpopt.objective import builtin_nonconvex_logistic, builtin_quartic_saddle, erm_hessian
-from dpopt.optimizer import (VARIANTS, AlgorithmConstants, ShortStepBudget,
-                             SubsampledDpBudget, run_variant, runs)
+from dpopt.optimizer import AlgorithmConstants, Budget, run_variant, runs
 from noise_doubles import zero_noise
 
 
@@ -161,6 +160,13 @@ class TestLibsvmLoader:
         path.write_text("1 1:0.5\n-1 2:0.5 4:0.1\n")
         with pytest.raises(ValueError, match=r"wide\.libsvm:2: index 4 is above n_features = 3"):
             load_dataset(path, "libsvm", n_features=3)
+
+    def test_label_column_refused(self, tmp_path):
+        # a libsvm line's label is its first token: a stated column is not silently dropped
+        path = tmp_path / "toy.libsvm"
+        path.write_text("1 1:0.5 2:0.1\n-1 1:0.1 2:0.2\n")
+        with pytest.raises(ValueError, match="label_column = 0"):
+            load_dataset(path, "libsvm", label_column=0)
 
 
 class TestPreprocessing:
@@ -384,7 +390,7 @@ class TestSynthetic:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         with zero_noise():
             out = run_variant("opt", model, ds, np.zeros(4),
-                              AlgorithmConstants(eps_g=0.06, eps_h=0.245), ShortStepBudget(0.5),
+                              AlgorithmConstants(eps_g=0.06, eps_h=0.245), Budget(ZCdp(0.5)),
                               SeededRng(0))
         assert out.status == "converged_2s"
 
@@ -449,8 +455,8 @@ class TestRunExperiment:
             raise InfeasiblePlanError("recorded")
 
         def no_run(name, model, dataset, w0, constants, budget, *args, **kwargs):
-            if isinstance(budget, SubsampledDpBudget):
-                asked.append(budget.epsilon)
+            if budget.composition == "advanced":
+                asked.append(budget.target.epsilon)
                 raise InfeasiblePlanError("recorded")
             return run_variant(name, model, dataset, w0, constants, budget, *args, **kwargs)
 
@@ -521,13 +527,19 @@ class TestRunExperiment:
                                         synth_d=objective.DENSE_HESSIAN_CAP + 1))
         assert started == []
 
-    def test_approx_dp_cells_spend_c_f_on_the_initial_loss(self):
-        config = small_config(variants=("opt_b",), batch_size=20,
-                              minibatch_accounting="approx_dp",
-                              constants=AlgorithmConstants(eps_g=0.06, eps_h=0.245, c_f=0.2))
-        budget = experiment._budget(config, VARIANTS["opt_b"], 1.0, 0.05, 2000)
-        assert budget == SubsampledDpBudget(1.0, 1e-5, 0.2)
-        assert (budget.eps_f, budget.delta_f) == (0.2 * 1.0, 0.2 * 1e-5)
+    def test_approx_dp_cells_spend_c_f_on_the_initial_loss(self, monkeypatch):
+        budgets = []
+
+        def no_run(name, model, dataset, w0, constants, budget, *args, **kwargs):
+            budgets.append(budget)
+            raise InfeasiblePlanError("recorded")
+
+        monkeypatch.setattr(experiment, "run_variant", no_run)
+        run_experiment(small_config(
+            variants=("opt_b",), batch_size=20, minibatch_accounting="approx_dp", seeds=(0,),
+            constants=AlgorithmConstants(eps_g=0.06, eps_h=0.245, c_f=0.2)))
+        assert budgets == [Budget(ApproxDp(1.0, 1e-5), 0.2, "advanced")]
+        assert budgets[0].f0_dp == (0.2 * 1.0, 0.2 * 1e-5)
 
     @pytest.mark.parametrize("bad", [{"loss": "hinge"}, {"delta": 0.0}, {"delta": 1.0},
                                      {"delta": -1e-5}, {"delta": float("nan")}])
@@ -804,6 +816,17 @@ class TestCli:
                        "--seeds", "0"])
         assert rc == 2
         assert "label column 3 is outside rows of 3 fields" in capsys.readouterr().err
+
+    def test_label_column_of_a_libsvm_file_is_error(self, tmp_path, capsys):
+        data = tmp_path / "toy.libsvm"
+        data.write_text("1 1:0.5 2:0.1\n-1 1:0.1 2:0.2\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset_format": "libsvm", "label_column": 0}))
+        rc = cli_main(["--config", str(cfg_path), "--dataset", str(data), "--preset",
+                       "covertype_loose", "--variant", "opt", "--epsilon", "1.0",
+                       "--seeds", "0"])
+        assert rc == 2
+        assert "label_column" in capsys.readouterr().err
 
     def test_synth_build_error_is_error(self, capsys):
         args = [{"4": "1", "synth:logistic_separable": "synth:planted_saddle"}.get(a, a)

@@ -18,11 +18,11 @@ from dpopt.objective import (BatchSelector, Dataset, builtin_nonconvex_logistic,
                              builtin_quartic_saddle, erm_gradient, erm_hessian,
                              sensitivities)
 from dpopt.harness import synth_dataset
-from dpopt.optimizer import (VARIANTS, AlgorithmConstants, LineSearchBudget,
-                             RdpTuneBudget, ShortStepBudget, SubsampledDpBudget,
-                             default_phase1_policy, min_dec_line_search,
-                             min_dec_short, roots_t1_t2, run_minibatch, run_variant)
-from noise_doubles import always_failing_line_search, bounded_noise, recorded_scales, zero_noise
+from dpopt.optimizer import (VARIANTS, AlgorithmConstants, Budget, default_phase1_policy,
+                             min_dec_line_search, min_dec_short, roots_t1_t2, run_minibatch,
+                             run_variant)
+from noise_doubles import (always_failing_line_search, bounded_noise, capped_t,
+                           recorded_scales, zero_noise)
 
 TOLS = AlgorithmConstants(eps_g=1e-2, eps_h=1e-1)
 
@@ -60,7 +60,7 @@ class TestZeroNoiseConvergence:
 
     def test_short_step_reaches_exact_second_order_point(self):
         ds, model = identical_sample_quartic()
-        out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(0.5),
+        out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, Budget(ZCdp(0.5)),
                           SeededRng(0))
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
@@ -70,7 +70,7 @@ class TestZeroNoiseConvergence:
 
     def test_line_search_reaches_exact_second_order_point(self):
         ds, model = identical_sample_quartic()
-        out = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, LineSearchBudget(0.5),
+        out = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, Budget(ZCdp(0.5)),
                           SeededRng(0))
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
@@ -80,7 +80,7 @@ class TestZeroNoiseConvergence:
 
     def test_saddle_start_takes_curvature_step_first(self):
         ds, model = identical_sample_quartic()
-        out = run_variant("opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1))
+        out = run_variant("opt", model, ds, np.zeros(2), TOLS, Budget(ZCdp(0.5)), SeededRng(1))
         first = out.trace[0]
         assert first.kind == "negative_curvature"
         assert first.grad_norm_noisy == 0.0
@@ -91,15 +91,15 @@ class TestZeroNoiseConvergence:
         # with b_g > 1 the search probes longer steps than 1/G from the same point
         ds, model = identical_sample_quartic()
         w0 = np.array([2.0, 0.0])
-        short = run_variant("opt", model, ds, w0, TOLS, ShortStepBudget(0.5), SeededRng(0))
-        ls = run_variant("opt_ls", model, ds, w0, TOLS, LineSearchBudget(0.5), SeededRng(0))
+        short = run_variant("opt", model, ds, w0, TOLS, Budget(ZCdp(0.5)), SeededRng(0))
+        ls = run_variant("opt_ls", model, ds, w0, TOLS, Budget(ZCdp(0.5)), SeededRng(0))
         dec_short = short.trace[0].loss_before - short.trace[0].loss_after
         dec_ls = ls.trace[0].loss_before - ls.trace[0].loss_after
         assert dec_ls >= dec_short
 
     def test_line_search_accepted_steps_satisfy_sufficient_decrease(self):
         ds, model = identical_sample_quartic()
-        out = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, LineSearchBudget(0.5),
+        out = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS, Budget(ZCdp(0.5)),
                           SeededRng(0))
         for rec in out.trace:
             if rec.kind == "gradient":
@@ -110,7 +110,7 @@ class TestZeroNoiseConvergence:
     def test_line_search_curvature_step_in_window(self):
         ds, model = identical_sample_quartic()
         t1, t2 = roots_t1_t2(TOLS.c, TOLS.c2, TOLS.c_h)
-        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
+        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, Budget(ZCdp(0.5)),
                           SeededRng(1))
         curv = [r for r in out.trace if r.kind == "negative_curvature"]
         assert curv
@@ -204,45 +204,64 @@ class TestLedger:
         ds, model = identical_sample_quartic()
         rho = 0.3
         with zero_noise():
-            out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(rho),
+            out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, Budget(ZCdp(rho)),
                               SeededRng(2))
             out_ls = run_variant("opt_ls", model, ds, np.array([2.0, 0.0]), TOLS,
-                                 LineSearchBudget(rho), SeededRng(2))
+                                 Budget(ZCdp(rho)), SeededRng(2))
         assert out.accounted_privacy.rho <= rho + 1e-12
         assert out_ls.accounted_privacy.rho <= rho + 1e-12
         recomputed = account_run(run_log(out_ls.plan, out_ls.grad_steps, out_ls.hess_evals,
                                          out_ls.iterations), ZCdp)
         assert out_ls.accounted_privacy.rho == recomputed.rho
 
-    @pytest.mark.parametrize("name", ["opt_b", "2opt_b"])
-    def test_short_step_budget_on_a_batch_refused_before_any_pass(self, name, monkeypatch):
-        # zCDP has no amplification by subsampling: a zCDP budget at m < n is
-        # refused, not charged in another notion than the one it claims
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The data passes a run makes: one name per evaluator call."""
         calls = []
         for evaluator in ("erm_value", "erm_gradient", "erm_hessian", "erm_hvp"):
             monkeypatch.setattr(runs, evaluator,
                                 lambda *a, _name=evaluator, **kw: calls.append(_name))
+        return calls
+
+    @pytest.mark.parametrize("name", ["opt_b", "2opt_b"])
+    def test_zcdp_target_on_a_batch_refused_before_any_pass(self, name, passes):
+        # zCDP has no amplification by subsampling: a zCDP budget at m < n is
+        # refused, not charged in another notion than the one it claims
         ds, model = _logistic_instance()
-        with pytest.raises(ValueError, match="ShortStepBudget accounts in zcdp"):
-            run_variant(name, model, ds, np.zeros(4), LOGISTIC, ShortStepBudget(0.5),
+        with pytest.raises(ValueError, match="zCDP target has no amplification"):
+            run_variant(name, model, ds, np.zeros(4), LOGISTIC, Budget(ZCdp(0.5)),
                         SeededRng(4), selector=BatchSelector(500))
-        assert calls == []
+        assert passes == []
+
+    @pytest.mark.parametrize("name", ["opt", "opt_ls", "2opt", "2opt_ls"])
+    @pytest.mark.parametrize("composition", ["rdp", "advanced"])
+    def test_approx_dp_target_off_a_batch_refused_before_any_pass(self, name, composition,
+                                                                   passes):
+        # an (epsilon, delta) plan prices no sweep: a variant that draws no
+        # mini-batches takes a zCDP target, so no line search goes uncharged
+        ds, model = _logistic_instance()
+        with pytest.raises(ValueError, match="mini-batch variants") as err:
+            run_variant(name, model, ds, np.zeros(4), LOGISTIC,
+                        Budget(ApproxDp(1.0, 1e-5), composition=composition), SeededRng(4))
+        assert type(err.value) is ValueError
+        assert passes == []
 
     def test_plan_must_keep_the_budgets_sigma_f(self):
         # the initial loss is noised at the budget's sigma_f before the plan
         # exists; a plan charging another sigma_f is refused
-        class Drifting(ShortStepBudget):
-            def plan(self, t_budget, s):
-                return replace(super().plan(t_budget, s), sigma_f=2.0 * self.sigma_f)
+        class Drifting(Budget):
+            def plan(self, t_budget, s, sweeps):
+                return replace(super().plan(t_budget, s, sweeps), sigma_f=2.0 * self.sigma_f)
 
         ds, model = identical_sample_quartic()
         with pytest.raises(ValueError, match="sigma_f"):
-            run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, Drifting(0.5), SeededRng(0))
+            run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, Drifting(ZCdp(0.5)),
+                        SeededRng(0))
 
     def test_iteration_cap_and_hessian_placement(self):
         ds, model = identical_sample_quartic()
         with zero_noise():
-            out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, ShortStepBudget(0.5),
+            out = run_variant("opt", model, ds, np.array([2.0, 0.0]), TOLS, Budget(ZCdp(0.5)),
                               SeededRng(0))
         assert out.iterations <= out.t_budget
         for rec in out.trace:
@@ -265,42 +284,44 @@ def _logistic_run(name, budget, seed, **kw):
     return run_variant(name, model, ds, np.zeros(4), LOGISTIC, budget, SeededRng(seed), **kw)
 
 
+def _fallback_run(name, budget, seed, **kw):
+    """A two-phase run whose phase 1 stops after two iterations."""
+    with capped_t(lambda t_full: 2, name):
+        return _logistic_run(name, budget, seed, **kw)
+
+
 WEIGHT_BOX = AlgorithmConstants(eps_g=0.05, eps_h=0.3)
 
 
 def _weight_box_run():
     ds, model = planted_instance()
-    return run_variant("opt", model, ds, np.zeros(6), WEIGHT_BOX, ShortStepBudget(2.0),
+    return run_variant("opt", model, ds, np.zeros(6), WEIGHT_BOX, Budget(ZCdp(2.0)),
                        SeededRng(4))
 
 
-def _two_steps(t_full):
-    return 2
-
-
 # a target with a plan on a batch of RDP_BATCH of the 2000 rows
-LOOSE_RDP = RdpTuneBudget(4.0, 1e-5)
+LOOSE_RDP = Budget(ApproxDp(4.0, 1e-5))
 RDP_BATCH = 100
+SUBSAMPLED = Budget(ApproxDp(0.8, 1e-5), composition="advanced")
 
 
 DRAWING_RUNS = {
-    "opt": lambda: _logistic_run("opt", ShortStepBudget(0.5), 0),
-    "opt_lanczos": lambda: _logistic_run("opt", ShortStepBudget(0.5), 2, lanczos=True),
-    "opt_ls": lambda: _logistic_run("opt_ls", LineSearchBudget(0.5), 1),
+    "opt": lambda: _logistic_run("opt", Budget(ZCdp(0.5)), 0),
+    "opt_lanczos": lambda: _logistic_run("opt", Budget(ZCdp(0.5)), 2, lanczos=True),
+    "opt_ls": lambda: _logistic_run("opt_ls", Budget(ZCdp(0.5)), 1),
     "opt_b_rdp": lambda: _logistic_run("opt_b", LOOSE_RDP, 4,
                                        selector=BatchSelector(RDP_BATCH)),
     "opt_b_noise_plan": lambda: _logistic_run(
         "opt_b", NoisePlan(10.0, 20.0, 20.0, None, 0.25), 5, selector=BatchSelector(500)),
-    "opt_b_approx_dp": lambda: _logistic_run("opt_b", SubsampledDpBudget(0.8, 1e-5), 2,
+    "opt_b_approx_dp": lambda: _logistic_run("opt_b", SUBSAMPLED, 2,
                                              selector=BatchSelector(500)),
-    "2opt": lambda: _logistic_run("2opt", ShortStepBudget(0.5), 1, t_policy=_two_steps),
-    "2opt_ls": lambda: _logistic_run("2opt_ls", LineSearchBudget(0.5), 3,
-                                     t_policy=_two_steps, lanczos=True),
-    "2opt_b": lambda: _logistic_run("2opt_b", RdpTuneBudget(8.0, 1e-5), 10,
-                                    selector=BatchSelector(RDP_BATCH), t_policy=_two_steps),
-    "2opt_b_approx_dp": lambda: _logistic_run(
-        "2opt_b", SubsampledDpBudget(0.8, 1e-5), 5, selector=BatchSelector(500),
-        t_policy=_two_steps),
+    "2opt": lambda: _fallback_run("2opt", Budget(ZCdp(0.5)), 1),
+    "2opt_ls": lambda: _fallback_run("2opt_ls", Budget(ZCdp(0.5)), 3, lanczos=True),
+    "2opt_b": lambda: _fallback_run("2opt_b", Budget(ApproxDp(8.0, 1e-5)), 10,
+                                    selector=BatchSelector(RDP_BATCH)),
+    "2opt_b_approx_dp": lambda: _fallback_run(
+        "2opt_b", Budget(ApproxDp(0.8, 1e-5), composition="advanced"), 5,
+        selector=BatchSelector(500)),
     "weight_box_abort": _weight_box_run,
 }
 
@@ -370,13 +391,14 @@ def dp_step(budget, plan, t_budget):
 
 def drawn_log(budget, phase, grads, wigners):
     """The log of a phase's counted draws: a gradient per iteration begun,
-    a Wigner matrix per Hessian, and in a line search a sweep per gradient;
+    a Wigner matrix per Hessian, and in a line search (whose plan alone
+    sets lambda_svt among these runs) a sweep per gradient;
     in (eps, delta), one plan step per iteration."""
     if type(phase.accounted_privacy) is ApproxDp:
-        return [Release("dp", (budget.eps_f, budget.delta_f)),
+        return [Release("dp", budget.f0_dp),
                 Release("dp", dp_step(budget, phase.plan, phase.t_budget),
                         phase.plan.subsample_fraction, grads)]
-    sweeps = grads if isinstance(budget, LineSearchBudget) else 0
+    sweeps = grads if phase.plan.lambda_svt is not None else 0
     return run_log(phase.plan, grads - wigners, wigners, sweeps)
 
 
@@ -454,7 +476,7 @@ class TestDrawsAndCharges:
                 # the charge of each iteration's gradient, Wigner draw and sweep
                 g, h = 0.5 / phase.plan.sigma_g ** 2, 0.5 / phase.plan.sigma_h ** 2
                 sweep = (0.5 / phase.plan.lambda_svt ** 2
-                         if isinstance(budget, LineSearchBudget) else 0.0)
+                         if phase.plan.lambda_svt is not None else 0.0)
                 increments = [g + sweep + h * (r.lambda_noisy is not None) for r in phase.trace]
                 f0 = 0.5 / phase.plan.sigma_f ** 2
                 for j, spend in enumerate(spends):
@@ -466,13 +488,14 @@ class TestDrawsAndCharges:
             else:
                 eps0, delta0, rest = dp_step(budget, phase.plan, phase.t_budget)
                 s = phase.plan.subsample_fraction
-                assert spends[0] == ApproxDp(budget.eps_f, budget.delta_f)
+                eps_f, delta_f = budget.f0_dp
+                assert spends[0] == ApproxDp(eps_f, delta_f)
                 for j, spend in enumerate(spends[1:], start=1):
                     assert spend.epsilon == pytest.approx(
-                        budget.eps_f + 8 * s * eps0 * math.sqrt(2 * j * math.log(2 / rest)),
+                        eps_f + 8 * s * eps0 * math.sqrt(2 * j * math.log(2 / rest)),
                         rel=1e-12)
                     assert spend.delta == pytest.approx(
-                        budget.delta_f + 2 * s * delta0 * j + rest / 2, rel=1e-12)
+                        delta_f + 2 * s * delta0 * j + rest / 2, rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(DRAWING_RUNS))
     def test_each_record_keeps_the_log_so_far(self, draws, name):
@@ -542,7 +565,7 @@ class TestLanczosPath:
     def test_zero_noise_lanczos_run_converges_with_exact_checks(self):
         ds, model = planted_instance()
         with zero_noise():
-            out = run_variant("opt", model, ds, np.zeros(6), TOLS, ShortStepBudget(0.5),
+            out = run_variant("opt", model, ds, np.zeros(6), TOLS, Budget(ZCdp(0.5)),
                               SeededRng(0), lanczos=True)
         assert out.status == "converged_2s"
         g = erm_gradient(model, ds, out.w_final)
@@ -561,7 +584,7 @@ class TestLanczosPath:
         ds = synth_dataset("planted_saddle", 4, d, seed=0)
         model = builtin_nonconvex_logistic(1e-3, ds.feature_norm_bound, d)
         with pytest.raises(ValueError, match="lanczos=True"):
-            run_variant("opt", model, ds, np.zeros(d), TOLS, ShortStepBudget(0.5), SeededRng(0))
+            run_variant("opt", model, ds, np.zeros(d), TOLS, Budget(ZCdp(0.5)), SeededRng(0))
         assert calls == []
 
     def test_missing_lambda_rejected_for_line_search(self):
@@ -577,7 +600,7 @@ class TestWeightBox:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 3, weight_box=0.4)
         with zero_noise():
             out = run_variant("opt", model, ds, np.zeros(3),
-                              AlgorithmConstants(eps_g=1e-4, eps_h=0.2), ShortStepBudget(0.5),
+                              AlgorithmConstants(eps_g=1e-4, eps_h=0.2), Budget(ZCdp(0.5)),
                               SeededRng(0))
         assert out.status == "failed_termination"
         assert any("weight box" in w for w in out.warnings)
@@ -593,7 +616,7 @@ class TestWeightBox:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 3, weight_box=0.4)
         with pytest.raises(objective.WeightBoxError):
             run_variant("opt", model, ds, np.array([top, 0.0, 0.0]),
-                        AlgorithmConstants(eps_g=1e-4, eps_h=0.2), ShortStepBudget(0.5),
+                        AlgorithmConstants(eps_g=1e-4, eps_h=0.2), Budget(ZCdp(0.5)),
                         SeededRng(0))
 
 
@@ -614,7 +637,7 @@ class TestNonFiniteRelease:
             deriv.fill(np.nan)
 
         model = self._with_link(base, value_and_deriv=nan_deriv)
-        out = run_variant("opt", model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5), SeededRng(0))
+        out = run_variant("opt", model, ds, np.zeros(3), TOLS, Budget(ZCdp(0.5)), SeededRng(0))
         assert out.status == "failed_termination"
         assert any("non-finite noisy gradient norm" in w for w in out.warnings)
         assert out.trace == ()
@@ -634,7 +657,7 @@ class TestNonFiniteRelease:
         else:
             model = self._with_link(model, second=lambda t: np.full_like(t, np.nan))
         with zero_noise():
-            out = run_variant("opt", model, ds, np.zeros(3), TOLS, ShortStepBudget(0.5),
+            out = run_variant("opt", model, ds, np.zeros(3), TOLS, Budget(ZCdp(0.5)),
                               SeededRng(0), lanczos=path == "lanczos")
         assert out.status == "failed_termination"
         assert any(f"non-finite {what}" in w for w in out.warnings)
@@ -649,7 +672,7 @@ class TestTwoPhase:
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
         rho = 0.5
         with zero_noise():
-            out = run_variant("2opt", model, ds, np.zeros(4), consts, ShortStepBudget(rho),
+            out = run_variant("2opt", model, ds, np.zeros(4), consts, Budget(ZCdp(rho)),
                               SeededRng(0))
         assert out.status == "converged_2s"
         assert len(out.phases) == 1
@@ -660,9 +683,9 @@ class TestTwoPhase:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
         rho = 0.5
-        with zero_noise():
-            out = run_variant("2opt", model, ds, np.zeros(4), consts, ShortStepBudget(rho),
-                              SeededRng(1), t_policy=lambda t: 2)
+        with zero_noise(), capped_t(lambda t: 2, "2opt"):
+            out = run_variant("2opt", model, ds, np.zeros(4), consts, Budget(ZCdp(rho)),
+                              SeededRng(1))
         p1, p2 = out.phases
         assert p1.status == "budget_exhausted" and p1.iterations == 2
         assert p2.status == "converged_2s"
@@ -681,7 +704,7 @@ class TestTwoPhase:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         consts = AlgorithmConstants(eps_g=0.06, eps_h=0.245)
         with zero_noise():
-            out = run_variant("2opt_ls", model, ds, np.zeros(4), consts, LineSearchBudget(0.5),
+            out = run_variant("2opt_ls", model, ds, np.zeros(4), consts, Budget(ZCdp(0.5)),
                               SeededRng(5))
         assert out.status == "converged_2s"
         assert out.accounted_privacy.rho <= 0.5 + 1e-12
@@ -718,7 +741,7 @@ class TestMarginReuse:
 
     def test_short_step_one_product_per_iterate(self, products):
         ds, model = self._instance()
-        out = run_variant("opt", model, ds, np.zeros(4), self.CONSTS, ShortStepBudget(0.5),
+        out = run_variant("opt", model, ds, np.zeros(4), self.CONSTS, Budget(ZCdp(0.5)),
                           SeededRng(2))
         steps = out.iterations - out.converged
         assert len(products["keys"]) == 1 + steps
@@ -730,17 +753,17 @@ class TestMarginReuse:
         ds, model = self._instance()
         w0, rng = np.zeros(4), SeededRng(4)
         if run == "line_search":
-            out = run_variant("opt_ls", model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng)
+            out = run_variant("opt_ls", model, ds, w0, self.CONSTS, Budget(ZCdp(0.5)), rng)
             assert sum(r.probes for r in out.trace) > 0
         elif run == "minibatch":
             out = run_variant("opt_b", model, ds, w0, self.CONSTS, LOOSE_RDP, rng,
                               selector=BatchSelector(RDP_BATCH))
         elif run == "lanczos":
-            out = run_variant("opt", model, ds, w0, self.CONSTS, ShortStepBudget(0.5), rng,
+            out = run_variant("opt", model, ds, w0, self.CONSTS, Budget(ZCdp(0.5)), rng,
                               lanczos=True)
         else:
-            out = run_variant("2opt_ls", model, ds, w0, self.CONSTS, LineSearchBudget(0.5), rng,
-                              t_policy=lambda t: 2)
+            with capped_t(lambda t: 2, "2opt_ls"):
+                out = run_variant("2opt_ls", model, ds, w0, self.CONSTS, Budget(ZCdp(0.5)), rng)
         assert out.status != "failed_termination"
         keys = products["keys"]
         # both phases of a two-phase run share one memo, so phase 2's start
@@ -784,14 +807,14 @@ class TestTracerContract:
 
     def test_dense_line_search_calls_each_dense_evaluator(self, calls):
         ds, model = identical_sample_quartic()
-        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
+        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, Budget(ZCdp(0.5)),
                           SeededRng(1))
         assert out.hess_evals > 0
         assert [calls[name] > 0 for name in self.NAMES] == [True, True, True, False]
 
     def test_lanczos_two_phase_calls_the_hvp(self, calls):
         ds, model = identical_sample_quartic()
-        out = run_variant("2opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1),
+        out = run_variant("2opt", model, ds, np.zeros(2), TOLS, Budget(ZCdp(0.5)), SeededRng(1),
                           lanczos=True)
         assert out.hess_evals > 0
         assert [calls[name] > 0 for name in self.NAMES] == [True, True, False, True]
@@ -824,7 +847,7 @@ class TestTracerContract:
 
     def test_line_search_sweeps_once_per_step(self, noise_calls):
         ds, model = identical_sample_quartic()
-        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, LineSearchBudget(0.5),
+        out = run_variant("opt_ls", model, ds, np.zeros(2), TOLS, Budget(ZCdp(0.5)),
                           SeededRng(1))
         steps = sum(1 for r in out.trace if r.kind != "terminate")
         assert out.curv_steps > 0 and out.grad_steps > 0
@@ -833,7 +856,7 @@ class TestTracerContract:
 
     def test_lanczos_multiplies_by_each_draw(self, noise_calls):
         ds, model = identical_sample_quartic()
-        out = run_variant("2opt", model, ds, np.zeros(2), TOLS, ShortStepBudget(0.5), SeededRng(1),
+        out = run_variant("2opt", model, ds, np.zeros(2), TOLS, Budget(ZCdp(0.5)), SeededRng(1),
                           lanczos=True)
         assert noise_calls["dp_line_search"] == 0
         assert noise_calls["wigner_init"] == out.hess_evals > 0
@@ -844,64 +867,156 @@ class TestVariantTable:
     def test_selector_needed_by_exactly_the_minibatch_variants(self):
         ds, model = identical_sample_quartic()
         for name, variant in VARIANTS.items():
-            budget = (LineSearchBudget(0.5) if variant.loop == "line_search"
-                      else ShortStepBudget(0.5))
             selector = None if variant.minibatch else BatchSelector(4)
             with pytest.raises(ValueError, match="selector"):
-                run_variant(name, model, ds, np.zeros(2), TOLS, budget, SeededRng(0),
+                run_variant(name, model, ds, np.zeros(2), TOLS, Budget(ZCdp(0.5)), SeededRng(0),
                             selector=selector)
 
-    @pytest.mark.parametrize("budget", [
-        ShortStepBudget(0.3, c_f=0.2), LineSearchBudget(0.3, 0.2),
-        SubsampledDpBudget(0.8, 1e-5), RdpTuneBudget(1.0, 1e-5)])
-    def test_pre_committed_sigma_f_is_the_plans(self, budget):
+    @pytest.mark.parametrize("budget,sweeps", [
+        (Budget(ZCdp(0.3), c_f=0.2), 0), (Budget(ZCdp(0.3), 0.2), 1), (SUBSAMPLED, 0),
+        (Budget(ApproxDp(1.0, 1e-5)), 0)])
+    def test_pre_committed_sigma_f_is_the_plans(self, budget, sweeps):
         # sigma_f is fixed before T; the plan calibrated at T must keep it
-        assert budget.plan(10, 0.01).sigma_f == budget.sigma_f
+        assert budget.plan(10, 0.01, sweeps).sigma_f == budget.sigma_f
         half = budget.scaled(0.5)
-        assert type(half) is type(budget) and half.accounting == budget.accounting
-        assert half.plan(10, 0.01).sigma_f == half.sigma_f
+        assert half.accounting == budget.accounting
+        assert half.plan(10, 0.01, sweeps).sigma_f == half.sigma_f
 
     def test_noise_plan_is_its_own_plan_and_cannot_be_split(self):
         plan = NoisePlan(10.0, 20.0, 20.0, None, 0.25)
-        assert plan.plan(7, 0.25) is plan
+        assert plan.plan(7, 0.25, 0) is plan
         with pytest.raises(ValueError, match="subsample_fraction"):
-            plan.plan(7, 0.5)
+            plan.plan(7, 0.5, 0)
         ds, model = identical_sample_quartic()
         for name in ("2opt", "2opt_ls", "2opt_b"):
             selector = BatchSelector(2) if VARIANTS[name].minibatch else None
-            with pytest.raises(TypeError, match=f"{name} takes a "):
+            with pytest.raises(TypeError, match=f"{name} takes a Budget$"):
                 run_variant(name, model, ds, np.zeros(2), TOLS, plan, SeededRng(0),
                             selector=selector)
 
 
-_RHO_POLICIES = (ShortStepBudget, LineSearchBudget)
-_EPS_POLICIES = (SubsampledDpBudget, RdpTuneBudget)
-_BAD_C_F = (0.0, 1.0, 1.5, -0.1)
-BAD_BUDGETS = (
-    [(policy, (rho,)) for policy in _RHO_POLICIES for rho in (0.0, -1.0, math.nan, math.inf)]
-    + [(policy, (0.5, c_f)) for policy in _RHO_POLICIES for c_f in _BAD_C_F]
-    + [(policy, (1.0, 1e-5, c_f)) for policy in _EPS_POLICIES for c_f in _BAD_C_F]
-    + [(policy, (eps, 1e-5)) for policy in _EPS_POLICIES for eps in (0.0, math.nan, math.inf)]
-    + [(policy, (1.0, delta)) for policy in _EPS_POLICIES for delta in (0.0, 1.0)])
+# a target checks its own fields when it is made (ZCdp(-1.0) and
+# ApproxDp(1.0, 0.0) raise), and the Budget checks the rest
+BAD_BUDGETS = {
+    **{f"rho={rho}": lambda rho=rho: Budget(ZCdp(rho))
+       for rho in (0.0, -1.0, math.nan, math.inf)},
+    **{f"{composition}-eps={eps}": lambda c=composition, eps=eps: Budget(ApproxDp(eps, 1e-5),
+                                                                          composition=c)
+       for composition in ("rdp", "advanced") for eps in (0.0, -1.0, math.nan, math.inf)},
+    **{f"{composition}-delta={delta}": lambda c=composition, delta=delta: Budget(
+        ApproxDp(1.0, delta), composition=c)
+       for composition in ("rdp", "advanced") for delta in (0.0, 1.0, math.nan)},
+    **{f"{target}-c_f={c_f}": lambda target=target, c_f=c_f: Budget(
+        ZCdp(0.5) if target == "zcdp" else ApproxDp(1.0, 1e-5), c_f,
+        None if target == "zcdp" else target)
+       for target in ("zcdp", "rdp", "advanced") for c_f in (0.0, 1.0, 1.5, -0.1, math.nan)},
+    **{f"zcdp-{composition}": lambda c=composition: Budget(ZCdp(0.5), composition=c)
+       for composition in ("rdp", "advanced")},
+    "eps-delta-pure": lambda: Budget(ApproxDp(1.0, 1e-5), composition="pure"),
+    "no-target": lambda: Budget(0.5),
+    "no-target-rdp": lambda: Budget(0.5, composition="rdp"),
+}
 
 
 class TestBudgetChecks:
     """A budget is checked when it is made, before any data pass could run."""
 
-    @pytest.mark.parametrize("policy,args", BAD_BUDGETS,
-                             ids=[f"{p.__name__}{a}" for p, a in BAD_BUDGETS])
-    def test_bad_budget_refused_when_made(self, policy, args):
+    @pytest.mark.parametrize("name", sorted(BAD_BUDGETS))
+    def test_bad_budget_refused_when_made(self, name):
         with pytest.raises(ValueError):
-            policy(*args)
+            BAD_BUDGETS[name]()
 
-    @pytest.mark.parametrize("budget", [ShortStepBudget(0.5), LineSearchBudget(0.5),
-                                        SubsampledDpBudget(0.8, 1e-5),
-                                        RdpTuneBudget(1.0, 1e-5)])
-    def test_scaled_share_is_checked_again(self, budget):
+    def test_composition_with_a_zcdp_target_refused_when_made(self):
+        with pytest.raises(ValueError, match="zCDP target takes no composition"):
+            Budget(ZCdp(0.5), composition="advanced")
+
+    def test_accounting_follows_the_target_and_its_composition(self):
+        assert Budget(ZCdp(0.5)).accounting == "zcdp"
+        assert Budget(ApproxDp(1.0, 1e-5)) == Budget(ApproxDp(1.0, 1e-5), composition="rdp")
+        assert Budget(ApproxDp(1.0, 1e-5)).accounting == "rdp"
+        assert SUBSAMPLED.accounting == "approx_dp"
+
+    @pytest.mark.parametrize("budget", [Budget(ZCdp(0.5)), SUBSAMPLED,
+                                        Budget(ApproxDp(1.0, 1e-5))])
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, math.nan, math.inf])
+    def test_scaled_share_is_checked_again(self, budget, fraction):
         with pytest.raises(ValueError):
-            budget.scaled(0.0)
-        with pytest.raises(ValueError):
-            budget.scaled(math.nan)
+            budget.scaled(fraction)
+
+
+# the budgets the one type replaced, each with the sweeps its class planned
+# for: ShortStepBudget(0.5, 0.1), LineSearchBudget(0.5, 0.1),
+# SubsampledDpBudget(0.8, 1e-5, 0.1) and RdpTuneBudget(4.0, 1e-5, 0.1)
+PINNED_BUDGETS = {"short": (Budget(ZCdp(0.5), 0.1), 0),
+                  "line_search": (Budget(ZCdp(0.5), 0.1), 1),
+                  "advanced": (Budget(ApproxDp(0.8, 1e-5), 0.1, "advanced"), 0),
+                  "rdp": (Budget(ApproxDp(4.0, 1e-5), 0.1), 0)}
+# (budget, T, s) -> float.hex of the plan's sigma_f, sigma_g, sigma_h and
+# lambda_svt, as the old classes planned them
+PINNED_PLANS = {
+    ("short", 1, 0.1): ("0x1.94c583ada5b53p+1", "0x1.7d9f4cf754635p+0",
+                        "0x1.7d9f4cf754635p+0", None),
+    ("short", 1, 0.05): ("0x1.94c583ada5b53p+1", "0x1.7d9f4cf754635p+0",
+                         "0x1.7d9f4cf754635p+0", None),
+    ("short", 40, 0.1): ("0x1.94c583ada5b53p+1", "0x1.2db2eaabf5c80p+3",
+                         "0x1.2db2eaabf5c80p+3", None),
+    ("short", 40, 0.05): ("0x1.94c583ada5b53p+1", "0x1.2db2eaabf5c80p+3",
+                          "0x1.2db2eaabf5c80p+3", None),
+    ("line_search", 1, 0.1): ("0x1.94c583ada5b53p+1", "0x1.d363d1848dcbep+0",
+                              "0x1.d363d1848dcbep+0", "0x1.d363d1848dcbep+0"),
+    ("line_search", 1, 0.05): ("0x1.94c583ada5b53p+1", "0x1.d363d1848dcbep+0",
+                               "0x1.d363d1848dcbep+0", "0x1.d363d1848dcbep+0"),
+    ("line_search", 40, 0.1): ("0x1.94c583ada5b53p+1", "0x1.7181116f43fe4p+3",
+                               "0x1.7181116f43fe4p+3", "0x1.7181116f43fe4p+3"),
+    ("line_search", 40, 0.05): ("0x1.94c583ada5b53p+1", "0x1.7181116f43fe4p+3",
+                                "0x1.7181116f43fe4p+3", "0x1.7181116f43fe4p+3"),
+    ("advanced", 1, 0.1): ("0x1.08f0ac1eb73f4p+6", "0x1.9c5bd9a517dadp+4",
+                           "0x1.9c5bd9a517dadp+4", None),
+    ("advanced", 1, 0.05): ("0x1.08f0ac1eb73f4p+6", "0x1.8f1038d358a76p+3",
+                            "0x1.8f1038d358a76p+3", None),
+    ("advanced", 40, 0.1): ("0x1.08f0ac1eb73f4p+6", "0x1.790a0ebfbf002p+7",
+                            "0x1.790a0ebfbf002p+7", None),
+    ("advanced", 40, 0.05): ("0x1.08f0ac1eb73f4p+6", "0x1.6ffd378e149e9p+6",
+                             "0x1.6ffd378e149e9p+6", None),
+    ("rdp", 1, 0.1): ("0x1.064eb33b896aap+2", "0x1.2cca0b6e83e1cp+0",
+                      "0x1.2cca0b6e83e1cp+0", None),
+    ("rdp", 1, 0.05): ("0x1.064eb33b896aap+2", "0x1.0d787ab463368p+0",
+                       "0x1.0d787ab463368p+0", None),
+    ("rdp", 40, 0.1): ("0x1.064eb33b896aap+2", "0x1.9cc28f8b44678p+1",
+                       "0x1.9cc28f8b44678p+1", None),
+    ("rdp", 40, 0.05): ("0x1.064eb33b896aap+2", "0x1.b131c2e9cb8e3p+0",
+                        "0x1.b131c2e9cb8e3p+0", None),
+}
+# (T, s) -> float.hex of SubsampledDpBudget(0.8, 1e-5, 0.1).step(T, s)
+PINNED_STEPS = {
+    (1, 0.1): ("0x1.7373cfe3e69c1p-3", "0x1.797cc39ffd60ep-16",
+               "0x1.2dfd694ccab3fp-17"),
+    (1, 0.05): ("0x1.7373cfe3e69c1p-2", "0x1.797cc39ffd60ep-15",
+                "0x1.2dfd694ccab3fp-17"),
+    (40, 0.1): ("0x1.d5daaf68af838p-6", "0x1.2dfd694ccab3fp-21",
+                "0x1.2dfd694ccab3fp-17"),
+    (40, 0.05): ("0x1.d5daaf68af838p-5", "0x1.2dfd694ccab3fp-20",
+                 "0x1.2dfd694ccab3fp-17"),
+}
+
+
+def _hex(values) -> tuple:
+    return tuple(None if x is None else float(x).hex() for x in values)
+
+
+class TestPlansPinned:
+    @pytest.mark.parametrize("key", sorted(PINNED_PLANS), ids=str)
+    def test_plan_is_the_replaced_classes_bit_for_bit(self, key):
+        name, t_budget, s = key
+        budget, sweeps = PINNED_BUDGETS[name]
+        plan = budget.plan(t_budget, s, sweeps)
+        assert _hex((plan.sigma_f, plan.sigma_g, plan.sigma_h, plan.lambda_svt)) \
+            == PINNED_PLANS[key]
+        assert plan.subsample_fraction == s
+
+    @pytest.mark.parametrize("key", sorted(PINNED_STEPS), ids=str)
+    def test_advanced_step_is_the_replaced_class_bit_for_bit(self, key):
+        assert _hex(PINNED_BUDGETS["advanced"][0].step(*key)) == PINNED_STEPS[key]
 
 
 class TestAccountingCheckedFirst:
@@ -919,7 +1034,7 @@ class TestAccountingCheckedFirst:
         model = builtin_nonconvex_logistic(1e-3, 1.0, 4)
         with pytest.raises(ValueError, match=match) as err:
             run(model, ds, np.zeros(4), AlgorithmConstants(eps_g=0.06, eps_h=0.245),
-                RdpTuneBudget(1.0, 1e-5))
+                Budget(ApproxDp(1.0, 1e-5)))
         assert type(err.value) is ValueError
         assert calls == []
 
